@@ -11,11 +11,10 @@ criterion collapses to tau-stability.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .galois import (
     CMGaloisModel,
@@ -25,7 +24,7 @@ from .galois import (
     index2_overgroups,
     orbit_of_subset,
 )
-from .slopes import SlopeVector, fix_of_slope, validate_slopes
+from .slopes import SlopeVector, conjugate_slope_basis, fix_of_slope, validate_slopes
 from .cmtypes import CMType, hodge_type, is_balanced
 
 DEFAULT_SUBSET_CAP = 16
@@ -80,52 +79,42 @@ class ClassifierReport:
     notes: tuple = (TATE_COUNT_NOTE, EXOTIC_RANK_NOTE)
 
 
-def is_tate_subset(model: CMGaloisModel, s: SlopeVector, subset) -> bool:
-    """True iff #I is even and every G-conjugate of I has slope sum #I/2."""
-    I = frozenset(subset)
-    if len(I) % 2 != 0:
-        return False
-    target = Fraction(len(I), 2)
-    if sum((s[i] for i in I), Fraction(0)) != target:
-        return False
-    for member in orbit_of_subset(model, I):
-        if sum((s[i] for i in member), Fraction(0)) != target:
-            return False
-    return True
+def tate_rows(model: CMGaloisModel, s: SlopeVector) -> tuple:
+    """Integer rows of the linear Tate predicate, one per conjugate-slope basis vector b.
 
-
-def _half_weight_everywhere(model: CMGaloisModel, s: SlopeVector, subset) -> bool:
-    """Slope sum #J/2 at every conjugate; evenness is not demanded here."""
-    J = frozenset(subset)
-    target = Fraction(len(J), 2)
-    return all(
-        sum((s[i] for i in member), Fraction(0)) == target for member in orbit_of_subset(model, J)
+    Row a_b = D (b - 1/2), with D twice the lcm of the slope denominators.
+    Every conjugate s∘g has entry sum g, so a subset J has slope sum #J/2
+    at every conjugate iff sum_{i in J} a_b[i] = 0 for every row.
+    """
+    D = 2 * lcm(*(v.denominator for v in s.values))
+    return tuple(
+        tuple(int(D * v) - D // 2 for v in b) for b in conjugate_slope_basis(model, s)
     )
 
 
+def _half_weight(rows, subset) -> bool:
+    """Slope sum #J/2 at every conjugate; evenness is not demanded here."""
+    return all(sum(row[i] for i in subset) == 0 for row in rows)
+
+
+def is_tate_subset(model: CMGaloisModel, s: SlopeVector, subset) -> bool:
+    """True iff #I is even and every G-conjugate of I has slope sum #I/2."""
+    validate_slopes(model, s)
+    I = frozenset(subset)
+    return len(I) % 2 == 0 and _half_weight(tate_rows(model, s), I)
+
+
 def q_pairs(model: CMGaloisModel, s: SlopeVector) -> frozenset:
-    """All members of weight-2 Tate orbits: the combinatorial divisor classes.
+    """All weight-2 Tate subsets {x, y}: the combinatorial divisor classes.
 
     Conjugation pairs {i, tau(i)} always qualify; further pairs appear
     exactly when distinct indices carry equal Frobenius conjugates
     modulo torsion (Q(pi) smaller than L).
     """
-    n = model.group.degree
-    pairs = set()
-    seen = set()
-    for x, y in combinations(range(n), 2):
-        P = frozenset({x, y})
-        if P in seen:
-            continue
-        if s[x] + s[y] != 1:
-            seen.add(P)
-            continue
-        orbit = orbit_of_subset(model, P)
-        orbset = set(orbit)
-        seen |= orbset
-        if all(sum((s[i] for i in member), Fraction(0)) == 1 for member in orbit):
-            pairs |= orbset
-    return frozenset(pairs)
+    rows = tate_rows(model, s)
+    return frozenset(
+        frozenset(P) for P in combinations(range(model.group.degree), 2) if _half_weight(rows, P)
+    )
 
 
 def has_qpair_matching(subset, qpairs) -> bool:
@@ -150,23 +139,37 @@ def has_qpair_matching(subset, qpairs) -> bool:
     return solve(frozenset(subset))
 
 
-def _candidates_for_weight(model, s, weight, workers):
-    n = model.group.degree
-    target = Fraction(weight, 2)
-    combos = list(combinations(range(n), weight))
+def _subset_sums(points, rows) -> dict:
+    """(size, row-sum vector) -> the subsets of `points` with that size and sums."""
+    table = {}
+    for size in range(len(points) + 1):
+        for c in combinations(points, size):
+            key = (size, tuple(sum(row[i] for i in c) for row in rows))
+            table.setdefault(key, []).append(c)
+    return table
 
-    def scan(chunk):
-        return [c for c in chunk if sum((s[i] for i in c), Fraction(0)) == target]
 
-    if workers <= 1 or len(combos) < 64:
-        kept = scan(combos)
-    else:
-        size = (len(combos) + workers - 1) // workers
-        chunks = [combos[k : k + size] for k in range(0, len(combos), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, chunks))
-        kept = [c for part in parts for c in part]
-    return [frozenset(c) for c in kept]
+def tate_subsets(rows, weights) -> dict:
+    """weight -> every subset of that size passing the predicate `rows`.
+
+    Meet-in-the-middle: the n points split into two halves, and a subset
+    passes iff its parts have sizes k, w - k and row sums v, -v.  The two
+    half tables hold 2^(n/2) subsets each, so the cost follows the
+    output rather than the 2^n subsets.  Weights are taken as given;
+    only even ones yield Tate subsets.
+    """
+    n = len(rows[0])
+    half = n // 2
+    low = _subset_sums(range(half), rows)
+    high = _subset_sums(range(half, n), rows)
+    out = {w: [] for w in weights}
+    for (size, vec), parts in low.items():
+        minus = tuple(-v for v in vec)
+        for w, found in out.items():
+            partners = high.get((w - size, minus))
+            if partners:
+                found.extend(frozenset(a + b) for a in parts for b in partners)
+    return out
 
 
 def classify_orbits(
@@ -177,19 +180,23 @@ def classify_orbits(
     subset_cap: int = DEFAULT_SUBSET_CAP,
     workers: int = 1,
 ) -> ClassifierReport:
-    """Two-phase enumeration of all Tate-class-bearing orbits.
+    """Enumerate every Tate-class-bearing orbit of the requested weights.
 
-    Phase 1 collects the subsets of each requested even size 2k whose
-    anchored slope sum is k; phase 2 groups them into G-orbits and keeps
-    the orbits lying entirely inside the candidate set.  Lefschetz /
-    exotic flags, per-weight Tate dimensions rho_k, the mildly-exotic
-    flag and the verdict are derived from the surviving orbits.  Output
-    ordering is canonical (weight, then lexicographic representative),
-    independent of the worker split.
+    The Tate subsets of each requested even weight are enumerated
+    directly (`tate_subsets`) and grouped into G-orbits in sorted order,
+    so each orbit is walked once, from its least member.  Every
+    conjugate of a Tate subset is Tate, so each orbit is kept whole.
+    Lefschetz / exotic flags, per-weight Tate dimensions rho_k, the
+    mildly-exotic flag and the verdict are derived from the orbits.
+    Output ordering is canonical (weight, then lexicographic
+    representative).  `workers` must be at least 1 and never changes
+    the output; the scan runs in the calling thread.
     """
     n = model.group.degree
     if n > subset_cap:
         raise CapExceededError(f"2g = {n} exceeds the subset cap {subset_cap}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     validate_slopes(model, s)
 
     full_scan = weights is None
@@ -203,18 +210,13 @@ def classify_orbits(
 
     qp = q_pairs(model, s)
     orbits = []
-    for w in weight_list:
-        candidates = _candidates_for_weight(model, s, w, workers)
-        candidate_set = set(candidates)
-        unvisited = set(candidates)
-        for I in sorted(candidates, key=sorted):
+    for w, found in tate_subsets(tate_rows(model, s), weight_list).items():
+        unvisited = set(found)
+        for I in sorted(found, key=sorted):
             if I not in unvisited:
                 continue
             orbit = orbit_of_subset(model, I)
-            orbset = set(orbit)
-            unvisited -= orbset
-            if not orbset <= candidate_set:
-                continue
+            unvisited.difference_update(orbit)
             rep = orbit[0]
             lefschetz = has_qpair_matching(rep, qp)
             ht = hodge_type(model, phi, rep) if phi is not None else None
@@ -449,18 +451,21 @@ def structure_check(
 
 
 def predicted_signature(report: ClassifierReport, g: int) -> tuple:
-    """Alternating-sum signature of the middle intersection pairing.
+    """Signature (s_+, s_-) of the middle intersection pairing.
 
-    Assumes the Tate-class dimensions rho_k equal the cycle-space
-    dimensions (see ClassifierReport.notes).
+    Hodge-Riemann gives sign (-1)^k to the primitive part of degree 2k,
+    of dimension rho_k - rho_{k-1} (rho_{-1} = 0), so s_+ sums those
+    dimensions over even k <= g/2 and s_- = rho_{g/2} - s_+.  Assumes
+    the Tate-class dimensions rho_k equal the cycle-space dimensions
+    (see ClassifierReport.notes).
     """
     if g % 2 != 0:
         raise ValueError("signature prediction needs even g")
-    if report.tate_dims is None or len(report.tate_dims) <= g // 2:
+    rho = report.tate_dims
+    if rho is None or len(rho) <= g // 2:
         raise ValueError("report does not carry rho_0..rho_{g/2}")
-    s_plus = sum((-1) ** k * report.tate_dims[k] for k in range(g // 2 + 1))
-    s_minus = report.tate_dims[g // 2] - s_plus
-    return (s_plus, s_minus)
+    s_plus = sum(rho[k] - (rho[k - 1] if k else 0) for k in range(0, g // 2 + 1, 2))
+    return (s_plus, rho[g // 2] - s_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +515,7 @@ def verify_lemma_suite(instances) -> tuple:
         noncommutative = end is not None and not end.commutative
         n = model.group.degree
         all_points = frozenset(range(n))
+        rows = tate_rows(model, s)
 
         if mildly:
             status, detail = PASS, ""
@@ -532,7 +538,7 @@ def verify_lemma_suite(instances) -> tuple:
                 I = sorted(o.representative)
                 for size in range(1, len(I) + 1):
                     for J in combinations(I, size):
-                        if _half_weight_everywhere(model, s, J) and size < model.g // 2:
+                        if _half_weight(rows, J) and size < model.g // 2:
                             status = FAIL
                             detail = (
                                 f"J = {[i + 1 for i in J]} has half-weight products "

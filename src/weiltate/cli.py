@@ -44,6 +44,10 @@ EXIT_CAP = 4
 EXIT_LEMMA_FAIL = 5
 
 
+class UsageError(ValueError):
+    pass
+
+
 def _env_int(name: str, default):
     value = os.environ.get(name)
     if value is None:
@@ -51,7 +55,7 @@ def _env_int(name: str, default):
     try:
         return int(value)
     except ValueError:
-        raise forge.HypothesisError(f"{name} must be an integer, got {value!r}")
+        raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def _emit_json(doc: dict) -> str:
@@ -115,10 +119,6 @@ def _resolve_scenario(args, group_cap) -> forge.Scenario:
             raise UsageError("--preset split requires --gp")
         return forge.scenario_split(args.gp, args.p)
     raise UsageError("one of --preset or --file is required")
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _scenario_doc(scn: forge.Scenario) -> dict:

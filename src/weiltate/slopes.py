@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .galois import CMGaloisModel, blocks_of_subgroup, compose
 
@@ -114,42 +115,46 @@ def minimal_field_index(model: CMGaloisModel, s: SlopeVector) -> int:
     return model.group.order // len(fix_of_slope(model, s))
 
 
+def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:
+    """Basis of span{s∘g : g in G}, where (s∘g)[x] = s[g(x)].
+
+    Span closure of s under the generators: the image b∘gen of each new
+    basis vector is kept when it is independent of the basis so far.
+    Each basis vector is an actual conjugate s∘g, and there are at most
+    2g of them; no group element beyond the generators is visited.
+    """
+    n = len(s)
+    scale = lcm(*(v.denominator for v in s.values))
+    scaled = [int(v * scale) for v in s.values]
+    echelon = []
+    maps = [tuple(range(n))]  # b = s∘m for each point map m
+    _extend_echelon(echelon, scaled)
+    for m in maps:  # grows while it is walked
+        for gen in model.group.generators:
+            image = tuple(m[gen[x]] for x in range(n))
+            if _extend_echelon(echelon, [scaled[image[x]] for x in range(n)]):
+                maps.append(image)
+    return tuple(tuple(s[m[x]] for x in range(n)) for m in maps)
+
+
+def _extend_echelon(echelon: list, row: list) -> bool:
+    """Append row to the integer echelon form if it is independent of it."""
+    for pivot, e in echelon:
+        if row[pivot]:
+            a, b = e[pivot], row[pivot]
+            row = [a * r - b * v for r, v in zip(row, e)]
+    pivot = next((i for i, v in enumerate(row) if v), None)
+    if pivot is None:
+        return False
+    d = gcd(*row)
+    echelon.append((pivot, [v // d for v in row]))
+    return True
+
+
 def frobenius_rank(model: CMGaloisModel, s: SlopeVector) -> int:
     """Dimension of the span of the 2g slope functions, minus one."""
     validate_slopes(model, s)
-    n = model.group.degree
-    # columns indexed by group elements; identical columns do not change rank
-    columns = sorted({tuple(s[g[x]] for x in range(n)) for g in model.group.elements})
-    matrix = [[col[x] for col in columns] for x in range(n)]
-    return _rational_rank(matrix) - 1
-
-
-def _rational_rank(matrix) -> int:
-    rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [v / inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(conjugate_slope_basis(model, s)) - 1
 
 
 # --- reference oracles (the definitional brute-force route) ---------------

@@ -3,8 +3,13 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import frobenius_rank_by_matrix, tate_by_orbit_walk
 
 from weiltate.classifier import (
     FAIL,
@@ -26,6 +31,7 @@ from weiltate.classifier import (
     q_pairs,
     report_to_doc,
     structure_check,
+    tate_rows,
     verify_lemma_suite,
     weil_tate_submotives,
 )
@@ -38,7 +44,27 @@ from weiltate.galois import (
     cycles_to_perm,
     orbit_of_subset,
 )
-from weiltate.slopes import SlopeVector
+from weiltate.slopes import SlopeVector, conjugate_slope_basis, frobenius_rank
+
+
+def tate_subsets_by_oracle(model, s):
+    n = model.group.degree
+    return {
+        frozenset(c)
+        for size in range(n + 1)
+        for c in combinations(range(n), size)
+        if tate_by_orbit_walk(model, s, c)
+    }
+
+
+PRESETS = {
+    "main4": lambda: scenario_main(4, 5),
+    "main6": lambda: scenario_main(6, 5),
+    "ramified3": lambda: scenario_ramified(3, 5),
+    "split3": lambda: scenario_split(3, 5),
+    "ramified5": lambda: scenario_ramified(5, 5),
+    "split5": lambda: scenario_split(5, 5),
+}
 
 
 def ordinary_slopes(g):
@@ -169,23 +195,14 @@ def test_classify_worker_split_is_invisible():
 
 
 def test_classified_orbits_cover_exactly_the_tate_subsets():
-    from itertools import combinations
-
     scn = scenario_main(4, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     reported = {frozenset(m) for o in rep.orbits for m in o.orbit}
-    direct = set()
-    for size in range(0, 9):
-        for c in combinations(range(8), size):
-            if is_tate_subset(scn.model, scn.slopes, c):
-                direct.add(frozenset(c))
-    assert reported == direct
+    assert reported == tate_subsets_by_oracle(scn.model, scn.slopes)
 
 
 def test_random_cm_types_keep_classifier_invariants():
     """Random CM-types on the preset models: the general path stays sound."""
-    from itertools import combinations
-
     from weiltate.cmtypes import PlacePrescription, enumerate_cm_types
     from weiltate.galois import blocks_of_subgroup
     from weiltate.slopes import slopes_from_cm_type
@@ -203,17 +220,75 @@ def test_random_cm_types_keep_classifier_invariants():
             assert rep.tate_dims == tuple(reversed(rep.tate_dims))
             assert all(o.rank >= 2 for o in rep.exotic)
             reported = {frozenset(m) for o in rep.orbits for m in o.orbit}
-            direct = {
-                frozenset(c)
-                for size in range(0, 9)
-                for c in combinations(range(8), size)
-                if is_tate_subset(scn.model, s, c)
-            }
-            assert reported == direct
+            assert reported == tate_subsets_by_oracle(scn.model, s)
             for o in rep.orbits:
                 members = [frozenset(m) for m in o.orbit]
                 if all(frozenset(scn.model.tau[i] for i in m) == m for m in members):
                     assert o.is_lefschetz_bearing
+
+
+MODELS = {g: cm_product_group(g) for g in (2, 3, 4)}
+
+
+@st.composite
+def product_models_with_slopes(draw):
+    """cm_product_group(g), g = 2..4, with random admissible slopes s_i + s_tau(i) = 1."""
+    model = MODELS[draw(st.integers(2, 4))]
+    values = [None] * model.group.degree
+    for i in range(model.g):
+        den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        values[i] = Fraction(draw(st.integers(0, den)), den)
+        values[model.tau[i]] = 1 - values[i]
+    return model, SlopeVector(tuple(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_models_with_slopes())
+def test_linear_predicate_matches_the_orbit_walk(case):
+    model, s = case
+    n = model.group.degree
+    oracle = tate_subsets_by_oracle(model, s)
+    rep = classify_orbits(model, s)
+    assert {frozenset(m) for o in rep.orbits for m in o.orbit} == oracle
+    for size in range(n + 1):
+        for c in combinations(range(n), size):
+            assert is_tate_subset(model, s, c) == (frozenset(c) in oracle)
+    assert q_pairs(model, s) == {P for P in oracle if len(P) == 2}
+    assert frobenius_rank(model, s) == frobenius_rank_by_matrix(model, s)
+
+
+def closed_form_rho(model, s):
+    """rho_k without enumerating subsets: count vectors over the point classes.
+
+    Points x, y share a class iff b[x] = b[y] for every basis vector b, so
+    the predicate rows are constant on classes and a Tate subset is fixed,
+    up to choosing its members, by how many points it takes from each class.
+    """
+    basis = conjugate_slope_basis(model, s)
+    classes = {}
+    for x in range(model.group.degree):
+        classes.setdefault(tuple(b[x] for b in basis), []).append(x)
+    sizes = [len(c) for c in classes.values()]
+    values = [[row[c[0]] for row in tate_rows(model, s)] for c in classes.values()]
+    rho = [0] * (model.g + 1)
+    for counts in product(*(range(k + 1) for k in sizes)):
+        w = sum(counts)
+        if w % 2 == 0 and all(
+            sum(c * v[r] for c, v in zip(counts, values)) == 0 for r in range(len(basis))
+        ):
+            ways = 1
+            for k, c in zip(sizes, counts):
+                ways *= comb(k, c)
+            rho[w // 2] += ways
+    return tuple(rho)
+
+
+# split g'=5 is left out: its 20 points are 20 classes, so 2^20 count vectors
+@pytest.mark.parametrize("name", [name for name in PRESETS if name != "split5"])
+def test_closed_form_rho_matches_the_orbit_ranks(name):
+    scn = PRESETS[name]()
+    rep = classify_orbits(scn.model, scn.slopes, subset_cap=20)
+    assert closed_form_rho(scn.model, scn.slopes) == rep.tate_dims
 
 
 def test_rho_duality_on_presets():
@@ -284,8 +359,6 @@ def test_classify_main6():
 
 def test_family_invariants_at_gp5():
     """The construction families keep their shape at the next odd g'."""
-    from weiltate.slopes import frobenius_rank
-
     ram = scenario_ramified(5, 5)
     end = honda_tate_endomorphism(ram.model, ram.slopes)
     assert end.frobenius_field_degree == 10
@@ -470,6 +543,22 @@ def test_signature_rho1_counts_the_g_pairs():
     rep = classify_orbits(scn.model, scn.slopes)
     assert rep.tate_dims[0] == 1
     assert rep.tate_dims[1] == 6
+
+
+def test_signature_main6():
+    scn = scenario_main(6, 5)
+    rep = classify_orbits(scn.model, scn.slopes)
+    assert rep.tate_dims[:4] == (1, 6, 15, 22)
+    assert predicted_signature(rep, 6) == (10, 12)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_signature_is_nonnegative_on_presets(name):
+    scn = PRESETS[name]()
+    rep = classify_orbits(scn.model, scn.slopes, subset_cap=20)
+    s_plus, s_minus = predicted_signature(rep, scn.g)
+    assert s_plus >= 0 and s_minus >= 0
+    assert s_plus + s_minus == rep.tate_dims[scn.g // 2]
 
 
 def test_signature_rejects_odd_g():

@@ -189,3 +189,44 @@ def test_text_and_json_carry_same_summary(capsys):
     assert str(doc["frobenius_rank"]) in text_out
     assert doc["report"]["scht_verdict"] in text_out
     assert f"({doc['predicted_signature'][0]}, {doc['predicted_signature'][1]})" in text_out
+
+
+def test_classify_rejects_worker_counts_below_one(capsys):
+    for workers in ("0", "-3"):
+        code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4",
+                                          "--workers", workers])
+        assert code == cli.EXIT_USAGE
+        assert "workers must be at least 1" in err
+        assert out == ""
+
+
+def test_non_integer_env_caps_are_input_errors(capsys, monkeypatch):
+    classify = ["classify", "--preset", "main", "--g", "4"]
+    forge_argv = ["forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11"]
+    for name, argv in (("WEILTATE_GROUP_CAP", classify), ("WEILTATE_SUBSET_CAP", classify),
+                       ("WEILTATE_RETRY_BUDGET", forge_argv)):
+        monkeypatch.setenv(name, "ten")
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_USAGE, name
+        assert f"{name} must be an integer" in err
+        monkeypatch.delenv(name)
+
+
+G2_SCENARIO = """\
+name = g2-ordinary-pair
+points = 4
+generators = (1 3)(2 4), (1 2)(3 4)
+tau = (1 3)(2 4)
+decomposition_generators = (1 2)(3 4)
+phi = 1 2
+"""
+
+
+def test_classify_g2_scenario_signature(tmp_path, capsys):
+    path = tmp_path / "g2.scn"
+    path.write_text(G2_SCENARIO, encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["classify", "--file", str(path), "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["report"]["tate_dims"] == [1, 4, 1]
+    assert doc["predicted_signature"] == [1, 3]
