@@ -16,6 +16,7 @@ are ever needed as certificates).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 BigRational = Fraction
 
@@ -389,11 +390,9 @@ def sturm_real_roots(f):
 
 def crt_integers(residues, moduli) -> int:
     """Combine integer congruences with pairwise coprime moduli into [0, M)."""
-    import math
-
     total, modulus = 0, 1
     for r, m in zip(residues, moduli):
-        if math.gcd(modulus, m) != 1:
+        if gcd(modulus, m) != 1:
             raise ValueError("moduli are not pairwise coprime")
         # x = total + modulus * t with t = (r - total)/modulus mod m
         t = ((r - total) * pow(modulus % m, -1, m)) % m
@@ -410,8 +409,6 @@ def crt_poly(constraints, degree: int):
     polynomial (their x**degree coefficient must be 1 mod the modulus),
     and non-leading coefficients land in the canonical range [0, prod).
     """
-    import math
-
     if degree < 0:
         raise ValueError("degree must be non-negative")
     moduli = []
@@ -429,7 +426,7 @@ def crt_poly(constraints, degree: int):
         residues.append(r)
     for i in range(len(moduli)):
         for j in range(i + 1, len(moduli)):
-            if math.gcd(moduli[i], moduli[j]) != 1:
+            if gcd(moduli[i], moduli[j]) != 1:
                 raise ValueError("moduli are not pairwise coprime")
     coeffs = []
     for k in range(degree):

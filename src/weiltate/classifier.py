@@ -19,13 +19,20 @@ from math import gcd, lcm
 from .galois import (
     CMGaloisModel,
     CapExceededError,
-    compose,
     format_perm,
-    index2_overgroups,
+    identity,
+    index2_point_sets,
     orbit_of_subset,
+    parse_perm,
+    subgroup_closure,
 )
-from .slopes import SlopeVector, conjugate_slope_basis, fix_of_slope, validate_slopes
+from .slopes import SlopeVector, conjugate_slope_basis, signature_classes, validate_slopes
 from .cmtypes import CMType, hodge_type, is_balanced
+
+# Not called here any more: perfbench/tracer.py patches both names in this
+# module, so they stay importable from it.
+from .galois import index2_overgroups  # noqa: F401
+from .slopes import fix_of_slope  # noqa: F401
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -270,19 +277,21 @@ def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector, _qpairs=None) -> 
 
     One entry per index-2 overgroup Z of H avoiding tau: the orbit
     {z(1) : z in Z} of size g, flagged Tate / Lefschetz-bearing /
-    exotic.
+    exotic.  The determinant sets come from sign labellings of the
+    points (`index2_point_sets`); Z itself is listed only for the entry.
     """
+    validate_slopes(model, s)
     qp = q_pairs(model, s) if _qpairs is None else _qpairs
+    rows = tate_rows(model, s)
     entries = []
-    for Z in index2_overgroups(model.group, model.H):
-        if model.tau in Z:
+    for det_set in index2_point_sets(model.group):
+        if model.tau[0] in det_set:
             continue
-        det_set = frozenset(z[0] for z in Z)
-        tate = is_tate_subset(model, s, det_set)
+        tate = len(det_set) % 2 == 0 and _half_weight(rows, det_set)
         lefschetz = has_qpair_matching(det_set, qp)
         entries.append(
             WeilTateEntry(
-                subgroup=Z,
+                subgroup=frozenset(e for e in model.group.elements if e[0] in det_set),
                 determinant_set=tuple(sorted(det_set)),
                 is_tate=tate,
                 is_lefschetz_bearing=lefschetz,
@@ -316,59 +325,87 @@ class EndAlgebraReport:
     abelian_variety_dim: int
 
 
-def _left_cosets(group, sub):
-    """Canonical left cosets e*sub: representatives in discovery order."""
-    reps = []
-    key_to_id = {}
-    coset_of = {}
-    for e in group.elements:
-        key = min(compose(e, z) for z in sub)
-        cid = key_to_id.get(key)
-        if cid is None:
-            cid = len(reps)
-            key_to_id[key] = cid
-            reps.append(e)
-        coset_of[e] = cid
-    return reps, coset_of
+def _blocks_in_coset_order(model: CMGaloisModel, label, point) -> list:
+    """The blocks of a G-stable partition, in the order BFS over G meets their cosets.
+
+    Blocks are class labels, with the class S of index 1 labelled 0
+    and point[B] some index in B; block B stands for the coset
+    {g : g(S) = B} of the setwise stabilizer of S.  `build_group` lists
+    the elements in shortlex order of their least generator words
+    w = w_1 ... w_k (acting as w_1 after ... after w_k), so the first
+    element meeting the coset of B is the shortlex-least word with
+    w(S) = B.  Its length is the BFS distance from S in the block graph,
+    and it is read greedily from the left: w_1 is the first generator
+    whose inverse takes B one step closer to S.
+    """
+    nblocks = len(point)
+    moves = [[label[gen[point[b]]] for b in range(nblocks)] for gen in model.group.generators]
+    back = []
+    for move in moves:
+        inv = [0] * nblocks
+        for b, c in enumerate(move):
+            inv[c] = b
+        back.append(inv)
+    dist = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for move in moves:
+                if move[b] not in dist:
+                    dist[move[b]] = dist[b] + 1
+                    nxt.append(move[b])
+        frontier = nxt
+
+    def least_word(b):
+        word = []
+        for step in range(dist[b] - 1, -1, -1):
+            k = next(k for k, inv in enumerate(back) if dist[inv[b]] == step)
+            word.append(k)
+            b = back[k][b]
+        return word
+
+    return sorted(range(nblocks), key=lambda b: (dist[b], least_word(b)))
 
 
 def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector) -> EndAlgebraReport:
     """Local Brauer invariants, index and dimension of the isogeny factor.
 
-    Places of F correspond to D-orbits on the cosets G/Fix; each place
+    Places of F correspond to D-orbits on the cosets G/Fix, i.e. on the
+    blocks of the signature partition (`signature_classes`); each place
     contributes slope * local degree mod 1.  The index m is the lcm of
     the invariant denominators, and 2 dim = m [F:Q].
     """
     if model.D is None:
         raise ValueError("model has no decomposition subgroup D")
     validate_slopes(model, s)
-    fix = fix_of_slope(model, s)
-    reps, coset_of = _left_cosets(model.group, fix)
-    ncos = len(reps)
+    label = signature_classes(model, s)
+    ncos = max(label) + 1
+    point = [label.index(b) for b in range(ncos)]
+    d_moves = {tuple(label[d[point[b]]] for b in range(ncos)) for d in model.D}
 
-    visited = [False] * ncos
+    visited = set()
     places = []
-    for start in range(ncos):
-        if visited[start]:
+    for start in _blocks_in_coset_order(model, label, point):
+        if start in visited:
             continue
-        orbit = set()
+        orbit = {start}
         frontier = [start]
         while frontier:
-            c = frontier.pop()
-            if c in orbit:
-                continue
-            orbit.add(c)
-            visited[c] = True
-            for d in model.D:
-                frontier.append(coset_of[compose(d, reps[c])])
-        slope = s[reps[min(orbit)][0]]
+            b = frontier.pop()
+            for move in d_moves:
+                if move[b] not in orbit:
+                    orbit.add(move[b])
+                    frontier.append(move[b])
+        visited |= orbit
+        slope = s[point[start]]
         degree = len(orbit)
         raw = slope * degree
         inv = raw - raw.numerator // raw.denominator  # reduce mod 1 into [0, 1)
         places.append(LocalInvariant(degree=degree, slope=slope, invariant=inv))
 
     total = sum((p.invariant for p in places), Fraction(0))
-    if model.tau in fix:
+    if label[model.tau[0]] == 0:
         # F is totally real (slope constant 1/2, hence F = Q): its single
         # real place carries the balancing invariant 1/2
         if (total + Fraction(ncos, 2)).denominator != 1:
@@ -611,14 +648,8 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _parse_frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _subgroup_generators(group, sub) -> list:
     """Small deterministic generating set for a verified subgroup."""
-    from .galois import identity, subgroup_closure
-
     gens = []
     closure = {identity(group.degree)}
     for e in sorted(sub):
@@ -684,8 +715,6 @@ def end_report_to_doc(end: EndAlgebraReport) -> dict:
 
 def doc_to_report(doc: dict, model: CMGaloisModel) -> ClassifierReport:
     """Rebuild a ClassifierReport from its structured document."""
-    from .galois import parse_perm, subgroup_closure
-
     orbits = []
     for od in doc["orbits"]:
         ht = tuple(od["hodge_type"]) if "hodge_type" in od else None
@@ -734,8 +763,8 @@ def doc_to_end_report(doc: dict) -> EndAlgebraReport:
         local_invariants=tuple(
             LocalInvariant(
                 degree=pd["degree"],
-                slope=_parse_frac(pd["slope"]),
-                invariant=_parse_frac(pd["invariant"]),
+                slope=Fraction(pd["slope"]),
+                invariant=Fraction(pd["invariant"]),
             )
             for pd in doc["local_invariants"]
         ),

@@ -26,7 +26,7 @@ from .classifier import (
     report_to_doc,
     verify_lemma_suite,
 )
-from .galois import CapExceededError, cm_product_group, index2_overgroups
+from .galois import DEFAULT_GROUP_CAP, CapExceededError, cm_product_group, index2_overgroups
 from .slopes import (
     SlopeVector,
     fix_of_slope,
@@ -109,15 +109,17 @@ def _resolve_scenario(args, group_cap) -> forge.Scenario:
     if args.preset == "main":
         if args.g is None:
             raise UsageError("--preset main requires --g")
-        return forge.scenario_main(args.g, args.p, attach_fields=args.attach_fields)
+        return forge.scenario_main(
+            args.g, args.p, attach_fields=args.attach_fields, group_cap=group_cap
+        )
     if args.preset == "ramified":
         if args.gp is None:
             raise UsageError("--preset ramified requires --gp")
-        return forge.scenario_ramified(args.gp, args.p)
+        return forge.scenario_ramified(args.gp, args.p, group_cap=group_cap)
     if args.preset == "split":
         if args.gp is None:
             raise UsageError("--preset split requires --gp")
-        return forge.scenario_split(args.gp, args.p)
+        return forge.scenario_split(args.gp, args.p, group_cap=group_cap)
     raise UsageError("one of --preset or --file is required")
 
 
@@ -218,7 +220,7 @@ def _print_classify_text(doc: dict) -> None:
 
 
 def cmd_classify(args) -> int:
-    group_cap = _env_int("WEILTATE_GROUP_CAP", None)
+    group_cap = _env_int("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP)
     scn = _resolve_scenario(args, group_cap)
     weights = None
     if args.weights:
@@ -236,10 +238,10 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 _PRESET_BUILDERS = {
-    "main4": lambda p: forge.scenario_main(4, p),
-    "main6": lambda p: forge.scenario_main(6, p),
-    "ramified3": lambda p: forge.scenario_ramified(3, p),
-    "split3": lambda p: forge.scenario_split(3, p),
+    "main4": lambda p, cap: forge.scenario_main(4, p, group_cap=cap),
+    "main6": lambda p, cap: forge.scenario_main(6, p, group_cap=cap),
+    "ramified3": lambda p, cap: forge.scenario_ramified(3, p, group_cap=cap),
+    "split3": lambda p, cap: forge.scenario_split(3, p, group_cap=cap),
 }
 
 
@@ -255,9 +257,9 @@ def random_admissible_slopes(model, rng: random.Random) -> SlopeVector:
     return SlopeVector(tuple(values))
 
 
-def slope_oracle_rows(g: int, count: int, seed: int):
+def slope_oracle_rows(g: int, count: int, seed: int, group_cap: int = DEFAULT_GROUP_CAP):
     """Agreement of the Fix/potential machinery with the definitional oracles."""
-    model = cm_product_group(g)
+    model = cm_product_group(g, cap=group_cap)
     subgroups = index2_overgroups(model.group, model.H)
     rng = random.Random(seed)
     rows = []
@@ -289,6 +291,7 @@ def slope_oracle_rows(g: int, count: int, seed: int):
 def cmd_verify(args) -> int:
     doc = {"schema": "weiltate.verify/1", "lemmas": [], "oracles": []}
     failed = False
+    group_cap = _env_int("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP)
 
     if args.presets:
         names = (
@@ -302,7 +305,7 @@ def cmd_verify(args) -> int:
                 raise UsageError(
                     f"unknown preset {name!r}; choose from {', '.join(_PRESET_BUILDERS)}"
                 )
-            scn = _PRESET_BUILDERS[name](args.p)
+            scn = _PRESET_BUILDERS[name](args.p, group_cap)
             instances.append(
                 LemmaInstance(label=scn.name, model=scn.model, slopes=scn.slopes,
                               family=scn.family)
@@ -321,7 +324,7 @@ def cmd_verify(args) -> int:
 
     if args.random is not None:
         for g in args.random_g:
-            rows = slope_oracle_rows(g, args.random, args.seed)
+            rows = slope_oracle_rows(g, args.random, args.seed, group_cap)
             doc["oracles"].extend(rows)
             failed = failed or any(not r["all_pass"] for r in rows)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .galois import CMGaloisModel, CapExceededError, blocks_of_subgroup
 
@@ -102,8 +103,6 @@ def enumerate_cm_types(model: CMGaloisModel, prescription: PlacePrescription, li
     indices contributes its B element or its B' element; tau-stable
     blocks admit one free choice per internal conjugate pair.
     """
-    import math
-
     if model.D is None:
         raise ValueError("model has no decomposition subgroup D")
     blocks, classes = validate_prescription(model, prescription)
@@ -111,7 +110,7 @@ def enumerate_cm_types(model: CMGaloisModel, prescription: PlacePrescription, li
     total = 1
     for k, kk in classes:
         b = blocks[k]
-        total *= 2 ** (len(b) // 2) if k == kk else math.comb(len(b), prescription.targets[k])
+        total *= 2 ** (len(b) // 2) if k == kk else comb(len(b), prescription.targets[k])
     if total > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"CM-type enumeration would produce {total} > {DEFAULT_ENUM_CAP}")
 

@@ -28,6 +28,7 @@ from .algebra import (
     sturm_real_roots,
 )
 from .galois import (
+    DEFAULT_GROUP_CAP,
     CMGaloisModel,
     blocks_of_subgroup,
     build_group,
@@ -316,7 +317,9 @@ def _smallest_primes_avoiding(g: int, avoid, count: int = 2):
     return out
 
 
-def scenario_main(g: int, p: int, attach_fields: bool = False) -> Scenario:
+def scenario_main(
+    g: int, p: int, attach_fields: bool = False, group_cap: int = DEFAULT_GROUP_CAP
+) -> Scenario:
     """The even-dimensional family: inert quadratic times totally real S_g field.
 
     D is generated by (-1, sigma0) for the standard g-cycle sigma0: two
@@ -327,7 +330,7 @@ def scenario_main(g: int, p: int, attach_fields: bool = False) -> Scenario:
         raise HypothesisError(f"g = {g} must be an even integer >= 4")
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
-    model = cm_product_group(g)
+    model = cm_product_group(g, cap=group_cap)
     sigma0 = cycles_to_perm(g, [tuple(range(1, g + 1))])
     lifted = tuple(sigma0[i] if i < g else sigma0[i - g] + g for i in range(2 * g))
     frob = compose(model.tau, lifted)
@@ -396,27 +399,27 @@ def _sym_gens(gp: int):
     return gens
 
 
-def _ramified_split_base(gp: int, p: int):
+def _ramified_split_base(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP):
     if gp < 3 or gp % 2 != 1:
         raise HypothesisError(f"g' = {gp} must be an odd integer >= 3")
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
     n, e1, e2, lift, encode = _biquadratic_times_sym(gp)
-    group = build_group(n, [e1, e2] + [lift(s) for s in _sym_gens(gp)])
+    group = build_group(n, [e1, e2] + [lift(s) for s in _sym_gens(gp)], cap=group_cap)
     tau = compose(e1, e2)
     # (g'-1)-cycle on the inert part of the totally real field, fixing the split point
     c = cycles_to_perm(gp, [tuple(range(1, gp))]) if gp > 2 else identity(gp)
     return n, group, tau, e1, e2, lift, c
 
 
-def scenario_ramified(gp: int, p: int) -> Scenario:
+def scenario_ramified(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
     """The noncommutative family: biquadratic tower ramified at p.
 
     D = <inertia, Frobenius> gives three blocks of sizes 2(g'-1),
     2(g'-1), 4, the first two swapped by conjugation; phi targets
     (1, 2g'-3, 2), so the slopes are 1/(2g'-2), (2g'-3)/(2g'-2), 1/2.
     """
-    n, group, tau, e1, e2, lift, c = _ramified_split_base(gp, p)
+    n, group, tau, e1, e2, lift, c = _ramified_split_base(gp, p, group_cap)
     model = CMGaloisModel(g=2 * gp, group=group, tau=tau)
     inertia = e2
     frobenius = compose(e1, lift(c))
@@ -450,7 +453,7 @@ def scenario_ramified(gp: int, p: int) -> Scenario:
     return scn
 
 
-def scenario_split(gp: int, p: int) -> Scenario:
+def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
     """The two-exotic family: biquadratic tower unramified at p.
 
     D = <Frobenius> gives four blocks of size g'-1 in two conjugate
@@ -458,7 +461,7 @@ def scenario_split(gp: int, p: int) -> Scenario:
     0 and 1 on one pair, 1/(g'-1) and (g'-2)/(g'-1) on the other, 1/2
     on the stable blocks.
     """
-    n, group, tau, e1, e2, lift, c = _ramified_split_base(gp, p)
+    n, group, tau, e1, e2, lift, c = _ramified_split_base(gp, p, group_cap)
     model = CMGaloisModel(g=2 * gp, group=group, tau=tau)
     frobenius = compose(compose(e1, e2), lift(c))
     model = model.with_decomposition(subgroup_closure(group, [frobenius]))

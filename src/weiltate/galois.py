@@ -2,14 +2,18 @@
 
 Points are 0-based internally; every serialized form (cycle notation,
 index lists) is 1-based.  Groups are materialized as full element lists
-in breadth-first discovery order from the identity, which keeps every
-downstream enumeration exhaustive and deterministic.  The CM structure
-is the central involution tau with tau(i) = i + g mod 2g.
+in breadth-first discovery order from the identity, which fixes every
+canonical order.  The classification itself works on the action of the
+generators on the 2g points (orbits, sign labellings, block systems);
+the element lists serve subgroup listings and the brute-force oracles.
+The CM structure is the central involution tau with tau(i) = i + g mod 2g.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from math import gcd
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -49,9 +53,7 @@ def perm_order(p: Perm) -> int:
             j = p[j]
             length += 1
         if length > 1:
-            import math
-
-            order = order * length // math.gcd(order, length)
+            order = order * length // gcd(order, length)
     return order
 
 
@@ -228,9 +230,10 @@ class CMGaloisModel:
         expected = tuple((i + self.g) % n for i in range(n))
         if self.tau != expected:
             raise ValueError("tau does not act as i -> i + g mod 2g")
-        for sigma in self.group.elements:
-            if compose(sigma, self.tau) != compose(self.tau, sigma):
-                raise ValueError(f"tau is not central: fails against {format_perm(sigma)}")
+        # tau commutes with every element iff it commutes with the generators
+        for gen in self.group.generators:
+            if compose(gen, self.tau) != compose(self.tau, gen):
+                raise ValueError(f"tau is not central: fails against generator {format_perm(gen)}")
         if self.H is None:
             object.__setattr__(self, "H", self.group.stabilizer(0))
         elif self.H != self.group.stabilizer(0):
@@ -239,7 +242,10 @@ class CMGaloisModel:
             object.__setattr__(self, "D", verify_subgroup(self.group, self.D))
 
     def with_decomposition(self, D) -> "CMGaloisModel":
-        return CMGaloisModel(g=self.g, group=self.group, tau=self.tau, H=self.H, D=D)
+        """The same model with D set; only D is verified, the group checks already held."""
+        model = copy.copy(self)
+        object.__setattr__(model, "D", verify_subgroup(self.group, D))
+        return model
 
 
 def cm_product_group(g: int, cap: int = DEFAULT_GROUP_CAP) -> CMGaloisModel:
@@ -281,11 +287,12 @@ def orbit_of_subset(model: CMGaloisModel, subset) -> list:
 
 
 def index2_overgroups(group: PermGroup, H) -> list:
-    """All subgroups Z with H <= Z <= G of index 2.
+    """All subgroups Z with H <= Z <= G of index 2, for any subgroup H.
 
     Found by assigning signs to the generators, validating that the
-    assignment extends to a homomorphism G -> {+-1}, and keeping the
-    kernels that contain H.
+    assignment extends to a homomorphism G -> {+-1} over all |G|
+    elements, and keeping the kernels that contain H.  For H = Stab(1)
+    `index2_point_sets` finds the same subgroups on the points alone.
     """
     H = frozenset(tuple(h) for h in H)
     gens = group.generators
@@ -322,6 +329,39 @@ def index2_overgroups(group: PermGroup, H) -> list:
     return sorted(found, key=lambda z: sorted(z))
 
 
+def index2_point_sets(group: PermGroup) -> list:
+    """The index-2 subgroups Z >= Stab(1) of a transitive group, as point sets {z(1) : z in Z}.
+
+    A homomorphism chi: G -> {+-1} whose kernel contains Stab(1) is a
+    sign labelling c of the points with c(1) = +1 and
+    c(gen(x)) = chi(gen) c(x); Z = ker chi is {z : c(z(1)) = +1}.  Each
+    generator sign pattern is propagated over the points and kept when
+    it is consistent, so no group element is visited.  The + sets come
+    in generator-sign-pattern order.
+    """
+    gens = group.generators
+    found = []
+    for bits in range(1, 2 ** len(gens)):
+        signs = [-1 if (bits >> k) & 1 else 1 for k in range(len(gens))]
+        label = [0] * group.degree
+        label[0] = 1
+        stack = [0]
+        consistent = True
+        while stack and consistent:
+            x = stack.pop()
+            for gen, sign in zip(gens, signs):
+                y, c = gen[x], label[x] * sign
+                if not label[y]:
+                    label[y] = c
+                    stack.append(y)
+                elif label[y] != c:
+                    consistent = False
+                    break
+        if consistent:
+            found.append(frozenset(x for x, c in enumerate(label) if c == 1))
+    return found
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """D-orbits on the 2g indices; the places of L above p."""
@@ -336,8 +376,13 @@ class BlockPartition:
 
 
 def blocks_of_subgroup(model: CMGaloisModel, D) -> BlockPartition:
-    """Orbits of a verified subgroup D on the indices, ordered by minimum."""
-    D = verify_subgroup(model.group, D)
+    """Orbits of a verified subgroup D on the indices, ordered by minimum.
+
+    The model's own D was verified when the model was built, so only
+    another D is verified here.
+    """
+    if D is not model.D:
+        D = verify_subgroup(model.group, D)
     n = model.group.degree
     seen = [False] * n
     blocks = []

@@ -72,47 +72,72 @@ def slopes_from_cm_type(model: CMGaloisModel, phi) -> SlopeVector:
     return s
 
 
-def _point_signature_classes(model: CMGaloisModel, s: SlopeVector):
-    """Partition indices by x ~ y iff s[g(x)] = s[g(y)] for every g."""
-    sigs = {}
-    for x in range(model.group.degree):
-        sig = tuple(s[g[x]] for g in model.group.elements)
-        sigs.setdefault(sig, []).append(x)
-    return sigs
+def signature_classes(model: CMGaloisModel, s: SlopeVector) -> tuple:
+    """Class label of each index under x ~ y iff s[g(x)] = s[g(y)] for every g.
+
+    The partition is the coarsest G-stable refinement of the level sets
+    of s, found by refining under the generators until the class count
+    stops growing: O(2g |gens|) per pass, at most 2g passes.  Labels are
+    numbered by least index, so index 1 is in class 0.  For transitive G
+    the classes are blocks of imprimitivity, and the class S of index 1
+    is the orbit of index 1 under Fix.
+    """
+    gens = model.group.generators
+    label = list(s.values)
+    count = len(set(label))
+    while True:
+        ids = {}
+        refined = [
+            ids.setdefault((label[x],) + tuple(label[gen[x]] for gen in gens), len(ids))
+            for x in range(len(label))
+        ]
+        if len(ids) == count:
+            return tuple(refined)
+        label, count = refined, len(ids)
+
+
+def signature_block(model: CMGaloisModel, s: SlopeVector) -> frozenset:
+    """The class S of index 1: the indices x with s[g(x)] = s[g(1)] for every g."""
+    return frozenset(x for x, c in enumerate(signature_classes(model, s)) if c == 0)
 
 
 def fix_of_slope(model: CMGaloisModel, s: SlopeVector) -> frozenset:
     """Subgroup fixing the valuation vector of pi: {sigma : s[g sigma(1)] = s[g(1)] for all g}.
 
-    Only sigma(1) matters, so the fixer is the preimage of the
-    signature class of index 1 under sigma -> sigma(1).  Always a
+    Only sigma(1) matters, so the fixer is {sigma : sigma(1) in S} for
+    the signature block S of index 1 (`signature_block`).  Always a
     subgroup containing H.
     """
     validate_slopes(model, s)
-    base_sig = tuple(s[g[0]] for g in model.group.elements)
-    same = set()
-    for x in range(model.group.degree):
-        if tuple(s[g[x]] for g in model.group.elements) == base_sig:
-            same.add(x)
-    fix = frozenset(sigma for sigma in model.group.elements if sigma[0] in same)
-    assert model.H <= fix
-    return fix
+    S = signature_block(model, s)
+    return frozenset(sigma for sigma in model.group.elements if sigma[0] in S)
 
 
 def is_p_potentially_in(model: CMGaloisModel, s: SlopeVector, Z) -> bool:
-    """Whether some power of pi lies in the subfield fixed by Z (H <= Z)."""
+    """Whether some power of pi lies in the subfield fixed by Z (H <= Z).
+
+    That is Z <= Fix, i.e. z(1) lies in the signature block of index 1
+    for every z in Z.
+    """
     Z = frozenset(tuple(z) for z in Z)
     if not model.H <= Z:
         raise ValueError("Z does not contain H, so it fixes no subfield of L")
     for z in Z:
         if z not in model.group:
             raise ValueError("Z is not a subset of the group")
-    return Z <= fix_of_slope(model, s)
+    validate_slopes(model, s)
+    S = signature_block(model, s)
+    return all(z[0] in S for z in Z)
 
 
 def minimal_field_index(model: CMGaloisModel, s: SlopeVector) -> int:
-    """[G : Fix] = degree of the smallest field containing a power of pi."""
-    return model.group.order // len(fix_of_slope(model, s))
+    """[G : Fix] = degree of the smallest field containing a power of pi.
+
+    Fix is the setwise stabilizer of the signature block S, so the index
+    is the number of blocks, 2g / |S|.
+    """
+    validate_slopes(model, s)
+    return model.group.degree // len(signature_block(model, s))
 
 
 def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:

@@ -9,7 +9,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import frobenius_rank_by_matrix, tate_by_orbit_walk
+from oracles import (
+    fix_by_signatures_over_group,
+    frobenius_rank_by_matrix,
+    honda_tate_by_cosets,
+    tate_by_orbit_walk,
+)
 
 from weiltate.classifier import (
     FAIL,
@@ -42,9 +47,21 @@ from weiltate.galois import (
     build_group,
     cm_product_group,
     cycles_to_perm,
+    index2_overgroups,
+    index2_point_sets,
     orbit_of_subset,
+    subgroup_closure,
 )
-from weiltate.slopes import SlopeVector, conjugate_slope_basis, frobenius_rank
+from weiltate.slopes import (
+    SlopeVector,
+    conjugate_slope_basis,
+    fix_of_slope,
+    fixer_by_definition,
+    frobenius_rank,
+    is_p_potentially_in,
+    minimal_field_index,
+    slopes_from_cm_type,
+)
 
 
 def tate_subsets_by_oracle(model, s):
@@ -483,6 +500,70 @@ def test_honda_tate_dimension_identity():
 
             lcm = lcm * d // gcd(lcm, d)
         assert lcm == end.index
+
+
+DIFF_MODELS = {g: cm_product_group(g) for g in (2, 3, 4, 5)}
+
+
+@st.composite
+def models_with_cm_types(draw):
+    """cm_product_group(g), g = 2..5, D generated by 1-2 random elements, a random CM-type."""
+    model = DIFF_MODELS[draw(st.integers(2, 5))]
+    elements = model.group.elements
+    gens = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=2))
+    model = model.with_decomposition(subgroup_closure(model.group, gens))
+    phi = [i if draw(st.booleans()) else model.tau[i] for i in range(model.g)]
+    return model, slopes_from_cm_type(model, phi)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(models_with_cm_types())
+def test_block_routes_match_the_element_walks(case):
+    model, s = case
+    assert outcome(honda_tate_endomorphism, model, s) == outcome(honda_tate_by_cosets, model, s)
+    fix = fix_of_slope(model, s)
+    assert fix == fix_by_signatures_over_group(model, s)
+    if model.g <= 4:  # the definition is a double loop over G
+        assert fix == fixer_by_definition(model, s)
+    assert minimal_field_index(model, s) == model.group.order // len(fix)
+    overgroups = index2_overgroups(model.group, model.H)
+    for Z in overgroups + [model.H, frozenset(model.group.elements)]:
+        assert is_p_potentially_in(model, s, Z) == (Z <= fix)
+    assert set(index2_point_sets(model.group)) == {
+        frozenset(z[0] for z in Z) for Z in overgroups
+    }
+    assert {e.subgroup for e in weil_tate_submotives(model, s)} == {
+        Z for Z in overgroups if model.tau not in Z
+    }
+
+
+@pytest.mark.parametrize("name", ["main4", "main6", "ramified3", "split3", "ramified5"])
+def test_weil_tate_determinant_sets_match_the_overgroups(name):
+    scn = PRESETS[name]()
+    overgroups = index2_overgroups(scn.model.group, scn.model.H)
+    assert sorted(map(sorted, index2_point_sets(scn.model.group))) == sorted(
+        sorted({z[0] for z in Z}) for Z in overgroups
+    )
+    entries = weil_tate_submotives(scn.model, scn.slopes)
+    assert [e.subgroup for e in entries] == sorted(
+        (Z for Z in overgroups if scn.model.tau not in Z), key=lambda Z: sorted(z[0] for z in Z)
+    )
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_honda_tate_presets_match_the_coset_walk(name):
+    scn = PRESETS[name]()
+    assert honda_tate_endomorphism(scn.model, scn.slopes) == honda_tate_by_cosets(
+        scn.model, scn.slopes
+    )
 
 
 # --- structure_check -------------------------------------------------------------

@@ -230,3 +230,30 @@ def test_classify_g2_scenario_signature(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["report"]["tate_dims"] == [1, 4, 1]
     assert doc["predicted_signature"] == [1, 3]
+
+
+def test_group_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", "10")
+    for preset in (["main", "--g", "6"], ["ramified", "--gp", "3"], ["split", "--gp", "3"]):
+        code, out, err = run_cli(capsys, ["classify", "--preset", *preset])
+        assert code == cli.EXIT_CAP, preset
+        assert "cap exceeded" in err
+        assert out == ""
+
+
+def test_group_cap_env_admits_a_group_at_the_cap(capsys, monkeypatch):
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", "48")  # |G| of main g=4
+    code, _, _ = run_cli(capsys, ["classify", "--preset", "main", "--g", "4"])
+    assert code == 0
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", "47")
+    code, _, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4"])
+    assert code == cli.EXIT_CAP
+    assert "cap exceeded" in err
+
+
+def test_group_cap_env_applies_to_verify(capsys, monkeypatch):
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", "10")
+    for argv in (["verify", "--presets", "ramified3"], ["verify", "--random", "1", "--g", "3"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_CAP, argv
+        assert "cap exceeded" in err

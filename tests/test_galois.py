@@ -204,6 +204,23 @@ def test_model_rejects_wrong_tau():
         CMGaloisModel(g=2, group=group, tau=cycles_to_perm(4, [(1, 2)]))
 
 
+def test_model_rejects_non_central_tau():
+    # S_4 holds (1 3)(2 4), which acts as i -> i + 2 but is not central
+    group = build_group(4, [cycles_to_perm(4, [(1, 2)]), cycles_to_perm(4, [(1, 2, 3, 4)])])
+    with pytest.raises(ValueError, match="tau is not central: fails against generator"):
+        CMGaloisModel(g=2, group=group, tau=cycles_to_perm(4, [(1, 3), (2, 4)]))
+
+
+def test_with_decomposition_verifies_only_d():
+    model = cm_product_group(3)
+    sub = model.with_decomposition(subgroup_closure(model.group, [model.tau]))
+    assert sub.D == frozenset({identity(6), model.tau})
+    assert (sub.g, sub.group, sub.tau, sub.H) == (model.g, model.group, model.tau, model.H)
+    assert model.D is None
+    with pytest.raises(ValueError):
+        model.with_decomposition(frozenset({identity(6), model.group.generators[1]}))
+
+
 def test_model_rejects_intransitive_group():
     group = build_group(4, [cycles_to_perm(4, [(1, 3), (2, 4)])])
     # group is {id, tau}: transitivity fails for degree 4

@@ -16,6 +16,8 @@ from weiltate.slopes import (
     is_p_potentially_in,
     minimal_field_index,
     potential_by_valuation_grouping,
+    signature_block,
+    signature_classes,
     slopes_from_cm_type,
     validate_slopes,
 )
@@ -201,6 +203,30 @@ def test_oracle_agreement_random_sample():
                 assert is_p_potentially_in(model, s, Z) == potential_by_valuation_grouping(
                     model, s, Z
                 )
+
+
+def test_signature_classes_match_signatures_over_the_group():
+    rng = random.Random(17)
+    for g in (2, 3, 4):
+        model = cm_product_group(g)
+        for _ in range(8):
+            s = random_pair_slopes(model, rng)
+            label = signature_classes(model, s)
+            sig = [tuple(s[e[x]] for e in model.group.elements) for x in range(2 * g)]
+            for x in range(2 * g):
+                for y in range(2 * g):
+                    assert (label[x] == label[y]) == (sig[x] == sig[y])
+            assert label[0] == 0
+            assert signature_block(model, s) == {x for x in range(2 * g) if sig[x] == sig[0]}
+
+
+def test_signature_block_of_presets():
+    scn = scenario_main(4, 5)
+    assert signature_block(scn.model, scn.slopes) == {0}
+    scn = scenario_ramified(3, 5)
+    assert len(signature_block(scn.model, scn.slopes)) == 2
+    model = cm_product_group(3)
+    assert signature_block(model, SlopeVector((Fraction(1, 2),) * 6)) == set(range(6))
 
 
 def test_fix_is_verified_subgroup():
