@@ -1,6 +1,8 @@
-"""Byte-identity of the classify documents: sha256 of the JSON of four presets.
+"""Byte-identity of the documents: sha256 of the CLI output and of the preset scenario files.
 
-The digests pin every byte of `classify --preset ... --format json`, so a
+The digests pin every byte of `classify ... --format json`, of
+`verify ... --format json` and of `serialize_scenario` on the four
+verify presets (which carries the D generators and the slopes), so a
 refactor that changes any value, key or ordering fails here.  A change
 that is meant to alter a document updates its digest and says why.
 """
@@ -9,7 +11,7 @@ import hashlib
 
 import pytest
 
-from weiltate import cli
+from weiltate import cli, forge
 
 GOLDEN = {
     ("main", "--g", "4"): "0b846ff8cd4dacfef7ea6b33f9b8702818ae38d46f8b04ff622a1a1e94093666",
@@ -18,10 +20,50 @@ GOLDEN = {
     ("split", "--gp", "3"): "a9b03aa1dc779f5baa7c932076a1f466535a83f6707496e52a3be2128d85050d",
 }
 
+GOLDEN_ARGV = {
+    ("classify", "--preset", "ramified", "--gp", "3", "--weights", "6"):
+        "27330a6f16015bf4c877a671444fc7cf882205e7750313148e572283fe5f7a18",
+    ("classify", "--preset", "split", "--gp", "3", "--weights", "6"):
+        "4762c70dace270a0237cabbc663c5daf80f46683a0b5331517d6bd3e668d582c",
+    ("classify", "--preset", "ramified", "--gp", "5", "--cap", "20"):
+        "b585cdc6ae5f75479e8e12df5bbde1dff1b9411bced10d01791380be9ea78a3a",
+    ("classify", "--preset", "split", "--gp", "5", "--cap", "20"):
+        "ffc040e8280e9d5a0e1599e8a23bfb4192efb5eeecb6393d94e2e41958b17c82",
+    ("verify", "--presets", "all"):
+        "f23123bf2e935173e7e2e68486af28058366b284b47192479bfae578f2035200",
+    ("verify", "--random", "20", "--g", "3"):
+        "e36817a20de3d4c81d238738687aaf1af042eb3edb043737d0f36032af34c703",
+}
+
+GOLDEN_SCENARIO_FILES = {
+    "main4": "b689a7844f4092936205296549ecbc460832fcbce44bb972cd0f0e3838efbab1",
+    "main6": "a0d6cfea144783423536b9358b71881abc2da5ed8ed11a95478b2e3c8c66f7b0",
+    "ramified3": "e0e4278c25596805ea40704e4a383680a075151e5401f48695789b2e0c341ae4",
+    "split3": "0655bfd98e150597650f76ebddeff57769a41382a9ff751776f83725f8707113",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize("preset", list(GOLDEN), ids=lambda p: p[0] + p[2])
 def test_classify_json_digest(preset, capsys):
     code = cli.main(["classify", "--preset", *preset, "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[preset]
+    assert _sha256(out) == GOLDEN[preset]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_ARGV), ids=lambda a: "-".join(a).replace("--", ""))
+def test_cli_json_digest(argv, capsys):
+    code = cli.main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out) == GOLDEN_ARGV[argv]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SCENARIO_FILES))
+def test_serialized_preset_digest(name):
+    scn = cli._PRESET_BUILDERS[name](5, 10**6)
+    assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_SCENARIO_FILES[name]
