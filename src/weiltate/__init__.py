@@ -7,7 +7,6 @@ certificates with prescribed local behavior.
 """
 
 from .algebra import (
-    BigRational,
     NotSquarefreeError,
     count_distinct_roots_mod,
     crt_poly,
@@ -15,14 +14,11 @@ from .algebra import (
     sturm_real_roots,
 )
 from .galois import (
-    BlockPartition,
     CMGaloisModel,
     CapExceededError,
     PermGroup,
-    blocks_of_subgroup,
     build_group,
     cm_product_group,
-    index2_overgroups,
     orbit_of_subset,
 )
 from .slopes import (

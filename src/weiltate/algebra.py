@@ -18,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-BigRational = Fraction
-
 MAX_PRIME = 2**31
 
 
@@ -73,14 +71,6 @@ def poly_add(f, g):
     )
 
 
-def poly_neg(f):
-    return tuple(-c for c in f)
-
-
-def poly_sub(f, g):
-    return poly_add(f, poly_neg(g))
-
-
 def poly_mul(f, g):
     if not f or not g:
         return ()
@@ -102,10 +92,6 @@ def poly_eval(f, x):
 
 def poly_derivative(f):
     return poly_trim(tuple(i * f[i] for i in range(1, len(f))))
-
-
-def poly_is_monic(f) -> bool:
-    return bool(f) and f[-1] == 1
 
 
 def format_poly(f, var: str = "x") -> str:
@@ -135,13 +121,6 @@ def format_poly(f, var: str = "x") -> str:
 
 def gf_reduce(f, l):
     return poly_trim(tuple(c % l for c in f))
-
-
-def gf_add(f, g, l):
-    n = max(len(f), len(g))
-    return poly_trim(
-        tuple(((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % l for i in range(n))
-    )
 
 
 def gf_sub(f, g, l):

@@ -20,19 +20,14 @@ from .galois import (
     CMGaloisModel,
     CapExceededError,
     format_perm,
-    identity,
     index2_point_sets,
     orbit_of_subset,
     parse_perm,
     subgroup_closure,
+    subgroup_generators,
 )
 from .slopes import SlopeVector, conjugate_slope_basis, signature_classes, validate_slopes
 from .cmtypes import CMType, hodge_type, is_balanced
-
-# Not called here any more: perfbench/tracer.py patches both names in this
-# module, so they stay importable from it.
-from .galois import index2_overgroups  # noqa: F401
-from .slopes import fix_of_slope  # noqa: F401
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -118,9 +113,14 @@ def q_pairs(model: CMGaloisModel, s: SlopeVector) -> frozenset:
     exactly when distinct indices carry equal Frobenius conjugates
     modulo torsion (Q(pi) smaller than L).
     """
-    rows = tate_rows(model, s)
+    validate_slopes(model, s)
+    return _pairs_passing(tate_rows(model, s))
+
+
+def _pairs_passing(rows) -> frozenset:
+    """The weight-2 subsets passing the predicate `rows`."""
     return frozenset(
-        frozenset(P) for P in combinations(range(model.group.degree), 2) if _half_weight(rows, P)
+        frozenset(P) for P in combinations(range(len(rows[0])), 2) if _half_weight(rows, P)
     )
 
 
@@ -215,9 +215,10 @@ def classify_orbits(
             if w % 2 != 0 or not 0 <= w <= n:
                 raise ValueError(f"weight {w} is not an even integer in 0..{n}")
 
-    qp = q_pairs(model, s)
+    rows = tate_rows(model, s)
+    qp = _pairs_passing(rows)
     orbits = []
-    for w, found in tate_subsets(tate_rows(model, s), weight_list).items():
+    for w, found in tate_subsets(rows, weight_list).items():
         unvisited = set(found)
         for I in sorted(found, key=sorted):
             if I not in unvisited:
@@ -267,12 +268,12 @@ def classify_orbits(
         tate_dims=tate_dims,
         exotic=exotic,
         mildly_exotic=mildly,
-        weil_tate=weil_tate_submotives(model, s, _qpairs=qp),
+        weil_tate=_weil_tate_entries(model, rows, qp),
         scht_verdict=verdict,
     )
 
 
-def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector, _qpairs=None) -> tuple:
+def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector) -> tuple:
     """Candidate determinant submotives over imaginary quadratic subfields.
 
     One entry per index-2 overgroup Z of H avoiding tau: the orbit
@@ -281,8 +282,12 @@ def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector, _qpairs=None) -> 
     points (`index2_point_sets`); Z itself is listed only for the entry.
     """
     validate_slopes(model, s)
-    qp = q_pairs(model, s) if _qpairs is None else _qpairs
     rows = tate_rows(model, s)
+    return _weil_tate_entries(model, rows, _pairs_passing(rows))
+
+
+def _weil_tate_entries(model: CMGaloisModel, rows, qp) -> tuple:
+    """The Weil-Tate entries under the predicate `rows` and the q-pairs `qp`."""
     entries = []
     for det_set in index2_point_sets(model.group):
         if model.tau[0] in det_set:
@@ -648,17 +653,6 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _subgroup_generators(group, sub) -> list:
-    """Small deterministic generating set for a verified subgroup."""
-    gens = []
-    closure = {identity(group.degree)}
-    for e in sorted(sub):
-        if e not in closure:
-            gens.append(e)
-            closure = set(subgroup_closure(group, gens))
-    return gens
-
-
 def orbit_to_doc(o: MotiveOrbit) -> dict:
     doc = {
         "weight": o.weight,
@@ -686,7 +680,7 @@ def report_to_doc(report: ClassifierReport, group) -> dict:
         "weil_tate": [
             {
                 "subgroup_generators": [
-                    format_perm(p) for p in _subgroup_generators(group, e.subgroup)
+                    format_perm(p) for p in subgroup_generators(group, e.subgroup)
                 ],
                 "subgroup_order": len(e.subgroup),
                 "determinant_set": [i + 1 for i in e.determinant_set],

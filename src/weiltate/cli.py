@@ -26,7 +26,13 @@ from .classifier import (
     report_to_doc,
     verify_lemma_suite,
 )
-from .galois import DEFAULT_GROUP_CAP, CapExceededError, cm_product_group, index2_overgroups
+from .galois import (
+    DEFAULT_GROUP_CAP,
+    CapExceededError,
+    cm_product_group,
+    format_perm,
+    index2_point_sets,
+)
 from .slopes import (
     SlopeVector,
     fix_of_slope,
@@ -124,8 +130,6 @@ def _resolve_scenario(args, group_cap) -> forge.Scenario:
 
 
 def _scenario_doc(scn: forge.Scenario) -> dict:
-    from .galois import format_perm
-
     doc = {
         "name": scn.name,
         "family": scn.family,
@@ -260,7 +264,10 @@ def random_admissible_slopes(model, rng: random.Random) -> SlopeVector:
 def slope_oracle_rows(g: int, count: int, seed: int, group_cap: int = DEFAULT_GROUP_CAP):
     """Agreement of the Fix/potential machinery with the definitional oracles."""
     model = cm_product_group(g, cap=group_cap)
-    subgroups = index2_overgroups(model.group, model.H)
+    subgroups = [
+        frozenset(e for e in model.group.elements if e[0] in points)
+        for points in index2_point_sets(model.group)
+    ]
     rng = random.Random(seed)
     rows = []
     for k in range(count):
@@ -407,6 +414,8 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(args)
         if args.command == "verify":
+            if args.random is not None and args.random < 1:
+                raise UsageError(f"--random must be at least 1, got {args.random}")
             if args.random is not None and args.random_g is None:
                 args.random_g = [2, 3, 4]
             elif args.random_g is None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .galois import CMGaloisModel, CapExceededError, blocks_of_subgroup
+from .galois import CMGaloisModel, CapExceededError
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -49,7 +49,7 @@ def validate_cm_type(model: CMGaloisModel, phi: CMType) -> None:
 
 def _tau_block_classes(model: CMGaloisModel):
     """Pair up D-blocks swapped by tau; tau-stable blocks pair with themselves."""
-    blocks = blocks_of_subgroup(model, model.D).blocks
+    blocks = model.D_blocks
     index_of = {}
     for k, b in enumerate(blocks):
         for i in b:
@@ -194,8 +194,7 @@ def least_cm_type(model: CMGaloisModel, prescription: PlacePrescription) -> CMTy
 
 def measure_cm_type(model: CMGaloisModel, phi: CMType) -> PlacePrescription:
     """Re-measure #(phi ∩ B) per block."""
-    blocks = blocks_of_subgroup(model, model.D).blocks
-    return PlacePrescription(targets=tuple(len(set(b) & phi.phi) for b in blocks))
+    return PlacePrescription(targets=tuple(len(set(b) & phi.phi) for b in model.D_blocks))
 
 
 def hodge_type(model: CMGaloisModel, phi: CMType, subset) -> tuple:

@@ -21,6 +21,8 @@ from .algebra import (
     crt_poly,
     factor_degree_pattern,
     format_poly,
+    gf_is_irreducible,
+    gf_mul,
     is_prime,
     poly_add,
     poly_mul,
@@ -30,7 +32,7 @@ from .algebra import (
 from .galois import (
     DEFAULT_GROUP_CAP,
     CMGaloisModel,
-    blocks_of_subgroup,
+    CapExceededError,
     build_group,
     cm_product_group,
     compose,
@@ -39,6 +41,7 @@ from .galois import (
     identity,
     parse_perm,
     subgroup_closure,
+    subgroup_generators,
 )
 from .cmtypes import CMType, PlacePrescription, least_cm_type, validate_cm_type
 from .slopes import SlopeVector, slopes_from_cm_type
@@ -137,6 +140,16 @@ def _transposition_pattern(g: int) -> tuple:
     return ((2, 1),) if g == 2 else ((1, g - 2), (2, 1))
 
 
+def _is_sg_certificate(g: int, pat_l, sf_l, pat_lp, sf_lp) -> bool:
+    """Squarefree with a g-cycle shape mod l and a transposition shape mod l'."""
+    return (
+        sf_l
+        and sf_lp
+        and tuple(pat_l) == ((g, 1),)
+        and tuple(pat_lp) == _transposition_pattern(g)
+    )
+
+
 def compute_certificates(poly, g: int, p: int, l: int, lp: int) -> Certificates:
     pat_p, sf_p = factor_degree_pattern(poly, p)
     pat_l, sf_l = factor_degree_pattern(poly, l)
@@ -146,19 +159,13 @@ def compute_certificates(poly, g: int, p: int, l: int, lp: int) -> Certificates:
         real_roots = sturm_real_roots(poly)
     except NotSquarefreeError:
         real_roots = -1
-    galois = (
-        sf_l
-        and sf_lp
-        and tuple(pat_l) == ((g, 1),)
-        and tuple(pat_lp) == _transposition_pattern(g)
-    )
     return Certificates(
         pattern_at_p=tuple(pat_p),
         pattern_at_l=tuple(pat_l),
         pattern_at_lp=tuple(pat_lp),
         roots_at_lp=roots_lp,
         real_root_count=real_roots,
-        galois_is_sg=galois,
+        galois_is_sg=_is_sg_certificate(g, pat_l, sf_l, pat_lp, sf_lp),
     )
 
 
@@ -166,18 +173,17 @@ def certify_galois_sg(field_or_poly, l=None, lp=None, g=None) -> bool:
     """S_g certificate: a g-cycle mod l and a transposition shape mod l'."""
     if isinstance(field_or_poly, ForgedField):
         f = field_or_poly
-        return compute_certificates(f.poly, f.g, f.p, f.l, f.lp).galois_is_sg
-    poly = poly_trim(field_or_poly)
-    if g is None:
-        g = len(poly) - 1
-    pat_l, sf_l = factor_degree_pattern(poly, l)
-    pat_lp, sf_lp = factor_degree_pattern(poly, lp)
-    return sf_l and sf_lp and tuple(pat_l) == ((g, 1),) and tuple(pat_lp) == _transposition_pattern(g)
+        poly, l, lp, g = f.poly, f.l, f.lp, f.g
+    else:
+        poly = poly_trim(field_or_poly)
+        if g is None:
+            g = len(poly) - 1
+    return _is_sg_certificate(
+        g, *factor_degree_pattern(poly, l), *factor_degree_pattern(poly, lp)
+    )
 
 
 def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
-    from .algebra import gf_is_irreducible
-
     while True:
         cand = tuple(rng.randrange(l) for _ in range(g)) + (1,)
         if gf_is_irreducible(cand, l):
@@ -186,8 +192,6 @@ def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
 
 def _random_transposition_target(g: int, lp: int, rng: random.Random) -> tuple:
     """Monic degree-g target mod lp: g-2 distinct linears and an irreducible quadratic."""
-    from .algebra import gf_is_irreducible, gf_mul
-
     roots = rng.sample(range(lp), g - 2)
     while True:
         b, c = rng.randrange(lp), rng.randrange(lp)
@@ -336,7 +340,7 @@ def scenario_main(
     frob = compose(model.tau, lifted)
     model = model.with_decomposition(subgroup_closure(model.group, [frob]))
 
-    blocks = blocks_of_subgroup(model, model.D).blocks
+    blocks = model.D_blocks
     if len(blocks) != 2 or any(len(b) != g for b in blocks):
         raise RuntimeError("main scenario blocks are not two size-g orbits")
     targets = [0] * len(blocks)
@@ -425,7 +429,7 @@ def scenario_ramified(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Sc
     frobenius = compose(e1, lift(c))
     model = model.with_decomposition(subgroup_closure(group, [inertia, frobenius]))
 
-    blocks = blocks_of_subgroup(model, model.D).blocks
+    blocks = model.D_blocks
     sizes = sorted(len(b) for b in blocks)
     if len(blocks) != 3 or sizes != sorted([2 * (gp - 1), 2 * (gp - 1), 4]):
         raise RuntimeError("ramified scenario blocks do not match the local degrees")
@@ -466,7 +470,7 @@ def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scena
     frobenius = compose(compose(e1, e2), lift(c))
     model = model.with_decomposition(subgroup_closure(group, [frobenius]))
 
-    blocks = blocks_of_subgroup(model, model.D).blocks
+    blocks = model.D_blocks
     sizes = sorted(len(b) for b in blocks)
     if len(blocks) != 6 or sizes != sorted([gp - 1] * 4 + [2, 2]):
         raise RuntimeError("split scenario blocks do not match the local degrees")
@@ -583,8 +587,10 @@ def parse_scenario(text: str, group_cap: int = None) -> Scenario:
     except ValueError as exc:
         fail("tau", str(exc))
 
-    kwargs = {} if group_cap is None else {"cap": group_cap}
-    group = build_group(npoints, gens, **kwargs)
+    try:
+        group = build_group(npoints, gens, DEFAULT_GROUP_CAP if group_cap is None else group_cap)
+    except CapExceededError as exc:
+        raise CapExceededError(f"line {lines['generators']}: field 'generators': {exc}")
     if tau not in group:
         fail("tau", "tau is not an element of the generated group")
     try:
@@ -657,9 +663,7 @@ def serialize_scenario(scn: Scenario) -> str:
         f"tau = {format_perm(scn.model.tau)}",
     ]
     if scn.model.D is not None:
-        from .classifier import _subgroup_generators
-
-        dgens = _subgroup_generators(scn.model.group, scn.model.D)
+        dgens = subgroup_generators(scn.model.group, scn.model.D)
         lines.append(
             "decomposition_generators = " + ", ".join(format_perm(g) for g in dgens)
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from math import gcd
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -38,23 +37,6 @@ def inverse(p: Perm) -> Perm:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
-
-
-def perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length > 1:
-            order = order * length // gcd(order, length)
-    return order
 
 
 def cycles_to_perm(n: int, cycles) -> Perm:
@@ -204,13 +186,30 @@ def subgroup_closure(group: PermGroup, generators) -> frozenset:
     return frozenset(sub.elements)
 
 
+def subgroup_generators(group: PermGroup, sub) -> list:
+    """Small deterministic generating set for a verified subgroup.
+
+    Greedy over the sorted elements: an element joins when the closure
+    of the generators so far misses it.
+    """
+    gens = []
+    closure = {identity(group.degree)}
+    for e in sorted(sub):
+        if e not in closure:
+            gens.append(e)
+            closure = set(subgroup_closure(group, gens))
+    return gens
+
+
 @dataclass(frozen=True)
 class CMGaloisModel:
     """G acting on the 2g Frobenius-eigenvalue indices with CM structure.
 
     tau is the central conjugation i -> i + g mod 2g, H the stabilizer of
     index 1, and D the decomposition subgroup at the anchored valuation
-    (None until a scenario supplies it).
+    (None until a scenario supplies it).  D_blocks holds the D-orbits on
+    the indices, the places of L above p, as sorted tuples ordered by
+    their minimum; it is derived from D when D is verified.
     """
 
     g: int
@@ -218,6 +217,7 @@ class CMGaloisModel:
     tau: Perm
     H: frozenset = field(default=None)
     D: frozenset = field(default=None)
+    D_blocks: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         n = self.group.degree
@@ -238,13 +238,21 @@ class CMGaloisModel:
             object.__setattr__(self, "H", self.group.stabilizer(0))
         elif self.H != self.group.stabilizer(0):
             raise ValueError("H is not the stabilizer of index 1")
+        object.__setattr__(self, "D_blocks", None)
         if self.D is not None:
-            object.__setattr__(self, "D", verify_subgroup(self.group, self.D))
+            self._set_decomposition(self.D)
+
+    def _set_decomposition(self, D) -> None:
+        """Verify D and keep it with its orbits; the orbit of x is {d(x) : d in D}."""
+        D = verify_subgroup(self.group, D)
+        blocks = {tuple(sorted({d[x] for d in D})) for x in range(self.group.degree)}
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "D_blocks", tuple(sorted(blocks)))
 
     def with_decomposition(self, D) -> "CMGaloisModel":
         """The same model with D set; only D is verified, the group checks already held."""
         model = copy.copy(self)
-        object.__setattr__(model, "D", verify_subgroup(self.group, D))
+        model._set_decomposition(D)
         return model
 
 
@@ -286,49 +294,6 @@ def orbit_of_subset(model: CMGaloisModel, subset) -> list:
     return sorted(seen, key=lambda s: sorted(s))
 
 
-def index2_overgroups(group: PermGroup, H) -> list:
-    """All subgroups Z with H <= Z <= G of index 2, for any subgroup H.
-
-    Found by assigning signs to the generators, validating that the
-    assignment extends to a homomorphism G -> {+-1} over all |G|
-    elements, and keeping the kernels that contain H.  For H = Stab(1)
-    `index2_point_sets` finds the same subgroups on the points alone.
-    """
-    H = frozenset(tuple(h) for h in H)
-    gens = group.generators
-    ident = identity(group.degree)
-    found = []
-    for bits in range(1, 2 ** len(gens)):
-        signs = {ident: 1}
-        gen_sign = {g: (-1 if (bits >> k) & 1 else 1) for k, g in enumerate(gens)}
-        queue = [ident]
-        consistent = True
-        while queue and consistent:
-            nxt = []
-            for e in queue:
-                for g in gens:
-                    c = compose(e, g)
-                    s = signs[e] * gen_sign[g]
-                    if c in signs:
-                        if signs[c] != s:
-                            consistent = False
-                            break
-                    else:
-                        signs[c] = s
-                        nxt.append(c)
-                if not consistent:
-                    break
-            queue = nxt
-        if not consistent:
-            continue
-        kernel = frozenset(e for e, s in signs.items() if s == 1)
-        if len(kernel) * 2 != group.order:
-            continue
-        if H <= kernel and kernel not in found:
-            found.append(kernel)
-    return sorted(found, key=lambda z: sorted(z))
-
-
 def index2_point_sets(group: PermGroup) -> list:
     """The index-2 subgroups Z >= Stab(1) of a transitive group, as point sets {z(1) : z in Z}.
 
@@ -360,45 +325,3 @@ def index2_point_sets(group: PermGroup) -> list:
         if consistent:
             found.append(frozenset(x for x, c in enumerate(label) if c == 1))
     return found
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """D-orbits on the 2g indices; the places of L above p."""
-
-    blocks: tuple
-
-    def block_of(self, point0: int):
-        for b in self.blocks:
-            if point0 in b:
-                return b
-        raise KeyError(point0)
-
-
-def blocks_of_subgroup(model: CMGaloisModel, D) -> BlockPartition:
-    """Orbits of a verified subgroup D on the indices, ordered by minimum.
-
-    The model's own D was verified when the model was built, so only
-    another D is verified here.
-    """
-    if D is not model.D:
-        D = verify_subgroup(model.group, D)
-    n = model.group.degree
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = set()
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            if x in orbit:
-                continue
-            orbit.add(x)
-            seen[x] = True
-            for d in D:
-                if d[x] not in orbit:
-                    frontier.append(d[x])
-        blocks.append(tuple(sorted(orbit)))
-    return BlockPartition(blocks=tuple(blocks))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .galois import CMGaloisModel, blocks_of_subgroup, compose
+from .galois import CMGaloisModel, compose
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def validate_slopes(model: CMGaloisModel, s: SlopeVector) -> None:
         if v + s[model.tau[i]] != 1:
             raise ValueError(f"s_{i + 1} + s_tau({i + 1}) != 1")
     if model.D is not None:
-        for block in blocks_of_subgroup(model, model.D).blocks:
+        for block in model.D_blocks:
             vals = {s[i] for i in block}
             if len(vals) != 1:
                 raise ValueError(f"slopes not constant on D-block {tuple(b + 1 for b in block)}")
@@ -63,7 +63,7 @@ def slopes_from_cm_type(model: CMGaloisModel, phi) -> SlopeVector:
         raise ValueError("model has no decomposition subgroup D")
     phi_set = set(phi)
     values = [None] * model.group.degree
-    for block in blocks_of_subgroup(model, model.D).blocks:
+    for block in model.D_blocks:
         v = Fraction(len(phi_set & set(block)), len(block))
         for i in block:
             values[i] = v

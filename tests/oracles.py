@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 from weiltate.classifier import EndAlgebraReport, LocalInvariant
-from weiltate.galois import compose, orbit_of_subset
+from weiltate.galois import PermGroup, compose, identity, orbit_of_subset
 from weiltate.slopes import validate_slopes
 
 
@@ -62,6 +62,71 @@ def fix_by_signatures_over_group(model, s) -> frozenset:
         if tuple(s[g[x]] for g in model.group.elements) == base_sig:
             same.add(x)
     return frozenset(sigma for sigma in model.group.elements if sigma[0] in same)
+
+
+def index2_overgroups(group: PermGroup, H) -> list:
+    """All subgroups Z with H <= Z <= G of index 2, for any subgroup H.
+
+    Found by assigning signs to the generators, validating that the
+    assignment extends to a homomorphism G -> {+-1} over all |G|
+    elements, and keeping the kernels that contain H.  For H = Stab(1)
+    `index2_point_sets` finds the same subgroups on the points alone.
+    """
+    H = frozenset(tuple(h) for h in H)
+    gens = group.generators
+    ident = identity(group.degree)
+    found = []
+    for bits in range(1, 2 ** len(gens)):
+        signs = {ident: 1}
+        gen_sign = {g: (-1 if (bits >> k) & 1 else 1) for k, g in enumerate(gens)}
+        queue = [ident]
+        consistent = True
+        while queue and consistent:
+            nxt = []
+            for e in queue:
+                for g in gens:
+                    c = compose(e, g)
+                    s = signs[e] * gen_sign[g]
+                    if c in signs:
+                        if signs[c] != s:
+                            consistent = False
+                            break
+                    else:
+                        signs[c] = s
+                        nxt.append(c)
+                if not consistent:
+                    break
+            queue = nxt
+        if not consistent:
+            continue
+        kernel = frozenset(e for e, s in signs.items() if s == 1)
+        if len(kernel) * 2 != group.order:
+            continue
+        if H <= kernel and kernel not in found:
+            found.append(kernel)
+    return sorted(found, key=lambda z: sorted(z))
+
+
+def orbits_by_walk(D, degree: int) -> tuple:
+    """Orbits of the subgroup D on the points, each grown by applying every element of D."""
+    seen = [False] * degree
+    blocks = []
+    for start in range(degree):
+        if seen[start]:
+            continue
+        orbit = set()
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            if x in orbit:
+                continue
+            orbit.add(x)
+            seen[x] = True
+            for d in D:
+                if d[x] not in orbit:
+                    frontier.append(d[x])
+        blocks.append(tuple(sorted(orbit)))
+    return tuple(blocks)
 
 
 def left_cosets(group, sub):

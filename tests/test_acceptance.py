@@ -9,6 +9,8 @@ import json
 import time
 from fractions import Fraction
 
+from oracles import index2_overgroups
+
 from weiltate.classifier import (
     NOT_APPLICABLE,
     PASS,
@@ -22,7 +24,6 @@ from weiltate.classifier import (
 )
 from weiltate.cli import classify_scenario_doc, slope_oracle_rows
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
-from weiltate.galois import index2_overgroups
 from weiltate.slopes import (
     fix_of_slope,
     fixer_by_definition,

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -13,9 +14,13 @@ from oracles import (
     fix_by_signatures_over_group,
     frobenius_rank_by_matrix,
     honda_tate_by_cosets,
+    index2_overgroups,
+    orbits_by_walk,
     tate_by_orbit_walk,
 )
 
+import weiltate.classifier
+import weiltate.slopes
 from weiltate.classifier import (
     FAIL,
     NOT_APPLICABLE,
@@ -47,7 +52,6 @@ from weiltate.galois import (
     build_group,
     cm_product_group,
     cycles_to_perm,
-    index2_overgroups,
     index2_point_sets,
     orbit_of_subset,
     subgroup_closure,
@@ -221,12 +225,11 @@ def test_classified_orbits_cover_exactly_the_tate_subsets():
 def test_random_cm_types_keep_classifier_invariants():
     """Random CM-types on the preset models: the general path stays sound."""
     from weiltate.cmtypes import PlacePrescription, enumerate_cm_types
-    from weiltate.galois import blocks_of_subgroup
     from weiltate.slopes import slopes_from_cm_type
 
     rng = random.Random(271)
     scn = scenario_main(4, 5)
-    blocks = blocks_of_subgroup(scn.model, scn.model.D).blocks
+    blocks = scn.model.D_blocks
     for _ in range(6):
         n0 = rng.randint(0, len(blocks[0]))
         prescription = PlacePrescription.from_counts((n0, len(blocks[0]) - n0))
@@ -271,7 +274,34 @@ def test_linear_predicate_matches_the_orbit_walk(case):
         for c in combinations(range(n), size):
             assert is_tate_subset(model, s, c) == (frozenset(c) in oracle)
     assert q_pairs(model, s) == {P for P in oracle if len(P) == 2}
+    assert rep.weil_tate == weil_tate_submotives(model, s)
     assert frobenius_rank(model, s) == frobenius_rank_by_matrix(model, s)
+
+
+def count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_classify_builds_one_basis_and_computes_the_d_orbits_once(monkeypatch):
+    from weiltate.cli import classify_scenario_doc
+
+    calls = Counter()
+    count_calls(monkeypatch, CMGaloisModel, "_set_decomposition", calls)
+    count_calls(monkeypatch, weiltate.classifier, "conjugate_slope_basis", calls)
+    count_calls(monkeypatch, weiltate.slopes, "conjugate_slope_basis", calls)
+    scn = scenario_ramified(3, 5)
+    assert calls == {"_set_decomposition": 1}
+    classify_orbits(scn.model, scn.slopes, phi=scn.phi)
+    assert calls == {"_set_decomposition": 1, "conjugate_slope_basis": 1}
+    # the whole document adds one basis for the Tate predicate, one for the Frobenius rank
+    classify_scenario_doc(scn)
+    assert calls == {"_set_decomposition": 1, "conjugate_slope_basis": 3}
 
 
 def closed_form_rho(model, s):
@@ -528,6 +558,7 @@ def outcome(fn, *args):
 @given(models_with_cm_types())
 def test_block_routes_match_the_element_walks(case):
     model, s = case
+    assert model.D_blocks == orbits_by_walk(model.D, model.group.degree)
     assert outcome(honda_tate_endomorphism, model, s) == outcome(honda_tate_by_cosets, model, s)
     fix = fix_of_slope(model, s)
     assert fix == fix_by_signatures_over_group(model, s)

@@ -141,8 +141,14 @@ def test_verify_random_oracles(capsys):
     assert all(row["all_pass"] for row in doc["oracles"])
 
 
-def test_verify_random_zero_is_empty_success(capsys):
-    code, out, _ = run_cli(capsys, ["verify", "--random", "0"])
+def test_verify_random_below_one_is_a_usage_error(capsys):
+    for count in ("0", "-1"):
+        code, out, err = run_cli(capsys, ["verify", "--random", count])
+        assert code == cli.EXIT_USAGE, count
+        assert f"--random must be at least 1, got {count}" in err
+        assert out == ""
+    # an empty request stays an empty success
+    code, out, _ = run_cli(capsys, ["verify", "--presets", ""])
     assert code == 0
     assert "nothing to verify" in out
 
@@ -257,3 +263,17 @@ def test_group_cap_env_applies_to_verify(capsys, monkeypatch):
         code, out, err = run_cli(capsys, argv)
         assert code == cli.EXIT_CAP, argv
         assert "cap exceeded" in err
+
+
+def test_scenario_file_over_the_group_cap_names_the_generators_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "main4.scn"
+    text = serialize_scenario(scenario_main(4, 5))
+    path.write_text(text, encoding="utf-8")
+    lineno = next(
+        k for k, line in enumerate(text.splitlines(), start=1) if line.startswith("generators")
+    )
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", "10")
+    code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
+    assert code == cli.EXIT_CAP
+    assert f"cap exceeded: line {lineno}: field 'generators': group closure exceeds cap 10" in err
+    assert out == ""

@@ -15,7 +15,7 @@ from weiltate.cmtypes import (
     validate_cm_type,
 )
 from weiltate.forge import scenario_main, scenario_ramified
-from weiltate.galois import blocks_of_subgroup, cm_product_group
+from weiltate.galois import cm_product_group
 from weiltate.slopes import slopes_from_cm_type, validate_slopes
 
 
@@ -34,7 +34,7 @@ def test_enumerate_forced_unique_choice():
     scn = scenario_main(4, 5)
     phis = enumerate_cm_types(scn.model, PlacePrescription.from_counts((0, 4)))
     assert len(phis) == 1
-    block1 = blocks_of_subgroup(scn.model, scn.model.D).blocks[1]
+    block1 = scn.model.D_blocks[1]
     assert phis[0].phi == frozenset(block1)
 
 

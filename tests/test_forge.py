@@ -20,7 +20,6 @@ from weiltate.forge import (
     serialize_scenario,
     validate_scenario,
 )
-from weiltate.galois import blocks_of_subgroup
 from weiltate.slopes import slopes_from_cm_type
 
 
@@ -128,6 +127,18 @@ def test_forge_budget_exhaustion():
         forge_totally_real(4, 5, 7, 11, seed=0, retry_budget=0)
 
 
+def test_certify_a_forged_field_recomputes_only_the_sg_patterns(monkeypatch):
+    from weiltate import forge
+
+    f = forge_totally_real(4, 5, 7, 11, seed=0)
+
+    def no_sturm(poly):
+        raise AssertionError("the S_g certificate needs no real-root count")
+
+    monkeypatch.setattr(forge, "sturm_real_roots", no_sturm)
+    assert certify_galois_sg(f)
+
+
 def test_certify_rejects_reducible_poly():
     assert not certify_galois_sg((-1, 0, 0, 0, 1), l=7, lp=11)  # x^4 - 1
 
@@ -142,7 +153,7 @@ def test_certify_s2_from_irreducible_quadratic():
 def test_scenario_main_structure():
     scn = scenario_main(4, 5)
     assert scn.model.group.order == 48
-    blocks = blocks_of_subgroup(scn.model, scn.model.D).blocks
+    blocks = scn.model.D_blocks
     assert sorted(len(b) for b in blocks) == [4, 4]
     b0, b1 = blocks
     assert {scn.model.tau[i] for i in b0} == set(b1)
@@ -151,7 +162,7 @@ def test_scenario_main_structure():
 
 def test_scenario_main6_blocks():
     scn = scenario_main(6, 5)
-    blocks = blocks_of_subgroup(scn.model, scn.model.D).blocks
+    blocks = scn.model.D_blocks
     assert sorted(len(b) for b in blocks) == [6, 6]
 
 
@@ -166,7 +177,7 @@ def test_scenario_ramified_structure():
     scn = scenario_ramified(3, 5)
     assert scn.model.group.degree == 12
     assert scn.model.group.order == 24
-    blocks = blocks_of_subgroup(scn.model, scn.model.D).blocks
+    blocks = scn.model.D_blocks
     assert sorted(len(b) for b in blocks) == [4, 4, 4]
     stable = [b for b in blocks if {scn.model.tau[i] for i in b} == set(b)]
     assert len(stable) == 1  # one place fixed by conjugation, two swapped
@@ -184,7 +195,7 @@ def test_scenario_ramified5_slopes():
 
 def test_scenario_split_structure():
     scn = scenario_split(3, 5)
-    blocks = blocks_of_subgroup(scn.model, scn.model.D).blocks
+    blocks = scn.model.D_blocks
     assert sorted(len(b) for b in blocks) == [2, 2, 2, 2, 2, 2]
     expected = [Fraction(0)] * 2 + [Fraction(1, 2)] * 8 + [Fraction(1)] * 2
     assert sorted(scn.slopes.values) == expected

@@ -4,18 +4,17 @@ import math
 import random
 
 import pytest
+from oracles import index2_overgroups
 
 from weiltate.galois import (
     CMGaloisModel,
     CapExceededError,
-    blocks_of_subgroup,
     build_group,
     cm_product_group,
     compose,
     cycles_to_perm,
     format_perm,
     identity,
-    index2_overgroups,
     inverse,
     orbit_of_subset,
     parse_perm,
@@ -161,10 +160,10 @@ def test_index2_overgroup_properties():
 
 def test_blocks_whole_group_and_trivial():
     model = cm_product_group(3)
-    whole = blocks_of_subgroup(model, frozenset(model.group.elements))
-    assert whole.blocks == (tuple(range(6)),)
-    trivial = blocks_of_subgroup(model, frozenset({identity(6)}))
-    assert trivial.blocks == tuple((i,) for i in range(6))
+    whole = model.with_decomposition(frozenset(model.group.elements))
+    assert whole.D_blocks == (tuple(range(6)),)
+    trivial = model.with_decomposition(frozenset({identity(6)}))
+    assert trivial.D_blocks == tuple((i,) for i in range(6))
 
 
 def test_blocks_of_frobenius_like_generator():
@@ -172,7 +171,7 @@ def test_blocks_of_frobenius_like_generator():
     sigma0 = cycles_to_perm(4, [(1, 2, 3, 4)])
     lifted = tuple(sigma0[i] if i < 4 else sigma0[i - 4] + 4 for i in range(8))
     d = compose(model.tau, lifted)
-    blocks = blocks_of_subgroup(model, subgroup_closure(model.group, [d])).blocks
+    blocks = model.with_decomposition(subgroup_closure(model.group, [d])).D_blocks
     assert sorted(len(b) for b in blocks) == [4, 4]
     b0, b1 = blocks
     assert {model.tau[i] for i in b0} == set(b1)
@@ -181,7 +180,7 @@ def test_blocks_of_frobenius_like_generator():
 def test_blocks_partition_and_tau_permutes():
     model = cm_product_group(3)
     sub = subgroup_closure(model.group, [model.tau])
-    blocks = blocks_of_subgroup(model, sub).blocks
+    blocks = model.with_decomposition(sub).D_blocks
     covered = sorted(i for b in blocks for i in b)
     assert covered == list(range(6))
     block_sets = {frozenset(b) for b in blocks}

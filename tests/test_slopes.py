@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import index2_overgroups
 
 from weiltate.cmtypes import CMType
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split
@@ -72,9 +73,7 @@ def test_main_scenario_slope_multiset():
 
 def test_full_block_cm_type_gives_ordinary_slopes():
     scn = scenario_main(4, 5)
-    from weiltate.galois import blocks_of_subgroup
-
-    block0 = blocks_of_subgroup(scn.model, scn.model.D).blocks[0]
+    block0 = scn.model.D_blocks[0]
     phi = CMType(phi=frozenset(block0))
     s = slopes_from_cm_type(scn.model, phi)
     assert set(s.values) == {Fraction(0), Fraction(1)}
@@ -191,8 +190,6 @@ def test_oracle_agreement_random_sample():
     rng = random.Random(3)
     for g in (2, 3):
         model = cm_product_group(g)
-        from weiltate.galois import index2_overgroups
-
         overgroups = index2_overgroups(model.group, model.H)
         for _ in range(10):
             s = random_pair_slopes(model, rng)
