@@ -2,20 +2,21 @@
 
 Polynomials are coefficient tuples, lowest degree first; the zero
 polynomial is the empty tuple.  Integer polynomials carry arbitrary
-precision Python ints, rational ones `fractions.Fraction`.  Polynomials
-over a prime field GF(l) keep their coefficients reduced into
-[0, l) and require l < 2**31 so single-word modular arithmetic stays
-exact (coefficient growth is unbounded everywhere else).
+precision Python ints.  Polynomials over a prime field GF(l) keep their
+coefficients reduced into [0, l) and require l < 2**31 so single-word
+modular arithmetic stays exact (coefficient growth is unbounded
+everywhere else).
 
-Nothing here rounds: root counting is by Sturm sequences over the
-rationals, factorization shapes come from squarefree decomposition plus
-distinct-degree splitting (no equal-degree step: only degree patterns
-are ever needed as certificates).
+Nothing here rounds: real roots are counted by a Sturm chain of
+primitive integer pseudo-remainders, factorization shapes come from
+squarefree decomposition plus distinct-degree splitting (no equal-degree
+step: only degree patterns are ever needed as certificates), and
+irreducibility is Ben-Or's test, which stops at the first factor of
+degree at most half.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 MAX_PRIME = 2**31
@@ -48,7 +49,7 @@ def require_prime(l: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# generic dense polynomials (works for int and Fraction coefficients)
+# generic dense polynomials (any ring of Python numbers)
 # ---------------------------------------------------------------------------
 
 def poly_trim(f):
@@ -257,18 +258,24 @@ def gf_distinct_degree(f, l):
     return out
 
 
+def _reduce_checked(f, l):
+    """f mod l, for a prime l, a nonzero f and a leading coefficient that survives."""
+    require_prime(l)
+    fbar = gf_reduce(f, l)
+    if not f:
+        raise ValueError("zero polynomial rejected")
+    if poly_degree(fbar) != poly_degree(poly_trim(f)):
+        raise ValueError(f"leading coefficient of f vanishes mod {l}")
+    return fbar
+
+
 def factor_degree_pattern(f, l):
     """Degree pattern of f mod l: ([(degree, count), ...], squarefree).
 
     Counts carry multiplicity from the squarefree decomposition; the
     pairs are sorted by degree and satisfy sum(d*c) = deg(f mod l).
     """
-    require_prime(l)
-    fbar = gf_reduce(f, l)
-    if not f:
-        raise ValueError("zero polynomial has no factorization pattern")
-    if poly_degree(fbar) != poly_degree(poly_trim(f)):
-        raise ValueError(f"leading coefficient of f vanishes mod {l}")
+    fbar = _reduce_checked(f, l)
     counts: dict[int, int] = {}
     squarefree = True
     for mult, part in gf_squarefree_decomposition(fbar, l):
@@ -281,12 +288,7 @@ def factor_degree_pattern(f, l):
 
 def count_distinct_roots_mod(f, l):
     """Number of distinct roots of f in GF(l), as deg gcd(f, x**l - x)."""
-    require_prime(l)
-    fbar = gf_reduce(f, l)
-    if not f:
-        raise ValueError("zero polynomial rejected")
-    if poly_degree(fbar) != poly_degree(poly_trim(f)):
-        raise ValueError(f"leading coefficient of f vanishes mod {l}")
+    fbar = _reduce_checked(f, l)
     if poly_degree(fbar) == 0:
         return 0
     xl = gf_pow_mod((0, 1), l, fbar, l)
@@ -295,31 +297,42 @@ def count_distinct_roots_mod(f, l):
 
 
 def gf_is_irreducible(f, l):
-    pattern, _ = factor_degree_pattern(f, l)
-    d = poly_degree(gf_reduce(f, l))
-    return d >= 1 and pattern == [(d, 1)]
+    """Ben-Or's test: f of degree n >= 1 is irreducible mod l iff
+    gcd(f, x**(l**d) - x) = 1 for every d <= n/2.
+
+    The first nontrivial gcd rejects f; no factorization pattern is formed.
+    """
+    fbar = gf_monic(_reduce_checked(f, l), l)
+    n = poly_degree(fbar)
+    h = (0, 1)  # x**(l**d) mod f
+    for _ in range(n // 2):
+        h = gf_pow_mod(h, l, fbar, l)
+        if gf_gcd(fbar, gf_sub(h, (0, 1), l), l) != (1,):
+            return False
+    return n >= 1
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences over Q
+# Sturm sequences over Z
 # ---------------------------------------------------------------------------
 
-def _qpoly(f):
-    return poly_trim(tuple(Fraction(c) for c in f))
+def _primitive(f):
+    """f divided by the positive gcd of its coefficients (f nonzero)."""
+    c = gcd(*f)
+    return f if c == 1 else tuple(a // c for a in f)
 
 
-def _qpoly_rem(f, g):
-    rem = list(f)
-    dq = len(f) - len(g)
-    if dq < 0:
-        return poly_trim(rem)
-    for i in range(dq, -1, -1):
-        c = rem[i + len(g) - 1]
-        if c:
-            c = c / g[-1]
-            for j, b in enumerate(g):
-                rem[i + j] -= c * b
-    return poly_trim(rem[: len(g) - 1])
+def _prem(a, b):
+    """Pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b, exact over Z."""
+    rem = list(a)
+    lead, nb = b[-1], len(b)
+    for i in range(len(a) - nb, -1, -1):
+        c = rem[i + nb - 1]
+        for j in range(i + nb - 1):
+            rem[j] *= lead
+        for j in range(nb - 1):
+            rem[i + j] -= c * b[j]
+    return poly_trim(rem[: nb - 1])
 
 
 def _sign_at_infinity(f, positive: bool) -> int:
@@ -344,22 +357,28 @@ def _sign_changes(signs) -> int:
 def sturm_real_roots(f):
     """Exact count of distinct real roots of a squarefree integer polynomial.
 
-    The Sturm chain is evaluated at -oo and +oo through leading-term
-    signs; everything runs in Fraction arithmetic.  A nonzero gcd(f, f')
-    raises NotSquarefreeError.
+    The chain f, f', ... continues with -sign(lc b)**(deg a - deg b + 1)
+    * prem(a, b) made primitive: a positive multiple of -rem(a, b), so
+    every sign at -oo and +oo, hence the count, is that of the rational
+    Sturm chain, with no fraction ever formed.  A nonconstant
+    gcd(f, f') raises NotSquarefreeError.
     """
-    f = _qpoly(f)
+    f = poly_trim(f)
     if not f:
         raise ValueError("zero polynomial rejected")
     if poly_degree(f) == 0:
         return 0
-    chain = [f, _qpoly(poly_derivative(f))]
-    while chain[-1] and poly_degree(chain[-1]) > 0:
-        chain.append(poly_trim(tuple(-c for c in _qpoly_rem(chain[-2], chain[-1]))))
-    if chain[-1] == ():
-        raise NotSquarefreeError("polynomial is not squarefree over Q")
-    neg = [_sign_at_infinity(p, positive=False) for p in chain if p]
-    pos = [_sign_at_infinity(p, positive=True) for p in chain if p]
+    chain = [_primitive(f), _primitive(poly_derivative(f))]
+    while poly_degree(chain[-1]) > 0:
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
+        if not r:
+            raise NotSquarefreeError("polynomial is not squarefree over Q")
+        if b[-1] > 0 or (len(a) - len(b)) % 2 == 1:
+            r = tuple(-c for c in r)
+        chain.append(_primitive(r))
+    neg = [_sign_at_infinity(p, positive=False) for p in chain]
+    pos = [_sign_at_infinity(p, positive=True) for p in chain]
     return _sign_changes(neg) - _sign_changes(pos)
 
 

@@ -557,7 +557,6 @@ def verify_lemma_suite(instances) -> tuple:
         noncommutative = end is not None and not end.commutative
         n = model.group.degree
         all_points = frozenset(range(n))
-        rows = tate_rows(model, s)
 
         if mildly:
             status, detail = PASS, ""
@@ -575,6 +574,7 @@ def verify_lemma_suite(instances) -> tuple:
             )
 
         if mildly and noncommutative:
+            rows = tate_rows(model, s)
             status, detail = PASS, ""
             for o in report.exotic:
                 I = sorted(o.representative)

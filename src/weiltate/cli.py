@@ -1,7 +1,9 @@
 """Batch front end: forge / classify / verify.
 
 Exit codes: 0 success, 2 usage or input error (including scenario parse
-errors), 3 hypothesis violation, 4 cap exceeded, 5 lemma-suite FAIL.
+errors), 3 hypothesis violation or a failed self-check (a forged field
+that fails its certificates, a preset whose blocks are off), 4 cap
+exceeded, 5 lemma-suite FAIL.
 Caps can be overridden through WEILTATE_GROUP_CAP, WEILTATE_SUBSET_CAP
 and WEILTATE_RETRY_BUDGET.
 """
@@ -436,6 +438,9 @@ def main(argv=None) -> int:
     except (CapExceededError, forge.RetryBudgetError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except forge.SelfCheckError as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -57,6 +57,10 @@ class RetryBudgetError(RuntimeError):
     """The certified search exhausted its escalation budget."""
 
 
+class SelfCheckError(RuntimeError):
+    """A construction failed its own check: certificates or preset blocks are off."""
+
+
 class ScenarioParseError(ValueError):
     """A scenario file failed to parse; carries line/field context."""
 
@@ -256,7 +260,7 @@ def forge_totally_real(
                 and certs.roots_at_lp == g - 2
                 and certs.real_root_count == g
             ):
-                raise RuntimeError("certified search produced a polynomial failing its certificates")
+                raise SelfCheckError("certified search produced a polynomial failing its certificates")
             return ForgedField(
                 g=g, p=p, l=l, lp=lp, seed=seed, poly=poly, spread=spread, certificates=certs
             )
@@ -342,7 +346,7 @@ def scenario_main(
 
     blocks = model.D_blocks
     if len(blocks) != 2 or any(len(b) != g for b in blocks):
-        raise RuntimeError("main scenario blocks are not two size-g orbits")
+        raise SelfCheckError("main scenario blocks are not two size-g orbits")
     targets = [0] * len(blocks)
     targets[0] = 1
     targets[1] = g - 1
@@ -432,7 +436,7 @@ def scenario_ramified(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Sc
     blocks = model.D_blocks
     sizes = sorted(len(b) for b in blocks)
     if len(blocks) != 3 or sizes != sorted([2 * (gp - 1), 2 * (gp - 1), 4]):
-        raise RuntimeError("ramified scenario blocks do not match the local degrees")
+        raise SelfCheckError("ramified scenario blocks do not match the local degrees")
     targets = [None] * len(blocks)
     for k, b in enumerate(blocks):
         tau_image = frozenset(model.tau[i] for i in b)
@@ -473,7 +477,7 @@ def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scena
     blocks = model.D_blocks
     sizes = sorted(len(b) for b in blocks)
     if len(blocks) != 6 or sizes != sorted([gp - 1] * 4 + [2, 2]):
-        raise RuntimeError("split scenario blocks do not match the local degrees")
+        raise SelfCheckError("split scenario blocks do not match the local degrees")
 
     tau_stable = []
     swapped_pairs = []
@@ -490,7 +494,7 @@ def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scena
             swapped_pairs.append((k, partner))
             seen.update({k, partner})
     if len(tau_stable) != 2 or len(swapped_pairs) != 2:
-        raise RuntimeError("split scenario tau structure is off")
+        raise SelfCheckError("split scenario tau structure is off")
 
     targets = [None] * len(blocks)
     for k in tau_stable:

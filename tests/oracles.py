@@ -1,13 +1,25 @@
 """Definitional reference routes that the fast paths are tested against.
 
 Each one follows the definition directly: it walks orbits, group
-elements or cosets, or builds one matrix column per group element, with
-no linear shortcut and no block system.
+elements or cosets, builds one matrix column per group element, runs a
+Sturm chain over the rationals or reads irreducibility off the full
+factorization pattern, with no linear shortcut, no block system, no
+pseudo-remainder and no early exit.
 """
 
 from fractions import Fraction
 from math import gcd
 
+from weiltate.algebra import (
+    NotSquarefreeError,
+    _sign_at_infinity,
+    _sign_changes,
+    factor_degree_pattern,
+    gf_reduce,
+    poly_degree,
+    poly_derivative,
+    poly_trim,
+)
 from weiltate.classifier import EndAlgebraReport, LocalInvariant
 from weiltate.galois import PermGroup, compose, identity, orbit_of_subset
 from weiltate.slopes import validate_slopes
@@ -193,3 +205,50 @@ def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
         commutative=(m == 1),
         abelian_variety_dim=m * ncos // 2,
     )
+
+
+def _qpoly(f):
+    return poly_trim(tuple(Fraction(c) for c in f))
+
+
+def _qpoly_rem(f, g):
+    rem = list(f)
+    dq = len(f) - len(g)
+    if dq < 0:
+        return poly_trim(rem)
+    for i in range(dq, -1, -1):
+        c = rem[i + len(g) - 1]
+        if c:
+            c = c / g[-1]
+            for j, b in enumerate(g):
+                rem[i + j] -= c * b
+    return poly_trim(rem[: len(g) - 1])
+
+
+def sturm_by_fractions(f):
+    """Exact count of distinct real roots of a squarefree integer polynomial.
+
+    The Sturm chain is evaluated at -oo and +oo through leading-term
+    signs; everything runs in Fraction arithmetic.  A nonzero gcd(f, f')
+    raises NotSquarefreeError.
+    """
+    f = _qpoly(f)
+    if not f:
+        raise ValueError("zero polynomial rejected")
+    if poly_degree(f) == 0:
+        return 0
+    chain = [f, _qpoly(poly_derivative(f))]
+    while chain[-1] and poly_degree(chain[-1]) > 0:
+        chain.append(poly_trim(tuple(-c for c in _qpoly_rem(chain[-2], chain[-1]))))
+    if chain[-1] == ():
+        raise NotSquarefreeError("polynomial is not squarefree over Q")
+    neg = [_sign_at_infinity(p, positive=False) for p in chain if p]
+    pos = [_sign_at_infinity(p, positive=True) for p in chain if p]
+    return _sign_changes(neg) - _sign_changes(pos)
+
+
+def irreducible_by_pattern(f, l) -> bool:
+    """Irreducible mod l iff the whole degree pattern is one factor of full degree."""
+    pattern, _ = factor_degree_pattern(f, l)
+    d = poly_degree(gf_reduce(f, l))
+    return d >= 1 and pattern == [(d, 1)]

@@ -2,7 +2,10 @@
 
 import json
 
-from weiltate import cli
+import pytest
+
+from weiltate import classifier, cli, forge
+from weiltate.galois import identity
 from weiltate.classifier import classify_orbits, doc_to_end_report, doc_to_report
 from weiltate.forge import scenario_main, serialize_scenario
 
@@ -130,6 +133,24 @@ def test_verify_presets_all_passes(capsys):
     statuses = {row["status"] for row in doc["lemmas"]}
     assert "FAIL" not in statuses
     assert "PASS" in statuses
+
+
+def test_verify_builds_the_tate_rows_only_for_the_half_weight_lemma(capsys, monkeypatch):
+    calls = []
+    real = classifier.conjugate_slope_basis
+
+    def counted(model, s):
+        calls.append(model)
+        return real(model, s)
+
+    monkeypatch.setattr(classifier, "conjugate_slope_basis", counted)
+    code, out, _ = run_cli(capsys, ["verify", "--presets", "all", "--format", "json"])
+    assert code == 0
+    half_weight = [row for row in json.loads(out)["lemmas"]
+                   if row["lemma"] == classifier.LEMMA_HALF_WEIGHT
+                   and row["status"] != classifier.NOT_APPLICABLE]
+    # one basis per classification of the four presets, one more per half-weight run
+    assert len(calls) == 4 + len(half_weight) < 8
 
 
 def test_verify_random_oracles(capsys):
@@ -277,3 +298,30 @@ def test_scenario_file_over_the_group_cap_names_the_generators_line(tmp_path, ca
     assert code == cli.EXIT_CAP
     assert f"cap exceeded: line {lineno}: field 'generators': group closure exceeds cap 10" in err
     assert out == ""
+
+
+def test_forge_self_check_failure_exits_3_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(forge, "count_distinct_roots_mod", lambda f, l: -1)
+    code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11"])
+    assert code == cli.EXIT_HYPOTHESIS
+    assert out == ""
+    assert err.splitlines() == [
+        "self-check failed: certified search produced a polynomial failing its certificates"
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--preset", "main", "--g", "4"],
+    ["classify", "--preset", "ramified", "--gp", "3"],
+    ["classify", "--preset", "split", "--gp", "3"],
+    ["verify", "--presets", "main4"],
+], ids=["main", "ramified", "split", "verify"])
+def test_preset_block_check_failure_exits_3_without_traceback(argv, capsys, monkeypatch):
+    # a trivial D leaves every index its own block, which no preset accepts
+    monkeypatch.setattr(forge, "subgroup_closure",
+                        lambda group, gens: frozenset({identity(group.degree)}))
+    code, out, err = run_cli(capsys, argv)
+    assert code == cli.EXIT_HYPOTHESIS
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("self-check failed: ") and "blocks" in err

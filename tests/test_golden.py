@@ -1,8 +1,8 @@
 """Byte-identity of the documents: sha256 of the CLI output and of the preset scenario files.
 
 The digests pin every byte of `classify ... --format json`, of
-`verify ... --format json` and of `serialize_scenario` on the four
-verify presets (which carries the D generators and the slopes), so a
+`verify ... --format json` of `forge ... --format json` and of
+`serialize_scenario` on the four verify presets (which carries the D generators and the slopes), so a
 refactor that changes any value, key or ordering fails here.  A change
 that is meant to alter a document updates its digest and says why.
 """
@@ -35,6 +35,25 @@ GOLDEN_ARGV = {
         "e36817a20de3d4c81d238738687aaf1af042eb3edb043737d0f36032af34c703",
 }
 
+GOLDEN_FORGE = {
+    # (g, l, l', seed) with p = 5; l, l' are the two smallest primes above g other than 5
+    (4, 7, 11, 0): "23417406d9766f1b0701e055affee9f8895316f443112df2a84a5fbe7144b836",
+    (4, 7, 11, 1): "daab3476bc8d5d8491c0ff1dae53f9eea094dbe3c08c8312f54f94feee1498d1",
+    (4, 7, 11, 2): "87e4652d1a983089497c1b90fcaf4b1c2990debd6315a24443b74eb50d3adf8b",
+    (6, 7, 11, 0): "e60ad5645d1aff328d752b85400e0b73c73f72f886bffbd5bd0584aceca505d4",
+    (6, 7, 11, 1): "da46c93aff79fd68de448d8f952ee320396e74f61037ef90bbd477ee7ce7c3db",
+    (6, 7, 11, 2): "e8a792d22f546689590e9f159721886be2f4e4cfd028f1ef0f8b69027fcbeb4e",
+    (8, 11, 13, 0): "f929a2ba783c3b16cf19e7ef77ea0f751af47ed3ab50eade1c50e6c5f43a4c77",
+    (8, 11, 13, 1): "19526e3bc52ba77c406adc49095cdec88a5d3c3d22172bdeceabbf99a5ff49a9",
+    (8, 11, 13, 2): "276afeada0f7c87a9921057a68f143f32de972961130f4dfb3fd3e173aa0bd03",
+    (10, 11, 13, 0): "b8f221c94d9c520fc2b13954fafa5a81512f74f44af15379440b3afc757a3ceb",
+    (10, 11, 13, 1): "f368cb782d91fd3589c8682dc016998a81663be006f486584f87e059be474779",
+    (10, 11, 13, 2): "d50f91fd51b85dae4c6bd31ed7db940bd10dc09b200d78fee479b1cb6ede3d80",
+    (12, 13, 17, 0): "aa0a142568d57b7a95b1f2f679bb293adc4b3516c74ab13cb206af6b6f40dab6",
+    (12, 13, 17, 1): "5ac0471fc3c88f7397f34c89edd4ed05a69253badd3ff00968960fe9f43f180f",
+    (12, 13, 17, 2): "19bdf953b46384ac5899253ca5b9e1367664ae60808e3896bc5c83532e46ebec",
+}
+
 GOLDEN_SCENARIO_FILES = {
     "main4": "b689a7844f4092936205296549ecbc460832fcbce44bb972cd0f0e3838efbab1",
     "main6": "a0d6cfea144783423536b9358b71881abc2da5ed8ed11a95478b2e3c8c66f7b0",
@@ -61,6 +80,16 @@ def test_cli_json_digest(argv, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == GOLDEN_ARGV[argv]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_FORGE), ids=lambda k: "g%d-l%d-lp%d-seed%d" % k)
+def test_forge_json_digest(key, capsys):
+    g, l, lp, seed = key
+    argv = ["forge", "--g", str(g), "--p", "5", "--l", str(l), "--lp", str(lp), "--seed", str(seed)]
+    code = cli.main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out) == GOLDEN_FORGE[key]
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_SCENARIO_FILES))

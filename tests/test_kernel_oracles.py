@@ -1,0 +1,155 @@
+"""The forge's exact kernels against their definitional routes and against sympy.
+
+`sturm_real_roots` (primitive integer pseudo-remainders) must give the
+count and the squarefree verdict of the rational Sturm chain
+`oracles.sturm_by_fractions`; `gf_is_irreducible` (Ben-Or, early exit)
+must agree with the full degree pattern `oracles.irreducible_by_pattern`.
+The draws cover what the sign rule -sign(lc b)**(deg a - deg b + 1)
+depends on (negative and non-unit leading coefficients, sparse
+polynomials whose chain drops an even number of degrees), squares, the forge's spread-plus-correction shape, and
+leading coefficients that vanish mod l.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import irreducible_by_pattern, sturm_by_fractions
+from weiltate.algebra import (
+    NotSquarefreeError,
+    count_distinct_roots_mod,
+    factor_degree_pattern,
+    gf_is_irreducible,
+    poly_add,
+    poly_mul,
+    poly_trim,
+    sturm_real_roots,
+)
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+LEADS = st.integers(-12, 12).filter(bool)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotSquarefreeError:
+        return "not squarefree"
+    except ValueError:
+        return "value error"
+
+
+@st.composite
+def integer_polys(draw, max_degree=9, bound=60):
+    """Dense or sparse: zero coefficients make the chain drop two or more degrees."""
+    n = draw(st.integers(0, max_degree))
+    coeff = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        coeff = st.one_of(st.just(0), coeff)
+    return tuple(draw(coeff) for _ in range(n)) + (draw(LEADS),)
+
+
+@st.composite
+def non_squarefree_polys(draw):
+    h = draw(integer_polys(max_degree=3, bound=6))
+    return poly_mul(poly_mul(h, h), draw(integer_polys(max_degree=4, bound=10)))
+
+
+@st.composite
+def forge_shaped(draw):
+    """prod(x - M K i) plus a correction centered in (-M/2, M/2], as the forge builds."""
+    g = draw(st.integers(2, 8))
+    modulus = draw(st.sampled_from((5 * 7 * 11, 5 * 11 * 13, 5 * 13 * 17)))
+    spread = 2 ** draw(st.integers(0, 6))
+    t = (1,)
+    for i in range(1, g + 1):
+        t = poly_mul(t, (-modulus * spread * i, 1))
+    half = modulus // 2
+    return poly_add(t, tuple(draw(st.integers(-half, half)) for _ in range(g)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(integer_polys(), non_squarefree_polys(), forge_shaped()))
+@example((-2, 0, 1))
+@example((0, 3, 0, -1))  # -x^3 + 3x: negative leading coefficient, three roots
+@example((1, 0, -2, 0, 1))  # (x^2 - 1)^2
+@example((0, 5, 0, 0, 1))  # x^4 + 5x: the chain goes 3 -> 1 to an element with lc < 0
+@example((0, 5, 0, 0, 0, 0, -1))
+@example((1,))
+@example((0,))
+def test_integer_sturm_matches_the_fraction_chain(f):
+    assert _outcome(sturm_real_roots, f) == _outcome(sturm_by_fractions, f)
+
+
+@st.composite
+def gf_polys(draw):
+    l = draw(st.sampled_from(SMALL_PRIMES))
+    if draw(st.booleans()):
+        h = tuple(draw(st.integers(0, l - 1)) for _ in range(draw(st.integers(1, 6)))) + (1,)
+        f = poly_mul(h, h)
+        if draw(st.booleans()):
+            f = poly_mul(f, (draw(st.integers(0, l - 1)), 1))
+    else:
+        n = draw(st.integers(1, 12))
+        lead = draw(st.sampled_from((1, l - 1, l, 2 * l, l + 1)))
+        f = tuple(draw(st.integers(-l, 2 * l)) for _ in range(n)) + (lead,)
+    return f, l
+
+
+@settings(max_examples=400, deadline=None)
+@given(gf_polys())
+@example(((1, 0, 2, 0, 1), 3))  # (x^2 + 1)^2 mod 3: the only factor has degree n/2
+@example(((2, 1, 0, 1, 1), 3))  # (x^2 + 1)(x^2 + x + 2) mod 3
+@example(((1, 1, 1, 0, 1, 1), 2))  # x^5 + x^4 + x^2 + x + 1 mod 2 is irreducible
+@example(((1, 0, 5), 5))  # leading coefficient vanishes mod 5
+@example(((0,), 5))
+@example(((), 5))
+@example(((3,), 7))
+def test_ben_or_matches_the_full_pattern(case):
+    f, l = case
+    assert _outcome(gf_is_irreducible, f, l) == _outcome(irreducible_by_pattern, f, l)
+
+
+def test_ben_or_keeps_the_input_errors():
+    for f, l in (((1, 1), 6), ((), 5), ((1, 0, 5), 5)):
+        with pytest.raises(ValueError):
+            gf_is_irreducible(f, l)
+
+
+# --- sympy as an independent oracle ------------------------------------------
+
+
+def _sympy_poly(f, **kwargs):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(poly_trim(f))), x, **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_polys(max_degree=7), non_squarefree_polys(), forge_shaped()))
+def test_sturm_matches_sympy_count_roots(f):
+    P = _sympy_poly(f)
+    got = _outcome(sturm_real_roots, f)
+    if P.degree() >= 1 and P.gcd(P.diff()).degree() >= 1:
+        assert got == "not squarefree"
+    else:
+        assert got == P.count_roots()
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf_polys())
+def test_patterns_and_roots_match_sympy_factor_list(case):
+    f, l = case
+    f = poly_trim(f)
+    if not f or f[-1] % l == 0:
+        return
+    _, factors = _sympy_poly(f, modulus=l).factor_list()
+    counts = {}
+    for factor, mult in factors:
+        counts[factor.degree()] = counts.get(factor.degree(), 0) + mult
+    squarefree = all(mult == 1 for _, mult in factors)
+    assert factor_degree_pattern(f, l) == (sorted(counts.items()), squarefree)
+    linears = sum(1 for factor, _ in factors if factor.degree() == 1)
+    assert count_distinct_roots_mod(f, l) == linears
+    assert gf_is_irreducible(f, l) == (len(factors) == 1 and factors[0][1] == 1
+                                       and factors[0][0].degree() >= 1)
