@@ -29,6 +29,19 @@ GOLDEN_ARGV = {
         "b585cdc6ae5f75479e8e12df5bbde1dff1b9411bced10d01791380be9ea78a3a",
     ("classify", "--preset", "split", "--gp", "5", "--cap", "20"):
         "ffc040e8280e9d5a0e1599e8a23bfb4192efb5eeecb6393d94e2e41958b17c82",
+    # the exact commands of the benchmark ladder (perfbench/ladder.py)
+    ("classify", "--preset", "main", "--g", "6", "--weights", "0,2,4,6,8,10,12"):
+        "4f603a1e39719a7ce8dd4f6fcbdd6c1d0066cd4d180a05d67ea97cb3634422b1",
+    ("classify", "--preset", "ramified", "--gp", "3", "--weights", "0,2,4,6,8,10,12"):
+        "9f5ac2b7acaa98a5f7c608470d6dece3e4e8fd4a0c4bf1cda58a743f398a072c",
+    ("classify", "--preset", "split", "--gp", "3", "--weights", "0,2,4,6,8,10,12"):
+        "c956a25b3f46682d9a37fae6636ebc9e6d0dcb43599b29ba3762fac4ddce76ef",
+    ("classify", "--preset", "ramified", "--gp", "5", "--cap", "20",
+     "--weights", "0,2,4,6,8,10,12,14,16,18,20"):
+        "3e6dda48ccfb54453c483e233194ff381153fd56639075d726c8bd6458d57cc2",
+    ("classify", "--preset", "split", "--gp", "5", "--cap", "20",
+     "--weights", "0,2,4,6,8,10,12,14,16,18,20"):
+        "a5664792556f5eb355b68756345a7510bf7f82a0c93c6bdcd030412c3c6efe01",
     ("verify", "--presets", "all"):
         "f23123bf2e935173e7e2e68486af28058366b284b47192479bfae578f2035200",
     ("verify", "--random", "20", "--g", "3"):
