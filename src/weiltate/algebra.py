@@ -84,13 +84,6 @@ def poly_mul(f, g):
     return poly_trim(out)
 
 
-def poly_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def poly_derivative(f):
     return poly_trim(tuple(i * f[i] for i in range(1, len(f))))
 
@@ -152,14 +145,15 @@ def gf_divmod(f, g, l):
     if dq < 0:
         return (), poly_trim(rem)
     quo = [0] * (dq + 1)
+    below_lead = g[:-1]
     for i in range(dq, -1, -1):
-        c = rem[i + len(g) - 1] % l
+        c = rem[i + len(g) - 1] % l  # rem stays unreduced until a coefficient is read
         if c:
             c = (c * inv) % l
             quo[i] = c
-            for j, b in enumerate(g):
-                rem[i + j] = (rem[i + j] - c * b) % l
-    return poly_trim(quo), poly_trim(rem)
+            for j, b in enumerate(below_lead):
+                rem[i + j] -= c * b
+    return poly_trim(quo), poly_trim(tuple(c % l for c in rem[: len(g) - 1]))
 
 
 def gf_quo(f, g, l):

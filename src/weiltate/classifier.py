@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 
 from .galois import (
     CMGaloisModel,
@@ -146,37 +147,113 @@ def has_qpair_matching(subset, qpairs) -> bool:
     return solve(frozenset(subset))
 
 
-def _subset_sums(points, rows) -> dict:
-    """(size, row-sum vector) -> the subsets of `points` with that size and sums."""
+def _subset_sums(n, points, rows) -> dict:
+    """(size, row-sum vector) -> the masks of the subsets of `points` with that size and sums.
+
+    Each point doubles the list of (size, sums, mask) entries, so every
+    subset costs one vector addition.
+    """
+    entries = [(0, (0,) * len(rows), 0)]
+    for i in points:
+        col = tuple(row[i] for row in rows)
+        bit = 1 << (n - 1 - i)
+        entries += [(size + 1, tuple(map(add, sums, col)), mask | bit)
+                    for size, sums, mask in entries]
     table = {}
-    for size in range(len(points) + 1):
-        for c in combinations(points, size):
-            key = (size, tuple(sum(row[i] for i in c) for row in rows))
-            table.setdefault(key, []).append(c)
+    for size, sums, mask in entries:
+        table.setdefault((size, sums), []).append(mask)
     return table
 
 
 def tate_subsets(rows, weights) -> dict:
-    """weight -> every subset of that size passing the predicate `rows`.
+    """weight -> the mask of every subset of that size passing the predicate `rows`.
 
-    Meet-in-the-middle: the n points split into two halves, and a subset
-    passes iff its parts have sizes k, w - k and row sums v, -v.  The two
-    half tables hold 2^(n/2) subsets each, so the cost follows the
-    output rather than the 2^n subsets.  Weights are taken as given;
-    only even ones yield Tate subsets.
+    Point i of the n points is bit n-1-i of a mask, so within one weight
+    descending mask order is the lexicographic order of the sorted
+    point tuples.  Meet-in-the-middle: the points split into two halves,
+    and a subset passes iff its parts have sizes k, w - k and row sums
+    v, -v.  The two half tables hold 2^(n/2) masks each, so the cost
+    follows the output rather than the 2^n subsets.  Weights are taken
+    as given; only even ones yield Tate subsets.
     """
     n = len(rows[0])
     half = n // 2
-    low = _subset_sums(range(half), rows)
-    high = _subset_sums(range(half, n), rows)
+    low = _subset_sums(n, range(half), rows)
+    high = _subset_sums(n, range(half, n), rows)
     out = {w: [] for w in weights}
     for (size, vec), parts in low.items():
         minus = tuple(-v for v in vec)
         for w, found in out.items():
             partners = high.get((w - size, minus))
             if partners:
-                found.extend(frozenset(a + b) for a in parts for b in partners)
+                found.extend(lo | hi for lo in parts for hi in partners)
     return out
+
+
+def _byte_tables(n, empty, join, of_bit) -> list:
+    """(shift, table) per byte of an n-bit mask, low byte first.
+
+    table[b] joins of_bit(j) over the bits j of the byte value b, built
+    incrementally: t[b] = join(of_bit(top bit of b), t[b without it]).
+    """
+    tables = []
+    for shift in range(0, n, 8):
+        t = [empty]
+        for b in range(1, 1 << min(8, n - shift)):
+            top = b.bit_length() - 1
+            t.append(join(of_bit(shift + top), t[b ^ (1 << top)]))
+        tables.append((shift, t))
+    return tables
+
+
+def _orbit_tables(model: CMGaloisModel) -> tuple:
+    """Per-byte tables of the masks: one image table list per generator, and the point tuples.
+
+    The point tables run high byte first, so that joining their entries
+    gives the sorted point tuple of a mask.
+    """
+    n = model.group.degree
+    images = [
+        _byte_tables(n, 0, int.__or__, lambda j, gen=gen: 1 << (n - 1 - gen[n - 1 - j]))
+        for gen in model.group.generators
+    ]
+    points = _byte_tables(n, (), tuple.__add__, lambda j: (n - 1 - j,))[::-1]
+    return images, points
+
+
+def _mask_orbits(tables, masks):
+    """The G-orbits on a G-stable list of masks, as sorted point tuples in document order.
+
+    Each orbit is the connected component of the generator action met
+    first in descending mask order, found by a BFS over ints that acts
+    through the per-byte image tables of `_orbit_tables`.  Its members
+    come out in descending mask order, which is lexicographic order, so
+    the first member is the representative.
+    """
+    images, points = tables
+    seen = set()
+    for start in sorted(masks, reverse=True):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            m = frontier.pop()
+            for gen_tables in images:
+                img = 0
+                for shift, t in gen_tables:
+                    img |= t[(m >> shift) & 255]
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        seen |= orbit
+        members = []
+        for m in sorted(orbit, reverse=True):
+            member = ()
+            for shift, t in points:
+                member += t[(m >> shift) & 255]
+            members.append(member)
+        yield members
 
 
 def classify_orbits(
@@ -190,14 +267,13 @@ def classify_orbits(
     """Enumerate every Tate-class-bearing orbit of the requested weights.
 
     The Tate subsets of each requested even weight are enumerated
-    directly (`tate_subsets`) and grouped into G-orbits in sorted order,
-    so each orbit is walked once, from its least member.  Every
-    conjugate of a Tate subset is Tate, so each orbit is kept whole.
-    Lefschetz / exotic flags, per-weight Tate dimensions rho_k, the
-    mildly-exotic flag and the verdict are derived from the orbits.
-    Output ordering is canonical (weight, then lexicographic
-    representative).  `workers` must be at least 1 and never changes
-    the output; the scan runs in the calling thread.
+    directly as masks (`tate_subsets`) and split into G-orbits
+    (`_mask_orbits`); every conjugate of a Tate subset is Tate, so each
+    orbit is kept whole.  Lefschetz / exotic flags, per-weight Tate
+    dimensions rho_k, the mildly-exotic flag and the verdict are derived
+    from the orbits.  Output ordering is canonical (weight, then
+    lexicographic representative).  `workers` must be at least 1 and
+    never changes the output; the scan runs in the calling thread.
     """
     n = model.group.degree
     if n > subset_cap:
@@ -217,23 +293,19 @@ def classify_orbits(
 
     rows = tate_rows(model, s)
     qp = _pairs_passing(rows)
+    tables = _orbit_tables(model)
     orbits = []
     for w, found in tate_subsets(rows, weight_list).items():
-        unvisited = set(found)
-        for I in sorted(found, key=sorted):
-            if I not in unvisited:
-                continue
-            orbit = orbit_of_subset(model, I)
-            unvisited.difference_update(orbit)
-            rep = orbit[0]
+        for members in _mask_orbits(tables, found):
+            rep = members[0]
             lefschetz = has_qpair_matching(rep, qp)
             ht = hodge_type(model, phi, rep) if phi is not None else None
             orbits.append(
                 MotiveOrbit(
                     weight=w,
-                    representative=tuple(sorted(rep)),
-                    orbit=tuple(tuple(sorted(m)) for m in orbit),
-                    rank=len(orbit),
+                    representative=rep,
+                    orbit=tuple(members),
+                    rank=len(members),
                     is_tate=True,
                     is_lefschetz_bearing=lefschetz,
                     is_exotic=not lefschetz,
@@ -241,7 +313,6 @@ def classify_orbits(
                     hodge_balanced=is_balanced(ht) if ht is not None else None,
                 )
             )
-    orbits.sort(key=lambda o: (o.weight, o.representative))
     exotic = tuple(o for o in orbits if o.is_exotic)
 
     if full_scan:

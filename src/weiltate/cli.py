@@ -11,11 +11,12 @@ and WEILTATE_RETRY_BUDGET.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import inf
 
 from . import classifier, forge
 from .classifier import (
@@ -67,7 +68,69 @@ def _env_int(name: str, default):
 
 
 def _emit_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The text of `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    `json` runs its pure-Python encoder whenever `indent` is set; this
+    writer emits the same text with a list of plain ints as one join.
+    """
+    out = []
+    _write_json(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, nl: str, write) -> None:
+    """Write one JSON value whose opening line is already indented; `nl` starts its lines."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in value):  # not isinstance: a bool is no int here
+            write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):  # keys are str: encode_basestring_ascii rejects others
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, write)
+            sep = "," + inner
+        write(nl + "}")
+    elif isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        write(_float_str(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_str(x: float) -> str:
+    """A float as `json` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--p", type=int, default=5, help="prime p (default 5)")
     p_classify.add_argument("--weights", help="comma-separated even weights (default: all)")
     p_classify.add_argument("--cap", type=int, default=None, help="subset-dimension cap on 2g")
-    p_classify.add_argument("--workers", type=int, default=1)
+    p_classify.add_argument("--workers", type=int, default=1,
+                            help="accepted for compatibility (must be >= 1); changes "
+                            "neither the thread count nor the output")
     p_classify.add_argument("--attach-fields", action="store_true",
                             help="attach forged field provenance to preset scenarios")
     p_classify.add_argument("--format", choices=["text", "json"], default="text")

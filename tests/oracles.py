@@ -1,13 +1,15 @@
 """Definitional reference routes that the fast paths are tested against.
 
-Each one follows the definition directly: it walks orbits, group
-elements or cosets, builds one matrix column per group element, runs a
-Sturm chain over the rationals or reads irreducibility off the full
-factorization pattern, with no linear shortcut, no block system, no
-pseudo-remainder and no early exit.
+Each one follows the definition directly: it walks orbits as
+frozensets, group elements or cosets, builds one matrix column per
+group element, runs a Sturm chain over the rationals or reads
+irreducibility off the full factorization pattern, with no linear
+shortcut, no block system, no bit mask, no pseudo-remainder and no
+early exit.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from weiltate.algebra import (
@@ -20,7 +22,20 @@ from weiltate.algebra import (
     poly_derivative,
     poly_trim,
 )
-from weiltate.classifier import EndAlgebraReport, LocalInvariant
+from weiltate.classifier import (
+    SCHT_APPLICABLE,
+    SCHT_LEFSCHETZ_ONLY,
+    SCHT_NOT_DECIDED,
+    ClassifierReport,
+    EndAlgebraReport,
+    LocalInvariant,
+    MotiveOrbit,
+    has_qpair_matching,
+    q_pairs,
+    tate_rows,
+    weil_tate_submotives,
+)
+from weiltate.cmtypes import hodge_type, is_balanced
 from weiltate.galois import PermGroup, compose, identity, orbit_of_subset
 from weiltate.slopes import validate_slopes
 
@@ -33,6 +48,76 @@ def tate_by_orbit_walk(model, s, subset) -> bool:
     target = Fraction(len(I), 2)
     return all(sum((s[i] for i in member), Fraction(0)) == target
                for member in orbit_of_subset(model, I))
+
+
+def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierReport:
+    """`classify_orbits` with each orbit walked as frozensets from its least member.
+
+    The Tate subsets of each weight are found one combination at a
+    time, visited in `sorted(key=sorted)` order, and each unvisited one
+    is grown into its orbit by the frozenset BFS of `orbit_of_subset`.
+    """
+    n = model.group.degree
+    full_scan = weights is None
+    weight_list = list(range(0, n + 1, 2)) if full_scan else sorted(set(weights))
+    rows = tate_rows(model, s)
+    qp = q_pairs(model, s)
+    orbits = []
+    for w in weight_list:
+        found = [frozenset(c) for c in combinations(range(n), w)
+                 if all(sum(row[i] for i in c) == 0 for row in rows)]
+        unvisited = set(found)
+        for I in sorted(found, key=sorted):
+            if I not in unvisited:
+                continue
+            orbit = orbit_of_subset(model, I)
+            unvisited.difference_update(orbit)
+            rep = orbit[0]
+            lefschetz = has_qpair_matching(rep, qp)
+            ht = hodge_type(model, phi, rep) if phi is not None else None
+            orbits.append(
+                MotiveOrbit(
+                    weight=w,
+                    representative=tuple(sorted(rep)),
+                    orbit=tuple(tuple(sorted(m)) for m in orbit),
+                    rank=len(orbit),
+                    is_tate=True,
+                    is_lefschetz_bearing=lefschetz,
+                    is_exotic=not lefschetz,
+                    hodge_type=ht,
+                    hodge_balanced=is_balanced(ht) if ht is not None else None,
+                )
+            )
+    orbits.sort(key=lambda o: (o.weight, o.representative))
+    exotic = tuple(o for o in orbits if o.is_exotic)
+
+    if full_scan:
+        dims = [0] * (model.g + 1)
+        for o in orbits:
+            dims[o.weight // 2] += o.rank
+        tate_dims = tuple(dims)
+        mildly = bool(exotic) and all(o.rank <= 2 for o in exotic)
+        if mildly:
+            verdict = SCHT_APPLICABLE
+        elif not exotic:
+            verdict = SCHT_LEFSCHETZ_ONLY
+        else:
+            verdict = SCHT_NOT_DECIDED
+    else:
+        tate_dims = None
+        mildly = None
+        verdict = SCHT_NOT_DECIDED
+
+    return ClassifierReport(
+        g=model.g,
+        weights=tuple(weight_list),
+        orbits=tuple(orbits),
+        tate_dims=tate_dims,
+        exotic=exotic,
+        mildly_exotic=mildly,
+        weil_tate=weil_tate_submotives(model, s),
+        scht_verdict=verdict,
+    )
 
 
 def rational_rank(matrix) -> int:
@@ -252,3 +337,11 @@ def irreducible_by_pattern(f, l) -> bool:
     pattern, _ = factor_degree_pattern(f, l)
     d = poly_degree(gf_reduce(f, l))
     return d >= 1 and pattern == [(d, 1)]
+
+
+def poly_eval(f, x):
+    """f(x) by Horner's rule, over the integers."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc

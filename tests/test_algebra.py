@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import poly_eval
 
 from weiltate.algebra import (
     NotSquarefreeError,
@@ -19,7 +20,6 @@ from weiltate.algebra import (
     gf_is_irreducible,
     gf_reduce,
     poly_degree,
-    poly_eval,
     poly_mul,
     poly_trim,
     sturm_real_roots,

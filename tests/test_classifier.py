@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    classify_orbits_by_walk,
     fix_by_signatures_over_group,
     frobenius_rank_by_matrix,
     honda_tate_by_cosets,
@@ -20,6 +21,7 @@ from oracles import (
 )
 
 import weiltate.classifier
+import weiltate.galois
 import weiltate.slopes
 from weiltate.classifier import (
     FAIL,
@@ -45,6 +47,7 @@ from weiltate.classifier import (
     verify_lemma_suite,
     weil_tate_submotives,
 )
+from weiltate.cmtypes import CMType
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import (
     CMGaloisModel,
@@ -247,7 +250,7 @@ def test_random_cm_types_keep_classifier_invariants():
                     assert o.is_lefschetz_bearing
 
 
-MODELS = {g: cm_product_group(g) for g in (2, 3, 4)}
+MODELS = {g: cm_product_group(g) for g in (2, 3, 4, 5)}
 
 
 @st.composite
@@ -260,6 +263,92 @@ def product_models_with_slopes(draw):
         values[i] = Fraction(draw(st.integers(0, den)), den)
         values[model.tau[i]] = 1 - values[i]
     return model, SlopeVector(tuple(values))
+
+
+def signed_perm(g, sigma, flips) -> tuple:
+    """i -> sigma(i), moved across the conjugation split where flips[i]; commutes with tau."""
+    out = [0] * (2 * g)
+    for i in range(g):
+        j = sigma[i] + (g if flips[i] else 0)
+        out[i], out[i + g] = j, (j + g) % (2 * g)
+    return tuple(out)
+
+
+@st.composite
+def cm_models(draw):
+    """cm_product_group(g), g = 2..5, or tau with one or two random signed permutations.
+
+    The first signed permutation moves the points of one half along a
+    random g-cycle, so the group is transitive.  Such groups lack the
+    symmetries of mu2 x S_g (the point reversal i -> 2g-1-i among them),
+    so they tell apart orders that coincide on the product group.
+    """
+    g = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        return MODELS[g]
+    flips = st.lists(st.booleans(), min_size=g, max_size=g)
+    cycle = draw(st.permutations(range(g)))
+    sigma = [0] * g
+    for k in range(g):
+        sigma[cycle[k]] = cycle[(k + 1) % g]
+    tau = tuple((i + g) % (2 * g) for i in range(2 * g))
+    gens = [tau, signed_perm(g, sigma, draw(flips))]
+    if draw(st.booleans()):
+        gens.append(signed_perm(g, draw(st.permutations(range(g))), draw(flips)))
+    return CMGaloisModel(g=g, group=build_group(2 * g, gens), tau=tau)
+
+
+@st.composite
+def classify_cases(draw):
+    """A random CM model (`cm_models`), admissible slopes, CM-type and even weights.
+
+    The CM-type and the weight list are each left out now and then (no
+    Hodge types, the full scan).
+    """
+    model = draw(cm_models())
+    n = model.group.degree
+    values = [None] * n
+    for i in range(model.g):
+        den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        values[i] = Fraction(draw(st.integers(0, den)), den)
+        values[model.tau[i]] = 1 - values[i]
+    phi = CMType(frozenset(draw(st.sampled_from((i, model.tau[i]))) for i in range(model.g)))
+    weights = st.lists(st.sampled_from(range(0, n + 1, 2)), min_size=1, max_size=4)
+    return (model, SlopeVector(tuple(values)), draw(st.none() | st.just(phi)),
+            draw(st.none() | weights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(classify_cases())
+def test_mask_orbits_match_the_frozenset_walk(case):
+    model, s, phi, weights = case
+    report = classify_orbits(model, s, weights=weights, phi=phi)
+    assert report == classify_orbits_by_walk(model, s, weights, phi)
+
+
+@pytest.mark.parametrize("name", ["main4", "main6", "ramified3", "split3"])
+@pytest.mark.parametrize("weights", [None, [2, 6], [0, 4, 8, 10]])
+def test_mask_orbits_match_the_frozenset_walk_on_the_presets(name, weights):
+    scn = PRESETS[name]()
+    if weights and max(weights) > scn.model.group.degree:
+        weights = [w for w in weights if w <= scn.model.group.degree]
+    report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
+    assert report == classify_orbits_by_walk(scn.model, scn.slopes, weights, scn.phi)
+
+
+def test_classify_orbits_walks_no_frozenset_orbit(monkeypatch):
+    calls = []
+
+    def counted(model, subset):
+        calls.append(subset)
+        return orbit_of_subset(model, subset)
+
+    monkeypatch.setattr(weiltate.classifier, "orbit_of_subset", counted)
+    monkeypatch.setattr(weiltate.galois, "orbit_of_subset", counted)
+    scn = scenario_ramified(3, 5)
+    report = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
+    assert len(report.orbits) > 10
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weiltate import classifier, cli, forge
 from weiltate.galois import identity
@@ -325,3 +327,52 @@ def test_preset_block_check_failure_exits_3_without_traceback(argv, capsys, monk
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("self-check failed: ") and "blocks" in err
+
+
+# --- the indent=2 writer ------------------------------------------------------
+
+TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001d53d') | st.characters())
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**80)
+    | st.integers(-(2**80), -1)
+    | st.floats()
+    | TEXT
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children)
+    | st.dictionaries(TEXT, children)
+    | st.lists(st.integers() | st.booleans()),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_TREES)
+@example({"b": [1, True, False, 0, None], "a": {}, "é\"\\\n": [[], [2**70, -3]]})
+@example([[1, 2], [True], [0.5, 1], float("nan"), float("-inf")])
+def test_emit_json_matches_json_dumps(tree):
+    assert cli._emit_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_json_matches_json_dumps_on_the_documents():
+    ramified = forge.scenario_ramified(3, 5)
+    field = forge.forge_totally_real(4, 5, 7, 11, seed=1)
+    docs = [
+        cli.classify_scenario_doc(scenario_main(4, 5, attach_fields=True)),
+        cli.classify_scenario_doc(ramified, weights=[0, 4, 6]),
+        forge.forged_field_to_doc(field),
+        {"schema": "weiltate.verify/1", "lemmas": [], "oracles": cli.slope_oracle_rows(3, 4, 0)},
+    ]
+    for doc in docs:
+        assert cli._emit_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_json_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        cli._emit_json({"x": object()})
+    with pytest.raises(TypeError):
+        json.dumps({"x": object()})

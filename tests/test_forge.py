@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import weiltate.forge
 from weiltate.algebra import poly_degree
 from weiltate.forge import (
     HypothesisError,
@@ -91,6 +92,22 @@ def test_forge_reductions_match_targets():
     # also re-derive the certificates from scratch and compare
     again = compute_certificates(f.poly, f.g, f.p, f.l, f.lp)
     assert again == f.certificates
+
+
+def test_forge_counts_real_roots_once_per_spread(monkeypatch):
+    counted = []
+    sturm = weiltate.forge.sturm_real_roots
+
+    def counting(poly):
+        counted.append(poly)
+        return sturm(poly)
+
+    monkeypatch.setattr(weiltate.forge, "sturm_real_roots", counting)
+    f = forge_totally_real(12, 5, 13, 17, seed=0)
+    # spreads 1, 2, 4, ..., f.spread: one Sturm count each, the accepted one reused
+    assert len(counted) == f.spread.bit_length() == 18
+    assert len(set(counted)) == len(counted)
+    assert f.certificates.real_root_count == 12
 
 
 def test_forge_deterministic_and_seed_sensitive():
