@@ -2,7 +2,8 @@
 
 The digests pin every byte of `classify ... --format json`, of
 `verify ... --format json` of `forge ... --format json` and of
-`serialize_scenario` on the four verify presets (which carries the D generators and the slopes), so a
+`serialize_scenario` on the four verify presets and on the larger
+preset rungs (which carry the D generators and the slopes), so a
 refactor that changes any value, key or ordering fails here.  A change
 that is meant to alter a document updates its digest and says why.
 """
@@ -74,6 +75,15 @@ GOLDEN_SCENARIO_FILES = {
     "split3": "0655bfd98e150597650f76ebddeff57769a41382a9ff751776f83725f8707113",
 }
 
+GOLDEN_PRESET_FILES = {
+    # (family, g or g'), p = 5: the rungs above the verify presets
+    ("main", 8): "51da9c6cccddd430e109c6ecc254be7782c7880dc94e90e52e1a358d215bef33",
+    ("ramified", 5): "a10a69325066b26195aac447f1f94793157a133356025430d69517e94ccf47a1",
+    ("split", 5): "65e330cdad54ed424d40068f68aa2da8fd51989c8e886e3db14d73767d5a613b",
+    ("ramified", 7): "b5ff8071d5d8ca61cb770617f5a77492279742de34ea238471e17e0e27cda5f0",
+    ("split", 7): "495d3a04612a0d7496570b926a3c4f79e00ef690c11e05e3bbf18d3ac24b8a82",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -109,3 +119,10 @@ def test_forge_json_digest(key, capsys):
 def test_serialized_preset_digest(name):
     scn = cli._PRESET_BUILDERS[name](5, 10**6)
     assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_SCENARIO_FILES[name]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_PRESET_FILES), ids=lambda k: "%s%d" % k)
+def test_serialized_large_preset_digest(key):
+    family, size = key
+    scn = getattr(forge, "scenario_" + family)(size, 5)
+    assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_PRESET_FILES[key]
