@@ -52,9 +52,21 @@ EXIT_HYPOTHESIS = 3
 EXIT_CAP = 4
 EXIT_LEMMA_FAIL = 5
 
+DEFAULT_P = 5
+
 
 class UsageError(ValueError):
     pass
+
+
+def _reject_ignored(*rules) -> None:
+    """A flag given where nothing reads it is a usage error.
+
+    Each rule is (flag, given, read, where): `where` names what reads it.
+    """
+    for flag, given, read, where in rules:
+        if given and not read:
+            raise UsageError(f"{flag} applies only to {where}")
 
 
 def _env_int(name: str, default):
@@ -170,6 +182,15 @@ def cmd_forge(args) -> int:
 def _resolve_scenario(args, group_cap) -> forge.Scenario:
     if args.file is not None and args.preset is not None:
         raise UsageError("--preset and --file are mutually exclusive")
+    if args.file is None and args.preset is None:
+        raise UsageError("one of --preset or --file is required")
+    _reject_ignored(
+        ("--g", args.g is not None, args.preset == "main", "--preset main"),
+        ("--gp", args.gp is not None, args.preset in ("ramified", "split"),
+         "--preset ramified or split"),
+        ("--attach-fields", args.attach_fields, args.preset == "main", "--preset main"),
+        ("--p", args.p is not None, args.preset is not None, "--preset"),
+    )
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
@@ -177,21 +198,18 @@ def _resolve_scenario(args, group_cap) -> forge.Scenario:
         except OSError as exc:
             raise forge.ScenarioParseError(f"cannot read {args.file}: {exc}")
         return forge.parse_scenario(text, group_cap=group_cap)
+    p = DEFAULT_P if args.p is None else args.p
     if args.preset == "main":
         if args.g is None:
             raise UsageError("--preset main requires --g")
-        return forge.scenario_main(
-            args.g, args.p, attach_fields=args.attach_fields, group_cap=group_cap
-        )
+        return forge.scenario_main(args.g, p, attach_fields=args.attach_fields, group_cap=group_cap)
     if args.preset == "ramified":
         if args.gp is None:
             raise UsageError("--preset ramified requires --gp")
-        return forge.scenario_ramified(args.gp, args.p, group_cap=group_cap)
-    if args.preset == "split":
-        if args.gp is None:
-            raise UsageError("--preset split requires --gp")
-        return forge.scenario_split(args.gp, args.p, group_cap=group_cap)
-    raise UsageError("one of --preset or --file is required")
+        return forge.scenario_ramified(args.gp, p, group_cap=group_cap)
+    if args.gp is None:
+        raise UsageError("--preset split requires --gp")
+    return forge.scenario_split(args.gp, p, group_cap=group_cap)
 
 
 def _scenario_doc(scn: forge.Scenario) -> dict:
@@ -447,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--file", help="scenario file path")
     p_classify.add_argument("--g", type=int, help="dimension for --preset main (even >= 4)")
     p_classify.add_argument("--gp", type=int, help="g' for --preset ramified/split (odd >= 3)")
-    p_classify.add_argument("--p", type=int, default=5, help="prime p (default 5)")
+    p_classify.add_argument("--p", type=int, help="prime p for --preset (default 5)")
     p_classify.add_argument("--weights", help="comma-separated even weights (default: all)")
     p_classify.add_argument("--cap", type=int, default=None, help="subset-dimension cap on 2g")
     p_classify.add_argument("--workers", type=int, default=1,
@@ -459,12 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the lemma suite and oracle agreement checks")
     p_verify.add_argument("--presets", help="'all' or comma list: main4,main6,ramified3,split3")
-    p_verify.add_argument("--p", type=int, default=5)
+    p_verify.add_argument("--p", type=int, help="prime p for the presets (default 5)")
     p_verify.add_argument("--random", type=int, default=None,
                           help="number of random slope vectors per g")
     p_verify.add_argument("--g", dest="random_g", type=int, action="append", default=None,
-                          help="degree(s) for random instances (repeatable; default 2,3,4)")
-    p_verify.add_argument("--seed", type=int, default=0)
+                          help="degree(s) for --random (repeatable; default 2,3,4)")
+    p_verify.add_argument("--seed", type=int, help="seed for --random (default 0)")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
@@ -483,12 +501,17 @@ def main(argv=None) -> int:
         if args.command == "verify":
             if args.random is not None and args.random < 1:
                 raise UsageError(f"--random must be at least 1, got {args.random}")
-            if args.random is not None and args.random_g is None:
-                args.random_g = [2, 3, 4]
-            elif args.random_g is None:
-                args.random_g = []
             if args.presets is None and args.random is None:
                 args.presets = "all"
+            _reject_ignored(
+                ("--g", args.random_g is not None, args.random is not None, "--random"),
+                ("--seed", args.seed is not None, args.random is not None, "--random"),
+                ("--p", args.p is not None, bool(args.presets), "--presets"),
+            )
+            if args.random_g is None:
+                args.random_g = [2, 3, 4] if args.random is not None else []
+            args.p = DEFAULT_P if args.p is None else args.p
+            args.seed = 0 if args.seed is None else args.seed
             return cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:

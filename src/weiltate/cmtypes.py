@@ -47,7 +47,7 @@ def validate_cm_type(model: CMGaloisModel, phi: CMType) -> None:
         raise ValueError("CM-type and its conjugate do not cover all indices")
 
 
-def _tau_block_classes(model: CMGaloisModel):
+def tau_block_classes(model: CMGaloisModel):
     """Pair up D-blocks swapped by tau; tau-stable blocks pair with themselves."""
     blocks = model.D_blocks
     index_of = {}
@@ -80,7 +80,7 @@ class PlacePrescription:
 
 
 def validate_prescription(model: CMGaloisModel, prescription: PlacePrescription):
-    blocks, classes = _tau_block_classes(model)
+    blocks, classes = tau_block_classes(model)
     targets = prescription.targets
     if len(targets) != len(blocks):
         raise ValueError(f"{len(targets)} targets for {len(blocks)} blocks")

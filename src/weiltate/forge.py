@@ -12,7 +12,7 @@ provenance, not inputs, to the classification pipeline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -37,13 +37,20 @@ from .galois import (
     cm_product_group,
     compose,
     cycles_to_perm,
+    diagonal_lift,
     format_perm,
-    identity,
     parse_perm,
     subgroup_closure,
     subgroup_generators,
+    sym_generators,
 )
-from .cmtypes import CMType, PlacePrescription, least_cm_type, validate_cm_type
+from .cmtypes import (
+    CMType,
+    PlacePrescription,
+    least_cm_type,
+    tau_block_classes,
+    validate_cm_type,
+)
 from .slopes import SlopeVector, slopes_from_cm_type
 
 DEFAULT_RETRY_BUDGET = 64
@@ -330,6 +337,39 @@ def _smallest_primes_avoiding(g: int, avoid, count: int = 2):
     return out
 
 
+def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
+    """A preset scenario: D = <d_gens> and phi the least CM-type on the D-blocks.
+
+    The sorted block sizes must be `sizes`.  A tau-stable block B gets
+    target |B|/2; the k-th tau-swapped pair (B, B'), B the block with
+    the smaller minimum, gets (pair_targets[k], |B| - pair_targets[k]).
+    """
+    model = model.with_decomposition(subgroup_closure(model.group, d_gens))
+    if sorted(len(b) for b in model.D_blocks) != sorted(sizes):
+        raise SelfCheckError(f"{family} scenario blocks do not match the local degrees")
+    blocks, classes = tau_block_classes(model)
+    pairs = [(k, kk) for k, kk in classes if k != kk]
+    if len(pairs) != len(pair_targets):
+        raise SelfCheckError(
+            f"{family} scenario has {len(pairs)} tau-swapped pairs, not {len(pair_targets)}"
+        )
+    targets = [len(b) // 2 for b in blocks]
+    for (k, kk), a in zip(pairs, pair_targets):
+        targets[k], targets[kk] = a, len(blocks[k]) - a
+    phi = least_cm_type(model, PlacePrescription.from_counts(targets))
+    scn = Scenario(
+        name=name,
+        family=family,
+        g=model.g,
+        model=model,
+        phi=phi,
+        slopes=slopes_from_cm_type(model, phi),
+        provenance="preset",
+    )
+    validate_scenario(scn)
+    return scn
+
+
 def scenario_main(
     g: int, p: int, attach_fields: bool = False, group_cap: int = DEFAULT_GROUP_CAP
 ) -> Scenario:
@@ -344,85 +384,39 @@ def scenario_main(
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
     model = cm_product_group(g, cap=group_cap)
-    sigma0 = cycles_to_perm(g, [tuple(range(1, g + 1))])
-    lifted = tuple(sigma0[i] if i < g else sigma0[i - g] + g for i in range(2 * g))
-    frob = compose(model.tau, lifted)
-    model = model.with_decomposition(subgroup_closure(model.group, [frob]))
-
-    blocks = model.D_blocks
-    if len(blocks) != 2 or any(len(b) != g for b in blocks):
-        raise SelfCheckError("main scenario blocks are not two size-g orbits")
-    targets = [0] * len(blocks)
-    targets[0] = 1
-    targets[1] = g - 1
-    phi = least_cm_type(model, PlacePrescription.from_counts(targets))
-    slopes = slopes_from_cm_type(model, phi)
-
-    metadata = ()
-    if attach_fields:
-        d = forge_quadratic(p, "inert", "imaginary")
-        l, lp = _smallest_primes_avoiding(g, {p})
-        real_field = forge_totally_real(g, p, l, lp, seed=0)
-        metadata = (
-            ("quadratic_d", str(d)),
-            ("real_field_poly", format_poly(real_field.poly)),
-        )
-    scn = Scenario(
-        name=f"main-g{g}-p{p}",
-        family="main",
-        g=g,
-        model=model,
-        phi=phi,
-        slopes=slopes,
-        provenance="preset",
-        metadata=metadata,
-    )
-    validate_scenario(scn)
-    return scn
+    frobenius = compose(model.tau, diagonal_lift(sym_generators(g)[0], 2))
+    scn = _preset(f"main-g{g}-p{p}", "main", model, [frobenius], [g, g], (1,))
+    if not attach_fields:
+        return scn
+    d = forge_quadratic(p, "inert", "imaginary")
+    l, lp = _smallest_primes_avoiding(g, {p})
+    real_field = forge_totally_real(g, p, l, lp, seed=0)
+    return replace(scn, metadata=(
+        ("quadratic_d", str(d)),
+        ("real_field_poly", format_poly(real_field.poly)),
+    ))
 
 
-def _biquadratic_times_sym(gp: int):
-    """(mu2 x mu2) x S_g' on 4g' points; returns (group gens dict, encode)."""
-    n = 4 * gp
-    offsets = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-    decode = {}
-    for (a, b), off in offsets.items():
-        for i in range(gp):
-            decode[i + gp * off] = (a, b, i)
+def _biquadratic_model(gp: int, p: int, group_cap: int):
+    """(mu2 x mu2) x S_g' on 4g' points, its sign flips e1, e2 and a lifted (g'-1)-cycle.
 
-    def encode(a, b, i):
-        return i + gp * offsets[(a % 2, b % 2)]
-
-    def as_perm(fn):
-        return tuple(fn(*decode[x]) for x in range(n))
-
-    e1 = as_perm(lambda a, b, i: encode(a + 1, b, i))
-    e2 = as_perm(lambda a, b, i: encode(a, b + 1, i))
-
-    def lift(sigma):
-        return as_perm(lambda a, b, i: encode(a, b, sigma[i]))
-
-    return n, e1, e2, lift, encode
-
-
-def _sym_gens(gp: int):
-    gens = [cycles_to_perm(gp, [tuple(range(1, gp + 1))])]
-    if gp >= 2:
-        gens.append(cycles_to_perm(gp, [(1, 2)]))
-    return gens
-
-
-def _ramified_split_base(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP):
+    Copy k of the g' points carries the signs (0, 0), (1, 0), (1, 1),
+    (0, 1) for k = 0..3; e1 flips the first sign, e2 the second, and
+    tau = e1 e2 is the shift by 2g'.  The (g'-1)-cycle acts on the inert
+    part of the totally real field and fixes the split point.
+    """
     if gp < 3 or gp % 2 != 1:
         raise HypothesisError(f"g' = {gp} must be an odd integer >= 3")
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
-    n, e1, e2, lift, encode = _biquadratic_times_sym(gp)
-    group = build_group(n, [e1, e2] + [lift(s) for s in _sym_gens(gp)], cap=group_cap)
-    tau = compose(e1, e2)
-    # (g'-1)-cycle on the inert part of the totally real field, fixing the split point
-    c = cycles_to_perm(gp, [tuple(range(1, gp))]) if gp > 2 else identity(gp)
-    return n, group, tau, e1, e2, lift, c
+    e1, e2 = (
+        tuple(flip[x // gp] * gp + x % gp for x in range(4 * gp))
+        for flip in ((1, 0, 3, 2), (3, 2, 1, 0))
+    )
+    gens = [e1, e2] + [diagonal_lift(s, 4) for s in sym_generators(gp)]
+    group = build_group(4 * gp, gens, cap=group_cap)
+    model = CMGaloisModel(g=2 * gp, group=group, tau=compose(e1, e2))
+    return model, e1, e2, diagonal_lift(cycles_to_perm(gp, [tuple(range(1, gp))]), 4)
 
 
 def scenario_ramified(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
@@ -432,38 +426,10 @@ def scenario_ramified(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Sc
     2(g'-1), 4, the first two swapped by conjugation; phi targets
     (1, 2g'-3, 2), so the slopes are 1/(2g'-2), (2g'-3)/(2g'-2), 1/2.
     """
-    n, group, tau, e1, e2, lift, c = _ramified_split_base(gp, p, group_cap)
-    model = CMGaloisModel(g=2 * gp, group=group, tau=tau)
-    inertia = e2
-    frobenius = compose(e1, lift(c))
-    model = model.with_decomposition(subgroup_closure(group, [inertia, frobenius]))
-
-    blocks = model.D_blocks
-    sizes = sorted(len(b) for b in blocks)
-    if len(blocks) != 3 or sizes != sorted([2 * (gp - 1), 2 * (gp - 1), 4]):
-        raise SelfCheckError("ramified scenario blocks do not match the local degrees")
-    targets = [None] * len(blocks)
-    for k, b in enumerate(blocks):
-        tau_image = frozenset(model.tau[i] for i in b)
-        if tau_image == frozenset(b):
-            targets[k] = len(b) // 2
-        elif 0 in b:
-            targets[k] = 1
-        else:
-            targets[k] = 2 * gp - 3
-    phi = least_cm_type(model, PlacePrescription.from_counts(targets))
-    slopes = slopes_from_cm_type(model, phi)
-    scn = Scenario(
-        name=f"ramified-gp{gp}-p{p}",
-        family="ramified",
-        g=2 * gp,
-        model=model,
-        phi=phi,
-        slopes=slopes,
-        provenance="preset",
-    )
-    validate_scenario(scn)
-    return scn
+    model, e1, e2, c = _biquadratic_model(gp, p, group_cap)
+    inertia, frobenius = e2, compose(e1, c)
+    return _preset(f"ramified-gp{gp}-p{p}", "ramified", model, [inertia, frobenius],
+                   [2 * (gp - 1)] * 2 + [4], (1,))
 
 
 def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
@@ -474,57 +440,10 @@ def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scena
     0 and 1 on one pair, 1/(g'-1) and (g'-2)/(g'-1) on the other, 1/2
     on the stable blocks.
     """
-    n, group, tau, e1, e2, lift, c = _ramified_split_base(gp, p, group_cap)
-    model = CMGaloisModel(g=2 * gp, group=group, tau=tau)
-    frobenius = compose(compose(e1, e2), lift(c))
-    model = model.with_decomposition(subgroup_closure(group, [frobenius]))
-
-    blocks = model.D_blocks
-    sizes = sorted(len(b) for b in blocks)
-    if len(blocks) != 6 or sizes != sorted([gp - 1] * 4 + [2, 2]):
-        raise SelfCheckError("split scenario blocks do not match the local degrees")
-
-    tau_stable = []
-    swapped_pairs = []
-    seen = set()
-    for k, b in enumerate(blocks):
-        if k in seen:
-            continue
-        tau_image = frozenset(model.tau[i] for i in b)
-        if tau_image == frozenset(b):
-            tau_stable.append(k)
-            seen.add(k)
-        else:
-            partner = next(kk for kk, bb in enumerate(blocks) if frozenset(bb) == tau_image)
-            swapped_pairs.append((k, partner))
-            seen.update({k, partner})
-    if len(tau_stable) != 2 or len(swapped_pairs) != 2:
-        raise SelfCheckError("split scenario tau structure is off")
-
-    targets = [None] * len(blocks)
-    for k in tau_stable:
-        targets[k] = len(blocks[k]) // 2
-    first = next(pair for pair in swapped_pairs if 0 in blocks[pair[0]] or 0 in blocks[pair[1]])
-    other = next(pair for pair in swapped_pairs if pair != first)
-    k0, k1 = first if 0 in blocks[first[0]] else (first[1], first[0])
-    targets[k0] = 0
-    targets[k1] = gp - 1
-    ka, kb = other if min(blocks[other[0]]) < min(blocks[other[1]]) else (other[1], other[0])
-    targets[ka] = 1
-    targets[kb] = gp - 2
-    phi = least_cm_type(model, PlacePrescription.from_counts(targets))
-    slopes = slopes_from_cm_type(model, phi)
-    scn = Scenario(
-        name=f"split-gp{gp}-p{p}",
-        family="split",
-        g=2 * gp,
-        model=model,
-        phi=phi,
-        slopes=slopes,
-        provenance="preset",
-    )
-    validate_scenario(scn)
-    return scn
+    model, _, _, c = _biquadratic_model(gp, p, group_cap)
+    frobenius = compose(model.tau, c)
+    return _preset(f"split-gp{gp}-p{p}", "split", model, [frobenius],
+                   [gp - 1] * 4 + [2, 2], (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,17 @@ def parse_perm(text: str, n: int) -> Perm:
     return cycles_to_perm(n, cycles)
 
 
+def sym_generators(g: int) -> list:
+    """The g-cycle (1 2 ... g) and the transposition (1 2), which generate S_g."""
+    return [cycles_to_perm(g, [tuple(range(1, g + 1))]), cycles_to_perm(g, [(1, 2)])]
+
+
+def diagonal_lift(sigma: Perm, copies: int) -> Perm:
+    """sigma acting alike on each of `copies` consecutive runs of len(sigma) points."""
+    m = len(sigma)
+    return tuple(sigma[i] + k * m for k in range(copies) for i in range(m))
+
+
 @dataclass(frozen=True)
 class PermGroup:
     """A fully materialized permutation group on {1..n} (0-based inside)."""
@@ -103,21 +114,21 @@ class PermGroup:
     generators: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.elements)})
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self._index
+        return p in self._members
 
     def is_transitive(self) -> bool:
         reached = {0}
         frontier = [0]
         while frontier:
             x = frontier.pop()
-            for gen in self.generators or self.elements:
+            for gen in self.generators:
                 y = gen[x]
                 if y not in reached:
                     reached.add(y)
@@ -265,16 +276,8 @@ def cm_product_group(g: int, cap: int = DEFAULT_GROUP_CAP) -> CMGaloisModel:
     if g < 2:
         raise ValueError("g must be at least 2")
     n = 2 * g
-
-    def lifted(sigma):
-        # sigma is a permutation of 0..g-1 acting diagonally on both halves
-        return tuple(sigma[i] if i < g else sigma[i - g] + g for i in range(n))
-
     tau = tuple((i + g) % n for i in range(n))
-    gens = [tau, lifted(cycles_to_perm(g, [tuple(range(1, g + 1))]))]
-    if g >= 2:
-        gens.append(lifted(cycles_to_perm(g, [(1, 2)])))
-    group = build_group(n, gens, cap=cap)
+    group = build_group(n, [tau] + [diagonal_lift(s, 2) for s in sym_generators(g)], cap=cap)
     return CMGaloisModel(g=g, group=group, tau=tau)
 
 

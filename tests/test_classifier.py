@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -713,6 +714,61 @@ def test_structure_check_requires_mildly_exotic():
     end = honda_tate_endomorphism(model_d, s)
     with pytest.raises(ValueError):
         structure_check(model_d, s, rep, end)
+
+
+def _mildly_exotic_parts(scn):
+    """(model, slopes, report, end report) of a preset that passes structure_check."""
+    model, s = scn.model, scn.slopes
+    return model, s, classify_orbits(model, s), honda_tate_endomorphism(model, s)
+
+
+def test_structure_check_fails_on_odd_g():
+    model = cm_product_group(3).with_decomposition(frozenset({tuple(range(6))}))
+    s = ordinary_slopes(3)
+    rep = replace(classify_orbits(model, s), mildly_exotic=True)
+    verdict = structure_check(model, s, rep, honda_tate_endomorphism(model, s))
+    assert not verdict.passed and verdict.failed_clause == "dimension g is odd"
+
+
+def test_structure_check_fails_on_an_exotic_orbit_outside_weil_tate():
+    model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
+    assert rep.exotic and end.commutative
+    verdict = structure_check(model, s, replace(rep, weil_tate=()), end)
+    first = [i + 1 for i in rep.exotic[0].representative]
+    assert (verdict.passed, verdict.branch) == (False, "commutative")
+    assert verdict.failed_clause == (
+        f"exotic orbit with representative {first} is not a Weil-Tate determinant"
+    )
+
+
+def test_structure_check_fails_without_an_imaginary_quadratic_subfield():
+    model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
+    verdict = structure_check(model, s, replace(rep, exotic=(), weil_tate=()), end)
+    assert (verdict.passed, verdict.branch) == (False, "commutative")
+    assert verdict.failed_clause == "no imaginary quadratic subfield exists"
+
+
+def test_structure_check_fails_on_noncommutative_index_other_than_two():
+    model, s, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
+    assert (end.commutative, end.index) == (False, 2)
+    verdict = structure_check(model, s, rep, replace(end, index=4))
+    assert (verdict.passed, verdict.branch) == (False, "noncommutative")
+    assert verdict.failed_clause == "noncommutative index m = 4 != 2"
+
+
+def test_structure_check_fails_on_even_half_dimension():
+    model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
+    verdict = structure_check(model, s, rep, replace(end, commutative=False, index=2))
+    assert (verdict.passed, verdict.branch) == (False, "noncommutative")
+    assert verdict.failed_clause == "g/2 is even"
+
+
+def test_structure_check_fails_on_more_than_one_exotic_orbit():
+    model, s, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
+    assert len(rep.exotic) == 1
+    verdict = structure_check(model, s, replace(rep, exotic=rep.exotic * 2), end)
+    assert (verdict.passed, verdict.branch) == (False, "noncommutative")
+    assert verdict.failed_clause == "2 exotic orbits instead of a unique one"
 
 
 # --- predicted_signature ----------------------------------------------------------

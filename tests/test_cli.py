@@ -176,6 +176,31 @@ def test_verify_random_below_one_is_a_usage_error(capsys):
     assert "nothing to verify" in out
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--g", ["classify", "--preset", "ramified", "--gp", "3", "--g", "4"]),
+    ("--g", ["classify", "--file", "{file}", "--g", "4"]),
+    ("--gp", ["classify", "--preset", "main", "--g", "4", "--gp", "3"]),
+    ("--gp", ["classify", "--file", "{file}", "--gp", "3"]),
+    ("--attach-fields", ["classify", "--preset", "split", "--gp", "3", "--attach-fields"]),
+    ("--attach-fields", ["classify", "--file", "{file}", "--attach-fields"]),
+    ("--p", ["classify", "--file", "{file}", "--p", "7"]),
+    ("--g", ["verify", "--g", "3"]),
+    ("--g", ["verify", "--presets", "main4", "--g", "3"]),
+    ("--seed", ["verify", "--seed", "1"]),
+    ("--seed", ["verify", "--presets", "main4", "--seed", "1"]),
+    ("--p", ["verify", "--random", "2", "--p", "7"]),
+    ("--p", ["verify", "--presets", "", "--p", "7"]),
+], ids=lambda v: "-".join(a.lstrip("-") for a in ([v] if isinstance(v, str) else v)))
+def test_a_flag_nothing_reads_is_a_usage_error(flag, argv, tmp_path, capsys):
+    path = tmp_path / "main4.scn"
+    path.write_text(serialize_scenario(scenario_main(4, 5)), encoding="utf-8")
+    code, out, err = run_cli(capsys, [str(path) if a == "{file}" else a for a in argv])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"usage error: {flag} applies only to ")
+
+
 def test_verify_lemma_fail_exit_code(capsys, monkeypatch):
     from weiltate.classifier import LemmaResult
 
