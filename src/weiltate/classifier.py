@@ -20,6 +20,7 @@ from operator import add
 from .galois import (
     CMGaloisModel,
     CapExceededError,
+    block_subgroup,
     format_perm,
     index2_point_sets,
     orbit_of_subset,
@@ -367,7 +368,7 @@ def _weil_tate_entries(model: CMGaloisModel, rows, qp) -> tuple:
         lefschetz = has_qpair_matching(det_set, qp)
         entries.append(
             WeilTateEntry(
-                subgroup=frozenset(e for e in model.group.elements if e[0] in det_set),
+                subgroup=block_subgroup(model.group, det_set),
                 determinant_set=tuple(sorted(det_set)),
                 is_tate=tate,
                 is_lefschetz_bearing=lefschetz,
@@ -646,22 +647,22 @@ def verify_lemma_suite(instances) -> tuple:
 
         if mildly and noncommutative:
             rows = tate_rows(model, s)
+            # only a half-weight J with #J < g/2 fails the lemma
+            short = (
+                J
+                for o in report.exotic
+                for size in range(1, model.g // 2)
+                for J in combinations(sorted(o.representative), size)
+                if _half_weight(rows, J)
+            )
+            J = next(short, None)
             status, detail = PASS, ""
-            for o in report.exotic:
-                I = sorted(o.representative)
-                for size in range(1, len(I) + 1):
-                    for J in combinations(I, size):
-                        if _half_weight(rows, J) and size < model.g // 2:
-                            status = FAIL
-                            detail = (
-                                f"J = {[i + 1 for i in J]} has half-weight products "
-                                f"but #J = {size} < g/2 = {model.g // 2}"
-                            )
-                            break
-                    if status == FAIL:
-                        break
-                if status == FAIL:
-                    break
+            if J is not None:
+                status = FAIL
+                detail = (
+                    f"J = {[i + 1 for i in J]} has half-weight products "
+                    f"but #J = {len(J)} < g/2 = {model.g // 2}"
+                )
             results.append(LemmaResult(inst.label, LEMMA_HALF_WEIGHT, status, detail))
 
             exotic_sets = {frozenset(m) for o in report.exotic for m in o.orbit}
@@ -799,10 +800,9 @@ def doc_to_report(doc: dict, model: CMGaloisModel) -> ClassifierReport:
     entries = []
     for ed in doc["weil_tate"]:
         gens = [parse_perm(t, model.group.degree) for t in ed["subgroup_generators"]]
-        Z = subgroup_closure(model.group, gens) if gens else frozenset({tuple(range(model.group.degree))})
         entries.append(
             WeilTateEntry(
-                subgroup=Z,
+                subgroup=subgroup_closure(model.group, gens),
                 determinant_set=tuple(i - 1 for i in ed["determinant_set"]),
                 is_tate=ed["is_tate"],
                 is_lefschetz_bearing=ed["is_lefschetz_bearing"],

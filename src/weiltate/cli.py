@@ -32,6 +32,7 @@ from .classifier import (
 from .galois import (
     DEFAULT_GROUP_CAP,
     CapExceededError,
+    block_subgroup,
     cm_product_group,
     format_perm,
     index2_point_sets,
@@ -347,10 +348,7 @@ def random_admissible_slopes(model, rng: random.Random) -> SlopeVector:
 def slope_oracle_rows(g: int, count: int, seed: int, group_cap: int = DEFAULT_GROUP_CAP):
     """Agreement of the Fix/potential machinery with the definitional oracles."""
     model = cm_product_group(g, cap=group_cap)
-    subgroups = [
-        frozenset(e for e in model.group.elements if e[0] in points)
-        for points in index2_point_sets(model.group)
-    ]
+    subgroups = [block_subgroup(model.group, points) for points in index2_point_sets(model.group)]
     rng = random.Random(seed)
     rows = []
     for k in range(count):
@@ -383,34 +381,28 @@ def cmd_verify(args) -> int:
     failed = False
     group_cap = _env_int("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP)
 
-    if args.presets:
-        names = (
-            list(_PRESET_BUILDERS)
-            if args.presets == "all"
-            else [n.strip() for n in args.presets.split(",") if n.strip()]
+    instances = []
+    for name in args.presets:
+        if name not in _PRESET_BUILDERS:
+            raise UsageError(
+                f"unknown preset {name!r}; choose from {', '.join(_PRESET_BUILDERS)}"
+            )
+        scn = _PRESET_BUILDERS[name](args.p, group_cap)
+        instances.append(
+            LemmaInstance(label=scn.name, model=scn.model, slopes=scn.slopes,
+                          family=scn.family)
         )
-        instances = []
-        for name in names:
-            if name not in _PRESET_BUILDERS:
-                raise UsageError(
-                    f"unknown preset {name!r}; choose from {', '.join(_PRESET_BUILDERS)}"
-                )
-            scn = _PRESET_BUILDERS[name](args.p, group_cap)
-            instances.append(
-                LemmaInstance(label=scn.name, model=scn.model, slopes=scn.slopes,
-                              family=scn.family)
-            )
-        for row in verify_lemma_suite(instances):
-            doc["lemmas"].append(
-                {
-                    "instance": row.instance,
-                    "lemma": row.lemma,
-                    "status": row.status,
-                    "detail": row.detail,
-                }
-            )
-            if row.status == FAIL:
-                failed = True
+    for row in verify_lemma_suite(instances):
+        doc["lemmas"].append(
+            {
+                "instance": row.instance,
+                "lemma": row.lemma,
+                "status": row.status,
+                "detail": row.detail,
+            }
+        )
+        if row.status == FAIL:
+            failed = True
 
     if args.random is not None:
         for g in args.random_g:
@@ -503,6 +495,11 @@ def main(argv=None) -> int:
                 raise UsageError(f"--random must be at least 1, got {args.random}")
             if args.presets is None and args.random is None:
                 args.presets = "all"
+            args.presets = (
+                list(_PRESET_BUILDERS)
+                if args.presets == "all"
+                else [n.strip() for n in (args.presets or "").split(",") if n.strip()]
+            )
             _reject_ignored(
                 ("--g", args.random_g is not None, args.random is not None, "--random"),
                 ("--seed", args.seed is not None, args.random is not None, "--random"),

@@ -40,7 +40,6 @@ from .galois import (
     diagonal_lift,
     format_perm,
     parse_perm,
-    subgroup_closure,
     subgroup_generators,
     sym_generators,
 )
@@ -344,7 +343,7 @@ def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
     target |B|/2; the k-th tau-swapped pair (B, B'), B the block with
     the smaller minimum, gets (pair_targets[k], |B| - pair_targets[k]).
     """
-    model = model.with_decomposition(subgroup_closure(model.group, d_gens))
+    model = model.with_decomposition(d_gens)
     if sorted(len(b) for b in model.D_blocks) != sorted(sizes):
         raise SelfCheckError(f"{family} scenario blocks do not match the local degrees")
     blocks, classes = tau_block_classes(model)
@@ -529,7 +528,7 @@ def parse_scenario(text: str, group_cap: int = None) -> Scenario:
     if "decomposition_generators" in fields:
         dec = parse_perm_list("decomposition_generators")
         try:
-            model = model.with_decomposition(subgroup_closure(group, dec))
+            model = model.with_decomposition(dec)
         except ValueError as exc:
             fail("decomposition_generators", str(exc))
     if model.D is None:

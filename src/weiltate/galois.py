@@ -135,10 +135,6 @@ class PermGroup:
                     frontier.append(y)
         return len(reached) == self.degree
 
-    def stabilizer(self, point0: int) -> frozenset:
-        """Stabilizer of an internal (0-based) point."""
-        return frozenset(p for p in self.elements if p[point0] == point0)
-
 
 def build_group(n: int, generators, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
     """Close generators under composition, breadth-first from the identity.
@@ -171,22 +167,6 @@ def build_group(n: int, generators, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
     return PermGroup(degree=n, elements=tuple(elements), generators=tuple(gens))
 
 
-def verify_subgroup(group: PermGroup, elements) -> frozenset:
-    """Check subgroup axioms inside `group`; returns the verified frozenset."""
-    sub = frozenset(tuple(e) for e in elements)
-    if identity(group.degree) not in sub:
-        raise ValueError("subgroup does not contain the identity")
-    for a in sub:
-        if a not in group:
-            raise ValueError("subgroup element lies outside the group")
-        if inverse(a) not in sub:
-            raise ValueError("subgroup is not closed under inverse")
-        for b in sub:
-            if compose(a, b) not in sub:
-                raise ValueError("subgroup is not closed under composition")
-    return sub
-
-
 def subgroup_closure(group: PermGroup, generators) -> frozenset:
     """Closure of some group elements, verified to stay inside `group`."""
     gens = [tuple(g) for g in generators]
@@ -197,8 +177,18 @@ def subgroup_closure(group: PermGroup, generators) -> frozenset:
     return frozenset(sub.elements)
 
 
+def block_subgroup(group: PermGroup, points) -> frozenset:
+    """The subgroup {e : e(1) in points} above Stab(1) that `points` cuts out.
+
+    Precondition: `points` is a block of the transitive `group` that
+    contains index 1 (0-based 0).  The subgroups Z >= Stab(1) are
+    exactly these, Z the setwise stabilizer of its block Z(1).
+    """
+    return frozenset(e for e in group.elements if e[0] in points)
+
+
 def subgroup_generators(group: PermGroup, sub) -> list:
-    """Small deterministic generating set for a verified subgroup.
+    """Small deterministic generating set for a subgroup.
 
     Greedy over the sorted elements: an element joins when the closure
     of the generators so far misses it.
@@ -218,17 +208,17 @@ class CMGaloisModel:
 
     tau is the central conjugation i -> i + g mod 2g, H the stabilizer of
     index 1, and D the decomposition subgroup at the anchored valuation
-    (None until a scenario supplies it).  D_blocks holds the D-orbits on
-    the indices, the places of L above p, as sorted tuples ordered by
-    their minimum; it is derived from D when D is verified.
+    (None until `with_decomposition` supplies its generators).  D_blocks
+    holds the D-orbits on the indices, the places of L above p, as
+    sorted tuples ordered by their minimum.
     """
 
     g: int
     group: PermGroup
     tau: Perm
-    H: frozenset = field(default=None)
-    D: frozenset = field(default=None)
-    D_blocks: tuple = field(init=False, compare=False)
+    H: frozenset = field(init=False)
+    D: frozenset = field(init=False, default=None)
+    D_blocks: tuple = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.group.degree
@@ -245,25 +235,18 @@ class CMGaloisModel:
         for gen in self.group.generators:
             if compose(gen, self.tau) != compose(self.tau, gen):
                 raise ValueError(f"tau is not central: fails against generator {format_perm(gen)}")
-        if self.H is None:
-            object.__setattr__(self, "H", self.group.stabilizer(0))
-        elif self.H != self.group.stabilizer(0):
-            raise ValueError("H is not the stabilizer of index 1")
-        object.__setattr__(self, "D_blocks", None)
-        if self.D is not None:
-            self._set_decomposition(self.D)
+        object.__setattr__(self, "H", block_subgroup(self.group, {0}))
 
-    def _set_decomposition(self, D) -> None:
-        """Verify D and keep it with its orbits; the orbit of x is {d(x) : d in D}."""
-        D = verify_subgroup(self.group, D)
+    def with_decomposition(self, generators) -> "CMGaloisModel":
+        """The same model with D the closure of `generators`; the group checks already held.
+
+        The orbit of x under D is {d(x) : d in D}.
+        """
+        D = subgroup_closure(self.group, generators)
         blocks = {tuple(sorted({d[x] for d in D})) for x in range(self.group.degree)}
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "D_blocks", tuple(sorted(blocks)))
-
-    def with_decomposition(self, D) -> "CMGaloisModel":
-        """The same model with D set; only D is verified, the group checks already held."""
         model = copy.copy(self)
-        model._set_decomposition(D)
+        object.__setattr__(model, "D", D)
+        object.__setattr__(model, "D_blocks", tuple(sorted(blocks)))
         return model
 
 

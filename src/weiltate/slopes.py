@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .galois import CMGaloisModel, compose
+from .galois import CMGaloisModel, block_subgroup, compose
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,6 @@ class SlopeVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def multiset(self):
-        return sorted(self.values)
 
     def serialize(self) -> str:
         return " ".join(f"{v.numerator}/{v.denominator}" for v in self.values)
@@ -109,8 +106,7 @@ def fix_of_slope(model: CMGaloisModel, s: SlopeVector) -> frozenset:
     subgroup containing H.
     """
     validate_slopes(model, s)
-    S = signature_block(model, s)
-    return frozenset(sigma for sigma in model.group.elements if sigma[0] in S)
+    return block_subgroup(model.group, signature_block(model, s))
 
 
 def is_p_potentially_in(model: CMGaloisModel, s: SlopeVector, Z) -> bool:

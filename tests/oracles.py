@@ -36,7 +36,7 @@ from weiltate.classifier import (
     weil_tate_submotives,
 )
 from weiltate.cmtypes import hodge_type, is_balanced
-from weiltate.galois import PermGroup, compose, identity, orbit_of_subset
+from weiltate.galois import PermGroup, compose, identity, inverse, orbit_of_subset
 from weiltate.slopes import validate_slopes
 
 
@@ -159,6 +159,22 @@ def fix_by_signatures_over_group(model, s) -> frozenset:
         if tuple(s[g[x]] for g in model.group.elements) == base_sig:
             same.add(x)
     return frozenset(sigma for sigma in model.group.elements if sigma[0] in same)
+
+
+def verify_subgroup(group: PermGroup, elements) -> frozenset:
+    """Check subgroup axioms inside `group`; returns the verified frozenset."""
+    sub = frozenset(tuple(e) for e in elements)
+    if identity(group.degree) not in sub:
+        raise ValueError("subgroup does not contain the identity")
+    for a in sub:
+        if a not in group:
+            raise ValueError("subgroup element lies outside the group")
+        if inverse(a) not in sub:
+            raise ValueError("subgroup is not closed under inverse")
+        for b in sub:
+            if compose(a, b) not in sub:
+                raise ValueError("subgroup is not closed under composition")
+    return sub
 
 
 def index2_overgroups(group: PermGroup, H) -> list:

@@ -19,6 +19,7 @@ from oracles import (
     index2_overgroups,
     orbits_by_walk,
     tate_by_orbit_walk,
+    verify_subgroup,
 )
 
 import weiltate.classifier
@@ -53,6 +54,7 @@ from weiltate.forge import scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import (
     CMGaloisModel,
     CapExceededError,
+    block_subgroup,
     build_group,
     cm_product_group,
     cycles_to_perm,
@@ -68,6 +70,7 @@ from weiltate.slopes import (
     frobenius_rank,
     is_p_potentially_in,
     minimal_field_index,
+    signature_block,
     slopes_from_cm_type,
 )
 
@@ -327,6 +330,20 @@ def test_mask_orbits_match_the_frozenset_walk(case):
     assert report == classify_orbits_by_walk(model, s, weights, phi)
 
 
+@settings(max_examples=60, deadline=None)
+@given(classify_cases())
+def test_block_subgroup_is_the_subgroup_above_h_of_its_block(case):
+    model, s, _, _ = case
+    G = model.group
+    for P in index2_point_sets(G) + [signature_block(model, s)]:
+        Z = block_subgroup(G, P)
+        assert Z == frozenset(e for e in G.elements if e[0] in P)
+        if model.g <= 4:  # the oracle is |Z|^2 compositions
+            assert verify_subgroup(G, Z) == Z
+        assert model.H <= Z
+        assert len(Z) * 2 * model.g == G.order * len(P)
+
+
 @pytest.mark.parametrize("name", ["main4", "main6", "ramified3", "split3"])
 @pytest.mark.parametrize("weights", [None, [2, 6], [0, 4, 8, 10]])
 def test_mask_orbits_match_the_frozenset_walk_on_the_presets(name, weights):
@@ -382,16 +399,16 @@ def test_classify_builds_one_basis_and_computes_the_d_orbits_once(monkeypatch):
     from weiltate.cli import classify_scenario_doc
 
     calls = Counter()
-    count_calls(monkeypatch, CMGaloisModel, "_set_decomposition", calls)
+    count_calls(monkeypatch, CMGaloisModel, "with_decomposition", calls)
     count_calls(monkeypatch, weiltate.classifier, "conjugate_slope_basis", calls)
     count_calls(monkeypatch, weiltate.slopes, "conjugate_slope_basis", calls)
     scn = scenario_ramified(3, 5)
-    assert calls == {"_set_decomposition": 1}
+    assert calls == {"with_decomposition": 1}
     classify_orbits(scn.model, scn.slopes, phi=scn.phi)
-    assert calls == {"_set_decomposition": 1, "conjugate_slope_basis": 1}
+    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 1}
     # the whole document adds one basis for the Tate predicate, one for the Frobenius rank
     classify_scenario_doc(scn)
-    assert calls == {"_set_decomposition": 1, "conjugate_slope_basis": 3}
+    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 3}
 
 
 def closed_form_rho(model, s):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weiltate import classifier, cli, forge
+from weiltate import classifier, cli, forge, galois
 from weiltate.galois import identity
 from weiltate.classifier import classify_orbits, doc_to_end_report, doc_to_report
 from weiltate.forge import scenario_main, serialize_scenario
@@ -176,6 +176,14 @@ def test_verify_random_below_one_is_a_usage_error(capsys):
     assert "nothing to verify" in out
 
 
+@pytest.mark.parametrize("presets", [",", " "])
+def test_verify_presets_naming_no_preset_is_an_empty_success(presets, capsys):
+    code, out, err = run_cli(capsys, ["verify", "--presets", presets])
+    assert code == 0
+    assert "nothing to verify" in out
+    assert err == ""
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--g", ["classify", "--preset", "ramified", "--gp", "3", "--g", "4"]),
     ("--g", ["classify", "--file", "{file}", "--g", "4"]),
@@ -190,6 +198,8 @@ def test_verify_random_below_one_is_a_usage_error(capsys):
     ("--seed", ["verify", "--presets", "main4", "--seed", "1"]),
     ("--p", ["verify", "--random", "2", "--p", "7"]),
     ("--p", ["verify", "--presets", "", "--p", "7"]),
+    ("--p", ["verify", "--presets", ",", "--p", "7"]),
+    ("--p", ["verify", "--presets", " ", "--p", "7"]),
 ], ids=lambda v: "-".join(a.lstrip("-") for a in ([v] if isinstance(v, str) else v)))
 def test_a_flag_nothing_reads_is_a_usage_error(flag, argv, tmp_path, capsys):
     path = tmp_path / "main4.scn"
@@ -286,6 +296,16 @@ def test_classify_g2_scenario_signature(tmp_path, capsys):
     assert doc["predicted_signature"] == [1, 3]
 
 
+def test_scenario_decomposition_generator_outside_the_group_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "g2.scn"
+    path.write_text(G2_SCENARIO.replace("decomposition_generators = (1 2)(3 4)",
+                                        "decomposition_generators = (1 2)"), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "field 'decomposition_generators'" in err and "is not in the group" in err
+
+
 def test_group_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
     monkeypatch.setenv("WEILTATE_GROUP_CAP", "10")
     for preset in (["main", "--g", "6"], ["ramified", "--gp", "3"], ["split", "--gp", "3"]):
@@ -345,7 +365,7 @@ def test_forge_self_check_failure_exits_3_without_traceback(capsys, monkeypatch)
 ], ids=["main", "ramified", "split", "verify"])
 def test_preset_block_check_failure_exits_3_without_traceback(argv, capsys, monkeypatch):
     # a trivial D leaves every index its own block, which no preset accepts
-    monkeypatch.setattr(forge, "subgroup_closure",
+    monkeypatch.setattr(galois, "subgroup_closure",
                         lambda group, gens: frozenset({identity(group.degree)}))
     code, out, err = run_cli(capsys, argv)
     assert code == cli.EXIT_HYPOTHESIS

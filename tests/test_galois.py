@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from oracles import index2_overgroups
+from oracles import index2_overgroups, verify_subgroup
 
 from weiltate.galois import (
     CMGaloisModel,
@@ -19,7 +19,6 @@ from weiltate.galois import (
     orbit_of_subset,
     parse_perm,
     subgroup_closure,
-    verify_subgroup,
 )
 
 
@@ -216,8 +215,15 @@ def test_with_decomposition_verifies_only_d():
     assert sub.D == frozenset({identity(6), model.tau})
     assert (sub.g, sub.group, sub.tau, sub.H) == (model.g, model.group, model.tau, model.H)
     assert model.D is None
-    with pytest.raises(ValueError):
-        model.with_decomposition(frozenset({identity(6), model.group.generators[1]}))
+    with pytest.raises(ValueError, match="is not in the group"):
+        model.with_decomposition([cycles_to_perm(6, [(1, 2)])])
+
+
+@pytest.mark.parametrize("name", ["H", "D"])
+def test_model_takes_neither_h_nor_d(name):
+    model = cm_product_group(2)
+    with pytest.raises(TypeError):
+        CMGaloisModel(g=2, group=model.group, tau=model.tau, **{name: model.H})
 
 
 def test_model_rejects_intransitive_group():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import index2_overgroups
+from oracles import index2_overgroups, verify_subgroup
 
 from weiltate.cmtypes import CMType
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split
@@ -126,8 +126,6 @@ def test_potential_membership_real_subfield_fails():
     # fixer of the totally real subfield: sigma(1) = 1 up to conjugation
     g = scn.g
     Z = frozenset(e for e in scn.model.group.elements if e[0] in (0, g))
-    from weiltate.galois import verify_subgroup
-
     verify_subgroup(scn.model.group, Z)
     assert scn.model.H <= Z
     assert not is_p_potentially_in(scn.model, scn.slopes, Z)
@@ -227,8 +225,6 @@ def test_signature_block_of_presets():
 
 
 def test_fix_is_verified_subgroup():
-    from weiltate.galois import verify_subgroup
-
     for scn in (scenario_main(4, 5), scenario_ramified(3, 5)):
         fix = fix_of_slope(scn.model, scn.slopes)
         verify_subgroup(scn.model.group, fix)
