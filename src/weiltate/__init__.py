@@ -19,7 +19,6 @@ from .galois import (
     PermGroup,
     build_group,
     cm_product_group,
-    orbit_of_subset,
 )
 from .slopes import (
     SlopeVector,

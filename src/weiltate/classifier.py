@@ -23,9 +23,7 @@ from .galois import (
     block_subgroup,
     format_perm,
     index2_point_sets,
-    orbit_of_subset,
-    parse_perm,
-    subgroup_closure,
+    point_orbits,
     subgroup_generators,
 )
 from .slopes import SlopeVector, conjugate_slope_basis, signature_classes, validate_slopes
@@ -61,9 +59,11 @@ class MotiveOrbit:
 
 @dataclass(frozen=True)
 class WeilTateEntry:
-    """Determinant set of an imaginary quadratic subfield (index-2 overgroup)."""
+    """Determinant set of an imaginary quadratic subfield (index-2 overgroup Z of H).
 
-    subgroup: frozenset
+    The determinant set is the block {z(1) : z in Z}, which fixes Z.
+    """
+
     determinant_set: tuple
     is_tate: bool
     is_lefschetz_bearing: bool
@@ -263,7 +263,6 @@ def classify_orbits(
     weights=None,
     phi: CMType = None,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    workers: int = 1,
 ) -> ClassifierReport:
     """Enumerate every Tate-class-bearing orbit of the requested weights.
 
@@ -273,14 +272,11 @@ def classify_orbits(
     orbit is kept whole.  Lefschetz / exotic flags, per-weight Tate
     dimensions rho_k, the mildly-exotic flag and the verdict are derived
     from the orbits.  Output ordering is canonical (weight, then
-    lexicographic representative).  `workers` must be at least 1 and
-    never changes the output; the scan runs in the calling thread.
+    lexicographic representative).
     """
     n = model.group.degree
     if n > subset_cap:
         raise CapExceededError(f"2g = {n} exceeds the subset cap {subset_cap}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     validate_slopes(model, s)
 
     full_scan = weights is None
@@ -351,7 +347,7 @@ def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector) -> tuple:
     One entry per index-2 overgroup Z of H avoiding tau: the orbit
     {z(1) : z in Z} of size g, flagged Tate / Lefschetz-bearing /
     exotic.  The determinant sets come from sign labellings of the
-    points (`index2_point_sets`); Z itself is listed only for the entry.
+    points (`index2_point_sets`); Z itself is never listed.
     """
     validate_slopes(model, s)
     rows = tate_rows(model, s)
@@ -368,7 +364,6 @@ def _weil_tate_entries(model: CMGaloisModel, rows, qp) -> tuple:
         lefschetz = has_qpair_matching(det_set, qp)
         entries.append(
             WeilTateEntry(
-                subgroup=block_subgroup(model.group, det_set),
                 determinant_set=tuple(sorted(det_set)),
                 is_tate=tate,
                 is_lefschetz_bearing=lefschetz,
@@ -449,32 +444,27 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector) -> EndAlgebraR
     """Local Brauer invariants, index and dimension of the isogeny factor.
 
     Places of F correspond to D-orbits on the cosets G/Fix, i.e. on the
-    blocks of the signature partition (`signature_classes`); each place
-    contributes slope * local degree mod 1.  The index m is the lcm of
+    blocks of the signature partition (`signature_classes`), found by
+    moving the blocks with the generators of D; each place contributes
+    slope * local degree mod 1.  The index m is the lcm of
     the invariant denominators, and 2 dim = m [F:Q].
     """
-    if model.D is None:
+    if model.D_generators is None:
         raise ValueError("model has no decomposition subgroup D")
     validate_slopes(model, s)
     label = signature_classes(model, s)
     ncos = max(label) + 1
     point = [label.index(b) for b in range(ncos)]
-    d_moves = {tuple(label[d[point[b]]] for b in range(ncos)) for d in model.D}
+    d_moves = [[label[d[point[b]]] for b in range(ncos)] for d in model.D_generators]
+    place_of = {b: orbit for orbit in point_orbits(d_moves, ncos) for b in orbit}
 
     visited = set()
     places = []
     for start in _blocks_in_coset_order(model, label, point):
         if start in visited:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            b = frontier.pop()
-            for move in d_moves:
-                if move[b] not in orbit:
-                    orbit.add(move[b])
-                    frontier.append(move[b])
-        visited |= orbit
+        orbit = place_of[start]
+        visited.update(orbit)
         slope = s[point[start]]
         degree = len(orbit)
         raw = slope * degree
@@ -527,14 +517,10 @@ def structure_check(
     branch = "commutative" if end_report.commutative else "noncommutative"
     if model.g % 2 != 0:
         return StructureVerdict(False, branch, failed_clause="dimension g is odd")
-    exotic_wt_orbits = [
-        set(frozenset(m) for m in orbit_of_subset(model, e.determinant_set))
-        for e in report.weil_tate
-        if e.is_exotic
-    ]
+    exotic_dets = [e.determinant_set for e in report.weil_tate if e.is_exotic]
     for o in report.exotic:
-        oset = set(frozenset(m) for m in o.orbit)
-        if oset not in exotic_wt_orbits:
+        # o.orbit is a whole G-orbit, so it is the orbit of any member
+        if not any(d in o.orbit for d in exotic_dets):
             return StructureVerdict(
                 False,
                 branch,
@@ -624,7 +610,7 @@ def verify_lemma_suite(instances) -> tuple:
     for inst in instances:
         model, s = inst.model, inst.slopes
         report = classify_orbits(model, s)
-        end = honda_tate_endomorphism(model, s) if model.D is not None else None
+        end = honda_tate_endomorphism(model, s) if model.D_generators is not None else None
         mildly = report.mildly_exotic
         noncommutative = end is not None and not end.commutative
         n = model.group.degree
@@ -749,20 +735,20 @@ def report_to_doc(report: ClassifierReport, group) -> dict:
         "tate_dims": list(report.tate_dims) if report.tate_dims is not None else None,
         "mildly_exotic": report.mildly_exotic,
         "scht_verdict": report.scht_verdict,
-        "weil_tate": [
-            {
-                "subgroup_generators": [
-                    format_perm(p) for p in subgroup_generators(group, e.subgroup)
-                ],
-                "subgroup_order": len(e.subgroup),
-                "determinant_set": [i + 1 for i in e.determinant_set],
-                "is_tate": e.is_tate,
-                "is_lefschetz_bearing": e.is_lefschetz_bearing,
-                "is_exotic": e.is_exotic,
-            }
-            for e in report.weil_tate
-        ],
+        "weil_tate": [_weil_tate_to_doc(e, group) for e in report.weil_tate],
         "notes": list(report.notes),
+    }
+
+
+def _weil_tate_to_doc(e: WeilTateEntry, group) -> dict:
+    Z = block_subgroup(group, e.determinant_set)  # listed only for the two subgroup fields
+    return {
+        "subgroup_generators": [format_perm(p) for p in subgroup_generators(group, Z)],
+        "subgroup_order": len(Z),
+        "determinant_set": [i + 1 for i in e.determinant_set],
+        "is_tate": e.is_tate,
+        "is_lefschetz_bearing": e.is_lefschetz_bearing,
+        "is_exotic": e.is_exotic,
     }
 
 
@@ -779,7 +765,7 @@ def end_report_to_doc(end: EndAlgebraReport) -> dict:
     }
 
 
-def doc_to_report(doc: dict, model: CMGaloisModel) -> ClassifierReport:
+def doc_to_report(doc: dict) -> ClassifierReport:
     """Rebuild a ClassifierReport from its structured document."""
     orbits = []
     for od in doc["orbits"]:
@@ -797,18 +783,15 @@ def doc_to_report(doc: dict, model: CMGaloisModel) -> ClassifierReport:
                 hodge_balanced=od.get("hodge_balanced"),
             )
         )
-    entries = []
-    for ed in doc["weil_tate"]:
-        gens = [parse_perm(t, model.group.degree) for t in ed["subgroup_generators"]]
-        entries.append(
-            WeilTateEntry(
-                subgroup=subgroup_closure(model.group, gens),
-                determinant_set=tuple(i - 1 for i in ed["determinant_set"]),
-                is_tate=ed["is_tate"],
-                is_lefschetz_bearing=ed["is_lefschetz_bearing"],
-                is_exotic=ed["is_exotic"],
-            )
+    entries = [
+        WeilTateEntry(
+            determinant_set=tuple(i - 1 for i in ed["determinant_set"]),
+            is_tate=ed["is_tate"],
+            is_lefschetz_bearing=ed["is_lefschetz_bearing"],
+            is_exotic=ed["is_exotic"],
         )
+        for ed in doc["weil_tate"]
+    ]
     return ClassifierReport(
         g=doc["g"],
         weights=tuple(doc["weights"]),

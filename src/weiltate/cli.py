@@ -230,15 +230,12 @@ def _scenario_doc(scn: forge.Scenario) -> dict:
     return doc
 
 
-def classify_scenario_doc(scn: forge.Scenario, workers: int = 1, subset_cap: int = None,
-                          weights=None) -> dict:
+def classify_scenario_doc(scn: forge.Scenario, subset_cap: int = None, weights=None) -> dict:
     """Full classification document for one scenario (the structured report)."""
     cap = subset_cap if subset_cap is not None else _env_int(
         "WEILTATE_SUBSET_CAP", classifier.DEFAULT_SUBSET_CAP
     )
-    report = classify_orbits(
-        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=cap, workers=workers
-    )
+    report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=cap)
     end = honda_tate_endomorphism(scn.model, scn.slopes)
     doc = {
         "schema": "weiltate.classify/1",
@@ -308,12 +305,15 @@ def _print_classify_text(doc: dict) -> None:
 
 
 def cmd_classify(args) -> int:
+    weights = None
+    if args.weights is not None:
+        try:
+            weights = [int(w) for w in args.weights.split(",")]
+        except ValueError:
+            raise UsageError(f"--weights takes comma-separated integers, got {args.weights!r}")
     group_cap = _env_int("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP)
     scn = _resolve_scenario(args, group_cap)
-    weights = None
-    if args.weights:
-        weights = [int(w) for w in args.weights.split(",")]
-    doc = classify_scenario_doc(scn, workers=args.workers, subset_cap=args.cap, weights=weights)
+    doc = classify_scenario_doc(scn, subset_cap=args.cap, weights=weights)
     if args.format == "json":
         sys.stdout.write(_emit_json(doc))
     else:
@@ -348,6 +348,7 @@ def random_admissible_slopes(model, rng: random.Random) -> SlopeVector:
 def slope_oracle_rows(g: int, count: int, seed: int, group_cap: int = DEFAULT_GROUP_CAP):
     """Agreement of the Fix/potential machinery with the definitional oracles."""
     model = cm_product_group(g, cap=group_cap)
+    H = block_subgroup(model.group, {0})
     subgroups = [block_subgroup(model.group, points) for points in index2_point_sets(model.group)]
     rng = random.Random(seed)
     rows = []
@@ -359,8 +360,8 @@ def slope_oracle_rows(g: int, count: int, seed: int, group_cap: int = DEFAULT_GR
             "minimal_index_divides_2g": (2 * g) % minimal_field_index(model, s) == 0,
         }
         potential_ok = True
-        for Z in subgroups + [model.H, frozenset(model.group.elements), fix]:
-            if not model.H <= Z:
+        for Z in subgroups + [H, frozenset(model.group.elements), fix]:
+            if not H <= Z:
                 continue
             if is_p_potentially_in(model, s, Z) != potential_by_valuation_grouping(model, s, Z):
                 potential_ok = False
@@ -460,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--p", type=int, help="prime p for --preset (default 5)")
     p_classify.add_argument("--weights", help="comma-separated even weights (default: all)")
     p_classify.add_argument("--cap", type=int, default=None, help="subset-dimension cap on 2g")
-    p_classify.add_argument("--workers", type=int, default=1,
-                            help="accepted for compatibility (must be >= 1); changes "
-                            "neither the thread count nor the output")
     p_classify.add_argument("--attach-fields", action="store_true",
                             help="attach forged field provenance to preset scenarios")
     p_classify.add_argument("--format", choices=["text", "json"], default="text")

@@ -103,7 +103,7 @@ def enumerate_cm_types(model: CMGaloisModel, prescription: PlacePrescription, li
     indices contributes its B element or its B' element; tau-stable
     blocks admit one free choice per internal conjugate pair.
     """
-    if model.D is None:
+    if model.D_blocks is None:
         raise ValueError("model has no decomposition subgroup D")
     blocks, classes = validate_prescription(model, prescription)
 
@@ -161,7 +161,7 @@ def least_cm_type(model: CMGaloisModel, prescription: PlacePrescription) -> CMTy
     Greedy: walk the indices in increasing order, keep an index whenever
     the block quota allows it, otherwise take its conjugate.
     """
-    if model.D is None:
+    if model.D_blocks is None:
         raise ValueError("model has no decomposition subgroup D")
     blocks, classes = validate_prescription(model, prescription)
     block_index = {}

@@ -40,6 +40,8 @@ from .galois import (
     diagonal_lift,
     format_perm,
     parse_perm,
+    point_orbits,
+    subgroup_closure,
     subgroup_generators,
     sym_generators,
 )
@@ -461,7 +463,7 @@ _SCENARIO_FIELDS = {
 }
 
 
-def parse_scenario(text: str, group_cap: int = None) -> Scenario:
+def parse_scenario(text: str, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
     """Parse the scenario file format (key = value lines, # comments)."""
     fields = {}
     lines = {}
@@ -515,11 +517,13 @@ def parse_scenario(text: str, group_cap: int = None) -> Scenario:
         fail("tau", str(exc))
 
     try:
-        group = build_group(npoints, gens, DEFAULT_GROUP_CAP if group_cap is None else group_cap)
+        group = build_group(npoints, gens, group_cap)
     except CapExceededError as exc:
         raise CapExceededError(f"line {lines['generators']}: field 'generators': {exc}")
     if tau not in group:
         fail("tau", "tau is not an element of the generated group")
+    if len(point_orbits(gens, npoints)) != 1:
+        fail("generators", "group does not act transitively on the 2g indices")
     try:
         model = CMGaloisModel(g=npoints // 2, group=group, tau=tau)
     except ValueError as exc:
@@ -531,7 +535,7 @@ def parse_scenario(text: str, group_cap: int = None) -> Scenario:
             model = model.with_decomposition(dec)
         except ValueError as exc:
             fail("decomposition_generators", str(exc))
-    if model.D is None:
+    if model.D_generators is None:
         raise ScenarioParseError(
             "missing required field 'decomposition_generators' (needed for phi and slopes)"
         )
@@ -589,8 +593,9 @@ def serialize_scenario(scn: Scenario) -> str:
         "generators = " + ", ".join(format_perm(g) for g in scn.model.group.generators),
         f"tau = {format_perm(scn.model.tau)}",
     ]
-    if scn.model.D is not None:
-        dgens = subgroup_generators(scn.model.group, scn.model.D)
+    if scn.model.D_generators is not None:
+        D = subgroup_closure(scn.model.group, scn.model.D_generators)
+        dgens = subgroup_generators(scn.model.group, D)
         lines.append(
             "decomposition_generators = " + ", ".join(format_perm(g) for g in dgens)
         )

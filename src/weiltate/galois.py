@@ -3,10 +3,14 @@
 Points are 0-based internally; every serialized form (cycle notation,
 index lists) is 1-based.  Groups are materialized as full element lists
 in breadth-first discovery order from the identity, which fixes every
-canonical order.  The classification itself works on the action of the
+canonical order.  A subgroup is carried by the smallest data that fixes
+it: one above Stab(1) by its point block, the decomposition group D by
+its generators.  The classification works on the action of the
 generators on the 2g points (orbits, sign labellings, block systems);
-the element lists serve subgroup listings and the brute-force oracles.
-The CM structure is the central involution tau with tau(i) = i + g mod 2g.
+element lists are walked only for the subgroup generators of a
+document, the element-set API of Fix and p-potential membership, and
+the brute-force oracles.  The CM structure is the central involution
+tau with tau(i) = i + g mod 2g.
 """
 
 from __future__ import annotations
@@ -30,13 +34,6 @@ def identity(n: int) -> Perm:
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: (p*q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def cycles_to_perm(n: int, cycles) -> Perm:
@@ -123,17 +120,23 @@ class PermGroup:
     def __contains__(self, p: Perm) -> bool:
         return p in self._members
 
-    def is_transitive(self) -> bool:
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for gen in self.generators:
-                y = gen[x]
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        return len(reached) == self.degree
+
+def point_orbits(perms, n: int) -> tuple:
+    """The orbits of <perms> on the points 0..n-1, as sorted tuples ordered by their least point."""
+    seen = [False] * n
+    orbits = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:  # grows while it is walked
+            for p in perms:
+                if not seen[p[x]]:
+                    seen[p[x]] = True
+                    orbit.append(p[x])
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def build_group(n: int, generators, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
@@ -167,13 +170,18 @@ def build_group(n: int, generators, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
     return PermGroup(degree=n, elements=tuple(elements), generators=tuple(gens))
 
 
-def subgroup_closure(group: PermGroup, generators) -> frozenset:
-    """Closure of some group elements, verified to stay inside `group`."""
-    gens = [tuple(g) for g in generators]
+def _in_group(group: PermGroup, generators) -> tuple:
+    """The generators as tuples, each verified to be an element of `group`."""
+    gens = tuple(tuple(g) for g in generators)
     for g in gens:
         if g not in group:
             raise ValueError(f"generator {format_perm(g)} is not in the group")
-    sub = build_group(group.degree, gens, cap=group.order)
+    return gens
+
+
+def subgroup_closure(group: PermGroup, generators) -> frozenset:
+    """Closure of some group elements, verified to stay inside `group`."""
+    sub = build_group(group.degree, _in_group(group, generators), cap=group.order)
     return frozenset(sub.elements)
 
 
@@ -206,25 +214,24 @@ def subgroup_generators(group: PermGroup, sub) -> list:
 class CMGaloisModel:
     """G acting on the 2g Frobenius-eigenvalue indices with CM structure.
 
-    tau is the central conjugation i -> i + g mod 2g, H the stabilizer of
-    index 1, and D the decomposition subgroup at the anchored valuation
-    (None until `with_decomposition` supplies its generators).  D_blocks
-    holds the D-orbits on the indices, the places of L above p, as
-    sorted tuples ordered by their minimum.
+    tau is the central conjugation i -> i + g mod 2g.  The decomposition
+    subgroup D at the anchored valuation is carried by D_generators
+    (None until `with_decomposition` supplies them), and D_blocks holds
+    the D-orbits on the indices, the places of L above p.  Neither D
+    field takes part in model equality.
     """
 
     g: int
     group: PermGroup
     tau: Perm
-    H: frozenset = field(init=False)
-    D: frozenset = field(init=False, default=None)
+    D_generators: tuple = field(init=False, compare=False, default=None)
     D_blocks: tuple = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.group.degree
         if n != 2 * self.g:
             raise ValueError(f"group degree {n} is not 2g = {2 * self.g}")
-        if not self.group.is_transitive():
+        if len(point_orbits(self.group.generators, n)) != 1:
             raise ValueError("group does not act transitively on the 2g indices")
         if self.tau not in self.group:
             raise ValueError("tau is not a group element")
@@ -235,18 +242,13 @@ class CMGaloisModel:
         for gen in self.group.generators:
             if compose(gen, self.tau) != compose(self.tau, gen):
                 raise ValueError(f"tau is not central: fails against generator {format_perm(gen)}")
-        object.__setattr__(self, "H", block_subgroup(self.group, {0}))
 
     def with_decomposition(self, generators) -> "CMGaloisModel":
-        """The same model with D the closure of `generators`; the group checks already held.
-
-        The orbit of x under D is {d(x) : d in D}.
-        """
-        D = subgroup_closure(self.group, generators)
-        blocks = {tuple(sorted({d[x] for d in D})) for x in range(self.group.degree)}
+        """The same model with D = <generators>; the group checks already held."""
+        gens = _in_group(self.group, generators)
         model = copy.copy(self)
-        object.__setattr__(model, "D", D)
-        object.__setattr__(model, "D_blocks", tuple(sorted(blocks)))
+        object.__setattr__(model, "D_generators", gens)
+        object.__setattr__(model, "D_blocks", point_orbits(gens, self.group.degree))
         return model
 
 
@@ -262,22 +264,6 @@ def cm_product_group(g: int, cap: int = DEFAULT_GROUP_CAP) -> CMGaloisModel:
     tau = tuple((i + g) % n for i in range(n))
     group = build_group(n, [tau] + [diagonal_lift(s, 2) for s in sym_generators(g)], cap=cap)
     return CMGaloisModel(g=g, group=group, tau=tau)
-
-
-def orbit_of_subset(model: CMGaloisModel, subset) -> list:
-    """Full G-orbit of a subset of indices, in sorted deterministic order."""
-    start = frozenset(subset)
-    gens = model.group.generators
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for gen in gens:
-            img = frozenset(gen[x] for x in cur)
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return sorted(seen, key=lambda s: sorted(s))
 
 
 def index2_point_sets(group: PermGroup) -> list:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .galois import CMGaloisModel, block_subgroup, compose
+from .galois import CMGaloisModel, block_subgroup, compose, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def validate_slopes(model: CMGaloisModel, s: SlopeVector) -> None:
             raise ValueError(f"slope s_{i + 1} = {v} outside [0, 1]")
         if v + s[model.tau[i]] != 1:
             raise ValueError(f"s_{i + 1} + s_tau({i + 1}) != 1")
-    if model.D is not None:
+    if model.D_blocks is not None:
         for block in model.D_blocks:
             vals = {s[i] for i in block}
             if len(vals) != 1:
@@ -56,7 +56,7 @@ def validate_slopes(model: CMGaloisModel, s: SlopeVector) -> None:
 
 def slopes_from_cm_type(model: CMGaloisModel, phi) -> SlopeVector:
     """Shimura-Taniyama: s_i = #(phi ∩ B) / #B on the D-block B of i."""
-    if model.D is None:
+    if model.D_blocks is None:
         raise ValueError("model has no decomposition subgroup D")
     phi_set = set(phi)
     values = [None] * model.group.degree
@@ -116,7 +116,7 @@ def is_p_potentially_in(model: CMGaloisModel, s: SlopeVector, Z) -> bool:
     for every z in Z.
     """
     Z = frozenset(tuple(z) for z in Z)
-    if not model.H <= Z:
+    if not block_subgroup(model.group, {0}) <= Z:
         raise ValueError("Z does not contain H, so it fixes no subfield of L")
     for z in Z:
         if z not in model.group:
@@ -200,7 +200,7 @@ def potential_by_valuation_grouping(model: CMGaloisModel, s: SlopeVector, Z) -> 
     which tests the same condition since slopes are block-constant.
     """
     Z = frozenset(tuple(z) for z in Z)
-    D = model.D if model.D is not None else frozenset({tuple(range(model.group.degree))})
+    D = subgroup_closure(model.group, model.D_generators or ())
     anchors = sorted({z[0] for z in Z})
     for g in model.group.elements:
         base = s[g[0]]

@@ -36,8 +36,31 @@ from weiltate.classifier import (
     weil_tate_submotives,
 )
 from weiltate.cmtypes import hodge_type, is_balanced
-from weiltate.galois import PermGroup, compose, identity, inverse, orbit_of_subset
+from weiltate.galois import CMGaloisModel, Perm, PermGroup, compose, identity, subgroup_closure
 from weiltate.slopes import validate_slopes
+
+
+def inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def orbit_of_subset(model: CMGaloisModel, subset) -> list:
+    """Full G-orbit of a subset of indices, in sorted deterministic order."""
+    start = frozenset(subset)
+    gens = model.group.generators
+    seen = {start}
+    queue = [start]
+    while queue:
+        cur = queue.pop()
+        for gen in gens:
+            img = frozenset(gen[x] for x in cur)
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    return sorted(seen, key=lambda s: sorted(s))
 
 
 def tate_by_orbit_walk(model, s, subset) -> bool:
@@ -260,9 +283,10 @@ def left_cosets(group, sub):
 
 def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
     """Honda-Tate invariants with the places found as D-orbits on the materialized cosets G/Fix."""
-    if model.D is None:
+    if model.D_generators is None:
         raise ValueError("model has no decomposition subgroup D")
     validate_slopes(model, s)
+    D = subgroup_closure(model.group, model.D_generators)
     fix = fix_by_signatures_over_group(model, s)
     reps, coset_of = left_cosets(model.group, fix)
     ncos = len(reps)
@@ -280,7 +304,7 @@ def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
                 continue
             orbit.add(c)
             visited[c] = True
-            for d in model.D:
+            for d in D:
                 frontier.append(coset_of[compose(d, reps[c])])
         slope = s[reps[min(orbit)][0]]
         degree = len(orbit)

@@ -24,6 +24,7 @@ from weiltate.classifier import (
 )
 from weiltate.cli import classify_scenario_doc, slope_oracle_rows
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
+from weiltate.galois import block_subgroup
 from weiltate.slopes import (
     fix_of_slope,
     fixer_by_definition,
@@ -89,14 +90,15 @@ def test_criterion_3_ramified3_invariants_and_exotic():
     entries = weil_tate_submotives(scn.model, scn.slopes)
     assert len(entries) == 2
     fix = fix_of_slope(scn.model, scn.slopes)
-    in_frobenius_field = [e for e in entries if fix <= e.subgroup]
+    subgroups = {e: block_subgroup(scn.model.group, e.determinant_set) for e in entries}
+    in_frobenius_field = [e for e in entries if fix <= subgroups[e]]
     assert len(in_frobenius_field) == 1  # the unique imaginary quadratic subfield of F
     (inner,) = in_frobenius_field
     assert inner.is_tate and inner.is_exotic
     exotic_orbit = {frozenset(m) for m in exotic.orbit}
     assert frozenset(inner.determinant_set) in exotic_orbit
 
-    (outer,) = [e for e in entries if not fix <= e.subgroup]
+    (outer,) = [e for e in entries if not fix <= subgroups[e]]
     assert outer.is_tate and outer.is_lefschetz_bearing and not outer.is_exotic
     report("3 (ramified g'=3: invariants {1/2,1/2,0}, m=2, unique exotic = det over Q1, "
            "second determinant Tate but Lefschetz)")
@@ -131,7 +133,8 @@ def test_criterion_6_slope_oracle_equivalence():
         fix = fix_of_slope(model, s)
         assert fix == fixer_by_definition(model, s)
         assert (model.group.degree) % minimal_field_index(model, s) == 0
-        for Z in index2_overgroups(model.group, model.H) + [model.H, fix]:
+        H = block_subgroup(model.group, {0})
+        for Z in index2_overgroups(model.group, H) + [H, fix]:
             assert is_p_potentially_in(model, s, Z) == potential_by_valuation_grouping(
                 model, s, Z
             )
@@ -204,17 +207,11 @@ def test_criterion_9_forge_certificates():
 
 
 def test_criterion_10_determinism():
-    scn = scenario_ramified(3, 5)
-    docs = []
-    for workers in (1, 3):
-        doc = classify_scenario_doc(scn, workers=workers)
-        docs.append(json.dumps(doc, sort_keys=True, indent=2))
+    docs = [json.dumps(classify_scenario_doc(scenario_ramified(3, 5)), sort_keys=True, indent=2)
+            for _ in range(2)]
     assert docs[0] == docs[1]
-    again = json.dumps(classify_scenario_doc(scenario_ramified(3, 5), workers=1),
-                       sort_keys=True, indent=2)
-    assert again == docs[0]
 
     a = forge_totally_real(4, 5, 7, 11, seed=7)
     b = forge_totally_real(4, 5, 7, 11, seed=7)
     assert a == b
-    report("10 (byte-identical structured reports across reruns and worker counts)")
+    report("10 (byte-identical structured reports across reruns)")

@@ -1,5 +1,6 @@
 """Classification tests: Tate orbits, Lefschetz/exotic flags, invariants, lemmas."""
 
+import copy
 import json
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from oracles import (
     frobenius_rank_by_matrix,
     honda_tate_by_cosets,
     index2_overgroups,
+    orbit_of_subset,
     orbits_by_walk,
     tate_by_orbit_walk,
     verify_subgroup,
@@ -59,7 +61,7 @@ from weiltate.galois import (
     cm_product_group,
     cycles_to_perm,
     index2_point_sets,
-    orbit_of_subset,
+    parse_perm,
     subgroup_closure,
 )
 from weiltate.slopes import (
@@ -215,13 +217,6 @@ def test_classify_rejects_bad_weights_and_cap():
         classify_orbits(big.model, big.slopes, subset_cap=8)
 
 
-def test_classify_worker_split_is_invisible():
-    scn = scenario_ramified(3, 5)
-    seq = classify_orbits(scn.model, scn.slopes, phi=scn.phi, workers=1)
-    par = classify_orbits(scn.model, scn.slopes, phi=scn.phi, workers=3)
-    assert seq == par
-
-
 def test_classified_orbits_cover_exactly_the_tate_subsets():
     scn = scenario_main(4, 5)
     rep = classify_orbits(scn.model, scn.slopes)
@@ -340,7 +335,7 @@ def test_block_subgroup_is_the_subgroup_above_h_of_its_block(case):
         assert Z == frozenset(e for e in G.elements if e[0] in P)
         if model.g <= 4:  # the oracle is |Z|^2 compositions
             assert verify_subgroup(G, Z) == Z
-        assert model.H <= Z
+        assert block_subgroup(G, {0}) <= Z
         assert len(Z) * 2 * model.g == G.order * len(P)
 
 
@@ -352,21 +347,6 @@ def test_mask_orbits_match_the_frozenset_walk_on_the_presets(name, weights):
         weights = [w for w in weights if w <= scn.model.group.degree]
     report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
     assert report == classify_orbits_by_walk(scn.model, scn.slopes, weights, scn.phi)
-
-
-def test_classify_orbits_walks_no_frozenset_orbit(monkeypatch):
-    calls = []
-
-    def counted(model, subset):
-        calls.append(subset)
-        return orbit_of_subset(model, subset)
-
-    monkeypatch.setattr(weiltate.classifier, "orbit_of_subset", counted)
-    monkeypatch.setattr(weiltate.galois, "orbit_of_subset", counted)
-    scn = scenario_ramified(3, 5)
-    report = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
-    assert len(report.orbits) > 10
-    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,6 +363,36 @@ def test_linear_predicate_matches_the_orbit_walk(case):
     assert q_pairs(model, s) == {P for P in oracle if len(P) == 2}
     assert rep.weil_tate == weil_tate_submotives(model, s)
     assert frobenius_rank(model, s) == frobenius_rank_by_matrix(model, s)
+
+
+class _Unlisted(tuple):
+    """Stands in for a group's element list; any walk over it fails."""
+
+    def __iter__(self, *args):
+        raise AssertionError("a group element list was walked")
+
+    __len__ = __getitem__ = __contains__ = __iter__
+
+
+def test_classify_and_honda_tate_list_no_group_element(monkeypatch):
+    built = [scenario_main(6, 5), scenario_ramified(3, 5), scenario_split(3, 5)]
+    expected = [(classify_orbits(scn.model, scn.slopes, phi=scn.phi),
+                 honda_tate_endomorphism(scn.model, scn.slopes)) for scn in built]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subgroup was listed")
+
+    for module in (weiltate.galois, weiltate.classifier):
+        for name in ("build_group", "subgroup_closure", "block_subgroup"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for scn, (report, end) in zip(built, expected):
+        group = copy.copy(scn.model.group)
+        object.__setattr__(group, "elements", _Unlisted())
+        model = copy.copy(scn.model)
+        object.__setattr__(model, "group", group)
+        assert classify_orbits(model, scn.slopes, phi=scn.phi) == report
+        assert honda_tate_endomorphism(model, scn.slopes) == end
 
 
 def count_calls(monkeypatch, module, name, calls):
@@ -665,20 +675,23 @@ def outcome(fn, *args):
 @given(models_with_cm_types())
 def test_block_routes_match_the_element_walks(case):
     model, s = case
-    assert model.D_blocks == orbits_by_walk(model.D, model.group.degree)
+    D = subgroup_closure(model.group, model.D_generators)
+    assert model.D_blocks == orbits_by_walk(D, model.group.degree)
     assert outcome(honda_tate_endomorphism, model, s) == outcome(honda_tate_by_cosets, model, s)
     fix = fix_of_slope(model, s)
     assert fix == fix_by_signatures_over_group(model, s)
     if model.g <= 4:  # the definition is a double loop over G
         assert fix == fixer_by_definition(model, s)
     assert minimal_field_index(model, s) == model.group.order // len(fix)
-    overgroups = index2_overgroups(model.group, model.H)
-    for Z in overgroups + [model.H, frozenset(model.group.elements)]:
+    H = block_subgroup(model.group, {0})
+    overgroups = index2_overgroups(model.group, H)
+    for Z in overgroups + [H, frozenset(model.group.elements)]:
         assert is_p_potentially_in(model, s, Z) == (Z <= fix)
     assert set(index2_point_sets(model.group)) == {
         frozenset(z[0] for z in Z) for Z in overgroups
     }
-    assert {e.subgroup for e in weil_tate_submotives(model, s)} == {
+    entries = weil_tate_submotives(model, s)
+    assert {block_subgroup(model.group, e.determinant_set) for e in entries} == {
         Z for Z in overgroups if model.tau not in Z
     }
 
@@ -686,12 +699,13 @@ def test_block_routes_match_the_element_walks(case):
 @pytest.mark.parametrize("name", ["main4", "main6", "ramified3", "split3", "ramified5"])
 def test_weil_tate_determinant_sets_match_the_overgroups(name):
     scn = PRESETS[name]()
-    overgroups = index2_overgroups(scn.model.group, scn.model.H)
+    group = scn.model.group
+    overgroups = index2_overgroups(group, block_subgroup(group, {0}))
     assert sorted(map(sorted, index2_point_sets(scn.model.group))) == sorted(
         sorted({z[0] for z in Z}) for Z in overgroups
     )
     entries = weil_tate_submotives(scn.model, scn.slopes)
-    assert [e.subgroup for e in entries] == sorted(
+    assert [block_subgroup(group, e.determinant_set) for e in entries] == sorted(
         (Z for Z in overgroups if scn.model.tau not in Z), key=lambda Z: sorted(z[0] for z in Z)
     )
 
@@ -755,6 +769,21 @@ def test_structure_check_fails_on_an_exotic_orbit_outside_weil_tate():
     assert (verdict.passed, verdict.branch) == (False, "commutative")
     assert verdict.failed_clause == (
         f"exotic orbit with representative {first} is not a Weil-Tate determinant"
+    )
+
+
+def test_structure_check_fails_when_the_exotic_determinant_lies_in_another_orbit():
+    model, s, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
+    (exotic,) = rep.exotic
+    (outer,) = [e for e in rep.weil_tate if e.determinant_set not in exotic.orbit]
+    assert outer.is_tate and not outer.is_exotic
+    # the one exotic Weil-Tate entry now sits in an orbit of Lefschetz classes
+    moved = replace(outer, is_lefschetz_bearing=False, is_exotic=True)
+    verdict = structure_check(model, s, replace(rep, weil_tate=(moved,)), end)
+    assert (verdict.passed, verdict.branch) == (False, "noncommutative")
+    assert verdict.failed_clause == (
+        f"exotic orbit with representative {[i + 1 for i in exotic.representative]} "
+        "is not a Weil-Tate determinant"
     )
 
 
@@ -881,8 +910,14 @@ def test_lemma_suite_gates_on_hypotheses():
 def test_report_document_round_trip():
     scn = scenario_ramified(3, 5)
     rep = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
-    doc = json.loads(json.dumps(report_to_doc(rep, group=scn.model.group)))
-    assert doc_to_report(doc, scn.model) == rep
+    group = scn.model.group
+    doc = json.loads(json.dumps(report_to_doc(rep, group=group)))
+    assert doc_to_report(doc) == rep
+    # the written generators close to the subgroup that the determinant set fixes
+    for ed, e in zip(doc["weil_tate"], rep.weil_tate):
+        Z = subgroup_closure(group, [parse_perm(t, group.degree) for t in ed["subgroup_generators"]])
+        assert Z == block_subgroup(group, e.determinant_set)
+        assert len(Z) == ed["subgroup_order"]
 
     end = honda_tate_endomorphism(scn.model, scn.slopes)
     end_doc = json.loads(json.dumps(end_report_to_doc(end)))

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weiltate import classifier, cli, forge, galois
-from weiltate.galois import identity
 from weiltate.classifier import classify_orbits, doc_to_end_report, doc_to_report
 from weiltate.forge import scenario_main, serialize_scenario
 
@@ -69,17 +68,10 @@ def test_classify_json_round_trips_to_report_objects(capsys):
 
     scn = scenario_ramified(3, 5)
     direct = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
-    assert doc_to_report(doc["report"], scn.model) == direct
+    assert doc_to_report(doc["report"]) == direct
     from weiltate.classifier import honda_tate_endomorphism
 
     assert doc_to_end_report(doc["endomorphism"]) == honda_tate_endomorphism(scn.model, scn.slopes)
-
-
-def test_classify_worker_count_is_invisible(capsys):
-    base = ["classify", "--preset", "split", "--gp", "3", "--p", "5", "--format", "json"]
-    _, out1, _ = run_cli(capsys, base + ["--workers", "1"])
-    _, out3, _ = run_cli(capsys, base + ["--workers", "3"])
-    assert out1 == out3
 
 
 def test_classify_requires_scenario_source(capsys):
@@ -255,13 +247,23 @@ def test_text_and_json_carry_same_summary(capsys):
     assert f"({doc['predicted_signature'][0]}, {doc['predicted_signature'][1]})" in text_out
 
 
-def test_classify_rejects_worker_counts_below_one(capsys):
-    for workers in ("0", "-3"):
+def test_classify_has_no_workers_flag(capsys):
+    for workers in ("1", "0", "-3"):
         code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4",
                                           "--workers", workers])
         assert code == cli.EXIT_USAGE
-        assert "workers must be at least 1" in err
+        assert "unrecognized arguments: --workers" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("weights", ["", "2,x", "2,,4", "x"])
+def test_classify_weights_that_are_not_integers_are_a_usage_error(capsys, weights):
+    code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4",
+                                      "--weights", weights])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: --weights") and err.count("\n") == 1
+    assert "invalid literal" not in err
 
 
 def test_non_integer_env_caps_are_input_errors(capsys, monkeypatch):
@@ -304,6 +306,17 @@ def test_scenario_decomposition_generator_outside_the_group_is_an_input_error(tm
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert "field 'decomposition_generators'" in err and "is not in the group" in err
+
+
+def test_scenario_file_with_intransitive_generators_names_the_generators_line(tmp_path, capsys):
+    path = tmp_path / "intransitive.scn"
+    path.write_text("points = 4\ngenerators = (1 3)(2 4)\ntau = (1 3)(2 4)\nphi = 1 2\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == ("scenario parse error: line 2: field 'generators': "
+                   "group does not act transitively on the 2g indices\n")
 
 
 def test_group_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
@@ -365,8 +378,9 @@ def test_forge_self_check_failure_exits_3_without_traceback(capsys, monkeypatch)
 ], ids=["main", "ramified", "split", "verify"])
 def test_preset_block_check_failure_exits_3_without_traceback(argv, capsys, monkeypatch):
     # a trivial D leaves every index its own block, which no preset accepts
-    monkeypatch.setattr(galois, "subgroup_closure",
-                        lambda group, gens: frozenset({identity(group.degree)}))
+    with_decomposition = galois.CMGaloisModel.with_decomposition
+    monkeypatch.setattr(galois.CMGaloisModel, "with_decomposition",
+                        lambda model, gens: with_decomposition(model, []))
     code, out, err = run_cli(capsys, argv)
     assert code == cli.EXIT_HYPOTHESIS
     assert out == ""

@@ -21,6 +21,7 @@ from weiltate.forge import (
     serialize_scenario,
     validate_scenario,
 )
+from weiltate.galois import subgroup_closure
 from weiltate.slopes import slopes_from_cm_type
 
 
@@ -265,7 +266,9 @@ def test_scenario_file_round_trip():
         loaded = parse_scenario(text)
         assert loaded.model.group.degree == scn.model.group.degree
         assert loaded.model.tau == scn.model.tau
-        assert loaded.model.D == scn.model.D
+        D = subgroup_closure(scn.model.group, scn.model.D_generators)
+        assert subgroup_closure(loaded.model.group, loaded.model.D_generators) == D
+        assert loaded.model.D_blocks == scn.model.D_blocks
         assert loaded.phi.phi == scn.phi.phi
         assert loaded.slopes.values == scn.slopes.values
 

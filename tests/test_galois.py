@@ -4,21 +4,30 @@ import math
 import random
 
 import pytest
-from oracles import index2_overgroups, verify_subgroup
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    index2_overgroups,
+    inverse,
+    orbit_of_subset,
+    orbits_by_walk,
+    verify_subgroup,
+)
 
 from weiltate.galois import (
     CMGaloisModel,
     CapExceededError,
+    block_subgroup,
     build_group,
     cm_product_group,
     compose,
     cycles_to_perm,
     format_perm,
     identity,
-    inverse,
-    orbit_of_subset,
     parse_perm,
+    point_orbits,
     subgroup_closure,
+    sym_generators,
 )
 
 
@@ -95,7 +104,7 @@ def test_tau_invariants():
 def test_stabilizer_size():
     for g in (2, 3, 4, 5):
         model = cm_product_group(g)
-        assert len(model.H) == math.factorial(g - 1)
+        assert len(block_subgroup(model.group, {0})) == math.factorial(g - 1)
         assert model.group.order == 2 * math.factorial(g)
 
 
@@ -124,7 +133,7 @@ def test_orbit_sizes_divide_group_order():
 
 def test_index2_overgroups_of_point_stabilizer():
     model = cm_product_group(4)
-    overs = index2_overgroups(model.group, model.H)
+    overs = index2_overgroups(model.group, block_subgroup(model.group, {0}))
     assert len(overs) == 1
     (z,) = overs
     assert len(z) == 24
@@ -151,9 +160,10 @@ def test_index2_overgroups_order_two_group():
 def test_index2_overgroup_properties():
     for g in (3, 4):
         model = cm_product_group(g)
-        for z in index2_overgroups(model.group, model.H):
+        H = block_subgroup(model.group, {0})
+        for z in index2_overgroups(model.group, H):
             verify_subgroup(model.group, z)
-            assert model.H <= z
+            assert H <= z
             assert 2 * len(z) == model.group.order
 
 
@@ -212,18 +222,19 @@ def test_model_rejects_non_central_tau():
 def test_with_decomposition_verifies_only_d():
     model = cm_product_group(3)
     sub = model.with_decomposition(subgroup_closure(model.group, [model.tau]))
-    assert sub.D == frozenset({identity(6), model.tau})
-    assert (sub.g, sub.group, sub.tau, sub.H) == (model.g, model.group, model.tau, model.H)
-    assert model.D is None
+    assert subgroup_closure(model.group, sub.D_generators) == frozenset({identity(6), model.tau})
+    assert (sub.g, sub.group, sub.tau) == (model.g, model.group, model.tau)
+    assert sub == model  # neither D field takes part in model equality
+    assert model.D_generators is None and model.D_blocks is None
     with pytest.raises(ValueError, match="is not in the group"):
         model.with_decomposition([cycles_to_perm(6, [(1, 2)])])
 
 
-@pytest.mark.parametrize("name", ["H", "D"])
+@pytest.mark.parametrize("name", ["H", "D", "D_generators"])
 def test_model_takes_neither_h_nor_d(name):
     model = cm_product_group(2)
     with pytest.raises(TypeError):
-        CMGaloisModel(g=2, group=model.group, tau=model.tau, **{name: model.H})
+        CMGaloisModel(g=2, group=model.group, tau=model.tau, **{name: (model.tau,)})
 
 
 def test_model_rejects_intransitive_group():
@@ -236,3 +247,23 @@ def test_model_rejects_intransitive_group():
 def test_inverse_and_compose():
     p = cycles_to_perm(5, [(1, 2, 3)])
     assert compose(p, inverse(p)) == identity(5)
+
+
+_SYMMETRIC = {n: build_group(n, sym_generators(n) if n > 1 else []) for n in range(1, 7)}
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=3))
+    return n, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets())
+@example((4, []))
+@example((6, [(3, 4, 5, 0, 1, 2), (1, 0, 2, 3, 4, 5)]))  # intransitive: {1,2,4,5} and {3,6}
+def test_point_orbits_match_the_orbits_of_the_closure(case):
+    n, gens = case
+    D = subgroup_closure(_SYMMETRIC[n], gens)
+    assert point_orbits(gens, n) == orbits_by_walk(D, n)

@@ -8,7 +8,7 @@ from oracles import index2_overgroups, verify_subgroup
 
 from weiltate.cmtypes import CMType
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split
-from weiltate.galois import cm_product_group, identity
+from weiltate.galois import block_subgroup, cm_product_group, identity
 from weiltate.slopes import (
     SlopeVector,
     fix_of_slope,
@@ -106,7 +106,7 @@ def test_fix_of_slope_main_scenario():
     fix = fix_of_slope(scn.model, scn.slopes)
     assert len(fix) == 6
     assert scn.model.group.order // len(fix) == 8
-    assert scn.model.H <= fix
+    assert block_subgroup(scn.model.group, {0}) <= fix
 
 
 def test_fix_of_slope_constant_half():
@@ -127,7 +127,7 @@ def test_potential_membership_real_subfield_fails():
     g = scn.g
     Z = frozenset(e for e in scn.model.group.elements if e[0] in (0, g))
     verify_subgroup(scn.model.group, Z)
-    assert scn.model.H <= Z
+    assert block_subgroup(scn.model.group, {0}) <= Z
     assert not is_p_potentially_in(scn.model, scn.slopes, Z)
     assert not potential_by_valuation_grouping(scn.model, scn.slopes, Z)
 
@@ -188,13 +188,14 @@ def test_oracle_agreement_random_sample():
     rng = random.Random(3)
     for g in (2, 3):
         model = cm_product_group(g)
-        overgroups = index2_overgroups(model.group, model.H)
+        H = block_subgroup(model.group, {0})
+        overgroups = index2_overgroups(model.group, H)
         for _ in range(10):
             s = random_pair_slopes(model, rng)
             fix = fix_of_slope(model, s)
             assert fix == fixer_by_definition(model, s)
             assert (2 * g) % minimal_field_index(model, s) == 0
-            for Z in overgroups + [model.H, frozenset(model.group.elements), fix]:
+            for Z in overgroups + [H, frozenset(model.group.elements), fix]:
                 assert is_p_potentially_in(model, s, Z) == potential_by_valuation_grouping(
                     model, s, Z
                 )
