@@ -20,7 +20,6 @@ from operator import add
 from .galois import (
     CMGaloisModel,
     CapExceededError,
-    block_subgroup,
     format_perm,
     index2_point_sets,
     point_orbits,
@@ -398,12 +397,13 @@ class EndAlgebraReport:
 
 
 def _blocks_in_coset_order(model: CMGaloisModel, label, point) -> list:
-    """The blocks of a G-stable partition, in the order BFS over G meets their cosets.
+    """The blocks of a G-stable partition, in the order G's element order meets their cosets.
 
     Blocks are class labels, with the class S of index 1 labelled 0
     and point[B] some index in B; block B stands for the coset
-    {g : g(S) = B} of the setwise stabilizer of S.  `build_group` lists
-    the elements in shortlex order of their least generator words
+    {g : g(S) = B} of the setwise stabilizer of S.  The canonical order
+    (`PermGroup.elements`, breadth-first from the identity; no element
+    is listed here) is the shortlex order of the least generator words
     w = w_1 ... w_k (acting as w_1 after ... after w_k), so the first
     element meeting the coset of B is the shortlex-least word with
     w(S) = B.  Its length is the BFS distance from S in the block graph,
@@ -741,10 +741,10 @@ def report_to_doc(report: ClassifierReport, group) -> dict:
 
 
 def _weil_tate_to_doc(e: WeilTateEntry, group) -> dict:
-    Z = block_subgroup(group, e.determinant_set)  # listed only for the two subgroup fields
+    Z = group.chain.block(e.determinant_set)
     return {
-        "subgroup_generators": [format_perm(p) for p in subgroup_generators(group, Z)],
-        "subgroup_order": len(Z),
+        "subgroup_generators": [format_perm(p) for p in subgroup_generators(Z)],
+        "subgroup_order": Z.order,
         "determinant_set": [i + 1 for i in e.determinant_set],
         "is_tate": e.is_tate,
         "is_lefschetz_bearing": e.is_lefschetz_bearing,

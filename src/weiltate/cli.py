@@ -5,7 +5,8 @@ errors), 3 hypothesis violation or a failed self-check (a forged field
 that fails its certificates, a preset whose blocks are off), 4 cap
 exceeded, 5 lemma-suite FAIL.
 Caps can be overridden through WEILTATE_GROUP_CAP, WEILTATE_SUBSET_CAP
-and WEILTATE_RETRY_BUDGET.
+and WEILTATE_RETRY_BUDGET.  A value that can admit nothing (a group cap
+below 1, a subset cap below 2, a budget below 1) is an input error.
 """
 
 from __future__ import annotations
@@ -80,6 +81,26 @@ def _env_int(name: str, default):
         raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
+def _limit(env: str, default: int, least: int, flag: str = None, given: int = None) -> int:
+    """A cap or budget: the flag's value if given, else the variable's, else the default.
+
+    A value below `least` can admit nothing, so it is an input error,
+    not a cap that was hit.
+    """
+    source, value = (flag, given) if given is not None else (env, _env_int(env, default))
+    if value < least:
+        raise UsageError(f"{source} must be at least {least}, got {value}")
+    return value
+
+
+def _group_cap() -> int:
+    return _limit("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP, 1)
+
+
+def _subset_cap(given: int = None) -> int:
+    return _limit("WEILTATE_SUBSET_CAP", classifier.DEFAULT_SUBSET_CAP, 2, "--cap", given)
+
+
 def _emit_json(doc: dict) -> str:
     """The text of `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte.
 
@@ -152,9 +173,7 @@ def _float_str(x: float) -> str:
 
 
 def cmd_forge(args) -> int:
-    budget = args.budget if args.budget is not None else _env_int(
-        "WEILTATE_RETRY_BUDGET", forge.DEFAULT_RETRY_BUDGET
-    )
+    budget = _limit("WEILTATE_RETRY_BUDGET", forge.DEFAULT_RETRY_BUDGET, 1, "--budget", args.budget)
     field = forge.forge_totally_real(args.g, args.p, args.l, args.lp, args.seed, budget)
     doc = forge.forged_field_to_doc(field)
     doc["schema"] = "weiltate.forge/1"
@@ -232,9 +251,7 @@ def _scenario_doc(scn: forge.Scenario) -> dict:
 
 def classify_scenario_doc(scn: forge.Scenario, subset_cap: int = None, weights=None) -> dict:
     """Full classification document for one scenario (the structured report)."""
-    cap = subset_cap if subset_cap is not None else _env_int(
-        "WEILTATE_SUBSET_CAP", classifier.DEFAULT_SUBSET_CAP
-    )
+    cap = subset_cap if subset_cap is not None else _subset_cap()
     report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=cap)
     end = honda_tate_endomorphism(scn.model, scn.slopes)
     doc = {
@@ -311,9 +328,9 @@ def cmd_classify(args) -> int:
             weights = [int(w) for w in args.weights.split(",")]
         except ValueError:
             raise UsageError(f"--weights takes comma-separated integers, got {args.weights!r}")
-    group_cap = _env_int("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP)
+    group_cap, subset_cap = _group_cap(), _subset_cap(args.cap)
     scn = _resolve_scenario(args, group_cap)
-    doc = classify_scenario_doc(scn, subset_cap=args.cap, weights=weights)
+    doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
     if args.format == "json":
         sys.stdout.write(_emit_json(doc))
     else:
@@ -380,7 +397,7 @@ def slope_oracle_rows(g: int, count: int, seed: int, group_cap: int = DEFAULT_GR
 def cmd_verify(args) -> int:
     doc = {"schema": "weiltate.verify/1", "lemmas": [], "oracles": []}
     failed = False
-    group_cap = _env_int("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP)
+    group_cap = _group_cap()
 
     instances = []
     for name in args.presets:

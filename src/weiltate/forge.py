@@ -33,6 +33,7 @@ from .galois import (
     DEFAULT_GROUP_CAP,
     CMGaloisModel,
     CapExceededError,
+    StabChain,
     build_group,
     cm_product_group,
     compose,
@@ -41,7 +42,6 @@ from .galois import (
     format_perm,
     parse_perm,
     point_orbits,
-    subgroup_closure,
     subgroup_generators,
     sym_generators,
 )
@@ -594,8 +594,8 @@ def serialize_scenario(scn: Scenario) -> str:
         f"tau = {format_perm(scn.model.tau)}",
     ]
     if scn.model.D_generators is not None:
-        D = subgroup_closure(scn.model.group, scn.model.D_generators)
-        dgens = subgroup_generators(scn.model.group, D)
+        D = StabChain(scn.model.group.degree, scn.model.D_generators)
+        dgens = subgroup_generators(D)
         lines.append(
             "decomposition_generators = " + ", ".join(format_perm(g) for g in dgens)
         )

@@ -1,22 +1,26 @@
 """Permutation model of Gal(Ltilde/Q) acting on the 2g Frobenius indices.
 
 Points are 0-based internally; every serialized form (cycle notation,
-index lists) is 1-based.  Groups are materialized as full element lists
-in breadth-first discovery order from the identity, which fixes every
-canonical order.  A subgroup is carried by the smallest data that fixes
-it: one above Stab(1) by its point block, the decomposition group D by
-its generators.  The classification works on the action of the
-generators on the 2g points (orbits, sign labellings, block systems);
-element lists are walked only for the subgroup generators of a
-document, the element-set API of Fix and p-potential membership, and
-the brute-force oracles.  The CM structure is the central involution
-tau with tau(i) = i + g mod 2g.
+index lists) is 1-based.  A group is carried by its generators and a
+stabilizer chain on the base 1..2g (`StabChain`), which gives its order
+and membership without listing it.  Its element list, in breadth-first
+discovery order from the identity, is built only on demand: by the
+element-set API of Fix and p-potential membership, by the oracle rows
+of `verify` and by the brute-force oracles.  A subgroup is carried by
+the smallest data that fixes it: one above Stab(1) by its point block,
+the decomposition group D by its generators; the generator lists of a
+document are read off their chains.  The classification works on the
+action of the generators on the 2g points (orbits, sign labellings,
+block systems).  The CM structure is the central involution tau with
+tau(i) = i + g mod 2g.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import prod
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -102,23 +106,166 @@ def diagonal_lift(sigma: Perm, copies: int) -> Perm:
     return tuple(sigma[i] + k * m for k in range(copies) for i in range(m))
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    """A fully materialized permutation group on {1..n} (0-based inside)."""
+def _inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
 
-    degree: int
-    elements: tuple
-    generators: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.elements))
+class StabChain:
+    """A stabilizer chain of a permutation group on the base 0..n-1.
+
+    Level i describes G^(i), the elements that fix the points 0..i-1:
+    its generators `gens[i]`, and for each point x of the orbit of i
+    under G^(i) a coset representative `reps[i][x]` taking i to x, with
+    its inverse `invs[i][x]`.  Each element of G is u_0 u_1 ... u_{n-1}
+    for exactly one choice of representatives, so |G| is the product of
+    the orbit lengths and sifting decides membership.  Generators join
+    one at a time by deterministic Schreier-Sims (Sims 1970; Seress,
+    Permutation Group Algorithms, 2003, ch. 4): every Schreier generator
+    of a level is sifted through the levels below it, and a residue
+    other than the identity joins them.  The product of
+    the orbit lengths only grows and never exceeds |G|, so a group larger
+    than `cap` is refused as soon as that product passes it.
+    """
+
+    def __init__(self, n: int, generators=(), cap: int = None):
+        ident = identity(n)
+        self.degree = n
+        self.cap = cap
+        self.gens = [[] for _ in range(n)]
+        self.reps = [{i: ident} for i in range(n)]
+        self.invs = [{i: ident} for i in range(n)]
+        for gen in generators:
+            self.insert(gen)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return prod(len(reps) for reps in self.reps)
+
+    def sift(self, p: Perm, level: int = 0) -> tuple:
+        """(k, r): p stripped of its representatives from `level` on; k = n iff p is in G^(level).
+
+        Otherwise the image of k under r has no representative at level k.
+        """
+        invs = self.invs
+        for i in range(level, self.degree):
+            x = p[i]
+            if x != i:
+                inv = invs[i].get(x)
+                if inv is None:
+                    return i, p
+                p = tuple([inv[y] for y in p])
+        return self.degree, p
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self._members
+        return self.sift(p)[0] == self.degree
+
+    def insert(self, p: Perm) -> None:
+        """Add p to the group and close the chain again.
+
+        A pending element s of G^(k) is sifted from level k; when it
+        stops at level j, its residue joins the generators of levels
+        k..j, and each of those levels extends its orbit.  Each pair
+        (orbit point x, generator s) of a level is met once: the new
+        generator with the old orbit, then every generator with each new
+        point.  Its Schreier generator u_y^-1 s u_x is built in one pass
+        and, unless it is the identity, waits on a stack for the level
+        below, so no recursion grows with the length of the base.
+        """
+        n = self.degree
+        ident = identity(n)
+        pending = [(0, p)]
+        while pending:
+            k, gen = pending.pop()
+            j, gen = self.sift(gen, k)
+            for i in range(k, j + 1) if j < n else ():
+                gens, reps, invs = self.gens[i], self.reps[i], self.invs[i]
+                gens.append(gen)
+                work = [(x, (gen,)) for x in reps]
+                for x, movers in work:  # grows while it is walked
+                    ux = reps[x]
+                    for s in movers:
+                        y = s[x]
+                        inv = invs.get(y)
+                        if inv is None:
+                            uy = tuple([s[a] for a in ux])
+                            reps[y] = uy
+                            invs[y] = _inverse(uy)
+                            if self.cap is not None and self.order > self.cap:
+                                raise CapExceededError(f"group closure exceeds cap {self.cap}")
+                            work.append((y, gens))
+                            continue
+                        schreier = tuple([inv[s[a]] for a in ux])
+                        if schreier != ident:
+                            pending.append((i + 1, schreier))
+
+    def level_orders(self) -> list:
+        """[|G^(0)|, |G^(1)|, ..., |G^(n)|]: the orders of the stabilizers down the chain."""
+        orders = [1]
+        for reps in reversed(self.reps):
+            orders.append(orders[-1] * len(reps))
+        return orders[::-1]
+
+    def block(self, points) -> "StabChain":
+        """The chain of {g : g(1) in points}, for a block `points` of a transitive group holding 1.
+
+        Below level 0 it is the chain of G, because the subgroup holds
+        the whole stabilizer G^(1) of index 1; level 0 keeps the
+        representatives of the block, which generate it with G^(1).
+        """
+        sub = copy.copy(self)
+        sub.gens = [list(gens) for gens in self.gens]
+        sub.reps = [dict(reps) for reps in self.reps]
+        sub.invs = [dict(invs) for invs in self.invs]
+        points = sorted(points)
+        stabilizer = self.gens[1] if self.degree > 1 else []
+        sub.gens[0] = stabilizer + [self.reps[0][x] for x in points if x != 0]
+        sub.reps[0] = {x: self.reps[0][x] for x in points}
+        sub.invs[0] = {x: self.invs[0][x] for x in points}
+        return sub
+
+
+@dataclass(frozen=True)
+class PermGroup:
+    """A permutation group on {1..n} (0-based inside), carried by its stabilizer chain.
+
+    `order` and membership come from the chain.  `elements` lists the
+    group on first use, in breadth-first discovery order from the
+    identity with the generators applied on the right, in the order
+    given; only the element-set API and the oracles read it.
+    """
+
+    degree: int
+    generators: tuple
+    chain: StabChain = field(compare=False, repr=False)
+
+    @property
+    def order(self) -> int:
+        return self.chain.order
+
+    def __contains__(self, p) -> bool:
+        p = tuple(p)
+        return len(p) == self.degree and set(p) == set(range(self.degree)) and p in self.chain
+
+    @cached_property
+    def elements(self) -> tuple:
+        return _breadth_first_elements(self.degree, self.generators)
+
+
+def _breadth_first_elements(n: int, generators) -> tuple:
+    """Every element of <generators>, breadth-first from the identity."""
+    ident = identity(n)
+    elements = [ident]
+    seen = {ident}
+    for e in elements:  # grows while it is walked
+        for gen in generators:
+            c = compose(e, gen)
+            if c not in seen:
+                seen.add(c)
+                elements.append(c)
+    return tuple(elements)
 
 
 def point_orbits(perms, n: int) -> tuple:
@@ -140,10 +287,10 @@ def point_orbits(perms, n: int) -> tuple:
 
 
 def build_group(n: int, generators, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
-    """Close generators under composition, breadth-first from the identity.
+    """The group generated by `generators` on the points 0..n-1, with its stabilizer chain.
 
-    Element order is deterministic: discovery order with the generators
-    applied on the right, in the order given.
+    A group larger than `cap` is refused while its chain is built,
+    before any element is listed.
     """
     gens = []
     for g in generators:
@@ -151,23 +298,7 @@ def build_group(n: int, generators, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
         if sorted(g) != list(range(n)):
             raise ValueError(f"generator {g} is not a bijection of 0..{n - 1}")
         gens.append(g)
-    ident = identity(n)
-    elements = [ident]
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        nxt = []
-        for e in queue:
-            for g in gens:
-                c = compose(e, g)
-                if c not in seen:
-                    seen.add(c)
-                    elements.append(c)
-                    nxt.append(c)
-                    if len(elements) > cap:
-                        raise CapExceededError(f"group closure exceeds cap {cap}")
-        queue = nxt
-    return PermGroup(degree=n, elements=tuple(elements), generators=tuple(gens))
+    return PermGroup(degree=n, generators=tuple(gens), chain=StabChain(n, gens, cap))
 
 
 def _in_group(group: PermGroup, generators) -> tuple:
@@ -195,19 +326,38 @@ def block_subgroup(group: PermGroup, points) -> frozenset:
     return frozenset(e for e in group.elements if e[0] in points)
 
 
-def subgroup_generators(group: PermGroup, sub) -> list:
-    """Small deterministic generating set for a subgroup.
+def subgroup_generators(sub: StabChain) -> list:
+    """Small deterministic generating set of the group with chain `sub`, listing none of it.
 
-    Greedy over the sorted elements: an element joins when the closure
-    of the generators so far misses it.
+    Greedy in lexicographic order: each pick is the least element of
+    the group outside the closure K of the picks before it.  Lex order
+    is the order of the base images, so the pick is found by descending
+    the chain of the group: at level i the candidates t u_y (u_y a
+    representative of level i) are tried by their image t(y) of point
+    i, and a candidate is skipped when its whole coset t u_y G^(i+1)
+    lies in K, that is when |K^(i+1)| = |G^(i+1)| and t u_y is in K.
+    The first candidate not skipped holds an element outside K, so the
+    descent never backtracks.
     """
-    gens = []
-    closure = {identity(group.degree)}
-    for e in sorted(sub):
-        if e not in closure:
-            gens.append(e)
-            closure = set(subgroup_closure(group, gens))
-    return gens
+    n = sub.degree
+    levels = [i for i in range(n) if len(sub.reps[i]) > 1]  # a trivial level moves no coset
+    orders = sub.level_orders()
+    picks = []
+    closure = StabChain(n)
+    while closure.order < orders[0]:
+        closure_orders = closure.level_orders()
+        t = identity(n)
+        for i in levels:
+            reps = sub.reps[i]
+            full = closure_orders[i + 1] == orders[i + 1]  # compared before any sift
+            for y in sorted(reps, key=t.__getitem__):
+                c = tuple([t[a] for a in reps[y]])
+                if not (full and c in closure):
+                    t = c
+                    break
+        picks.append(t)
+        closure.insert(t)
+    return picks
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,21 @@ def verify_subgroup(group: PermGroup, elements) -> frozenset:
     return sub
 
 
+def subgroup_generators_by_listing(group: PermGroup, sub) -> list:
+    """Small deterministic generating set for a subgroup.
+
+    Greedy over the sorted elements: an element joins when the closure
+    of the generators so far misses it.
+    """
+    gens = []
+    closure = {identity(group.degree)}
+    for e in sorted(sub):
+        if e not in closure:
+            gens.append(e)
+            closure = set(subgroup_closure(group, gens))
+    return gens
+
+
 def index2_overgroups(group: PermGroup, H) -> list:
     """All subgroups Z with H <= Z <= G of index 2, for any subgroup H.
 

@@ -20,6 +20,7 @@ from oracles import (
     index2_overgroups,
     orbit_of_subset,
     orbits_by_walk,
+    subgroup_generators_by_listing,
     tate_by_orbit_walk,
     verify_subgroup,
 )
@@ -56,13 +57,16 @@ from weiltate.forge import scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import (
     CMGaloisModel,
     CapExceededError,
+    StabChain,
     block_subgroup,
     build_group,
     cm_product_group,
+    compose,
     cycles_to_perm,
     index2_point_sets,
     parse_perm,
     subgroup_closure,
+    subgroup_generators,
 )
 from weiltate.slopes import (
     SlopeVector,
@@ -372,6 +376,62 @@ class _Unlisted(tuple):
         raise AssertionError("a group element list was walked")
 
     __len__ = __getitem__ = __contains__ = __iter__
+
+
+@st.composite
+def signed_groups(draw):
+    """A transitive CM group (`cm_models`), or 0-3 random signed permutations of 2g points.
+
+    g = 2..5; every such group lies in C2 wr S_g, so |G| <= 2^g g! <= 3840.
+    """
+    if draw(st.booleans()):
+        return draw(cm_models()).group
+    g = draw(st.integers(2, 5))
+    flips = st.lists(st.booleans(), min_size=g, max_size=g)
+    signed = st.builds(lambda sigma, f: signed_perm(g, sigma, f), st.permutations(range(g)), flips)
+    return build_group(2 * g, draw(st.lists(signed, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_groups(), st.data())
+def test_chain_order_and_membership_match_the_listing(G, data):
+    listed = set(G.elements)
+    assert G.order == len(listed)
+    n = G.degree
+    word = data.draw(st.lists(st.sampled_from(G.generators), max_size=8)) if G.generators else []
+    product = tuple(range(n))
+    for gen in word:
+        product = compose(product, gen)
+    assert product in G
+    for p in data.draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=5)):
+        assert (p in G) == (p in listed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_groups(), st.permutations(range(10)).map(tuple))
+def test_chain_order_and_membership_match_sympy(G, p):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n = G.degree
+    gens = [combinatorics.Permutation(list(g)) for g in G.generators]
+    theirs = combinatorics.PermutationGroup(gens or [combinatorics.Permutation(list(range(n)))])
+    assert G.order == theirs.order()
+    p = tuple(x for x in p if x < n)  # a random permutation of the n points
+    assert (p in G) == theirs.contains(combinatorics.Permutation(list(p)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(classify_cases(), st.data())
+def test_chain_generators_match_the_greedy_over_the_listing(case, data):
+    model, s, _, _ = case
+    G = model.group
+    for P in index2_point_sets(G) + [signature_block(model, s), frozenset({0})]:
+        Z = G.chain.block(P)
+        listed = block_subgroup(G, P)
+        assert Z.order == len(listed) == G.order * len(P) // G.degree
+        assert subgroup_generators(Z) == subgroup_generators_by_listing(G, listed)
+    dgens = data.draw(st.lists(st.sampled_from(G.elements), max_size=3))
+    D = StabChain(G.degree, dgens)
+    assert subgroup_generators(D) == subgroup_generators_by_listing(G, subgroup_closure(G, dgens))
 
 
 def test_classify_and_honda_tate_list_no_group_element(monkeypatch):

@@ -1,6 +1,7 @@
 """CLI tests: flags, exit codes, output parity, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +38,7 @@ def test_forge_rejects_equal_primes(capsys):
 
 def test_forge_budget_maps_to_cap_exit(capsys):
     code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", "5", "--l", "7",
-                                      "--lp", "11", "--budget", "0"])
+                                      "--lp", "11", "--budget", "1"])  # seed 0 needs 4
     assert code == cli.EXIT_CAP
 
 
@@ -276,6 +277,60 @@ def test_non_integer_env_caps_are_input_errors(capsys, monkeypatch):
         assert code == cli.EXIT_USAGE, name
         assert f"{name} must be an integer" in err
         monkeypatch.delenv(name)
+
+
+CLASSIFY_MAIN4 = ["classify", "--preset", "main", "--g", "4"]
+FORGE_G4 = ["forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11"]
+
+
+def assert_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == cli.EXIT_USAGE, argv
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_subset_caps_that_admit_nothing_are_input_errors(capsys, monkeypatch):
+    for cap in ("-1", "0", "1"):
+        assert_input_error(capsys, CLASSIFY_MAIN4 + ["--cap", cap],
+                           f"--cap must be at least 2, got {cap}")
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "-1")
+    assert_input_error(capsys, CLASSIFY_MAIN4, "WEILTATE_SUBSET_CAP must be at least 2, got -1")
+    code, _, _ = run_cli(capsys, CLASSIFY_MAIN4 + ["--cap", "8"])  # the flag wins
+    assert code == 0
+
+
+def test_group_caps_that_admit_nothing_are_input_errors(capsys, monkeypatch):
+    for cap in ("0", "-5"):
+        monkeypatch.setenv("WEILTATE_GROUP_CAP", cap)
+        message = f"WEILTATE_GROUP_CAP must be at least 1, got {cap}"
+        assert_input_error(capsys, CLASSIFY_MAIN4, message)
+        assert_input_error(capsys, ["verify", "--presets", "main4"], message)
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", "1")  # admits the trivial group only
+    code, _, err = run_cli(capsys, CLASSIFY_MAIN4)
+    assert code == cli.EXIT_CAP and "cap exceeded" in err
+
+
+def test_retry_budgets_that_admit_nothing_are_input_errors(capsys, monkeypatch):
+    assert_input_error(capsys, FORGE_G4 + ["--budget", "0"], "--budget must be at least 1, got 0")
+    monkeypatch.setenv("WEILTATE_RETRY_BUDGET", "-3")
+    assert_input_error(capsys, FORGE_G4, "WEILTATE_RETRY_BUDGET must be at least 1, got -3")
+
+
+def test_main_g10_runs_with_the_group_cap_raised(capsys, monkeypatch):
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", "10000000")
+    code, out, _ = run_cli(capsys, ["classify", "--preset", "main", "--g", "10", "--cap", "20",
+                                    "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["scenario"]["group_order"] == 7257600
+    rho = doc["report"]["tate_dims"]
+    assert rho == rho[::-1] and len(rho) == 11
+    assert min(doc["predicted_signature"]) >= 0
+    end = doc["endomorphism"]
+    assert sum(Fraction(p["invariant"]) for p in end["local_invariants"]) % 1 == 0
+    assert 2 * end["abelian_variety_dim"] == end["index"] * end["frobenius_field_degree"]
+    assert [e["subgroup_order"] for e in doc["report"]["weil_tate"]] == [3628800]
 
 
 G2_SCENARIO = """\

@@ -14,9 +14,11 @@ from oracles import (
     verify_subgroup,
 )
 
+import weiltate.galois
 from weiltate.galois import (
     CMGaloisModel,
     CapExceededError,
+    StabChain,
     block_subgroup,
     build_group,
     cm_product_group,
@@ -27,6 +29,7 @@ from weiltate.galois import (
     parse_perm,
     point_orbits,
     subgroup_closure,
+    subgroup_generators,
     sym_generators,
 )
 
@@ -57,6 +60,48 @@ def test_build_group_cap():
     gens = [cycles_to_perm(8, [(1, 2)]), cycles_to_perm(8, [tuple(range(1, 9))])]
     with pytest.raises(CapExceededError):
         build_group(8, gens, cap=1000)
+
+
+def test_build_group_refuses_a_group_over_the_cap_before_listing_it(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(weiltate.galois, "_breadth_first_elements", refuse)
+    with pytest.raises(CapExceededError, match="group closure exceeds cap 10"):
+        build_group(8, [cycles_to_perm(8, [(1, 2)]), cycles_to_perm(8, [tuple(range(1, 9))])],
+                    cap=10)
+    with pytest.raises(CapExceededError, match="group closure exceeds cap 10"):
+        build_group(1000, sym_generators(1000), cap=10)  # refused long before its chain is done
+    model = cm_product_group(10, cap=10**7)  # |G| = 2 * 10!, never listed
+    assert model.group.order == 7257600
+    assert model.tau in model.group
+    assert cycles_to_perm(20, [(1, 2)]) not in model.group
+
+
+def test_a_chain_with_a_long_base_is_built_without_recursion():
+    # (1199 1200) on 1200 points joins the generators of the 1199 levels down to the one it moves
+    swap = tuple(range(1198)) + (1199, 1198)
+    group = build_group(1200, [swap])
+    assert group.order == 2 and swap in group
+
+
+def test_elements_are_listed_once_and_take_no_part_in_equality():
+    gens = [cycles_to_perm(4, [(1, 2)]), cycles_to_perm(4, [(1, 2, 3, 4)])]
+    a, b = build_group(4, gens), build_group(4, gens)
+    assert a == b and hash(a) == hash(b)
+    assert a.elements is a.elements and len(a.elements) == 24
+    assert a == b  # b was never listed
+    assert build_group(4, gens[::-1]) != a
+
+
+def test_subgroup_generators_pick_the_least_element_outside_the_closure():
+    s4 = build_group(4, sym_generators(4))
+    # (3 4) is the least element after the identity, (2 3) the least outside <(3 4)>,
+    # and (1 2) the least outside the S_3 they generate
+    assert subgroup_generators(s4.chain) == [(0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3)]
+    assert subgroup_generators(StabChain(4)) == []
+    c4 = StabChain(4, [cycles_to_perm(4, [(1, 2, 3, 4)])])
+    assert subgroup_generators(c4) == [(1, 2, 3, 0)]
 
 
 def test_build_group_rejects_non_bijection():

@@ -12,13 +12,14 @@ import hashlib
 
 import pytest
 
-from weiltate import cli, forge
+from weiltate import cli, forge, galois
 
 GOLDEN = {
     ("main", "--g", "4"): "0b846ff8cd4dacfef7ea6b33f9b8702818ae38d46f8b04ff622a1a1e94093666",
     ("main", "--g", "6"): "428c89af7c32b80fa280e25a1af6c5febc375189a9453e4f20a00905edae4272",
     ("ramified", "--gp", "3"): "bd3e03629685720a6e96f7e59dd0f6215b715e4350d88a823eac7c4bb1749d3b",
     ("split", "--gp", "3"): "a9b03aa1dc779f5baa7c932076a1f466535a83f6707496e52a3be2128d85050d",
+    ("main", "--g", "8"): "74432bb13640ff4fc6f09a58a08f0462f29eecbff847fcd5bc4d0a74087d451d",
 }
 
 GOLDEN_ARGV = {
@@ -126,3 +127,26 @@ def test_serialized_large_preset_digest(key):
     family, size = key
     scn = getattr(forge, "scenario_" + family)(size, 5)
     assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_PRESET_FILES[key]
+
+
+def test_documents_list_no_group_element(monkeypatch, capsys):
+    """classify and serialize_scenario run on the stabilizer chains alone."""
+
+    def refuse(*args):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(galois, "_breadth_first_elements", refuse)
+    digests = {("classify", "--preset", *preset): d for preset, d in GOLDEN.items()}
+    digests.update(GOLDEN_ARGV)
+    for argv in [("classify", "--preset", *preset) for preset in GOLDEN] + [
+        ("classify", "--preset", "ramified", "--gp", "5", "--cap", "20"),
+        ("classify", "--preset", "split", "--gp", "5", "--cap", "20"),
+    ]:
+        code = cli.main([*argv, "--format", "json"])
+        assert code == 0, argv
+        assert _sha256(capsys.readouterr().out) == digests[argv], argv
+    for name, digest in GOLDEN_SCENARIO_FILES.items():
+        assert _sha256(forge.serialize_scenario(cli._PRESET_BUILDERS[name](5, 10**6))) == digest
+    for (family, size), digest in GOLDEN_PRESET_FILES.items():
+        scn = getattr(forge, "scenario_" + family)(size, 5)
+        assert _sha256(forge.serialize_scenario(scn)) == digest
