@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import add
+from operator import add, or_
 
 from .galois import (
     CMGaloisModel,
@@ -148,21 +148,35 @@ def has_qpair_matching(subset, qpairs) -> bool:
 
 
 def _subset_sums(n, points, rows) -> dict:
-    """(size, row-sum vector) -> the masks of the subsets of `points` with that size and sums.
+    """Packed row-sum vector -> the masks of the subsets of `points` with those row sums.
 
-    Each point doubles the list of (size, sums, mask) entries, so every
-    subset costs one vector addition.
+    A vector v packs into the int sum_b v[b] B^b, with B odd and above
+    twice the largest |sum of one row|, so packing is one-to-one on every
+    partial sum, adds like the vectors and sends -v to minus the packed
+    v.  Each point doubles the (sum, mask) lists, so every subset costs
+    one int addition.
     """
-    entries = [(0, (0,) * len(rows), 0)]
+    base = 2 * max(sum(map(abs, row)) for row in rows) + 1
+    sums, masks = [0], [0]
     for i in points:
-        col = tuple(row[i] for row in rows)
+        col = 0
+        for row in reversed(rows):
+            col = col * base + row[i]
         bit = 1 << (n - 1 - i)
-        entries += [(size + 1, tuple(map(add, sums, col)), mask | bit)
-                    for size, sums, mask in entries]
+        sums += [v + col for v in sums]
+        masks += [m | bit for m in masks]
     table = {}
-    for size, sums, mask in entries:
-        table.setdefault((size, sums), []).append(mask)
+    for v, m in zip(sums, masks):
+        table.setdefault(v, []).append(m)
     return table
+
+
+def _by_size(masks) -> dict:
+    """size -> the masks of that many bits."""
+    out = {}
+    for m in masks:
+        out.setdefault(m.bit_count(), []).append(m)
+    return out
 
 
 def tate_subsets(rows, weights) -> dict:
@@ -171,8 +185,9 @@ def tate_subsets(rows, weights) -> dict:
     Point i of the n points is bit n-1-i of a mask, so within one weight
     descending mask order is the lexicographic order of the sorted
     point tuples.  Meet-in-the-middle: the points split into two halves,
-    and a subset passes iff its parts have sizes k, w - k and row sums
-    v, -v.  The two half tables hold 2^(n/2) masks each, so the cost
+    and a subset passes iff its parts have row sums v and -v and sizes
+    adding up to its weight.  `high` is probed once per sum vector v of
+    `low`, and only the matched lists are split by size, so the cost
     follows the output rather than the 2^n subsets.  Weights are taken
     as given; only even ones yield Tate subsets.
     """
@@ -181,56 +196,66 @@ def tate_subsets(rows, weights) -> dict:
     low = _subset_sums(n, range(half), rows)
     high = _subset_sums(n, range(half, n), rows)
     out = {w: [] for w in weights}
-    for (size, vec), parts in low.items():
-        minus = tuple(-v for v in vec)
-        for w, found in out.items():
-            partners = high.get((w - size, minus))
-            if partners:
-                found.extend(lo | hi for lo in parts for hi in partners)
+    for v, los in low.items():
+        his = high.get(-v)
+        if his is None:
+            continue
+        his = _by_size(his).items()
+        for k, parts in _by_size(los).items():
+            for j, partners in his:
+                found = out.get(k + j)
+                if found is not None:
+                    found.extend(lo | hi for lo in parts for hi in partners)
     return out
 
 
-def _byte_tables(n, empty, join, of_bit) -> list:
-    """(shift, table) per byte of an n-bit mask, low byte first.
+def _half_tables(n, empty, join, of_bit) -> tuple:
+    """(low table, high table): the joins of of_bit(j) over the bits j of each half of an n-bit mask.
 
-    table[b] joins of_bit(j) over the bits j of the byte value b, built
-    incrementally: t[b] = join(of_bit(top bit of b), t[b without it]).
+    The low half is bits 0..n/2-1 and the high half the rest; entry b of
+    a table joins the bits set in b.  Each table is built by doubling,
+    one list comprehension per bit: t += [join(of_bit(j), x) for x in t].
     """
     tables = []
-    for shift in range(0, n, 8):
+    for shift, width in ((0, n // 2), (n // 2, n - n // 2)):
         t = [empty]
-        for b in range(1, 1 << min(8, n - shift)):
-            top = b.bit_length() - 1
-            t.append(join(of_bit(shift + top), t[b ^ (1 << top)]))
-        tables.append((shift, t))
-    return tables
+        for j in range(shift, shift + width):
+            v = of_bit(j)
+            t += [join(v, x) for x in t]
+        tables.append(t)
+    return tuple(tables)
 
 
 def _orbit_tables(model: CMGaloisModel) -> tuple:
-    """Per-byte tables of the masks: one image table list per generator, and the point tuples.
+    """Half-mask tables: (low, high) image tables per generator, and (low, high) point tables.
 
-    The point tables run high byte first, so that joining their entries
-    gives the sorted point tuple of a mask.
+    Bit j of a mask is point n-1-j, so the high half holds the smaller
+    points and `high[m >> n/2] + low[m & (2^(n/2) - 1)]` is the sorted
+    point tuple of m.  The image of m under a generator is the or of its
+    two half-table entries.
     """
     n = model.group.degree
     images = [
-        _byte_tables(n, 0, int.__or__, lambda j, gen=gen: 1 << (n - 1 - gen[n - 1 - j]))
+        _half_tables(n, 0, or_, lambda j, gen=gen: 1 << (n - 1 - gen[n - 1 - j]))
         for gen in model.group.generators
     ]
-    points = _byte_tables(n, (), tuple.__add__, lambda j: (n - 1 - j,))[::-1]
-    return images, points
+    points = _half_tables(n, (), add, lambda j: (n - 1 - j,))
+    return n // 2, images, points
 
 
 def _mask_orbits(tables, masks):
     """The G-orbits on a G-stable list of masks, as sorted point tuples in document order.
 
     Each orbit is the connected component of the generator action met
-    first in descending mask order, found by a BFS over ints that acts
-    through the per-byte image tables of `_orbit_tables`.  Its members
+    first in descending mask order, found by a BFS over ints.  A member
+    m is split once into its halves lo and hi; its image under a
+    generator is tlo[lo] | thi[hi] from the half tables of
+    `_orbit_tables`, and its point tuple is phi[hi] + plo[lo].  Members
     come out in descending mask order, which is lexicographic order, so
     the first member is the representative.
     """
-    images, points = tables
+    half, images, (plo, phi) = tables
+    low = (1 << half) - 1
     seen = set()
     for start in sorted(masks, reverse=True):
         if start in seen:
@@ -239,21 +264,15 @@ def _mask_orbits(tables, masks):
         frontier = [start]
         while frontier:
             m = frontier.pop()
-            for gen_tables in images:
-                img = 0
-                for shift, t in gen_tables:
-                    img |= t[(m >> shift) & 255]
+            lo = m & low
+            hi = m >> half
+            for tlo, thi in images:
+                img = tlo[lo] | thi[hi]
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
         seen |= orbit
-        members = []
-        for m in sorted(orbit, reverse=True):
-            member = ()
-            for shift, t in points:
-                member += t[(m >> shift) & 255]
-            members.append(member)
-        yield members
+        yield [phi[m >> half] + plo[m & low] for m in sorted(orbit, reverse=True)]
 
 
 def classify_orbits(

@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf
 
@@ -105,7 +106,10 @@ def _emit_json(doc: dict) -> str:
     """The text of `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte.
 
     `json` runs its pure-Python encoder whenever `indent` is set; this
-    writer emits the same text with a list of plain ints as one join.
+    writer emits the same text with a list of plain ints as one join,
+    and a list of non-empty plain-int lists (an orbit's members) as one
+    join too, with no call per member and each distinct int turned into
+    text once.
     """
     out = []
     _write_json(doc, "\n", out.append)
@@ -120,8 +124,18 @@ def _write_json(value, nl: str, write) -> None:
             write("[]")
             return
         inner = nl + "  "
-        if all(type(x) is int for x in value):  # not isinstance: a bool is no int here
+        types = set(map(type, value))
+        if types == {int}:  # not isinstance: a bool is no int here
             write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            return
+        if types == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            # an orbit holds few distinct points: each is turned into text once
+            text = {x: int.__repr__(x) for x in set(chain.from_iterable(value))}.__getitem__
+            deeper = inner + "  "
+            write("[" + inner + ("," + inner).join(
+                "[" + deeper + ("," + deeper).join(map(text, item)) + inner + "]"
+                for item in value
+            ) + nl + "]")
             return
         sep = "[" + inner
         for item in value:

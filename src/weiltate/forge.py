@@ -516,14 +516,18 @@ def parse_scenario(text: str, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
     except ValueError as exc:
         fail("tau", str(exc))
 
+    # linear in the points, so it runs before the stabilizer chain is built
+    orbits = len(point_orbits(gens, npoints))
+    if orbits != 1:
+        if len(point_orbits(gens + [tau], npoints)) != orbits:  # tau joins two orbits
+            fail("tau", "tau is not an element of the generated group")
+        fail("generators", "group does not act transitively on the 2g indices")
     try:
         group = build_group(npoints, gens, group_cap)
     except CapExceededError as exc:
         raise CapExceededError(f"line {lines['generators']}: field 'generators': {exc}")
     if tau not in group:
         fail("tau", "tau is not an element of the generated group")
-    if len(point_orbits(gens, npoints)) != 1:
-        fail("generators", "group does not act transitively on the 2g indices")
     try:
         model = CMGaloisModel(g=npoints // 2, group=group, tau=tau)
     except ValueError as exc:

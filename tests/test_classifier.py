@@ -10,7 +10,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     classify_orbits_by_walk,
@@ -49,6 +49,7 @@ from weiltate.classifier import (
     report_to_doc,
     structure_check,
     tate_rows,
+    tate_subsets,
     verify_lemma_suite,
     weil_tate_submotives,
 )
@@ -351,6 +352,35 @@ def test_mask_orbits_match_the_frozenset_walk_on_the_presets(name, weights):
         weights = [w for w in weights if w <= scn.model.group.degree]
     report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
     assert report == classify_orbits_by_walk(scn.model, scn.slopes, weights, scn.phi)
+
+
+@pytest.mark.parametrize("name", ["ramified5", "split5"])
+def test_mask_orbits_match_the_frozenset_walk_past_one_byte(name):
+    """g'=5 has 20 points: each half table spans 10 bits, so no half fits in one byte."""
+    scn = PRESETS[name]()
+    report = classify_orbits(scn.model, scn.slopes, weights=[2, 10], phi=scn.phi, subset_cap=20)
+    assert report == classify_orbits_by_walk(scn.model, scn.slopes, [2, 10], scn.phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1,
+                           max_size=3)
+    )
+)
+@example([[1, 1], [-1, 0]])  # sums (2, -1): packed in base 2 they would read 0
+def test_tate_subsets_match_a_scan_of_every_subset(rows):
+    """Any integer rows: the packed sums never merge two different sum vectors."""
+    n = len(rows[0])
+    found = tate_subsets(rows, range(n + 1))
+    for w in range(n + 1):
+        expected = {
+            sum(1 << (n - 1 - i) for i in c)
+            for c in combinations(range(n), w)
+            if all(sum(row[i] for i in c) == 0 for row in rows)
+        }
+        assert sorted(found[w]) == sorted(expected)
 
 
 @settings(max_examples=60, deadline=None)

@@ -374,6 +374,22 @@ def test_scenario_file_with_intransitive_generators_names_the_generators_line(tm
                    "group does not act transitively on the 2g indices\n")
 
 
+def test_large_intransitive_scenario_is_refused_before_the_chain_is_built(tmp_path, capsys,
+                                                                          monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(galois, "StabChain", refuse)
+    path = tmp_path / "wide.scn"
+    path.write_text("points = 200000\ngenerators = (1 2)\ntau = (1 2)\nphi = 1\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == ("scenario parse error: line 2: field 'generators': "
+                   "group does not act transitively on the 2g indices\n")
+
+
 def test_group_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
     monkeypatch.setenv("WEILTATE_GROUP_CAP", "10")
     for preset in (["main", "--g", "6"], ["ramified", "--gp", "3"], ["split", "--gp", "3"]):
@@ -468,6 +484,11 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES)
 @example({"b": [1, True, False, 0, None], "a": {}, "é\"\\\n": [[], [2**70, -3]]})
 @example([[1, 2], [True], [0.5, 1], float("nan"), float("-inf")])
+@example([[1, 2], [], [3]])  # lists of plain-int lists: an empty one leaves the one-join path
+@example([[1], [True]])
+@example([[2**70, -3], [0]])
+@example([[1, 2], 3])
+@example([[[1]], [2]])
 def test_emit_json_matches_json_dumps(tree):
     assert cli._emit_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 

@@ -31,6 +31,9 @@ GOLDEN_ARGV = {
         "b585cdc6ae5f75479e8e12df5bbde1dff1b9411bced10d01791380be9ea78a3a",
     ("classify", "--preset", "split", "--gp", "5", "--cap", "20"):
         "ffc040e8280e9d5a0e1599e8a23bfb4192efb5eeecb6393d94e2e41958b17c82",
+    # 28 points: 14-bit half tables; 4,030,408 bytes
+    ("classify", "--preset", "split", "--gp", "7", "--cap", "28"):
+        "f8e15980693c3ef0f7336dfc5938fdd1998edbfdaa96e8f51979e1f154de149a",
     # the exact commands of the benchmark ladder (perfbench/ladder.py)
     ("classify", "--preset", "main", "--g", "6", "--weights", "0,2,4,6,8,10,12"):
         "4f603a1e39719a7ce8dd4f6fcbdd6c1d0066cd4d180a05d67ea97cb3634422b1",
