@@ -8,11 +8,12 @@ modular arithmetic stays exact (coefficient growth is unbounded
 everywhere else).
 
 Nothing here rounds: real roots are counted by a Sturm chain of
-primitive integer pseudo-remainders, factorization shapes come from
-squarefree decomposition plus distinct-degree splitting (no equal-degree
-step: only degree patterns are ever needed as certificates), and
-irreducibility is Ben-Or's test, which stops at the first factor of
-degree at most half.
+primitive integer pseudo-remainders (the total-reality test stops that
+chain at the first member whose degree or sign rules it out),
+factorization shapes come from squarefree decomposition plus
+distinct-degree splitting (no equal-degree step: only degree patterns
+are ever needed as certificates), and irreducibility is Ben-Or's test,
+which stops at the first factor of degree at most half.
 """
 
 from __future__ import annotations
@@ -63,13 +64,6 @@ def poly_trim(f):
 def poly_degree(f) -> int:
     """Degree of a trimmed polynomial; the zero polynomial has degree -1."""
     return len(f) - 1
-
-
-def poly_add(f, g):
-    n = max(len(f), len(g))
-    return poly_trim(
-        tuple((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n))
-    )
 
 
 def poly_mul(f, g):
@@ -348,32 +342,68 @@ def _sign_changes(signs) -> int:
     return changes
 
 
+def _sturm_chain(f):
+    """The members f, f', ... of the integer Sturm chain of a nonconstant trimmed f, lazily.
+
+    After f and f' the chain continues with -sign(lc b)**(deg a - deg b
+    + 1) * prem(a, b) made primitive: a positive multiple of -rem(a, b),
+    so every member has the signs at -oo and +oo of the rational Sturm
+    chain's, with no fraction ever formed.  A pseudo-remainder that
+    vanishes before a constant is reached raises NotSquarefreeError.
+    """
+    a, b = _primitive(f), _primitive(poly_derivative(f))
+    yield a
+    yield b
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            raise NotSquarefreeError("polynomial is not squarefree over Q")
+        if b[-1] > 0 or (len(a) - len(b)) % 2 == 1:
+            r = tuple(-c for c in r)
+        a, b = b, _primitive(r)
+        yield b
+
+
 def sturm_real_roots(f):
     """Exact count of distinct real roots of a squarefree integer polynomial.
 
-    The chain f, f', ... continues with -sign(lc b)**(deg a - deg b + 1)
-    * prem(a, b) made primitive: a positive multiple of -rem(a, b), so
-    every sign at -oo and +oo, hence the count, is that of the rational
-    Sturm chain, with no fraction ever formed.  A nonconstant
-    gcd(f, f') raises NotSquarefreeError.
+    The count is the sign changes of the whole chain at -oo minus
+    those at +oo.  A nonconstant gcd(f, f') raises NotSquarefreeError.
     """
     f = poly_trim(f)
     if not f:
         raise ValueError("zero polynomial rejected")
     if poly_degree(f) == 0:
         return 0
-    chain = [_primitive(f), _primitive(poly_derivative(f))]
-    while poly_degree(chain[-1]) > 0:
-        a, b = chain[-2], chain[-1]
-        r = _prem(a, b)
-        if not r:
-            raise NotSquarefreeError("polynomial is not squarefree over Q")
-        if b[-1] > 0 or (len(a) - len(b)) % 2 == 1:
-            r = tuple(-c for c in r)
-        chain.append(_primitive(r))
+    chain = list(_sturm_chain(f))
     neg = [_sign_at_infinity(p, positive=False) for p in chain]
     pos = [_sign_at_infinity(p, positive=True) for p in chain]
     return _sign_changes(neg) - _sign_changes(pos)
+
+
+def is_totally_real(f) -> bool:
+    """Whether the integer polynomial f has deg f distinct real roots.
+
+    A chain of m + 1 members has at most m sign changes at -oo, so the
+    count reaches deg f exactly when the chain has members of degrees
+    deg f, deg f - 1, ..., 0 whose leading coefficients all share the
+    sign of f's (the signs at -oo then alternate, those at +oo agree).
+    The chain stops at the first member that breaks this.  A polynomial
+    that is not squarefree has fewer than deg f distinct roots.
+    """
+    f = poly_trim(f)
+    if not f:
+        raise ValueError("zero polynomial rejected")
+    if poly_degree(f) == 0:
+        return True
+    positive = f[-1] > 0
+    try:
+        for k, p in enumerate(_sturm_chain(f)):
+            if len(p) != len(f) - k or (p[-1] > 0) != positive:
+                return False
+    except NotSquarefreeError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ below 1, a subset cap below 2, a budget below 1) is an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -213,7 +214,7 @@ def cmd_forge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_scenario(args, group_cap) -> forge.Scenario:
+def _resolve_scenario(args, group_cap, subset_cap) -> forge.Scenario:
     if args.file is not None and args.preset is not None:
         raise UsageError("--preset and --file are mutually exclusive")
     if args.file is None and args.preset is None:
@@ -231,7 +232,7 @@ def _resolve_scenario(args, group_cap) -> forge.Scenario:
                 text = fh.read()
         except OSError as exc:
             raise forge.ScenarioParseError(f"cannot read {args.file}: {exc}")
-        return forge.parse_scenario(text, group_cap=group_cap)
+        return forge.parse_scenario(text, group_cap=group_cap, subset_cap=subset_cap)
     p = DEFAULT_P if args.p is None else args.p
     if args.preset == "main":
         if args.g is None:
@@ -343,7 +344,7 @@ def cmd_classify(args) -> int:
         except ValueError:
             raise UsageError(f"--weights takes comma-separated integers, got {args.weights!r}")
     group_cap, subset_cap = _group_cap(), _subset_cap(args.cap)
-    scn = _resolve_scenario(args, group_cap)
+    scn = _resolve_scenario(args, group_cap, subset_cap)
     doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
     if args.format == "json":
         sys.stdout.write(_emit_json(doc))
@@ -466,7 +467,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="weiltate",
         description="forge number-field certificates and classify Tate/Lefschetz/exotic "

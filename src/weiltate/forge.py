@@ -24,7 +24,7 @@ from .algebra import (
     gf_is_irreducible,
     gf_mul,
     is_prime,
-    poly_add,
+    is_totally_real,
     poly_mul,
     poly_trim,
     sturm_real_roots,
@@ -231,9 +231,13 @@ def forge_totally_real(
     """Monic degree-g integer polynomial, totally real, with S_g certificates.
 
     Residue targets (irreducible mod p and mod l; g-2 distinct roots
-    plus an irreducible quadratic mod l') are CRT-combined, then the
-    spread target T = prod(x - M K i) absorbs a centered correction;
-    the spread constant K escalates until the Sturm count reaches g.
+    plus an irreducible quadratic mod l') are CRT-combined into a base
+    with coefficients in [0, M), then the spread target
+    T = prod(x - M K i) absorbs the centered correction base - T mod M,
+    built once since it does not depend on K.  K escalates until the
+    polynomial is totally real: `is_totally_real` rejects a spread at
+    the first Sturm chain member whose degree or sign rules it out, and
+    its success proves the real-root count g that is certified.
     Distinct seeds draw distinct residue targets.
     """
     if g < 2 or g % 2 != 0:
@@ -253,21 +257,19 @@ def forge_totally_real(
     modulus = p * l * lp
     base = crt_poly([(p, target_p), (l, target_l), (lp, target_lp)], g)
 
+    # every non-leading coefficient of prod(x - M K i) is a multiple of M,
+    # so the centered correction base - T mod M is base centered, for every K
+    centered = tuple(c - modulus if c > modulus // 2 else c for c in base[:g])
+    unit = (1,)  # prod(x - i): T has the coefficients unit[k] * (M K)**(g - k)
+    for i in range(1, g + 1):
+        unit = poly_mul(unit, (-i, 1))
     spread = 1
     for _ in range(retry_budget):
-        t = (1,)
-        for i in range(1, g + 1):
-            t = poly_mul(t, (-modulus * spread * i, 1))
-        correction = []
-        for k in range(g):
-            delta = (base[k] - (t[k] if k < len(t) else 0)) % modulus
-            if delta > modulus // 2:
-                delta -= modulus
-            correction.append(delta)
-        poly = poly_add(t, tuple(correction))
-        real_roots = _real_root_count(poly)
-        if real_roots == g:
-            certs = _certificates(poly, g, p, l, lp, real_roots)
+        scale = modulus * spread
+        poly = tuple(u * scale ** (g - k) + c for k, (u, c) in enumerate(zip(unit, centered)))
+        poly += (1,)
+        if is_totally_real(poly):
+            certs = _certificates(poly, g, p, l, lp, g)
             if not (
                 certs.galois_is_sg
                 and tuple(certs.pattern_at_p) == ((g, 1),)
@@ -463,8 +465,14 @@ _SCENARIO_FIELDS = {
 }
 
 
-def parse_scenario(text: str, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
-    """Parse the scenario file format (key = value lines, # comments)."""
+def parse_scenario(
+    text: str, group_cap: int = DEFAULT_GROUP_CAP, subset_cap: int = None
+) -> Scenario:
+    """Parse the scenario file format (key = value lines, # comments).
+
+    With a `subset_cap`, a file with more points than the cap is refused
+    as soon as `points` is read, before any group is built from it.
+    """
     fields = {}
     lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -497,6 +505,9 @@ def parse_scenario(text: str, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
         fail("points", f"not an integer: {fields['points']!r}")
     if npoints < 2 or npoints % 2 != 0:
         fail("points", f"must be a positive even integer, got {npoints}")
+    if subset_cap is not None and npoints > subset_cap:
+        raise CapExceededError(f"line {lines['points']}: field 'points': "
+                               f"2g = {npoints} exceeds the subset cap {subset_cap}")
 
     def parse_perm_list(key):
         out = []

@@ -5,9 +5,12 @@ frozensets, group elements or cosets, builds one matrix column per
 group element, runs a Sturm chain over the rationals or reads
 irreducibility off the full factorization pattern, with no linear
 shortcut, no block system, no bit mask, no pseudo-remainder and no
-early exit.
+early exit.  The forge loop rebuilds its spread target for every spread
+and counts real roots with the whole integer Sturm chain, which is
+itself held to the rational one.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -16,11 +19,14 @@ from weiltate.algebra import (
     NotSquarefreeError,
     _sign_at_infinity,
     _sign_changes,
+    crt_poly,
     factor_degree_pattern,
     gf_reduce,
     poly_degree,
     poly_derivative,
+    poly_mul,
     poly_trim,
+    sturm_real_roots,
 )
 from weiltate.classifier import (
     SCHT_APPLICABLE,
@@ -36,6 +42,12 @@ from weiltate.classifier import (
     weil_tate_submotives,
 )
 from weiltate.cmtypes import hodge_type, is_balanced
+from weiltate.forge import (
+    ForgedField,
+    _random_irreducible,
+    _random_transposition_target,
+    compute_certificates,
+)
 from weiltate.galois import CMGaloisModel, Perm, PermGroup, compose, identity, subgroup_closure
 from weiltate.slopes import validate_slopes
 
@@ -394,9 +406,49 @@ def irreducible_by_pattern(f, l) -> bool:
     return d >= 1 and pattern == [(d, 1)]
 
 
+def poly_add(f, g):
+    """f + g, coefficient by coefficient, trimmed."""
+    n = max(len(f), len(g))
+    return poly_trim(
+        tuple((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n))
+    )
+
+
 def poly_eval(f, x):
     """f(x) by Horner's rule, over the integers."""
     acc = 0
     for c in reversed(f):
         acc = acc * x + c
     return acc
+
+
+def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = 64):
+    """`forge_totally_real` as first written: for each spread K, rebuild
+    T = prod(x - M K i) by multiplication, add the centered correction
+    base - T mod M, and count the real roots with the full Sturm chain.
+    """
+    rng = random.Random(f"{seed}:{g}:{p}:{l}:{lp}")
+    target_p = _random_irreducible(g, p, rng)
+    target_l = _random_irreducible(g, l, rng)
+    target_lp = _random_transposition_target(g, lp, rng)
+    modulus = p * l * lp
+    base = crt_poly([(p, target_p), (l, target_l), (lp, target_lp)], g)
+    spread = 1
+    for _ in range(retry_budget):
+        t = (1,)
+        for i in range(1, g + 1):
+            t = poly_mul(t, (-modulus * spread * i, 1))
+        correction = []
+        for k in range(g):
+            delta = (base[k] - t[k]) % modulus
+            correction.append(delta - modulus if delta > modulus // 2 else delta)
+        poly = poly_add(t, tuple(correction))
+        try:
+            real_roots = sturm_real_roots(poly)
+        except NotSquarefreeError:
+            real_roots = -1
+        if real_roots == g:
+            return ForgedField(g=g, p=p, l=l, lp=lp, seed=seed, poly=poly, spread=spread,
+                               certificates=compute_certificates(poly, g, p, l, lp))
+        spread *= 2
+    raise RuntimeError("no totally real polynomial within the budget")

@@ -215,6 +215,26 @@ def test_verify_lemma_fail_exit_code(capsys, monkeypatch):
     assert code == cli.EXIT_LEMMA_FAIL
 
 
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_one_process_answers_as_fresh_calls_do(capsys):
+    argvs = (
+        ["forge", "--g", "4", "--nope"],
+        ["forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11", "--format", "json"],
+        ["classify", "--preset", "split", "--gp", "3", "--format", "json"],
+    )
+    in_one = [run_cli(capsys, argv)[:2] for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv)[:2])
+    assert in_one == fresh
+    assert [code for code, _ in in_one] == [cli.EXIT_USAGE, 0, 0]
+    assert in_one[0][1] == "" and in_one[1][1] and in_one[2][1]
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["classify", "--format", "yaml"]) == cli.EXIT_USAGE
     assert cli.main(["nonsense"]) == cli.EXIT_USAGE
@@ -383,11 +403,42 @@ def test_large_intransitive_scenario_is_refused_before_the_chain_is_built(tmp_pa
     path = tmp_path / "wide.scn"
     path.write_text("points = 200000\ngenerators = (1 2)\ntau = (1 2)\nphi = 1\n",
                     encoding="utf-8")
-    code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
+    # the subset cap admits the points, so the transitivity check is what refuses the file
+    code, out, err = run_cli(capsys, ["classify", "--file", str(path), "--cap", "200000"])
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err == ("scenario parse error: line 2: field 'generators': "
                    "group does not act transitively on the 2g indices\n")
+
+
+def test_scenario_over_the_subset_cap_is_refused_before_the_chain_is_built(tmp_path, capsys,
+                                                                           monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(galois, "StabChain", refuse)
+    path = tmp_path / "long.scn"
+    cycle = "(" + " ".join(map(str, range(1, 2001))) + ")"
+    # transitive, and malformed on a later line: the cap refuses it first
+    path.write_text(f"# a 2000-cycle\npoints = 2000\ngenerators = {cycle}\ntau = {cycle}\n"
+                    "phi = 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
+    assert code == cli.EXIT_CAP
+    assert out == ""
+    assert err == ("cap exceeded: line 2: field 'points': "
+                   "2g = 2000 exceeds the subset cap 16\n")
+    code, _, err = run_cli(capsys, ["classify", "--file", str(path), "--cap", "1998"])
+    assert code == cli.EXIT_CAP
+    assert "2g = 2000 exceeds the subset cap 1998" in err
+
+
+def test_parse_scenario_without_a_subset_cap_reads_any_number_of_points():
+    scn = forge.scenario_ramified(3, 5)
+    text = serialize_scenario(scn)
+    assert forge.parse_scenario(text).model.group.degree == 12
+    assert forge.parse_scenario(text, subset_cap=12).model.group.degree == 12
+    with pytest.raises(galois.CapExceededError, match="2g = 12 exceeds the subset cap 10"):
+        forge.parse_scenario(text, subset_cap=10)
 
 
 def test_group_cap_env_applies_to_every_preset_family(capsys, monkeypatch):

@@ -97,15 +97,19 @@ def test_forge_reductions_match_targets():
 
 def test_forge_counts_real_roots_once_per_spread(monkeypatch):
     counted = []
-    sturm = weiltate.forge.sturm_real_roots
+    totally_real = weiltate.forge.is_totally_real
 
     def counting(poly):
         counted.append(poly)
-        return sturm(poly)
+        return totally_real(poly)
 
-    monkeypatch.setattr(weiltate.forge, "sturm_real_roots", counting)
+    def no_sturm(poly):
+        raise AssertionError("the forge loop needs no full real-root count")
+
+    monkeypatch.setattr(weiltate.forge, "is_totally_real", counting)
+    monkeypatch.setattr(weiltate.forge, "sturm_real_roots", no_sturm)
     f = forge_totally_real(12, 5, 13, 17, seed=0)
-    # spreads 1, 2, 4, ..., f.spread: one Sturm count each, the accepted one reused
+    # spreads 1, 2, 4, ..., f.spread: one total-reality test each, the accepted one proves g roots
     assert len(counted) == f.spread.bit_length() == 18
     assert len(set(counted)) == len(counted)
     assert f.certificates.real_root_count == 12

@@ -2,7 +2,10 @@
 
 `sturm_real_roots` (primitive integer pseudo-remainders) must give the
 count and the squarefree verdict of the rational Sturm chain
-`oracles.sturm_by_fractions`; `gf_is_irreducible` (Ben-Or, early exit)
+`oracles.sturm_by_fractions`, and `is_totally_real` (the same chain,
+stopped at the first member whose degree or sign rules out deg f real
+roots) must say whether that count is deg f; `forge_totally_real`
+must forge what `oracles.forge_by_definition` forges; `gf_is_irreducible` (Ben-Or, early exit)
 must agree with the full degree pattern `oracles.irreducible_by_pattern`.
 The draws cover what the sign rule -sign(lc b)**(deg a - deg b + 1)
 depends on (negative and non-unit leading coefficients, sparse
@@ -14,17 +17,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import irreducible_by_pattern, sturm_by_fractions
+from oracles import (
+    forge_by_definition,
+    irreducible_by_pattern,
+    poly_add,
+    sturm_by_fractions,
+)
 from weiltate.algebra import (
     NotSquarefreeError,
     count_distinct_roots_mod,
     factor_degree_pattern,
     gf_is_irreducible,
-    poly_add,
+    is_totally_real,
+    poly_degree,
     poly_mul,
     poly_trim,
     sturm_real_roots,
 )
+from weiltate.forge import forge_totally_real
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 LEADS = st.integers(-12, 12).filter(bool)
@@ -79,6 +89,36 @@ def forge_shaped(draw):
 @example((0,))
 def test_integer_sturm_matches_the_fraction_chain(f):
     assert _outcome(sturm_real_roots, f) == _outcome(sturm_by_fractions, f)
+
+
+def _totally_real_by_count(f):
+    try:
+        return sturm_by_fractions(f) == poly_degree(poly_trim(f))
+    except NotSquarefreeError:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(integer_polys(), non_squarefree_polys(), forge_shaped()))
+@example((-2, 0, 1))
+@example((0, 3, 0, -1))  # -x^3 + 3x: negative leading coefficient, three roots
+@example((0, -3, 0, 1))  # x^3 - 3x
+@example((1, 0, -2, 0, 1))  # (x^2 - 1)^2: squarefree part totally real, f not squarefree
+@example((0, 5, 0, 0, 1))  # x^4 + 5x: the chain drops from degree 3 to 1
+@example((-1, 0, 0, 0, 0, 0, 1))  # x^6 - 1: two real roots of six
+@example((1,))
+@example((-3,))
+@example((0,))
+def test_total_reality_matches_the_full_count(f):
+    assert _outcome(is_totally_real, f) == _outcome(_totally_real_by_count, f)
+
+
+@pytest.mark.parametrize("g", [4, 6, 8, 10, 12])
+def test_forge_matches_the_definitional_loop(g):
+    # p, l and l' of the benchmark's forge rungs: 5 and the two smallest primes above g other than 5
+    l, lp = {4: (7, 11), 6: (7, 11), 8: (11, 13), 10: (11, 13), 12: (13, 17)}[g]
+    for seed in range(5):
+        assert forge_totally_real(g, 5, l, lp, seed) == forge_by_definition(g, 5, l, lp, seed)
 
 
 @st.composite
