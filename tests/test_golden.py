@@ -51,6 +51,10 @@ GOLDEN_ARGV = {
         "f23123bf2e935173e7e2e68486af28058366b284b47192479bfae578f2035200",
     ("verify", "--random", "20", "--g", "3"):
         "e36817a20de3d4c81d238738687aaf1af042eb3edb043737d0f36032af34c703",
+    ("verify", "--random", "5", "--g", "3", "--g", "4"):
+        "c0b3faa58e03a531118e877862922b491574732765ef63598f1be677f8286119",
+    ("verify", "--random", "1", "--g", "5"):
+        "8efb7ac46369c57a11920cff5aea4d83ef41073b169143e05c86bdf7f2d629b0",
 }
 
 GOLDEN_FORGE = {
