@@ -22,10 +22,10 @@ from .galois import (
 )
 from .slopes import (
     SlopeVector,
-    fix_of_slope,
     frobenius_rank,
     is_p_potentially_in,
     minimal_field_index,
+    signature_block,
     slopes_from_cm_type,
 )
 from .cmtypes import CMType, PlacePrescription, enumerate_cm_types, hodge_type, is_balanced

@@ -421,7 +421,7 @@ def _blocks_in_coset_order(model: CMGaloisModel, label, point) -> list:
     Blocks are class labels, with the class S of index 1 labelled 0
     and point[B] some index in B; block B stands for the coset
     {g : g(S) = B} of the setwise stabilizer of S.  The canonical order
-    (`PermGroup.elements`, breadth-first from the identity; no element
+    (`reference.elements`, breadth-first from the identity; no element
     is listed here) is the shortlex order of the least generator words
     w = w_1 ... w_k (acting as w_1 after ... after w_k), so the first
     element meeting the coset of B is the shortlex-least word with

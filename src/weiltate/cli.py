@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import random
 import sys
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf
@@ -32,23 +30,8 @@ from .classifier import (
     report_to_doc,
     verify_lemma_suite,
 )
-from .galois import (
-    DEFAULT_GROUP_CAP,
-    CapExceededError,
-    block_subgroup,
-    cm_product_group,
-    format_perm,
-    index2_point_sets,
-)
-from .slopes import (
-    SlopeVector,
-    fix_of_slope,
-    fixer_by_definition,
-    frobenius_rank,
-    is_p_potentially_in,
-    minimal_field_index,
-    potential_by_valuation_grouping,
-)
+from .galois import DEFAULT_GROUP_CAP, CapExceededError, format_perm
+from .slopes import frobenius_rank, minimal_field_index
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -365,50 +348,6 @@ _PRESET_BUILDERS = {
 }
 
 
-def random_admissible_slopes(model, rng: random.Random) -> SlopeVector:
-    """Random exact slopes with s_i + s_tau(i) = 1 (no D constraint)."""
-    g = model.g
-    values = [None] * (2 * g)
-    for i in range(g):
-        den = rng.choice([1, 2, 3, 4, 6])
-        v = Fraction(rng.randint(0, den), den)
-        values[i] = v
-        values[model.tau[i]] = 1 - v
-    return SlopeVector(tuple(values))
-
-
-def slope_oracle_rows(g: int, count: int, seed: int, group_cap: int = DEFAULT_GROUP_CAP):
-    """Agreement of the Fix/potential machinery with the definitional oracles."""
-    model = cm_product_group(g, cap=group_cap)
-    H = block_subgroup(model.group, {0})
-    subgroups = [block_subgroup(model.group, points) for points in index2_point_sets(model.group)]
-    rng = random.Random(seed)
-    rows = []
-    for k in range(count):
-        s = random_admissible_slopes(model, rng)
-        fix = fix_of_slope(model, s)
-        checks = {
-            "fixer_matches_definition": fix == fixer_by_definition(model, s),
-            "minimal_index_divides_2g": (2 * g) % minimal_field_index(model, s) == 0,
-        }
-        potential_ok = True
-        for Z in subgroups + [H, frozenset(model.group.elements), fix]:
-            if not H <= Z:
-                continue
-            if is_p_potentially_in(model, s, Z) != potential_by_valuation_grouping(model, s, Z):
-                potential_ok = False
-        checks["potential_matches_grouping"] = potential_ok
-        rows.append(
-            {
-                "instance": f"random-g{g}-{k}",
-                "slopes": s.serialize().split(),
-                "checks": checks,
-                "all_pass": all(checks.values()),
-            }
-        )
-    return rows
-
-
 def cmd_verify(args) -> int:
     doc = {"schema": "weiltate.verify/1", "lemmas": [], "oracles": []}
     failed = False
@@ -438,6 +377,8 @@ def cmd_verify(args) -> int:
             failed = True
 
     if args.random is not None:
+        from .reference import slope_oracle_rows  # the only command that lists a group
+
         for g in args.random_g:
             rows = slope_oracle_rows(g, args.random, args.seed, group_cap)
             doc["oracles"].extend(rows)

@@ -3,10 +3,9 @@
 Points are 0-based internally; every serialized form (cycle notation,
 index lists) is 1-based.  A group is carried by its generators and a
 stabilizer chain on the base 1..2g (`StabChain`), which gives its order
-and membership without listing it.  Its element list, in breadth-first
-discovery order from the identity, is built only on demand: by the
-element-set API of Fix and p-potential membership, by the oracle rows
-of `verify` and by the brute-force oracles.  A subgroup is carried by
+and membership without listing it; the element list and the subgroups
+as element sets live in `weiltate.reference`, which only the oracle rows
+of `verify --random` and the tests import.  A subgroup is carried by
 the smallest data that fixes it: one above Stab(1) by its point block,
 the decomposition group D by its generators; the generator lists of a
 document are read off their chains.  The classification works on the
@@ -232,9 +231,9 @@ class PermGroup:
     """A permutation group on {1..n} (0-based inside), carried by its stabilizer chain.
 
     `order` and membership come from the chain.  `elements` lists the
-    group on first use, in breadth-first discovery order from the
-    identity with the generators applied on the right, in the order
-    given; only the element-set API and the oracles read it.
+    group on first use through `reference.elements`; it is kept for
+    tools that count a group by listing it, and the program reads none
+    of it.
     """
 
     degree: int
@@ -251,21 +250,9 @@ class PermGroup:
 
     @cached_property
     def elements(self) -> tuple:
-        return _breadth_first_elements(self.degree, self.generators)
+        from .reference import elements  # loaded only when something lists a group
 
-
-def _breadth_first_elements(n: int, generators) -> tuple:
-    """Every element of <generators>, breadth-first from the identity."""
-    ident = identity(n)
-    elements = [ident]
-    seen = {ident}
-    for e in elements:  # grows while it is walked
-        for gen in generators:
-            c = compose(e, gen)
-            if c not in seen:
-                seen.add(c)
-                elements.append(c)
-    return tuple(elements)
+        return elements(self)
 
 
 def point_orbits(perms, n: int) -> tuple:
@@ -308,22 +295,6 @@ def _in_group(group: PermGroup, generators) -> tuple:
         if g not in group:
             raise ValueError(f"generator {format_perm(g)} is not in the group")
     return gens
-
-
-def subgroup_closure(group: PermGroup, generators) -> frozenset:
-    """Closure of some group elements, verified to stay inside `group`."""
-    sub = build_group(group.degree, _in_group(group, generators), cap=group.order)
-    return frozenset(sub.elements)
-
-
-def block_subgroup(group: PermGroup, points) -> frozenset:
-    """The subgroup {e : e(1) in points} above Stab(1) that `points` cuts out.
-
-    Precondition: `points` is a block of the transitive `group` that
-    contains index 1 (0-based 0).  The subgroups Z >= Stab(1) are
-    exactly these, Z the setwise stabilizer of its block Z(1).
-    """
-    return frozenset(e for e in group.elements if e[0] in points)
 
 
 def subgroup_generators(sub: StabChain) -> list:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .galois import CMGaloisModel, block_subgroup, compose, subgroup_closure
+from .galois import CMGaloisModel
 
 
 @dataclass(frozen=True)
@@ -94,36 +94,28 @@ def signature_classes(model: CMGaloisModel, s: SlopeVector) -> tuple:
 
 
 def signature_block(model: CMGaloisModel, s: SlopeVector) -> frozenset:
-    """The class S of index 1: the indices x with s[g(x)] = s[g(1)] for every g."""
+    """The class S of index 1: the indices x with s[g(x)] = s[g(1)] for every g.
+
+    S is Fix as a point block: Fix = {sigma : sigma(1) in S}, the
+    subgroup fixing the valuation vector of pi.
+    """
     return frozenset(x for x, c in enumerate(signature_classes(model, s)) if c == 0)
 
 
-def fix_of_slope(model: CMGaloisModel, s: SlopeVector) -> frozenset:
-    """Subgroup fixing the valuation vector of pi: {sigma : s[g sigma(1)] = s[g(1)] for all g}.
+def is_p_potentially_in(model: CMGaloisModel, s: SlopeVector, block) -> bool:
+    """Whether some power of pi lies in the subfield fixed by Z = {g : g(1) in block}.
 
-    Only sigma(1) matters, so the fixer is {sigma : sigma(1) in S} for
-    the signature block S of index 1 (`signature_block`).  Always a
-    subgroup containing H.
+    A subgroup Z above H = Stab(1) is carried by its block Z(1), which
+    holds index 1.  Fix is cut out by the signature block S, so Z <= Fix
+    iff the block lies in S.
     """
+    block = frozenset(block)
+    if 0 not in block:
+        raise ValueError("the block does not hold index 1, so it cuts out no subgroup above H")
+    if not block <= frozenset(range(model.group.degree)):
+        raise ValueError(f"the block holds a point outside 1..{model.group.degree}")
     validate_slopes(model, s)
-    return block_subgroup(model.group, signature_block(model, s))
-
-
-def is_p_potentially_in(model: CMGaloisModel, s: SlopeVector, Z) -> bool:
-    """Whether some power of pi lies in the subfield fixed by Z (H <= Z).
-
-    That is Z <= Fix, i.e. z(1) lies in the signature block of index 1
-    for every z in Z.
-    """
-    Z = frozenset(tuple(z) for z in Z)
-    if not block_subgroup(model.group, {0}) <= Z:
-        raise ValueError("Z does not contain H, so it fixes no subfield of L")
-    for z in Z:
-        if z not in model.group:
-            raise ValueError("Z is not a subset of the group")
-    validate_slopes(model, s)
-    S = signature_block(model, s)
-    return all(z[0] in S for z in Z)
+    return block <= signature_block(model, s)
 
 
 def minimal_field_index(model: CMGaloisModel, s: SlopeVector) -> int:
@@ -176,37 +168,3 @@ def frobenius_rank(model: CMGaloisModel, s: SlopeVector) -> int:
     """Dimension of the span of the 2g slope functions, minus one."""
     validate_slopes(model, s)
     return len(conjugate_slope_basis(model, s)) - 1
-
-
-# --- reference oracles (the definitional brute-force route) ---------------
-
-
-def fixer_by_definition(model: CMGaloisModel, s: SlopeVector) -> frozenset:
-    """Fix computed straight from the definition, one double loop over G."""
-    out = []
-    for sigma in model.group.elements:
-        if all(s[compose(g, sigma)[0]] == s[g[0]] for g in model.group.elements):
-            out.append(sigma)
-    return frozenset(out)
-
-
-def potential_by_valuation_grouping(model: CMGaloisModel, s: SlopeVector, Z) -> bool:
-    """p-potential membership by grouping valuations over the subfield.
-
-    Partitions G into the double cosets D g Z (valuations of the closure
-    refining a fixed valuation of the subfield cut out by Z) and demands
-    the slope function g -> s[g(1)] be constant on each class.  Without
-    a decomposition subgroup the classes degenerate to the cosets g Z,
-    which tests the same condition since slopes are block-constant.
-    """
-    Z = frozenset(tuple(z) for z in Z)
-    D = subgroup_closure(model.group, model.D_generators or ())
-    anchors = sorted({z[0] for z in Z})
-    for g in model.group.elements:
-        base = s[g[0]]
-        for d in D:
-            dg = compose(d, g)
-            for x in anchors:
-                if s[dg[x]] != base:
-                    return False
-    return True

@@ -48,15 +48,9 @@ from weiltate.forge import (
     _random_transposition_target,
     compute_certificates,
 )
-from weiltate.galois import CMGaloisModel, Perm, PermGroup, compose, identity, subgroup_closure
+from weiltate.galois import CMGaloisModel, PermGroup, _inverse, compose, identity
+from weiltate.reference import elements, subgroup_closure
 from weiltate.slopes import validate_slopes
-
-
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def orbit_of_subset(model: CMGaloisModel, subset) -> list:
@@ -181,30 +175,31 @@ def rational_rank(matrix) -> int:
 def frobenius_rank_by_matrix(model, s) -> int:
     """Rank of the matrix with one column s∘g per distinct conjugate, minus one."""
     n = model.group.degree
-    columns = sorted({tuple(s[g[x]] for x in range(n)) for g in model.group.elements})
+    columns = sorted({tuple(s[g[x]] for x in range(n)) for g in elements(model.group)})
     return rational_rank([[col[x] for col in columns] for x in range(n)]) - 1
 
 
 def fix_by_signatures_over_group(model, s) -> frozenset:
     """Fix as the preimage of the signature class of index 1, signatures taken over all of G."""
     validate_slopes(model, s)
-    base_sig = tuple(s[g[0]] for g in model.group.elements)
+    listed = elements(model.group)
+    base_sig = tuple(s[g[0]] for g in listed)
     same = set()
     for x in range(model.group.degree):
-        if tuple(s[g[x]] for g in model.group.elements) == base_sig:
+        if tuple(s[g[x]] for g in listed) == base_sig:
             same.add(x)
-    return frozenset(sigma for sigma in model.group.elements if sigma[0] in same)
+    return frozenset(sigma for sigma in listed if sigma[0] in same)
 
 
-def verify_subgroup(group: PermGroup, elements) -> frozenset:
+def verify_subgroup(group: PermGroup, members) -> frozenset:
     """Check subgroup axioms inside `group`; returns the verified frozenset."""
-    sub = frozenset(tuple(e) for e in elements)
+    sub = frozenset(tuple(e) for e in members)
     if identity(group.degree) not in sub:
         raise ValueError("subgroup does not contain the identity")
     for a in sub:
         if a not in group:
             raise ValueError("subgroup element lies outside the group")
-        if inverse(a) not in sub:
+        if _inverse(a) not in sub:
             raise ValueError("subgroup is not closed under inverse")
         for b in sub:
             if compose(a, b) not in sub:
@@ -293,18 +288,14 @@ def orbits_by_walk(D, degree: int) -> tuple:
 
 
 def left_cosets(group, sub):
-    """Canonical left cosets e*sub: representatives in discovery order."""
+    """Left cosets e*sub, each listed whole at its first element, the representative."""
     reps = []
-    key_to_id = {}
     coset_of = {}
-    for e in group.elements:
-        key = min(compose(e, z) for z in sub)
-        cid = key_to_id.get(key)
-        if cid is None:
-            cid = len(reps)
-            key_to_id[key] = cid
+    for e in elements(group):
+        if e not in coset_of:
+            for z in sub:
+                coset_of[compose(e, z)] = len(reps)
             reps.append(e)
-        coset_of[e] = cid
     return reps, coset_of
 
 

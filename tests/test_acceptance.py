@@ -22,16 +22,19 @@ from weiltate.classifier import (
     verify_lemma_suite,
     weil_tate_submotives,
 )
-from weiltate.cli import classify_scenario_doc, slope_oracle_rows
+from weiltate.cli import classify_scenario_doc
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
-from weiltate.galois import block_subgroup
-from weiltate.slopes import (
-    fix_of_slope,
+from weiltate.reference import (
+    block_subgroup,
     fixer_by_definition,
+    potential_by_valuation_grouping,
+    slope_oracle_rows,
+)
+from weiltate.slopes import (
     frobenius_rank,
     is_p_potentially_in,
     minimal_field_index,
-    potential_by_valuation_grouping,
+    signature_block,
 )
 
 HALF = Fraction(1, 2)
@@ -89,16 +92,15 @@ def test_criterion_3_ramified3_invariants_and_exotic():
 
     entries = weil_tate_submotives(scn.model, scn.slopes)
     assert len(entries) == 2
-    fix = fix_of_slope(scn.model, scn.slopes)
-    subgroups = {e: block_subgroup(scn.model.group, e.determinant_set) for e in entries}
-    in_frobenius_field = [e for e in entries if fix <= subgroups[e]]
+    S = signature_block(scn.model, scn.slopes)
+    in_frobenius_field = [e for e in entries if S <= set(e.determinant_set)]
     assert len(in_frobenius_field) == 1  # the unique imaginary quadratic subfield of F
     (inner,) = in_frobenius_field
     assert inner.is_tate and inner.is_exotic
     exotic_orbit = {frozenset(m) for m in exotic.orbit}
     assert frozenset(inner.determinant_set) in exotic_orbit
 
-    (outer,) = [e for e in entries if not fix <= subgroups[e]]
+    (outer,) = [e for e in entries if not S <= set(e.determinant_set)]
     assert outer.is_tate and outer.is_lefschetz_bearing and not outer.is_exotic
     report("3 (ramified g'=3: invariants {1/2,1/2,0}, m=2, unique exotic = det over Q1, "
            "second determinant Tate but Lefschetz)")
@@ -130,14 +132,13 @@ def test_criterion_6_slope_oracle_equivalence():
     for scn in (scenario_main(4, 5), scenario_main(6, 5), scenario_ramified(3, 5),
                 scenario_split(3, 5)):
         model, s = scn.model, scn.slopes
-        fix = fix_of_slope(model, s)
+        fix = block_subgroup(model.group, signature_block(model, s))
         assert fix == fixer_by_definition(model, s)
         assert (model.group.degree) % minimal_field_index(model, s) == 0
         H = block_subgroup(model.group, {0})
         for Z in index2_overgroups(model.group, H) + [H, fix]:
-            assert is_p_potentially_in(model, s, Z) == potential_by_valuation_grouping(
-                model, s, Z
-            )
+            expected = potential_by_valuation_grouping(model, s, Z)
+            assert is_p_potentially_in(model, s, {z[0] for z in Z}) == expected
     # 100 seeded random admissible slope vectors per degree
     mismatches = 0
     total = 0

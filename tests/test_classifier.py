@@ -27,6 +27,7 @@ from oracles import (
 
 import weiltate.classifier
 import weiltate.galois
+import weiltate.reference
 import weiltate.slopes
 from weiltate.classifier import (
     FAIL,
@@ -59,21 +60,18 @@ from weiltate.galois import (
     CMGaloisModel,
     CapExceededError,
     StabChain,
-    block_subgroup,
     build_group,
     cm_product_group,
     compose,
     cycles_to_perm,
     index2_point_sets,
     parse_perm,
-    subgroup_closure,
     subgroup_generators,
 )
+from weiltate.reference import block_subgroup, elements, fixer_by_definition, subgroup_closure
 from weiltate.slopes import (
     SlopeVector,
     conjugate_slope_basis,
-    fix_of_slope,
-    fixer_by_definition,
     frobenius_rank,
     is_p_potentially_in,
     minimal_field_index,
@@ -111,7 +109,7 @@ def supersingular_degree2_model():
     tau = cycles_to_perm(2, [(1, 2)])
     group = build_group(2, [tau])
     model = CMGaloisModel(g=1, group=group, tau=tau)
-    return model.with_decomposition(frozenset(group.elements))
+    return model.with_decomposition(elements(group))
 
 
 # --- is_tate_subset ----------------------------------------------------------
@@ -337,7 +335,7 @@ def test_block_subgroup_is_the_subgroup_above_h_of_its_block(case):
     G = model.group
     for P in index2_point_sets(G) + [signature_block(model, s)]:
         Z = block_subgroup(G, P)
-        assert Z == frozenset(e for e in G.elements if e[0] in P)
+        assert Z == frozenset(e for e in elements(G) if e[0] in P)
         if model.g <= 4:  # the oracle is |Z|^2 compositions
             assert verify_subgroup(G, Z) == Z
         assert block_subgroup(G, {0}) <= Z
@@ -425,7 +423,7 @@ def signed_groups(draw):
 @settings(max_examples=60, deadline=None)
 @given(signed_groups(), st.data())
 def test_chain_order_and_membership_match_the_listing(G, data):
-    listed = set(G.elements)
+    listed = set(elements(G))
     assert G.order == len(listed)
     n = G.degree
     word = data.draw(st.lists(st.sampled_from(G.generators), max_size=8)) if G.generators else []
@@ -459,7 +457,7 @@ def test_chain_generators_match_the_greedy_over_the_listing(case, data):
         listed = block_subgroup(G, P)
         assert Z.order == len(listed) == G.order * len(P) // G.degree
         assert subgroup_generators(Z) == subgroup_generators_by_listing(G, listed)
-    dgens = data.draw(st.lists(st.sampled_from(G.elements), max_size=3))
+    dgens = data.draw(st.lists(st.sampled_from(elements(G)), max_size=3))
     D = StabChain(G.degree, dgens)
     assert subgroup_generators(D) == subgroup_generators_by_listing(G, subgroup_closure(G, dgens))
 
@@ -472,8 +470,8 @@ def test_classify_and_honda_tate_list_no_group_element(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a subgroup was listed")
 
-    for module in (weiltate.galois, weiltate.classifier):
-        for name in ("build_group", "subgroup_closure", "block_subgroup"):
+    for module in (weiltate.galois, weiltate.classifier, weiltate.reference):
+        for name in ("build_group", "elements", "subgroup_closure", "block_subgroup"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for scn, (report, end) in zip(built, expected):
@@ -739,15 +737,11 @@ def test_honda_tate_dimension_identity():
         assert lcm == end.index
 
 
-DIFF_MODELS = {g: cm_product_group(g) for g in (2, 3, 4, 5)}
-
-
 @st.composite
 def models_with_cm_types(draw):
-    """cm_product_group(g), g = 2..5, D generated by 1-2 random elements, a random CM-type."""
-    model = DIFF_MODELS[draw(st.integers(2, 5))]
-    elements = model.group.elements
-    gens = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=2))
+    """A CM model (`cm_models`), D generated by 1-2 random elements, a random CM-type."""
+    model = draw(cm_models())
+    gens = draw(st.lists(st.sampled_from(elements(model.group)), min_size=1, max_size=2))
     model = model.with_decomposition(subgroup_closure(model.group, gens))
     phi = [i if draw(st.booleans()) else model.tau[i] for i in range(model.g)]
     return model, slopes_from_cm_type(model, phi)
@@ -768,15 +762,15 @@ def test_block_routes_match_the_element_walks(case):
     D = subgroup_closure(model.group, model.D_generators)
     assert model.D_blocks == orbits_by_walk(D, model.group.degree)
     assert outcome(honda_tate_endomorphism, model, s) == outcome(honda_tate_by_cosets, model, s)
-    fix = fix_of_slope(model, s)
+    fix = block_subgroup(model.group, signature_block(model, s))
     assert fix == fix_by_signatures_over_group(model, s)
     if model.g <= 4:  # the definition is a double loop over G
         assert fix == fixer_by_definition(model, s)
     assert minimal_field_index(model, s) == model.group.order // len(fix)
     H = block_subgroup(model.group, {0})
     overgroups = index2_overgroups(model.group, H)
-    for Z in overgroups + [H, frozenset(model.group.elements)]:
-        assert is_p_potentially_in(model, s, Z) == (Z <= fix)
+    for Z in overgroups + [H, frozenset(elements(model.group))]:
+        assert is_p_potentially_in(model, s, {z[0] for z in Z}) == (Z <= fix)
     assert set(index2_point_sets(model.group)) == {
         frozenset(z[0] for z in Z) for Z in overgroups
     }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weiltate import classifier, cli, forge, galois
+from weiltate import classifier, cli, forge, galois, reference
 from weiltate.classifier import classify_orbits, doc_to_end_report, doc_to_report
 from weiltate.forge import scenario_main, serialize_scenario
 
@@ -551,7 +551,7 @@ def test_emit_json_matches_json_dumps_on_the_documents():
         cli.classify_scenario_doc(scenario_main(4, 5, attach_fields=True)),
         cli.classify_scenario_doc(ramified, weights=[0, 4, 6]),
         forge.forged_field_to_doc(field),
-        {"schema": "weiltate.verify/1", "lemmas": [], "oracles": cli.slope_oracle_rows(3, 4, 0)},
+        {"schema": "weiltate.verify/1", "lemmas": [], "oracles": reference.slope_oracle_rows(3, 4, 0)},
     ]
     for doc in docs:
         assert cli._emit_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"

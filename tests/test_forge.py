@@ -21,7 +21,7 @@ from weiltate.forge import (
     serialize_scenario,
     validate_scenario,
 )
-from weiltate.galois import subgroup_closure
+from weiltate.reference import subgroup_closure
 from weiltate.slopes import slopes_from_cm_type
 
 

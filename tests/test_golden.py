@@ -9,10 +9,13 @@ that is meant to alter a document updates its digest and says why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
-from weiltate import cli, forge, galois
+from weiltate import cli, forge, reference
 
 GOLDEN = {
     ("main", "--g", "4"): "0b846ff8cd4dacfef7ea6b33f9b8702818ae38d46f8b04ff622a1a1e94093666",
@@ -76,6 +79,8 @@ GOLDEN_FORGE = {
     (12, 13, 17, 2): "19bdf953b46384ac5899253ca5b9e1367664ae60808e3896bc5c83532e46ebec",
 }
 
+FORGE_ARGV = ("forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11", "--seed", "0")
+
 GOLDEN_SCENARIO_FILES = {
     "main4": "b689a7844f4092936205296549ecbc460832fcbce44bb972cd0f0e3838efbab1",
     "main6": "a0d6cfea144783423536b9358b71881abc2da5ed8ed11a95478b2e3c8c66f7b0",
@@ -137,23 +142,42 @@ def test_serialized_large_preset_digest(key):
 
 
 def test_documents_list_no_group_element(monkeypatch, capsys):
-    """classify and serialize_scenario run on the stabilizer chains alone."""
+    """classify, forge, verify --presets and the scenario files run on the chains alone."""
 
     def refuse(*args):
         raise AssertionError("the group was listed")
 
-    monkeypatch.setattr(galois, "_breadth_first_elements", refuse)
+    monkeypatch.setattr(reference, "elements", refuse)
     digests = {("classify", "--preset", *preset): d for preset, d in GOLDEN.items()}
     digests.update(GOLDEN_ARGV)
+    digests[FORGE_ARGV] = GOLDEN_FORGE[(4, 7, 11, 0)]
     for argv in [("classify", "--preset", *preset) for preset in GOLDEN] + [
         ("classify", "--preset", "ramified", "--gp", "5", "--cap", "20"),
         ("classify", "--preset", "split", "--gp", "5", "--cap", "20"),
+        ("verify", "--presets", "all"),
+        ("classify", "--preset", "main", "--g", "4", "--attach-fields"),
+        FORGE_ARGV,
     ]:
         code = cli.main([*argv, "--format", "json"])
         assert code == 0, argv
-        assert _sha256(capsys.readouterr().out) == digests[argv], argv
+        out = capsys.readouterr().out
+        assert argv not in digests or _sha256(out) == digests[argv], argv
     for name, digest in GOLDEN_SCENARIO_FILES.items():
         assert _sha256(forge.serialize_scenario(cli._PRESET_BUILDERS[name](5, 10**6))) == digest
     for (family, size), digest in GOLDEN_PRESET_FILES.items():
         scn = getattr(forge, "scenario_" + family)(size, 5)
         assert _sha256(forge.serialize_scenario(scn)) == digest
+
+
+def test_only_verify_random_loads_the_element_walks():
+    """weiltate.reference is imported by the oracle rows of verify --random and nothing else."""
+    script = (
+        "import sys, weiltate, weiltate.cli\n"
+        "assert weiltate.cli.main(['classify', '--preset', 'main', '--g', '6']) == 0\n"
+        "assert 'weiltate.reference' not in sys.modules\n"
+        "assert weiltate.cli.main(['verify', '--random', '1', '--g', '2']) == 0\n"
+        "assert 'weiltate.reference' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -8,15 +8,19 @@ from oracles import index2_overgroups, verify_subgroup
 
 from weiltate.cmtypes import CMType
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split
-from weiltate.galois import block_subgroup, cm_product_group, identity
+from weiltate.galois import cm_product_group
+from weiltate.reference import (
+    block_subgroup,
+    elements,
+    fixer_by_definition,
+    potential_by_valuation_grouping,
+    random_admissible_slopes,
+)
 from weiltate.slopes import (
     SlopeVector,
-    fix_of_slope,
-    fixer_by_definition,
     frobenius_rank,
     is_p_potentially_in,
     minimal_field_index,
-    potential_by_valuation_grouping,
     signature_block,
     signature_classes,
     slopes_from_cm_type,
@@ -52,18 +56,8 @@ def rank_mod_prime(matrix, p):
 
 def slope_matrix(model, s):
     n = model.group.degree
-    return [[s[g[x]] for g in model.group.elements] for x in range(n)]
-
-
-def random_pair_slopes(model, rng):
-    g = model.g
-    values = [None] * (2 * g)
-    for i in range(g):
-        den = rng.choice([1, 2, 3, 4, 6])
-        v = Fraction(rng.randint(0, den), den)
-        values[i] = v
-        values[model.tau[i]] = 1 - v
-    return SlopeVector(tuple(values))
+    listed = elements(model.group)
+    return [[s[g[x]] for g in listed] for x in range(n)]
 
 
 def test_main_scenario_slope_multiset():
@@ -81,7 +75,7 @@ def test_full_block_cm_type_gives_ordinary_slopes():
 
 def test_tau_stable_blocks_give_half_slopes():
     model = cm_product_group(2)
-    model = model.with_decomposition(frozenset(model.group.elements))
+    model = model.with_decomposition(elements(model.group))
     phi = CMType(phi=frozenset({0, 1}))
     s = slopes_from_cm_type(model, phi)
     assert set(s.values) == {Fraction(1, 2)}
@@ -101,9 +95,15 @@ def test_validate_slopes_rejects_broken_pairing():
         validate_slopes(model, SlopeVector((Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2))))
 
 
+def listed_fix(model, s):
+    """Fix as an element set, listed from its point block."""
+    return block_subgroup(model.group, signature_block(model, s))
+
+
 def test_fix_of_slope_main_scenario():
     scn = scenario_main(4, 5)
-    fix = fix_of_slope(scn.model, scn.slopes)
+    fix = listed_fix(scn.model, scn.slopes)
+    assert fix == fixer_by_definition(scn.model, scn.slopes)
     assert len(fix) == 6
     assert scn.model.group.order // len(fix) == 8
     assert block_subgroup(scn.model.group, {0}) <= fix
@@ -112,7 +112,8 @@ def test_fix_of_slope_main_scenario():
 def test_fix_of_slope_constant_half():
     model = cm_product_group(3)
     s = SlopeVector((Fraction(1, 2),) * 6)
-    assert fix_of_slope(model, s) == frozenset(model.group.elements)
+    assert signature_block(model, s) == frozenset(range(6))
+    assert listed_fix(model, s) == frozenset(elements(model.group))
     assert minimal_field_index(model, s) == 1
 
 
@@ -125,26 +126,30 @@ def test_potential_membership_real_subfield_fails():
     scn = scenario_main(4, 5)
     # fixer of the totally real subfield: sigma(1) = 1 up to conjugation
     g = scn.g
-    Z = frozenset(e for e in scn.model.group.elements if e[0] in (0, g))
+    Z = block_subgroup(scn.model.group, {0, g})
     verify_subgroup(scn.model.group, Z)
     assert block_subgroup(scn.model.group, {0}) <= Z
-    assert not is_p_potentially_in(scn.model, scn.slopes, Z)
+    assert not is_p_potentially_in(scn.model, scn.slopes, {0, g})
     assert not potential_by_valuation_grouping(scn.model, scn.slopes, Z)
 
 
 def test_potential_membership_reflexive_and_constant():
     scn = scenario_main(4, 5)
-    fix = fix_of_slope(scn.model, scn.slopes)
-    assert is_p_potentially_in(scn.model, scn.slopes, fix)
+    assert is_p_potentially_in(scn.model, scn.slopes, signature_block(scn.model, scn.slopes))
+    fix = listed_fix(scn.model, scn.slopes)
+    assert potential_by_valuation_grouping(scn.model, scn.slopes, fix)
     model = cm_product_group(3)
     s = SlopeVector((Fraction(1, 2),) * 6)
-    assert is_p_potentially_in(model, s, frozenset(model.group.elements))
+    assert is_p_potentially_in(model, s, range(6))
+    assert potential_by_valuation_grouping(model, s, elements(model.group))
 
 
 def test_potential_membership_rejects_non_overgroup():
     scn = scenario_main(4, 5)
-    with pytest.raises(ValueError):
-        is_p_potentially_in(scn.model, scn.slopes, frozenset({identity(8)}))
+    with pytest.raises(ValueError, match="does not hold index 1"):
+        is_p_potentially_in(scn.model, scn.slopes, {1})  # 0-based: index 2 alone
+    with pytest.raises(ValueError, match="outside 1..8"):
+        is_p_potentially_in(scn.model, scn.slopes, {0, 8})
 
 
 def test_minimal_field_index_examples():
@@ -175,10 +180,10 @@ def test_fix_and_rank_invariant_under_relabeling():
     for g in (2, 3):
         model = cm_product_group(g)
         for _ in range(5):
-            s = random_pair_slopes(model, rng)
+            s = random_admissible_slopes(model, rng)
             idx = minimal_field_index(model, s)
             rank = frobenius_rank(model, s)
-            sigma = model.group.elements[rng.randrange(model.group.order)]
+            sigma = elements(model.group)[rng.randrange(model.group.order)]
             relabeled = SlopeVector(tuple(s[sigma[i]] for i in range(2 * g)))
             assert minimal_field_index(model, relabeled) == idx
             assert frobenius_rank(model, relabeled) == rank
@@ -191,14 +196,13 @@ def test_oracle_agreement_random_sample():
         H = block_subgroup(model.group, {0})
         overgroups = index2_overgroups(model.group, H)
         for _ in range(10):
-            s = random_pair_slopes(model, rng)
-            fix = fix_of_slope(model, s)
+            s = random_admissible_slopes(model, rng)
+            fix = listed_fix(model, s)
             assert fix == fixer_by_definition(model, s)
             assert (2 * g) % minimal_field_index(model, s) == 0
-            for Z in overgroups + [H, frozenset(model.group.elements), fix]:
-                assert is_p_potentially_in(model, s, Z) == potential_by_valuation_grouping(
-                    model, s, Z
-                )
+            for Z in overgroups + [H, frozenset(elements(model.group)), fix]:
+                expected = potential_by_valuation_grouping(model, s, Z)
+                assert is_p_potentially_in(model, s, {z[0] for z in Z}) == expected
 
 
 def test_signature_classes_match_signatures_over_the_group():
@@ -206,9 +210,10 @@ def test_signature_classes_match_signatures_over_the_group():
     for g in (2, 3, 4):
         model = cm_product_group(g)
         for _ in range(8):
-            s = random_pair_slopes(model, rng)
+            s = random_admissible_slopes(model, rng)
             label = signature_classes(model, s)
-            sig = [tuple(s[e[x]] for e in model.group.elements) for x in range(2 * g)]
+            listed = elements(model.group)
+            sig = [tuple(s[e[x]] for e in listed) for x in range(2 * g)]
             for x in range(2 * g):
                 for y in range(2 * g):
                     assert (label[x] == label[y]) == (sig[x] == sig[y])
@@ -227,7 +232,7 @@ def test_signature_block_of_presets():
 
 def test_fix_is_verified_subgroup():
     for scn in (scenario_main(4, 5), scenario_ramified(3, 5)):
-        fix = fix_of_slope(scn.model, scn.slopes)
+        fix = listed_fix(scn.model, scn.slopes)
         verify_subgroup(scn.model.group, fix)
 
 
