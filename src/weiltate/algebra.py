@@ -14,11 +14,19 @@ factorization shapes come from squarefree decomposition plus
 distinct-degree splitting (no equal-degree step: only degree patterns
 are ever needed as certificates), and irreducibility is Ben-Or's test,
 which stops at the first factor of degree at most half.
+
+Both of those, and the root count mod l, need x**(l**d) mod f.  They
+take it from the Frobenius rows x**(l*i) mod f: a**l = a in GF(l), so
+h**l mod f is sum_i h_i * x**(l*i) mod f, one matrix-vector product
+per d.  Only x**l mod f itself comes from squaring, about log2 l
+products mod f, and the other rows, each the one before times x**l,
+are built only when d = 2 is reached.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 MAX_PRIME = 2**31
 
@@ -111,13 +119,6 @@ def gf_reduce(f, l):
     return poly_trim(tuple(c % l for c in f))
 
 
-def gf_sub(f, g, l):
-    n = max(len(f), len(g))
-    return poly_trim(
-        tuple(((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % l for i in range(n))
-    )
-
-
 def gf_mul(f, g, l):
     if not f or not g:
         return ()
@@ -154,10 +155,6 @@ def gf_quo(f, g, l):
     return gf_divmod(f, g, l)[0]
 
 
-def gf_rem(f, g, l):
-    return gf_divmod(f, g, l)[1]
-
-
 def gf_monic(f, l):
     f = gf_reduce(f, l)
     if not f or f[-1] == 1:
@@ -166,22 +163,110 @@ def gf_monic(f, l):
     return tuple((c * inv) % l for c in f)
 
 
-def gf_gcd(f, g, l):
-    a, b = gf_reduce(f, l), gf_reduce(g, l)
+def _euclid(a, b, l):
+    """Monic gcd over GF(l) of two lists of coefficients in [0, l), b trimmed.
+
+    Euclid runs on the lists, which it consumes: each remainder is
+    cleared from the top by multiples of the divisor, and each of its
+    coefficients is read mod l once.  Both zero gives [].
+    """
     while b:
-        a, b = b, gf_rem(a, b, l)
-    return gf_monic(a, l)
+        if b[-1] != 1:
+            inv = pow(b[-1], -1, l)
+            b = [c * inv % l for c in b]
+        nb = len(b) - 1
+        for k in range(len(a) - 1, nb - 1, -1):
+            c = a[k] % l
+            if c:
+                for j, bj in enumerate(b, k - nb):
+                    a[j] -= c * bj
+        a = [c % l for c in a[:nb]]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, l)
+        a = [c * inv % l for c in a]
+    return a
 
 
-def gf_pow_mod(base, e, mod, l):
-    result = (1,)
-    base = gf_rem(base, mod, l)
-    while e > 0:
-        if e & 1:
-            result = gf_rem(gf_mul(result, base, l), mod, l)
-        base = gf_rem(gf_mul(base, base, l), mod, l)
-        e >>= 1
-    return result
+def gf_gcd(f, g, l):
+    return tuple(_euclid(list(gf_reduce(f, l)), list(gf_reduce(g, l)), l))
+
+
+def _mulmod(a, b, f, l):
+    """a * b mod the monic f over GF(l), as a list of at most deg f coefficients.
+
+    The product is convolved with no reduction inside the loop, then
+    cleared from the top against f; each of its coefficients is read
+    mod l once.
+    """
+    n = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                prod[j] += c * d
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k] % l
+        if c:
+            for j, fj in enumerate(f, k - n):
+                prod[j] -= c * fj
+    return [c % l for c in prod[:n]]
+
+
+def _x_to_the_l(f, l):
+    """x**l mod the monic list f over GF(l), deg f >= 1, as deg f coefficients.
+
+    Left-to-right squaring, one product mod f per remaining bit of l,
+    from x**k with k the leading bits of l that keep it below x**deg f
+    (its own remainder).  A 1 bit multiplies by x too, as a shift of
+    one of the two factors.
+    """
+    n = len(f) - 1
+    s = 0
+    while l >> s >= n:
+        s += 1
+    h = [0] * (l >> s) + [1]
+    for i in range(s - 1, -1, -1):
+        h = _mulmod(h, [0] + h if l >> i & 1 else h, f, l)
+    return h + [0] * (n - len(h))
+
+
+def _frobenius_rows(f, l, xl):
+    """The Frobenius rows x**(l*i) mod f for i < deg f, each the previous times x**l = xl."""
+    n = len(f) - 1
+    rows = [[1] + [0] * (n - 1), xl]
+    while len(rows) < n:
+        row = _mulmod(rows[-1], xl, f, l)
+        rows.append(row + [0] * (n - len(row)))
+    return rows[:n]
+
+
+def _frobenius_powers_of_x(f, l):
+    """x**(l**d) mod the monic list f over GF(l), deg f >= 1, for d = 1, 2, ...
+
+    Each power is a list of deg f coefficients.  Since a**l = a for
+    every a in GF(l), h**l = sum_i h_i * x**(l*i) mod f: one
+    matrix-vector product with the Frobenius rows.  d = 1 needs only
+    x**l; the other rows are built when d = 2 is asked for.
+    """
+    xl = _x_to_the_l(f, l)
+    yield xl
+    cols = list(zip(*_frobenius_rows(f, l, xl)))
+    h = xl
+    while True:
+        h = [sum(map(mul, h, col)) % l for col in cols]
+        yield h
+
+
+def _gcd_minus_x(f, h, l):
+    """gcd(f, h - x) over GF(l) as a list, h a list of coefficients in [0, l)."""
+    g = h + [0] * (2 - len(h))
+    g[1] = (g[1] - 1) % l
+    while g and not g[-1]:
+        g.pop()
+    return _euclid(list(f), g, l)
 
 
 def gf_derivative(f, l):
@@ -227,22 +312,22 @@ def gf_distinct_degree(f, l):
     """Distinct-degree split of a monic squarefree f over GF(l).
 
     Returns a list of (d, product-of-degree-d-irreducible-factors) with
-    trivial entries omitted, in increasing d.
+    trivial entries omitted, in increasing d.  x**(l**d) stays reduced
+    mod the f given, through its Frobenius rows: every factor left
+    divides f, so its gcd with x**(l**d) - x is the same either way.
     """
     out = []
-    h = (0, 1)  # x
+    powers = _frobenius_powers_of_x(list(f), l)
     d = 0
     while poly_degree(f) > 0:
         d += 1
         if 2 * d > poly_degree(f):
             out.append((poly_degree(f), f))
             break
-        h = gf_pow_mod(h, l, f, l)
-        g = gf_gcd(f, gf_sub(h, (0, 1), l), l)
+        g = tuple(_gcd_minus_x(f, next(powers), l))
         if poly_degree(g) > 0:
             out.append((d, g))
             f = gf_quo(f, g, l)
-            h = gf_rem(h, f, l)
     return out
 
 
@@ -275,27 +360,29 @@ def factor_degree_pattern(f, l):
 
 
 def count_distinct_roots_mod(f, l):
-    """Number of distinct roots of f in GF(l), as deg gcd(f, x**l - x)."""
-    fbar = _reduce_checked(f, l)
-    if poly_degree(fbar) == 0:
+    """Number of distinct roots of f in GF(l), as deg gcd(f, x**l - x).
+
+    Only the first Frobenius row, x**l mod f, is formed.
+    """
+    fbar = list(gf_monic(_reduce_checked(f, l), l))
+    if len(fbar) == 1:
         return 0
-    xl = gf_pow_mod((0, 1), l, fbar, l)
-    g = gf_gcd(fbar, gf_sub(xl, (0, 1), l), l)
-    return poly_degree(g)
+    return poly_degree(_gcd_minus_x(fbar, _x_to_the_l(fbar, l), l))
 
 
 def gf_is_irreducible(f, l):
     """Ben-Or's test: f of degree n >= 1 is irreducible mod l iff
     gcd(f, x**(l**d) - x) = 1 for every d <= n/2.
 
-    The first nontrivial gcd rejects f; no factorization pattern is formed.
+    The first nontrivial gcd rejects f; no factorization pattern is
+    formed.  x**(l**d) mod f comes from the Frobenius rows of f, and
+    the rows past x**l are built only for an f that passes d = 1.
     """
-    fbar = gf_monic(_reduce_checked(f, l), l)
-    n = poly_degree(fbar)
-    h = (0, 1)  # x**(l**d) mod f
+    fbar = list(gf_monic(_reduce_checked(f, l), l))
+    n = len(fbar) - 1
+    powers = _frobenius_powers_of_x(fbar, l)
     for _ in range(n // 2):
-        h = gf_pow_mod(h, l, fbar, l)
-        if gf_gcd(fbar, gf_sub(h, (0, 1), l), l) != (1,):
+        if len(_gcd_minus_x(fbar, next(powers), l)) != 1:
             return False
     return n >= 1
 

@@ -147,6 +147,11 @@ def has_qpair_matching(subset, qpairs) -> bool:
     return solve(frozenset(subset))
 
 
+def _mask(n, points) -> int:
+    """The n-bit mask of a set of points: point i is bit n-1-i."""
+    return sum(1 << (n - 1 - i) for i in points)
+
+
 def _subset_sums(n, points, rows) -> dict:
     """Packed row-sum vector -> the masks of the subsets of `points` with those row sums.
 
@@ -670,20 +675,21 @@ def verify_lemma_suite(instances) -> tuple:
                 )
             results.append(LemmaResult(inst.label, LEMMA_HALF_WEIGHT, status, detail))
 
-            exotic_sets = {frozenset(m) for o in report.exotic for m in o.orbit}
+            exotic_masks = {_mask(n, m) for o in report.exotic for m in o.orbit}
             if len(report.exotic) == 1:
-                I = frozenset(report.exotic[0].representative)
-                allowed = {I, frozenset(model.tau[i] for i in I)}
-                if exotic_sets <= allowed:
+                I = report.exotic[0].representative
+                allowed = {_mask(n, I), _mask(n, (model.tau[i] for i in I))}
+                if exotic_masks <= allowed:
                     results.append(LemmaResult(inst.label, LEMMA_UNIQUE_EXOTIC, PASS))
                 else:
-                    extra = next(iter(exotic_sets - allowed))
+                    extra = max(exotic_masks - allowed)
+                    points = [i + 1 for i in range(n) if extra >> (n - 1 - i) & 1]
                     results.append(
                         LemmaResult(
                             inst.label,
                             LEMMA_UNIQUE_EXOTIC,
                             FAIL,
-                            f"exotic subset {[i + 1 for i in sorted(extra)]} differs from I, tau I",
+                            f"exotic subset {points} differs from I, tau I",
                         )
                     )
             else:

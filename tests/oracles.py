@@ -5,7 +5,10 @@ frozensets, group elements or cosets, builds one matrix column per
 group element, runs a Sturm chain over the rationals or reads
 irreducibility off the full factorization pattern, with no linear
 shortcut, no block system, no bit mask, no pseudo-remainder and no
-early exit.  The forge loop rebuilds its spread target for every spread
+early exit.  Over GF(l), x**(l**d) comes from square-and-multiply
+(`gf_pow_mod`, a full product and remainder per step) and gcds from
+Euclid on tuples, not from the kernel's Frobenius rows and list
+Euclid.  The forge loop rebuilds its spread target for every spread
 and counts real roots with the whole integer Sturm chain, which is
 itself held to the rational one.
 """
@@ -17,11 +20,16 @@ from math import gcd
 
 from weiltate.algebra import (
     NotSquarefreeError,
+    _reduce_checked,
     _sign_at_infinity,
     _sign_changes,
     crt_poly,
-    factor_degree_pattern,
+    gf_divmod,
+    gf_monic,
+    gf_mul,
+    gf_quo,
     gf_reduce,
+    gf_squarefree_decomposition,
     poly_degree,
     poly_derivative,
     poly_mul,
@@ -390,9 +398,97 @@ def sturm_by_fractions(f):
     return _sign_changes(neg) - _sign_changes(pos)
 
 
+def gf_sub(f, g, l):
+    n = max(len(f), len(g))
+    return poly_trim(
+        tuple(((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % l for i in range(n))
+    )
+
+
+def gf_rem(f, g, l):
+    return gf_divmod(f, g, l)[1]
+
+
+def gf_gcd_by_rem(f, g, l):
+    """Euclid through tuple remainders, each a full `gf_divmod`."""
+    a, b = gf_reduce(f, l), gf_reduce(g, l)
+    while b:
+        a, b = b, gf_rem(a, b, l)
+    return gf_monic(a, l)
+
+
+def gf_pow_mod(base, e, mod, l):
+    """base**e mod `mod` over GF(l) by square-and-multiply, a full product and remainder per step."""
+    result = (1,)
+    base = gf_rem(base, mod, l)
+    while e > 0:
+        if e & 1:
+            result = gf_rem(gf_mul(result, base, l), mod, l)
+        base = gf_rem(gf_mul(base, base, l), mod, l)
+        e >>= 1
+    return result
+
+
+def distinct_degree_by_pow_mod(f, l):
+    """Distinct-degree split of a monic squarefree f, x**(l**d) by `gf_pow_mod` mod what is left."""
+    out = []
+    h = (0, 1)  # x
+    d = 0
+    while poly_degree(f) > 0:
+        d += 1
+        if 2 * d > poly_degree(f):
+            out.append((poly_degree(f), f))
+            break
+        h = gf_pow_mod(h, l, f, l)
+        g = gf_gcd_by_rem(f, gf_sub(h, (0, 1), l), l)
+        if poly_degree(g) > 0:
+            out.append((d, g))
+            f = gf_quo(f, g, l)
+            h = gf_rem(h, f, l)
+    return out
+
+
+def ben_or_by_pow_mod(f, l):
+    """Ben-Or's test, x**(l**d) by `gf_pow_mod` at every d."""
+    fbar = gf_monic(_reduce_checked(f, l), l)
+    n = poly_degree(fbar)
+    h = (0, 1)  # x**(l**d) mod f
+    for _ in range(n // 2):
+        h = gf_pow_mod(h, l, fbar, l)
+        if gf_gcd_by_rem(fbar, gf_sub(h, (0, 1), l), l) != (1,):
+            return False
+    return n >= 1
+
+
+def roots_by_pow_mod(f, l):
+    """Distinct roots of f in GF(l): deg gcd(f, x**l - x), x**l by `gf_pow_mod`."""
+    fbar = _reduce_checked(f, l)
+    if poly_degree(fbar) == 0:
+        return 0
+    xl = gf_pow_mod((0, 1), l, fbar, l)
+    return poly_degree(gf_gcd_by_rem(fbar, gf_sub(xl, (0, 1), l), l))
+
+
+def degree_pattern_by_pow_mod(f, l):
+    """`factor_degree_pattern` with every squarefree part split by `distinct_degree_by_pow_mod`.
+
+    The squarefree parts are the kernel's; its gcd is held to
+    `gf_gcd_by_rem` on its own.
+    """
+    fbar = _reduce_checked(f, l)
+    counts = {}
+    squarefree = True
+    for mult, part in gf_squarefree_decomposition(fbar, l):
+        if mult > 1:
+            squarefree = False
+        for d, prod in distinct_degree_by_pow_mod(part, l):
+            counts[d] = counts.get(d, 0) + (poly_degree(prod) // d) * mult
+    return sorted(counts.items()), squarefree
+
+
 def irreducible_by_pattern(f, l) -> bool:
     """Irreducible mod l iff the whole degree pattern is one factor of full degree."""
-    pattern, _ = factor_degree_pattern(f, l)
+    pattern, _ = degree_pattern_by_pow_mod(f, l)
     d = poly_degree(gf_reduce(f, l))
     return d >= 1 and pattern == [(d, 1)]
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import poly_eval
+from oracles import gf_rem, poly_eval
 
 from weiltate.algebra import (
     NotSquarefreeError,
@@ -61,8 +61,6 @@ def monic_irreducibles(l, max_degree):
 
 
 def _divides(g, f, l):
-    from weiltate.algebra import gf_rem
-
     return gf_rem(f, g, l) == ()
 
 
@@ -72,7 +70,7 @@ def trial_division_pattern(f, l):
     Dividing by irreducibles of degree <= deg/2 suffices: whatever is
     left has no factor of half its degree or less, hence is irreducible.
     """
-    from weiltate.algebra import gf_monic, gf_quo, gf_rem
+    from weiltate.algebra import gf_monic, gf_quo
 
     fbar = gf_monic(gf_reduce(f, l), l)
     counts = {}

@@ -980,6 +980,21 @@ def test_lemma_suite_presets_all_pass():
     assert by_key[("split-gp3-p5", "exotic_uniqueness")] == NOT_APPLICABLE
 
 
+def test_unique_exotic_lemma_names_the_first_stray_member(monkeypatch):
+    # ramified g'=3: the one exotic orbit is {I, tau I}, I = {1, 2, 3, 10, 11, 12}
+    scn = scenario_ramified(3, 5)
+    report = classify_orbits(scn.model, scn.slopes)
+    (orbit,) = report.exotic
+    strays = ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))
+    forged = replace(report, exotic=(replace(orbit, orbit=orbit.orbit + strays),))
+    monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s: forged)
+    inst = LemmaInstance(label=scn.name, model=scn.model, slopes=scn.slopes, family=scn.family)
+    (row,) = [r for r in verify_lemma_suite([inst]) if r.lemma == "exotic_uniqueness"]
+    assert row.status == FAIL
+    # the first stray in document (lexicographic) order, as 1-based points
+    assert row.detail == "exotic subset [1, 3, 5, 7, 9, 11] differs from I, tau I"
+
+
 def test_lemma_suite_gates_on_hypotheses():
     model = cm_product_group(3)
     inst = LemmaInstance(label="ordinary", model=model, slopes=ordinary_slopes(3))

@@ -7,26 +7,41 @@ stopped at the first member whose degree or sign rules out deg f real
 roots) must say whether that count is deg f; `forge_totally_real`
 must forge what `oracles.forge_by_definition` forges; `gf_is_irreducible` (Ben-Or, early exit)
 must agree with the full degree pattern `oracles.irreducible_by_pattern`.
+Over GF(l) the kernel takes x**(l**d) from the Frobenius rows and runs
+Euclid on lists; `factor_degree_pattern`, `gf_is_irreducible`,
+`count_distinct_roots_mod`, `gf_gcd` and the Frobenius step itself must
+agree with the square-and-multiply routes of `oracles`, at every prime
+the kernel admits up to the largest below 2**31.
 The draws cover what the sign rule -sign(lc b)**(deg a - deg b + 1)
 depends on (negative and non-unit leading coefficients, sparse
 polynomials whose chain drops an even number of degrees), squares, the forge's spread-plus-correction shape, and
 leading coefficients that vanish mod l.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ben_or_by_pow_mod,
+    degree_pattern_by_pow_mod,
     forge_by_definition,
+    gf_gcd_by_rem,
+    gf_pow_mod,
     irreducible_by_pattern,
     poly_add,
+    roots_by_pow_mod,
     sturm_by_fractions,
 )
+from weiltate import algebra
 from weiltate.algebra import (
+    MAX_PRIME,
     NotSquarefreeError,
     count_distinct_roots_mod,
     factor_degree_pattern,
+    gf_gcd,
     gf_is_irreducible,
     is_totally_real,
     poly_degree,
@@ -36,7 +51,8 @@ from weiltate.algebra import (
 )
 from weiltate.forge import forge_totally_real
 
-SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+LARGEST_PRIME = 2147483647  # the largest prime below MAX_PRIME
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 65537, LARGEST_PRIME)
 LEADS = st.integers(-12, 12).filter(bool)
 
 
@@ -123,14 +139,15 @@ def test_forge_matches_the_definitional_loop(g):
 
 @st.composite
 def gf_polys(draw):
-    l = draw(st.sampled_from(SMALL_PRIMES))
+    """Degree up to 16 mod a prime the kernel admits: a square times a linear, or dense."""
+    l = draw(st.sampled_from(PRIMES))
     if draw(st.booleans()):
-        h = tuple(draw(st.integers(0, l - 1)) for _ in range(draw(st.integers(1, 6)))) + (1,)
+        h = tuple(draw(st.integers(0, l - 1)) for _ in range(draw(st.integers(1, 7)))) + (1,)
         f = poly_mul(h, h)
         if draw(st.booleans()):
             f = poly_mul(f, (draw(st.integers(0, l - 1)), 1))
     else:
-        n = draw(st.integers(1, 12))
+        n = draw(st.integers(1, 16))
         lead = draw(st.sampled_from((1, l - 1, l, 2 * l, l + 1)))
         f = tuple(draw(st.integers(-l, 2 * l)) for _ in range(n)) + (lead,)
     return f, l
@@ -151,9 +168,80 @@ def test_ben_or_matches_the_full_pattern(case):
 
 
 def test_ben_or_keeps_the_input_errors():
-    for f, l in (((1, 1), 6), ((), 5), ((1, 0, 5), 5)):
+    for f, l in (((1, 1), 6), ((), 5), ((1, 0, 5), 5), ((1, 1), MAX_PRIME + 11)):
         with pytest.raises(ValueError):
             gf_is_irreducible(f, l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf_polys())
+@example(((1, 0, 2, 0, 1), 3))
+@example(((1, 1, 1, 0, 1, 1), 2))
+@example(((5, 1), LARGEST_PRIME))  # degree 1: x**l mod f is a constant
+@example(((3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), LARGEST_PRIME))
+@example(((1, 0, 5), 5))
+@example(((), 5))
+@example(((3,), 7))
+def test_kernel_matches_the_pow_mod_routes(case):
+    f, l = case
+    assert _outcome(factor_degree_pattern, f, l) == _outcome(degree_pattern_by_pow_mod, f, l)
+    assert _outcome(count_distinct_roots_mod, f, l) == _outcome(roots_by_pow_mod, f, l)
+    assert _outcome(gf_is_irreducible, f, l) == _outcome(ben_or_by_pow_mod, f, l)
+
+
+@st.composite
+def monic_and_residue(draw):
+    """A monic f of degree 1..16 mod a prime the kernel admits, and h of lower degree."""
+    l = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 16))
+    coeff = st.integers(0, l - 1)
+    f = [draw(coeff) for _ in range(n)] + [1]
+    h = [draw(coeff) for _ in range(draw(st.integers(0, n)))]
+    return f, h, l
+
+
+@settings(max_examples=300, deadline=None)
+@given(monic_and_residue())
+@example(([0, 0, 0, 1], [0, 1], 2))  # x**3: every row a monomial
+@example(([7, 1], [0], 5))
+def test_frobenius_step_is_the_lth_power(case):
+    f, h, l = case
+    rows = algebra._frobenius_rows(f, l, algebra._x_to_the_l(f, l))
+    assert len(rows) == len(f) - 1 and all(len(row) == len(f) - 1 for row in rows)
+    step = [sum(c * row[j] for c, row in zip(h, rows)) % l for j in range(len(f) - 1)]
+    assert poly_trim(step) == gf_pow_mod(tuple(h), l, tuple(f), l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf_polys(), st.lists(st.integers(-5, 2**31), max_size=17))
+def test_list_euclid_matches_euclid_on_tuples(case, g):
+    f, l = case
+    assert gf_gcd(f, g, l) == gf_gcd_by_rem(f, g, l)
+    assert gf_gcd(g, f, l) == gf_gcd_by_rem(g, f, l)
+
+
+def test_large_prime_costs_products_in_the_bits_of_l(monkeypatch):
+    """At l = 2**31 - 1 the products mod f per polynomial grow with deg f + log2 l, not with l."""
+    calls = []
+    mulmod = algebra._mulmod
+
+    def counted(*args):
+        calls.append(1)
+        return mulmod(*args)
+
+    monkeypatch.setattr(algebra, "_mulmod", counted)
+    l, n = LARGEST_PRIME, 12
+    bound = 2 * (n + l.bit_length())
+    rng = random.Random(12)
+    draws = iter(lambda: tuple(rng.randrange(l) for _ in range(n)) + (1,), None)
+    polys = [next(draws) for _ in range(6)]
+    polys.append(next(f for f in draws if gf_is_irreducible(f, l)))  # every step of Ben-Or
+    polys.append(poly_mul((3, 0, 0, 0, 0, 1), (5, 0, 0, 0, 0, 0, 0, 1)))  # degrees 5 and 7
+    for f in polys:
+        for kernel in (gf_is_irreducible, count_distinct_roots_mod, factor_degree_pattern):
+            calls.clear()
+            kernel(f, l)
+            assert 0 < len(calls) <= bound, (kernel.__name__, f, len(calls))
 
 
 # --- sympy as an independent oracle ------------------------------------------
