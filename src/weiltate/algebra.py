@@ -1,11 +1,15 @@
 """Exact arithmetic kernel.
 
-Polynomials are coefficient tuples, lowest degree first; the zero
-polynomial is the empty tuple.  Integer polynomials carry arbitrary
-precision Python ints.  Polynomials over a prime field GF(l) keep their
-coefficients reduced into [0, l) and require l < 2**31 so single-word
-modular arithmetic stays exact (coefficient growth is unbounded
-everywhere else).
+Polynomials are coefficient sequences, lowest degree first; the zero
+polynomial is empty.  Integer polynomials are tuples of arbitrary
+precision Python ints.  Over a prime field GF(l), l < 2**31, the kernel
+works on lists with coefficients in [0, l), and every divisor is monic:
+`_reduce_checked` is the one checked entry, which trims, refuses a zero
+or a vanishing leading coefficient and returns f mod l made monic
+(`gf_ben_or` skips it, for a caller that has checked l once).
+One routine, `_divide`, clears a list from the top against a monic
+divisor in place; products mod f, Euclid's remainders and exact
+quotients all go through it, and each coefficient is read mod l once.
 
 Nothing here rounds: real roots are counted by a Sturm chain of
 primitive integer pseudo-remainders (the total-reality test stops that
@@ -51,10 +55,15 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(l: int) -> None:
+    """Refuse l unless it is a prime below MAX_PRIME.
+
+    The cap is tested first, so no trial division runs on a value that
+    can only be refused.
+    """
+    if isinstance(l, int) and l >= MAX_PRIME:
+        raise ValueError(f"prime {l} exceeds the 2**31 single-word cap")
     if not isinstance(l, int) or not is_prime(l):
         raise ValueError(f"modulus {l!r} is not prime")
-    if l >= MAX_PRIME:
-        raise ValueError(f"prime {l} exceeds the 2**31 single-word cap")
 
 
 # ---------------------------------------------------------------------------
@@ -119,67 +128,43 @@ def gf_reduce(f, l):
     return poly_trim(tuple(c % l for c in f))
 
 
-def gf_mul(f, g, l):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % l
-    return poly_trim(out)
+def _divide(a, b, l):
+    """Clear the list a from the top against the monic list b over GF(l), in place.
 
-
-def gf_divmod(f, g, l):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(g[-1], -1, l)
-    rem = list(f)
-    dq = len(f) - len(g)
-    if dq < 0:
-        return (), poly_trim(rem)
-    quo = [0] * (dq + 1)
-    below_lead = g[:-1]
-    for i in range(dq, -1, -1):
-        c = rem[i + len(g) - 1] % l  # rem stays unreduced until a coefficient is read
+    Each slot a[k], k >= deg b, is read mod l once as c, cleared by
+    subtracting c * x**(k - deg b) * b, and then holds c, the quotient
+    coefficient of x**(k - deg b); a[:deg b] is left as the remainder,
+    unreduced.  Nothing is allocated.
+    """
+    nb = len(b) - 1
+    for k in range(len(a) - 1, nb - 1, -1):
+        c = a[k] % l
         if c:
-            c = (c * inv) % l
-            quo[i] = c
-            for j, b in enumerate(below_lead):
-                rem[i + j] -= c * b
-    return poly_trim(quo), poly_trim(tuple(c % l for c in rem[: len(g) - 1]))
+            for j, bj in enumerate(b, k - nb):
+                a[j] -= c * bj
+        a[k] = c
 
 
-def gf_quo(f, g, l):
-    return gf_divmod(f, g, l)[0]
-
-
-def gf_monic(f, l):
-    f = gf_reduce(f, l)
-    if not f or f[-1] == 1:
-        return f
-    inv = pow(f[-1], -1, l)
-    return tuple((c * inv) % l for c in f)
+def _quotient(a, b, l):
+    """The exact quotient a / b over GF(l) of a list a by a monic list b."""
+    q = list(a)
+    _divide(q, b, l)
+    return q[len(b) - 1:]
 
 
 def _euclid(a, b, l):
     """Monic gcd over GF(l) of two lists of coefficients in [0, l), b trimmed.
 
-    Euclid runs on the lists, which it consumes: each remainder is
-    cleared from the top by multiples of the divisor, and each of its
-    coefficients is read mod l once.  Both zero gives [].
+    Euclid runs on the lists, which it consumes: each remainder is left
+    in place by `_divide`, and each of its coefficients is read mod l
+    once.  Both zero gives [].
     """
     while b:
         if b[-1] != 1:
             inv = pow(b[-1], -1, l)
             b = [c * inv % l for c in b]
         nb = len(b) - 1
-        for k in range(len(a) - 1, nb - 1, -1):
-            c = a[k] % l
-            if c:
-                for j, bj in enumerate(b, k - nb):
-                    a[j] -= c * bj
+        _divide(a, b, l)
         a = [c % l for c in a[:nb]]
         while a and not a[-1]:
             a.pop()
@@ -198,8 +183,8 @@ def _mulmod(a, b, f, l):
     """a * b mod the monic f over GF(l), as a list of at most deg f coefficients.
 
     The product is convolved with no reduction inside the loop, then
-    cleared from the top against f; each of its coefficients is read
-    mod l once.
+    cleared from the top against f by `_divide`; each of its
+    coefficients is read mod l once.
     """
     n = len(f) - 1
     prod = [0] * (len(a) + len(b) - 1)
@@ -207,11 +192,7 @@ def _mulmod(a, b, f, l):
         if c:
             for j, d in enumerate(b, i):
                 prod[j] += c * d
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k] % l
-        if c:
-            for j, fj in enumerate(f, k - n):
-                prod[j] -= c * fj
+    _divide(prod, f, l)
     return [c % l for c in prod[:n]]
 
 
@@ -269,47 +250,38 @@ def _gcd_minus_x(f, h, l):
     return _euclid(list(f), g, l)
 
 
-def gf_derivative(f, l):
-    return poly_trim(tuple((i * f[i]) % l for i in range(1, len(f))))
-
-
 def gf_squarefree_decomposition(f, l):
-    """Monic squarefree decomposition over GF(l).
+    """Squarefree decomposition over GF(l) of a monic list f with coefficients in [0, l).
 
-    Returns a list of (multiplicity, factor) with the factors monic,
-    squarefree, pairwise coprime, and prod(factor**mult) = monic(f).
+    Returns a list of (multiplicity, factor) with the factors monic
+    lists, squarefree, pairwise coprime, and prod(factor**mult) = f.
     Handles the characteristic-l collapse f' = 0 via l-th roots
     (Frobenius is the identity on GF(l) coefficients).
     """
-    f = gf_monic(f, l)
-    if poly_degree(f) < 1:
-        return []
     out = []
     n = 1
-    while True:
-        deriv = gf_derivative(f, l)
-        if deriv:
-            g = gf_gcd(f, deriv, l)
-            h = gf_quo(f, g, l)
+    while len(f) > 1:
+        deriv = [i * f[i] % l for i in range(1, len(f))]
+        if any(deriv):
+            g = _euclid(deriv, list(f), l)  # Euclid's first step trims deriv
+            h = _quotient(f, g, l)
             i = 1
-            while h != (1,):
-                gh = gf_gcd(g, h, l)
-                piece = gf_quo(h, gh, l)
-                if poly_degree(piece) > 0:
+            while h != [1]:
+                gh = _euclid(list(g), list(h), l)
+                piece = _quotient(h, gh, l)
+                if len(piece) > 1:
                     out.append((i * n, piece))
-                g, h, i = gf_quo(g, gh, l), gh, i + 1
-            if g == (1,):
-                break
+                g, h, i = _quotient(g, gh, l), gh, i + 1
             f = g
         # here f is an l-th power: f(x) = u(x**l); its l-th root reuses
         # the same coefficients since a**l = a in GF(l)
-        f = tuple(f[i * l] for i in range(poly_degree(f) // l + 1))
+        f = f[::l]
         n *= l
     return out
 
 
 def gf_distinct_degree(f, l):
-    """Distinct-degree split of a monic squarefree f over GF(l).
+    """Distinct-degree split of a monic squarefree list f over GF(l).
 
     Returns a list of (d, product-of-degree-d-irreducible-factors) with
     trivial entries omitted, in increasing d.  x**(l**d) stays reduced
@@ -317,29 +289,30 @@ def gf_distinct_degree(f, l):
     divides f, so its gcd with x**(l**d) - x is the same either way.
     """
     out = []
-    powers = _frobenius_powers_of_x(list(f), l)
+    powers = _frobenius_powers_of_x(f, l)
     d = 0
-    while poly_degree(f) > 0:
+    while len(f) > 1:
         d += 1
-        if 2 * d > poly_degree(f):
-            out.append((poly_degree(f), f))
+        if 2 * d >= len(f):
+            out.append((len(f) - 1, f))
             break
-        g = tuple(_gcd_minus_x(f, next(powers), l))
-        if poly_degree(g) > 0:
+        g = _gcd_minus_x(f, next(powers), l)
+        if len(g) > 1:
             out.append((d, g))
-            f = gf_quo(f, g, l)
+            f = _quotient(f, g, l)
     return out
 
 
 def _reduce_checked(f, l):
-    """f mod l, for a prime l, a nonzero f and a leading coefficient that survives."""
+    """f mod l made monic, as a list: l prime, f nonzero, its leading coefficient a unit."""
     require_prime(l)
-    fbar = gf_reduce(f, l)
+    f = poly_trim(f)
     if not f:
         raise ValueError("zero polynomial rejected")
-    if poly_degree(fbar) != poly_degree(poly_trim(f)):
+    if f[-1] % l == 0:
         raise ValueError(f"leading coefficient of f vanishes mod {l}")
-    return fbar
+    inv = pow(f[-1], -1, l)
+    return [c % l * inv % l for c in f]
 
 
 def factor_degree_pattern(f, l):
@@ -348,14 +321,13 @@ def factor_degree_pattern(f, l):
     Counts carry multiplicity from the squarefree decomposition; the
     pairs are sorted by degree and satisfy sum(d*c) = deg(f mod l).
     """
-    fbar = _reduce_checked(f, l)
     counts: dict[int, int] = {}
     squarefree = True
-    for mult, part in gf_squarefree_decomposition(fbar, l):
+    for mult, part in gf_squarefree_decomposition(_reduce_checked(f, l), l):
         if mult > 1:
             squarefree = False
         for d, prod in gf_distinct_degree(part, l):
-            counts[d] = counts.get(d, 0) + (poly_degree(prod) // d) * mult
+            counts[d] = counts.get(d, 0) + (len(prod) - 1) // d * mult
     return sorted(counts.items()), squarefree
 
 
@@ -364,25 +336,30 @@ def count_distinct_roots_mod(f, l):
 
     Only the first Frobenius row, x**l mod f, is formed.
     """
-    fbar = list(gf_monic(_reduce_checked(f, l), l))
+    fbar = _reduce_checked(f, l)
     if len(fbar) == 1:
         return 0
-    return poly_degree(_gcd_minus_x(fbar, _x_to_the_l(fbar, l), l))
+    return len(_gcd_minus_x(fbar, _x_to_the_l(fbar, l), l)) - 1
 
 
 def gf_is_irreducible(f, l):
-    """Ben-Or's test: f of degree n >= 1 is irreducible mod l iff
-    gcd(f, x**(l**d) - x) = 1 for every d <= n/2.
+    """Whether f is irreducible mod l: `gf_ben_or` on f mod l made monic, inputs checked."""
+    return gf_ben_or(_reduce_checked(f, l), l)
+
+
+def gf_ben_or(f, l):
+    """Ben-Or's test: a monic list f of degree n >= 1 with coefficients in
+    [0, l) is irreducible mod l iff gcd(f, x**(l**d) - x) = 1 for every
+    d <= n/2.  Neither l nor f is checked.
 
     The first nontrivial gcd rejects f; no factorization pattern is
     formed.  x**(l**d) mod f comes from the Frobenius rows of f, and
     the rows past x**l are built only for an f that passes d = 1.
     """
-    fbar = list(gf_monic(_reduce_checked(f, l), l))
-    n = len(fbar) - 1
-    powers = _frobenius_powers_of_x(fbar, l)
+    n = len(f) - 1
+    powers = _frobenius_powers_of_x(f, l)
     for _ in range(n // 2):
-        if len(_gcd_minus_x(fbar, next(powers), l)) != 1:
+        if len(_gcd_minus_x(f, next(powers), l)) != 1:
             return False
     return n >= 1
 
@@ -497,19 +474,6 @@ def is_totally_real(f) -> bool:
 # CRT for monic integer polynomials
 # ---------------------------------------------------------------------------
 
-def crt_integers(residues, moduli) -> int:
-    """Combine integer congruences with pairwise coprime moduli into [0, M)."""
-    total, modulus = 0, 1
-    for r, m in zip(residues, moduli):
-        if gcd(modulus, m) != 1:
-            raise ValueError("moduli are not pairwise coprime")
-        # x = total + modulus * t with t = (r - total)/modulus mod m
-        t = ((r - total) * pow(modulus % m, -1, m)) % m
-        total += modulus * t
-        modulus *= m
-    return total % modulus
-
-
 def crt_poly(constraints, degree: int):
     """Unique monic degree-`degree` polynomial matching each residue.
 
@@ -522,6 +486,7 @@ def crt_poly(constraints, degree: int):
         raise ValueError("degree must be non-negative")
     moduli = []
     residues = []
+    modulus = 1
     for m, r in constraints:
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"modulus {m!r} must be an integer >= 2")
@@ -533,12 +498,15 @@ def crt_poly(constraints, degree: int):
             raise ValueError(f"residue {r} is not monic of degree {degree} mod {m}")
         moduli.append(m)
         residues.append(r)
+        modulus *= m
     for i in range(len(moduli)):
         for j in range(i + 1, len(moduli)):
             if gcd(moduli[i], moduli[j]) != 1:
                 raise ValueError("moduli are not pairwise coprime")
-    coeffs = []
-    for k in range(degree):
-        coeffs.append(crt_integers([(r[k] if k < len(r) else 0) for r in residues], moduli))
-    coeffs.append(1)
-    return poly_trim(coeffs)
+    # the CRT basis: e_i = 1 mod m_i and 0 mod every other modulus
+    basis = [modulus // m * pow(modulus // m, -1, m) for m in moduli]
+    coeffs = tuple(
+        sum(r[k] * e for r, e in zip(residues, basis) if k < len(r)) % modulus
+        for k in range(degree)
+    )
+    return coeffs + (1,)

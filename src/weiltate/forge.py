@@ -16,17 +16,19 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
+    MAX_PRIME,
     NotSquarefreeError,
     count_distinct_roots_mod,
     crt_poly,
     factor_degree_pattern,
     format_poly,
-    gf_is_irreducible,
-    gf_mul,
+    gf_ben_or,
+    gf_reduce,
     is_prime,
     is_totally_real,
     poly_mul,
     poly_trim,
+    require_prime,
     sturm_real_roots,
 )
 from .galois import (
@@ -205,24 +207,27 @@ def certify_galois_sg(field_or_poly, l=None, lp=None, g=None) -> bool:
 
 
 def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
+    """Monic degree-g irreducible target mod the prime l, which the caller has checked."""
     while True:
-        cand = tuple(rng.randrange(l) for _ in range(g)) + (1,)
-        if gf_is_irreducible(cand, l):
-            return cand
+        cand = [rng.randrange(l) for _ in range(g)] + [1]
+        if gf_ben_or(cand, l):
+            return tuple(cand)
 
 
 def _random_transposition_target(g: int, lp: int, rng: random.Random) -> tuple:
-    """Monic degree-g target mod lp: g-2 distinct linears and an irreducible quadratic."""
+    """Monic degree-g target mod lp: g-2 distinct linears and an irreducible quadratic.
+
+    lp is a prime the caller has checked, so Ben-Or runs unchecked.
+    """
     roots = rng.sample(range(lp), g - 2)
     while True:
         b, c = rng.randrange(lp), rng.randrange(lp)
-        quad = (c, b, 1)
-        if gf_is_irreducible(quad, lp):
+        target = (c, b, 1)
+        if gf_ben_or(list(target), lp):
             break
-    target = quad
     for r in roots:
-        target = gf_mul(target, ((-r) % lp, 1), lp)
-    return target
+        target = poly_mul(target, (-r, 1))
+    return gf_reduce(target, lp)
 
 
 def forge_totally_real(
@@ -243,6 +248,8 @@ def forge_totally_real(
     if g < 2 or g % 2 != 0:
         raise HypothesisError(f"g = {g} must be a positive even integer")
     for q in (p, l, lp):
+        if q >= MAX_PRIME:
+            require_prime(q)  # the kernel's cap error, before any trial division
         if not is_prime(q):
             raise HypothesisError(f"{q} is not prime")
     if len({p, l, lp}) != 3:

@@ -5,12 +5,14 @@ frozensets, group elements or cosets, builds one matrix column per
 group element, runs a Sturm chain over the rationals or reads
 irreducibility off the full factorization pattern, with no linear
 shortcut, no block system, no bit mask, no pseudo-remainder and no
-early exit.  Over GF(l), x**(l**d) comes from square-and-multiply
-(`gf_pow_mod`, a full product and remainder per step) and gcds from
-Euclid on tuples, not from the kernel's Frobenius rows and list
-Euclid.  The forge loop rebuilds its spread target for every spread
-and counts real roots with the whole integer Sturm chain, which is
-itself held to the rational one.
+early exit.  Over GF(l) they run on tuples with their own product and
+division (`gf_mul`, `gf_divmod`): x**(l**d) comes from
+square-and-multiply (`gf_pow_mod`, a full product and remainder per
+step), and gcds and squarefree parts from Euclid on tuples, not from
+the kernel's Frobenius rows and its one list division.  The forge loop
+rebuilds its spread target for every spread and counts real roots
+with the whole integer Sturm chain, which is itself held to the
+rational one.
 """
 
 import random
@@ -24,12 +26,7 @@ from weiltate.algebra import (
     _sign_at_infinity,
     _sign_changes,
     crt_poly,
-    gf_divmod,
-    gf_monic,
-    gf_mul,
-    gf_quo,
     gf_reduce,
-    gf_squarefree_decomposition,
     poly_degree,
     poly_derivative,
     poly_mul,
@@ -398,6 +395,54 @@ def sturm_by_fractions(f):
     return _sign_changes(neg) - _sign_changes(pos)
 
 
+def gf_mul(f, g, l):
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % l
+    return poly_trim(out)
+
+
+def gf_divmod(f, g, l):
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(g[-1], -1, l)
+    rem = list(f)
+    dq = len(f) - len(g)
+    if dq < 0:
+        return (), poly_trim(rem)
+    quo = [0] * (dq + 1)
+    below_lead = g[:-1]
+    for i in range(dq, -1, -1):
+        c = rem[i + len(g) - 1] % l  # rem stays unreduced until a coefficient is read
+        if c:
+            c = (c * inv) % l
+            quo[i] = c
+            for j, b in enumerate(below_lead):
+                rem[i + j] -= c * b
+    return poly_trim(quo), poly_trim(tuple(c % l for c in rem[: len(g) - 1]))
+
+
+def gf_quo(f, g, l):
+    return gf_divmod(f, g, l)[0]
+
+
+def gf_monic(f, l):
+    f = gf_reduce(f, l)
+    if not f or f[-1] == 1:
+        return f
+    inv = pow(f[-1], -1, l)
+    return tuple((c * inv) % l for c in f)
+
+
+def gf_derivative(f, l):
+    return poly_trim(tuple((i * f[i]) % l for i in range(1, len(f))))
+
+
 def gf_sub(f, g, l):
     n = max(len(f), len(g))
     return poly_trim(
@@ -427,6 +472,41 @@ def gf_pow_mod(base, e, mod, l):
         base = gf_rem(gf_mul(base, base, l), mod, l)
         e >>= 1
     return result
+
+
+def squarefree_decomposition_by_rem(f, l):
+    """Monic squarefree decomposition over GF(l) on tuples, gcds by `gf_gcd_by_rem`.
+
+    Returns a list of (multiplicity, factor) with the factors monic,
+    squarefree, pairwise coprime, and prod(factor**mult) = monic(f).
+    Handles the characteristic-l collapse f' = 0 via l-th roots
+    (Frobenius is the identity on GF(l) coefficients).
+    """
+    f = gf_monic(f, l)
+    if poly_degree(f) < 1:
+        return []
+    out = []
+    n = 1
+    while True:
+        deriv = gf_derivative(f, l)
+        if deriv:
+            g = gf_gcd_by_rem(f, deriv, l)
+            h = gf_quo(f, g, l)
+            i = 1
+            while h != (1,):
+                gh = gf_gcd_by_rem(g, h, l)
+                piece = gf_quo(h, gh, l)
+                if poly_degree(piece) > 0:
+                    out.append((i * n, piece))
+                g, h, i = gf_quo(g, gh, l), gh, i + 1
+            if g == (1,):
+                break
+            f = g
+        # here f is an l-th power: f(x) = u(x**l); its l-th root reuses
+        # the same coefficients since a**l = a in GF(l)
+        f = tuple(f[i * l] for i in range(poly_degree(f) // l + 1))
+        n *= l
+    return out
 
 
 def distinct_degree_by_pow_mod(f, l):
@@ -470,15 +550,15 @@ def roots_by_pow_mod(f, l):
 
 
 def degree_pattern_by_pow_mod(f, l):
-    """`factor_degree_pattern` with every squarefree part split by `distinct_degree_by_pow_mod`.
+    """`factor_degree_pattern` on tuples: the squarefree parts of
+    `squarefree_decomposition_by_rem`, each split by `distinct_degree_by_pow_mod`.
 
-    The squarefree parts are the kernel's; its gcd is held to
-    `gf_gcd_by_rem` on its own.
+    Only the input checks are the kernel's.
     """
     fbar = _reduce_checked(f, l)
     counts = {}
     squarefree = True
-    for mult, part in gf_squarefree_decomposition(fbar, l):
+    for mult, part in squarefree_decomposition_by_rem(fbar, l):
         if mult > 1:
             squarefree = False
         for d, prod in distinct_degree_by_pow_mod(part, l):

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import gf_rem, poly_eval
+from oracles import gf_monic, gf_quo, gf_rem, poly_eval
 
 from weiltate.algebra import (
     NotSquarefreeError,
@@ -70,8 +70,6 @@ def trial_division_pattern(f, l):
     Dividing by irreducibles of degree <= deg/2 suffices: whatever is
     left has no factor of half its degree or less, hence is irreducible.
     """
-    from weiltate.algebra import gf_monic, gf_quo
-
     fbar = gf_monic(gf_reduce(f, l), l)
     counts = {}
     squarefree = True

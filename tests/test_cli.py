@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weiltate import classifier, cli, forge, galois, reference
+from weiltate import algebra, classifier, cli, forge, galois, reference
 from weiltate.classifier import classify_orbits, doc_to_end_report, doc_to_report
 from weiltate.forge import scenario_main, serialize_scenario
 
@@ -40,6 +40,27 @@ def test_forge_budget_maps_to_cap_exit(capsys):
     code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", "5", "--l", "7",
                                       "--lp", "11", "--budget", "1"])  # seed 0 needs 4
     assert code == cli.EXIT_CAP
+
+
+@pytest.mark.parametrize("primes", [
+    ("5", "7", "1000000000000000003"),  # a prime above the cap
+    ("1000000000000000003", "7", "11"),
+    ("5", "7", str(2**31)),  # not prime, and refused on the cap alone
+], ids=["lp", "p", "lp-composite"])
+def test_forge_refuses_a_modulus_above_the_cap_before_trial_division(primes, capsys, monkeypatch):
+    is_prime = algebra.is_prime
+
+    def below_the_cap(n):
+        assert n < algebra.MAX_PRIME, f"trial division on {n}"
+        return is_prime(n)
+
+    monkeypatch.setattr(algebra, "is_prime", below_the_cap)
+    monkeypatch.setattr(forge, "is_prime", below_the_cap)
+    p, l, lp = primes
+    code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", p, "--l", l, "--lp", lp])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "exceeds the 2**31 single-word cap" in err
 
 
 def test_forge_json_deterministic(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import weiltate.algebra
 import weiltate.forge
 from weiltate.algebra import poly_degree
 from weiltate.forge import (
@@ -113,6 +114,31 @@ def test_forge_counts_real_roots_once_per_spread(monkeypatch):
     assert len(counted) == f.spread.bit_length() == 18
     assert len(set(counted)) == len(counted)
     assert f.certificates.real_root_count == 12
+
+
+def test_forge_tests_each_prime_once_however_many_draws(monkeypatch):
+    """Ben-Or on the random draws is unchecked: p, l and l' are tested once up front
+    and once in each of the four certificates, at l' = 2**31 - 1 too."""
+    tested, draws = [], []
+    is_prime, ben_or = weiltate.algebra.is_prime, weiltate.forge.gf_ben_or
+
+    def counted_is_prime(n):
+        tested.append(n)
+        return is_prime(n)
+
+    def counted_ben_or(f, l):
+        draws.append(l)
+        return ben_or(f, l)
+
+    monkeypatch.setattr(weiltate.algebra, "is_prime", counted_is_prime)
+    monkeypatch.setattr(weiltate.forge, "is_prime", counted_is_prime)
+    monkeypatch.setattr(weiltate.forge, "gf_ben_or", counted_ben_or)
+    for seed in range(3):
+        tested.clear()
+        draws.clear()
+        forge_totally_real(6, 5, 65537, 2147483647, seed=seed)
+        assert len(draws) > 7
+        assert len(tested) <= 7
 
 
 def test_forge_deterministic_and_seed_sensitive():

@@ -58,6 +58,11 @@ GOLDEN_ARGV = {
         "c0b3faa58e03a531118e877862922b491574732765ef63598f1be677f8286119",
     ("verify", "--random", "1", "--g", "5"):
         "8efb7ac46369c57a11920cff5aea4d83ef41073b169143e05c86bdf7f2d629b0",
+    # forge at large primes: l' = 2**31 - 1, the largest the kernel admits, and p = 2**31 - 1
+    ("forge", "--g", "6", "--p", "5", "--l", "65537", "--lp", "2147483647"):
+        "c8aa3b862192267757ca6ba5c0a0983bc9fefa8bc801995350a39a995e3bd63f",
+    ("forge", "--g", "12", "--p", "2147483647", "--l", "65537", "--lp", "65539"):
+        "1c7c9c885ce05ab09e4cd5bf1655a1f9bd180de11d3b3599d799a82802c8ccee",
 }
 
 GOLDEN_FORGE = {

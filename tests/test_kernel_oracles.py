@@ -28,11 +28,13 @@ from oracles import (
     ben_or_by_pow_mod,
     degree_pattern_by_pow_mod,
     forge_by_definition,
+    gf_divmod,
     gf_gcd_by_rem,
     gf_pow_mod,
     irreducible_by_pattern,
     poly_add,
     roots_by_pow_mod,
+    squarefree_decomposition_by_rem,
     sturm_by_fractions,
 )
 from weiltate import algebra
@@ -43,6 +45,7 @@ from weiltate.algebra import (
     factor_degree_pattern,
     gf_gcd,
     gf_is_irreducible,
+    gf_reduce,
     is_totally_real,
     poly_degree,
     poly_mul,
@@ -168,9 +171,13 @@ def test_ben_or_matches_the_full_pattern(case):
 
 
 def test_ben_or_keeps_the_input_errors():
-    for f, l in (((1, 1), 6), ((), 5), ((1, 0, 5), 5), ((1, 1), MAX_PRIME + 11)):
-        with pytest.raises(ValueError):
-            gf_is_irreducible(f, l)
+    for kernel in (gf_is_irreducible, factor_degree_pattern, count_distinct_roots_mod):
+        for f, l in (((1, 1), 6), ((1, 0, 5), 5), ((1, 1), MAX_PRIME + 11)):
+            with pytest.raises(ValueError):
+                kernel(f, l)
+        for f, l in (((), 5), ((0,), 5), ((0, 0), 7)):
+            with pytest.raises(ValueError, match="zero polynomial rejected"):
+                kernel(f, l)
 
 
 @settings(max_examples=300, deadline=None)
@@ -210,6 +217,44 @@ def test_frobenius_step_is_the_lth_power(case):
     assert len(rows) == len(f) - 1 and all(len(row) == len(f) - 1 for row in rows)
     step = [sum(c * row[j] for c, row in zip(h, rows)) % l for j in range(len(f) - 1)]
     assert poly_trim(step) == gf_pow_mod(tuple(h), l, tuple(f), l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf_polys())
+@example(((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 5))  # x^10 + 1 = (x^2 + 1)^5 mod 5: f' = 0
+@example(((1, 0, 0, 0, 1), 2))  # x^4 + 1 = (x + 1)^4 mod 2: two l-th roots
+def test_squarefree_decomposition_matches_the_tuple_route(case):
+    f, l = case
+    try:
+        fbar = algebra._reduce_checked(f, l)
+    except ValueError:
+        return
+    got = [(mult, tuple(part)) for mult, part in algebra.gf_squarefree_decomposition(fbar, l)]
+    assert got == squarefree_decomposition_by_rem(f, l)
+
+
+def test_squarefree_decomposition_collapses_in_characteristic_l():
+    x10_plus_1 = algebra._reduce_checked((1,) + (0,) * 9 + (1,), 5)
+    assert algebra.gf_squarefree_decomposition(x10_plus_1, 5) == [(5, [1, 0, 1])]
+    assert factor_degree_pattern((1,) + (0,) * 9 + (1,), 5) == ([(1, 10)], False)
+    x4_plus_1 = algebra._reduce_checked((1, 0, 0, 0, 1), 2)
+    assert algebra.gf_squarefree_decomposition(x4_plus_1, 2) == [(4, [1, 1])]
+    assert factor_degree_pattern((1, 0, 0, 0, 1), 2) == ([(1, 4)], False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf_polys(), monic_and_residue())
+def test_divide_leaves_quotient_and_remainder(case, divisor):
+    """After `_divide(a, b)`, a[deg b:] is the quotient and a[:deg b] the remainder mod l."""
+    f, l = case
+    b = [c % l for c in divisor[0]]  # monic mod the prime of f
+    a = [c % l for c in f]
+    expected = gf_divmod(a, b, l)
+    algebra._divide(a, b, l)
+    n = len(b) - 1
+    quo, rem = poly_trim(a[n:]), gf_reduce(a[:n], l)
+    assert (quo, rem) == expected
+    assert gf_reduce(poly_add(poly_mul(quo, b), rem), l) == gf_reduce(f, l)
 
 
 @settings(max_examples=300, deadline=None)
