@@ -39,7 +39,6 @@ from .classifier import (
     predicted_signature,
     structure_check,
     verify_lemma_suite,
-    weil_tate_submotives,
 )
 from .forge import (
     ForgedField,

@@ -39,25 +39,49 @@ class NotSquarefreeError(ValueError):
     """Raised when an operation requires a squarefree polynomial."""
 
 
+# Miller-Rabin with these bases is exact below the bounds: the first four
+# below 3,215,031,751 (Pomerance, Selfridge and Wagstaff 1980), all
+# thirteen below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_FOUR_BASE_BOUND = 3_215_031_751
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n at or above MR_BOUND is refused, not guessed."""
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is too large for the deterministic primality test "
+                         f"(bound {MR_BOUND})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    return _strong_probable_prime(n, _MR_BASES[:4] if n < _FOUR_BASE_BOUND else _MR_BASES)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Whether the odd n > 2 passes the strong Fermat test to every base."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def require_prime(l: int) -> None:
     """Refuse l unless it is a prime below MAX_PRIME.
 
-    The cap is tested first, so no trial division runs on a value that
+    The cap is tested first, so no primality test runs on a value that
     can only be refused.
     """
     if isinstance(l, int) and l >= MAX_PRIME:
@@ -173,10 +197,6 @@ def _euclid(a, b, l):
         inv = pow(a[-1], -1, l)
         a = [c * inv % l for c in a]
     return a
-
-
-def gf_gcd(f, g, l):
-    return tuple(_euclid(list(gf_reduce(f, l)), list(gf_reduce(g, l)), l))
 
 
 def _mulmod(a, b, f, l):

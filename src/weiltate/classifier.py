@@ -107,19 +107,14 @@ def is_tate_subset(model: CMGaloisModel, s: SlopeVector, subset) -> bool:
     return len(I) % 2 == 0 and _half_weight(tate_rows(model, s), I)
 
 
-def q_pairs(model: CMGaloisModel, s: SlopeVector) -> frozenset:
-    """All weight-2 Tate subsets {x, y}: the combinatorial divisor classes.
-
-    Conjugation pairs {i, tau(i)} always qualify; further pairs appear
-    exactly when distinct indices carry equal Frobenius conjugates
-    modulo torsion (Q(pi) smaller than L).
-    """
-    validate_slopes(model, s)
-    return _pairs_passing(tate_rows(model, s))
-
-
 def _pairs_passing(rows) -> frozenset:
-    """The weight-2 subsets passing the predicate `rows`."""
+    """The q-pairs: the weight-2 subsets passing the predicate `rows`.
+
+    These are the combinatorial divisor classes.  Conjugation pairs
+    {i, tau(i)} always qualify; further pairs appear exactly when
+    distinct indices carry equal Frobenius conjugates modulo torsion
+    (Q(pi) smaller than L).
+    """
     return frozenset(
         frozenset(P) for P in combinations(range(len(rows[0])), 2) if _half_weight(rows, P)
     )
@@ -364,21 +359,15 @@ def classify_orbits(
     )
 
 
-def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector) -> tuple:
+def _weil_tate_entries(model: CMGaloisModel, rows, qp) -> tuple:
     """Candidate determinant submotives over imaginary quadratic subfields.
 
     One entry per index-2 overgroup Z of H avoiding tau: the orbit
-    {z(1) : z in Z} of size g, flagged Tate / Lefschetz-bearing /
-    exotic.  The determinant sets come from sign labellings of the
-    points (`index2_point_sets`); Z itself is never listed.
+    {z(1) : z in Z} of size g, flagged Tate (under the predicate `rows`),
+    Lefschetz-bearing (a matching of the q-pairs `qp`) or exotic.  The
+    determinant sets come from sign labellings of the points
+    (`index2_point_sets`); Z itself is never listed.
     """
-    validate_slopes(model, s)
-    rows = tate_rows(model, s)
-    return _weil_tate_entries(model, rows, _pairs_passing(rows))
-
-
-def _weil_tate_entries(model: CMGaloisModel, rows, qp) -> tuple:
-    """The Weil-Tate entries under the predicate `rows` and the q-pairs `qp`."""
     entries = []
     for det_set in index2_point_sets(model.group):
         if model.tau[0] in det_set:
@@ -607,14 +596,6 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 @dataclass(frozen=True)
-class LemmaInstance:
-    label: str
-    model: CMGaloisModel
-    slopes: SlopeVector
-    family: str = None
-
-
-@dataclass(frozen=True)
 class LemmaResult:
     instance: str
     lemma: str
@@ -622,8 +603,8 @@ class LemmaResult:
     detail: str = ""
 
 
-def verify_lemma_suite(instances) -> tuple:
-    """Brute-force the combinatorial lemmas on each instance.
+def verify_lemma_suite(scenarios) -> tuple:
+    """Brute-force the combinatorial lemmas on each scenario, rows labelled by its name.
 
     Hypothesis gating: the partition lemma needs a mildly exotic
     instance; the half-weight minimum and exotic uniqueness need the
@@ -631,8 +612,8 @@ def verify_lemma_suite(instances) -> tuple:
     specific to the main scenario family.
     """
     results = []
-    for inst in instances:
-        model, s = inst.model, inst.slopes
+    for scn in scenarios:
+        label, model, s = scn.name, scn.model, scn.slopes
         report = classify_orbits(model, s)
         end = honda_tate_endomorphism(model, s) if model.D_generators is not None else None
         mildly = report.mildly_exotic
@@ -649,10 +630,10 @@ def verify_lemma_suite(instances) -> tuple:
                     status = FAIL
                     detail = f"I = {[i + 1 for i in sorted(I)]} has I ∪ tau I != all indices"
                     break
-            results.append(LemmaResult(inst.label, LEMMA_PARTITION, status, detail))
+            results.append(LemmaResult(label, LEMMA_PARTITION, status, detail))
         else:
             results.append(
-                LemmaResult(inst.label, LEMMA_PARTITION, NOT_APPLICABLE, "not mildly exotic")
+                LemmaResult(label, LEMMA_PARTITION, NOT_APPLICABLE, "not mildly exotic")
             )
 
         if mildly and noncommutative:
@@ -673,20 +654,20 @@ def verify_lemma_suite(instances) -> tuple:
                     f"J = {[i + 1 for i in J]} has half-weight products "
                     f"but #J = {len(J)} < g/2 = {model.g // 2}"
                 )
-            results.append(LemmaResult(inst.label, LEMMA_HALF_WEIGHT, status, detail))
+            results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, status, detail))
 
             exotic_masks = {_mask(n, m) for o in report.exotic for m in o.orbit}
             if len(report.exotic) == 1:
                 I = report.exotic[0].representative
                 allowed = {_mask(n, I), _mask(n, (model.tau[i] for i in I))}
                 if exotic_masks <= allowed:
-                    results.append(LemmaResult(inst.label, LEMMA_UNIQUE_EXOTIC, PASS))
+                    results.append(LemmaResult(label, LEMMA_UNIQUE_EXOTIC, PASS))
                 else:
                     extra = max(exotic_masks - allowed)
                     points = [i + 1 for i in range(n) if extra >> (n - 1 - i) & 1]
                     results.append(
                         LemmaResult(
-                            inst.label,
+                            label,
                             LEMMA_UNIQUE_EXOTIC,
                             FAIL,
                             f"exotic subset {points} differs from I, tau I",
@@ -695,7 +676,7 @@ def verify_lemma_suite(instances) -> tuple:
             else:
                 results.append(
                     LemmaResult(
-                        inst.label,
+                        label,
                         LEMMA_UNIQUE_EXOTIC,
                         FAIL,
                         f"{len(report.exotic)} exotic orbits in the noncommutative setting",
@@ -703,10 +684,10 @@ def verify_lemma_suite(instances) -> tuple:
                 )
         else:
             why = "not mildly exotic" if not mildly else "endomorphism algebra is commutative"
-            results.append(LemmaResult(inst.label, LEMMA_HALF_WEIGHT, NOT_APPLICABLE, why))
-            results.append(LemmaResult(inst.label, LEMMA_UNIQUE_EXOTIC, NOT_APPLICABLE, why))
+            results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, NOT_APPLICABLE, why))
+            results.append(LemmaResult(label, LEMMA_UNIQUE_EXOTIC, NOT_APPLICABLE, why))
 
-        if inst.family == "main":
+        if scn.family == "main":
             ok = (
                 len(report.exotic) == 1
                 and report.exotic[0].rank == 2
@@ -714,7 +695,7 @@ def verify_lemma_suite(instances) -> tuple:
             )
             results.append(
                 LemmaResult(
-                    inst.label,
+                    label,
                     LEMMA_MAIN_UNIQUE,
                     PASS if ok else FAIL,
                     "" if ok else f"exotic orbits: {[o.representative for o in report.exotic]}",
@@ -722,7 +703,7 @@ def verify_lemma_suite(instances) -> tuple:
             )
         else:
             results.append(
-                LemmaResult(inst.label, LEMMA_MAIN_UNIQUE, NOT_APPLICABLE, "not the main family")
+                LemmaResult(label, LEMMA_MAIN_UNIQUE, NOT_APPLICABLE, "not the main family")
             )
     return tuple(results)
 

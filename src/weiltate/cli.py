@@ -22,7 +22,6 @@ from math import inf
 from . import classifier, forge
 from .classifier import (
     FAIL,
-    LemmaInstance,
     classify_orbits,
     end_report_to_doc,
     honda_tate_endomorphism,
@@ -31,7 +30,7 @@ from .classifier import (
     verify_lemma_suite,
 )
 from .galois import DEFAULT_GROUP_CAP, CapExceededError, format_perm
-from .slopes import frobenius_rank, minimal_field_index
+from .slopes import frobenius_rank
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,7 +81,7 @@ def _group_cap() -> int:
     return _limit("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP, 1)
 
 
-def _subset_cap(given: int = None) -> int:
+def _subset_cap(given) -> int:
     return _limit("WEILTATE_SUBSET_CAP", classifier.DEFAULT_SUBSET_CAP, 2, "--cap", given)
 
 
@@ -216,18 +215,12 @@ def _resolve_scenario(args, group_cap, subset_cap) -> forge.Scenario:
         except OSError as exc:
             raise forge.ScenarioParseError(f"cannot read {args.file}: {exc}")
         return forge.parse_scenario(text, group_cap=group_cap, subset_cap=subset_cap)
+    flag, size = ("--g", args.g) if args.preset == "main" else ("--gp", args.gp)
+    if size is None:
+        raise UsageError(f"--preset {args.preset} requires {flag}")
+    fields = {"attach_fields": True} if args.attach_fields else {}
     p = DEFAULT_P if args.p is None else args.p
-    if args.preset == "main":
-        if args.g is None:
-            raise UsageError("--preset main requires --g")
-        return forge.scenario_main(args.g, p, attach_fields=args.attach_fields, group_cap=group_cap)
-    if args.preset == "ramified":
-        if args.gp is None:
-            raise UsageError("--preset ramified requires --gp")
-        return forge.scenario_ramified(args.gp, p, group_cap=group_cap)
-    if args.gp is None:
-        raise UsageError("--preset split requires --gp")
-    return forge.scenario_split(args.gp, p, group_cap=group_cap)
+    return forge.PRESETS[args.preset](size, p, group_cap=group_cap, **fields)
 
 
 def _scenario_doc(scn: forge.Scenario) -> dict:
@@ -247,10 +240,19 @@ def _scenario_doc(scn: forge.Scenario) -> dict:
     return doc
 
 
-def classify_scenario_doc(scn: forge.Scenario, subset_cap: int = None, weights=None) -> dict:
-    """Full classification document for one scenario (the structured report)."""
-    cap = subset_cap if subset_cap is not None else _subset_cap()
-    report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=cap)
+def classify_scenario_doc(
+    scn: forge.Scenario, subset_cap: int = classifier.DEFAULT_SUBSET_CAP, weights=None
+) -> dict:
+    """Full classification document for one scenario (the structured report).
+
+    The minimal field index [G : Fix] is [Q(pi^k) : Q], the Frobenius
+    field degree that Honda-Tate has already counted: both are the
+    number of signature blocks, which all have one size since G is
+    transitive.
+    """
+    report = classify_orbits(
+        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap
+    )
     end = honda_tate_endomorphism(scn.model, scn.slopes)
     doc = {
         "schema": "weiltate.classify/1",
@@ -258,7 +260,7 @@ def classify_scenario_doc(scn: forge.Scenario, subset_cap: int = None, weights=N
         "report": report_to_doc(report, group=scn.model.group),
         "endomorphism": end_report_to_doc(end),
         "frobenius_rank": frobenius_rank(scn.model, scn.slopes),
-        "minimal_field_index": minimal_field_index(scn.model, scn.slopes),
+        "minimal_field_index": end.frobenius_field_degree,
     }
     if scn.g % 2 == 0 and report.tate_dims is not None:
         s_plus, s_minus = predicted_signature(report, scn.g)
@@ -340,31 +342,43 @@ def cmd_classify(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_PRESET_BUILDERS = {
-    "main4": lambda p, cap: forge.scenario_main(4, p, group_cap=cap),
-    "main6": lambda p, cap: forge.scenario_main(6, p, group_cap=cap),
-    "ramified3": lambda p, cap: forge.scenario_ramified(3, p, group_cap=cap),
-    "split3": lambda p, cap: forge.scenario_split(3, p, group_cap=cap),
+# verify preset name -> (family, size), built by forge.PRESETS[family](size, p)
+VERIFY_PRESETS = {
+    "main4": ("main", 4),
+    "main6": ("main", 6),
+    "ramified3": ("ramified", 3),
+    "split3": ("split", 3),
 }
 
 
 def cmd_verify(args) -> int:
+    if args.random is not None and args.random < 1:
+        raise UsageError(f"--random must be at least 1, got {args.random}")
+    names = "all" if args.presets is None and args.random is None else args.presets
+    names = (
+        list(VERIFY_PRESETS)
+        if names == "all"
+        else [n.strip() for n in (names or "").split(",") if n.strip()]
+    )
+    _reject_ignored(
+        ("--g", args.random_g is not None, args.random is not None, "--random"),
+        ("--seed", args.seed is not None, args.random is not None, "--random"),
+        ("--p", args.p is not None, bool(names), "--presets"),
+    )
+    p = DEFAULT_P if args.p is None else args.p
     doc = {"schema": "weiltate.verify/1", "lemmas": [], "oracles": []}
     failed = False
     group_cap = _group_cap()
 
-    instances = []
-    for name in args.presets:
-        if name not in _PRESET_BUILDERS:
+    scenarios = []
+    for name in names:
+        if name not in VERIFY_PRESETS:
             raise UsageError(
-                f"unknown preset {name!r}; choose from {', '.join(_PRESET_BUILDERS)}"
+                f"unknown preset {name!r}; choose from {', '.join(VERIFY_PRESETS)}"
             )
-        scn = _PRESET_BUILDERS[name](args.p, group_cap)
-        instances.append(
-            LemmaInstance(label=scn.name, model=scn.model, slopes=scn.slopes,
-                          family=scn.family)
-        )
-    for row in verify_lemma_suite(instances):
+        family, size = VERIFY_PRESETS[name]
+        scenarios.append(forge.PRESETS[family](size, p, group_cap=group_cap))
+    for row in verify_lemma_suite(scenarios):
         doc["lemmas"].append(
             {
                 "instance": row.instance,
@@ -379,8 +393,9 @@ def cmd_verify(args) -> int:
     if args.random is not None:
         from .reference import slope_oracle_rows  # the only command that lists a group
 
-        for g in args.random_g:
-            rows = slope_oracle_rows(g, args.random, args.seed, group_cap)
+        seed = 0 if args.seed is None else args.seed
+        for g in args.random_g or [2, 3, 4]:
+            rows = slope_oracle_rows(g, args.random, seed, group_cap)
             doc["oracles"].extend(rows)
             failed = failed or any(not r["all_pass"] for r in rows)
 
@@ -464,24 +479,6 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(args)
         if args.command == "verify":
-            if args.random is not None and args.random < 1:
-                raise UsageError(f"--random must be at least 1, got {args.random}")
-            if args.presets is None and args.random is None:
-                args.presets = "all"
-            args.presets = (
-                list(_PRESET_BUILDERS)
-                if args.presets == "all"
-                else [n.strip() for n in (args.presets or "").split(",") if n.strip()]
-            )
-            _reject_ignored(
-                ("--g", args.random_g is not None, args.random is not None, "--random"),
-                ("--seed", args.seed is not None, args.random is not None, "--random"),
-                ("--p", args.p is not None, bool(args.presets), "--presets"),
-            )
-            if args.random_g is None:
-                args.random_g = [2, 3, 4] if args.random is not None else []
-            args.p = DEFAULT_P if args.p is None else args.p
-            args.seed = 0 if args.seed is None else args.seed
             return cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:

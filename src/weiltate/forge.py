@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .algebra import (
     MAX_PRIME,
-    NotSquarefreeError,
     count_distinct_roots_mod,
     crt_poly,
     factor_degree_pattern,
@@ -29,7 +28,6 @@ from .algebra import (
     poly_mul,
     poly_trim,
     require_prime,
-    sturm_real_roots,
 )
 from .galois import (
     DEFAULT_GROUP_CAP,
@@ -164,18 +162,6 @@ def _is_sg_certificate(g: int, pat_l, sf_l, pat_lp, sf_lp) -> bool:
     )
 
 
-def _real_root_count(poly) -> int:
-    """Distinct real roots by Sturm, or -1 when the polynomial is not squarefree."""
-    try:
-        return sturm_real_roots(poly)
-    except NotSquarefreeError:
-        return -1
-
-
-def compute_certificates(poly, g: int, p: int, l: int, lp: int) -> Certificates:
-    return _certificates(poly, g, p, l, lp, _real_root_count(poly))
-
-
 def _certificates(poly, g: int, p: int, l: int, lp: int, real_roots: int) -> Certificates:
     """The certificates of `poly`, its real-root count already known."""
     pat_p, sf_p = factor_degree_pattern(poly, p)
@@ -249,7 +235,7 @@ def forge_totally_real(
         raise HypothesisError(f"g = {g} must be a positive even integer")
     for q in (p, l, lp):
         if q >= MAX_PRIME:
-            require_prime(q)  # the kernel's cap error, before any trial division
+            require_prime(q)  # the kernel's cap error, before any primality test
         if not is_prime(q):
             raise HypothesisError(f"{q} is not prime")
     if len({p, l, lp}) != 3:
@@ -454,6 +440,10 @@ def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scena
     frobenius = compose(model.tau, c)
     return _preset(f"split-gp{gp}-p{p}", "split", model, [frobenius],
                    [gp - 1] * 4 + [2, 2], (0, 1))
+
+
+# family -> builder(size, p, group_cap=...): the size is g for main, g' otherwise
+PRESETS = {"main": scenario_main, "ramified": scenario_ramified, "split": scenario_split}
 
 
 # ---------------------------------------------------------------------------

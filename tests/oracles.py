@@ -2,10 +2,10 @@
 
 Each one follows the definition directly: it walks orbits as
 frozensets, group elements or cosets, builds one matrix column per
-group element, runs a Sturm chain over the rationals or reads
-irreducibility off the full factorization pattern, with no linear
-shortcut, no block system, no bit mask, no pseudo-remainder and no
-early exit.  Over GF(l) they run on tuples with their own product and
+group element, runs a Sturm chain over the rationals, reads
+irreducibility off the full factorization pattern or tests primality
+by trial division, with no linear shortcut, no block system, no bit
+mask, no pseudo-remainder, no Miller-Rabin and no early exit.  Over GF(l) they run on tuples with their own product and
 division (`gf_mul`, `gf_divmod`): x**(l**d) comes from
 square-and-multiply (`gf_pow_mod`, a full product and remainder per
 step), and gcds and squarefree parts from Euclid on tuples, not from
@@ -13,6 +13,10 @@ the kernel's Frobenius rows and its one list division.  The forge loop
 rebuilds its spread target for every spread and counts real roots
 with the whole integer Sturm chain, which is itself held to the
 rational one.
+
+`q_pairs` and `weil_tate_submotives` are the standalone forms of two
+parts of `classify_orbits`, each from its own predicate rows; the
+classifier itself builds those rows once per report.
 """
 
 import random
@@ -41,21 +45,21 @@ from weiltate.classifier import (
     EndAlgebraReport,
     LocalInvariant,
     MotiveOrbit,
+    _pairs_passing,
+    _weil_tate_entries,
     has_qpair_matching,
-    q_pairs,
     tate_rows,
-    weil_tate_submotives,
 )
 from weiltate.cmtypes import hodge_type, is_balanced
 from weiltate.forge import (
     ForgedField,
     _random_irreducible,
+    _certificates,
     _random_transposition_target,
-    compute_certificates,
 )
 from weiltate.galois import CMGaloisModel, PermGroup, _inverse, compose, identity
 from weiltate.reference import elements, subgroup_closure
-from weiltate.slopes import validate_slopes
+from weiltate.slopes import SlopeVector, validate_slopes
 
 
 def orbit_of_subset(model: CMGaloisModel, subset) -> list:
@@ -82,6 +86,30 @@ def tate_by_orbit_walk(model, s, subset) -> bool:
     target = Fraction(len(I), 2)
     return all(sum((s[i] for i in member), Fraction(0)) == target
                for member in orbit_of_subset(model, I))
+
+
+def q_pairs(model: CMGaloisModel, s: SlopeVector) -> frozenset:
+    """All weight-2 Tate subsets {x, y}: the combinatorial divisor classes.
+
+    Conjugation pairs {i, tau(i)} always qualify; further pairs appear
+    exactly when distinct indices carry equal Frobenius conjugates
+    modulo torsion (Q(pi) smaller than L).
+    """
+    validate_slopes(model, s)
+    return _pairs_passing(tate_rows(model, s))
+
+
+def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector) -> tuple:
+    """Candidate determinant submotives over imaginary quadratic subfields.
+
+    One entry per index-2 overgroup Z of H avoiding tau: the orbit
+    {z(1) : z in Z} of size g, flagged Tate / Lefschetz-bearing /
+    exotic.  The determinant sets come from sign labellings of the
+    points (`index2_point_sets`); Z itself is never listed.
+    """
+    validate_slopes(model, s)
+    rows = tate_rows(model, s)
+    return _weil_tate_entries(model, rows, _pairs_passing(rows))
 
 
 def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierReport:
@@ -355,6 +383,21 @@ def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
     )
 
 
+def is_prime_by_trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
 def _qpoly(f):
     return poly_trim(tuple(Fraction(c) for c in f))
 
@@ -616,6 +659,6 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_bu
             real_roots = -1
         if real_roots == g:
             return ForgedField(g=g, p=p, l=l, lp=lp, seed=seed, poly=poly, spread=spread,
-                               certificates=compute_certificates(poly, g, p, l, lp))
+                               certificates=_certificates(poly, g, p, l, lp, real_roots))
         spread *= 2
     raise RuntimeError("no totally real polynomial within the budget")

@@ -9,18 +9,16 @@ import json
 import time
 from fractions import Fraction
 
-from oracles import index2_overgroups
+from oracles import index2_overgroups, weil_tate_submotives
 
 from weiltate.classifier import (
     NOT_APPLICABLE,
     PASS,
     SCHT_APPLICABLE,
-    LemmaInstance,
     classify_orbits,
     honda_tate_endomorphism,
     predicted_signature,
     verify_lemma_suite,
-    weil_tate_submotives,
 )
 from weiltate.cli import classify_scenario_doc
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
@@ -152,13 +150,8 @@ def test_criterion_6_slope_oracle_equivalence():
 
 
 def test_criterion_7_lemma_suite():
-    instances = []
-    for scn in (scenario_main(4, 5), scenario_main(6, 5), scenario_ramified(3, 5),
-                scenario_split(3, 5)):
-        instances.append(
-            LemmaInstance(label=scn.name, model=scn.model, slopes=scn.slopes, family=scn.family)
-        )
-    rows = verify_lemma_suite(instances)
+    rows = verify_lemma_suite([scenario_main(4, 5), scenario_main(6, 5), scenario_ramified(3, 5),
+                               scenario_split(3, 5)])
     assert all(r.status in (PASS, NOT_APPLICABLE) for r in rows)
     by_key = {(r.instance, r.lemma): r.status for r in rows}
     # the partition lemma holds on every (mildly exotic) preset

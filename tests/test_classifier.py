@@ -20,9 +20,11 @@ from oracles import (
     index2_overgroups,
     orbit_of_subset,
     orbits_by_walk,
+    q_pairs,
     subgroup_generators_by_listing,
     tate_by_orbit_walk,
     verify_subgroup,
+    weil_tate_submotives,
 )
 
 import weiltate.classifier
@@ -37,7 +39,6 @@ from weiltate.classifier import (
     SCHT_LEFSCHETZ_ONLY,
     SCHT_NOT_DECIDED,
     ClassifierReport,
-    LemmaInstance,
     classify_orbits,
     doc_to_end_report,
     doc_to_report,
@@ -46,16 +47,14 @@ from weiltate.classifier import (
     honda_tate_endomorphism,
     is_tate_subset,
     predicted_signature,
-    q_pairs,
     report_to_doc,
     structure_check,
     tate_rows,
     tate_subsets,
     verify_lemma_suite,
-    weil_tate_submotives,
 )
 from weiltate.cmtypes import CMType
-from weiltate.forge import scenario_main, scenario_ramified, scenario_split
+from weiltate.forge import Scenario, scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import (
     CMGaloisModel,
     CapExceededError,
@@ -500,13 +499,16 @@ def test_classify_builds_one_basis_and_computes_the_d_orbits_once(monkeypatch):
     count_calls(monkeypatch, CMGaloisModel, "with_decomposition", calls)
     count_calls(monkeypatch, weiltate.classifier, "conjugate_slope_basis", calls)
     count_calls(monkeypatch, weiltate.slopes, "conjugate_slope_basis", calls)
+    count_calls(monkeypatch, weiltate.classifier, "signature_classes", calls)
+    count_calls(monkeypatch, weiltate.slopes, "signature_classes", calls)
     scn = scenario_ramified(3, 5)
     assert calls == {"with_decomposition": 1}
     classify_orbits(scn.model, scn.slopes, phi=scn.phi)
     assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 1}
-    # the whole document adds one basis for the Tate predicate, one for the Frobenius rank
+    # the whole document adds one basis for the Tate predicate, one for the Frobenius rank,
+    # and one signature partition, which Honda-Tate and the minimal field index share
     classify_scenario_doc(scn)
-    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 3}
+    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 3, "signature_classes": 1}
 
 
 def closed_form_rho(model, s):
@@ -767,6 +769,9 @@ def test_block_routes_match_the_element_walks(case):
     if model.g <= 4:  # the definition is a double loop over G
         assert fix == fixer_by_definition(model, s)
     assert minimal_field_index(model, s) == model.group.order // len(fix)
+    end = outcome(honda_tate_endomorphism, model, s)
+    if not isinstance(end, str):
+        assert minimal_field_index(model, s) == end.frobenius_field_degree
     H = block_subgroup(model.group, {0})
     overgroups = index2_overgroups(model.group, H)
     for Z in overgroups + [H, frozenset(elements(model.group))]:
@@ -797,9 +802,9 @@ def test_weil_tate_determinant_sets_match_the_overgroups(name):
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_honda_tate_presets_match_the_coset_walk(name):
     scn = PRESETS[name]()
-    assert honda_tate_endomorphism(scn.model, scn.slopes) == honda_tate_by_cosets(
-        scn.model, scn.slopes
-    )
+    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    assert end == honda_tate_by_cosets(scn.model, scn.slopes)
+    assert minimal_field_index(scn.model, scn.slopes) == end.frobenius_field_degree
 
 
 # --- structure_check -------------------------------------------------------------
@@ -959,12 +964,7 @@ def test_signature_rejects_odd_g():
 
 
 def build_instances():
-    out = []
-    for scn in (scenario_main(4, 5), scenario_ramified(3, 5), scenario_split(3, 5)):
-        out.append(
-            LemmaInstance(label=scn.name, model=scn.model, slopes=scn.slopes, family=scn.family)
-        )
-    return out
+    return [scenario_main(4, 5), scenario_ramified(3, 5), scenario_split(3, 5)]
 
 
 def test_lemma_suite_presets_all_pass():
@@ -988,8 +988,7 @@ def test_unique_exotic_lemma_names_the_first_stray_member(monkeypatch):
     strays = ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))
     forged = replace(report, exotic=(replace(orbit, orbit=orbit.orbit + strays),))
     monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s: forged)
-    inst = LemmaInstance(label=scn.name, model=scn.model, slopes=scn.slopes, family=scn.family)
-    (row,) = [r for r in verify_lemma_suite([inst]) if r.lemma == "exotic_uniqueness"]
+    (row,) = [r for r in verify_lemma_suite([scn]) if r.lemma == "exotic_uniqueness"]
     assert row.status == FAIL
     # the first stray in document (lexicographic) order, as 1-based points
     assert row.detail == "exotic subset [1, 3, 5, 7, 9, 11] differs from I, tau I"
@@ -997,8 +996,10 @@ def test_unique_exotic_lemma_names_the_first_stray_member(monkeypatch):
 
 def test_lemma_suite_gates_on_hypotheses():
     model = cm_product_group(3)
-    inst = LemmaInstance(label="ordinary", model=model, slopes=ordinary_slopes(3))
-    rows = verify_lemma_suite([inst])
+    scn = Scenario(name="ordinary", family=None, g=3, model=model,
+                   phi=CMType(frozenset(range(3, 6))), slopes=ordinary_slopes(3),
+                   provenance="test")
+    rows = verify_lemma_suite([scn])
     assert {r.status for r in rows} == {NOT_APPLICABLE}
     assert not any(r.status == FAIL for r in rows)
 

@@ -1,6 +1,9 @@
 """CLI tests: flags, exit codes, output parity, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -265,6 +268,50 @@ def test_verify_unknown_preset(capsys):
     code, out, err = run_cli(capsys, ["verify", "--presets", "main5"])
     assert code == cli.EXIT_USAGE
     assert "unknown preset" in err
+
+
+def test_preset_usage_messages(capsys):
+    for argv, message in [
+        (["classify", "--preset", "main"], "--preset main requires --g"),
+        (["classify", "--preset", "ramified"], "--preset ramified requires --gp"),
+        (["classify", "--preset", "split", "--g", "4"], "--g applies only to --preset main"),
+        (["classify", "--preset", "split"], "--preset split requires --gp"),
+        (["verify", "--presets", "main5"],
+         "unknown preset 'main5'; choose from main4, main6, ramified3, split3"),
+    ]:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (cli.EXIT_USAGE, "", f"usage error: {message}\n"), argv
+
+
+def test_a_large_p_is_answered_at_once():
+    """A 19-digit prime p is tested by Miller-Rabin, and a p at or past its bound is refused.
+
+    Trial division used to run for ever on both; the child process bounds
+    the wait, so a regression fails instead of hanging.
+    """
+    big, past = "1000000000000000003", str(algebra.MR_BOUND)
+    runs = [
+        ["classify", "--preset", "main", "--g", "4", "--p", big],
+        ["verify", "--presets", "split3", "--p", big],
+        ["classify", "--preset", "ramified", "--gp", "3", "--p", past],
+        ["verify", "--presets", "main4", "--p", past],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from weiltate import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(done.stdout) == [0, 0, cli.EXIT_USAGE, cli.EXIT_USAGE]
+    assert done.stderr.splitlines() == [
+        f"error: {past} is too large for the deterministic primality test (bound {past})"
+    ] * 2
 
 
 def test_classify_restricted_weights(capsys):

@@ -6,13 +6,13 @@ import pytest
 
 import weiltate.algebra
 import weiltate.forge
-from weiltate.algebra import poly_degree
+from weiltate.algebra import poly_degree, sturm_real_roots
 from weiltate.forge import (
     HypothesisError,
     RetryBudgetError,
     ScenarioParseError,
+    _certificates,
     certify_galois_sg,
-    compute_certificates,
     forge_quadratic,
     forge_totally_real,
     parse_scenario,
@@ -92,7 +92,7 @@ def test_forge_reductions_match_targets():
     f = forge_totally_real(4, 5, 7, 11, seed=3)
     # the reductions are certified irreducible / transposition shaped;
     # also re-derive the certificates from scratch and compare
-    again = compute_certificates(f.poly, f.g, f.p, f.l, f.lp)
+    again = _certificates(f.poly, f.g, f.p, f.l, f.lp, sturm_real_roots(f.poly))
     assert again == f.certificates
 
 
@@ -108,7 +108,7 @@ def test_forge_counts_real_roots_once_per_spread(monkeypatch):
         raise AssertionError("the forge loop needs no full real-root count")
 
     monkeypatch.setattr(weiltate.forge, "is_totally_real", counting)
-    monkeypatch.setattr(weiltate.forge, "sturm_real_roots", no_sturm)
+    monkeypatch.setattr(weiltate.algebra, "sturm_real_roots", no_sturm)
     f = forge_totally_real(12, 5, 13, 17, seed=0)
     # spreads 1, 2, 4, ..., f.spread: one total-reality test each, the accepted one proves g roots
     assert len(counted) == f.spread.bit_length() == 18
@@ -176,14 +176,12 @@ def test_forge_budget_exhaustion():
 
 
 def test_certify_a_forged_field_recomputes_only_the_sg_patterns(monkeypatch):
-    from weiltate import forge
-
     f = forge_totally_real(4, 5, 7, 11, seed=0)
 
     def no_sturm(poly):
         raise AssertionError("the S_g certificate needs no real-root count")
 
-    monkeypatch.setattr(forge, "sturm_real_roots", no_sturm)
+    monkeypatch.setattr(weiltate.algebra, "sturm_real_roots", no_sturm)
     assert certify_galois_sg(f)
 
 

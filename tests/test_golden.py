@@ -50,6 +50,9 @@ GOLDEN_ARGV = {
     ("classify", "--preset", "split", "--gp", "5", "--cap", "20",
      "--weights", "0,2,4,6,8,10,12,14,16,18,20"):
         "a5664792556f5eb355b68756345a7510bf7f82a0c93c6bdcd030412c3c6efe01",
+    # the one preset document that carries forged-field metadata
+    ("classify", "--preset", "main", "--g", "4", "--attach-fields"):
+        "cb93f3cf7e8a4574b0407d5f7bbb612bdc1cedc1b781bc0ddfed40f253cdde12",
     ("verify", "--presets", "all"):
         "f23123bf2e935173e7e2e68486af28058366b284b47192479bfae578f2035200",
     ("verify", "--random", "20", "--g", "3"):
@@ -135,14 +138,15 @@ def test_forge_json_digest(key, capsys):
 
 @pytest.mark.parametrize("name", list(GOLDEN_SCENARIO_FILES))
 def test_serialized_preset_digest(name):
-    scn = cli._PRESET_BUILDERS[name](5, 10**6)
+    family, size = cli.VERIFY_PRESETS[name]
+    scn = forge.PRESETS[family](size, 5, group_cap=10**6)
     assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_SCENARIO_FILES[name]
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_PRESET_FILES), ids=lambda k: "%s%d" % k)
 def test_serialized_large_preset_digest(key):
     family, size = key
-    scn = getattr(forge, "scenario_" + family)(size, 5)
+    scn = forge.PRESETS[family](size, 5)
     assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_PRESET_FILES[key]
 
 
@@ -168,9 +172,11 @@ def test_documents_list_no_group_element(monkeypatch, capsys):
         out = capsys.readouterr().out
         assert argv not in digests or _sha256(out) == digests[argv], argv
     for name, digest in GOLDEN_SCENARIO_FILES.items():
-        assert _sha256(forge.serialize_scenario(cli._PRESET_BUILDERS[name](5, 10**6))) == digest
+        family, size = cli.VERIFY_PRESETS[name]
+        scn = forge.PRESETS[family](size, 5, group_cap=10**6)
+        assert _sha256(forge.serialize_scenario(scn)) == digest
     for (family, size), digest in GOLDEN_PRESET_FILES.items():
-        scn = getattr(forge, "scenario_" + family)(size, 5)
+        scn = forge.PRESETS[family](size, 5)
         assert _sha256(forge.serialize_scenario(scn)) == digest
 
 

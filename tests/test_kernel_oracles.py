@@ -9,7 +9,7 @@ must forge what `oracles.forge_by_definition` forges; `gf_is_irreducible` (Ben-O
 must agree with the full degree pattern `oracles.irreducible_by_pattern`.
 Over GF(l) the kernel takes x**(l**d) from the Frobenius rows and runs
 Euclid on lists; `factor_degree_pattern`, `gf_is_irreducible`,
-`count_distinct_roots_mod`, `gf_gcd` and the Frobenius step itself must
+`count_distinct_roots_mod`, `_euclid` and the Frobenius step itself must
 agree with the square-and-multiply routes of `oracles`, at every prime
 the kernel admits up to the largest below 2**31.
 The draws cover what the sign rule -sign(lc b)**(deg a - deg b + 1)
@@ -18,6 +18,7 @@ polynomials whose chain drops an even number of degrees), squares, the forge's s
 leading coefficients that vanish mod l.
 """
 
+import math
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
     gf_gcd_by_rem,
     gf_pow_mod,
     irreducible_by_pattern,
+    is_prime_by_trial_division,
     poly_add,
     roots_by_pow_mod,
     squarefree_decomposition_by_rem,
@@ -40,12 +42,13 @@ from oracles import (
 from weiltate import algebra
 from weiltate.algebra import (
     MAX_PRIME,
+    MR_BOUND,
     NotSquarefreeError,
     count_distinct_roots_mod,
     factor_degree_pattern,
-    gf_gcd,
     gf_is_irreducible,
     gf_reduce,
+    is_prime,
     is_totally_real,
     poly_degree,
     poly_mul,
@@ -261,8 +264,58 @@ def test_divide_leaves_quotient_and_remainder(case, divisor):
 @given(gf_polys(), st.lists(st.integers(-5, 2**31), max_size=17))
 def test_list_euclid_matches_euclid_on_tuples(case, g):
     f, l = case
-    assert gf_gcd(f, g, l) == gf_gcd_by_rem(f, g, l)
-    assert gf_gcd(g, f, l) == gf_gcd_by_rem(g, f, l)
+    f, g = list(gf_reduce(f, l)), list(gf_reduce(g, l))
+    assert tuple(algebra._euclid(list(f), list(g), l)) == gf_gcd_by_rem(f, g, l)
+    assert tuple(algebra._euclid(list(g), list(f), l)) == gf_gcd_by_rem(g, f, l)
+
+
+# Carmichael numbers: composite, yet a**(n-1) = 1 mod n for every a prime to n
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+              52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461)
+# the least strong pseudoprime to the first k prime bases, with its factors (OEIS A014233)
+LEAST_STRONG_PSEUDOPRIMES = (
+    (1, 2047, (23, 89)),
+    (2, 1373653, (829, 1657)),
+    (3, 25326001, (2251, 11251)),
+    (4, 3215031751, (151, 751, 28351)),
+    (5, 2152302898747, (6763, 10627, 29947)),
+    (6, 3474749660383, (1303, 16927, 157543)),
+    (8, 341550071728321, (10670053, 32010157)),
+    (11, 3825123056546413051, (149491, 747451, 34233211)),
+    (12, 318665857834031151167461, (399165290221, 798330580441)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**10))
+@example(2147483647)  # the largest prime below MAX_PRIME
+@example(1000000000039)  # the least prime above 10**12
+def test_miller_rabin_matches_trial_division(n):
+    assert is_prime(n) == is_prime_by_trial_division(n)
+
+
+def test_miller_rabin_matches_trial_division_below_20000_and_on_carmichael_numbers():
+    assert all(is_prime(n) == is_prime_by_trial_division(n) for n in range(20000))
+    for n in CARMICHAEL:
+        factors = [q for q in range(2, n) if n % q == 0 and is_prime_by_trial_division(q)]
+        assert all(n % (q * q) and (n - 1) % (q - 1) == 0 for q in factors)  # Korselt
+        assert not is_prime(n)
+
+
+def test_miller_rabin_needs_its_bases_and_refuses_past_its_bound():
+    for k, n, factors in LEAST_STRONG_PSEUDOPRIMES:
+        assert math.prod(factors) == n
+        assert algebra._strong_probable_prime(n, algebra._MR_BASES[:k])
+        assert not is_prime(n)
+    # below 3,215,031,751 four bases are exact; at it they are fooled, and 13 refuse it
+    assert algebra._FOUR_BASE_BOUND == 3215031751
+    assert not algebra._strong_probable_prime(3215031751, algebra._MR_BASES)
+    # the bound is the least strong pseudoprime to all 13 bases, so it is refused, not guessed
+    assert algebra._strong_probable_prime(MR_BOUND, algebra._MR_BASES)
+    assert is_prime(MR_BOUND - 1) is False  # even, just below the bound
+    for n in (MR_BOUND, MR_BOUND + 1, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large for the deterministic primality test"):
+            is_prime(n)
 
 
 def test_large_prime_costs_products_in_the_bits_of_l(monkeypatch):
