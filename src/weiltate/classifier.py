@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import add, or_
 
 from .galois import (
@@ -85,30 +85,45 @@ class ClassifierReport:
 def tate_rows(model: CMGaloisModel, s: SlopeVector) -> tuple:
     """Integer rows of the linear Tate predicate, one per conjugate-slope basis vector b.
 
-    Row a_b = D (b - 1/2), with D twice the lcm of the slope denominators.
-    Every conjugate s∘g has entry sum g, so a subset J has slope sum #J/2
-    at every conjugate iff sum_{i in J} a_b[i] = 0 for every row.
+    Row a_b = 2 den (b - 1/2): the entry of a slope num/den is 2 num - den,
+    with den the common denominator of s.  Every conjugate s∘g has entry
+    sum g, so a subset J has slope sum #J/2 at every conjugate iff
+    sum_{i in J} a_b[i] = 0 for every row.
     """
-    D = 2 * lcm(*(v.denominator for v in s.values))
+    den = s.den
     return tuple(
-        tuple(int(D * v) - D // 2 for v in b) for b in conjugate_slope_basis(model, s)
+        tuple(2 * den // v.denominator * v.numerator - den for v in b)
+        for b in conjugate_slope_basis(model, s)
     )
 
 
-def _half_weight(rows, subset) -> bool:
-    """Slope sum #J/2 at every conjugate; evenness is not demanded here."""
-    return all(sum(row[i] for i in subset) == 0 for row in rows)
+def _packed_columns(rows) -> list:
+    """Each point's column of `rows` packed into one int: col[i] = sum_b rows[b][i] B^b.
+
+    B is odd and above twice the largest |sum of one row|, so packing is
+    one-to-one on every partial sum, adds like the vectors and sends -v
+    to minus the packed v.  A subset J passes the predicate `rows` iff
+    its columns sum to 0.
+    """
+    base = 2 * max(sum(map(abs, row)) for row in rows) + 1
+    cols = [0] * len(rows[0])
+    for row in reversed(rows):
+        cols = [c * base + r for c, r in zip(cols, row)]
+    return cols
 
 
 def is_tate_subset(model: CMGaloisModel, s: SlopeVector, subset) -> bool:
     """True iff #I is even and every G-conjugate of I has slope sum #I/2."""
     validate_slopes(model, s)
     I = frozenset(subset)
-    return len(I) % 2 == 0 and _half_weight(tate_rows(model, s), I)
+    if len(I) % 2:
+        return False
+    cols = _packed_columns(tate_rows(model, s))
+    return sum(cols[i] for i in I) == 0
 
 
-def _pairs_passing(rows) -> frozenset:
-    """The q-pairs: the weight-2 subsets passing the predicate `rows`.
+def _pairs_passing(cols) -> frozenset:
+    """The q-pairs: the weight-2 subsets {x, y} whose packed columns cancel, col[x] = -col[y].
 
     These are the combinatorial divisor classes.  Conjugation pairs
     {i, tau(i)} always qualify; further pairs appear exactly when
@@ -116,7 +131,7 @@ def _pairs_passing(rows) -> frozenset:
     (Q(pi) smaller than L).
     """
     return frozenset(
-        frozenset(P) for P in combinations(range(len(rows[0])), 2) if _half_weight(rows, P)
+        frozenset((x, y)) for x, y in combinations(range(len(cols)), 2) if cols[x] == -cols[y]
     )
 
 
@@ -147,21 +162,16 @@ def _mask(n, points) -> int:
     return sum(1 << (n - 1 - i) for i in points)
 
 
-def _subset_sums(n, points, rows) -> dict:
+def _subset_sums(n, points, cols) -> dict:
     """Packed row-sum vector -> the masks of the subsets of `points` with those row sums.
 
-    A vector v packs into the int sum_b v[b] B^b, with B odd and above
-    twice the largest |sum of one row|, so packing is one-to-one on every
-    partial sum, adds like the vectors and sends -v to minus the packed
-    v.  Each point doubles the (sum, mask) lists, so every subset costs
-    one int addition.
+    The sums are of the packed columns `cols` (`_packed_columns`).  Each
+    point doubles the (sum, mask) lists, so every subset costs one int
+    addition.
     """
-    base = 2 * max(sum(map(abs, row)) for row in rows) + 1
     sums, masks = [0], [0]
     for i in points:
-        col = 0
-        for row in reversed(rows):
-            col = col * base + row[i]
+        col = cols[i]
         bit = 1 << (n - 1 - i)
         sums += [v + col for v in sums]
         masks += [m | bit for m in masks]
@@ -193,8 +203,9 @@ def tate_subsets(rows, weights) -> dict:
     """
     n = len(rows[0])
     half = n // 2
-    low = _subset_sums(n, range(half), rows)
-    high = _subset_sums(n, range(half, n), rows)
+    cols = _packed_columns(rows)
+    low = _subset_sums(n, range(half), cols)
+    high = _subset_sums(n, range(half, n), cols)
     out = {w: [] for w in weights}
     for v, los in low.items():
         his = high.get(-v)
@@ -307,7 +318,8 @@ def classify_orbits(
                 raise ValueError(f"weight {w} is not an even integer in 0..{n}")
 
     rows = tate_rows(model, s)
-    qp = _pairs_passing(rows)
+    cols = _packed_columns(rows)
+    qp = _pairs_passing(cols)
     tables = _orbit_tables(model)
     orbits = []
     for w, found in tate_subsets(rows, weight_list).items():
@@ -354,25 +366,25 @@ def classify_orbits(
         tate_dims=tate_dims,
         exotic=exotic,
         mildly_exotic=mildly,
-        weil_tate=_weil_tate_entries(model, rows, qp),
+        weil_tate=_weil_tate_entries(model, cols, qp),
         scht_verdict=verdict,
     )
 
 
-def _weil_tate_entries(model: CMGaloisModel, rows, qp) -> tuple:
+def _weil_tate_entries(model: CMGaloisModel, cols, qp) -> tuple:
     """Candidate determinant submotives over imaginary quadratic subfields.
 
     One entry per index-2 overgroup Z of H avoiding tau: the orbit
-    {z(1) : z in Z} of size g, flagged Tate (under the predicate `rows`),
-    Lefschetz-bearing (a matching of the q-pairs `qp`) or exotic.  The
-    determinant sets come from sign labellings of the points
+    {z(1) : z in Z} of size g, flagged Tate (its packed columns `cols`
+    sum to 0), Lefschetz-bearing (a matching of the q-pairs `qp`) or
+    exotic.  The determinant sets come from sign labellings of the points
     (`index2_point_sets`); Z itself is never listed.
     """
     entries = []
     for det_set in index2_point_sets(model.group):
         if model.tau[0] in det_set:
             continue
-        tate = len(det_set) % 2 == 0 and _half_weight(rows, det_set)
+        tate = len(det_set) % 2 == 0 and sum(cols[i] for i in det_set) == 0
         lefschetz = has_qpair_matching(det_set, qp)
         entries.append(
             WeilTateEntry(
@@ -637,14 +649,14 @@ def verify_lemma_suite(scenarios) -> tuple:
             )
 
         if mildly and noncommutative:
-            rows = tate_rows(model, s)
+            cols = _packed_columns(tate_rows(model, s))
             # only a half-weight J with #J < g/2 fails the lemma
             short = (
                 J
                 for o in report.exotic
                 for size in range(1, model.g // 2)
                 for J in combinations(sorted(o.representative), size)
-                if _half_weight(rows, J)
+                if sum(cols[i] for i in J) == 0
             )
             J = next(short, None)
             status, detail = PASS, ""

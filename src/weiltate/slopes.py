@@ -8,7 +8,7 @@ group action, so the function g -> s[g(1)] carries all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,12 +17,24 @@ from .galois import CMGaloisModel
 
 @dataclass(frozen=True)
 class SlopeVector:
-    """Exact slopes s_i = v(pi_i) with v(q) = 1, indexed 0-based."""
+    """Exact slopes s_i = v(pi_i) with v(q) = 1, indexed 0-based.
+
+    `values` are the Fractions of the API and the documents.  The
+    per-index routines read the integer form: `den`, the lcm of the
+    denominators, and `nums`, with s_i = nums[i] / den.
+    """
 
     values: tuple
+    den: int = field(init=False, compare=False, repr=False)
+    nums: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        values = tuple(Fraction(v) for v in self.values)
+        den = lcm(*(v.denominator for v in values))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "den", den)
+        nums = tuple(v.numerator * (den // v.denominator) for v in values)
+        object.__setattr__(self, "nums", nums)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
@@ -35,22 +47,22 @@ class SlopeVector:
 
 
 def validate_slopes(model: CMGaloisModel, s: SlopeVector) -> None:
-    """Check the slope axioms; block constancy only when D is present."""
+    """Check the slope axioms on the numerators; block constancy only when D is present."""
     n = model.group.degree
     if len(s) != n:
         raise ValueError(f"slope vector has length {len(s)}, expected {n}")
-    for i, v in enumerate(s.values):
-        if not 0 <= v <= 1:
-            raise ValueError(f"slope s_{i + 1} = {v} outside [0, 1]")
-        if v + s[model.tau[i]] != 1:
+    den, nums, tau = s.den, s.nums, model.tau
+    for i, a in enumerate(nums):
+        if not 0 <= a <= den:
+            raise ValueError(f"slope s_{i + 1} = {s[i]} outside [0, 1]")
+        if a + nums[tau[i]] != den:
             raise ValueError(f"s_{i + 1} + s_tau({i + 1}) != 1")
     if model.D_blocks is not None:
         for block in model.D_blocks:
-            vals = {s[i] for i in block}
-            if len(vals) != 1:
+            a = nums[block[0]]
+            if any(nums[i] != a for i in block):
                 raise ValueError(f"slopes not constant on D-block {tuple(b + 1 for b in block)}")
-            total = vals.pop() * len(block)
-            if total.denominator != 1:
+            if len(block) * a % den:
                 raise ValueError(f"block {tuple(b + 1 for b in block)}: |B| * s is not an integer")
 
 
@@ -80,7 +92,7 @@ def signature_classes(model: CMGaloisModel, s: SlopeVector) -> tuple:
     is the orbit of index 1 under Fix.
     """
     gens = model.group.generators
-    label = list(s.values)
+    label = list(s.nums)
     count = len(set(label))
     while True:
         ids = {}
@@ -137,15 +149,14 @@ def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:
     2g of them; no group element beyond the generators is visited.
     """
     n = len(s)
-    scale = lcm(*(v.denominator for v in s.values))
-    scaled = [int(v * scale) for v in s.values]
+    nums = s.nums
     echelon = []
     maps = [tuple(range(n))]  # b = s∘m for each point map m
-    _extend_echelon(echelon, scaled)
+    _extend_echelon(echelon, nums)
     for m in maps:  # grows while it is walked
         for gen in model.group.generators:
             image = tuple(m[gen[x]] for x in range(n))
-            if _extend_echelon(echelon, [scaled[image[x]] for x in range(n)]):
+            if _extend_echelon(echelon, [nums[image[x]] for x in range(n)]):
                 maps.append(image)
     return tuple(tuple(s[m[x]] for x in range(n)) for m in maps)
 

@@ -5,24 +5,29 @@ frozensets, group elements or cosets, builds one matrix column per
 group element, runs a Sturm chain over the rationals, reads
 irreducibility off the full factorization pattern or tests primality
 by trial division, with no linear shortcut, no block system, no bit
-mask, no pseudo-remainder, no Miller-Rabin and no early exit.  Over GF(l) they run on tuples with their own product and
-division (`gf_mul`, `gf_divmod`): x**(l**d) comes from
-square-and-multiply (`gf_pow_mod`, a full product and remainder per
-step), and gcds and squarefree parts from Euclid on tuples, not from
+mask, no pseudo-remainder and no Miller-Rabin; only an orbit walk that
+tests its members stops at the first that fails.  Over GF(l) they run
+on tuples with their own product and division (`gf_mul`, `gf_divmod`):
+x**(l**d) comes from square-and-multiply (`gf_pow_mod`, a full product
+and remainder per step), and gcds and squarefree parts from Euclid on tuples, not from
 the kernel's Frobenius rows and its one list division.  The forge loop
 rebuilds its spread target for every spread and counts real roots
 with the whole integer Sturm chain, which is itself held to the
 rational one.
 
-`q_pairs` and `weil_tate_submotives` are the standalone forms of two
-parts of `classify_orbits`, each from its own predicate rows; the
-classifier itself builds those rows once per report.
+The slope routes read the Fractions: `validate_slopes_by_fractions`
+checks the axioms on them, and `tate_by_orbit_walk` sums them over every
+member of an orbit, which is how `q_pairs` and `weil_tate_submotives`
+decide Tate-ness.  `classify_orbits_by_walk` sums them the same way in
+integers over its own lcm.  None of them reads predicate rows, the
+program's common denominator or a packed column.
+`pairs_passing_by_rows` reads any integer rows one row at a time.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from weiltate.algebra import (
     NotSquarefreeError,
@@ -45,10 +50,8 @@ from weiltate.classifier import (
     EndAlgebraReport,
     LocalInvariant,
     MotiveOrbit,
-    _pairs_passing,
-    _weil_tate_entries,
+    WeilTateEntry,
     has_qpair_matching,
-    tate_rows,
 )
 from weiltate.cmtypes import hodge_type, is_balanced
 from weiltate.forge import (
@@ -57,19 +60,61 @@ from weiltate.forge import (
     _certificates,
     _random_transposition_target,
 )
-from weiltate.galois import CMGaloisModel, PermGroup, _inverse, compose, identity
+from weiltate.galois import (
+    CMGaloisModel,
+    PermGroup,
+    _inverse,
+    compose,
+    identity,
+    index2_point_sets,
+)
 from weiltate.reference import elements, subgroup_closure
-from weiltate.slopes import SlopeVector, validate_slopes
+from weiltate.slopes import SlopeVector
 
 
-def orbit_of_subset(model: CMGaloisModel, subset) -> list:
-    """Full G-orbit of a subset of indices, in sorted deterministic order."""
+def validate_slopes_by_fractions(model: CMGaloisModel, s: SlopeVector) -> None:
+    """Check the slope axioms; block constancy only when D is present."""
+    n = model.group.degree
+    if len(s) != n:
+        raise ValueError(f"slope vector has length {len(s)}, expected {n}")
+    for i, v in enumerate(s.values):
+        if not 0 <= v <= 1:
+            raise ValueError(f"slope s_{i + 1} = {v} outside [0, 1]")
+        if v + s[model.tau[i]] != 1:
+            raise ValueError(f"s_{i + 1} + s_tau({i + 1}) != 1")
+    if model.D_blocks is not None:
+        for block in model.D_blocks:
+            vals = {s[i] for i in block}
+            if len(vals) != 1:
+                raise ValueError(f"slopes not constant on D-block {tuple(b + 1 for b in block)}")
+            total = vals.pop() * len(block)
+            if total.denominator != 1:
+                raise ValueError(f"block {tuple(b + 1 for b in block)}: |B| * s is not an integer")
+
+
+def pairs_passing_by_rows(rows) -> frozenset:
+    """The pairs {x, y} whose entries sum to 0 in every row, one row at a time."""
+    return frozenset(
+        frozenset(P)
+        for P in combinations(range(len(rows[0])), 2)
+        if all(sum(row[i] for i in P) == 0 for row in rows)
+    )
+
+
+def orbit_of_subset(model: CMGaloisModel, subset, keep=None) -> list:
+    """Full G-orbit of a subset of indices, in sorted deterministic order.
+
+    With a predicate `keep`, None as soon as a member fails it: the
+    walk stops there.
+    """
     start = frozenset(subset)
     gens = model.group.generators
     seen = {start}
     queue = [start]
     while queue:
         cur = queue.pop()
+        if keep is not None and not keep(cur):
+            return None
         for gen in gens:
             img = frozenset(gen[x] for x in cur)
             if img not in seen:
@@ -84,56 +129,81 @@ def tate_by_orbit_walk(model, s, subset) -> bool:
     if len(I) % 2 != 0:
         return False
     target = Fraction(len(I), 2)
-    return all(sum((s[i] for i in member), Fraction(0)) == target
-               for member in orbit_of_subset(model, I))
+    return orbit_of_subset(
+        model, I, lambda member: sum((s[i] for i in member), Fraction(0)) == target
+    ) is not None
 
 
 def q_pairs(model: CMGaloisModel, s: SlopeVector) -> frozenset:
     """All weight-2 Tate subsets {x, y}: the combinatorial divisor classes.
 
-    Conjugation pairs {i, tau(i)} always qualify; further pairs appear
-    exactly when distinct indices carry equal Frobenius conjugates
-    modulo torsion (Q(pi) smaller than L).
+    Every pair is tested by walking its orbit.  Conjugation pairs
+    {i, tau(i)} always qualify; further pairs appear exactly when
+    distinct indices carry equal Frobenius conjugates modulo torsion
+    (Q(pi) smaller than L).
     """
-    validate_slopes(model, s)
-    return _pairs_passing(tate_rows(model, s))
+    validate_slopes_by_fractions(model, s)
+    return frozenset(
+        frozenset(P)
+        for P in combinations(range(model.group.degree), 2)
+        if tate_by_orbit_walk(model, s, P)
+    )
 
 
 def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector) -> tuple:
     """Candidate determinant submotives over imaginary quadratic subfields.
 
     One entry per index-2 overgroup Z of H avoiding tau: the orbit
-    {z(1) : z in Z} of size g, flagged Tate / Lefschetz-bearing /
-    exotic.  The determinant sets come from sign labellings of the
-    points (`index2_point_sets`); Z itself is never listed.
+    {z(1) : z in Z} of size g, flagged Tate (by its orbit walk) /
+    Lefschetz-bearing (a matching of `q_pairs`) / exotic.  The
+    determinant sets come from sign labellings of the points
+    (`index2_point_sets`); Z itself is never listed.
     """
-    validate_slopes(model, s)
-    rows = tate_rows(model, s)
-    return _weil_tate_entries(model, rows, _pairs_passing(rows))
+    validate_slopes_by_fractions(model, s)
+    qp = q_pairs(model, s)
+    entries = []
+    for det_set in index2_point_sets(model.group):
+        if model.tau[0] in det_set:
+            continue
+        tate = tate_by_orbit_walk(model, s, det_set)
+        lefschetz = has_qpair_matching(det_set, qp)
+        entries.append(
+            WeilTateEntry(tuple(sorted(det_set)), tate, lefschetz, tate and not lefschetz)
+        )
+    return tuple(sorted(entries, key=lambda e: e.determinant_set))
 
 
 def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierReport:
     """`classify_orbits` with each orbit walked as frozensets from its least member.
 
-    The Tate subsets of each weight are found one combination at a
-    time, visited in `sorted(key=sorted)` order, and each unvisited one
-    is grown into its orbit by the frozenset BFS of `orbit_of_subset`.
+    The subsets of each weight are visited in `sorted(key=sorted)`
+    order.  Each unvisited one with slope sum half its weight starts a
+    walk of its orbit, kept when every member has that slope sum; the
+    least member of a Tate orbit is the first one met.  The sums are
+    taken in integers over the lcm of the slope denominators.
     """
     n = model.group.degree
     full_scan = weights is None
     weight_list = list(range(0, n + 1, 2)) if full_scan else sorted(set(weights))
-    rows = tate_rows(model, s)
     qp = q_pairs(model, s)
+    scale = lcm(*(v.denominator for v in s.values))
+    scaled = [int(v * scale) for v in s.values]
+
+    def half_weight(member):
+        return 2 * sum(scaled[i] for i in member) == len(member) * scale
+
     orbits = []
     for w in weight_list:
-        found = [frozenset(c) for c in combinations(range(n), w)
-                 if all(sum(row[i] for i in c) == 0 for row in rows)]
-        unvisited = set(found)
-        for I in sorted(found, key=sorted):
-            if I not in unvisited:
+        if w % 2 != 0:
+            continue
+        visited = set()
+        for c in combinations(range(n), w):
+            if frozenset(c) in visited or not half_weight(c):
                 continue
-            orbit = orbit_of_subset(model, I)
-            unvisited.difference_update(orbit)
+            orbit = orbit_of_subset(model, c, half_weight)
+            if orbit is None:
+                continue
+            visited.update(orbit)
             rep = orbit[0]
             lefschetz = has_qpair_matching(rep, qp)
             ht = hodge_type(model, phi, rep) if phi is not None else None
@@ -214,7 +284,7 @@ def frobenius_rank_by_matrix(model, s) -> int:
 
 def fix_by_signatures_over_group(model, s) -> frozenset:
     """Fix as the preimage of the signature class of index 1, signatures taken over all of G."""
-    validate_slopes(model, s)
+    validate_slopes_by_fractions(model, s)
     listed = elements(model.group)
     base_sig = tuple(s[g[0]] for g in listed)
     same = set()
@@ -336,7 +406,7 @@ def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
     """Honda-Tate invariants with the places found as D-orbits on the materialized cosets G/Fix."""
     if model.D_generators is None:
         raise ValueError("model has no decomposition subgroup D")
-    validate_slopes(model, s)
+    validate_slopes_by_fractions(model, s)
     D = subgroup_closure(model.group, model.D_generators)
     fix = fix_by_signatures_over_group(model, s)
     reps, coset_of = left_cosets(model.group, fix)

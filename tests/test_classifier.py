@@ -7,10 +7,10 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     classify_orbits_by_walk,
@@ -20,9 +20,11 @@ from oracles import (
     index2_overgroups,
     orbit_of_subset,
     orbits_by_walk,
+    pairs_passing_by_rows,
     q_pairs,
     subgroup_generators_by_listing,
     tate_by_orbit_walk,
+    validate_slopes_by_fractions,
     verify_subgroup,
     weil_tate_submotives,
 )
@@ -39,6 +41,8 @@ from weiltate.classifier import (
     SCHT_LEFSCHETZ_ONLY,
     SCHT_NOT_DECIDED,
     ClassifierReport,
+    _packed_columns,
+    _pairs_passing,
     classify_orbits,
     doc_to_end_report,
     doc_to_report,
@@ -75,7 +79,9 @@ from weiltate.slopes import (
     is_p_potentially_in,
     minimal_field_index,
     signature_block,
+    signature_classes,
     slopes_from_cm_type,
+    validate_slopes,
 )
 
 
@@ -394,6 +400,96 @@ def test_linear_predicate_matches_the_orbit_walk(case):
     assert q_pairs(model, s) == {P for P in oracle if len(P) == 2}
     assert rep.weil_tate == weil_tate_submotives(model, s)
     assert frobenius_rank(model, s) == frobenius_rank_by_matrix(model, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_models_with_slopes())
+def test_common_denominator_carries_the_slopes(case):
+    _, s = case
+    assert s.den == lcm(*(v.denominator for v in s.values))
+    assert all(Fraction(a, s.den) == v for a, v in zip(s.nums, s.values))
+
+
+@st.composite
+def slopes_to_validate(draw):
+    """A `classify_cases` model, with a random D for the block kinds, and slopes perturbed one way.
+
+    outside: a tau pair moved out of [0, 1], its sum kept; pair: one
+    slope redrawn alone; integer: slopes drawn constant on the D-blocks,
+    so |B| * s is often not an integer; block: such slopes with one tau
+    pair redrawn.
+    """
+    model, s, _, _ = draw(classify_cases())
+    kind = draw(st.sampled_from(("none", "outside", "pair", "block", "integer")))
+    values = list(s.values)
+    n = model.group.degree
+    i = draw(st.integers(0, n - 1))
+    den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    if kind == "outside":
+        v = Fraction(draw(st.integers(1, 2 * den)), den)
+        values[i] = 1 + v if draw(st.booleans()) else -v
+        values[model.tau[i]] = 1 - values[i]
+    elif kind == "pair":
+        values[i] = Fraction(draw(st.integers(0, den)), den)
+    elif kind in ("block", "integer"):
+        model = model.with_decomposition([draw(st.sampled_from(elements(model.group)))])
+        for block in model.D_blocks:  # tau is central, so tau B is a D-block too
+            partner = tuple(sorted(model.tau[x] for x in block))
+            v = Fraction(1, 2) if partner == block else Fraction(draw(st.integers(0, den)), den)
+            for x in block:
+                values[x], values[model.tau[x]] = v, 1 - v
+        if kind == "block":
+            values[i] = Fraction(draw(st.integers(0, den)), den)
+            values[model.tau[i]] = 1 - values[i]
+    return kind, model, SlopeVector(tuple(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slopes_to_validate())
+def test_validate_slopes_matches_the_fraction_checks(case):
+    """Same verdict and, on a rejected vector, the same message as the Fraction route."""
+    kind, model, s = case
+    event(kind)
+    assert outcome(validate_slopes, model, s) == outcome(validate_slopes_by_fractions, model, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(classify_cases())
+def test_packed_pairs_match_the_definitional_q_pairs(case):
+    model, s, _, _ = case
+    rows = tate_rows(model, s)
+    packed = _pairs_passing(_packed_columns(rows))
+    assert packed == q_pairs(model, s)
+    assert packed == pairs_passing_by_rows(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1,
+                           max_size=3)
+    )
+)
+@example([[1, 1], [-1, 0]])  # columns (1, -1) and (1, 0) sum to (2, -1); base 2 packs -1 and 1
+def test_packed_pairs_match_the_row_scan(rows):
+    assert _pairs_passing(_packed_columns(rows)) == pairs_passing_by_rows(rows)
+
+
+def test_the_slope_routes_do_no_fraction_arithmetic(monkeypatch):
+    """validate, classes, basis, rows and q-pairs read the integer form of the slopes only."""
+    scn = scenario_main(6, 5)
+    model, s = scn.model, scn.slopes
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__lt__", "__le__",
+                 "__hash__"):
+        count_calls(monkeypatch, Fraction, name, calls)
+    validate_slopes(model, s)
+    signature_classes(model, s)
+    conjugate_slope_basis(model, s)
+    rows = tate_rows(model, s)
+    _pairs_passing(_packed_columns(rows))
+    monkeypatch.undo()
+    assert calls == {}
 
 
 class _Unlisted(tuple):

@@ -89,10 +89,20 @@ def test_slopes_require_decomposition_group():
 
 def test_validate_slopes_rejects_broken_pairing():
     model = cm_product_group(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         validate_slopes(model, SlopeVector((Fraction(1, 2),) * 3 + (Fraction(1, 4),)))
-    with pytest.raises(ValueError):
+    assert str(err.value) == "s_2 + s_tau(2) != 1"
+    with pytest.raises(ValueError) as err:
         validate_slopes(model, SlopeVector((Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2))))
+    assert str(err.value) == "slope s_1 = 3/2 outside [0, 1]"
+    # D = <(1 2)(3 4)> has the blocks {1, 2} and {3, 4}
+    model = model.with_decomposition([(1, 0, 3, 2)])
+    with pytest.raises(ValueError) as err:
+        validate_slopes(model, SlopeVector(tuple(map(Fraction, ("1/4", "3/4", "3/4", "1/4")))))
+    assert str(err.value) == "slopes not constant on D-block (1, 2)"
+    with pytest.raises(ValueError) as err:
+        validate_slopes(model, SlopeVector(tuple(map(Fraction, ("1/3", "1/3", "2/3", "2/3")))))
+    assert str(err.value) == "block (1, 2): |B| * s is not an integer"
 
 
 def listed_fix(model, s):
