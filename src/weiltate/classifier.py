@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import add, or_
+from operator import or_
 
 from .galois import (
     CMGaloisModel,
@@ -41,9 +41,62 @@ TATE_COUNT_NOTE = (
 EXOTIC_RANK_NOTE = "exotic summands are required to have rank <= 2"
 
 
+class MemberMasks:
+    """The members of an orbit as n-bit masks in descending order: point i is bit n-1-i.
+
+    Descending mask order is the lexicographic order of the sorted point
+    tuples, which is document order.  The object reads as the tuple of
+    those 0-based point tuples: it iterates, indexes, adds, hashes and
+    compares as that tuple, and forms a point tuple only when one is read.
+    """
+
+    __slots__ = ("n", "masks")
+
+    def __init__(self, n: int, masks):
+        self.n = n
+        self.masks = tuple(masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self):
+        return (_points(self.n, m) for m in self.masks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(_points(self.n, m) for m in self.masks[k])
+        return _points(self.n, self.masks[k])
+
+    def __eq__(self, other):
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        return tuple(self) + other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _points(n, mask) -> tuple:
+    """The sorted 0-based points of an n-bit mask (point i is bit n-1-i)."""
+    points = []
+    while mask:
+        bit = mask & -mask  # the lowest set bit: the largest point left
+        points.append(n - bit.bit_length())
+        mask ^= bit
+    return tuple(reversed(points))
+
+
 @dataclass(frozen=True)
 class MotiveOrbit:
-    """One Galois orbit <I> carrying Tate classes."""
+    """One Galois orbit <I> carrying Tate classes.
+
+    `orbit` is its members as sorted 0-based point tuples, in document
+    order; `classify_orbits` gives it as their `MemberMasks`.
+    """
 
     weight: int
     representative: tuple
@@ -82,19 +135,19 @@ class ClassifierReport:
     notes: tuple = (TATE_COUNT_NOTE, EXOTIC_RANK_NOTE)
 
 
-def tate_rows(model: CMGaloisModel, s: SlopeVector) -> tuple:
+def tate_rows(model: CMGaloisModel, s: SlopeVector, basis=None) -> tuple:
     """Integer rows of the linear Tate predicate, one per conjugate-slope basis vector b.
 
     Row a_b = 2 den (b - 1/2): the entry of a slope num/den is 2 num - den,
     with den the common denominator of s.  Every conjugate s∘g has entry
     sum g, so a subset J has slope sum #J/2 at every conjugate iff
-    sum_{i in J} a_b[i] = 0 for every row.
+    sum_{i in J} a_b[i] = 0 for every row.  `basis` is
+    `conjugate_slope_basis(model, s)`, built here unless given.
     """
     den = s.den
-    return tuple(
-        tuple(2 * den // v.denominator * v.numerator - den for v in b)
-        for b in conjugate_slope_basis(model, s)
-    )
+    if basis is None:
+        basis = conjugate_slope_basis(model, s)
+    return tuple(tuple(2 * den // v.denominator * v.numerator - den for v in b) for b in basis)
 
 
 def _packed_columns(rows) -> list:
@@ -114,8 +167,10 @@ def _packed_columns(rows) -> list:
 
 def is_tate_subset(model: CMGaloisModel, s: SlopeVector, subset) -> bool:
     """True iff #I is even and every G-conjugate of I has slope sum #I/2."""
-    validate_slopes(model, s)
     I = frozenset(subset)
+    if not I <= frozenset(range(model.group.degree)):
+        raise ValueError(f"the subset holds a point outside 1..{model.group.degree}")
+    validate_slopes(model, s)
     if len(I) % 2:
         return False
     cols = _packed_columns(tate_rows(model, s))
@@ -162,6 +217,13 @@ def _mask(n, points) -> int:
     return sum(1 << (n - 1 - i) for i in points)
 
 
+def _member_masks(n, orbit) -> tuple:
+    """The n-bit masks of an orbit's members: its own when it is a `MemberMasks`."""
+    if isinstance(orbit, MemberMasks):
+        return orbit.masks
+    return tuple(_mask(n, m) for m in orbit)
+
+
 def _subset_sums(n, points, cols) -> dict:
     """Packed row-sum vector -> the masks of the subsets of `points` with those row sums.
 
@@ -189,7 +251,7 @@ def _by_size(masks) -> dict:
     return out
 
 
-def tate_subsets(rows, weights) -> dict:
+def tate_subsets(rows, weights, cols=None) -> dict:
     """weight -> the mask of every subset of that size passing the predicate `rows`.
 
     Point i of the n points is bit n-1-i of a mask, so within one weight
@@ -199,11 +261,13 @@ def tate_subsets(rows, weights) -> dict:
     adding up to its weight.  `high` is probed once per sum vector v of
     `low`, and only the matched lists are split by size, so the cost
     follows the output rather than the 2^n subsets.  Weights are taken
-    as given; only even ones yield Tate subsets.
+    as given; only even ones yield Tate subsets.  `cols` is
+    `_packed_columns(rows)`, packed here unless given.
     """
-    n = len(rows[0])
+    if cols is None:
+        cols = _packed_columns(rows)
+    n = len(cols)
     half = n // 2
-    cols = _packed_columns(rows)
     low = _subset_sums(n, range(half), cols)
     high = _subset_sums(n, range(half, n), cols)
     out = {w: [] for w in weights}
@@ -238,34 +302,31 @@ def _half_tables(n, empty, join, of_bit) -> tuple:
 
 
 def _orbit_tables(model: CMGaloisModel) -> tuple:
-    """Half-mask tables: (low, high) image tables per generator, and (low, high) point tables.
+    """Half-mask image tables: (n/2, one (low, high) table pair per generator).
 
-    Bit j of a mask is point n-1-j, so the high half holds the smaller
-    points and `high[m >> n/2] + low[m & (2^(n/2) - 1)]` is the sorted
-    point tuple of m.  The image of m under a generator is the or of its
-    two half-table entries.
+    The image of a mask m under a generator is the or of its two entries,
+    low[m & (2^(n/2) - 1)] | high[m >> n/2].
     """
     n = model.group.degree
     images = [
         _half_tables(n, 0, or_, lambda j, gen=gen: 1 << (n - 1 - gen[n - 1 - j]))
         for gen in model.group.generators
     ]
-    points = _half_tables(n, (), add, lambda j: (n - 1 - j,))
-    return n // 2, images, points
+    return n // 2, images
 
 
 def _mask_orbits(tables, masks):
-    """The G-orbits on a G-stable list of masks, as sorted point tuples in document order.
+    """The G-orbits on a G-stable list of masks, each as its masks in descending order.
 
     Each orbit is the connected component of the generator action met
     first in descending mask order, found by a BFS over ints.  A member
     m is split once into its halves lo and hi; its image under a
     generator is tlo[lo] | thi[hi] from the half tables of
-    `_orbit_tables`, and its point tuple is phi[hi] + plo[lo].  Members
-    come out in descending mask order, which is lexicographic order, so
-    the first member is the representative.
+    `_orbit_tables`.  Descending mask order is document order, so orbits
+    come out in document order and the first member of each is its
+    representative.
     """
-    half, images, (plo, phi) = tables
+    half, images = tables
     low = (1 << half) - 1
     seen = set()
     for start in sorted(masks, reverse=True):
@@ -283,7 +344,7 @@ def _mask_orbits(tables, masks):
                     orbit.add(img)
                     frontier.append(img)
         seen |= orbit
-        yield [phi[m >> half] + plo[m & low] for m in sorted(orbit, reverse=True)]
+        yield sorted(orbit, reverse=True)
 
 
 def classify_orbits(
@@ -292,16 +353,18 @@ def classify_orbits(
     weights=None,
     phi: CMType = None,
     subset_cap: int = DEFAULT_SUBSET_CAP,
+    basis=None,
 ) -> ClassifierReport:
     """Enumerate every Tate-class-bearing orbit of the requested weights.
 
     The Tate subsets of each requested even weight are enumerated
     directly as masks (`tate_subsets`) and split into G-orbits
     (`_mask_orbits`); every conjugate of a Tate subset is Tate, so each
-    orbit is kept whole.  Lefschetz / exotic flags, per-weight Tate
-    dimensions rho_k, the mildly-exotic flag and the verdict are derived
-    from the orbits.  Output ordering is canonical (weight, then
-    lexicographic representative).
+    orbit is kept whole, as its `MemberMasks`.  Lefschetz / exotic
+    flags, per-weight Tate dimensions rho_k, the mildly-exotic flag and
+    the verdict are derived from the orbits.  Output ordering is
+    canonical (weight, then lexicographic representative).  `basis` is
+    `conjugate_slope_basis(model, s)`, built here unless given.
     """
     n = model.group.degree
     if n > subset_cap:
@@ -317,22 +380,22 @@ def classify_orbits(
             if w % 2 != 0 or not 0 <= w <= n:
                 raise ValueError(f"weight {w} is not an even integer in 0..{n}")
 
-    rows = tate_rows(model, s)
+    rows = tate_rows(model, s, basis)
     cols = _packed_columns(rows)
     qp = _pairs_passing(cols)
     tables = _orbit_tables(model)
     orbits = []
-    for w, found in tate_subsets(rows, weight_list).items():
-        for members in _mask_orbits(tables, found):
-            rep = members[0]
+    for w, found in tate_subsets(rows, weight_list, cols).items():
+        for masks in _mask_orbits(tables, found):
+            rep = _points(n, masks[0])
             lefschetz = has_qpair_matching(rep, qp)
             ht = hodge_type(model, phi, rep) if phi is not None else None
             orbits.append(
                 MotiveOrbit(
                     weight=w,
                     representative=rep,
-                    orbit=tuple(members),
-                    rank=len(members),
+                    orbit=MemberMasks(n, masks),
+                    rank=len(masks),
                     is_tate=True,
                     is_lefschetz_bearing=lefschetz,
                     is_exotic=not lefschetz,
@@ -542,10 +605,11 @@ def structure_check(
     branch = "commutative" if end_report.commutative else "noncommutative"
     if model.g % 2 != 0:
         return StructureVerdict(False, branch, failed_clause="dimension g is odd")
-    exotic_dets = [e.determinant_set for e in report.weil_tate if e.is_exotic]
+    n = model.group.degree
+    exotic_dets = {_mask(n, e.determinant_set) for e in report.weil_tate if e.is_exotic}
     for o in report.exotic:
         # o.orbit is a whole G-orbit, so it is the orbit of any member
-        if not any(d in o.orbit for d in exotic_dets):
+        if exotic_dets.isdisjoint(_member_masks(n, o.orbit)):
             return StructureVerdict(
                 False,
                 branch,
@@ -668,7 +732,7 @@ def verify_lemma_suite(scenarios) -> tuple:
                 )
             results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, status, detail))
 
-            exotic_masks = {_mask(n, m) for o in report.exotic for m in o.orbit}
+            exotic_masks = {m for o in report.exotic for m in _member_masks(n, o.orbit)}
             if len(report.exotic) == 1:
                 I = report.exotic[0].representative
                 allowed = {_mask(n, I), _mask(n, (model.tau[i] for i in I))}
@@ -729,11 +793,17 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def orbit_to_doc(o: MotiveOrbit) -> dict:
+def orbit_to_doc(o: MotiveOrbit, member_lists: bool = True) -> dict:
+    """The document of one orbit, its members as 1-based point lists.
+
+    With `member_lists` false, "orbit" holds the orbit's `MemberMasks`
+    instead, which `cli._emit_json` writes as the same text without
+    forming a point tuple.
+    """
     doc = {
         "weight": o.weight,
         "representative": [i + 1 for i in o.representative],
-        "orbit": [[i + 1 for i in member] for member in o.orbit],
+        "orbit": [[i + 1 for i in member] for member in o.orbit] if member_lists else o.orbit,
         "rank": o.rank,
         "is_tate": o.is_tate,
         "is_lefschetz_bearing": o.is_lefschetz_bearing,
@@ -745,11 +815,12 @@ def orbit_to_doc(o: MotiveOrbit) -> dict:
     return doc
 
 
-def report_to_doc(report: ClassifierReport, group) -> dict:
+def report_to_doc(report: ClassifierReport, group, member_lists: bool = True) -> dict:
+    """The structured report; `member_lists` as in `orbit_to_doc`."""
     return {
         "g": report.g,
         "weights": list(report.weights),
-        "orbits": [orbit_to_doc(o) for o in report.orbits],
+        "orbits": [orbit_to_doc(o, member_lists) for o in report.orbits],
         "tate_dims": list(report.tate_dims) if report.tate_dims is not None else None,
         "mildly_exotic": report.mildly_exotic,
         "scht_verdict": report.scht_verdict,

@@ -19,9 +19,10 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf
 
-from . import classifier, forge
+from . import classifier, forge, slopes
 from .classifier import (
     FAIL,
+    MemberMasks,
     classify_orbits,
     end_report_to_doc,
     honda_tate_endomorphism,
@@ -90,19 +91,24 @@ def _emit_json(doc: dict) -> str:
 
     `json` runs its pure-Python encoder whenever `indent` is set; this
     writer emits the same text with a list of plain ints as one join,
-    and a list of non-empty plain-int lists (an orbit's members) as one
-    join too, with no call per member and each distinct int turned into
-    text once.
+    and a list of non-empty plain-int lists as one join too.  An orbit's
+    `MemberMasks` is written as the list of its 1-based point lists,
+    straight from the masks (`_members_text`).
     """
     out = []
-    _write_json(doc, "\n", out.append)
+    _write_json(doc, "\n", out.append, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(value, nl: str, write) -> None:
-    """Write one JSON value whose opening line is already indented; `nl` starts its lines."""
-    if isinstance(value, (list, tuple)):
+def _write_json(value, nl: str, write, tables: dict) -> None:
+    """Write one JSON value whose opening line is already indented; `nl` starts its lines.
+
+    `tables` keeps the member text tables of `_members_text` for the document.
+    """
+    if isinstance(value, MemberMasks):
+        write(_members_text(value, nl, tables))
+    elif isinstance(value, (list, tuple)):
         if not value:
             write("[]")
             return
@@ -112,18 +118,16 @@ def _write_json(value, nl: str, write) -> None:
             write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
             return
         if types == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
-            # an orbit holds few distinct points: each is turned into text once
-            text = {x: int.__repr__(x) for x in set(chain.from_iterable(value))}.__getitem__
             deeper = inner + "  "
             write("[" + inner + ("," + inner).join(
-                "[" + deeper + ("," + deeper).join(map(text, item)) + inner + "]"
+                "[" + deeper + ("," + deeper).join(map(int.__repr__, item)) + inner + "]"
                 for item in value
             ) + nl + "]")
             return
         sep = "[" + inner
         for item in value:
             write(sep)
-            _write_json(item, inner, write)
+            _write_json(item, inner, write, tables)
             sep = "," + inner
         write(nl + "]")
     elif isinstance(value, dict):
@@ -134,7 +138,7 @@ def _write_json(value, nl: str, write) -> None:
         sep = "{" + inner
         for key in sorted(value):  # keys are str: encode_basestring_ascii rejects others
             write(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, write)
+            _write_json(value[key], inner, write, tables)
             sep = "," + inner
         write(nl + "}")
     elif isinstance(value, str):
@@ -151,6 +155,37 @@ def _write_json(value, nl: str, write) -> None:
         write(_float_str(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _members_text(members: MemberMasks, nl: str, tables: dict) -> str:
+    """The JSON text of an orbit's members, each read off its mask with two table lookups.
+
+    A member's text is "[", its 1-based points joined by ",", then "]",
+    each point on its own line.  The high half of a mask holds the
+    smaller points, so a mask with high half h and low half l reads
+    opened[h] + closed[l]: opened[h] is "[" and the points of h,
+    closed[l] the points of l, each led by ",", then "]".  A mask whose
+    high half is 0 reads alone[l], which is opened and closed at once
+    ("[]" for the empty member).  The tables come from
+    `classifier._half_tables`, built once per point count and indent.
+    """
+    n = members.n
+    inner = nl + "  "
+    key = (n, nl)
+    if key not in tables:
+        low, high = classifier._half_tables(n, "", str.__add__, lambda j: f",{inner}  {n - j}")
+        tables[key] = (
+            [t.replace(",", "[", 1) for t in high],
+            [t + inner + "]" for t in low],
+            ["[]"] + [t.replace(",", "[", 1) + inner + "]" for t in low[1:]],
+        )
+    opened, closed, alone = tables[key]
+    half = n // 2
+    low_bits = (1 << half) - 1
+    texts = [
+        opened[h] + closed[m & low_bits] if (h := m >> half) else alone[m] for m in members.masks
+    ]
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
 def _float_str(x: float) -> str:
@@ -241,25 +276,30 @@ def _scenario_doc(scn: forge.Scenario) -> dict:
 
 
 def classify_scenario_doc(
-    scn: forge.Scenario, subset_cap: int = classifier.DEFAULT_SUBSET_CAP, weights=None
+    scn: forge.Scenario,
+    subset_cap: int = classifier.DEFAULT_SUBSET_CAP,
+    weights=None,
+    member_lists: bool = True,
 ) -> dict:
     """Full classification document for one scenario (the structured report).
 
-    The minimal field index [G : Fix] is [Q(pi^k) : Q], the Frobenius
-    field degree that Honda-Tate has already counted: both are the
-    number of signature blocks, which all have one size since G is
-    transitive.
+    One conjugate-slope basis serves the Tate predicate and the
+    Frobenius rank.  The minimal field index [G : Fix] is [Q(pi^k) : Q],
+    the Frobenius field degree that Honda-Tate has already counted: both
+    are the number of signature blocks, which all have one size since G
+    is transitive.  `member_lists` is as in `classifier.orbit_to_doc`.
     """
+    basis = slopes.conjugate_slope_basis(scn.model, scn.slopes)
     report = classify_orbits(
-        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap
+        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap, basis=basis
     )
     end = honda_tate_endomorphism(scn.model, scn.slopes)
     doc = {
         "schema": "weiltate.classify/1",
         "scenario": _scenario_doc(scn),
-        "report": report_to_doc(report, group=scn.model.group),
+        "report": report_to_doc(report, scn.model.group, member_lists),
         "endomorphism": end_report_to_doc(end),
-        "frobenius_rank": frobenius_rank(scn.model, scn.slopes),
+        "frobenius_rank": frobenius_rank(scn.model, scn.slopes, basis),
         "minimal_field_index": end.frobenius_field_degree,
     }
     if scn.g % 2 == 0 and report.tate_dims is not None:
@@ -330,7 +370,7 @@ def cmd_classify(args) -> int:
             raise UsageError(f"--weights takes comma-separated integers, got {args.weights!r}")
     group_cap, subset_cap = _group_cap(), _subset_cap(args.cap)
     scn = _resolve_scenario(args, group_cap, subset_cap)
-    doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
+    doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights, member_lists=False)
     if args.format == "json":
         sys.stdout.write(_emit_json(doc))
     else:

@@ -175,7 +175,12 @@ def _extend_echelon(echelon: list, row: list) -> bool:
     return True
 
 
-def frobenius_rank(model: CMGaloisModel, s: SlopeVector) -> int:
-    """Dimension of the span of the 2g slope functions, minus one."""
+def frobenius_rank(model: CMGaloisModel, s: SlopeVector, basis=None) -> int:
+    """Dimension of the span of the 2g slope functions, minus one.
+
+    `basis` is `conjugate_slope_basis(model, s)`, built here unless given.
+    """
     validate_slopes(model, s)
-    return len(conjugate_slope_basis(model, s)) - 1
+    if basis is None:
+        basis = conjugate_slope_basis(model, s)
+    return len(basis) - 1

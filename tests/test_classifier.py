@@ -41,6 +41,8 @@ from weiltate.classifier import (
     SCHT_LEFSCHETZ_ONLY,
     SCHT_NOT_DECIDED,
     ClassifierReport,
+    MemberMasks,
+    _mask,
     _packed_columns,
     _pairs_passing,
     classify_orbits,
@@ -148,6 +150,14 @@ def test_is_tate_orbit_escape():
     # sum is 1 at the base valuation but a conjugate breaks it
     assert scn.slopes[0] + scn.slopes[1] == 1
     assert not is_tate_subset(scn.model, scn.slopes, {0, 1})
+
+
+@pytest.mark.parametrize("subset", [{-1, 3}, {0, 8}], ids=["negative", "past-2g"])
+def test_is_tate_refuses_a_point_outside_the_2g_points(subset):
+    # -1 would read as point 8 and 8 would index past the columns
+    scn = scenario_main(4, 5)
+    with pytest.raises(ValueError, match="outside 1..8"):
+        is_tate_subset(scn.model, scn.slopes, subset)
 
 
 def test_tate_complement_duality():
@@ -601,10 +611,10 @@ def test_classify_builds_one_basis_and_computes_the_d_orbits_once(monkeypatch):
     assert calls == {"with_decomposition": 1}
     classify_orbits(scn.model, scn.slopes, phi=scn.phi)
     assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 1}
-    # the whole document adds one basis for the Tate predicate, one for the Frobenius rank,
+    # the whole document adds one basis, which the Tate predicate and the Frobenius rank share,
     # and one signature partition, which Honda-Tate and the minimal field index share
     classify_scenario_doc(scn)
-    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 3, "signature_classes": 1}
+    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 2, "signature_classes": 1}
 
 
 def closed_form_rho(model, s):
@@ -1002,6 +1012,19 @@ def test_structure_check_fails_on_more_than_one_exotic_orbit():
     assert verdict.failed_clause == "2 exotic orbits instead of a unique one"
 
 
+@pytest.mark.parametrize("name", ["main4", "ramified3", "split3"])
+def test_structure_check_reads_every_member_of_an_exotic_orbit(name):
+    """The exotic determinant may be any member: the check passes with the masks in either order."""
+    scn = PRESETS[name]()
+    model, s = scn.model, scn.slopes
+    rep = classify_orbits(model, s)
+    end = honda_tate_endomorphism(model, s)
+    for order in (1, -1):
+        exotic = tuple(replace(o, orbit=MemberMasks(o.orbit.n, o.orbit.masks[::order]))
+                       for o in rep.exotic)
+        assert structure_check(model, s, replace(rep, exotic=exotic), end).passed
+
+
 # --- predicted_signature ----------------------------------------------------------
 
 
@@ -1088,6 +1111,35 @@ def test_unique_exotic_lemma_names_the_first_stray_member(monkeypatch):
     assert row.status == FAIL
     # the first stray in document (lexicographic) order, as 1-based points
     assert row.detail == "exotic subset [1, 3, 5, 7, 9, 11] differs from I, tau I"
+
+
+def test_unique_exotic_lemma_reads_every_mask_of_the_orbit(monkeypatch):
+    # as above, with the strays appended to the orbit's masks
+    scn = scenario_ramified(3, 5)
+    report = classify_orbits(scn.model, scn.slopes)
+    (orbit,) = report.exotic
+    strays = [_mask(12, m) for m in ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))]
+    members = MemberMasks(12, orbit.orbit.masks + tuple(strays))
+    forged = replace(report, exotic=(replace(orbit, orbit=members),))
+    monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s: forged)
+    (row,) = [r for r in verify_lemma_suite([scn]) if r.lemma == "exotic_uniqueness"]
+    assert row.status == FAIL
+    assert row.detail == "exotic subset [1, 3, 5, 7, 9, 11] differs from I, tau I"
+
+
+def test_member_masks_read_as_the_tuple_of_point_tuples():
+    members = MemberMasks(6, (0b110000, 0b100010, 0b000011, 0))
+    points = ((0, 1), (0, 4), (4, 5), ())
+    assert tuple(members) == points and list(members) == list(points)
+    assert members == points and points == members and not members != points
+    assert members != points[::-1] and members != points[:3] and members != list(points)
+    assert members == MemberMasks(6, members.masks) != MemberMasks(6, members.masks[:3])
+    assert hash(members) == hash(points)
+    assert len(members) == 4 and members[1] == (0, 4) and members[-1] == ()
+    assert members[1:3] == points[1:3]
+    assert members + ((2, 3),) == points + ((2, 3),)
+    assert repr(members) == repr(points)
+    assert (0, 4) in members and (0, 5) not in members
 
 
 def test_lemma_suite_gates_on_hypotheses():

@@ -1,18 +1,25 @@
 """CLI tests: flags, exit codes, output parity, determinism."""
 
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weiltate import algebra, classifier, cli, forge, galois, reference
-from weiltate.classifier import classify_orbits, doc_to_end_report, doc_to_report
-from weiltate.forge import scenario_main, serialize_scenario
+from weiltate.classifier import MemberMasks, classify_orbits, doc_to_end_report, doc_to_report
+from weiltate.cmtypes import CMType
+from weiltate.forge import Scenario, scenario_main, serialize_scenario
+from weiltate.slopes import slopes_from_cm_type
 
 
 def run_cli(capsys, argv):
@@ -630,3 +637,134 @@ def test_emit_json_rejects_what_json_rejects():
         cli._emit_json({"x": object()})
     with pytest.raises(TypeError):
         json.dumps({"x": object()})
+
+
+# --- classify text straight from the masks --------------------------------------
+
+
+def _ladder():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+LADDER_CLASSIFY = {r.name: list(r.argv) for r in _ladder().RUNGS.values() if r.kind == "classify"}
+
+
+def plain_classify_text(argv) -> str:
+    """`json.dumps` of the plain document `classify_scenario_doc` returns for a classify argv."""
+    args = cli.build_parser().parse_args(argv)
+    subset_cap = cli._subset_cap(args.cap)
+    scn = cli._resolve_scenario(args, cli._group_cap(), subset_cap)
+    weights = None if args.weights is None else [int(w) for w in args.weights.split(",")]
+    doc = cli.classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def assert_cli_text_is_the_plain_document(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == plain_classify_text(argv)
+
+
+@pytest.mark.parametrize("rung", list(LADDER_CLASSIFY))
+def test_classify_json_is_the_plain_document_on_the_ladder(rung):
+    assert_cli_text_is_the_plain_document(LADDER_CLASSIFY[rung])
+
+
+@st.composite
+def classify_argv(draw):
+    """(scenario file text or None, classify argv): a drawn CM model from a file, or a preset.
+
+    The models are mu2 x S_g or tau with one or two signed permutations
+    (g = 2..4), D is generated by a random word in the generators, and
+    phi takes one of i, tau(i) for each i.  The presets are main g = 4, 6
+    (with or without --attach-fields) and ramified / split g' = 3.  A
+    full scan always has the weight-0 orbit; an explicit weight list may
+    hold 0 or not.
+    """
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(("main", "ramified", "split")))
+        n = 12  # points: 2g, with g = 2g' for ramified and split
+        if family == "main":
+            n = draw(st.sampled_from((8, 12)))
+            argv = ["--preset", "main", "--g", str(n // 2)]
+            if draw(st.booleans()):
+                argv.append("--attach-fields")
+        else:
+            argv = ["--preset", family, "--gp", "3"]
+        text = None
+    else:
+        g = draw(st.integers(2, 4))
+        n = 2 * g
+        tau = tuple((i + g) % n for i in range(n))
+        if draw(st.booleans()):
+            model = galois.cm_product_group(g)
+        else:
+            cycle = draw(st.permutations(range(g)))
+            sigmas = [{cycle[k]: cycle[(k + 1) % g] for k in range(g)}]  # a g-cycle: transitive
+            if draw(st.booleans()):
+                sigmas.append(dict(enumerate(draw(st.permutations(range(g))))))
+            gens = [tau]
+            for sigma in sigmas:
+                flips = draw(st.lists(st.booleans(), min_size=g, max_size=g))
+                perm = [0] * n
+                for i in range(g):
+                    j = sigma[i] + (g if flips[i] else 0)
+                    perm[i], perm[i + g] = j, (j + g) % n
+                gens.append(tuple(perm))
+            model = galois.CMGaloisModel(g=g, group=galois.build_group(n, gens), tau=tau)
+        gens = model.group.generators
+        word = draw(st.lists(st.sampled_from(range(len(gens))), min_size=1, max_size=3))
+        d = galois.identity(n)
+        for k in word:
+            d = galois.compose(d, gens[k])
+        model = model.with_decomposition([d])
+        phi = CMType(frozenset(draw(st.sampled_from((i, tau[i]))) for i in range(g)))
+        scn = Scenario(name="drawn", family=None, g=g, model=model, phi=phi,
+                       slopes=slopes_from_cm_type(model, phi), provenance="test")
+        text = serialize_scenario(scn)
+        argv = []
+    weights = draw(st.none() | st.lists(st.sampled_from(range(0, n + 1, 2)), min_size=1,
+                                        max_size=3))
+    if weights is not None:
+        argv += ["--weights", ",".join(map(str, weights))]
+    return text, argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(classify_argv())
+@example((None, ["--preset", "main", "--g", "4", "--attach-fields", "--weights", "0,4"]))
+def test_classify_json_is_the_plain_document_on_drawn_models(tmp_path_factory, case):
+    text, argv = case
+    if text is not None:
+        path = tmp_path_factory.mktemp("scenario") / "drawn.scn"
+        path.write_text(text, encoding="utf-8")
+        argv = ["--file", str(path)] + argv
+    assert_cli_text_is_the_plain_document(["classify"] + argv + ["--format", "json"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_classify_forms_no_member_point_tuple(fmt, capsys, monkeypatch):
+    """The CLI writes each orbit's members from their masks; the plain document reads them."""
+    calls = Counter()
+    for name in ("__iter__", "__getitem__"):
+        read = getattr(MemberMasks, name)
+
+        def counted(self, *args, name=name, read=read):
+            calls[name] += 1
+            return read(self, *args)
+
+        monkeypatch.setattr(MemberMasks, name, counted)
+    argv = ["classify", "--preset", "ramified", "--gp", "3", "--format", fmt]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and "weight" in out
+    assert calls == {}
+    # the plain document reads the members of every orbit once, and the count sees it
+    orbits = json.loads(plain_classify_text(argv))["report"]["orbits"]
+    assert calls == {"__iter__": len(orbits)}
