@@ -335,20 +335,35 @@ def _reduce_checked(f, l):
     return [c % l * inv % l for c in f]
 
 
+def degree_pattern_and_roots(f, l):
+    """Degree pattern of f mod l and its distinct roots in GF(l): (pattern, squarefree, roots).
+
+    `pattern` and `squarefree` are as in `factor_degree_pattern`.  The
+    squarefree parts are pairwise coprime, so the roots are the sum of
+    the degrees of their d = 1 parts: one split gives both, and x**l is
+    formed once per part.
+    """
+    counts: dict[int, int] = {}
+    squarefree = True
+    roots = 0
+    for mult, part in gf_squarefree_decomposition(_reduce_checked(f, l), l):
+        if mult > 1:
+            squarefree = False
+        for d, prod in gf_distinct_degree(part, l):
+            counts[d] = counts.get(d, 0) + (len(prod) - 1) // d * mult
+            if d == 1:
+                roots += len(prod) - 1
+    return sorted(counts.items()), squarefree, roots
+
+
 def factor_degree_pattern(f, l):
     """Degree pattern of f mod l: ([(degree, count), ...], squarefree).
 
     Counts carry multiplicity from the squarefree decomposition; the
     pairs are sorted by degree and satisfy sum(d*c) = deg(f mod l).
     """
-    counts: dict[int, int] = {}
-    squarefree = True
-    for mult, part in gf_squarefree_decomposition(_reduce_checked(f, l), l):
-        if mult > 1:
-            squarefree = False
-        for d, prod in gf_distinct_degree(part, l):
-            counts[d] = counts.get(d, 0) + (len(prod) - 1) // d * mult
-    return sorted(counts.items()), squarefree
+    pattern, squarefree, _ = degree_pattern_and_roots(f, l)
+    return pattern, squarefree
 
 
 def count_distinct_roots_mod(f, l):

@@ -11,7 +11,6 @@ criterion collapses to tau-stability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -20,6 +19,7 @@ from operator import or_
 from .galois import (
     CMGaloisModel,
     CapExceededError,
+    Record,
     format_perm,
     index2_point_sets,
     point_orbits,
@@ -90,8 +90,7 @@ def _points(n, mask) -> tuple:
     return tuple(reversed(points))
 
 
-@dataclass(frozen=True)
-class MotiveOrbit:
+class MotiveOrbit(Record):
     """One Galois orbit <I> carrying Tate classes.
 
     `orbit` is its members as sorted 0-based point tuples, in document
@@ -109,8 +108,7 @@ class MotiveOrbit:
     hodge_balanced: bool = None
 
 
-@dataclass(frozen=True)
-class WeilTateEntry:
+class WeilTateEntry(Record):
     """Determinant set of an imaginary quadratic subfield (index-2 overgroup Z of H).
 
     The determinant set is the block {z(1) : z in Z}, which fixes Z.
@@ -122,8 +120,7 @@ class WeilTateEntry:
     is_exotic: bool
 
 
-@dataclass(frozen=True)
-class ClassifierReport:
+class ClassifierReport(Record):
     g: int
     weights: tuple
     orbits: tuple
@@ -466,8 +463,7 @@ def _weil_tate_entries(model: CMGaloisModel, cols, qp) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalInvariant:
+class LocalInvariant(Record):
     """One place of F = Q(pi^k) above p."""
 
     degree: int
@@ -475,8 +471,7 @@ class LocalInvariant:
     invariant: Fraction
 
 
-@dataclass(frozen=True)
-class EndAlgebraReport:
+class EndAlgebraReport(Record):
     frobenius_field_degree: int
     local_invariants: tuple
     index: int
@@ -586,8 +581,7 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector) -> EndAlgebraR
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(Record):
     passed: bool
     branch: str
     failed_clause: str = None
@@ -671,8 +665,7 @@ FAIL = "FAIL"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-@dataclass(frozen=True)
-class LemmaResult:
+class LemmaResult(Record):
     instance: str
     lemma: str
     status: str
@@ -793,17 +786,31 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def orbit_to_doc(o: MotiveOrbit, member_lists: bool = True) -> dict:
-    """The document of one orbit, its members as 1-based point lists.
+def _point_lists(orbit, tables: dict) -> list:
+    """An orbit's members as 1-based point lists.
 
-    With `member_lists` false, "orbit" holds the orbit's `MemberMasks`
-    instead, which `cli._emit_json` writes as the same text without
-    forming a point tuple.
+    A `MemberMasks` member with high half h and low half l is
+    high[h] + low[l], from two half-tables of point lists built once
+    per point count into `tables` (the high half holds the smaller
+    points).
     """
+    if not isinstance(orbit, MemberMasks):
+        return [[i + 1 for i in member] for member in orbit]
+    n = orbit.n
+    if n not in tables:
+        tables[n] = _half_tables(n, [], list.__add__, lambda j: [n - j])
+    low, high = tables[n]
+    half = n // 2
+    low_bits = (1 << half) - 1
+    return [high[m >> half] + low[m & low_bits] for m in orbit.masks]
+
+
+def orbit_to_doc(o: MotiveOrbit, members) -> dict:
+    """The document of one orbit, "orbit" holding `members`."""
     doc = {
         "weight": o.weight,
         "representative": [i + 1 for i in o.representative],
-        "orbit": [[i + 1 for i in member] for member in o.orbit] if member_lists else o.orbit,
+        "orbit": members,
         "rank": o.rank,
         "is_tate": o.is_tate,
         "is_lefschetz_bearing": o.is_lefschetz_bearing,
@@ -816,11 +823,20 @@ def orbit_to_doc(o: MotiveOrbit, member_lists: bool = True) -> dict:
 
 
 def report_to_doc(report: ClassifierReport, group, member_lists: bool = True) -> dict:
-    """The structured report; `member_lists` as in `orbit_to_doc`."""
+    """The structured report, each orbit's members as 1-based point lists.
+
+    With `member_lists` false, each "orbit" holds the orbit's
+    `MemberMasks` instead, which `cli._emit_json` writes as the same
+    text without forming a point tuple.
+    """
+    tables = {}
     return {
         "g": report.g,
         "weights": list(report.weights),
-        "orbits": [orbit_to_doc(o, member_lists) for o in report.orbits],
+        "orbits": [
+            orbit_to_doc(o, _point_lists(o.orbit, tables) if member_lists else o.orbit)
+            for o in report.orbits
+        ],
         "tate_dims": list(report.tate_dims) if report.tate_dims is not None else None,
         "mildly_exotic": report.mildly_exotic,
         "scht_verdict": report.scht_verdict,

@@ -287,7 +287,7 @@ def classify_scenario_doc(
     Frobenius rank.  The minimal field index [G : Fix] is [Q(pi^k) : Q],
     the Frobenius field degree that Honda-Tate has already counted: both
     are the number of signature blocks, which all have one size since G
-    is transitive.  `member_lists` is as in `classifier.orbit_to_doc`.
+    is transitive.  `member_lists` is as in `classifier.report_to_doc`.
     """
     basis = slopes.conjugate_slope_basis(scn.model, scn.slopes)
     report = classify_orbits(

@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .galois import CMGaloisModel, CapExceededError
+from .galois import CMGaloisModel, CapExceededError, Record
 
 DEFAULT_ENUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CMType:
+class CMType(Record):
     """Half of the 2g indices, one from each conjugate pair {i, tau(i)}."""
 
     phi: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", frozenset(self.phi))
+        self.__dict__["phi"] = frozenset(self.phi)
 
     def __iter__(self):
         return iter(sorted(self.phi))
@@ -68,8 +66,7 @@ def tau_block_classes(model: CMGaloisModel):
     return blocks, classes
 
 
-@dataclass(frozen=True)
-class PlacePrescription:
+class PlacePrescription(Record):
     """Target #(phi ∩ B) for each D-block B, keyed by block position."""
 
     targets: tuple

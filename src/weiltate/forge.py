@@ -12,13 +12,12 @@ provenance, not inputs, to the classification pipeline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
     MAX_PRIME,
-    count_distinct_roots_mod,
     crt_poly,
+    degree_pattern_and_roots,
     factor_degree_pattern,
     format_poly,
     gf_ben_or,
@@ -33,6 +32,7 @@ from .galois import (
     DEFAULT_GROUP_CAP,
     CMGaloisModel,
     CapExceededError,
+    Record,
     StabChain,
     build_group,
     cm_product_group,
@@ -125,8 +125,7 @@ def forge_quadratic(p: int, splitting: str, signature: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificates:
+class Certificates(Record):
     pattern_at_p: tuple
     pattern_at_l: tuple
     pattern_at_lp: tuple
@@ -135,8 +134,7 @@ class Certificates:
     galois_is_sg: bool
 
 
-@dataclass(frozen=True)
-class ForgedField:
+class ForgedField(Record):
     g: int
     p: int
     l: int
@@ -166,8 +164,7 @@ def _certificates(poly, g: int, p: int, l: int, lp: int, real_roots: int) -> Cer
     """The certificates of `poly`, its real-root count already known."""
     pat_p, sf_p = factor_degree_pattern(poly, p)
     pat_l, sf_l = factor_degree_pattern(poly, l)
-    pat_lp, sf_lp = factor_degree_pattern(poly, lp)
-    roots_lp = count_distinct_roots_mod(poly, lp)
+    pat_lp, sf_lp, roots_lp = degree_pattern_and_roots(poly, lp)
     return Certificates(
         pattern_at_p=tuple(pat_p),
         pattern_at_l=tuple(pat_l),
@@ -302,8 +299,7 @@ def forged_field_to_doc(f: ForgedField) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A classification-ready instance: (G, tau, D, phi) and derived slopes."""
 
     name: str
@@ -387,7 +383,7 @@ def scenario_main(
     d = forge_quadratic(p, "inert", "imaginary")
     l, lp = _smallest_primes_avoiding(g, {p})
     real_field = forge_totally_real(g, p, l, lp, seed=0)
-    return replace(scn, metadata=(
+    return scn.replace(metadata=(
         ("quadratic_d", str(d)),
         ("real_field_poly", format_poly(real_field.poly)),
     ))

@@ -11,13 +11,13 @@ the decomposition group D by its generators; the generator lists of a
 document are read off their chains.  The classification works on the
 action of the generators on the 2g points (orbits, sign labellings,
 block systems).  The CM structure is the central involution tau with
-tau(i) = i + g mod 2g.
+tau(i) = i + g mod 2g.  `Record` is the frozen base of the package's
+value classes.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
@@ -28,6 +28,81 @@ Perm = tuple
 
 class CapExceededError(RuntimeError):
     """A configured enumeration cap was hit."""
+
+
+class Record:
+    """A frozen value: its fields are the class annotations, in order.
+
+    A field's default is its class attribute.  `__init__` takes the
+    fields positionally or by keyword, then calls `__post_init__`.
+    Equality and hashing read the fields named in `_compare` (all of
+    them unless a class names fewer), and repr reads those named in
+    `_shown` (`_compare` unless a class names others); data derived
+    from the fields lives outside them.  Assigning or deleting an
+    attribute raises `AttributeError`; `replace` builds a new record
+    through `__init__`.
+    """
+
+    _fields = ()
+    _compare = ()
+    _shown = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if "_compare" not in cls.__dict__:
+            cls._compare = cls._fields
+        if "_shown" not in cls.__dict__:
+            cls._shown = cls._compare
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, not {len(args)}")
+        values = self.__dict__
+        values.update(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in self._defaults:
+                values[name] = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} has no further field {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compare])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def replace(self, **changes):
+        """A new record with `changes` to its fields; `__post_init__` runs again."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)
 
 
 def identity(n: int) -> Perm:
@@ -226,8 +301,7 @@ class StabChain:
         return sub
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Record):
     """A permutation group on {1..n} (0-based inside), carried by its stabilizer chain.
 
     `order` and membership come from the chain.  `elements` lists the
@@ -238,7 +312,8 @@ class PermGroup:
 
     degree: int
     generators: tuple
-    chain: StabChain = field(compare=False, repr=False)
+    chain: StabChain
+    _compare = ("degree", "generators")
 
     @property
     def order(self) -> int:
@@ -331,8 +406,7 @@ def subgroup_generators(sub: StabChain) -> list:
     return picks
 
 
-@dataclass(frozen=True)
-class CMGaloisModel:
+class CMGaloisModel(Record):
     """G acting on the 2g Frobenius-eigenvalue indices with CM structure.
 
     tau is the central conjugation i -> i + g mod 2g.  The decomposition
@@ -345,8 +419,9 @@ class CMGaloisModel:
     g: int
     group: PermGroup
     tau: Perm
-    D_generators: tuple = field(init=False, compare=False, default=None)
-    D_blocks: tuple = field(init=False, compare=False, default=None)
+    D_generators = None  # not fields: `with_decomposition` sets them
+    D_blocks = None
+    _shown = ("g", "group", "tau", "D_generators", "D_blocks")
 
     def __post_init__(self):
         n = self.group.degree
@@ -368,8 +443,7 @@ class CMGaloisModel:
         """The same model with D = <generators>; the group checks already held."""
         gens = _in_group(self.group, generators)
         model = copy.copy(self)
-        object.__setattr__(model, "D_generators", gens)
-        object.__setattr__(model, "D_blocks", point_orbits(gens, self.group.degree))
+        model.__dict__.update(D_generators=gens, D_blocks=point_orbits(gens, self.group.degree))
         return model
 
 

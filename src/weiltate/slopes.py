@@ -8,15 +8,13 @@ group action, so the function g -> s[g(1)] carries all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .galois import CMGaloisModel
+from .galois import CMGaloisModel, Record
 
 
-@dataclass(frozen=True)
-class SlopeVector:
+class SlopeVector(Record):
     """Exact slopes s_i = v(pi_i) with v(q) = 1, indexed 0-based.
 
     `values` are the Fractions of the API and the documents.  The
@@ -25,16 +23,12 @@ class SlopeVector:
     """
 
     values: tuple
-    den: int = field(init=False, compare=False, repr=False)
-    nums: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         values = tuple(Fraction(v) for v in self.values)
         den = lcm(*(v.denominator for v in values))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "den", den)
         nums = tuple(v.numerator * (den // v.denominator) for v in values)
-        object.__setattr__(self, "nums", nums)
+        self.__dict__.update(values=values, den=den, nums=nums)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]

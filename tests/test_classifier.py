@@ -4,7 +4,6 @@ import copy
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
@@ -951,7 +950,7 @@ def _mildly_exotic_parts(scn):
 def test_structure_check_fails_on_odd_g():
     model = cm_product_group(3).with_decomposition(frozenset({tuple(range(6))}))
     s = ordinary_slopes(3)
-    rep = replace(classify_orbits(model, s), mildly_exotic=True)
+    rep = classify_orbits(model, s).replace(mildly_exotic=True)
     verdict = structure_check(model, s, rep, honda_tate_endomorphism(model, s))
     assert not verdict.passed and verdict.failed_clause == "dimension g is odd"
 
@@ -959,7 +958,7 @@ def test_structure_check_fails_on_odd_g():
 def test_structure_check_fails_on_an_exotic_orbit_outside_weil_tate():
     model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
     assert rep.exotic and end.commutative
-    verdict = structure_check(model, s, replace(rep, weil_tate=()), end)
+    verdict = structure_check(model, s, rep.replace(weil_tate=()), end)
     first = [i + 1 for i in rep.exotic[0].representative]
     assert (verdict.passed, verdict.branch) == (False, "commutative")
     assert verdict.failed_clause == (
@@ -973,8 +972,8 @@ def test_structure_check_fails_when_the_exotic_determinant_lies_in_another_orbit
     (outer,) = [e for e in rep.weil_tate if e.determinant_set not in exotic.orbit]
     assert outer.is_tate and not outer.is_exotic
     # the one exotic Weil-Tate entry now sits in an orbit of Lefschetz classes
-    moved = replace(outer, is_lefschetz_bearing=False, is_exotic=True)
-    verdict = structure_check(model, s, replace(rep, weil_tate=(moved,)), end)
+    moved = outer.replace(is_lefschetz_bearing=False, is_exotic=True)
+    verdict = structure_check(model, s, rep.replace(weil_tate=(moved,)), end)
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == (
         f"exotic orbit with representative {[i + 1 for i in exotic.representative]} "
@@ -984,7 +983,7 @@ def test_structure_check_fails_when_the_exotic_determinant_lies_in_another_orbit
 
 def test_structure_check_fails_without_an_imaginary_quadratic_subfield():
     model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
-    verdict = structure_check(model, s, replace(rep, exotic=(), weil_tate=()), end)
+    verdict = structure_check(model, s, rep.replace(exotic=(), weil_tate=()), end)
     assert (verdict.passed, verdict.branch) == (False, "commutative")
     assert verdict.failed_clause == "no imaginary quadratic subfield exists"
 
@@ -992,14 +991,14 @@ def test_structure_check_fails_without_an_imaginary_quadratic_subfield():
 def test_structure_check_fails_on_noncommutative_index_other_than_two():
     model, s, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
     assert (end.commutative, end.index) == (False, 2)
-    verdict = structure_check(model, s, rep, replace(end, index=4))
+    verdict = structure_check(model, s, rep, end.replace(index=4))
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "noncommutative index m = 4 != 2"
 
 
 def test_structure_check_fails_on_even_half_dimension():
     model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
-    verdict = structure_check(model, s, rep, replace(end, commutative=False, index=2))
+    verdict = structure_check(model, s, rep, end.replace(commutative=False, index=2))
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "g/2 is even"
 
@@ -1007,7 +1006,7 @@ def test_structure_check_fails_on_even_half_dimension():
 def test_structure_check_fails_on_more_than_one_exotic_orbit():
     model, s, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
     assert len(rep.exotic) == 1
-    verdict = structure_check(model, s, replace(rep, exotic=rep.exotic * 2), end)
+    verdict = structure_check(model, s, rep.replace(exotic=rep.exotic * 2), end)
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "2 exotic orbits instead of a unique one"
 
@@ -1020,9 +1019,9 @@ def test_structure_check_reads_every_member_of_an_exotic_orbit(name):
     rep = classify_orbits(model, s)
     end = honda_tate_endomorphism(model, s)
     for order in (1, -1):
-        exotic = tuple(replace(o, orbit=MemberMasks(o.orbit.n, o.orbit.masks[::order]))
+        exotic = tuple(o.replace(orbit=MemberMasks(o.orbit.n, o.orbit.masks[::order]))
                        for o in rep.exotic)
-        assert structure_check(model, s, replace(rep, exotic=exotic), end).passed
+        assert structure_check(model, s, rep.replace(exotic=exotic), end).passed
 
 
 # --- predicted_signature ----------------------------------------------------------
@@ -1105,7 +1104,7 @@ def test_unique_exotic_lemma_names_the_first_stray_member(monkeypatch):
     report = classify_orbits(scn.model, scn.slopes)
     (orbit,) = report.exotic
     strays = ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))
-    forged = replace(report, exotic=(replace(orbit, orbit=orbit.orbit + strays),))
+    forged = report.replace(exotic=(orbit.replace(orbit=orbit.orbit + strays),))
     monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s: forged)
     (row,) = [r for r in verify_lemma_suite([scn]) if r.lemma == "exotic_uniqueness"]
     assert row.status == FAIL
@@ -1120,7 +1119,7 @@ def test_unique_exotic_lemma_reads_every_mask_of_the_orbit(monkeypatch):
     (orbit,) = report.exotic
     strays = [_mask(12, m) for m in ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))]
     members = MemberMasks(12, orbit.orbit.masks + tuple(strays))
-    forged = replace(report, exotic=(replace(orbit, orbit=members),))
+    forged = report.replace(exotic=(orbit.replace(orbit=members),))
     monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s: forged)
     (row,) = [r for r in verify_lemma_suite([scn]) if r.lemma == "exotic_uniqueness"]
     assert row.status == FAIL

@@ -96,6 +96,22 @@ def test_forge_reductions_match_targets():
     assert again == f.certificates
 
 
+def test_certificates_form_x_to_the_l_once_per_prime(monkeypatch):
+    """The pattern and the root count at l' come from one split, so x**l' is formed once."""
+    f = forge_totally_real(12, 5, 13, 17, seed=0)
+    formed = []
+    x_to_the_l = weiltate.algebra._x_to_the_l
+
+    def counted(poly, l):
+        formed.append(l)
+        return x_to_the_l(poly, l)
+
+    monkeypatch.setattr(weiltate.algebra, "_x_to_the_l", counted)
+    again = _certificates(f.poly, f.g, f.p, f.l, f.lp, f.g)
+    assert again == f.certificates
+    assert formed == [5, 13, 17]
+
+
 def test_forge_counts_real_roots_once_per_spread(monkeypatch):
     counted = []
     totally_real = weiltate.forge.is_totally_real
@@ -118,7 +134,7 @@ def test_forge_counts_real_roots_once_per_spread(monkeypatch):
 
 def test_forge_tests_each_prime_once_however_many_draws(monkeypatch):
     """Ben-Or on the random draws is unchecked: p, l and l' are tested once up front
-    and once in each of the four certificates, at l' = 2**31 - 1 too."""
+    and once in each of the three certificate splits, at l' = 2**31 - 1 too."""
     tested, draws = [], []
     is_prime, ben_or = weiltate.algebra.is_prime, weiltate.forge.gf_ben_or
 
@@ -138,7 +154,7 @@ def test_forge_tests_each_prime_once_however_many_draws(monkeypatch):
         draws.clear()
         forge_totally_real(6, 5, 65537, 2147483647, seed=seed)
         assert len(draws) > 7
-        assert len(tested) <= 7
+        assert len(tested) <= 6
 
 
 def test_forge_deterministic_and_seed_sensitive():

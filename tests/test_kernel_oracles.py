@@ -45,6 +45,7 @@ from weiltate.algebra import (
     MR_BOUND,
     NotSquarefreeError,
     count_distinct_roots_mod,
+    degree_pattern_and_roots,
     factor_degree_pattern,
     gf_is_irreducible,
     gf_reduce,
@@ -174,7 +175,8 @@ def test_ben_or_matches_the_full_pattern(case):
 
 
 def test_ben_or_keeps_the_input_errors():
-    for kernel in (gf_is_irreducible, factor_degree_pattern, count_distinct_roots_mod):
+    for kernel in (gf_is_irreducible, factor_degree_pattern, count_distinct_roots_mod,
+                   degree_pattern_and_roots):
         for f, l in (((1, 1), 6), ((1, 0, 5), 5), ((1, 1), MAX_PRIME + 11)):
             with pytest.raises(ValueError):
                 kernel(f, l)
@@ -197,6 +199,9 @@ def test_kernel_matches_the_pow_mod_routes(case):
     assert _outcome(factor_degree_pattern, f, l) == _outcome(degree_pattern_by_pow_mod, f, l)
     assert _outcome(count_distinct_roots_mod, f, l) == _outcome(roots_by_pow_mod, f, l)
     assert _outcome(gf_is_irreducible, f, l) == _outcome(ben_or_by_pow_mod, f, l)
+    pattern, roots = _outcome(degree_pattern_by_pow_mod, f, l), _outcome(roots_by_pow_mod, f, l)
+    expected = pattern if isinstance(pattern, str) else (*pattern, roots)
+    assert _outcome(degree_pattern_and_roots, f, l) == expected
 
 
 @st.composite
@@ -377,5 +382,6 @@ def test_patterns_and_roots_match_sympy_factor_list(case):
     assert factor_degree_pattern(f, l) == (sorted(counts.items()), squarefree)
     linears = sum(1 for factor, _ in factors if factor.degree() == 1)
     assert count_distinct_roots_mod(f, l) == linears
+    assert degree_pattern_and_roots(f, l)[2] == linears
     assert gf_is_irreducible(f, l) == (len(factors) == 1 and factors[0][1] == 1
                                        and factors[0][0].degree() >= 1)

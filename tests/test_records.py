@@ -1,0 +1,150 @@
+"""Frozen records: every value class of the package is a `galois.Record`.
+
+Each record is checked for the semantics its class had as a frozen
+dataclass: no assignment or deletion, equality and hashing over the
+same fields, the same repr, and `replace` through `__init__`.
+"""
+
+import copy
+
+import pytest
+
+from weiltate import classifier, cmtypes, forge, galois, slopes
+from weiltate.classifier import (
+    classify_orbits,
+    honda_tate_endomorphism,
+    structure_check,
+    verify_lemma_suite,
+)
+from weiltate.cmtypes import PlacePrescription
+from weiltate.forge import forge_totally_real, scenario_main
+from weiltate.galois import Record, StabChain, build_group, cm_product_group
+
+# class -> (the fields its repr lists, the fields equality and hashing read)
+FIELDS = {
+    galois.PermGroup: (("degree", "generators"), ("degree", "generators")),
+    galois.CMGaloisModel: (("g", "group", "tau", "D_generators", "D_blocks"), ("g", "group", "tau")),
+    slopes.SlopeVector: (("values",), ("values",)),
+    cmtypes.CMType: (("phi",), ("phi",)),
+    cmtypes.PlacePrescription: (("targets",), ("targets",)),
+    classifier.MotiveOrbit: ((
+        "weight", "representative", "orbit", "rank", "is_tate", "is_lefschetz_bearing",
+        "is_exotic", "hodge_type", "hodge_balanced",
+    ),) * 2,
+    classifier.WeilTateEntry: (
+        ("determinant_set", "is_tate", "is_lefschetz_bearing", "is_exotic"),) * 2,
+    classifier.ClassifierReport: ((
+        "g", "weights", "orbits", "tate_dims", "exotic", "mildly_exotic", "weil_tate",
+        "scht_verdict", "notes",
+    ),) * 2,
+    classifier.LocalInvariant: (("degree", "slope", "invariant"),) * 2,
+    classifier.EndAlgebraReport: ((
+        "frobenius_field_degree", "local_invariants", "index", "commutative",
+        "abelian_variety_dim",
+    ),) * 2,
+    classifier.StructureVerdict: (("passed", "branch", "failed_clause"),) * 2,
+    classifier.LemmaResult: (("instance", "lemma", "status", "detail"),) * 2,
+    forge.Certificates: ((
+        "pattern_at_p", "pattern_at_l", "pattern_at_lp", "roots_at_lp", "real_root_count",
+        "galois_is_sg",
+    ),) * 2,
+    forge.ForgedField: (("g", "p", "l", "lp", "seed", "poly", "spread", "certificates"),) * 2,
+    forge.Scenario: ((
+        "name", "family", "g", "model", "phi", "slopes", "provenance", "metadata",
+    ),) * 2,
+}
+
+
+def _one_of_each() -> dict:
+    scn = scenario_main(4, 5)
+    report = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
+    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    field = forge_totally_real(4, 5, 7, 11, seed=0)
+    records = [
+        scn, scn.model, scn.model.group, scn.phi, scn.slopes, PlacePrescription.from_counts([1, 3]),
+        report, report.orbits[0], report.weil_tate[0], end, end.local_invariants[0],
+        structure_check(scn.model, scn.slopes, report, end), verify_lemma_suite([scn])[0],
+        field, field.certificates,
+    ]
+    return {type(r): r for r in records}
+
+
+RECORDS = _one_of_each()
+
+
+def test_every_value_class_is_a_record_and_has_an_instance_here():
+    found = {cls for module in (galois, slopes, cmtypes, classifier, forge)
+             for cls in vars(module).values()
+             if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record}
+    assert found == set(FIELDS) == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_a_record_refuses_assignment_and_deletion(cls):
+    record = RECORDS[cls]
+    for name in FIELDS[cls][0] + ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record.replace() == record
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_a_record_repr_lists_the_dataclass_fields(cls):
+    record = RECORDS[cls]
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in FIELDS[cls][0])
+    assert repr(record) == f"{cls.__qualname__}({shown})"
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_a_record_compares_and_hashes_by_its_compared_fields(cls):
+    record = RECORDS[cls]
+    again = record.replace()
+    assert again is not record and again == record and hash(again) == hash(record)
+    assert record != tuple(getattr(record, name) for name in FIELDS[cls][1])
+    for name in cls._fields:
+        other = copy.copy(record)
+        other.__dict__[name] = object()  # past __init__, so no __post_init__ check runs
+        assert (other == record) is (name not in FIELDS[cls][1]), name
+
+
+def test_a_decomposition_or_a_chain_does_not_change_equality():
+    model = cm_product_group(4)
+    with_d = model.with_decomposition([model.tau])
+    assert with_d == model and hash(with_d) == hash(model)
+    assert with_d.D_blocks is not None and model.D_blocks is None
+    group = model.group
+    rebuilt = build_group(group.degree, group.generators)
+    assert rebuilt.chain is not group.chain and rebuilt == group
+    other = galois.PermGroup(group.degree, group.generators, StabChain(group.degree))
+    assert other == group and hash(other) == hash(group)
+
+
+def test_replace_runs_post_init_again_and_drops_derived_data():
+    model = RECORDS[forge.Scenario].model
+    assert model.D_blocks is not None
+    bare = model.replace()
+    assert bare == model and bare.D_generators is None and bare.D_blocks is None
+    with pytest.raises(ValueError, match="tau"):
+        model.replace(tau=tuple(range(model.group.degree)))
+    s = RECORDS[slopes.SlopeVector].replace(values=("1/2",) * 8)
+    assert (s.den, s.nums) == (2, (1,) * 8)
+    assert RECORDS[cmtypes.CMType].replace(phi=[0, 5]).phi == frozenset({0, 5})
+
+
+def test_record_init_takes_fields_by_position_or_keyword_and_refuses_the_rest():
+    entry = classifier.WeilTateEntry((0, 1), True, is_lefschetz_bearing=False, is_exotic=True)
+    assert entry == classifier.WeilTateEntry(
+        determinant_set=(0, 1), is_tate=True, is_lefschetz_bearing=False, is_exotic=True)
+    assert classifier.LemmaResult("a", "b", "c").detail == ""
+    with pytest.raises(TypeError):
+        classifier.LemmaResult("a", "b")
+    with pytest.raises(TypeError):
+        classifier.LemmaResult("a", "b", "c", "d", "e")
+    with pytest.raises(TypeError):
+        classifier.LemmaResult("a", "b", "c", colour="red")
+    with pytest.raises(TypeError):
+        classifier.LemmaResult("a", "b", "c", instance="again")
+    with pytest.raises(TypeError):
+        classifier.LemmaResult("a", "b", "c").replace(colour="red")

@@ -1,6 +1,8 @@
-"""The package holds no dead helper: every top-level definition in `src/weiltate` is used."""
+"""The package holds no dead helper, and importing its CLI loads no module it does not use."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import weiltate
@@ -48,3 +50,21 @@ def test_every_top_level_definition_has_a_caller_or_an_export():
     assert {name for _, name in defined if name not in used and name not in exported} == set(
         ALLOWED
     )
+
+
+def test_importing_the_cli_loads_no_introspection_or_reference_module():
+    """`import weiltate.cli` in a bare interpreter stays clear of what only tools and tests need.
+
+    `dataclasses` would bring `inspect`, `ast`, `dis` and `tokenize`;
+    `weiltate.reference` lists groups and is loaded only on demand.
+    """
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import weiltate.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert "weiltate.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "weiltate.reference"}
+    assert loaded & unwanted == set()
