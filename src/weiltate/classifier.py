@@ -46,8 +46,8 @@ class MemberMasks:
 
     Descending mask order is the lexicographic order of the sorted point
     tuples, which is document order.  The object reads as the tuple of
-    those 0-based point tuples: it iterates, indexes, adds, hashes and
-    compares as that tuple, and forms a point tuple only when one is read.
+    those 0-based point tuples: it iterates, indexes, hashes and compares
+    as that tuple, and forms a point tuple only when one is read.
     """
 
     __slots__ = ("n", "masks")
@@ -73,9 +73,6 @@ class MemberMasks:
     def __hash__(self) -> int:
         return hash(tuple(self))
 
-    def __add__(self, other):
-        return tuple(self) + other
-
     def __repr__(self) -> str:
         return repr(tuple(self))
 
@@ -93,13 +90,13 @@ def _points(n, mask) -> tuple:
 class MotiveOrbit(Record):
     """One Galois orbit <I> carrying Tate classes.
 
-    `orbit` is its members as sorted 0-based point tuples, in document
-    order; `classify_orbits` gives it as their `MemberMasks`.
+    `orbit` is its members as a `MemberMasks`, in document order; it
+    reads as the tuple of their sorted 0-based point tuples.
     """
 
     weight: int
     representative: tuple
-    orbit: tuple
+    orbit: MemberMasks
     rank: int
     is_tate: bool
     is_lefschetz_bearing: bool
@@ -214,13 +211,6 @@ def _mask(n, points) -> int:
     return sum(1 << (n - 1 - i) for i in points)
 
 
-def _member_masks(n, orbit) -> tuple:
-    """The n-bit masks of an orbit's members: its own when it is a `MemberMasks`."""
-    if isinstance(orbit, MemberMasks):
-        return orbit.masks
-    return tuple(_mask(n, m) for m in orbit)
-
-
 def _subset_sums(n, points, cols) -> dict:
     """Packed row-sum vector -> the masks of the subsets of `points` with those row sums.
 
@@ -248,8 +238,8 @@ def _by_size(masks) -> dict:
     return out
 
 
-def tate_subsets(rows, weights, cols=None) -> dict:
-    """weight -> the mask of every subset of that size passing the predicate `rows`.
+def tate_subsets(cols, weights) -> dict:
+    """weight -> the mask of every subset of that size whose packed columns `cols` sum to 0.
 
     Point i of the n points is bit n-1-i of a mask, so within one weight
     descending mask order is the lexicographic order of the sorted
@@ -259,10 +249,8 @@ def tate_subsets(rows, weights, cols=None) -> dict:
     `low`, and only the matched lists are split by size, so the cost
     follows the output rather than the 2^n subsets.  Weights are taken
     as given; only even ones yield Tate subsets.  `cols` is
-    `_packed_columns(rows)`, packed here unless given.
+    `_packed_columns(rows)` of the predicate rows.
     """
-    if cols is None:
-        cols = _packed_columns(rows)
     n = len(cols)
     half = n // 2
     low = _subset_sums(n, range(half), cols)
@@ -377,12 +365,11 @@ def classify_orbits(
             if w % 2 != 0 or not 0 <= w <= n:
                 raise ValueError(f"weight {w} is not an even integer in 0..{n}")
 
-    rows = tate_rows(model, s, basis)
-    cols = _packed_columns(rows)
+    cols = _packed_columns(tate_rows(model, s, basis))
     qp = _pairs_passing(cols)
     tables = _orbit_tables(model)
     orbits = []
-    for w, found in tate_subsets(rows, weight_list, cols).items():
+    for w, found in tate_subsets(cols, weight_list).items():
         for masks in _mask_orbits(tables, found):
             rep = _points(n, masks[0])
             lefschetz = has_qpair_matching(rep, qp)
@@ -603,7 +590,7 @@ def structure_check(
     exotic_dets = {_mask(n, e.determinant_set) for e in report.weil_tate if e.is_exotic}
     for o in report.exotic:
         # o.orbit is a whole G-orbit, so it is the orbit of any member
-        if exotic_dets.isdisjoint(_member_masks(n, o.orbit)):
+        if exotic_dets.isdisjoint(o.orbit.masks):
             return StructureVerdict(
                 False,
                 branch,
@@ -725,7 +712,7 @@ def verify_lemma_suite(scenarios) -> tuple:
                 )
             results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, status, detail))
 
-            exotic_masks = {m for o in report.exotic for m in _member_masks(n, o.orbit)}
+            exotic_masks = {m for o in report.exotic for m in o.orbit.masks}
             if len(report.exotic) == 1:
                 I = report.exotic[0].representative
                 allowed = {_mask(n, I), _mask(n, (model.tau[i] for i in I))}
@@ -786,31 +773,12 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _point_lists(orbit, tables: dict) -> list:
-    """An orbit's members as 1-based point lists.
-
-    A `MemberMasks` member with high half h and low half l is
-    high[h] + low[l], from two half-tables of point lists built once
-    per point count into `tables` (the high half holds the smaller
-    points).
-    """
-    if not isinstance(orbit, MemberMasks):
-        return [[i + 1 for i in member] for member in orbit]
-    n = orbit.n
-    if n not in tables:
-        tables[n] = _half_tables(n, [], list.__add__, lambda j: [n - j])
-    low, high = tables[n]
-    half = n // 2
-    low_bits = (1 << half) - 1
-    return [high[m >> half] + low[m & low_bits] for m in orbit.masks]
-
-
-def orbit_to_doc(o: MotiveOrbit, members) -> dict:
-    """The document of one orbit, "orbit" holding `members`."""
+def orbit_to_doc(o: MotiveOrbit) -> dict:
+    """The document of one orbit, "orbit" holding its `MemberMasks`."""
     doc = {
         "weight": o.weight,
         "representative": [i + 1 for i in o.representative],
-        "orbit": members,
+        "orbit": o.orbit,
         "rank": o.rank,
         "is_tate": o.is_tate,
         "is_lefschetz_bearing": o.is_lefschetz_bearing,
@@ -822,21 +790,16 @@ def orbit_to_doc(o: MotiveOrbit, members) -> dict:
     return doc
 
 
-def report_to_doc(report: ClassifierReport, group, member_lists: bool = True) -> dict:
-    """The structured report, each orbit's members as 1-based point lists.
+def report_to_doc(report: ClassifierReport, group) -> dict:
+    """The structured report, each "orbit" holding the orbit's `MemberMasks`.
 
-    With `member_lists` false, each "orbit" holds the orbit's
-    `MemberMasks` instead, which `cli._emit_json` writes as the same
-    text without forming a point tuple.
+    `cli._emit_json` writes a `MemberMasks` as the list of its members'
+    1-based point lists, without forming a point tuple.
     """
-    tables = {}
     return {
         "g": report.g,
         "weights": list(report.weights),
-        "orbits": [
-            orbit_to_doc(o, _point_lists(o.orbit, tables) if member_lists else o.orbit)
-            for o in report.orbits
-        ],
+        "orbits": [orbit_to_doc(o) for o in report.orbits],
         "tate_dims": list(report.tate_dims) if report.tate_dims is not None else None,
         "mildly_exotic": report.mildly_exotic,
         "scht_verdict": report.scht_verdict,
@@ -871,7 +834,11 @@ def end_report_to_doc(end: EndAlgebraReport) -> dict:
 
 
 def doc_to_report(doc: dict) -> ClassifierReport:
-    """Rebuild a ClassifierReport from its structured document."""
+    """Rebuild a ClassifierReport from its structured document, as parsed from its JSON text.
+
+    Each orbit's 1-based member lists are read back as their masks.
+    """
+    n = 2 * doc["g"]
     orbits = []
     for od in doc["orbits"]:
         ht = tuple(od["hodge_type"]) if "hodge_type" in od else None
@@ -879,7 +846,7 @@ def doc_to_report(doc: dict) -> ClassifierReport:
             MotiveOrbit(
                 weight=od["weight"],
                 representative=tuple(i - 1 for i in od["representative"]),
-                orbit=tuple(tuple(i - 1 for i in member) for member in od["orbit"]),
+                orbit=MemberMasks(n, (_mask(n, (i - 1 for i in m)) for m in od["orbit"])),
                 rank=od["rank"],
                 is_tate=od["is_tate"],
                 is_lefschetz_bearing=od["is_lefschetz_bearing"],

@@ -15,7 +15,6 @@ import argparse
 import functools
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf
 
@@ -90,10 +89,9 @@ def _emit_json(doc: dict) -> str:
     """The text of `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte.
 
     `json` runs its pure-Python encoder whenever `indent` is set; this
-    writer emits the same text with a list of plain ints as one join,
-    and a list of non-empty plain-int lists as one join too.  An orbit's
-    `MemberMasks` is written as the list of its 1-based point lists,
-    straight from the masks (`_members_text`).
+    writer emits the same text with a list of plain ints as one join.
+    An orbit's `MemberMasks` is written as the list of its 1-based point
+    lists, straight from the masks (`_members_text`).
     """
     out = []
     _write_json(doc, "\n", out.append, {})
@@ -116,13 +114,6 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
         types = set(map(type, value))
         if types == {int}:  # not isinstance: a bool is no int here
             write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
-            return
-        if types == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
-            deeper = inner + "  "
-            write("[" + inner + ("," + inner).join(
-                "[" + deeper + ("," + deeper).join(map(int.__repr__, item)) + inner + "]"
-                for item in value
-            ) + nl + "]")
             return
         sep = "[" + inner
         for item in value:
@@ -279,7 +270,6 @@ def classify_scenario_doc(
     scn: forge.Scenario,
     subset_cap: int = classifier.DEFAULT_SUBSET_CAP,
     weights=None,
-    member_lists: bool = True,
 ) -> dict:
     """Full classification document for one scenario (the structured report).
 
@@ -287,7 +277,8 @@ def classify_scenario_doc(
     Frobenius rank.  The minimal field index [G : Fix] is [Q(pi^k) : Q],
     the Frobenius field degree that Honda-Tate has already counted: both
     are the number of signature blocks, which all have one size since G
-    is transitive.  `member_lists` is as in `classifier.report_to_doc`.
+    is transitive.  Each orbit's members stay a `MemberMasks`, which
+    `_emit_json` writes as their 1-based point lists.
     """
     basis = slopes.conjugate_slope_basis(scn.model, scn.slopes)
     report = classify_orbits(
@@ -297,7 +288,7 @@ def classify_scenario_doc(
     doc = {
         "schema": "weiltate.classify/1",
         "scenario": _scenario_doc(scn),
-        "report": report_to_doc(report, scn.model.group, member_lists),
+        "report": report_to_doc(report, scn.model.group),
         "endomorphism": end_report_to_doc(end),
         "frobenius_rank": frobenius_rank(scn.model, scn.slopes, basis),
         "minimal_field_index": end.frobenius_field_degree,
@@ -370,7 +361,7 @@ def cmd_classify(args) -> int:
             raise UsageError(f"--weights takes comma-separated integers, got {args.weights!r}")
     group_cap, subset_cap = _group_cap(), _subset_cap(args.cap)
     scn = _resolve_scenario(args, group_cap, subset_cap)
-    doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights, member_lists=False)
+    doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
     if args.format == "json":
         sys.stdout.write(_emit_json(doc))
     else:

@@ -22,6 +22,11 @@ decide Tate-ness.  `classify_orbits_by_walk` sums them the same way in
 integers over its own lcm.  None of them reads predicate rows, the
 program's common denominator or a packed column.
 `pairs_passing_by_rows` reads any integer rows one row at a time.
+
+`plain_document` decodes each orbit's members bit by bit, not from the
+writer's text half-tables, so `json.dumps` of it is the reference text
+for `cli._emit_json`.  `assert_document_invariants` checks the
+north-star invariants on a classify document.
 """
 
 import random
@@ -49,6 +54,7 @@ from weiltate.classifier import (
     ClassifierReport,
     EndAlgebraReport,
     LocalInvariant,
+    MemberMasks,
     MotiveOrbit,
     WeilTateEntry,
     has_qpair_matching,
@@ -732,3 +738,40 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_bu
                                certificates=_certificates(poly, g, p, l, lp, real_roots))
         spread *= 2
     raise RuntimeError("no totally real polynomial within the budget")
+
+
+def plain_document(doc):
+    """`doc` as plain data: each `MemberMasks` as the list of its members' 1-based point lists.
+
+    A member is read through `MemberMasks.__iter__`, which decodes its
+    mask one bit at a time.
+    """
+    if isinstance(doc, MemberMasks):
+        return [[i + 1 for i in m] for m in doc]
+    if isinstance(doc, dict):
+        return {k: plain_document(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain_document(v) for v in doc]
+    return doc
+
+
+def assert_document_invariants(doc) -> None:
+    """The north-star invariants of a classify document.
+
+    rho_k = rho_{g-k} over rho_0..rho_g when the Tate dimensions are
+    given; s_+, s_- >= 0 when the signature is predicted; the local
+    invariants sum to 0 mod 1, counting [F:Q] real places of invariant
+    1/2 when every slope is 1/2 (F totally real); and 2 dim = m [F:Q].
+    """
+    rho = doc["report"]["tate_dims"]
+    if rho is not None:
+        assert len(rho) == doc["report"]["g"] + 1 and rho == rho[::-1]
+    if doc["predicted_signature"] is not None:
+        assert min(doc["predicted_signature"]) >= 0
+    end = doc["endomorphism"]
+    places = end["local_invariants"]
+    total = sum(Fraction(p["invariant"]) for p in places)
+    if all(p["slope"] == "1/2" for p in places):
+        total += Fraction(end["frobenius_field_degree"], 2)
+    assert total % 1 == 0
+    assert 2 * end["abelian_variety_dim"] == end["index"] * end["frobenius_field_degree"]

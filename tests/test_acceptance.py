@@ -5,7 +5,6 @@ prints a single PASS line when its criterion holds; assertion failures
 mark the criterion failed.
 """
 
-import json
 import time
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from weiltate.classifier import (
     predicted_signature,
     verify_lemma_suite,
 )
-from weiltate.cli import classify_scenario_doc
+from weiltate.cli import _emit_json, classify_scenario_doc
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
 from weiltate.reference import (
     block_subgroup,
@@ -201,8 +200,7 @@ def test_criterion_9_forge_certificates():
 
 
 def test_criterion_10_determinism():
-    docs = [json.dumps(classify_scenario_doc(scenario_ramified(3, 5)), sort_keys=True, indent=2)
-            for _ in range(2)]
+    docs = [_emit_json(classify_scenario_doc(scenario_ramified(3, 5))) for _ in range(2)]
     assert docs[0] == docs[1]
 
     a = forge_totally_real(4, 5, 7, 11, seed=7)
