@@ -6,13 +6,7 @@ computes endomorphism-algebra invariants, and forges number-field
 certificates with prescribed local behavior.
 """
 
-from .algebra import (
-    NotSquarefreeError,
-    count_distinct_roots_mod,
-    crt_poly,
-    factor_degree_pattern,
-    sturm_real_roots,
-)
+from .algebra import NotSquarefreeError, crt_poly, factor_degree_pattern
 from .galois import (
     CMGaloisModel,
     CapExceededError,
@@ -20,14 +14,7 @@ from .galois import (
     build_group,
     cm_product_group,
 )
-from .slopes import (
-    SlopeVector,
-    frobenius_rank,
-    is_p_potentially_in,
-    minimal_field_index,
-    signature_block,
-    slopes_from_cm_type,
-)
+from .slopes import SlopeVector, frobenius_rank, slopes_from_cm_type
 from .cmtypes import CMType, PlacePrescription, enumerate_cm_types, hodge_type, is_balanced
 from .classifier import (
     ClassifierReport,
@@ -35,7 +22,6 @@ from .classifier import (
     MotiveOrbit,
     classify_orbits,
     honda_tate_endomorphism,
-    is_tate_subset,
     predicted_signature,
     structure_check,
     verify_lemma_suite,

@@ -11,9 +11,9 @@ One routine, `_divide`, clears a list from the top against a monic
 divisor in place; products mod f, Euclid's remainders and exact
 quotients all go through it, and each coefficient is read mod l once.
 
-Nothing here rounds: real roots are counted by a Sturm chain of
-primitive integer pseudo-remainders (the total-reality test stops that
-chain at the first member whose degree or sign rules it out),
+Nothing here rounds: total reality is read off a Sturm chain of
+primitive integer pseudo-remainders, stopped at the first member whose
+degree or sign rules it out,
 factorization shapes come from squarefree decomposition plus
 distinct-degree splitting (no equal-degree step: only degree patterns
 are ever needed as certificates), and irreducibility is Ben-Or's test,
@@ -366,22 +366,6 @@ def factor_degree_pattern(f, l):
     return pattern, squarefree
 
 
-def count_distinct_roots_mod(f, l):
-    """Number of distinct roots of f in GF(l), as deg gcd(f, x**l - x).
-
-    Only the first Frobenius row, x**l mod f, is formed.
-    """
-    fbar = _reduce_checked(f, l)
-    if len(fbar) == 1:
-        return 0
-    return len(_gcd_minus_x(fbar, _x_to_the_l(fbar, l), l)) - 1
-
-
-def gf_is_irreducible(f, l):
-    """Whether f is irreducible mod l: `gf_ben_or` on f mod l made monic, inputs checked."""
-    return gf_ben_or(_reduce_checked(f, l), l)
-
-
 def gf_ben_or(f, l):
     """Ben-Or's test: a monic list f of degree n >= 1 with coefficients in
     [0, l) is irreducible mod l iff gcd(f, x**(l**d) - x) = 1 for every
@@ -422,25 +406,6 @@ def _prem(a, b):
     return poly_trim(rem[: nb - 1])
 
 
-def _sign_at_infinity(f, positive: bool) -> int:
-    lead = f[-1]
-    if positive or (poly_degree(f) % 2 == 0):
-        return 1 if lead > 0 else -1
-    return -1 if lead > 0 else 1
-
-
-def _sign_changes(signs) -> int:
-    changes = 0
-    prev = None
-    for s in signs:
-        if s == 0:
-            continue
-        if prev is not None and s != prev:
-            changes += 1
-        prev = s
-    return changes
-
-
 def _sturm_chain(f):
     """The members f, f', ... of the integer Sturm chain of a nonconstant trimmed f, lazily.
 
@@ -461,23 +426,6 @@ def _sturm_chain(f):
             r = tuple(-c for c in r)
         a, b = b, _primitive(r)
         yield b
-
-
-def sturm_real_roots(f):
-    """Exact count of distinct real roots of a squarefree integer polynomial.
-
-    The count is the sign changes of the whole chain at -oo minus
-    those at +oo.  A nonconstant gcd(f, f') raises NotSquarefreeError.
-    """
-    f = poly_trim(f)
-    if not f:
-        raise ValueError("zero polynomial rejected")
-    if poly_degree(f) == 0:
-        return 0
-    chain = list(_sturm_chain(f))
-    neg = [_sign_at_infinity(p, positive=False) for p in chain]
-    pos = [_sign_at_infinity(p, positive=True) for p in chain]
-    return _sign_changes(neg) - _sign_changes(pos)
 
 
 def is_totally_real(f) -> bool:

@@ -159,18 +159,6 @@ def _packed_columns(rows) -> list:
     return cols
 
 
-def is_tate_subset(model: CMGaloisModel, s: SlopeVector, subset) -> bool:
-    """True iff #I is even and every G-conjugate of I has slope sum #I/2."""
-    I = frozenset(subset)
-    if not I <= frozenset(range(model.group.degree)):
-        raise ValueError(f"the subset holds a point outside 1..{model.group.degree}")
-    validate_slopes(model, s)
-    if len(I) % 2:
-        return False
-    cols = _packed_columns(tate_rows(model, s))
-    return sum(cols[i] for i in I) == 0
-
-
 def _pairs_passing(cols) -> frozenset:
     """The q-pairs: the weight-2 subsets {x, y} whose packed columns cancel, col[x] = -col[y].
 
@@ -472,7 +460,7 @@ def _blocks_in_coset_order(model: CMGaloisModel, label, point) -> list:
     Blocks are class labels, with the class S of index 1 labelled 0
     and point[B] some index in B; block B stands for the coset
     {g : g(S) = B} of the setwise stabilizer of S.  The canonical order
-    (`reference.elements`, breadth-first from the identity; no element
+    (`PermGroup.elements`, breadth-first from the identity; no element
     is listed here) is the shortlex order of the least generator words
     w = w_1 ... w_k (acting as w_1 after ... after w_k), so the first
     element meeting the coset of B is the shortlex-least word with
@@ -831,64 +819,3 @@ def end_report_to_doc(end: EndAlgebraReport) -> dict:
         "commutative": end.commutative,
         "abelian_variety_dim": end.abelian_variety_dim,
     }
-
-
-def doc_to_report(doc: dict) -> ClassifierReport:
-    """Rebuild a ClassifierReport from its structured document, as parsed from its JSON text.
-
-    Each orbit's 1-based member lists are read back as their masks.
-    """
-    n = 2 * doc["g"]
-    orbits = []
-    for od in doc["orbits"]:
-        ht = tuple(od["hodge_type"]) if "hodge_type" in od else None
-        orbits.append(
-            MotiveOrbit(
-                weight=od["weight"],
-                representative=tuple(i - 1 for i in od["representative"]),
-                orbit=MemberMasks(n, (_mask(n, (i - 1 for i in m)) for m in od["orbit"])),
-                rank=od["rank"],
-                is_tate=od["is_tate"],
-                is_lefschetz_bearing=od["is_lefschetz_bearing"],
-                is_exotic=od["is_exotic"],
-                hodge_type=ht,
-                hodge_balanced=od.get("hodge_balanced"),
-            )
-        )
-    entries = [
-        WeilTateEntry(
-            determinant_set=tuple(i - 1 for i in ed["determinant_set"]),
-            is_tate=ed["is_tate"],
-            is_lefschetz_bearing=ed["is_lefschetz_bearing"],
-            is_exotic=ed["is_exotic"],
-        )
-        for ed in doc["weil_tate"]
-    ]
-    return ClassifierReport(
-        g=doc["g"],
-        weights=tuple(doc["weights"]),
-        orbits=tuple(orbits),
-        tate_dims=tuple(doc["tate_dims"]) if doc["tate_dims"] is not None else None,
-        exotic=tuple(o for o in orbits if o.is_exotic),
-        mildly_exotic=doc["mildly_exotic"],
-        weil_tate=tuple(entries),
-        scht_verdict=doc["scht_verdict"],
-        notes=tuple(doc["notes"]),
-    )
-
-
-def doc_to_end_report(doc: dict) -> EndAlgebraReport:
-    return EndAlgebraReport(
-        frobenius_field_degree=doc["frobenius_field_degree"],
-        local_invariants=tuple(
-            LocalInvariant(
-                degree=pd["degree"],
-                slope=Fraction(pd["slope"]),
-                invariant=Fraction(pd["invariant"]),
-            )
-            for pd in doc["local_invariants"]
-        ),
-        index=doc["index"],
-        commutative=doc["commutative"],
-        abelian_variety_dim=doc["abelian_variety_dim"],
-    )

@@ -1,5 +1,7 @@
 """Batch front end: forge / classify / verify.
 
+`verify` runs the lemma suite on the verify presets; its document keeps
+the `oracles` key of `weiltate.verify/1`, always an empty list.
 Exit codes: 0 success, 2 usage or input error (including scenario parse
 errors), 3 hypothesis violation or a failed self-check (a forged field
 that fails its certificates, a preset whose blocks are off), 4 cap
@@ -383,19 +385,13 @@ VERIFY_PRESETS = {
 
 
 def cmd_verify(args) -> int:
-    if args.random is not None and args.random < 1:
-        raise UsageError(f"--random must be at least 1, got {args.random}")
-    names = "all" if args.presets is None and args.random is None else args.presets
+    names = "all" if args.presets is None else args.presets
     names = (
         list(VERIFY_PRESETS)
         if names == "all"
-        else [n.strip() for n in (names or "").split(",") if n.strip()]
+        else [n.strip() for n in names.split(",") if n.strip()]
     )
-    _reject_ignored(
-        ("--g", args.random_g is not None, args.random is not None, "--random"),
-        ("--seed", args.seed is not None, args.random is not None, "--random"),
-        ("--p", args.p is not None, bool(names), "--presets"),
-    )
+    _reject_ignored(("--p", args.p is not None, bool(names), "--presets"))
     p = DEFAULT_P if args.p is None else args.p
     doc = {"schema": "weiltate.verify/1", "lemmas": [], "oracles": []}
     failed = False
@@ -421,31 +417,15 @@ def cmd_verify(args) -> int:
         if row.status == FAIL:
             failed = True
 
-    if args.random is not None:
-        from .reference import slope_oracle_rows  # the only command that lists a group
-
-        seed = 0 if args.seed is None else args.seed
-        for g in args.random_g or [2, 3, 4]:
-            rows = slope_oracle_rows(g, args.random, seed, group_cap)
-            doc["oracles"].extend(rows)
-            failed = failed or any(not r["all_pass"] for r in rows)
-
     if args.format == "json":
         sys.stdout.write(_emit_json(doc))
+    elif doc["lemmas"]:
+        print(f"{'instance':<20} {'lemma':<28} {'status':<16} detail")
+        for row in doc["lemmas"]:
+            print(f"{row['instance']:<20} {row['lemma']:<28} {row['status']:<16} "
+                  f"{row['detail']}")
     else:
-        if doc["lemmas"]:
-            print(f"{'instance':<20} {'lemma':<28} {'status':<16} detail")
-            for row in doc["lemmas"]:
-                print(f"{row['instance']:<20} {row['lemma']:<28} {row['status']:<16} "
-                      f"{row['detail']}")
-        if doc["oracles"]:
-            bad = [r for r in doc["oracles"] if not r["all_pass"]]
-            print(f"oracle agreement: {len(doc['oracles']) - len(bad)}/{len(doc['oracles'])} "
-                  f"instances pass")
-            for r in bad:
-                print(f"  FAIL {r['instance']}: {r['checks']}")
-        if not doc["lemmas"] and not doc["oracles"]:
-            print("nothing to verify")
+        print("nothing to verify")
     return EXIT_LEMMA_FAIL if failed else EXIT_OK
 
 
@@ -486,14 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="attach forged field provenance to preset scenarios")
     p_classify.add_argument("--format", choices=["text", "json"], default="text")
 
-    p_verify = sub.add_parser("verify", help="run the lemma suite and oracle agreement checks")
-    p_verify.add_argument("--presets", help="'all' or comma list: main4,main6,ramified3,split3")
+    p_verify = sub.add_parser("verify", help="run the lemma suite on the verify presets")
+    p_verify.add_argument("--presets",
+                          help="'all' (the default) or comma list: main4,main6,ramified3,split3")
     p_verify.add_argument("--p", type=int, help="prime p for the presets (default 5)")
-    p_verify.add_argument("--random", type=int, default=None,
-                          help="number of random slope vectors per g")
-    p_verify.add_argument("--g", dest="random_g", type=int, action="append", default=None,
-                          help="degree(s) for --random (repeatable; default 2,3,4)")
-    p_verify.add_argument("--seed", type=int, help="seed for --random (default 0)")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 

@@ -3,12 +3,12 @@
 Points are 0-based internally; every serialized form (cycle notation,
 index lists) is 1-based.  A group is carried by its generators and a
 stabilizer chain on the base 1..2g (`StabChain`), which gives its order
-and membership without listing it; the element list and the subgroups
-as element sets live in `weiltate.reference`, which only the oracle rows
-of `verify --random` and the tests import.  A subgroup is carried by
-the smallest data that fixes it: one above Stab(1) by its point block,
-the decomposition group D by its generators; the generator lists of a
-document are read off their chains.  The classification works on the
+and membership without listing it; `PermGroup.elements` lists it, in the
+canonical breadth-first order, only when asked, and no command asks.
+A subgroup is carried by the smallest data that fixes it: one above
+Stab(1) by its point block, the decomposition group D by its
+generators; the generator lists of a document are read off their
+chains.  The classification works on the
 action of the generators on the 2g points (orbits, sign labellings,
 block systems).  The CM structure is the central involution tau with
 tau(i) = i + g mod 2g.  `Record` is the frozen base of the package's
@@ -305,9 +305,9 @@ class PermGroup(Record):
     """A permutation group on {1..n} (0-based inside), carried by its stabilizer chain.
 
     `order` and membership come from the chain.  `elements` lists the
-    group on first use through `reference.elements`; it is kept for
-    tools that count a group by listing it, and the program reads none
-    of it.
+    group on first use; it is kept for tools that count a group by
+    listing it and for the tests' element-set oracles, and the program
+    reads none of it.
     """
 
     degree: int
@@ -325,9 +325,17 @@ class PermGroup(Record):
 
     @cached_property
     def elements(self) -> tuple:
-        from .reference import elements  # loaded only when something lists a group
-
-        return elements(self)
+        """Every element, breadth-first from the identity, the generators applied on the right."""
+        ident = identity(self.degree)
+        out = [ident]
+        seen = {ident}
+        for e in out:  # grows while it is walked
+            for gen in self.generators:
+                c = compose(e, gen)
+                if c not in seen:
+                    seen.add(c)
+                    out.append(c)
+        return tuple(out)
 
 
 def point_orbits(perms, n: int) -> tuple:

@@ -99,41 +99,6 @@ def signature_classes(model: CMGaloisModel, s: SlopeVector) -> tuple:
         label, count = refined, len(ids)
 
 
-def signature_block(model: CMGaloisModel, s: SlopeVector) -> frozenset:
-    """The class S of index 1: the indices x with s[g(x)] = s[g(1)] for every g.
-
-    S is Fix as a point block: Fix = {sigma : sigma(1) in S}, the
-    subgroup fixing the valuation vector of pi.
-    """
-    return frozenset(x for x, c in enumerate(signature_classes(model, s)) if c == 0)
-
-
-def is_p_potentially_in(model: CMGaloisModel, s: SlopeVector, block) -> bool:
-    """Whether some power of pi lies in the subfield fixed by Z = {g : g(1) in block}.
-
-    A subgroup Z above H = Stab(1) is carried by its block Z(1), which
-    holds index 1.  Fix is cut out by the signature block S, so Z <= Fix
-    iff the block lies in S.
-    """
-    block = frozenset(block)
-    if 0 not in block:
-        raise ValueError("the block does not hold index 1, so it cuts out no subgroup above H")
-    if not block <= frozenset(range(model.group.degree)):
-        raise ValueError(f"the block holds a point outside 1..{model.group.degree}")
-    validate_slopes(model, s)
-    return block <= signature_block(model, s)
-
-
-def minimal_field_index(model: CMGaloisModel, s: SlopeVector) -> int:
-    """[G : Fix] = degree of the smallest field containing a power of pi.
-
-    Fix is the setwise stabilizer of the signature block S, so the index
-    is the number of blocks, 2g / |S|.
-    """
-    validate_slopes(model, s)
-    return model.group.degree // len(signature_block(model, s))
-
-
 def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:
     """Basis of span{s∘g : g in G}, where (s∘g)[x] = s[g(x)].
 

@@ -12,8 +12,15 @@ x**(l**d) comes from square-and-multiply (`gf_pow_mod`, a full product
 and remainder per step), and gcds and squarefree parts from Euclid on tuples, not from
 the kernel's Frobenius rows and its one list division.  The forge loop
 rebuilds its spread target for every spread and counts real roots
-with the whole integer Sturm chain, which is itself held to the
-rational one.
+with the rational Sturm chain.
+
+The element-set route lists the group (`PermGroup.elements`, which no
+command reads): `subgroup_closure` and `block_subgroup` list the
+subgroups above H from their generators or their point block, and
+`fixer_by_definition` and `potential_by_valuation_grouping` decide Fix
+and p-potential membership by their definitions over those lists.
+`signature_block` is no oracle: it reads the program's class of index
+1, the block that those are held against.
 
 The slope routes read the Fractions: `validate_slopes_by_fractions`
 checks the axioms on them, and `tate_by_orbit_walk` sums them over every
@@ -25,7 +32,9 @@ program's common denominator or a packed column.
 
 `plain_document` decodes each orbit's members bit by bit, not from the
 writer's text half-tables, so `json.dumps` of it is the reference text
-for `cli._emit_json`.  `assert_document_invariants` checks the
+for `cli._emit_json`.  `doc_to_report` and `doc_to_end_report` read a
+classify report and its Honda-Tate report back from their documents,
+for the round-trip tests.  `assert_document_invariants` checks the
 north-star invariants on a classify document.
 """
 
@@ -37,15 +46,12 @@ from math import gcd, lcm
 from weiltate.algebra import (
     NotSquarefreeError,
     _reduce_checked,
-    _sign_at_infinity,
-    _sign_changes,
     crt_poly,
     gf_reduce,
     poly_degree,
     poly_derivative,
     poly_mul,
     poly_trim,
-    sturm_real_roots,
 )
 from weiltate.classifier import (
     SCHT_APPLICABLE,
@@ -69,13 +75,14 @@ from weiltate.forge import (
 from weiltate.galois import (
     CMGaloisModel,
     PermGroup,
+    _in_group,
     _inverse,
+    build_group,
     compose,
     identity,
     index2_point_sets,
 )
-from weiltate.reference import elements, subgroup_closure
-from weiltate.slopes import SlopeVector
+from weiltate.slopes import SlopeVector, signature_classes
 
 
 def validate_slopes_by_fractions(model: CMGaloisModel, s: SlopeVector) -> None:
@@ -284,20 +291,82 @@ def rational_rank(matrix) -> int:
 def frobenius_rank_by_matrix(model, s) -> int:
     """Rank of the matrix with one column s∘g per distinct conjugate, minus one."""
     n = model.group.degree
-    columns = sorted({tuple(s[g[x]] for x in range(n)) for g in elements(model.group)})
+    columns = sorted({tuple(s[g[x]] for x in range(n)) for g in model.group.elements})
     return rational_rank([[col[x] for col in columns] for x in range(n)]) - 1
 
 
 def fix_by_signatures_over_group(model, s) -> frozenset:
     """Fix as the preimage of the signature class of index 1, signatures taken over all of G."""
     validate_slopes_by_fractions(model, s)
-    listed = elements(model.group)
+    listed = model.group.elements
     base_sig = tuple(s[g[0]] for g in listed)
     same = set()
     for x in range(model.group.degree):
         if tuple(s[g[x]] for g in listed) == base_sig:
             same.add(x)
     return frozenset(sigma for sigma in listed if sigma[0] in same)
+
+
+def subgroup_closure(group: PermGroup, generators) -> frozenset:
+    """The subgroup that some elements of `group` generate, listed; each must lie in `group`."""
+    sub = build_group(group.degree, _in_group(group, generators), cap=group.order)
+    return frozenset(sub.elements)
+
+
+def block_subgroup(group: PermGroup, points) -> frozenset:
+    """The subgroup {e : e(1) in points} above Stab(1) that the block `points` cuts out, listed.
+
+    Precondition: `points` is a block of the transitive `group` that
+    holds index 1 (0-based 0).  The subgroups Z >= Stab(1) are exactly
+    these, Z the setwise stabilizer of its block Z(1).
+    """
+    return frozenset(e for e in group.elements if e[0] in points)
+
+
+def fixer_by_definition(model: CMGaloisModel, s: SlopeVector) -> frozenset:
+    """Fix by its definition {sigma : s[g sigma(1)] = s[g(1)] for all g}, a double loop over G."""
+    listed = model.group.elements
+    return frozenset(sigma for sigma in listed if all(s[g[sigma[0]]] == s[g[0]] for g in listed))
+
+
+def potential_by_valuation_grouping(model: CMGaloisModel, s: SlopeVector, Z) -> bool:
+    """p-potential membership by grouping valuations over the subfield fixed by Z.
+
+    Partitions G into the double cosets D g Z (valuations of the closure
+    refining a fixed valuation of the subfield cut out by Z) and demands
+    the slope function g -> s[g(1)] be constant on each class.  Without
+    a decomposition subgroup the classes degenerate to the cosets g Z,
+    which tests the same condition since slopes are block-constant.
+    """
+    D = subgroup_closure(model.group, model.D_generators or ())
+    anchors = sorted({z[0] for z in Z})
+    for g in model.group.elements:
+        base = s[g[0]]
+        for d in D:
+            dg = compose(d, g)
+            for x in anchors:
+                if s[dg[x]] != base:
+                    return False
+    return True
+
+
+def signature_block(model: CMGaloisModel, s: SlopeVector) -> frozenset:
+    """The class S of index 1 under the program's `signature_classes`: Fix as a point block.
+
+    No oracle: the point block that the tests hold against
+    `fixer_by_definition` and `potential_by_valuation_grouping`.
+    """
+    return frozenset(x for x, c in enumerate(signature_classes(model, s)) if c == 0)
+
+
+def random_admissible_slopes(model: CMGaloisModel, rng: random.Random) -> SlopeVector:
+    """Random exact slopes with s_i + s_tau(i) = 1 (no D constraint)."""
+    values = [None] * (2 * model.g)
+    for i in range(model.g):
+        den = rng.choice([1, 2, 3, 4, 6])
+        values[i] = Fraction(rng.randint(0, den), den)
+        values[model.tau[i]] = 1 - values[i]
+    return SlopeVector(tuple(values))
 
 
 def verify_subgroup(group: PermGroup, members) -> frozenset:
@@ -400,7 +469,7 @@ def left_cosets(group, sub):
     """Left cosets e*sub, each listed whole at its first element, the representative."""
     reps = []
     coset_of = {}
-    for e in elements(group):
+    for e in group.elements:
         if e not in coset_of:
             for z in sub:
                 coset_of[compose(e, z)] = len(reps)
@@ -509,8 +578,37 @@ def sturm_by_fractions(f):
         chain.append(poly_trim(tuple(-c for c in _qpoly_rem(chain[-2], chain[-1]))))
     if chain[-1] == ():
         raise NotSquarefreeError("polynomial is not squarefree over Q")
-    neg = [_sign_at_infinity(p, positive=False) for p in chain if p]
-    pos = [_sign_at_infinity(p, positive=True) for p in chain if p]
+    return sturm_count(chain)
+
+
+def _sign_at_infinity(f, positive: bool) -> int:
+    lead = f[-1]
+    if positive or (poly_degree(f) % 2 == 0):
+        return 1 if lead > 0 else -1
+    return -1 if lead > 0 else 1
+
+
+def _sign_changes(signs) -> int:
+    changes = 0
+    prev = None
+    for s in signs:
+        if s == 0:
+            continue
+        if prev is not None and s != prev:
+            changes += 1
+        prev = s
+    return changes
+
+
+def sturm_count(chain) -> int:
+    """Distinct real roots from a Sturm chain: its sign changes at -oo minus those at +oo.
+
+    Each member's sign at an infinity is read off its leading term; a
+    zero member is skipped.
+    """
+    chain = [p for p in chain if p]
+    neg = [_sign_at_infinity(p, positive=False) for p in chain]
+    pos = [_sign_at_infinity(p, positive=True) for p in chain]
     return _sign_changes(neg) - _sign_changes(pos)
 
 
@@ -711,7 +809,7 @@ def poly_eval(f, x):
 def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = 64):
     """`forge_totally_real` as first written: for each spread K, rebuild
     T = prod(x - M K i) by multiplication, add the centered correction
-    base - T mod M, and count the real roots with the full Sturm chain.
+    base - T mod M, and count the real roots with the rational Sturm chain.
     """
     rng = random.Random(f"{seed}:{g}:{p}:{l}:{lp}")
     target_p = _random_irreducible(g, p, rng)
@@ -730,7 +828,7 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_bu
             correction.append(delta - modulus if delta > modulus // 2 else delta)
         poly = poly_add(t, tuple(correction))
         try:
-            real_roots = sturm_real_roots(poly)
+            real_roots = sturm_by_fractions(poly)
         except NotSquarefreeError:
             real_roots = -1
         if real_roots == g:
@@ -753,6 +851,69 @@ def plain_document(doc):
     if isinstance(doc, (list, tuple)):
         return [plain_document(v) for v in doc]
     return doc
+
+
+def doc_to_report(doc: dict) -> ClassifierReport:
+    """Rebuild a ClassifierReport from its structured document, as parsed from its JSON text.
+
+    Each orbit's 1-based member lists are read back as their masks,
+    point i as bit 2g-i.
+    """
+    n = 2 * doc["g"]
+    orbits = []
+    for od in doc["orbits"]:
+        ht = tuple(od["hodge_type"]) if "hodge_type" in od else None
+        orbits.append(
+            MotiveOrbit(
+                weight=od["weight"],
+                representative=tuple(i - 1 for i in od["representative"]),
+                orbit=MemberMasks(n, (sum(1 << (n - i) for i in m) for m in od["orbit"])),
+                rank=od["rank"],
+                is_tate=od["is_tate"],
+                is_lefschetz_bearing=od["is_lefschetz_bearing"],
+                is_exotic=od["is_exotic"],
+                hodge_type=ht,
+                hodge_balanced=od.get("hodge_balanced"),
+            )
+        )
+    entries = [
+        WeilTateEntry(
+            determinant_set=tuple(i - 1 for i in ed["determinant_set"]),
+            is_tate=ed["is_tate"],
+            is_lefschetz_bearing=ed["is_lefschetz_bearing"],
+            is_exotic=ed["is_exotic"],
+        )
+        for ed in doc["weil_tate"]
+    ]
+    return ClassifierReport(
+        g=doc["g"],
+        weights=tuple(doc["weights"]),
+        orbits=tuple(orbits),
+        tate_dims=tuple(doc["tate_dims"]) if doc["tate_dims"] is not None else None,
+        exotic=tuple(o for o in orbits if o.is_exotic),
+        mildly_exotic=doc["mildly_exotic"],
+        weil_tate=tuple(entries),
+        scht_verdict=doc["scht_verdict"],
+        notes=tuple(doc["notes"]),
+    )
+
+
+def doc_to_end_report(doc: dict) -> EndAlgebraReport:
+    """Rebuild an EndAlgebraReport from its document."""
+    return EndAlgebraReport(
+        frobenius_field_degree=doc["frobenius_field_degree"],
+        local_invariants=tuple(
+            LocalInvariant(
+                degree=pd["degree"],
+                slope=Fraction(pd["slope"]),
+                invariant=Fraction(pd["invariant"]),
+            )
+            for pd in doc["local_invariants"]
+        ),
+        index=doc["index"],
+        commutative=doc["commutative"],
+        abelian_variety_dim=doc["abelian_variety_dim"],
+    )
 
 
 def assert_document_invariants(doc) -> None:

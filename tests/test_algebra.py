@@ -13,16 +13,16 @@ import pytest
 from oracles import gf_monic, gf_quo, gf_rem, poly_eval
 
 from weiltate.algebra import (
-    NotSquarefreeError,
-    count_distinct_roots_mod,
+    _reduce_checked,
     crt_poly,
+    degree_pattern_and_roots,
     factor_degree_pattern,
-    gf_is_irreducible,
+    gf_ben_or,
     gf_reduce,
+    is_totally_real,
     poly_degree,
     poly_mul,
     poly_trim,
-    sturm_real_roots,
 )
 
 X2_PLUS_1 = (1, 0, 1)
@@ -168,17 +168,21 @@ def test_pattern_agrees_with_trial_division():
 
 
 def test_irreducibility_helper():
-    assert gf_is_irreducible(X2_PLUS_1, 3)
-    assert not gf_is_irreducible(X2_PLUS_1, 5)
+    assert gf_ben_or(_reduce_checked(X2_PLUS_1, 3), 3)
+    assert not gf_ben_or(_reduce_checked(X2_PLUS_1, 5), 5)
 
 
-# --- count_distinct_roots_mod ------------------------------------------------
+# --- distinct roots mod l: the third value of degree_pattern_and_roots -------
+
+
+def roots_mod(f, l):
+    return degree_pattern_and_roots(f, l)[2]
 
 
 def test_count_roots_examples():
-    assert count_distinct_roots_mod(X2_MINUS_1, 5) == 2
-    assert count_distinct_roots_mod(X2_PLUS_1, 3) == 0
-    assert count_distinct_roots_mod(X3_MINUS_X, 3) == 3
+    assert roots_mod(X2_MINUS_1, 5) == 2
+    assert roots_mod(X2_PLUS_1, 3) == 0
+    assert roots_mod(X3_MINUS_X, 3) == 3
 
 
 def test_count_roots_matches_brute_force():
@@ -187,26 +191,27 @@ def test_count_roots_matches_brute_force():
         for _ in range(30):
             d = rng.randint(1, 5)
             f = tuple(rng.randrange(l) for _ in range(d)) + (1,)
-            assert count_distinct_roots_mod(f, l) == len(brute_roots(f, l)), (f, l)
+            assert roots_mod(f, l) == len(brute_roots(f, l)), (f, l)
 
 
 def test_count_roots_counts_repeated_roots_once():
     f = poly_mul((-1, 1), (-1, 1))  # (x-1)^2
-    assert count_distinct_roots_mod(f, 5) == 1
+    assert roots_mod(f, 5) == 1
 
 
-# --- sturm ------------------------------------------------------------------
+# --- sturm: total reality ----------------------------------------------------
 
 
 def test_sturm_examples():
-    assert sturm_real_roots(X2_MINUS_2) == 2
-    assert sturm_real_roots(X2_PLUS_1) == 0
-    assert sturm_real_roots(X3_MINUS_3X) == 3
+    assert is_totally_real(X2_MINUS_2)
+    assert not is_totally_real(X2_PLUS_1)
+    assert is_totally_real(X3_MINUS_3X)
+    assert not is_totally_real(poly_mul(X3_MINUS_3X, X2_PLUS_1))
 
 
 def test_sturm_rejects_non_squarefree():
-    with pytest.raises(NotSquarefreeError):
-        sturm_real_roots(poly_mul((-1, 1), (-1, 1)))
+    # (x - 1)^2 has one distinct root of two
+    assert not is_totally_real(poly_mul((-1, 1), (-1, 1)))
 
 
 def test_sturm_agrees_with_grid_scan_on_integer_roots():
@@ -221,7 +226,7 @@ def test_sturm_agrees_with_grid_scan_on_integer_roots():
         if extra:  # tack on an irreducible quadratic with no real roots
             f = poly_mul(f, (1, 0, 1))
         expected = len(roots)
-        assert sturm_real_roots(f) == expected
+        assert is_totally_real(f) == (expected == poly_degree(f))
         assert grid_sign_root_count(f, radius=8) == expected
 
 
@@ -230,7 +235,8 @@ def test_sturm_large_coefficients():
     f = (1,)
     for i in range(1, 5):
         f = poly_mul(f, (-385 * i, 1))
-    assert sturm_real_roots(f) == 4
+    assert is_totally_real(f)
+    assert not is_totally_real(poly_mul(f, X2_PLUS_1))
 
 
 # --- crt_poly ----------------------------------------------------------------

@@ -12,8 +12,12 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    block_subgroup,
     classify_orbits_by_walk,
+    doc_to_end_report,
+    doc_to_report,
     fix_by_signatures_over_group,
+    fixer_by_definition,
     frobenius_rank_by_matrix,
     honda_tate_by_cosets,
     index2_overgroups,
@@ -21,6 +25,8 @@ from oracles import (
     orbits_by_walk,
     pairs_passing_by_rows,
     q_pairs,
+    signature_block,
+    subgroup_closure,
     subgroup_generators_by_listing,
     tate_by_orbit_walk,
     validate_slopes_by_fractions,
@@ -31,7 +37,6 @@ from oracles import (
 import weiltate.classifier
 import weiltate.cli
 import weiltate.galois
-import weiltate.reference
 import weiltate.slopes
 from weiltate.classifier import (
     FAIL,
@@ -46,12 +51,9 @@ from weiltate.classifier import (
     _packed_columns,
     _pairs_passing,
     classify_orbits,
-    doc_to_end_report,
-    doc_to_report,
     end_report_to_doc,
     has_qpair_matching,
     honda_tate_endomorphism,
-    is_tate_subset,
     predicted_signature,
     report_to_doc,
     structure_check,
@@ -73,18 +75,21 @@ from weiltate.galois import (
     parse_perm,
     subgroup_generators,
 )
-from weiltate.reference import block_subgroup, elements, fixer_by_definition, subgroup_closure
 from weiltate.slopes import (
     SlopeVector,
     conjugate_slope_basis,
     frobenius_rank,
-    is_p_potentially_in,
-    minimal_field_index,
-    signature_block,
     signature_classes,
     slopes_from_cm_type,
     validate_slopes,
 )
+
+
+def tate_sets(model, s) -> set:
+    """Every Tate subset as a set of points, from the scan `tate_subsets` over every even weight."""
+    n = model.group.degree
+    found = tate_subsets(_packed_columns(tate_rows(model, s)), range(0, n + 1, 2))
+    return {frozenset(m) for masks in found.values() for m in MemberMasks(n, masks)}
 
 
 def tate_subsets_by_oracle(model, s):
@@ -116,59 +121,65 @@ def supersingular_degree2_model():
     tau = cycles_to_perm(2, [(1, 2)])
     group = build_group(2, [tau])
     model = CMGaloisModel(g=1, group=group, tau=tau)
-    return model.with_decomposition(elements(group))
+    return model.with_decomposition(group.elements)
 
 
-# --- is_tate_subset ----------------------------------------------------------
+# --- the Tate predicate, read off the scan ------------------------------------
 
 
 def test_is_tate_main_half_set():
     scn = scenario_main(4, 5)
-    assert is_tate_subset(scn.model, scn.slopes, {0, 1, 2, 3})
+    assert {0, 1, 2, 3} in tate_sets(scn.model, scn.slopes)
 
 
 def test_is_tate_conjugate_pairs_always():
     for scn in (scenario_main(4, 5), scenario_ramified(3, 5)):
+        found = tate_sets(scn.model, scn.slopes)
         for i in range(scn.model.group.degree):
-            assert is_tate_subset(scn.model, scn.slopes, {i, scn.model.tau[i]})
+            assert {i, scn.model.tau[i]} in found
 
 
 def test_is_tate_rejects_equal_low_slopes():
     scn = scenario_main(4, 5)
     # indices 1 and 3 both have slope 1/4: the sum already misses 1
     assert scn.slopes[0] == scn.slopes[2] == Fraction(1, 4)
-    assert not is_tate_subset(scn.model, scn.slopes, {0, 2})
+    assert {0, 2} not in tate_sets(scn.model, scn.slopes)
 
 
 def test_is_tate_rejects_odd_size():
-    scn = scenario_main(4, 5)
-    assert not is_tate_subset(scn.model, scn.slopes, {0})
+    # {1} alone would pass the rows if its slope were 1/2 at every conjugate
+    model = cm_product_group(2)
+    s = SlopeVector((Fraction(1, 2),) * 4)
+    found = tate_subsets(_packed_columns(tate_rows(model, s)), [1])
+    assert len(found[1]) == 4  # an odd size passes the rows alone
+    with pytest.raises(ValueError, match="weight 1 is not an even integer in 0..4"):
+        classify_orbits(model, s, weights=[1])
+    assert all(o.weight % 2 == 0 for o in classify_orbits(model, s).orbits)
 
 
 def test_is_tate_orbit_escape():
     scn = scenario_main(4, 5)
     # sum is 1 at the base valuation but a conjugate breaks it
     assert scn.slopes[0] + scn.slopes[1] == 1
-    assert not is_tate_subset(scn.model, scn.slopes, {0, 1})
+    assert {0, 1} not in tate_sets(scn.model, scn.slopes)
 
 
-@pytest.mark.parametrize("subset", [{-1, 3}, {0, 8}], ids=["negative", "past-2g"])
-def test_is_tate_refuses_a_point_outside_the_2g_points(subset):
-    # -1 would read as point 8 and 8 would index past the columns
+@pytest.mark.parametrize("weight", [-2, 10], ids=["negative", "past-2g"])
+def test_is_tate_refuses_a_point_outside_the_2g_points(weight):
+    # the scan takes weights, not subsets: a size of -2 or 10 has no subset of the 8 points
     scn = scenario_main(4, 5)
-    with pytest.raises(ValueError, match="outside 1..8"):
-        is_tate_subset(scn.model, scn.slopes, subset)
+    with pytest.raises(ValueError, match=f"weight {weight} is not an even integer in 0..8"):
+        classify_orbits(scn.model, scn.slopes, weights=[weight])
 
 
 def test_tate_complement_duality():
     rng = random.Random(8)
     scn = scenario_main(4, 5)
+    found = tate_sets(scn.model, scn.slopes)
     points = set(range(8))
     for _ in range(40):
         subset = frozenset(rng.sample(sorted(points), rng.randint(0, 8)))
-        assert is_tate_subset(scn.model, scn.slopes, subset) == is_tate_subset(
-            scn.model, scn.slopes, points - subset
-        )
+        assert (subset in found) == (points - subset in found)
 
 
 # --- classify_orbits ----------------------------------------------------------
@@ -350,7 +361,7 @@ def test_block_subgroup_is_the_subgroup_above_h_of_its_block(case):
     G = model.group
     for P in index2_point_sets(G) + [signature_block(model, s)]:
         Z = block_subgroup(G, P)
-        assert Z == frozenset(e for e in elements(G) if e[0] in P)
+        assert Z == frozenset(e for e in G.elements if e[0] in P)
         if model.g <= 4:  # the oracle is |Z|^2 compositions
             assert verify_subgroup(G, Z) == Z
         assert block_subgroup(G, {0}) <= Z
@@ -404,9 +415,7 @@ def test_linear_predicate_matches_the_orbit_walk(case):
     oracle = tate_subsets_by_oracle(model, s)
     rep = classify_orbits(model, s)
     assert {frozenset(m) for o in rep.orbits for m in o.orbit} == oracle
-    for size in range(n + 1):
-        for c in combinations(range(n), size):
-            assert is_tate_subset(model, s, c) == (frozenset(c) in oracle)
+    assert tate_sets(model, s) == oracle
     assert q_pairs(model, s) == {P for P in oracle if len(P) == 2}
     assert rep.weil_tate == weil_tate_submotives(model, s)
     assert frobenius_rank(model, s) == frobenius_rank_by_matrix(model, s)
@@ -442,7 +451,7 @@ def slopes_to_validate(draw):
     elif kind == "pair":
         values[i] = Fraction(draw(st.integers(0, den)), den)
     elif kind in ("block", "integer"):
-        model = model.with_decomposition([draw(st.sampled_from(elements(model.group)))])
+        model = model.with_decomposition([draw(st.sampled_from(model.group.elements))])
         for block in model.D_blocks:  # tau is central, so tau B is a D-block too
             partner = tuple(sorted(model.tau[x] for x in block))
             v = Fraction(1, 2) if partner == block else Fraction(draw(st.integers(0, den)), den)
@@ -528,7 +537,7 @@ def signed_groups(draw):
 @settings(max_examples=60, deadline=None)
 @given(signed_groups(), st.data())
 def test_chain_order_and_membership_match_the_listing(G, data):
-    listed = set(elements(G))
+    listed = set(G.elements)
     assert G.order == len(listed)
     n = G.degree
     word = data.draw(st.lists(st.sampled_from(G.generators), max_size=8)) if G.generators else []
@@ -562,7 +571,7 @@ def test_chain_generators_match_the_greedy_over_the_listing(case, data):
         listed = block_subgroup(G, P)
         assert Z.order == len(listed) == G.order * len(P) // G.degree
         assert subgroup_generators(Z) == subgroup_generators_by_listing(G, listed)
-    dgens = data.draw(st.lists(st.sampled_from(elements(G)), max_size=3))
+    dgens = data.draw(st.lists(st.sampled_from(G.elements), max_size=3))
     D = StabChain(G.degree, dgens)
     assert subgroup_generators(D) == subgroup_generators_by_listing(G, subgroup_closure(G, dgens))
 
@@ -575,10 +584,9 @@ def test_classify_and_honda_tate_list_no_group_element(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a subgroup was listed")
 
-    for module in (weiltate.galois, weiltate.classifier, weiltate.reference):
-        for name in ("build_group", "elements", "subgroup_closure", "block_subgroup"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    for module in (weiltate.galois, weiltate.classifier):
+        if hasattr(module, "build_group"):
+            monkeypatch.setattr(module, "build_group", refuse)
     for scn, (report, end) in zip(built, expected):
         group = copy.copy(scn.model.group)
         object.__setattr__(group, "elements", _Unlisted())
@@ -847,9 +855,15 @@ def test_honda_tate_dimension_identity():
 
 @st.composite
 def models_with_cm_types(draw):
-    """A CM model (`cm_models`), D generated by 1-2 random elements, a random CM-type."""
-    model = draw(cm_models())
-    gens = draw(st.lists(st.sampled_from(elements(model.group)), min_size=1, max_size=2))
+    """A CM model (`cm_models`) of order at most 640, D generated by 1-2 random elements, a CM-type.
+
+    The bound leaves out the g = 5 signed groups of order 1920 and 3840
+    (C2 wr S5 and its subgroups of index 2), on which the element walks
+    of `test_block_routes_match_the_element_walks` take 10-80 s a draw;
+    `classify_cases` still draws them.
+    """
+    model = draw(cm_models().filter(lambda m: m.group.order <= 640))
+    gens = draw(st.lists(st.sampled_from(model.group.elements), min_size=1, max_size=2))
     model = model.with_decomposition(subgroup_closure(model.group, gens))
     phi = [i if draw(st.booleans()) else model.tau[i] for i in range(model.g)]
     return model, slopes_from_cm_type(model, phi)
@@ -869,19 +883,20 @@ def test_block_routes_match_the_element_walks(case):
     model, s = case
     D = subgroup_closure(model.group, model.D_generators)
     assert model.D_blocks == orbits_by_walk(D, model.group.degree)
-    assert outcome(honda_tate_endomorphism, model, s) == outcome(honda_tate_by_cosets, model, s)
-    fix = block_subgroup(model.group, signature_block(model, s))
+    end = outcome(honda_tate_endomorphism, model, s)
+    assert end == outcome(honda_tate_by_cosets, model, s)
+    S = signature_block(model, s)
+    fix = block_subgroup(model.group, S)
     assert fix == fix_by_signatures_over_group(model, s)
     if model.g <= 4:  # the definition is a double loop over G
         assert fix == fixer_by_definition(model, s)
-    assert minimal_field_index(model, s) == model.group.order // len(fix)
-    end = outcome(honda_tate_endomorphism, model, s)
+    assert max(signature_classes(model, s)) + 1 == model.group.order // len(fix)
     if not isinstance(end, str):
-        assert minimal_field_index(model, s) == end.frobenius_field_degree
+        assert end.frobenius_field_degree == model.group.order // len(fix)
     H = block_subgroup(model.group, {0})
     overgroups = index2_overgroups(model.group, H)
-    for Z in overgroups + [H, frozenset(elements(model.group))]:
-        assert is_p_potentially_in(model, s, {z[0] for z in Z}) == (Z <= fix)
+    for Z in overgroups + [H, frozenset(model.group.elements)]:
+        assert ({z[0] for z in Z} <= S) == (Z <= fix)
     assert set(index2_point_sets(model.group)) == {
         frozenset(z[0] for z in Z) for Z in overgroups
     }
@@ -910,7 +925,8 @@ def test_honda_tate_presets_match_the_coset_walk(name):
     scn = PRESETS[name]()
     end = honda_tate_endomorphism(scn.model, scn.slopes)
     assert end == honda_tate_by_cosets(scn.model, scn.slopes)
-    assert minimal_field_index(scn.model, scn.slopes) == end.frobenius_field_degree
+    fix = block_subgroup(scn.model.group, signature_block(scn.model, scn.slopes))
+    assert scn.model.group.order // len(fix) == end.frobenius_field_degree
 
 
 # --- structure_check -------------------------------------------------------------

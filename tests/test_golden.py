@@ -9,13 +9,10 @@ that is meant to alter a document updates its digest and says why.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
 
 import pytest
 
-from weiltate import cli, forge, reference
+from weiltate import cli, forge, galois
 
 GOLDEN = {
     ("main", "--g", "4"): "0b846ff8cd4dacfef7ea6b33f9b8702818ae38d46f8b04ff622a1a1e94093666",
@@ -55,12 +52,6 @@ GOLDEN_ARGV = {
         "cb93f3cf7e8a4574b0407d5f7bbb612bdc1cedc1b781bc0ddfed40f253cdde12",
     ("verify", "--presets", "all"):
         "f23123bf2e935173e7e2e68486af28058366b284b47192479bfae578f2035200",
-    ("verify", "--random", "20", "--g", "3"):
-        "e36817a20de3d4c81d238738687aaf1af042eb3edb043737d0f36032af34c703",
-    ("verify", "--random", "5", "--g", "3", "--g", "4"):
-        "c0b3faa58e03a531118e877862922b491574732765ef63598f1be677f8286119",
-    ("verify", "--random", "1", "--g", "5"):
-        "8efb7ac46369c57a11920cff5aea4d83ef41073b169143e05c86bdf7f2d629b0",
     # forge at large primes: l' = 2**31 - 1, the largest the kernel admits, and p = 2**31 - 1
     ("forge", "--g", "6", "--p", "5", "--l", "65537", "--lp", "2147483647"):
         "c8aa3b862192267757ca6ba5c0a0983bc9fefa8bc801995350a39a995e3bd63f",
@@ -151,12 +142,12 @@ def test_serialized_large_preset_digest(key):
 
 
 def test_documents_list_no_group_element(monkeypatch, capsys):
-    """classify, forge, verify --presets and the scenario files run on the chains alone."""
+    """classify, forge, verify and the scenario files run on the chains alone."""
 
     def refuse(*args):
         raise AssertionError("the group was listed")
 
-    monkeypatch.setattr(reference, "elements", refuse)
+    monkeypatch.setattr(galois.PermGroup, "elements", property(refuse))
     digests = {("classify", "--preset", *preset): d for preset, d in GOLDEN.items()}
     digests.update(GOLDEN_ARGV)
     digests[FORGE_ARGV] = GOLDEN_FORGE[(4, 7, 11, 0)]
@@ -179,16 +170,3 @@ def test_documents_list_no_group_element(monkeypatch, capsys):
         scn = forge.PRESETS[family](size, 5)
         assert _sha256(forge.serialize_scenario(scn)) == digest
 
-
-def test_only_verify_random_loads_the_element_walks():
-    """weiltate.reference is imported by the oracle rows of verify --random and nothing else."""
-    script = (
-        "import sys, weiltate, weiltate.cli\n"
-        "assert weiltate.cli.main(['classify', '--preset', 'main', '--g', '6']) == 0\n"
-        "assert 'weiltate.reference' not in sys.modules\n"
-        "assert weiltate.cli.main(['verify', '--random', '1', '--g', '2']) == 0\n"
-        "assert 'weiltate.reference' in sys.modules\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr

@@ -1,17 +1,19 @@
 """The forge's exact kernels against their definitional routes and against sympy.
 
-`sturm_real_roots` (primitive integer pseudo-remainders) must give the
-count and the squarefree verdict of the rational Sturm chain
-`oracles.sturm_by_fractions`, and `is_totally_real` (the same chain,
-stopped at the first member whose degree or sign rules out deg f real
-roots) must say whether that count is deg f; `forge_totally_real`
-must forge what `oracles.forge_by_definition` forges; `gf_is_irreducible` (Ben-Or, early exit)
-must agree with the full degree pattern `oracles.irreducible_by_pattern`.
-Over GF(l) the kernel takes x**(l**d) from the Frobenius rows and runs
-Euclid on lists; `factor_degree_pattern`, `gf_is_irreducible`,
-`count_distinct_roots_mod`, `_euclid` and the Frobenius step itself must
-agree with the square-and-multiply routes of `oracles`, at every prime
-the kernel admits up to the largest below 2**31.
+The whole integer Sturm chain (`algebra._sturm_chain`, primitive
+pseudo-remainders), read at -oo and +oo, must give the count and the
+squarefree verdict of the rational chain `oracles.sturm_by_fractions`,
+and `is_totally_real` (the same chain, stopped at the first member
+whose degree or sign rules out deg f real roots) must say whether that
+count is deg f; `forge_totally_real` must forge what
+`oracles.forge_by_definition` forges; `gf_ben_or` (early exit) on f
+mod l made monic must agree with the full degree pattern
+`oracles.irreducible_by_pattern`.  Over GF(l) the kernel takes
+x**(l**d) from the Frobenius rows and runs Euclid on lists;
+`degree_pattern_and_roots`, `factor_degree_pattern`, `gf_ben_or`,
+`_euclid` and the Frobenius step itself must agree with the
+square-and-multiply routes of `oracles`, at every prime the kernel
+admits up to the largest below 2**31.
 The draws cover what the sign rule -sign(lc b)**(deg a - deg b + 1)
 depends on (negative and non-unit leading coefficients, sparse
 polynomials whose chain drops an even number of degrees), squares, the forge's spread-plus-correction shape, and
@@ -38,29 +40,48 @@ from oracles import (
     roots_by_pow_mod,
     squarefree_decomposition_by_rem,
     sturm_by_fractions,
+    sturm_count,
 )
 from weiltate import algebra
 from weiltate.algebra import (
     MAX_PRIME,
     MR_BOUND,
     NotSquarefreeError,
-    count_distinct_roots_mod,
+    _reduce_checked,
+    _sturm_chain,
     degree_pattern_and_roots,
     factor_degree_pattern,
-    gf_is_irreducible,
+    gf_ben_or,
     gf_reduce,
     is_prime,
     is_totally_real,
     poly_degree,
     poly_mul,
     poly_trim,
-    sturm_real_roots,
 )
 from weiltate.forge import forge_totally_real
 
 LARGEST_PRIME = 2147483647  # the largest prime below MAX_PRIME
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 65537, LARGEST_PRIME)
 LEADS = st.integers(-12, 12).filter(bool)
+
+
+def count_by_the_integer_chain(f):
+    """Distinct real roots of f from the whole chain that `is_totally_real` walks."""
+    f = poly_trim(f)
+    if not f:
+        raise ValueError("zero polynomial rejected")
+    return sturm_count(_sturm_chain(f)) if len(f) > 1 else 0
+
+
+def ben_or(f, l):
+    """`gf_ben_or` on f mod l made monic, after the kernel's input checks."""
+    return gf_ben_or(_reduce_checked(f, l), l)
+
+
+def roots_mod(f, l):
+    """The distinct roots of f in GF(l), as `degree_pattern_and_roots` counts them."""
+    return degree_pattern_and_roots(f, l)[2]
 
 
 def _outcome(fn, *args):
@@ -111,7 +132,7 @@ def forge_shaped(draw):
 @example((1,))
 @example((0,))
 def test_integer_sturm_matches_the_fraction_chain(f):
-    assert _outcome(sturm_real_roots, f) == _outcome(sturm_by_fractions, f)
+    assert _outcome(count_by_the_integer_chain, f) == _outcome(sturm_by_fractions, f)
 
 
 def _totally_real_by_count(f):
@@ -171,12 +192,11 @@ def gf_polys(draw):
 @example(((3,), 7))
 def test_ben_or_matches_the_full_pattern(case):
     f, l = case
-    assert _outcome(gf_is_irreducible, f, l) == _outcome(irreducible_by_pattern, f, l)
+    assert _outcome(ben_or, f, l) == _outcome(irreducible_by_pattern, f, l)
 
 
 def test_ben_or_keeps_the_input_errors():
-    for kernel in (gf_is_irreducible, factor_degree_pattern, count_distinct_roots_mod,
-                   degree_pattern_and_roots):
+    for kernel in (ben_or, factor_degree_pattern, degree_pattern_and_roots):
         for f, l in (((1, 1), 6), ((1, 0, 5), 5), ((1, 1), MAX_PRIME + 11)):
             with pytest.raises(ValueError):
                 kernel(f, l)
@@ -197,8 +217,8 @@ def test_ben_or_keeps_the_input_errors():
 def test_kernel_matches_the_pow_mod_routes(case):
     f, l = case
     assert _outcome(factor_degree_pattern, f, l) == _outcome(degree_pattern_by_pow_mod, f, l)
-    assert _outcome(count_distinct_roots_mod, f, l) == _outcome(roots_by_pow_mod, f, l)
-    assert _outcome(gf_is_irreducible, f, l) == _outcome(ben_or_by_pow_mod, f, l)
+    assert _outcome(roots_mod, f, l) == _outcome(roots_by_pow_mod, f, l)
+    assert _outcome(ben_or, f, l) == _outcome(ben_or_by_pow_mod, f, l)
     pattern, roots = _outcome(degree_pattern_by_pow_mod, f, l), _outcome(roots_by_pow_mod, f, l)
     expected = pattern if isinstance(pattern, str) else (*pattern, roots)
     assert _outcome(degree_pattern_and_roots, f, l) == expected
@@ -338,10 +358,10 @@ def test_large_prime_costs_products_in_the_bits_of_l(monkeypatch):
     rng = random.Random(12)
     draws = iter(lambda: tuple(rng.randrange(l) for _ in range(n)) + (1,), None)
     polys = [next(draws) for _ in range(6)]
-    polys.append(next(f for f in draws if gf_is_irreducible(f, l)))  # every step of Ben-Or
+    polys.append(next(f for f in draws if ben_or(f, l)))  # every step of Ben-Or
     polys.append(poly_mul((3, 0, 0, 0, 0, 1), (5, 0, 0, 0, 0, 0, 0, 1)))  # degrees 5 and 7
     for f in polys:
-        for kernel in (gf_is_irreducible, count_distinct_roots_mod, factor_degree_pattern):
+        for kernel in (ben_or, roots_mod, factor_degree_pattern):
             calls.clear()
             kernel(f, l)
             assert 0 < len(calls) <= bound, (kernel.__name__, f, len(calls))
@@ -360,11 +380,13 @@ def _sympy_poly(f, **kwargs):
 @given(st.one_of(integer_polys(max_degree=7), non_squarefree_polys(), forge_shaped()))
 def test_sturm_matches_sympy_count_roots(f):
     P = _sympy_poly(f)
-    got = _outcome(sturm_real_roots, f)
+    got = _outcome(count_by_the_integer_chain, f)
     if P.degree() >= 1 and P.gcd(P.diff()).degree() >= 1:
         assert got == "not squarefree"
+        assert not is_totally_real(f)
     else:
         assert got == P.count_roots()
+        assert is_totally_real(f) == (got == P.degree())
 
 
 @settings(max_examples=150, deadline=None)
@@ -381,7 +403,6 @@ def test_patterns_and_roots_match_sympy_factor_list(case):
     squarefree = all(mult == 1 for _, mult in factors)
     assert factor_degree_pattern(f, l) == (sorted(counts.items()), squarefree)
     linears = sum(1 for factor, _ in factors if factor.degree() == 1)
-    assert count_distinct_roots_mod(f, l) == linears
     assert degree_pattern_and_roots(f, l)[2] == linears
-    assert gf_is_irreducible(f, l) == (len(factors) == 1 and factors[0][1] == 1
-                                       and factors[0][0].degree() >= 1)
+    assert ben_or(f, l) == (len(factors) == 1 and factors[0][1] == 1
+                            and factors[0][0].degree() >= 1)

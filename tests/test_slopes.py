@@ -4,24 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import index2_overgroups, verify_subgroup
+from oracles import (
+    block_subgroup,
+    fixer_by_definition,
+    index2_overgroups,
+    potential_by_valuation_grouping,
+    random_admissible_slopes,
+    signature_block,
+    verify_subgroup,
+)
 
+from weiltate.classifier import honda_tate_endomorphism
 from weiltate.cmtypes import CMType
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import cm_product_group
-from weiltate.reference import (
-    block_subgroup,
-    elements,
-    fixer_by_definition,
-    potential_by_valuation_grouping,
-    random_admissible_slopes,
-)
 from weiltate.slopes import (
     SlopeVector,
     frobenius_rank,
-    is_p_potentially_in,
-    minimal_field_index,
-    signature_block,
     signature_classes,
     slopes_from_cm_type,
     validate_slopes,
@@ -56,7 +55,7 @@ def rank_mod_prime(matrix, p):
 
 def slope_matrix(model, s):
     n = model.group.degree
-    listed = elements(model.group)
+    listed = model.group.elements
     return [[s[g[x]] for g in listed] for x in range(n)]
 
 
@@ -75,7 +74,7 @@ def test_full_block_cm_type_gives_ordinary_slopes():
 
 def test_tau_stable_blocks_give_half_slopes():
     model = cm_product_group(2)
-    model = model.with_decomposition(elements(model.group))
+    model = model.with_decomposition(model.group.elements)
     phi = CMType(phi=frozenset({0, 1}))
     s = slopes_from_cm_type(model, phi)
     assert set(s.values) == {Fraction(1, 2)}
@@ -105,6 +104,11 @@ def test_validate_slopes_rejects_broken_pairing():
     assert str(err.value) == "block (1, 2): |B| * s is not an integer"
 
 
+def minimal_field_index(model, s) -> int:
+    """[G : Fix] as the program counts it: the number of signature classes."""
+    return max(signature_classes(model, s)) + 1
+
+
 def listed_fix(model, s):
     """Fix as an element set, listed from its point block."""
     return block_subgroup(model.group, signature_block(model, s))
@@ -123,13 +127,14 @@ def test_fix_of_slope_constant_half():
     model = cm_product_group(3)
     s = SlopeVector((Fraction(1, 2),) * 6)
     assert signature_block(model, s) == frozenset(range(6))
-    assert listed_fix(model, s) == frozenset(elements(model.group))
+    assert listed_fix(model, s) == frozenset(model.group.elements)
     assert minimal_field_index(model, s) == 1
 
 
 def test_fix_of_slope_ramified_index():
     scn = scenario_ramified(3, 5)
-    assert minimal_field_index(scn.model, scn.slopes) == 6
+    assert honda_tate_endomorphism(scn.model, scn.slopes).frobenius_field_degree == 6
+    assert scn.model.group.order // len(listed_fix(scn.model, scn.slopes)) == 6
 
 
 def test_potential_membership_real_subfield_fails():
@@ -139,33 +144,24 @@ def test_potential_membership_real_subfield_fails():
     Z = block_subgroup(scn.model.group, {0, g})
     verify_subgroup(scn.model.group, Z)
     assert block_subgroup(scn.model.group, {0}) <= Z
-    assert not is_p_potentially_in(scn.model, scn.slopes, {0, g})
+    assert not {0, g} <= signature_block(scn.model, scn.slopes)
     assert not potential_by_valuation_grouping(scn.model, scn.slopes, Z)
 
 
 def test_potential_membership_reflexive_and_constant():
     scn = scenario_main(4, 5)
-    assert is_p_potentially_in(scn.model, scn.slopes, signature_block(scn.model, scn.slopes))
     fix = listed_fix(scn.model, scn.slopes)
     assert potential_by_valuation_grouping(scn.model, scn.slopes, fix)
     model = cm_product_group(3)
     s = SlopeVector((Fraction(1, 2),) * 6)
-    assert is_p_potentially_in(model, s, range(6))
-    assert potential_by_valuation_grouping(model, s, elements(model.group))
-
-
-def test_potential_membership_rejects_non_overgroup():
-    scn = scenario_main(4, 5)
-    with pytest.raises(ValueError, match="does not hold index 1"):
-        is_p_potentially_in(scn.model, scn.slopes, {1})  # 0-based: index 2 alone
-    with pytest.raises(ValueError, match="outside 1..8"):
-        is_p_potentially_in(scn.model, scn.slopes, {0, 8})
+    assert signature_block(model, s) == frozenset(range(6))
+    assert potential_by_valuation_grouping(model, s, model.group.elements)
 
 
 def test_minimal_field_index_examples():
-    assert minimal_field_index(scenario_main(4, 5).model, scenario_main(4, 5).slopes) == 8
-    scn = scenario_split(3, 5)
-    assert minimal_field_index(scn.model, scn.slopes) == 12
+    for scn, index in ((scenario_main(4, 5), 8), (scenario_split(3, 5), 12)):
+        assert minimal_field_index(scn.model, scn.slopes) == index
+        assert honda_tate_endomorphism(scn.model, scn.slopes).frobenius_field_degree == index
 
 
 def test_frobenius_rank_examples():
@@ -193,7 +189,7 @@ def test_fix_and_rank_invariant_under_relabeling():
             s = random_admissible_slopes(model, rng)
             idx = minimal_field_index(model, s)
             rank = frobenius_rank(model, s)
-            sigma = elements(model.group)[rng.randrange(model.group.order)]
+            sigma = model.group.elements[rng.randrange(model.group.order)]
             relabeled = SlopeVector(tuple(s[sigma[i]] for i in range(2 * g)))
             assert minimal_field_index(model, relabeled) == idx
             assert frobenius_rank(model, relabeled) == rank
@@ -210,9 +206,10 @@ def test_oracle_agreement_random_sample():
             fix = listed_fix(model, s)
             assert fix == fixer_by_definition(model, s)
             assert (2 * g) % minimal_field_index(model, s) == 0
-            for Z in overgroups + [H, frozenset(elements(model.group)), fix]:
+            S = signature_block(model, s)
+            for Z in overgroups + [H, frozenset(model.group.elements), fix]:
                 expected = potential_by_valuation_grouping(model, s, Z)
-                assert is_p_potentially_in(model, s, {z[0] for z in Z}) == expected
+                assert ({z[0] for z in Z} <= S) == expected
 
 
 def test_signature_classes_match_signatures_over_the_group():
@@ -222,7 +219,7 @@ def test_signature_classes_match_signatures_over_the_group():
         for _ in range(8):
             s = random_admissible_slopes(model, rng)
             label = signature_classes(model, s)
-            listed = elements(model.group)
+            listed = model.group.elements
             sig = [tuple(s[e[x]] for e in listed) for x in range(2 * g)]
             for x in range(2 * g):
                 for y in range(2 * g):

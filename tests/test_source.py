@@ -1,6 +1,12 @@
-"""The package holds no dead helper, and importing its CLI loads no module it does not use."""
+"""The package holds only what a command reaches, and importing its CLI loads only what it uses.
+
+A walk of names from `cli.main` must meet every top-level function and
+class in `src/weiltate/`, save the short declared API list of the
+README, whose entries wait for the ROADMAP items that will call them.
+"""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,55 +14,82 @@ from pathlib import Path
 import weiltate
 
 SRC = Path(weiltate.__file__).resolve().parent
-
-# name -> why it stays with no caller in src/ and no export
-ALLOWED = {
-    "gf_is_irreducible": "the checked Ben-Or entry, held to its oracles by the kernel tests",
-    "doc_to_report": "reads a classify report back from its document, for round-trip tests",
-    "doc_to_end_report": "reads the Honda-Tate report back from its document, likewise",
-}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _names_used(node, own: str) -> set:
-    """The names that `node` reads, as variables or attributes, other than `own`."""
+def _names_used(node) -> set:
+    """The names that `node` reads, as variables or attributes."""
     used = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             used.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             used.add(sub.attr)
-    return used - {own}
+    return used
+
+
+def _bindings(trees) -> dict:
+    """name -> the top-level functions, classes and assignments of any module that bind it."""
+    bound = {}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}:
+                    bound.setdefault(name, []).append(node)
+    return bound
+
+
+def reached_from(trees, roots) -> set:
+    """The top-level names that a walk of names from `roots` meets.
+
+    A reached binding reaches every top-level binding of each name that
+    it reads, in any module: names are matched alone, so the walk can
+    only over-reach.  A class reaches all of its body, and an assignment
+    its value; an import binds nothing.
+    """
+    bound = _bindings(trees)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in bound:
+            continue
+        reached.add(name)
+        for node in bound[name]:
+            todo.extend(_names_used(node) - reached)
+    return reached
+
+
+def declared_api() -> list:
+    """The names listed under the README's "Declared API" heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Declared API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `(\w+)`", section, flags=re.M)
 
 
 def test_every_top_level_definition_has_a_caller_or_an_export():
+    """A caller: `cli.main` reaches the definition.  An export: the README declares it."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
-    exported = {
-        alias.asname or alias.name
-        for node in trees["__init__.py"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    defined, used = [], set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-            if own is not None:
-                defined.append((module, own))
-            used |= _names_used(node, own)
-    assert len(ALLOWED) <= 3
-    dead = [f"{module}: {name}" for module, name in defined
-            if name not in used and name not in exported and name not in ALLOWED]
-    assert dead == []
-    assert {name for _, name in defined if name not in used and name not in exported} == set(
-        ALLOWED
-    )
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [node.name for node in trees["cli.py"].body if isinstance(node, ast.FunctionDef)
+            ].count("main") == 1
+    api = declared_api()
+    assert 0 < len(api) <= 4
+    assert set(api) <= {name for _, name in defined}
+    # an entry that a command already reaches has its caller and leaves the list
+    assert set(api) & reached_from(trees, ["main"]) == set()
+    reached = reached_from(trees, ["main", *api])
+    assert [f"{module}: {name}" for module, name in defined if name not in reached] == []
 
 
 def test_importing_the_cli_loads_no_introspection_or_reference_module():
-    """`import weiltate.cli` in a bare interpreter stays clear of what only tools and tests need.
+    """`import weiltate.cli` in a bare interpreter loads the program's modules and no others.
 
-    `dataclasses` would bring `inspect`, `ast`, `dis` and `tokenize`;
-    `weiltate.reference` lists groups and is loaded only on demand.
+    `dataclasses` would bring `inspect`, `ast`, `dis` and `tokenize`; a
+    module that lists groups belongs to the tests (`tests/oracles.py`).
     """
     code = (
         f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import weiltate.cli; "
@@ -65,6 +98,7 @@ def test_importing_the_cli_loads_no_introspection_or_reference_module():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, check=True)
     loaded = set(done.stdout.split())
-    assert "weiltate.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "weiltate.reference"}
-    assert loaded & unwanted == set()
+    assert {m for m in loaded if m.startswith("weiltate")} == {"weiltate"} | {
+        f"weiltate.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__"
+    }
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
