@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import or_
+from operator import index, itemgetter, or_
 
 from .galois import (
     CMGaloisModel,
@@ -159,39 +159,21 @@ def _packed_columns(rows) -> list:
     return cols
 
 
-def _pairs_passing(cols) -> frozenset:
-    """The q-pairs: the weight-2 subsets {x, y} whose packed columns cancel, col[x] = -col[y].
+def _lefschetz(points, cols) -> bool:
+    """Whether the points split into disjoint q-pairs, {x, y} with col[x] = -col[y].
 
-    These are the combinatorial divisor classes.  Conjugation pairs
-    {i, tau(i)} always qualify; further pairs appear exactly when
-    distinct indices carry equal Frobenius conjugates modulo torsion
-    (Q(pi) smaller than L).
+    The q-pair graph is a complete bipartite graph between the column
+    classes v and -v for each v != 0, plus a complete graph on the class
+    0, so the points have a perfect matching iff they hold as many
+    points of class v as of class -v, and an even number of class 0.
+    Conjugation pairs {i, tau(i)} always qualify; further pairs appear
+    exactly when distinct indices carry equal Frobenius conjugates
+    modulo torsion (Q(pi) smaller than L).
     """
-    return frozenset(
-        frozenset((x, y)) for x, y in combinations(range(len(cols)), 2) if cols[x] == -cols[y]
-    )
-
-
-def has_qpair_matching(subset, qpairs) -> bool:
-    """Whether the subset is a disjoint union of q-pairs (perfect matching)."""
-    memo = {}
-
-    def solve(rest: frozenset) -> bool:
-        if not rest:
-            return True
-        if rest in memo:
-            return memo[rest]
-        x = min(rest)
-        ok = False
-        for y in rest:
-            if y != x and frozenset({x, y}) in qpairs:
-                if solve(rest - {x, y}):
-                    ok = True
-                    break
-        memo[rest] = ok
-        return ok
-
-    return solve(frozenset(subset))
+    count = {}
+    for i in points:
+        count[cols[i]] = count.get(cols[i], 0) + 1
+    return count.get(0, 0) % 2 == 0 and all(k == count.get(-v, 0) for v, k in count.items() if v)
 
 
 def _mask(n, points) -> int:
@@ -199,31 +181,22 @@ def _mask(n, points) -> int:
     return sum(1 << (n - 1 - i) for i in points)
 
 
-def _subset_sums(n, points, cols) -> dict:
-    """Packed row-sum vector -> the masks of the subsets of `points` with those row sums.
+def _subset_sums(n, points, keys) -> dict:
+    """Key sum -> the masks of the subsets of `points` whose `keys` add up to it.
 
-    The sums are of the packed columns `cols` (`_packed_columns`).  Each
-    point doubles the (sum, mask) lists, so every subset costs one int
-    addition.
+    Each point doubles the (sum, mask) lists, so every subset costs one
+    int addition.
     """
     sums, masks = [0], [0]
     for i in points:
-        col = cols[i]
+        key = keys[i]
         bit = 1 << (n - 1 - i)
-        sums += [v + col for v in sums]
+        sums += [v + key for v in sums]
         masks += [m | bit for m in masks]
     table = {}
     for v, m in zip(sums, masks):
         table.setdefault(v, []).append(m)
     return table
-
-
-def _by_size(masks) -> dict:
-    """size -> the masks of that many bits."""
-    out = {}
-    for m in masks:
-        out.setdefault(m.bit_count(), []).append(m)
-    return out
 
 
 def tate_subsets(cols, weights) -> dict:
@@ -232,28 +205,25 @@ def tate_subsets(cols, weights) -> dict:
     Point i of the n points is bit n-1-i of a mask, so within one weight
     descending mask order is the lexicographic order of the sorted
     point tuples.  Meet-in-the-middle: the points split into two halves,
-    and a subset passes iff its parts have row sums v and -v and sizes
-    adding up to its weight.  `high` is probed once per sum vector v of
-    `low`, and only the matched lists are split by size, so the cost
+    and each point's key col (n + 1) + 1 packs its column and a size of
+    1, so a part's key sum is v (n + 1) + k for packed row sums v and
+    size k <= n.  A subset of weight w passes iff its key sum is w, so
+    `high` is probed once per key sum of `low` and weight, and the cost
     follows the output rather than the 2^n subsets.  Weights are taken
     as given; only even ones yield Tate subsets.  `cols` is
     `_packed_columns(rows)` of the predicate rows.
     """
     n = len(cols)
     half = n // 2
-    low = _subset_sums(n, range(half), cols)
-    high = _subset_sums(n, range(half, n), cols)
+    keys = [c * (n + 1) + 1 for c in cols]
+    low = _subset_sums(n, range(half), keys)
+    high = _subset_sums(n, range(half, n), keys)
     out = {w: [] for w in weights}
-    for v, los in low.items():
-        his = high.get(-v)
-        if his is None:
-            continue
-        his = _by_size(his).items()
-        for k, parts in _by_size(los).items():
-            for j, partners in his:
-                found = out.get(k + j)
-                if found is not None:
-                    found.extend(lo | hi for lo in parts for hi in partners)
+    for a, los in low.items():
+        for w, found in out.items():
+            his = high.get(w - a)
+            if his is not None:
+                found += [lo | hi for lo in los for hi in his]
     return out
 
 
@@ -288,24 +258,29 @@ def _orbit_tables(model: CMGaloisModel) -> tuple:
     return n // 2, images
 
 
-def _mask_orbits(tables, masks):
+def _mask_orbits(tables, masks) -> list:
     """The G-orbits on a G-stable list of masks, each as its masks in descending order.
 
-    Each orbit is the connected component of the generator action met
-    first in descending mask order, found by a BFS over ints.  A member
-    m is split once into its halves lo and hi; its image under a
-    generator is tlo[lo] | thi[hi] from the half tables of
-    `_orbit_tables`.  Descending mask order is document order, so orbits
-    come out in document order and the first member of each is its
-    representative.
+    The masks are sorted once, in descending order, which is document
+    order.  Each mask not yet labelled starts a BFS over ints that labels
+    its whole orbit with the orbit's member list; a member m is split
+    once into its halves lo and hi, and its image under a generator is
+    tlo[lo] | thi[hi] from the half tables of `_orbit_tables`.  A second
+    pass over the sorted masks appends each one to its orbit's list, so
+    orbits come out in document order, each with its members in document
+    order and its representative first.
     """
     half, images = tables
     low = (1 << half) - 1
-    seen = set()
-    for start in sorted(masks, reverse=True):
-        if start in seen:
+    ordered = sorted(masks, reverse=True)
+    orbit_of = {}
+    orbits = []
+    for start in ordered:
+        if start in orbit_of:
             continue
-        orbit = {start}
+        members = []
+        orbits.append(members)
+        orbit_of[start] = members
         frontier = [start]
         while frontier:
             m = frontier.pop()
@@ -313,11 +288,12 @@ def _mask_orbits(tables, masks):
             hi = m >> half
             for tlo, thi in images:
                 img = tlo[lo] | thi[hi]
-                if img not in orbit:
-                    orbit.add(img)
+                if img not in orbit_of:
+                    orbit_of[img] = members
                     frontier.append(img)
-        seen |= orbit
-        yield sorted(orbit, reverse=True)
+    for m in ordered:
+        orbit_of[m].append(m)
+    return orbits
 
 
 def classify_orbits(
@@ -333,10 +309,17 @@ def classify_orbits(
     The Tate subsets of each requested even weight are enumerated
     directly as masks (`tate_subsets`) and split into G-orbits
     (`_mask_orbits`); every conjugate of a Tate subset is Tate, so each
-    orbit is kept whole, as its `MemberMasks`.  Lefschetz / exotic
-    flags, per-weight Tate dimensions rho_k, the mildly-exotic flag and
-    the verdict are derived from the orbits.  Output ordering is
-    canonical (weight, then lexicographic representative).  `basis` is
+    orbit is kept whole, as its `MemberMasks`.  Every predicate row sums
+    to 0 over the 2g points (each conjugate slope vector sums to g), so
+    the complement of a Tate subset of weight w is a Tate subset of
+    weight 2g - w, and complement commutes with G.  So only the weights
+    up to g are scanned, and the orbits of a weight w above g are the
+    complements of the orbits at 2g - w, each member list reversed, in
+    document order.  Lefschetz / exotic flags
+    (`_lefschetz`), per-weight Tate dimensions rho_k, the mildly-exotic
+    flag and the verdict are derived from the orbits.  Output ordering
+    is canonical (weight, then lexicographic representative).  `weights`
+    are integers (`operator.index`); `basis` is
     `conjugate_slope_basis(model, s)`, built here unless given.
     """
     n = model.group.degree
@@ -348,19 +331,33 @@ def classify_orbits(
     if full_scan:
         weight_list = list(range(0, n + 1, 2))
     else:
-        weight_list = sorted(set(int(w) for w in weights))
+        distinct = set()
+        for w in weights:
+            try:
+                distinct.add(index(w))
+            except TypeError:
+                raise ValueError(f"weight {w!r} is not an even integer in 0..{n}") from None
+        weight_list = sorted(distinct)
         for w in weight_list:
             if w % 2 != 0 or not 0 <= w <= n:
                 raise ValueError(f"weight {w} is not an even integer in 0..{n}")
 
     cols = _packed_columns(tate_rows(model, s, basis))
-    qp = _pairs_passing(cols)
     tables = _orbit_tables(model)
+    scanned = sorted({min(w, n - w) for w in weight_list})
+    found = tate_subsets(cols, scanned)
+    lists = {w: _mask_orbits(tables, found.pop(w)) for w in scanned}
+    full = (1 << n) - 1
     orbits = []
-    for w, found in tate_subsets(cols, weight_list).items():
-        for masks in _mask_orbits(tables, found):
+    for w in weight_list:
+        if w <= model.g:
+            member_lists = lists[w]
+        else:
+            mirror = ([full ^ m for m in reversed(masks)] for masks in lists[n - w])
+            member_lists = sorted(mirror, key=itemgetter(0), reverse=True)
+        for masks in member_lists:
             rep = _points(n, masks[0])
-            lefschetz = has_qpair_matching(rep, qp)
+            lefschetz = _lefschetz(rep, cols)
             ht = hodge_type(model, phi, rep) if phi is not None else None
             orbits.append(
                 MotiveOrbit(
@@ -401,18 +398,18 @@ def classify_orbits(
         tate_dims=tate_dims,
         exotic=exotic,
         mildly_exotic=mildly,
-        weil_tate=_weil_tate_entries(model, cols, qp),
+        weil_tate=_weil_tate_entries(model, cols),
         scht_verdict=verdict,
     )
 
 
-def _weil_tate_entries(model: CMGaloisModel, cols, qp) -> tuple:
+def _weil_tate_entries(model: CMGaloisModel, cols) -> tuple:
     """Candidate determinant submotives over imaginary quadratic subfields.
 
     One entry per index-2 overgroup Z of H avoiding tau: the orbit
     {z(1) : z in Z} of size g, flagged Tate (its packed columns `cols`
-    sum to 0), Lefschetz-bearing (a matching of the q-pairs `qp`) or
-    exotic.  The determinant sets come from sign labellings of the points
+    sum to 0), Lefschetz-bearing (a matching of its q-pairs, `_lefschetz`)
+    or exotic.  The determinant sets come from sign labellings of the points
     (`index2_point_sets`); Z itself is never listed.
     """
     entries = []
@@ -420,7 +417,7 @@ def _weil_tate_entries(model: CMGaloisModel, cols, qp) -> tuple:
         if model.tau[0] in det_set:
             continue
         tate = len(det_set) % 2 == 0 and sum(cols[i] for i in det_set) == 0
-        lefschetz = has_qpair_matching(det_set, qp)
+        lefschetz = _lefschetz(det_set, cols)
         entries.append(
             WeilTateEntry(
                 determinant_set=tuple(sorted(det_set)),

@@ -29,6 +29,11 @@ decide Tate-ness.  `classify_orbits_by_walk` sums them the same way in
 integers over its own lcm.  None of them reads predicate rows, the
 program's common denominator or a packed column.
 `pairs_passing_by_rows` reads any integer rows one row at a time.
+The Lefschetz route `has_qpair_matching` searches the q-pairs of
+`pairs_passing` for a perfect matching, pair by pair, with no count
+over column classes.  `tate_counts_by_dp` counts the Tate subsets of
+each weight from packed columns by a dynamic program over the points,
+with no mask, half table or complement.
 
 `plain_document` decodes each orbit's members bit by bit, not from the
 writer's text half-tables, so `json.dumps` of it is the reference text
@@ -63,7 +68,6 @@ from weiltate.classifier import (
     MemberMasks,
     MotiveOrbit,
     WeilTateEntry,
-    has_qpair_matching,
 )
 from weiltate.cmtypes import hodge_type, is_balanced
 from weiltate.forge import (
@@ -112,6 +116,52 @@ def pairs_passing_by_rows(rows) -> frozenset:
         for P in combinations(range(len(rows[0])), 2)
         if all(sum(row[i] for i in P) == 0 for row in rows)
     )
+
+
+def pairs_passing(cols) -> frozenset:
+    """The q-pairs: the weight-2 subsets {x, y} whose packed columns cancel, col[x] = -col[y]."""
+    return frozenset(
+        frozenset((x, y)) for x, y in combinations(range(len(cols)), 2) if cols[x] == -cols[y]
+    )
+
+
+def has_qpair_matching(subset, qpairs) -> bool:
+    """Whether the subset is a disjoint union of q-pairs (perfect matching), by memoised search."""
+    memo = {}
+
+    def solve(rest: frozenset) -> bool:
+        if not rest:
+            return True
+        if rest in memo:
+            return memo[rest]
+        x = min(rest)
+        ok = False
+        for y in rest:
+            if y != x and frozenset({x, y}) in qpairs:
+                if solve(rest - {x, y}):
+                    ok = True
+                    break
+        memo[rest] = ok
+        return ok
+
+    return solve(frozenset(subset))
+
+
+def tate_counts_by_dp(cols) -> dict:
+    """weight -> the number of subsets whose packed columns `cols` sum to 0.
+
+    A dynamic program over the points, keyed by (size, partial column
+    sum): no subset is listed, so it reaches sizes that a scan of every
+    subset cannot.
+    """
+    counts = {(0, 0): 1}
+    for col in cols:
+        step = dict(counts)
+        for (size, total), ways in counts.items():
+            key = (size + 1, total + col)
+            step[key] = step.get(key, 0) + ways
+        counts = step
+    return {size: ways for (size, total), ways in counts.items() if total == 0}
 
 
 def orbit_of_subset(model: CMGaloisModel, subset, keep=None) -> list:

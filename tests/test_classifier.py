@@ -19,16 +19,19 @@ from oracles import (
     fix_by_signatures_over_group,
     fixer_by_definition,
     frobenius_rank_by_matrix,
+    has_qpair_matching,
     honda_tate_by_cosets,
     index2_overgroups,
     orbit_of_subset,
     orbits_by_walk,
+    pairs_passing,
     pairs_passing_by_rows,
     q_pairs,
     signature_block,
     subgroup_closure,
     subgroup_generators_by_listing,
     tate_by_orbit_walk,
+    tate_counts_by_dp,
     validate_slopes_by_fractions,
     verify_subgroup,
     weil_tate_submotives,
@@ -47,12 +50,11 @@ from weiltate.classifier import (
     SCHT_NOT_DECIDED,
     ClassifierReport,
     MemberMasks,
+    _lefschetz,
     _mask,
     _packed_columns,
-    _pairs_passing,
     classify_orbits,
     end_report_to_doc,
-    has_qpair_matching,
     honda_tate_endomorphism,
     predicted_signature,
     report_to_doc,
@@ -170,6 +172,23 @@ def test_is_tate_refuses_a_point_outside_the_2g_points(weight):
     scn = scenario_main(4, 5)
     with pytest.raises(ValueError, match=f"weight {weight} is not an even integer in 0..8"):
         classify_orbits(scn.model, scn.slopes, weights=[weight])
+
+
+@pytest.mark.parametrize("weight", [2.5, "4", 4.0], ids=["fraction", "text", "float"])
+def test_classify_refuses_a_weight_that_is_not_an_integer(weight):
+    # 2.5 once read as weight 2, and "4" and 4.0 as weight 4
+    scn = scenario_main(4, 5)
+    with pytest.raises(ValueError, match=f"weight {weight!r} is not an even integer in 0..8"):
+        classify_orbits(scn.model, scn.slopes, weights=[4, weight])
+    with pytest.raises(ValueError, match=f"weight {weight!r} is not an even integer in 0..8"):
+        classify_orbits(scn.model, scn.slopes, weights=iter([4, weight]))
+
+
+def test_classify_reads_the_weights_from_a_generator():
+    scn = scenario_main(4, 5)
+    report = classify_orbits(scn.model, scn.slopes, weights=(w for w in (6, 2, 6)))
+    assert report == classify_orbits(scn.model, scn.slopes, weights=[2, 6])
+    assert {o.weight for o in report.orbits} == {2, 6}
 
 
 def test_tate_complement_duality():
@@ -346,8 +365,15 @@ def classify_cases(draw):
             draw(st.none() | weights))
 
 
+TAU5 = tuple((i + 5) % 10 for i in range(10))
+CYCLIC5 = CMGaloisModel(g=5, group=build_group(10, [TAU5, (1, 2, 3, 4, 0, 6, 7, 8, 9, 5)]),
+                        tau=TAU5)
+
+
 @settings(max_examples=80, deadline=None)
 @given(classify_cases())
+# weight 6 holds orbits of weight 4 whose complements are out of order until sorted
+@example((CYCLIC5, ordinary_slopes(5), None, [4, 6]))
 def test_mask_orbits_match_the_frozenset_walk(case):
     model, s, phi, weights = case
     report = classify_orbits(model, s, weights=weights, phi=phi)
@@ -477,7 +503,7 @@ def test_validate_slopes_matches_the_fraction_checks(case):
 def test_packed_pairs_match_the_definitional_q_pairs(case):
     model, s, _, _ = case
     rows = tate_rows(model, s)
-    packed = _pairs_passing(_packed_columns(rows))
+    packed = pairs_passing(_packed_columns(rows))
     assert packed == q_pairs(model, s)
     assert packed == pairs_passing_by_rows(rows)
 
@@ -491,11 +517,11 @@ def test_packed_pairs_match_the_definitional_q_pairs(case):
 )
 @example([[1, 1], [-1, 0]])  # columns (1, -1) and (1, 0) sum to (2, -1); base 2 packs -1 and 1
 def test_packed_pairs_match_the_row_scan(rows):
-    assert _pairs_passing(_packed_columns(rows)) == pairs_passing_by_rows(rows)
+    assert pairs_passing(_packed_columns(rows)) == pairs_passing_by_rows(rows)
 
 
 def test_the_slope_routes_do_no_fraction_arithmetic(monkeypatch):
-    """validate, classes, basis, rows and q-pairs read the integer form of the slopes only."""
+    """validate, classes, basis, rows and the Lefschetz count read only the integer slopes."""
     scn = scenario_main(6, 5)
     model, s = scn.model, scn.slopes
     calls = Counter()
@@ -506,7 +532,7 @@ def test_the_slope_routes_do_no_fraction_arithmetic(monkeypatch):
     signature_classes(model, s)
     conjugate_slope_basis(model, s)
     rows = tate_rows(model, s)
-    _pairs_passing(_packed_columns(rows))
+    _lefschetz(range(model.group.degree), _packed_columns(rows))
     monkeypatch.undo()
     assert calls == {}
 
@@ -532,6 +558,51 @@ def signed_groups(draw):
     flips = st.lists(st.booleans(), min_size=g, max_size=g)
     signed = st.builds(lambda sigma, f: signed_perm(g, sigma, f), st.permutations(range(g)), flips)
     return build_group(2 * g, draw(st.lists(signed, max_size=3)))
+
+
+@st.composite
+def signed_columns(draw):
+    """Packed columns of the rows of s∘e, e the identity and each generator of `signed_groups`.
+
+    s is drawn with s(i) + s(i + g) = 1, and a signed permutation
+    commutes with i -> i + g, so each row sums to 0 over the 2g points,
+    as every Tate predicate row does.
+    """
+    G = draw(signed_groups())
+    n = G.degree
+    den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    nums = draw(st.lists(st.integers(0, den), min_size=n // 2, max_size=n // 2))
+    nums += [den - v for v in nums]
+    rows = [[2 * nums[e[x]] - den for x in range(n)] for e in (tuple(range(n)), *G.generators)]
+    return _packed_columns(rows)
+
+
+def drawn_columns():
+    """`signed_columns`, or the packed predicate rows of a `classify_cases` model."""
+    predicate = classify_cases().map(lambda case: _packed_columns(tate_rows(case[0], case[1])))
+    return signed_columns() | predicate
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_columns())
+def test_tate_subsets_above_the_middle_are_the_complements(cols):
+    n = len(cols)
+    full = (1 << n) - 1
+    found = tate_subsets(cols, range(n + 1))
+    for w in range(n + 1):
+        assert sorted(full ^ m for m in found[w]) == sorted(found[n - w])
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_columns())
+@example([3, 3, -3, 0, 0, 0, 0, -3])  # {0, 2, 4}: classes 3 and -3 balance, class 0 is odd
+def test_lefschetz_count_matches_the_matching_search(cols):
+    """On every subset, for 2g <= 10: the Weil-Tate determinant sets have odd size when g is odd."""
+    n = len(cols)
+    qp = pairs_passing(cols)
+    for size in range(n + 1):
+        for c in combinations(range(n), size):
+            assert _lefschetz(c, cols) == has_qpair_matching(c, qp), c
 
 
 @settings(max_examples=60, deadline=None)
@@ -657,6 +728,21 @@ def test_closed_form_rho_matches_the_orbit_ranks(name):
     scn = PRESETS[name]()
     rep = classify_orbits(scn.model, scn.slopes, subset_cap=20)
     assert closed_form_rho(scn.model, scn.slopes) == rep.tate_dims
+
+
+@pytest.mark.parametrize("name", ["main8", "main10", "ramified5", "split5"])
+def test_tate_counts_by_dp_match_the_orbit_ranks(name):
+    """The scan oracle counts each weight's Tate subsets without listing one."""
+    scn = {
+        "main8": lambda: scenario_main(8, 5),
+        "main10": lambda: scenario_main(10, 5, group_cap=10**7),
+        "ramified5": PRESETS["ramified5"],
+        "split5": PRESETS["split5"],
+    }[name]()
+    n = scn.model.group.degree
+    report = classify_orbits(scn.model, scn.slopes, subset_cap=20)
+    counts = tate_counts_by_dp(_packed_columns(tate_rows(scn.model, scn.slopes)))
+    assert tuple(counts.get(w, 0) for w in range(0, n + 1, 2)) == report.tate_dims
 
 
 def test_rho_duality_on_presets():

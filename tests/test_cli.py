@@ -14,7 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import assert_document_invariants, doc_to_end_report, doc_to_report, plain_document
+from oracles import (
+    assert_document_invariants,
+    classify_orbits_by_walk,
+    doc_to_end_report,
+    doc_to_report,
+    plain_document,
+)
 
 from weiltate import algebra, classifier, cli, forge, galois
 from weiltate.classifier import MemberMasks, classify_orbits
@@ -341,7 +347,7 @@ def test_classify_has_no_workers_flag(capsys):
         assert out == ""
 
 
-@pytest.mark.parametrize("weights", ["", "2,x", "2,,4", "x"])
+@pytest.mark.parametrize("weights", ["", "2,x", "2,,4", "x", "2.5", "4,4.0"])
 def test_classify_weights_that_are_not_integers_are_a_usage_error(capsys, weights):
     code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4",
                                       "--weights", weights])
@@ -805,6 +811,23 @@ def test_report_document_round_trip_on_drawn_models(scn, data):
     assert back == report
     for o, b in zip(report.orbits, back.orbits, strict=True):
         assert isinstance(b.orbit, MemberMasks) and b.orbit.masks == o.orbit.masks
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_scenarios(), st.data())
+def test_a_weight_above_the_middle_reads_the_same_alone_and_with_its_mirror(scn, data):
+    """The orbits at 2g - w are the walked ones, whether w is asked for too or not."""
+    n = scn.model.group.degree
+    w = data.draw(st.sampled_from(range(0, scn.g, 2)))
+
+    def orbits(weights):
+        report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
+        return [o for o in report.orbits if o.weight == n - w]
+
+    walked = list(classify_orbits_by_walk(scn.model, scn.slopes, [n - w], scn.phi).orbits)
+    assert orbits([n - w]) == walked
+    assert orbits([w, n - w]) == walked
+    assert orbits([w]) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,11 +4,15 @@ The digests pin every byte of `classify ... --format json`, of
 `verify ... --format json` of `forge ... --format json` and of
 `serialize_scenario` on the four verify presets and on the larger
 preset rungs (which carry the D generators and the slopes), so a
-refactor that changes any value, key or ordering fails here.  A change
+refactor that changes any value, key or ordering fails here.  The
+largest document, ramified g'=7, is hashed from a child process.  A change
 that is meant to alter a document updates its digest and says why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +82,10 @@ GOLDEN_FORGE = {
     (12, 13, 17, 2): "19bdf953b46384ac5899253ca5b9e1367664ae60808e3896bc5c83532e46ebec",
 }
 
+# 68,322,911 bytes: 309 orbits of 279,938 members; weights 16..28 are built as complements
+RAMIFIED7_ARGV = ("classify", "--preset", "ramified", "--gp", "7", "--cap", "28", "--format", "json")
+RAMIFIED7_DIGEST = "beb7aadbc15d7c6d711a05a7cc0df9b21d6463dc8bb35180fa9d4a0e3cf1467a"
+
 FORGE_ARGV = ("forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11", "--seed", "0")
 
 GOLDEN_SCENARIO_FILES = {
@@ -115,6 +123,15 @@ def test_cli_json_digest(argv, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == GOLDEN_ARGV[argv]
+
+
+def test_ramified7_json_digest_from_a_child_process():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "weiltate.cli", *RAMIFIED7_ARGV], env=env,
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout) == 68_322_911
+    assert hashlib.sha256(done.stdout).hexdigest() == RAMIFIED7_DIGEST
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_FORGE), ids=lambda k: "g%d-l%d-lp%d-seed%d" % k)
