@@ -3,17 +3,16 @@
 Polynomials are coefficient sequences, lowest degree first; the zero
 polynomial is empty.  Integer polynomials are tuples of arbitrary
 precision Python ints.  Over a prime field GF(l), l < 2**31, the kernel
-works on lists with coefficients in [0, l), and every divisor is monic:
+works on lists with coefficients in [0, l):
 `_reduce_checked` is the one checked entry, which trims, refuses a zero
 or a vanishing leading coefficient and returns f mod l made monic
 (`gf_ben_or` skips it, for a caller that has checked l once).
 One routine, `_divide`, clears a list from the top against a monic
-divisor in place; products mod f, Euclid's remainders and exact
-quotients all go through it, and each coefficient is read mod l once.
+divisor in place, for products mod f, Frobenius rows and exact
+quotients; Euclid divides by non-monic remainders, one inverse a step.
 
-Nothing here rounds: total reality is read off a Sturm chain of
-primitive integer pseudo-remainders, stopped at the first member whose
-degree or sign rules it out,
+Nothing here rounds: total reality is read off the subresultant chain of
+f and f', stopped at the first member whose degree or sign rules it out,
 factorization shapes come from squarefree decomposition plus
 distinct-degree splitting (no equal-degree step: only degree patterns
 are ever needed as certificates), and irreducibility is Ben-Or's test,
@@ -23,8 +22,8 @@ Both of those, and the root count mod l, need x**(l**d) mod f.  They
 take it from the Frobenius rows x**(l*i) mod f: a**l = a in GF(l), so
 h**l mod f is sum_i h_i * x**(l*i) mod f, one matrix-vector product
 per d.  Only x**l mod f itself comes from squaring, about log2 l
-products mod f, and the other rows, each the one before times x**l,
-are built only when d = 2 is reached.
+products mod f.  The other rows, built only when d = 2 is reached, each
+come from the one before (shifted l places, or times x**l mod f).
 """
 
 from __future__ import annotations
@@ -179,21 +178,24 @@ def _quotient(a, b, l):
 def _euclid(a, b, l):
     """Monic gcd over GF(l) of two lists of coefficients in [0, l), b trimmed.
 
-    Euclid runs on the lists, which it consumes: each remainder is left
-    in place by `_divide`, and each of its coefficients is read mod l
-    once.  Both zero gives [].
+    Euclid runs on the lists, which it consumes.  Each step folds
+    pow(lc b, -1, l) into the quotient coefficients, and leaves the
+    remainder in place, read mod l only at the top, where it is
+    trimmed; the gcd is reduced and made monic at the end.  Both zero gives [].
     """
     while b:
-        if b[-1] != 1:
-            inv = pow(b[-1], -1, l)
-            b = [c * inv % l for c in b]
+        inv = pow(b[-1], -1, l)
         nb = len(b) - 1
-        _divide(a, b, l)
-        a = [c % l for c in a[:nb]]
-        while a and not a[-1]:
+        for k in range(len(a) - 1, nb - 1, -1):
+            c = a[k] * inv % l
+            if c:
+                for j, bj in enumerate(b, k - nb):
+                    a[j] -= c * bj
+        del a[nb:]
+        while a and not a[-1] % l:
             a.pop()
         a, b = b, a
-    if a and a[-1] != 1:
+    if a:
         inv = pow(a[-1], -1, l)
         a = [c * inv % l for c in a]
     return a
@@ -235,12 +237,22 @@ def _x_to_the_l(f, l):
 
 
 def _frobenius_rows(f, l, xl):
-    """The Frobenius rows x**(l*i) mod f for i < deg f, each the previous times x**l = xl."""
+    """The Frobenius rows x**(l*i) mod f for i < deg f, each from the one before.
+
+    For l < 2 deg f the row before is shifted l places and cleared from
+    the top against f, about l * (deg f + 1) multiply-adds, else multiplied
+    by x**l = xl mod f, about 2 deg(f)**2.
+    """
     n = len(f) - 1
     rows = [[1] + [0] * (n - 1), xl]
     while len(rows) < n:
-        row = _mulmod(rows[-1], xl, f, l)
-        rows.append(row + [0] * (n - len(row)))
+        if l < 2 * n:
+            row = [0] * l + rows[-1]
+            _divide(row, f, l)
+            row = [c % l for c in row[:n]]
+        else:
+            row = _mulmod(rows[-1], xl, f, l)
+        rows.append(row)
     return rows[:n]
 
 
@@ -387,56 +399,44 @@ def gf_ben_or(f, l):
 # Sturm sequences over Z
 # ---------------------------------------------------------------------------
 
-def _primitive(f):
-    """f divided by the positive gcd of its coefficients (f nonzero)."""
-    c = gcd(*f)
-    return f if c == 1 else tuple(a // c for a in f)
+def _subresultant_chain(f):
+    """The members f, f', ... of the subresultant chain of a nonconstant trimmed f, lazily.
 
-
-def _prem(a, b):
-    """Pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b, exact over Z."""
-    rem = list(a)
-    lead, nb = b[-1], len(b)
-    for i in range(len(a) - nb, -1, -1):
-        c = rem[i + nb - 1]
-        for j in range(i + nb - 1):
-            rem[j] *= lead
-        for j in range(nb - 1):
-            rem[i + j] -= c * b[j]
-    return poly_trim(rem[: nb - 1])
-
-
-def _sturm_chain(f):
-    """The members f, f', ... of the integer Sturm chain of a nonconstant trimmed f, lazily.
-
-    After f and f' the chain continues with -sign(lc b)**(deg a - deg b
-    + 1) * prem(a, b) made primitive: a positive multiple of -rem(a, b),
-    so every member has the signs at -oo and +oo of the rational Sturm
-    chain's, with no fraction ever formed.  A pseudo-remainder that
-    vanishes before a constant is reached raises NotSquarefreeError.
+    While each member drops the degree by one, member k + 1 is
+    prem(r_{k-1}, r_k) / lc(r_{k-1})**2 (divisor 1 at the first step), an
+    exact division by the subresultant theorem (Collins 1967, Brown and
+    Traub 1971) and a positive multiple of r_{k-1} mod r_k.  A member that
+    drops the degree by more is yielded trimmed and ends the chain; a zero
+    pseudo-remainder raises NotSquarefreeError.
     """
-    a, b = _primitive(f), _primitive(poly_derivative(f))
+    a, b = f, poly_derivative(f)
     yield a
     yield b
+    div = 1
     while len(b) > 1:
-        r = _prem(a, b)
-        if not r:
-            raise NotSquarefreeError("polynomial is not squarefree over Q")
-        if b[-1] > 0 or (len(a) - len(b)) % 2 == 1:
-            r = tuple(-c for c in r)
-        a, b = b, _primitive(r)
-        yield b
+        # prem(a, b) = lc(b)**2 * a - (q1 * x + q0) * b, as deg a = deg b + 1
+        q1, q0, square = b[-1] * a[-1], b[-1] * a[-2] - a[-1] * b[-2], b[-1] * b[-1]
+        r = [(square * ai - q1 * bp - q0 * bi) // div for ai, bp, bi in zip(a, [0, *b], b[:-1])]
+        if not r[-1]:
+            r = poly_trim(r)
+            if not r:
+                raise NotSquarefreeError("polynomial is not squarefree over Q")
+            yield r
+            return
+        a, b, div = b, r, square
+        yield r
 
 
 def is_totally_real(f) -> bool:
     """Whether the integer polynomial f has deg f distinct real roots.
 
-    A chain of m + 1 members has at most m sign changes at -oo, so the
-    count reaches deg f exactly when the chain has members of degrees
-    deg f, deg f - 1, ..., 0 whose leading coefficients all share the
-    sign of f's (the signs at -oo then alternate, those at +oo agree).
-    The chain stops at the first member that breaks this.  A polynomial
-    that is not squarefree has fewer than deg f distinct roots.
+    A Sturm chain of m + 1 members has at most m sign changes at -oo,
+    so the count reaches deg f exactly when the chain has members of
+    degrees deg f, ..., 0 whose leading coefficients all share the sign
+    of f's.  Its member k is (-1)**(k // 2) * r_k, r_k that of the
+    subresultant chain (no gcd taken), which stops at the first member
+    that breaks this.  Any other drop in degree, or f not squarefree
+    (fewer distinct roots), rules out deg f real roots.
     """
     f = poly_trim(f)
     if not f:
@@ -445,8 +445,8 @@ def is_totally_real(f) -> bool:
         return True
     positive = f[-1] > 0
     try:
-        for k, p in enumerate(_sturm_chain(f)):
-            if len(p) != len(f) - k or (p[-1] > 0) != positive:
+        for k, r in enumerate(_subresultant_chain(f)):
+            if len(r) != len(f) - k or (r[-1] > 0) != (positive == (k % 4 < 2)):
                 return False
     except NotSquarefreeError:
         return False

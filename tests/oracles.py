@@ -5,8 +5,12 @@ frozensets, group elements or cosets, builds one matrix column per
 group element, runs a Sturm chain over the rationals, reads
 irreducibility off the full factorization pattern or tests primality
 by trial division, with no linear shortcut, no block system, no bit
-mask, no pseudo-remainder and no Miller-Rabin; only an orbit walk that
-tests its members stops at the first that fails.  Over GF(l) they run
+mask, no subresultant and no Miller-Rabin; only an orbit walk that
+tests its members stops at the first that fails.  The one integer
+Sturm chain here, `sturm_chain_by_primitive_prem`, runs whole: it makes
+each pseudo-remainder primitive by a gcd, whatever the degree drops
+by, where the program divides by the square of a leading coefficient
+and stops at the first drop of two.  Over GF(l) they run
 on tuples with their own product and division (`gf_mul`, `gf_divmod`):
 x**(l**d) comes from square-and-multiply (`gf_pow_mod`, a full product
 and remainder per step), and gcds and squarefree parts from Euclid on tuples, not from
@@ -660,6 +664,48 @@ def sturm_count(chain) -> int:
     neg = [_sign_at_infinity(p, positive=False) for p in chain]
     pos = [_sign_at_infinity(p, positive=True) for p in chain]
     return _sign_changes(neg) - _sign_changes(pos)
+
+
+def _primitive(f):
+    """f divided by the positive gcd of its coefficients (f nonzero)."""
+    c = gcd(*f)
+    return f if c == 1 else tuple(a // c for a in f)
+
+
+def _prem(a, b):
+    """Pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b, exact over Z."""
+    rem = list(a)
+    lead, nb = b[-1], len(b)
+    for i in range(len(a) - nb, -1, -1):
+        c = rem[i + nb - 1]
+        for j in range(i + nb - 1):
+            rem[j] *= lead
+        for j in range(nb - 1):
+            rem[i + j] -= c * b[j]
+    return poly_trim(rem[: nb - 1])
+
+
+def sturm_chain_by_primitive_prem(f):
+    """The whole integer Sturm chain f, f', ... of a nonconstant trimmed f, lazily.
+
+    After f and f' the chain continues with -sign(lc b)**(deg a - deg b
+    + 1) * prem(a, b) made primitive: a positive multiple of -rem(a, b),
+    so every member has the signs at -oo and +oo of the rational Sturm
+    chain's, whatever the degrees drop by, with no fraction ever formed.
+    A pseudo-remainder that vanishes before a constant is reached raises
+    NotSquarefreeError.
+    """
+    a, b = _primitive(f), _primitive(poly_derivative(f))
+    yield a
+    yield b
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            raise NotSquarefreeError("polynomial is not squarefree over Q")
+        if b[-1] > 0 or (len(a) - len(b)) % 2 == 1:
+            r = tuple(-c for c in r)
+        a, b = b, _primitive(r)
+        yield b
 
 
 def gf_mul(f, g, l):

@@ -91,6 +91,53 @@ def test_forge_json_deterministic(capsys):
     assert doc["certificates"]["galois_is_sg"] is True
 
 
+FORGE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 65537,
+                2**31 - 1)
+# composites, the cap itself and values at or past the Miller-Rabin bound
+FORGE_MODULI = st.one_of(
+    st.sampled_from(FORGE_PRIMES),
+    st.integers(-3, 40),
+    st.sampled_from((2**31, 2**31 + 11, 65535, 561, algebra.MR_BOUND, algebra.MR_BOUND + 1,
+                     1000000000000000003)),
+)
+
+
+@st.composite
+def forge_requests(draw):
+    """(g, p, l, l'): half the time a valid request, else drawn with no hypothesis kept."""
+    if draw(st.booleans()):
+        g = draw(st.sampled_from((2, 4, 6, 8, 10, 12)))
+        l, lp = draw(st.permutations([q for q in FORGE_PRIMES if q > g]))[:2]
+        return g, draw(st.sampled_from([q for q in FORGE_PRIMES if q not in (l, lp)])), l, lp
+    return (draw(st.integers(-2, 13)), draw(FORGE_MODULI), draw(FORGE_MODULI),
+            draw(FORGE_MODULI))
+
+
+@settings(max_examples=200, deadline=None)
+@given(request=forge_requests(), seed=st.integers(-5, 10**6),
+       budget=st.one_of(st.none(), st.integers(-1, 66)), fmt=st.sampled_from(("text", "json")))
+@example(request=(12, 5, 2**31 - 1, 65537), seed=0, budget=None, fmt="json")
+@example(request=(4, 5, 7, 11), seed=0, budget=1, fmt="json")  # budget exhausted
+@example(request=(4, 7, 7, 11), seed=0, budget=None, fmt="text")  # equal primes
+@example(request=(4, 5, 11, 11), seed=0, budget=None, fmt="json")
+def test_forge_argv_keeps_the_exit_code_contract(request, seed, budget, fmt):
+    """Every forge argv exits 0, 2, 3, 4 or 5 without a traceback; a JSON success parses."""
+    g, p, l, lp = request
+    argv = ["forge", "--g", str(g), "--p", str(p), "--l", str(l), "--lp", str(lp),
+            "--seed", str(seed), "--format", fmt]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and fmt == "json":
+        assert json.loads(out.getvalue())["schema"] == "weiltate.forge/1"
+    elif code:
+        assert out.getvalue() == "" and err.getvalue(), argv
+
+
 def test_classify_main_preset_text(capsys):
     code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4", "--p", "5"])
     assert code == 0

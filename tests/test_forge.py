@@ -193,7 +193,7 @@ def test_certify_a_forged_field_recomputes_only_the_sg_patterns(monkeypatch):
     def no_sturm(poly):
         raise AssertionError("the S_g certificate needs no Sturm chain")
 
-    monkeypatch.setattr(weiltate.algebra, "_sturm_chain", no_sturm)
+    monkeypatch.setattr(weiltate.algebra, "_subresultant_chain", no_sturm)
     assert certify_galois_sg(f)
 
 

@@ -1,23 +1,30 @@
 """The forge's exact kernels against their definitional routes and against sympy.
 
-The whole integer Sturm chain (`algebra._sturm_chain`, primitive
-pseudo-remainders), read at -oo and +oo, must give the count and the
-squarefree verdict of the rational chain `oracles.sturm_by_fractions`,
-and `is_totally_real` (the same chain, stopped at the first member
-whose degree or sign rules out deg f real roots) must say whether that
-count is deg f; `forge_totally_real` must forge what
-`oracles.forge_by_definition` forges; `gf_ben_or` (early exit) on f
-mod l made monic must agree with the full degree pattern
-`oracles.irreducible_by_pattern`.  Over GF(l) the kernel takes
-x**(l**d) from the Frobenius rows and runs Euclid on lists;
-`degree_pattern_and_roots`, `factor_degree_pattern`, `gf_ben_or`,
-`_euclid` and the Frobenius step itself must agree with the
-square-and-multiply routes of `oracles`, at every prime the kernel
-admits up to the largest below 2**31.
-The draws cover what the sign rule -sign(lc b)**(deg a - deg b + 1)
-depends on (negative and non-unit leading coefficients, sparse
-polynomials whose chain drops an even number of degrees), squares, the forge's spread-plus-correction shape, and
-leading coefficients that vanish mod l.
+`is_totally_real` walks the subresultant chain of f and f' (exact
+divisions by squares of leading coefficients, stopped at the first
+member whose degree or sign rules out deg f real roots); it must say
+whether the rational chain `oracles.sturm_by_fractions` counts deg f
+distinct real roots, and each member must be its pseudo-remainder
+divided exactly.  The whole integer chain of primitive
+pseudo-remainders, `oracles.sturm_chain_by_primitive_prem`, must give
+the rational chain's count and squarefree verdict, and sympy's.
+`forge_totally_real` must forge what `oracles.forge_by_definition`
+forges; `gf_ben_or` (early exit) on f mod l made monic must agree with
+the full degree pattern `oracles.irreducible_by_pattern`.  Over GF(l)
+the kernel takes x**(l**d) from the Frobenius rows and runs Euclid on
+lists; `degree_pattern_and_roots`, `factor_degree_pattern`,
+`gf_ben_or`, `_euclid` (non-monic divisors, one inverse per step) and
+the Frobenius rows on both sides of l < 2 deg f (shifted rows, products
+with x**l) must agree with the square-and-multiply and tuple routes of
+`oracles`, at every prime the kernel admits up to the largest below
+2**31.  Count pins hold the mechanisms: forging at the bench's g = 12
+primes builds no Frobenius row by a product, and the total-reality test
+takes no gcd.
+The draws cover what the chain's signs and stops depend on (negative
+and non-unit leading coefficients, sparse polynomials whose chain drops
+an even number of degrees), squares, the forge's spread-plus-correction
+shape up to g = 12 and spreads 2**18, and leading coefficients that
+vanish mod l.
 """
 
 import math
@@ -28,6 +35,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _prem,
     ben_or_by_pow_mod,
     degree_pattern_by_pow_mod,
     forge_by_definition,
@@ -40,15 +48,15 @@ from oracles import (
     roots_by_pow_mod,
     squarefree_decomposition_by_rem,
     sturm_by_fractions,
+    sturm_chain_by_primitive_prem,
     sturm_count,
 )
-from weiltate import algebra
+from weiltate import algebra, forge
 from weiltate.algebra import (
     MAX_PRIME,
     MR_BOUND,
     NotSquarefreeError,
     _reduce_checked,
-    _sturm_chain,
     degree_pattern_and_roots,
     factor_degree_pattern,
     gf_ben_or,
@@ -67,11 +75,11 @@ LEADS = st.integers(-12, 12).filter(bool)
 
 
 def count_by_the_integer_chain(f):
-    """Distinct real roots of f from the whole chain that `is_totally_real` walks."""
+    """Distinct real roots of f from the whole integer chain of primitive pseudo-remainders."""
     f = poly_trim(f)
     if not f:
         raise ValueError("zero polynomial rejected")
-    return sturm_count(_sturm_chain(f)) if len(f) > 1 else 0
+    return sturm_count(sturm_chain_by_primitive_prem(f)) if len(f) > 1 else 0
 
 
 def ben_or(f, l):
@@ -110,11 +118,11 @@ def non_squarefree_polys(draw):
 
 
 @st.composite
-def forge_shaped(draw):
+def forge_shaped(draw, max_g=8, max_spread_bits=6):
     """prod(x - M K i) plus a correction centered in (-M/2, M/2], as the forge builds."""
-    g = draw(st.integers(2, 8))
+    g = draw(st.integers(2, max_g))
     modulus = draw(st.sampled_from((5 * 7 * 11, 5 * 11 * 13, 5 * 13 * 17)))
-    spread = 2 ** draw(st.integers(0, 6))
+    spread = 2 ** draw(st.integers(0, max_spread_bits))
     t = (1,)
     for i in range(1, g + 1):
         t = poly_mul(t, (-modulus * spread * i, 1))
@@ -143,18 +151,42 @@ def _totally_real_by_count(f):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(integer_polys(), non_squarefree_polys(), forge_shaped()))
+@given(st.one_of(integer_polys(), non_squarefree_polys(), forge_shaped(12, 18)))
 @example((-2, 0, 1))
 @example((0, 3, 0, -1))  # -x^3 + 3x: negative leading coefficient, three roots
 @example((0, -3, 0, 1))  # x^3 - 3x
+@example((-4, 0, 5, 0, -1))  # -(x^2 - 1)(x^2 - 4): negative leading coefficient, four roots
 @example((1, 0, -2, 0, 1))  # (x^2 - 1)^2: squarefree part totally real, f not squarefree
+@example((-2, 1, 5, -5, 1))  # (x - 1)^2 (x^2 - 3x - 2): the pseudo-remainder vanishes at k = 4
 @example((0, 5, 0, 0, 1))  # x^4 + 5x: the chain drops from degree 3 to 1
+@example((-4, 0, -2, 0, -2, 0, 1))  # x^6 - 2x^4 - 2x^2 - 4: drops from degree 3 to 1 at k = 4
 @example((-1, 0, 0, 0, 0, 0, 1))  # x^6 - 1: two real roots of six
+@example((5, -2))  # degree 1, negative leading coefficient
+@example((-7, 3))
 @example((1,))
 @example((-3,))
 @example((0,))
 def test_total_reality_matches_the_full_count(f):
     assert _outcome(is_totally_real, f) == _outcome(_totally_real_by_count, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(integer_polys(), non_squarefree_polys(), forge_shaped(12, 18)))
+@example((-2, 1, 5, -5, 1))
+@example((-4, 0, -2, 0, -2, 0, 1))
+def test_subresultant_members_are_exact_quotients(f):
+    """Each member past f' times lc(r_{k-1})**2 (1 at the first step) is prem(r_{k-1}, r_k)."""
+    f = poly_trim(f)
+    if len(f) < 2:
+        return
+    chain = algebra._subresultant_chain(f)
+    a, b, div = next(chain), next(chain), 1
+    try:
+        for r in chain:
+            assert poly_trim(tuple(c * div for c in r)) == _prem(a, b)
+            a, b, div = b, r, b[-1] ** 2
+    except NotSquarefreeError:
+        assert _prem(a, b) == ()
 
 
 @pytest.mark.parametrize("g", [4, 6, 8, 10, 12])
@@ -247,6 +279,65 @@ def test_frobenius_step_is_the_lth_power(case):
     assert poly_trim(step) == gf_pow_mod(tuple(h), l, tuple(f), l)
 
 
+# n + 1 and 2n - 1 prime for every n here, so both sides of l < 2n are met at each degree
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 12, 16])
+def test_frobenius_rows_are_the_powers_of_x(n):
+    """Row i is x**(l*i) mod f: shifted rows for l < 2n, products with x**l from 2n on."""
+    rng = random.Random(n)
+    first_past = next(q for q in range(2 * n, 4 * n) if is_prime(q))
+    for l in (2, 3, n + 1, 2 * n - 1, first_past, 65537, LARGEST_PRIME):
+        for _ in range(3):
+            f = [rng.randrange(l) for _ in range(n)] + [1]
+            rows = algebra._frobenius_rows(f, l, algebra._x_to_the_l(f, l))
+            assert len(rows) == n and all(len(row) == n for row in rows)
+            for i, row in enumerate(rows):
+                assert poly_trim(row) == gf_pow_mod((0, 1), l * i, tuple(f), l), (l, f, i)
+
+
+def test_forging_at_the_bench_primes_multiplies_no_frobenius_row(monkeypatch):
+    """At (g, p, l, l') = (12, 5, 13, 17) every prime is below 2g: each row is a shifted row."""
+    inside, calls = [], {"rows": 0, "mulmod": 0}
+    rows, mulmod = algebra._frobenius_rows, algebra._mulmod
+
+    def counted_rows(*args):
+        calls["rows"] += 1
+        inside.append(1)
+        try:
+            return rows(*args)
+        finally:
+            inside.pop()
+
+    def counted_mulmod(*args):
+        calls["mulmod"] += bool(inside)
+        return mulmod(*args)
+
+    monkeypatch.setattr(algebra, "_frobenius_rows", counted_rows)
+    monkeypatch.setattr(algebra, "_mulmod", counted_mulmod)
+    field = forge_totally_real(12, 5, 13, 17, seed=0)
+    assert field.certificates.galois_is_sg
+    assert calls["rows"] > 0 and calls["mulmod"] == 0
+
+
+def test_total_reality_takes_no_gcd(monkeypatch):
+    """The spreads the forge tests at g = 12, seed 0, answered again with `gcd` refused."""
+    seen = []
+    totally_real = forge.is_totally_real
+
+    def recorded(poly):
+        seen.append((poly, totally_real(poly)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(forge, "is_totally_real", recorded)
+    forge_totally_real(12, 5, 13, 17, seed=0)
+    assert seen[-1][1] and not all(answer for _, answer in seen)
+
+    def no_gcd(*args):
+        raise AssertionError("the total-reality test takes no gcd")
+
+    monkeypatch.setattr(algebra, "gcd", no_gcd)
+    assert [(poly, is_totally_real(poly)) for poly, _ in seen] == seen
+
+
 @settings(max_examples=300, deadline=None)
 @given(gf_polys())
 @example(((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 5))  # x^10 + 1 = (x^2 + 1)^5 mod 5: f' = 0
@@ -292,6 +383,42 @@ def test_list_euclid_matches_euclid_on_tuples(case, g):
     f, g = list(gf_reduce(f, l)), list(gf_reduce(g, l))
     assert tuple(algebra._euclid(list(f), list(g), l)) == gf_gcd_by_rem(f, g, l)
     assert tuple(algebra._euclid(list(g), list(f), l)) == gf_gcd_by_rem(g, f, l)
+
+
+@st.composite
+def non_monic_pairs(draw):
+    """Two lists mod a prime the kernel admits, of degree up to 60, sharing a non-monic factor."""
+    l = draw(st.sampled_from(PRIMES))
+    coeff = st.integers(0, l - 1)
+    unit = st.integers(1, l - 1)
+
+    def poly(max_degree):
+        return tuple(draw(coeff) for _ in range(draw(st.integers(0, max_degree)))) + (draw(unit),)
+
+    h = poly(20)
+    return gf_reduce(poly_mul(h, poly(40)), l), gf_reduce(poly_mul(h, poly(40)), l), l
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_monic_pairs())
+@example(((3,), (0, 5), 7))
+@example(((1, 2, 3), (2, 4, 6), 7))  # one a multiple of the other
+def test_list_euclid_matches_euclid_on_long_non_monic_inputs(case):
+    f, g, l = case
+    assert tuple(algebra._euclid(list(f), list(g), l)) == gf_gcd_by_rem(f, g, l)
+    assert tuple(algebra._euclid(list(g), list(f), l)) == gf_gcd_by_rem(g, f, l)
+
+
+def test_list_euclid_at_degree_60_and_the_largest_prime():
+    rng = random.Random(60)
+    for l in (65537, LARGEST_PRIME):
+        for _ in range(3):
+            h = [rng.randrange(l) for _ in range(20)] + [rng.randrange(1, l)]
+            f = gf_reduce(poly_mul(h, [rng.randrange(l) for _ in range(40)] + [rng.randrange(1, l)]), l)
+            g = gf_reduce(poly_mul(h, [rng.randrange(l) for _ in range(39)] + [rng.randrange(1, l)]), l)
+            assert len(f) == 61 and f[-1] != 1
+            got = algebra._euclid(list(f), list(g), l)
+            assert tuple(got) == gf_gcd_by_rem(f, g, l) and len(got) >= 21
 
 
 # Carmichael numbers: composite, yet a**(n-1) = 1 mod n for every a prime to n
@@ -406,3 +533,13 @@ def test_patterns_and_roots_match_sympy_factor_list(case):
     assert degree_pattern_and_roots(f, l)[2] == linears
     assert ben_or(f, l) == (len(factors) == 1 and factors[0][1] == 1
                             and factors[0][0].degree() >= 1)
+
+
+@pytest.mark.parametrize("g", [4, 6])
+def test_forged_fields_have_galois_group_sg(g):
+    """sympy's Galois group of each forged field has order g! (p = 5 and the bench's l, l')."""
+    galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
+    for seed in range(6):
+        field = forge_totally_real(g, 5, 7, 11, seed)
+        group, _ = galoisgroups.galois_group(_sympy_poly(field.poly), by_name=False)
+        assert group.order() == math.factorial(g), (g, seed, field.poly)
