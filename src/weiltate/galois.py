@@ -275,13 +275,6 @@ class StabChain:
                         if schreier != ident:
                             pending.append((i + 1, schreier))
 
-    def level_orders(self) -> list:
-        """[|G^(0)|, |G^(1)|, ..., |G^(n)|]: the orders of the stabilizers down the chain."""
-        orders = [1]
-        for reps in reversed(self.reps):
-            orders.append(orders[-1] * len(reps))
-        return orders[::-1]
-
     def block(self, points) -> "StabChain":
         """The chain of {g : g(1) in points}, for a block `points` of a transitive group holding 1.
 
@@ -381,36 +374,39 @@ def _in_group(group: PermGroup, generators) -> tuple:
 
 
 def subgroup_generators(sub: StabChain) -> list:
-    """Small deterministic generating set of the group with chain `sub`, listing none of it.
+    """Small deterministic generating set of the group Z with chain `sub`, listing none of it.
 
-    Greedy in lexicographic order: each pick is the least element of
-    the group outside the closure K of the picks before it.  Lex order
-    is the order of the base images, so the pick is found by descending
-    the chain of the group: at level i the candidates t u_y (u_y a
-    representative of level i) are tried by their image t(y) of point
-    i, and a candidate is skipped when its whole coset t u_y G^(i+1)
-    lies in K, that is when |K^(i+1)| = |G^(i+1)| and t u_y is in K.
-    The first candidate not skipped holds an element outside K, so the
-    descent never backtracks.
+    Precondition: `sub` is a complete chain of Z on the base 0..n-1.
+    Greedy in lexicographic order: each pick is the least element of Z
+    outside the closure K of the picks before it.  Lex order is the
+    order of the base images, so an element of Z^(j) precedes every
+    element outside it, and the picks fill the non-trivial levels from
+    the deepest upward: while level i is being filled,
+    Z^(i+1) <= K <= Z^(i).  Such a K holds the whole stabilizer Z^(i+1)
+    of i in Z^(i), so it is determined by O, the orbit of i under the picks:
+    |K| = |O| |Z^(i+1)|, and u in Z^(i) lies in K exactly when u(i) is
+    in O.  The next pick is therefore the least element of the coset
+    u_y Z^(i+1), y the least orbit point of level i outside O: below
+    level i, the representative at each non-trivial level j is the one
+    that minimises the running element's image of j.  No chain is built
+    and nothing is sifted.
     """
-    n = sub.degree
-    levels = [i for i in range(n) if len(sub.reps[i]) > 1]  # a trivial level moves no coset
-    orders = sub.level_orders()
+    levels = [i for i in range(sub.degree) if len(sub.reps[i]) > 1]  # trivial ones add no pick
     picks = []
-    closure = StabChain(n)
-    while closure.order < orders[0]:
-        closure_orders = closure.level_orders()
-        t = identity(n)
-        for i in levels:
-            reps = sub.reps[i]
-            full = closure_orders[i + 1] == orders[i + 1]  # compared before any sift
-            for y in sorted(reps, key=t.__getitem__):
-                c = tuple([t[a] for a in reps[y]])
-                if not (full and c in closure):
-                    t = c
-                    break
-        picks.append(t)
-        closure.insert(t)
+    for k, i in reversed(list(enumerate(levels))):
+        reps = sub.reps[i]
+        orbit = [i]
+        while len(orbit) < len(reps):
+            t = reps[min(y for y in reps if y not in orbit)]
+            for j in levels[k + 1:]:
+                below = sub.reps[j]
+                t = tuple([t[a] for a in below[min(below, key=t.__getitem__)]])
+            picks.append(t)
+            orbit = [i]
+            for x in orbit:  # grows while it is walked
+                for p in picks:
+                    if p[x] not in orbit:
+                        orbit.append(p[x])
     return picks
 
 

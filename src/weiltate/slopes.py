@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .galois import CMGaloisModel, Record
 
@@ -106,21 +107,23 @@ def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:
     basis vector is kept when it is independent of the basis so far.
     Each basis vector is an actual conjugate s∘g, and there are at most
     2g of them; no group element beyond the generators is visited.
+    Each image, row and conjugate is one `itemgetter` gather, which
+    returns a tuple because a CM model has n = 2g >= 2 points.
     """
-    n = len(s)
     nums = s.nums
     echelon = []
-    maps = [tuple(range(n))]  # b = s∘m for each point map m
+    maps = [tuple(range(len(s)))]  # b = s∘m for each point map m
     _extend_echelon(echelon, nums)
+    gathers = [itemgetter(*gen) for gen in model.group.generators]
     for m in maps:  # grows while it is walked
-        for gen in model.group.generators:
-            image = tuple(m[gen[x]] for x in range(n))
-            if _extend_echelon(echelon, [nums[image[x]] for x in range(n)]):
+        for gather in gathers:
+            image = gather(m)
+            if _extend_echelon(echelon, itemgetter(*image)(nums)):
                 maps.append(image)
-    return tuple(tuple(s[m[x]] for x in range(n)) for m in maps)
+    return tuple(itemgetter(*m)(s.values) for m in maps)
 
 
-def _extend_echelon(echelon: list, row: list) -> bool:
+def _extend_echelon(echelon: list, row: tuple) -> bool:
     """Append row to the integer echelon form if it is independent of it."""
     for pivot, e in echelon:
         if row[pivot]:

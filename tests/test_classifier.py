@@ -75,6 +75,7 @@ from weiltate.galois import (
     cycles_to_perm,
     index2_point_sets,
     parse_perm,
+    point_orbits,
     subgroup_generators,
 )
 from weiltate.slopes import (
@@ -645,6 +646,71 @@ def test_chain_generators_match_the_greedy_over_the_listing(case, data):
     dgens = data.draw(st.lists(st.sampled_from(G.elements), max_size=3))
     D = StabChain(G.degree, dgens)
     assert subgroup_generators(D) == subgroup_generators_by_listing(G, subgroup_closure(G, dgens))
+
+
+@st.composite
+def small_generator_sets(draw):
+    """(n, 0-3 generators) on n = 1..6 points: any, intransitive or imprimitive permutations.
+
+    Intransitive generators keep the runs 0..a-1 and a..n-1 apart;
+    imprimitive ones permute the runs of k points as blocks, k a proper
+    divisor of n.  Every group lies in S_6, so |G| <= 720 and the
+    oracles can list it.
+    """
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("any", "intransitive", "imprimitive")))
+    perms = st.permutations(range(n)).map(tuple)
+    sizes = [k for k in range(2, n) if n % k == 0]
+    if kind == "intransitive" and n > 1:
+        a = draw(st.integers(1, n - 1))
+        perms = st.builds(lambda p, q: tuple(p) + tuple(a + x for x in q),
+                          st.permutations(range(a)), st.permutations(range(n - a)))
+    elif kind == "imprimitive" and sizes:
+        k = draw(st.sampled_from(sizes))
+        m = n // k
+        perms = st.builds(
+            lambda blocks, inner: tuple(blocks[b] * k + inner[b][x]
+                                        for b in range(m) for x in range(k)),
+            st.permutations(range(m)), st.lists(st.permutations(range(k)), min_size=m, max_size=m))
+    return n, draw(st.lists(perms, max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_generator_sets())
+@example((1, []))
+@example((1, [(0,)]))
+@example((5, []))
+@example((5, [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)]))  # intransitive: S_2 x C_3
+@example((4, [(1, 2, 3, 0), (0, 3, 2, 1)]))  # imprimitive: D_4
+@example((6, [(2, 3, 4, 5, 0, 1), (1, 0, 2, 3, 4, 5)]))  # imprimitive: C_2 wr C_3
+def test_chain_generators_match_the_greedy_on_small_generator_sets(drawn):
+    """The greedy picks off a chain equal the oracle's over the listing, beyond CM models.
+
+    A transitive draw also checks the chain of each of its index-2
+    blocks, as the Weil-Tate entries read them.
+    """
+    n, gens = drawn
+    G = build_group(n, gens)
+    event(f"transitive: {len(point_orbits(gens, n)) == 1}")
+    assert subgroup_generators(G.chain) == subgroup_generators_by_listing(G, G.elements)
+    if len(point_orbits(gens, n)) == 1:
+        for P in index2_point_sets(G):
+            listed = block_subgroup(G, P)
+            assert subgroup_generators(G.chain.block(P)) == subgroup_generators_by_listing(G, listed)
+
+
+def test_weil_tate_generators_build_no_chain(monkeypatch):
+    """`report_to_doc` reads each Weil-Tate subgroup's generators off the group's chain alone."""
+    built = [scenario_main(6, 5), scenario_ramified(3, 5)]
+    reports = [classify_orbits(scn.model, scn.slopes, phi=scn.phi) for scn in built]
+    calls = Counter()
+    count_calls(monkeypatch, StabChain, "__init__", calls)
+    count_calls(monkeypatch, StabChain, "insert", calls)
+    for scn, report in zip(built, reports):
+        assert report_to_doc(report, scn.model.group)["weil_tate"]
+    assert calls["__init__"] == calls["insert"] == 0
+    StabChain(4, [cycles_to_perm(4, [(1, 2)])])  # the counters do see a chain being built
+    assert calls == {"__init__": 1, "insert": 1}
 
 
 def test_classify_and_honda_tate_list_no_group_element(monkeypatch):

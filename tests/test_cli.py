@@ -10,9 +10,10 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     assert_document_invariants,
@@ -135,6 +136,75 @@ def test_forge_argv_keeps_the_exit_code_contract(request, seed, budget, fmt):
     if code == 0 and fmt == "json":
         assert json.loads(out.getvalue())["schema"] == "weiltate.forge/1"
     elif code:
+        assert out.getvalue() == "" and err.getvalue(), argv
+
+
+# small caps keep every drawn request cheap: 2g <= 8 points scanned, |G| <= 10^4 built
+SMALL_CAPS = st.fixed_dictionaries({
+    "WEILTATE_SUBSET_CAP": st.sampled_from(("2", "4", "8")),
+    "WEILTATE_GROUP_CAP": st.sampled_from(("1", "48", "1440", "10000")),
+})
+PRESET_PRIMES = st.one_of(st.sampled_from(FORGE_PRIMES), st.integers(-3, 40),
+                          st.sampled_from((2**31, 561, algebra.MR_BOUND + 1)))
+WEIGHT_LISTS = st.one_of(
+    st.lists(st.integers(-2, 14), max_size=4).map(lambda ws: ",".join(map(str, ws))),
+    st.sampled_from(("", "a", "2,,4", " 4", "0x2", "4.0")),
+)
+VERIFY_NAMES = st.lists(st.sampled_from(("main4", "main6", "ramified3", "split3", "all", "main8",
+                                         "", " main4 ", "x")), max_size=3).map(",".join)
+
+
+@st.composite
+def classify_or_verify_argv(draw):
+    """A `classify` or `verify` argv: each optional flag present or not, with drawn values.
+
+    Half the classify requests are main g = 4, the one preset whose 8
+    points the small caps admit, with a prime p and even weights, so
+    that they reach a document; the rest draw every flag.
+    """
+    def flag(name, values):
+        return [name, str(draw(values))] if draw(st.booleans()) else []
+
+    fmt = flag("--format", st.sampled_from(("text", "json")))
+    fields = ["--attach-fields"] if draw(st.integers(0, 3)) == 0 else []
+    if draw(st.booleans()):
+        return ["verify", *flag("--presets", VERIFY_NAMES), *flag("--p", PRESET_PRIMES), *fmt]
+    if draw(st.booleans()):
+        weights = st.lists(st.sampled_from(range(0, 9, 2)), min_size=1, max_size=4)
+        return ["classify", "--preset", "main", "--g", "4",
+                *flag("--p", st.sampled_from(FORGE_PRIMES)),
+                *flag("--weights", weights.map(lambda ws: ",".join(map(str, ws)))),
+                *flag("--cap", st.just(8)), *fields, *fmt]
+    preset = flag("--preset", st.sampled_from(("main", "ramified", "split")))
+    return ["classify", *preset, *flag("--g", st.integers(-2, 12)),
+            *flag("--gp", st.integers(-2, 9)), *flag("--p", PRESET_PRIMES),
+            *flag("--weights", WEIGHT_LISTS), *flag("--cap", st.integers(-1, 8)), *fields, *fmt]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=classify_or_verify_argv(), env=SMALL_CAPS)
+@example(argv=["classify", "--preset", "main", "--g", "4", "--format", "json"],
+         env={"WEILTATE_SUBSET_CAP": "8", "WEILTATE_GROUP_CAP": "10000"})
+@example(argv=["verify", "--presets", "main4,ramified3", "--format", "json"],
+         env={"WEILTATE_SUBSET_CAP": "8", "WEILTATE_GROUP_CAP": "10000"})
+@example(argv=["classify", "--preset", "split", "--gp", "3", "--cap", "8"],
+         env={"WEILTATE_SUBSET_CAP": "8", "WEILTATE_GROUP_CAP": "10000"})  # 12 points: cap
+def test_classify_and_verify_argv_keep_the_exit_code_contract(argv, env):
+    """Every classify or verify argv exits 0, 2, 3, 4 or 5 without a traceback; JSON parses.
+
+    A JSON success carries its command's schema; an exit other than 0
+    or 5 (a lemma failed, the document still written) writes nothing to
+    stdout and says why on stderr.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 5) and "json" in argv:
+        assert json.loads(out.getvalue())["schema"] == f"weiltate.{argv[0]}/1"
+    elif code in (2, 3, 4):
         assert out.getvalue() == "" and err.getvalue(), argv
 
 

@@ -3,6 +3,7 @@
 A walk of names from `cli.main` must meet every top-level function and
 class in `src/weiltate/`, save the short declared API list of the
 README, whose entries wait for the ROADMAP items that will call them.
+The code it reaches must read every non-dunder method of those classes.
 """
 
 import ast
@@ -15,6 +16,12 @@ import weiltate
 
 SRC = Path(weiltate.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# "module: Class.method" -> why the method stays though the program reads it nowhere
+UNREAD_METHODS = {
+    "galois.py: PermGroup.elements": "perfbench/tracer.py counts |G| by listing the group, "
+                                     "until the in-program recorder of ROADMAP item 2 replaces it",
+}
 
 
 def _names_used(node) -> set:
@@ -69,9 +76,13 @@ def declared_api() -> list:
     return re.findall(r"^- `(\w+)`", section, flags=re.M)
 
 
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
 def test_every_top_level_definition_has_a_caller_or_an_export():
     """A caller: `cli.main` reaches the definition.  An export: the README declares it."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    trees = _trees()
     defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert [node.name for node in trees["cli.py"].body if isinstance(node, ast.FunctionDef)
@@ -83,6 +94,30 @@ def test_every_top_level_definition_has_a_caller_or_an_export():
     assert set(api) & reached_from(trees, ["main"]) == set()
     reached = reached_from(trees, ["main", *api])
     assert [f"{module}: {name}" for module, name in defined if name not in reached] == []
+
+
+def test_every_method_has_a_caller():
+    """Each non-dunder method of a class in `src/` is read by the reached code outside its own body.
+
+    The reach is `reached_from`'s, from `cli.main` and the declared API,
+    with each reached class split into the statements of its body, so a
+    method that only its own body reads has no caller.  Names are matched
+    alone, as there: any reached read of the name counts.
+    """
+    trees = _trees()
+    bound = _bindings(trees)
+    units = [unit for name in reached_from(trees, ["main", *declared_api()]) for node in bound[name]
+             for unit in (node.body if isinstance(node, ast.ClassDef) else [node])]
+    reads = [(unit, _names_used(unit)) for unit in units]
+    unread = [
+        f"{module}: {cls.name}.{node.name}"
+        for module, tree in trees.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(node.name in names for unit, names in reads if unit is not node)
+    ]
+    assert sorted(unread) == sorted(UNREAD_METHODS)
 
 
 def test_importing_the_cli_loads_no_introspection_or_reference_module():
