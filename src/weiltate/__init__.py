@@ -14,7 +14,7 @@ from .galois import (
     build_group,
     cm_product_group,
 )
-from .slopes import SlopeVector, frobenius_rank, slopes_from_cm_type
+from .slopes import SlopeVector, slopes_from_cm_type
 from .cmtypes import CMType, PlacePrescription, enumerate_cm_types, hodge_type, is_balanced
 from .classifier import (
     ClassifierReport,

@@ -118,6 +118,14 @@ class WeilTateEntry(Record):
 
 
 class ClassifierReport(Record):
+    """The orbits and verdicts of one classification.
+
+    `frobenius_rank` (the number of Tate predicate rows, minus one) and
+    `columns` (the packed predicate columns, `_packed_columns`) are read
+    off the predicate that `classify_orbits` builds; neither takes part
+    in report equality.
+    """
+
     g: int
     weights: tuple
     orbits: tuple
@@ -127,21 +135,23 @@ class ClassifierReport(Record):
     weil_tate: tuple
     scht_verdict: str
     notes: tuple = (TATE_COUNT_NOTE, EXOTIC_RANK_NOTE)
+    frobenius_rank = None  # not fields: `classify_orbits` sets them
+    columns = None
 
 
-def tate_rows(model: CMGaloisModel, s: SlopeVector, basis=None) -> tuple:
+def tate_rows(model: CMGaloisModel, s: SlopeVector) -> tuple:
     """Integer rows of the linear Tate predicate, one per conjugate-slope basis vector b.
 
     Row a_b = 2 den (b - 1/2): the entry of a slope num/den is 2 num - den,
     with den the common denominator of s.  Every conjugate s∘g has entry
     sum g, so a subset J has slope sum #J/2 at every conjugate iff
-    sum_{i in J} a_b[i] = 0 for every row.  `basis` is
-    `conjugate_slope_basis(model, s)`, built here unless given.
+    sum_{i in J} a_b[i] = 0 for every row.
     """
     den = s.den
-    if basis is None:
-        basis = conjugate_slope_basis(model, s)
-    return tuple(tuple(2 * den // v.denominator * v.numerator - den for v in b) for b in basis)
+    return tuple(
+        tuple(2 * den // v.denominator * v.numerator - den for v in b)
+        for b in conjugate_slope_basis(model, s)
+    )
 
 
 def _packed_columns(rows) -> list:
@@ -181,24 +191,6 @@ def _mask(n, points) -> int:
     return sum(1 << (n - 1 - i) for i in points)
 
 
-def _subset_sums(n, points, keys) -> dict:
-    """Key sum -> the masks of the subsets of `points` whose `keys` add up to it.
-
-    Each point doubles the (sum, mask) lists, so every subset costs one
-    int addition.
-    """
-    sums, masks = [0], [0]
-    for i in points:
-        key = keys[i]
-        bit = 1 << (n - 1 - i)
-        sums += [v + key for v in sums]
-        masks += [m | bit for m in masks]
-    table = {}
-    for v, m in zip(sums, masks):
-        table.setdefault(v, []).append(m)
-    return table
-
-
 def tate_subsets(cols, weights) -> dict:
     """weight -> the mask of every subset of that size whose packed columns `cols` sum to 0.
 
@@ -207,17 +199,21 @@ def tate_subsets(cols, weights) -> dict:
     point tuples.  Meet-in-the-middle: the points split into two halves,
     and each point's key col (n + 1) + 1 packs its column and a size of
     1, so a part's key sum is v (n + 1) + k for packed row sums v and
-    size k <= n.  A subset of weight w passes iff its key sum is w, so
-    `high` is probed once per key sum of `low` and weight, and the cost
-    follows the output rather than the 2^n subsets.  Weights are taken
-    as given; only even ones yield Tate subsets.  `cols` is
+    size k <= n.  Each half's key sums come from `_half_tables`, entry b
+    of the low table being the subset with mask b and entry h of the
+    high table the one with mask h << n/2; the masks of each half are
+    grouped by key sum.  A subset of weight w passes iff its key sum is
+    w, so `high` is probed once per key sum of `low` and weight, and the
+    cost follows the output rather than the 2^n subsets.  Weights are
+    taken as given; only even ones yield Tate subsets.  `cols` is
     `_packed_columns(rows)` of the predicate rows.
     """
     n = len(cols)
-    half = n // 2
-    keys = [c * (n + 1) + 1 for c in cols]
-    low = _subset_sums(n, range(half), keys)
-    high = _subset_sums(n, range(half, n), keys)
+    tables = _half_tables(n, 0, int.__add__, lambda j: cols[n - 1 - j] * (n + 1) + 1)
+    low, high = {}, {}
+    for sums, table, shift in zip((low, high), tables, (0, n // 2)):
+        for b, v in enumerate(table):
+            sums.setdefault(v, []).append(b << shift)
     out = {w: [] for w in weights}
     for a, los in low.items():
         for w, found in out.items():
@@ -302,7 +298,6 @@ def classify_orbits(
     weights=None,
     phi: CMType = None,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    basis=None,
 ) -> ClassifierReport:
     """Enumerate every Tate-class-bearing orbit of the requested weights.
 
@@ -319,8 +314,8 @@ def classify_orbits(
     (`_lefschetz`), per-weight Tate dimensions rho_k, the mildly-exotic
     flag and the verdict are derived from the orbits.  Output ordering
     is canonical (weight, then lexicographic representative).  `weights`
-    are integers (`operator.index`); `basis` is
-    `conjugate_slope_basis(model, s)`, built here unless given.
+    are integers (`operator.index`).  The report carries the Frobenius
+    rank and the packed columns of the predicate built here.
     """
     n = model.group.degree
     if n > subset_cap:
@@ -342,7 +337,8 @@ def classify_orbits(
             if w % 2 != 0 or not 0 <= w <= n:
                 raise ValueError(f"weight {w} is not an even integer in 0..{n}")
 
-    cols = _packed_columns(tate_rows(model, s, basis))
+    rows = tate_rows(model, s)
+    cols = _packed_columns(rows)
     tables = _orbit_tables(model)
     scanned = sorted({min(w, n - w) for w in weight_list})
     found = tate_subsets(cols, scanned)
@@ -391,7 +387,7 @@ def classify_orbits(
         mildly = None
         verdict = SCHT_NOT_DECIDED
 
-    return ClassifierReport(
+    report = ClassifierReport(
         g=model.g,
         weights=tuple(weight_list),
         orbits=tuple(orbits),
@@ -401,6 +397,8 @@ def classify_orbits(
         weil_tate=_weil_tate_entries(model, cols),
         scht_verdict=verdict,
     )
+    report.__dict__.update(frobenius_rank=len(rows) - 1, columns=cols)
+    return report
 
 
 def _weil_tate_entries(model: CMGaloisModel, cols) -> tuple:
@@ -461,38 +459,24 @@ def _blocks_in_coset_order(model: CMGaloisModel, label, point) -> list:
     is listed here) is the shortlex order of the least generator words
     w = w_1 ... w_k (acting as w_1 after ... after w_k), so the first
     element meeting the coset of B is the shortlex-least word with
-    w(S) = B.  Its length is the BFS distance from S in the block graph,
-    and it is read greedily from the left: w_1 is the first generator
-    whose inverse takes B one step closer to S.
+    w(S) = B.  Its length d is the distance from S in the block graph,
+    and its tail w_2 ... w_k is the least word of a block at distance
+    d - 1.  So the blocks at distance d come in the order of their first
+    letter w_1, then of that block: one level walk, each level reached
+    from the one before one generator at a time, in generator order,
+    each block placed where it is first reached.
     """
-    nblocks = len(point)
-    moves = [[label[gen[point[b]]] for b in range(nblocks)] for gen in model.group.generators]
-    back = []
-    for move in moves:
-        inv = [0] * nblocks
-        for b, c in enumerate(move):
-            inv[c] = b
-        back.append(inv)
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for move in moves:
-                if move[b] not in dist:
-                    dist[move[b]] = dist[b] + 1
-                    nxt.append(move[b])
-        frontier = nxt
-
-    def least_word(b):
-        word = []
-        for step in range(dist[b] - 1, -1, -1):
-            k = next(k for k, inv in enumerate(back) if dist[inv[b]] == step)
-            word.append(k)
-            b = back[k][b]
-        return word
-
-    return sorted(range(nblocks), key=lambda b: (dist[b], least_word(b)))
+    moves = [[label[gen[x]] for x in point] for gen in model.group.generators]
+    order = [0]
+    start = 0
+    while start < len(order):  # order[start:] is the level last reached
+        level = order[start:]
+        start = len(order)
+        for move in moves:
+            for b in level:
+                if move[b] not in order:
+                    order.append(move[b])
+    return order
 
 
 def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector) -> EndAlgebraReport:
@@ -656,9 +640,9 @@ def verify_lemma_suite(scenarios) -> tuple:
     for scn in scenarios:
         label, model, s = scn.name, scn.model, scn.slopes
         report = classify_orbits(model, s)
-        end = honda_tate_endomorphism(model, s) if model.D_generators is not None else None
+        end = honda_tate_endomorphism(model, s)
         mildly = report.mildly_exotic
-        noncommutative = end is not None and not end.commutative
+        noncommutative = not end.commutative
         n = model.group.degree
         all_points = frozenset(range(n))
 
@@ -678,7 +662,7 @@ def verify_lemma_suite(scenarios) -> tuple:
             )
 
         if mildly and noncommutative:
-            cols = _packed_columns(tate_rows(model, s))
+            cols = report.columns
             # only a half-weight J with #J < g/2 fails the lemma
             short = (
                 J

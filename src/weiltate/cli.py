@@ -18,9 +18,8 @@ import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from math import inf
 
-from . import classifier, forge, slopes
+from . import classifier, forge
 from .classifier import (
     FAIL,
     MemberMasks,
@@ -32,7 +31,6 @@ from .classifier import (
     verify_lemma_suite,
 )
 from .galois import DEFAULT_GROUP_CAP, CapExceededError, format_perm
-from .slopes import frobenius_rank
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,7 +91,8 @@ def _emit_json(doc: dict) -> str:
     `json` runs its pure-Python encoder whenever `indent` is set; this
     writer emits the same text with a list of plain ints as one join.
     An orbit's `MemberMasks` is written as the list of its 1-based point
-    lists, straight from the masks (`_members_text`).
+    lists, straight from the masks (`_members_text`).  No document holds
+    a float (fractions are strings), so a float raises `TypeError`.
     """
     out = []
     _write_json(doc, "\n", out.append, {})
@@ -144,8 +143,6 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
         write("false")
     elif isinstance(value, int):
         write(int.__repr__(value))
-    elif isinstance(value, float):
-        write(_float_str(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -179,17 +176,6 @@ def _members_text(members: MemberMasks, nl: str, tables: dict) -> str:
         opened[h] + closed[m & low_bits] if (h := m >> half) else alone[m] for m in members.masks
     ]
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
-
-
-def _float_str(x: float) -> str:
-    """A float as `json` writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == inf:
-        return "Infinity"
-    if x == -inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +261,15 @@ def classify_scenario_doc(
 ) -> dict:
     """Full classification document for one scenario (the structured report).
 
-    One conjugate-slope basis serves the Tate predicate and the
-    Frobenius rank.  The minimal field index [G : Fix] is [Q(pi^k) : Q],
-    the Frobenius field degree that Honda-Tate has already counted: both
-    are the number of signature blocks, which all have one size since G
-    is transitive.  Each orbit's members stay a `MemberMasks`, which
+    The Frobenius rank is read off the report, whose Tate predicate is
+    built from the one conjugate-slope basis.  The minimal field index
+    [G : Fix] is [Q(pi^k) : Q], the Frobenius field degree that
+    Honda-Tate has already counted: both are the number of signature
+    blocks, which all have one size since G is transitive.  Each orbit's members stay a `MemberMasks`, which
     `_emit_json` writes as their 1-based point lists.
     """
-    basis = slopes.conjugate_slope_basis(scn.model, scn.slopes)
     report = classify_orbits(
-        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap, basis=basis
+        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap
     )
     end = honda_tate_endomorphism(scn.model, scn.slopes)
     doc = {
@@ -292,7 +277,7 @@ def classify_scenario_doc(
         "scenario": _scenario_doc(scn),
         "report": report_to_doc(report, scn.model.group),
         "endomorphism": end_report_to_doc(end),
-        "frobenius_rank": frobenius_rank(scn.model, scn.slopes, basis),
+        "frobenius_rank": report.frobenius_rank,
         "minimal_field_index": end.frobenius_field_degree,
     }
     if scn.g % 2 == 0 and report.tate_dims is not None:
@@ -391,7 +376,10 @@ def cmd_verify(args) -> int:
         if names == "all"
         else [n.strip() for n in names.split(",") if n.strip()]
     )
-    _reject_ignored(("--p", args.p is not None, bool(names), "--presets"))
+    if not names:
+        raise UsageError(
+            f"--presets names no preset; choose all or from {', '.join(VERIFY_PRESETS)}"
+        )
     p = DEFAULT_P if args.p is None else args.p
     doc = {"schema": "weiltate.verify/1", "lemmas": [], "oracles": []}
     failed = False
@@ -419,13 +407,11 @@ def cmd_verify(args) -> int:
 
     if args.format == "json":
         sys.stdout.write(_emit_json(doc))
-    elif doc["lemmas"]:
+    else:
         print(f"{'instance':<20} {'lemma':<28} {'status':<16} detail")
         for row in doc["lemmas"]:
             print(f"{row['instance']:<20} {row['lemma']:<28} {row['status']:<16} "
                   f"{row['detail']}")
-    else:
-        print("nothing to verify")
     return EXIT_LEMMA_FAIL if failed else EXIT_OK
 
 

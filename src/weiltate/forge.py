@@ -312,13 +312,6 @@ class Scenario(Record):
     metadata: tuple = ()
 
 
-def validate_scenario(scn: Scenario) -> None:
-    validate_cm_type(scn.model, scn.phi)
-    derived = slopes_from_cm_type(scn.model, scn.phi)
-    if derived.values != scn.slopes.values:
-        raise ValueError("scenario slopes do not match the Shimura-Taniyama values of phi")
-
-
 def _smallest_primes_avoiding(g: int, avoid, count: int = 2):
     out = []
     q = g + 1
@@ -349,7 +342,7 @@ def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
     for (k, kk), a in zip(pairs, pair_targets):
         targets[k], targets[kk] = a, len(blocks[k]) - a
     phi = least_cm_type(model, PlacePrescription.from_counts(targets))
-    scn = Scenario(
+    return Scenario(
         name=name,
         family=family,
         g=model.g,
@@ -358,8 +351,6 @@ def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
         slopes=slopes_from_cm_type(model, phi),
         provenance="preset",
     )
-    validate_scenario(scn)
-    return scn
 
 
 def scenario_main(
@@ -580,9 +571,8 @@ def parse_scenario(
                 f"{slopes.serialize()} of phi",
             )
 
-    name = fields.get("name", "scenario")
-    scn = Scenario(
-        name=name,
+    return Scenario(
+        name=fields.get("name", "scenario"),
         family=None,
         g=npoints // 2,
         model=model,
@@ -590,8 +580,6 @@ def parse_scenario(
         slopes=slopes,
         provenance="file",
     )
-    validate_scenario(scn)
-    return scn
 
 
 def serialize_scenario(scn: Scenario) -> str:

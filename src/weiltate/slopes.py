@@ -135,14 +135,3 @@ def _extend_echelon(echelon: list, row: tuple) -> bool:
     d = gcd(*row)
     echelon.append((pivot, [v // d for v in row]))
     return True
-
-
-def frobenius_rank(model: CMGaloisModel, s: SlopeVector, basis=None) -> int:
-    """Dimension of the span of the 2g slope functions, minus one.
-
-    `basis` is `conjugate_slope_basis(model, s)`, built here unless given.
-    """
-    validate_slopes(model, s)
-    if basis is None:
-        basis = conjugate_slope_basis(model, s)
-    return len(basis) - 1

