@@ -26,7 +26,7 @@ from .galois import (
     subgroup_generators,
 )
 from .slopes import SlopeVector, conjugate_slope_basis, signature_classes, validate_slopes
-from .cmtypes import CMType, hodge_type, is_balanced
+from .cmtypes import CMType, _hodge_type, is_balanced, validate_cm_type
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -314,8 +314,9 @@ def classify_orbits(
     (`_lefschetz`), per-weight Tate dimensions rho_k, the mildly-exotic
     flag and the verdict are derived from the orbits.  Output ordering
     is canonical (weight, then lexicographic representative).  `weights`
-    are integers (`operator.index`).  The report carries the Frobenius
-    rank and the packed columns of the predicate built here.
+    are integers (`operator.index`); a `phi` is validated once.  The
+    report carries the Frobenius rank and the packed columns of the
+    predicate built here.
     """
     n = model.group.degree
     if n > subset_cap:
@@ -336,6 +337,8 @@ def classify_orbits(
         for w in weight_list:
             if w % 2 != 0 or not 0 <= w <= n:
                 raise ValueError(f"weight {w} is not an even integer in 0..{n}")
+    if phi is not None:
+        validate_cm_type(model, phi)
 
     rows = tate_rows(model, s)
     cols = _packed_columns(rows)
@@ -354,7 +357,7 @@ def classify_orbits(
         for masks in member_lists:
             rep = _points(n, masks[0])
             lefschetz = _lefschetz(rep, cols)
-            ht = hodge_type(model, phi, rep) if phi is not None else None
+            ht = _hodge_type(phi, rep) if phi is not None else None
             orbits.append(
                 MotiveOrbit(
                     weight=w,

@@ -197,9 +197,13 @@ def measure_cm_type(model: CMGaloisModel, phi: CMType) -> PlacePrescription:
 def hodge_type(model: CMGaloisModel, phi: CMType, subset) -> tuple:
     """(p, q) = (#(I ∩ phi), #(I ∩ tau phi)); p + q = #I."""
     validate_cm_type(model, phi)
-    I = set(subset)
-    tau_phi = {model.tau[i] for i in phi.phi}
-    return (len(I & phi.phi), len(I & tau_phi))
+    return _hodge_type(phi, set(subset))
+
+
+def _hodge_type(phi: CMType, subset) -> tuple:
+    """`hodge_type` of distinct points under a validated phi, whose conjugate is its complement."""
+    p = len(phi.phi.intersection(subset))
+    return (p, len(subset) - p)
 
 
 def is_balanced(pq) -> bool:

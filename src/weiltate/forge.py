@@ -2,8 +2,10 @@
 
 Totally real fields come from CRT-combined residue targets plus a
 spread polynomial whose widely separated integer roots survive the
-centered correction; everything is certified after the fact (degree
-patterns mod p, l, l', Sturm count over Q, S_g cycle-type certificate).
+centered correction.  The certificates are read off the construction:
+the degree patterns mod p, l, l' are those proved for the targets, to
+which the polynomial reduces, and the real-root count is the accepting
+Sturm test's; `certify_galois_sg` re-derives the S_g patterns by factoring.
 Scenario presets encode the three construction families as pure
 combinatorial data (group, tau, D, CM-type); the forged polynomials are
 provenance, not inputs, to the classification pipeline.
@@ -17,7 +19,6 @@ from fractions import Fraction
 from .algebra import (
     MAX_PRIME,
     crt_poly,
-    degree_pattern_and_roots,
     factor_degree_pattern,
     format_poly,
     gf_ben_or,
@@ -152,27 +153,8 @@ def _transposition_pattern(g: int) -> tuple:
 
 def _is_sg_certificate(g: int, pat_l, sf_l, pat_lp, sf_lp) -> bool:
     """Squarefree with a g-cycle shape mod l and a transposition shape mod l'."""
-    return (
-        sf_l
-        and sf_lp
-        and tuple(pat_l) == ((g, 1),)
-        and tuple(pat_lp) == _transposition_pattern(g)
-    )
-
-
-def _certificates(poly, g: int, p: int, l: int, lp: int, real_roots: int) -> Certificates:
-    """The certificates of `poly`, its real-root count already known."""
-    pat_p, sf_p = factor_degree_pattern(poly, p)
-    pat_l, sf_l = factor_degree_pattern(poly, l)
-    pat_lp, sf_lp, roots_lp = degree_pattern_and_roots(poly, lp)
-    return Certificates(
-        pattern_at_p=tuple(pat_p),
-        pattern_at_l=tuple(pat_l),
-        pattern_at_lp=tuple(pat_lp),
-        roots_at_lp=roots_lp,
-        real_root_count=real_roots,
-        galois_is_sg=_is_sg_certificate(g, pat_l, sf_l, pat_lp, sf_lp),
-    )
+    return (sf_l and sf_lp and tuple(pat_l) == ((g, 1),)
+            and tuple(pat_lp) == _transposition_pattern(g))
 
 
 def certify_galois_sg(field_or_poly, l=None, lp=None, g=None) -> bool:
@@ -184,9 +166,7 @@ def certify_galois_sg(field_or_poly, l=None, lp=None, g=None) -> bool:
         poly = poly_trim(field_or_poly)
         if g is None:
             g = len(poly) - 1
-    return _is_sg_certificate(
-        g, *factor_degree_pattern(poly, l), *factor_degree_pattern(poly, lp)
-    )
+    return _is_sg_certificate(g, *factor_degree_pattern(poly, l), *factor_degree_pattern(poly, lp))
 
 
 def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
@@ -213,6 +193,18 @@ def _random_transposition_target(g: int, lp: int, rng: random.Random) -> tuple:
     return gf_reduce(target, lp)
 
 
+def _crt_targets(g: int, p: int, l: int, lp: int, rng: random.Random) -> tuple:
+    """(prime, target, degree pattern) at p, l and l' in turn, each target squarefree:
+    Ben-Or proves those mod p and l irreducible, and the one mod l' is g-2
+    distinct linears times a quadratic that Ben-Or proves irreducible."""
+    irreducible = ((g, 1),)
+    return (
+        (p, _random_irreducible(g, p, rng), irreducible),
+        (l, _random_irreducible(g, l, rng), irreducible),
+        (lp, _random_transposition_target(g, lp, rng), _transposition_pattern(g)),
+    )
+
+
 def forge_totally_real(
     g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = DEFAULT_RETRY_BUDGET
 ) -> ForgedField:
@@ -225,7 +217,8 @@ def forge_totally_real(
     built once since it does not depend on K.  K escalates until the
     polynomial is totally real: `is_totally_real` rejects a spread at
     the first Sturm chain member whose degree or sign rules it out, and
-    its success proves the real-root count g that is certified.
+    its success proves the real-root count g that is certified.  The
+    polynomial, checked to reduce to each target, has its proved pattern.
     Distinct seeds draw distinct residue targets.
     """
     if g < 2 or g % 2 != 0:
@@ -240,12 +233,9 @@ def forge_totally_real(
     if l <= g or lp <= g:
         raise HypothesisError(f"l = {l} and l' = {lp} must exceed g = {g}")
 
-    rng = random.Random(f"{seed}:{g}:{p}:{l}:{lp}")
-    target_p = _random_irreducible(g, p, rng)
-    target_l = _random_irreducible(g, l, rng)
-    target_lp = _random_transposition_target(g, lp, rng)
+    targets = _crt_targets(g, p, l, lp, random.Random(f"{seed}:{g}:{p}:{l}:{lp}"))
     modulus = p * l * lp
-    base = crt_poly([(p, target_p), (l, target_l), (lp, target_lp)], g)
+    base = crt_poly([(q, target) for q, target, _ in targets], g)
 
     # every non-leading coefficient of prod(x - M K i) is a multiple of M,
     # so the centered correction base - T mod M is base centered, for every K
@@ -259,13 +249,14 @@ def forge_totally_real(
         poly = tuple(u * scale ** (g - k) + c for k, (u, c) in enumerate(zip(unit, centered)))
         poly += (1,)
         if is_totally_real(poly):
-            certs = _certificates(poly, g, p, l, lp, g)
-            if not (
-                certs.galois_is_sg
-                and tuple(certs.pattern_at_p) == ((g, 1),)
-                and certs.roots_at_lp == g - 2
-            ):
+            if any(gf_reduce(poly, q) != target for q, target, _ in targets):
                 raise SelfCheckError("certified search produced a polynomial failing its certificates")
+            (_, _, pat_p), (_, _, pat_l), (_, _, pat_lp) = targets
+            certs = Certificates(
+                pattern_at_p=pat_p, pattern_at_l=pat_l, pattern_at_lp=pat_lp,
+                roots_at_lp=dict(pat_lp).get(1, 0),  # squarefree: one root per linear factor
+                real_root_count=g, galois_is_sg=_is_sg_certificate(g, pat_l, True, pat_lp, True),
+            )
             return ForgedField(
                 g=g, p=p, l=l, lp=lp, seed=seed, poly=poly, spread=spread, certificates=certs
             )

@@ -16,7 +16,9 @@ x**(l**d) comes from square-and-multiply (`gf_pow_mod`, a full product
 and remainder per step), and gcds and squarefree parts from Euclid on tuples, not from
 the kernel's Frobenius rows and its one list division.  The forge loop
 rebuilds its spread target for every spread and counts real roots
-with the rational Sturm chain.
+with the rational Sturm chain.  `certificates_by_factoring` factors a
+forged polynomial mod p, l and l' with the kernel, where the program
+reads the patterns off the CRT targets that it has proved.
 
 The element-set route lists the group (`PermGroup.elements`, which no
 command reads): `subgroup_closure` and `block_subgroup` list the
@@ -56,6 +58,8 @@ from weiltate.algebra import (
     NotSquarefreeError,
     _reduce_checked,
     crt_poly,
+    degree_pattern_and_roots,
+    factor_degree_pattern,
     gf_reduce,
     poly_degree,
     poly_derivative,
@@ -75,9 +79,10 @@ from weiltate.classifier import (
 )
 from weiltate.cmtypes import hodge_type, is_balanced
 from weiltate.forge import (
+    Certificates,
     ForgedField,
+    _is_sg_certificate,
     _random_irreducible,
-    _certificates,
     _random_transposition_target,
 )
 from weiltate.galois import (
@@ -902,6 +907,22 @@ def poly_eval(f, x):
     return acc
 
 
+def certificates_by_factoring(poly, g: int, p: int, l: int, lp: int, real_roots: int):
+    """The `Certificates` of `poly` from its factorization mod p, l and l';
+    the real-root count is given."""
+    pat_p, _ = factor_degree_pattern(poly, p)
+    pat_l, sf_l = factor_degree_pattern(poly, l)
+    pat_lp, sf_lp, roots_lp = degree_pattern_and_roots(poly, lp)
+    return Certificates(
+        pattern_at_p=tuple(pat_p),
+        pattern_at_l=tuple(pat_l),
+        pattern_at_lp=tuple(pat_lp),
+        roots_at_lp=roots_lp,
+        real_root_count=real_roots,
+        galois_is_sg=_is_sg_certificate(g, pat_l, sf_l, pat_lp, sf_lp),
+    )
+
+
 def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = 64):
     """`forge_totally_real` as first written: for each spread K, rebuild
     T = prod(x - M K i) by multiplication, add the centered correction
@@ -928,8 +949,9 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_bu
         except NotSquarefreeError:
             real_roots = -1
         if real_roots == g:
+            certs = certificates_by_factoring(poly, g, p, l, lp, real_roots)
             return ForgedField(g=g, p=p, l=l, lp=lp, seed=seed, poly=poly, spread=spread,
-                               certificates=_certificates(poly, g, p, l, lp, real_roots))
+                               certificates=certs)
         spread *= 2
     raise RuntimeError("no totally real polynomial within the budget")
 

@@ -668,8 +668,14 @@ def test_scenario_file_over_the_group_cap_names_the_generators_line(tmp_path, ca
 
 
 def test_forge_self_check_failure_exits_3_without_traceback(capsys, monkeypatch):
-    split = forge.degree_pattern_and_roots  # the source of roots_at_lp
-    monkeypatch.setattr(forge, "degree_pattern_and_roots", lambda f, l: (*split(f, l)[:2], -1))
+    crt_poly = forge.crt_poly
+
+    def faulty(constraints, degree):
+        """A CRT fault: the constant coefficient off by 1, so f no longer reduces to its targets."""
+        base = crt_poly(constraints, degree)
+        return (base[0] + 1,) + base[1:]
+
+    monkeypatch.setattr(forge, "crt_poly", faulty)
     code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11"])
     assert code == cli.EXIT_HYPOTHESIS
     assert out == ""

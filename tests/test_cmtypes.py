@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+import weiltate.classifier
+import weiltate.cmtypes
+from weiltate.classifier import classify_orbits
 from weiltate.cmtypes import (
     CMType,
     PlacePrescription,
@@ -88,6 +91,35 @@ def test_hodge_types_of_set_and_complement_sum_to_g_g():
         p1, q1 = hodge_type(scn.model, scn.phi, subset)
         p2, q2 = hodge_type(scn.model, scn.phi, points - subset)
         assert (p1 + p2, q1 + q2) == (4, 4)
+
+
+def test_classify_orbits_validates_phi_once(monkeypatch):
+    calls = []
+    validate = weiltate.cmtypes.validate_cm_type
+
+    def counted(model, phi):
+        calls.append(phi)
+        return validate(model, phi)
+
+    monkeypatch.setattr(weiltate.cmtypes, "validate_cm_type", counted)
+    monkeypatch.setattr(weiltate.classifier, "validate_cm_type", counted)
+    for scn in (scenario_main(6, 5), scenario_ramified(3, 5)):
+        calls.clear()
+        report = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
+        assert len(report.orbits) > 1
+        assert all(o.hodge_type is not None for o in report.orbits)
+        assert calls == [scn.phi]
+
+
+@pytest.mark.parametrize("phi, message", [
+    ({0, 4, 1, 2}, "CM-type meets its own conjugate"),  # 0 and tau(0) = 4
+    ({0, 1, 2}, "CM-type and its conjugate do not cover all indices"),
+    ({0, 1, 2, 11}, "CM-type contains indices outside 1..2g"),
+])
+def test_classify_orbits_refuses_an_invalid_phi(phi, message):
+    scn = scenario_main(4, 5)
+    with pytest.raises(ValueError, match=message):
+        classify_orbits(scn.model, scn.slopes, phi=CMType(phi=frozenset(phi)))
 
 
 def test_is_balanced():

@@ -3,16 +3,20 @@
 from fractions import Fraction
 
 import pytest
-from oracles import sturm_by_fractions, subgroup_closure
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import certificates_by_factoring, sturm_by_fractions, subgroup_closure
+from test_golden import GOLDEN_FORGE
 
 import weiltate.algebra
 import weiltate.forge
+from weiltate import cli
 from weiltate.algebra import poly_degree
 from weiltate.forge import (
     HypothesisError,
     RetryBudgetError,
     ScenarioParseError,
-    _certificates,
+    _smallest_primes_avoiding,
     certify_galois_sg,
     forge_quadratic,
     forge_totally_real,
@@ -89,14 +93,73 @@ def test_forge_quadratic_field_certificates():
 
 def test_forge_reductions_match_targets():
     f = forge_totally_real(4, 5, 7, 11, seed=3)
-    # the reductions are certified irreducible / transposition shaped;
-    # also re-derive the certificates from scratch and compare
-    again = _certificates(f.poly, f.g, f.p, f.l, f.lp, sturm_by_fractions(f.poly))
+    # the certificates are read off the targets; re-derive them by factoring and compare
+    again = certificates_by_factoring(f.poly, f.g, f.p, f.l, f.lp, sturm_by_fractions(f.poly))
     assert again == f.certificates
 
 
+def _assert_certificates_rederived(f):
+    """The certificates read off the CRT targets are those that factoring f derives."""
+    real_roots = sturm_by_fractions(f.poly)
+    assert f.certificates == certificates_by_factoring(f.poly, f.g, f.p, f.l, f.lp, real_roots)
+    assert certify_galois_sg(f)
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_FORGE), ids=lambda k: "g%d-l%d-lp%d-seed%d" % k)
+def test_golden_forge_certificates_match_factoring(key):
+    g, l, lp, seed = key
+    _assert_certificates_rederived(forge_totally_real(g, 5, l, lp, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(range(2, 13, 2)), st.integers(0, 2**31 - 1))
+def test_forged_certificates_match_factoring(g, seed):
+    """p = 5 and the bench's l, l': the two smallest primes above g other than 5."""
+    l, lp = _smallest_primes_avoiding(g, {5})
+    _assert_certificates_rederived(forge_totally_real(g, 5, l, lp, seed))
+
+
+def test_a_wrongly_recorded_target_pattern_is_caught(monkeypatch):
+    crt_targets = weiltate.forge._crt_targets
+
+    def mutant(g, *args):
+        """The target mod l recorded as a linear times a (g-1)-factor."""
+        at_p, (l, target, _), at_lp = crt_targets(g, *args)
+        return at_p, (l, target, ((1, 1), (g - 1, 1))), at_lp
+
+    monkeypatch.setattr(weiltate.forge, "_crt_targets", mutant)
+    f = forge_totally_real(6, 5, 7, 11, seed=0)
+    with pytest.raises(AssertionError):
+        _assert_certificates_rederived(f)
+
+
+FACTORING = ("factor_degree_pattern", "degree_pattern_and_roots",
+             "gf_squarefree_decomposition", "gf_distinct_degree")
+
+
+def test_forge_route_factors_nothing(monkeypatch, capsys):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for module in (weiltate.algebra, weiltate.forge):
+        for name in FACTORING:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    f = forge_totally_real(12, 5, 13, 17, seed=0)
+    assert cli.main(["forge", "--g", "12", "--p", "5", "--l", "13", "--lp", "17",
+                     "--format", "json"]) == 0
+    assert calls == []
+    assert certify_galois_sg(f)  # the counters count: the re-derivation factors
+    assert set(calls) == set(FACTORING)
+
+
 def test_certificates_form_x_to_the_l_once_per_prime(monkeypatch):
-    """The pattern and the root count at l' come from one split, so x**l' is formed once."""
+    """`certify_galois_sg` factors f mod l and mod l', forming x**l once for each."""
     f = forge_totally_real(12, 5, 13, 17, seed=0)
     formed = []
     x_to_the_l = weiltate.algebra._x_to_the_l
@@ -106,9 +169,8 @@ def test_certificates_form_x_to_the_l_once_per_prime(monkeypatch):
         return x_to_the_l(poly, l)
 
     monkeypatch.setattr(weiltate.algebra, "_x_to_the_l", counted)
-    again = _certificates(f.poly, f.g, f.p, f.l, f.lp, f.g)
-    assert again == f.certificates
-    assert formed == [5, 13, 17]
+    assert certify_galois_sg(f)
+    assert formed == [13, 17]
 
 
 def test_forge_counts_real_roots_once_per_spread(monkeypatch):
@@ -128,8 +190,8 @@ def test_forge_counts_real_roots_once_per_spread(monkeypatch):
 
 
 def test_forge_tests_each_prime_once_however_many_draws(monkeypatch):
-    """Ben-Or on the random draws is unchecked: p, l and l' are tested once up front
-    and once in each of the three certificate splits, at l' = 2**31 - 1 too."""
+    """Ben-Or on the random draws is unchecked: p, l and l' are tested once up front,
+    at l' = 2**31 - 1 too, and the certificates test none again."""
     tested, draws = [], []
     is_prime, ben_or = weiltate.algebra.is_prime, weiltate.forge.gf_ben_or
 
@@ -149,7 +211,7 @@ def test_forge_tests_each_prime_once_however_many_draws(monkeypatch):
         draws.clear()
         forge_totally_real(6, 5, 65537, 2147483647, seed=seed)
         assert len(draws) > 7
-        assert len(tested) <= 6
+        assert tested == [5, 65537, 2147483647]
 
 
 def test_forge_deterministic_and_seed_sensitive():
