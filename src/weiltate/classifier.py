@@ -123,7 +123,7 @@ class ClassifierReport(Record):
     `frobenius_rank` (the number of Tate predicate rows, minus one) and
     `columns` (the packed predicate columns, `_packed_columns`) are read
     off the predicate that `classify_orbits` builds; neither takes part
-    in report equality.
+    in report equality or repr.
     """
 
     g: int
@@ -135,8 +135,12 @@ class ClassifierReport(Record):
     weil_tate: tuple
     scht_verdict: str
     notes: tuple = (TATE_COUNT_NOTE, EXOTIC_RANK_NOTE)
-    frobenius_rank = None  # not fields: `classify_orbits` sets them
-    columns = None
+    frobenius_rank: int = None
+    columns: list = None
+    _compare = (
+        "g", "weights", "orbits", "tate_dims", "exotic", "mildly_exotic", "weil_tate",
+        "scht_verdict", "notes",
+    )
 
 
 def tate_rows(model: CMGaloisModel, s: SlopeVector) -> tuple:
@@ -390,7 +394,7 @@ def classify_orbits(
         mildly = None
         verdict = SCHT_NOT_DECIDED
 
-    report = ClassifierReport(
+    return ClassifierReport(
         g=model.g,
         weights=tuple(weight_list),
         orbits=tuple(orbits),
@@ -399,9 +403,9 @@ def classify_orbits(
         mildly_exotic=mildly,
         weil_tate=_weil_tate_entries(model, cols),
         scht_verdict=verdict,
+        frobenius_rank=len(rows) - 1,
+        columns=cols,
     )
-    report.__dict__.update(frobenius_rank=len(rows) - 1, columns=cols)
-    return report
 
 
 def _weil_tate_entries(model: CMGaloisModel, cols) -> tuple:

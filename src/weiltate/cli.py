@@ -100,12 +100,28 @@ def _emit_json(doc: dict) -> str:
     return "".join(out)
 
 
+# the JSON text of a value of each plain scalar type a document holds
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _write_json(value, nl: str, write, tables: dict) -> None:
     """Write one JSON value whose opening line is already indented; `nl` starts its lines.
 
-    `tables` keeps the member text tables of `_members_text` for the document.
+    `tables` keeps the member text tables of `_members_text` for the
+    document.  A value of a plain scalar type is written from
+    `_SCALAR_TEXT` by its exact type, inline when it is an item of a
+    list or a dict; any other type, a subclass among them, goes down the
+    `isinstance` chain.
     """
-    if isinstance(value, MemberMasks):
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        write(scalar(value))
+    elif isinstance(value, MemberMasks):
         write(_members_text(value, nl, tables))
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -118,8 +134,12 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
             return
         sep = "[" + inner
         for item in value:
-            write(sep)
-            _write_json(item, inner, write, tables)
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is not None:
+                write(sep + scalar(item))
+            else:
+                write(sep)
+                _write_json(item, inner, write, tables)
             sep = "," + inner
         write(nl + "]")
     elif isinstance(value, dict):
@@ -129,8 +149,13 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key in sorted(value):  # keys are str: encode_basestring_ascii rejects others
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, write, tables)
+            item = value[key]
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is not None:
+                write(sep + encode_basestring_ascii(key) + ": " + scalar(item))
+            else:
+                write(sep + encode_basestring_ascii(key) + ": ")
+                _write_json(item, inner, write, tables)
             sep = "," + inner
         write(nl + "}")
     elif isinstance(value, str):

@@ -33,8 +33,10 @@ from .galois import (
     DEFAULT_GROUP_CAP,
     CMGaloisModel,
     CapExceededError,
+    PermGroup,
     Record,
     StabChain,
+    adjacent_transpositions,
     build_group,
     cm_product_group,
     compose,
@@ -377,7 +379,9 @@ def _biquadratic_model(gp: int, p: int, group_cap: int):
     Copy k of the g' points carries the signs (0, 0), (1, 0), (1, 1),
     (0, 1) for k = 0..3; e1 flips the first sign, e2 the second, and
     tau = e1 e2 is the shift by 2g'.  The (g'-1)-cycle acts on the inert
-    part of the totally real field and fixes the split point.
+    part of the totally real field and fixes the split point.  The
+    group's chain comes from the strong generating set of e1, e2 and the
+    4-fold lifts of the adjacent transpositions.
     """
     if gp < 3 or gp % 2 != 1:
         raise HypothesisError(f"g' = {gp} must be an odd integer >= 3")
@@ -387,8 +391,12 @@ def _biquadratic_model(gp: int, p: int, group_cap: int):
         tuple(flip[x // gp] * gp + x % gp for x in range(4 * gp))
         for flip in ((1, 0, 3, 2), (3, 2, 1, 0))
     )
-    gens = [e1, e2] + [diagonal_lift(s, 4) for s in sym_generators(gp)]
-    group = build_group(4 * gp, gens, cap=group_cap)
+    strong = [e1, e2] + [diagonal_lift(t, 4) for t in adjacent_transpositions(gp)]
+    group = PermGroup(
+        degree=4 * gp,
+        generators=(e1, e2, *[diagonal_lift(s, 4) for s in sym_generators(gp)]),
+        chain=StabChain.from_strong(4 * gp, strong, group_cap),
+    )
     model = CMGaloisModel(g=2 * gp, group=group, tau=compose(e1, e2))
     return model, e1, e2, diagonal_lift(cycles_to_perm(gp, [tuple(range(1, gp))]), 4)
 

@@ -3,8 +3,11 @@
 Points are 0-based internally; every serialized form (cycle notation,
 index lists) is 1-based.  A group is carried by its generators and a
 stabilizer chain on the base 1..2g (`StabChain`), which gives its order
-and membership without listing it; `PermGroup.elements` lists it, in the
-canonical breadth-first order, only when asked, and no command asks.
+and membership without listing it: a preset's chain is read off a known
+strong generating set (`cm_product_group`, `forge._biquadratic_model`),
+and a scenario file's goes through Schreier-Sims (`build_group`).
+`PermGroup.elements` lists a group, in the canonical breadth-first
+order, only when asked, and no command asks.
 A subgroup is carried by the smallest data that fixes it: one above
 Stab(1) by its point block, the decomposition group D by its
 generators; the generator lists of a document are read off their
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import copy
 from functools import cached_property
-from math import prod
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -34,7 +36,9 @@ class Record:
     """A frozen value: its fields are the class annotations, in order.
 
     A field's default is its class attribute.  `__init__` takes the
-    fields positionally or by keyword, then calls `__post_init__`.
+    fields positionally or by keyword, then calls `__post_init__`; a
+    call that gives every field, all by position or all by keyword,
+    stores them with no per-field lookup.
     Equality and hashing read the fields named in `_compare` (all of
     them unless a class names fewer), and repr reads those named in
     `_shown` (`_compare` unless a class names others); data derived
@@ -44,6 +48,7 @@ class Record:
     """
 
     _fields = ()
+    _field_set = frozenset()
     _compare = ()
     _shown = ()
     _defaults = {}
@@ -51,6 +56,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set = frozenset(cls._fields)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         if "_compare" not in cls.__dict__:
             cls._compare = cls._fields
@@ -59,19 +65,25 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, not {len(args)}")
         values = self.__dict__
-        values.update(zip(fields, args))
-        for name in fields[len(args):]:
-            if name in kwargs:
-                values[name] = kwargs.pop(name)
-            elif name in self._defaults:
-                values[name] = self._defaults[name]
-            else:
-                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
-        if kwargs:
-            raise TypeError(f"{type(self).__name__} has no further field {sorted(kwargs)}")
+        if not kwargs and len(args) == len(fields):
+            values.update(zip(fields, args))
+        elif not args and kwargs.keys() == self._field_set:
+            values.update(kwargs)
+        else:
+            if len(args) > len(fields):
+                raise TypeError(
+                    f"{type(self).__name__} takes {len(fields)} fields, not {len(args)}")
+            values.update(zip(fields, args))
+            for name in fields[len(args):]:
+                if name in kwargs:
+                    values[name] = kwargs.pop(name)
+                elif name in self._defaults:
+                    values[name] = self._defaults[name]
+                else:
+                    raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            if kwargs:
+                raise TypeError(f"{type(self).__name__} has no further field {sorted(kwargs)}")
         self.__post_init__()
 
     def __post_init__(self):
@@ -111,7 +123,7 @@ def identity(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: (p*q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[x] for x in q])
 
 
 def cycles_to_perm(n: int, cycles) -> Perm:
@@ -170,14 +182,19 @@ def parse_perm(text: str, n: int) -> Perm:
 
 
 def sym_generators(g: int) -> list:
-    """The g-cycle (1 2 ... g) and the transposition (1 2), which generate S_g."""
-    return [cycles_to_perm(g, [tuple(range(1, g + 1))]), cycles_to_perm(g, [(1, 2)])]
+    """The g-cycle (1 2 ... g) and the transposition (1 2), which generate S_g (g >= 2)."""
+    return [tuple(range(1, g)) + (0,), (1, 0) + tuple(range(2, g))]
+
+
+def adjacent_transpositions(g: int) -> list:
+    """The transpositions (i i+1), i = 1..g-1: a strong generating set of S_g on the base 1..g."""
+    return [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, g)) for i in range(g - 1)]
 
 
 def diagonal_lift(sigma: Perm, copies: int) -> Perm:
     """sigma acting alike on each of `copies` consecutive runs of len(sigma) points."""
     m = len(sigma)
-    return tuple(sigma[i] + k * m for k in range(copies) for i in range(m))
+    return tuple([x + k * m for k in range(copies) for x in sigma])
 
 
 def _inverse(p: Perm) -> Perm:
@@ -199,24 +216,59 @@ class StabChain:
     one at a time by deterministic Schreier-Sims (Sims 1970; Seress,
     Permutation Group Algorithms, 2003, ch. 4): every Schreier generator
     of a level is sifted through the levels below it, and a residue
-    other than the identity joins them.  The product of
-    the orbit lengths only grows and never exceeds |G|, so a group larger
-    than `cap` is refused as soon as that product passes it.
+    other than the identity joins them.  `from_strong` builds the chain
+    of a group whose strong generating set is known, with no Schreier
+    generator.  `order`, the product of the orbit lengths, is kept up to
+    date as each representative joins; it only grows and never exceeds
+    |G|, so a group larger than `cap` is refused as soon as it passes it.
     """
 
     def __init__(self, n: int, generators=(), cap: int = None):
         ident = identity(n)
         self.degree = n
         self.cap = cap
+        self.order = 1
         self.gens = [[] for _ in range(n)]
         self.reps = [{i: ident} for i in range(n)]
         self.invs = [{i: ident} for i in range(n)]
         for gen in generators:
             self.insert(gen)
 
-    @property
-    def order(self) -> int:
-        return prod(len(reps) for reps in self.reps)
+    @classmethod
+    def from_strong(cls, n: int, strong, cap: int = None) -> "StabChain":
+        """The chain of <strong>, for a strong generating set `strong` on the base 0..n-1.
+
+        Precondition: for every i, the members of `strong` that fix
+        0..i-1 generate the stabilizer of 0..i-1 in <strong> (Seress,
+        Permutation Group Algorithms, 2003, ch. 4).  Those members are
+        the generators of level i, and its orbit is their breadth-first
+        walk from i; no Schreier generator is formed and nothing is
+        sifted.  The cap is tested at each new representative, as in
+        `insert`.
+        """
+        chain = cls(n, (), cap)
+        gens = list(strong)
+        for i in range(n):
+            if not gens:
+                break
+            chain.gens[i] = gens
+            reps, invs = chain.reps[i], chain.invs[i]
+            above = chain.order  # the product over the levels 0..i-1
+            orbit = [i]
+            for x in orbit:  # grows while it is walked
+                ux = reps[x]
+                for s in gens:
+                    y = s[x]
+                    if y not in reps:
+                        uy = tuple([s[a] for a in ux])
+                        reps[y] = uy
+                        invs[y] = _inverse(uy)
+                        chain.order = above * len(reps)
+                        if cap is not None and chain.order > cap:
+                            raise CapExceededError(f"group closure exceeds cap {cap}")
+                        orbit.append(y)
+            gens = [s for s in gens if s[i] == i]
+        return chain
 
     def sift(self, p: Perm, level: int = 0) -> tuple:
         """(k, r): p stripped of its representatives from `level` on; k = n iff p is in G^(level).
@@ -267,6 +319,7 @@ class StabChain:
                             uy = tuple([s[a] for a in ux])
                             reps[y] = uy
                             invs[y] = _inverse(uy)
+                            self.order = self.order // (len(reps) - 1) * len(reps)
                             if self.cap is not None and self.order > self.cap:
                                 raise CapExceededError(f"group closure exceeds cap {self.cap}")
                             work.append((y, gens))
@@ -291,6 +344,7 @@ class StabChain:
         sub.gens[0] = stabilizer + [self.reps[0][x] for x in points if x != 0]
         sub.reps[0] = {x: self.reps[0][x] for x in points}
         sub.invs[0] = {x: self.invs[0][x] for x in points}
+        sub.order = self.order // len(self.reps[0]) * len(points)
         return sub
 
 
@@ -417,14 +471,16 @@ class CMGaloisModel(Record):
     subgroup D at the anchored valuation is carried by D_generators
     (None until `with_decomposition` supplies them), and D_blocks holds
     the D-orbits on the indices, the places of L above p.  Neither D
-    field takes part in model equality.
+    field takes part in model equality; both are checked against the
+    group when they are given to `__init__` or `replace`.
     """
 
     g: int
     group: PermGroup
     tau: Perm
-    D_generators = None  # not fields: `with_decomposition` sets them
-    D_blocks = None
+    D_generators: tuple = None
+    D_blocks: tuple = None
+    _compare = ("g", "group", "tau")
     _shown = ("g", "group", "tau", "D_generators", "D_blocks")
 
     def __post_init__(self):
@@ -442,6 +498,12 @@ class CMGaloisModel(Record):
         for gen in self.group.generators:
             if compose(gen, self.tau) != compose(self.tau, gen):
                 raise ValueError(f"tau is not central: fails against generator {format_perm(gen)}")
+        if self.D_generators is not None:
+            gens = _in_group(self.group, self.D_generators)
+            if self.D_blocks != point_orbits(gens, n):
+                raise ValueError("D_blocks are not the orbits of D_generators")
+        elif self.D_blocks is not None:
+            raise ValueError("D_blocks are given without D_generators")
 
     def with_decomposition(self, generators) -> "CMGaloisModel":
         """The same model with D = <generators>; the group checks already held."""
@@ -455,13 +517,22 @@ def cm_product_group(g: int, cap: int = DEFAULT_GROUP_CAP) -> CMGaloisModel:
     """The mu2 x S_g model on 2g points.
 
     (eps, sigma) sends i to sigma(i), shifted across the conjugation
-    split when eps = -1; tau is (-1, id).  D is left unset.
+    split when eps = -1; tau is (-1, id).  D is left unset.  The group
+    is generated by tau and the lifts of `sym_generators(g)`; its chain
+    comes from the strong generating set of tau and the lifted
+    adjacent transpositions: the stabilizer of 1..i is S_{g-i} on
+    i+1..g, lifted.
     """
     if g < 2:
         raise ValueError("g must be at least 2")
     n = 2 * g
     tau = tuple((i + g) % n for i in range(n))
-    group = build_group(n, [tau] + [diagonal_lift(s, 2) for s in sym_generators(g)], cap=cap)
+    strong = [tau] + [diagonal_lift(t, 2) for t in adjacent_transpositions(g)]
+    group = PermGroup(
+        degree=n,
+        generators=(tau, *[diagonal_lift(s, 2) for s in sym_generators(g)]),
+        chain=StabChain.from_strong(n, strong, cap),
+    )
     return CMGaloisModel(g=g, group=group, tau=tau)
 
 
@@ -470,29 +541,30 @@ def index2_point_sets(group: PermGroup) -> list:
 
     A homomorphism chi: G -> {+-1} whose kernel contains Stab(1) is a
     sign labelling c of the points with c(1) = +1 and
-    c(gen(x)) = chi(gen) c(x); Z = ker chi is {z : c(z(1)) = +1}.  Each
-    generator sign pattern is propagated over the points and kept when
-    it is consistent, so no group element is visited.  The + sets come
-    in generator-sign-pattern order.
+    c(gen(x)) = chi(gen) c(x); Z = ker chi is {z : c(z(1)) = +1}.  One
+    walk from 1 over the generators gives each point x the mask w(x) of
+    the generators on a path to it, and each step x -> gen(x) to a point
+    already reached closes a cycle, w(x) ^ gen ^ w(gen(x)).  A generator
+    sign pattern (bit k set: generator k has sign -1) is consistent when
+    it meets every cycle in an even number of generators, and then
+    c(x) = (-1)^|w(x) & pattern|, so no group element is visited.  The
+    + sets come in generator-sign-pattern order.
     """
     gens = group.generators
-    found = []
-    for bits in range(1, 2 ** len(gens)):
-        signs = [-1 if (bits >> k) & 1 else 1 for k in range(len(gens))]
-        label = [0] * group.degree
-        label[0] = 1
-        stack = [0]
-        consistent = True
-        while stack and consistent:
-            x = stack.pop()
-            for gen, sign in zip(gens, signs):
-                y, c = gen[x], label[x] * sign
-                if not label[y]:
-                    label[y] = c
-                    stack.append(y)
-                elif label[y] != c:
-                    consistent = False
-                    break
-        if consistent:
-            found.append(frozenset(x for x, c in enumerate(label) if c == 1))
-    return found
+    word = {0: 0}
+    walk = [0]
+    cycles = set()
+    for x in walk:  # grows while it is walked
+        for k, gen in enumerate(gens):
+            y, w = gen[x], word[x] ^ (1 << k)
+            if y in word:
+                cycles.add(w ^ word[y])
+            else:
+                word[y] = w
+                walk.append(y)
+    cycles.discard(0)
+    return [
+        frozenset(x for x, w in word.items() if not (w & bits).bit_count() & 1)
+        for bits in range(1, 2 ** len(gens))
+        if not any((c & bits).bit_count() & 1 for c in cycles)
+    ]

@@ -1049,9 +1049,12 @@ def test_block_routes_match_the_element_walks(case):
     overgroups = index2_overgroups(model.group, H)
     for Z in overgroups + [H, frozenset(model.group.elements)]:
         assert ({z[0] for z in Z} <= S) == (Z <= fix)
-    assert set(index2_point_sets(model.group)) == {
-        frozenset(z[0] for z in Z) for Z in overgroups
-    }
+    sets = index2_point_sets(model.group)
+    assert set(sets) == {frozenset(z[0] for z in Z) for Z in overgroups}
+    # in generator-sign-pattern order: generator k has sign -1 iff it takes 1 out of the set
+    gens = model.group.generators
+    patterns = [sum(1 << k for k, gen in enumerate(gens) if gen[0] not in P) for P in sets]
+    assert patterns == sorted(set(patterns))
     entries = weil_tate_submotives(model, s)
     assert {block_subgroup(model.group, e.determinant_set) for e in entries} == {
         Z for Z in overgroups if model.tau not in Z
@@ -1300,8 +1303,7 @@ def test_unique_exotic_lemma_reads_every_mask_of_the_orbit(monkeypatch):
     (orbit,) = report.exotic
     strays = [_mask(12, m) for m in ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))]
     members = MemberMasks(12, orbit.orbit.masks + tuple(strays))
-    forged = copy.copy(report)  # keeps the derived columns, which `replace` would drop
-    object.__setattr__(forged, "exotic", (orbit.replace(orbit=members),))
+    forged = report.replace(exotic=(orbit.replace(orbit=members),))  # keeps the columns
     monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s: forged)
     (row,) = [r for r in verify_lemma_suite([scn]) if r.lemma == "exotic_uniqueness"]
     assert row.status == FAIL

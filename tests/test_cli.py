@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from pathlib import Path
 from unittest import mock
 
@@ -636,14 +637,19 @@ def test_group_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
         assert out == ""
 
 
-def test_group_cap_env_admits_a_group_at_the_cap(capsys, monkeypatch):
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", "48")  # |G| of main g=4
-    code, _, _ = run_cli(capsys, ["classify", "--preset", "main", "--g", "4"])
+@pytest.mark.parametrize("preset, order", [
+    (["main", "--g", "4"], 48),
+    (["ramified", "--gp", "3"], 24),
+    (["split", "--gp", "3"], 24),
+], ids=["main4", "ramified3", "split3"])
+def test_group_cap_env_admits_a_group_at_the_cap(capsys, monkeypatch, preset, order):
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", str(order))  # |G| of the preset
+    code, _, _ = run_cli(capsys, ["classify", "--preset", *preset])
     assert code == 0
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", "47")
-    code, _, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4"])
-    assert code == cli.EXIT_CAP
-    assert "cap exceeded" in err
+    monkeypatch.setenv("WEILTATE_GROUP_CAP", str(order - 1))
+    code, out, err = run_cli(capsys, ["classify", "--preset", *preset])
+    assert code == cli.EXIT_CAP and out == ""
+    assert err == f"cap exceeded: group closure exceeds cap {order - 1}\n"
 
 
 def test_group_cap_env_applies_to_verify(capsys, monkeypatch):
@@ -704,6 +710,14 @@ def test_preset_block_check_failure_exits_3_without_traceback(argv, capsys, monk
 
 # --- the indent=2 writer ------------------------------------------------------
 
+class _Level(IntEnum):  # subclasses of int and str take the isinstance route
+    ONE = 1
+
+
+class _Tag(str):
+    pass
+
+
 TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001d53d') | st.characters())
 JSON_LEAVES = (
     st.none()
@@ -730,6 +744,10 @@ JSON_TREES = st.recursive(
 @example([[2**70, -3], [0]])
 @example([[1, 2], 3])
 @example([[[1]], [2]])
+@example({"s": "x\u00e9\n", "i": -(2**70), "t": True, "f": False, "n": None, "e": ""})
+@example([["a", 0, True, None], {"k": [False, "b"]}])
+@example({"i": _Level.ONE, "s": _Tag("t\n"), "l": [_Level.ONE, _Tag(""), 2]})
+@example([_Level.ONE, _Tag("x")])
 def test_emit_json_matches_json_dumps(tree):
     assert cli._emit_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 

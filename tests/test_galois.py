@@ -15,6 +15,8 @@ from oracles import (
     verify_subgroup,
 )
 
+from weiltate import galois
+from weiltate.forge import _biquadratic_model
 from weiltate.galois import (
     CMGaloisModel,
     CapExceededError,
@@ -27,6 +29,7 @@ from weiltate.galois import (
     cycles_to_perm,
     format_perm,
     identity,
+    index2_point_sets,
     parse_perm,
     point_orbits,
     subgroup_generators,
@@ -76,6 +79,15 @@ def test_build_group_refuses_a_group_over_the_cap_before_listing_it(monkeypatch)
     assert model.group.order == 7257600
     assert model.tau in model.group
     assert cycles_to_perm(20, [(1, 2)]) not in model.group
+
+
+def test_a_preset_over_the_cap_is_refused_at_its_first_level(monkeypatch):
+    inverses = []
+    monkeypatch.setattr(galois, "_inverse", lambda p: inverses.append(p) or _inverse(p))
+    with pytest.raises(CapExceededError, match="group closure exceeds cap 10"):
+        cm_product_group(1000, cap=10)  # |G| = 2 * 1000!
+    # the tenth representative of level 0 takes the order to 11, past the cap
+    assert len(inverses) == 10 and all(p[0] != 0 for p in inverses)
 
 
 def test_a_chain_with_a_long_base_is_built_without_recursion():
@@ -276,11 +288,66 @@ def test_with_decomposition_verifies_only_d():
         model.with_decomposition([cycles_to_perm(6, [(1, 2)])])
 
 
-@pytest.mark.parametrize("name", ["H", "D", "D_generators"])
+@pytest.mark.parametrize("name", ["H", "D"])
 def test_model_takes_neither_h_nor_d(name):
     model = cm_product_group(2)
     with pytest.raises(TypeError):
         CMGaloisModel(g=2, group=model.group, tau=model.tau, **{name: (model.tau,)})
+
+
+def test_model_checks_the_decomposition_fields_it_is_given():
+    model = cm_product_group(3)
+    with_d = model.with_decomposition([model.tau])
+    given = CMGaloisModel(model.g, model.group, model.tau, with_d.D_generators, with_d.D_blocks)
+    assert given == with_d and given.D_blocks == ((0, 3), (1, 4), (2, 5))
+    with pytest.raises(ValueError, match="is not in the group"):
+        CMGaloisModel(3, model.group, model.tau, (cycles_to_perm(6, [(1, 2)]),), ((0, 1),))
+    with pytest.raises(ValueError, match="D_blocks are not the orbits of D_generators"):
+        CMGaloisModel(3, model.group, model.tau, (model.tau,), None)
+    with pytest.raises(ValueError, match="D_blocks are given without D_generators"):
+        CMGaloisModel(3, model.group, model.tau, None, with_d.D_blocks)
+
+
+def test_with_decomposition_runs_no_group_check_again(monkeypatch):
+    model = cm_product_group(4)
+
+    def refuse(self):
+        raise AssertionError("a group check ran again")
+
+    monkeypatch.setattr(CMGaloisModel, "__post_init__", refuse)
+    with_d = model.with_decomposition([model.tau])
+    assert with_d.D_blocks == ((0, 4), (1, 5), (2, 6), (3, 7)) and model.D_blocks is None
+
+
+def _preset_groups():
+    for g in range(2, 11):  # mu2 x S_g
+        yield f"main{g}", (cm_product_group(g, cap=10**7).group, 2 * math.factorial(g))
+    for gp in (3, 5, 7):  # (mu2 x mu2) x S_g', the group of both ramified and split
+        yield f"biquadratic{gp}", (_biquadratic_model(gp, 5, 10**6)[0].group,
+                                   4 * math.factorial(gp))
+
+
+PRESET_GROUPS = dict(_preset_groups())
+
+
+@pytest.mark.parametrize("name", list(PRESET_GROUPS))
+def test_a_preset_chain_from_its_strong_generators_matches_schreier_sims(name):
+    group, order = PRESET_GROUPS[name]
+    n, strong = group.degree, group.chain
+    oracle = StabChain(n, group.generators, cap=10**7)
+    assert strong.order == oracle.order == math.prod(len(reps) for reps in oracle.reps) == order
+    assert [set(reps) for reps in strong.reps] == [set(reps) for reps in oracle.reps]
+    below = strong.order
+    for i in range(n):
+        # the generators of level i generate the stabilizer of 0..i-1
+        assert StabChain(n, strong.gens[i]).order == below, i
+        below //= len(strong.reps[i])
+    assert below == 1
+    assert all(s in oracle for s in strong.gens[0])
+    assert all(gen in strong for gen in group.generators)
+    for points in index2_point_sets(group):
+        block = strong.block(points)
+        assert block.order == StabChain(n, block.gens[0]).order == strong.order // 2
 
 
 def test_model_rejects_intransitive_group():

@@ -121,11 +121,21 @@ def test_a_decomposition_or_a_chain_does_not_change_equality():
     assert other == group and hash(other) == hash(group)
 
 
-def test_replace_runs_post_init_again_and_drops_derived_data():
+def test_replace_runs_post_init_again_and_carries_derived_data():
     model = RECORDS[forge.Scenario].model
     assert model.D_blocks is not None
-    bare = model.replace()
-    assert bare == model and bare.D_generators is None and bare.D_blocks is None
+    again = model.replace()
+    assert again == model
+    assert (again.D_generators, again.D_blocks) == (model.D_generators, model.D_blocks)
+    report = RECORDS[classifier.ClassifierReport]
+    assert report.frobenius_rank == 3 and report.columns is not None
+    again = report.replace()
+    assert (again.frobenius_rank, again.columns) == (report.frobenius_rank, report.columns)
+    for cls, record in RECORDS.items():
+        again = record.replace()
+        assert again == record and vars(again) == vars(record), cls.__name__
+    with pytest.raises(ValueError, match="D_blocks are not the orbits"):
+        model.replace(D_blocks=None)
     with pytest.raises(ValueError, match="tau"):
         model.replace(tau=tuple(range(model.group.degree)))
     s = RECORDS[slopes.SlopeVector].replace(values=("1/2",) * 8)
@@ -133,11 +143,24 @@ def test_replace_runs_post_init_again_and_drops_derived_data():
     assert RECORDS[cmtypes.CMType].replace(phi=[0, 5]).phi == frozenset({0, 5})
 
 
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_a_record_from_every_field_by_keyword_or_position_is_the_record(cls):
+    # a call that gives every field takes the short route of `__init__`;
+    # `__post_init__` still runs, or a derived attribute would be missing
+    record = RECORDS[cls]
+    values = [getattr(record, name) for name in cls._fields]
+    for again in (cls(**dict(zip(cls._fields, values))), cls(*values)):
+        assert again == record and vars(again) == vars(record)
+
+
 def test_record_init_takes_fields_by_position_or_keyword_and_refuses_the_rest():
     entry = classifier.WeilTateEntry((0, 1), True, is_lefschetz_bearing=False, is_exotic=True)
     assert entry == classifier.WeilTateEntry(
         determinant_set=(0, 1), is_tate=True, is_lefschetz_bearing=False, is_exotic=True)
     assert classifier.LemmaResult("a", "b", "c").detail == ""
+    assert cmtypes.CMType([5, 0]).phi == cmtypes.CMType(phi=[0, 5]).phi == frozenset({0, 5})
+    for s in (slopes.SlopeVector(("1/2",) * 4), slopes.SlopeVector(values=("1/2",) * 4)):
+        assert (s.den, s.nums) == (2, (1,) * 4)
     with pytest.raises(TypeError):
         classifier.LemmaResult("a", "b")
     with pytest.raises(TypeError):
