@@ -15,7 +15,7 @@ from .galois import (
     cm_product_group,
 )
 from .slopes import SlopeVector, slopes_from_cm_type
-from .cmtypes import CMType, PlacePrescription, enumerate_cm_types, hodge_type, is_balanced
+from .cmtypes import enumerate_cm_types, hodge_type, is_balanced
 from .classifier import (
     ClassifierReport,
     EndAlgebraReport,

@@ -26,7 +26,7 @@ from .galois import (
     subgroup_generators,
 )
 from .slopes import SlopeVector, conjugate_slope_basis, signature_classes, validate_slopes
-from .cmtypes import CMType, _hodge_type, is_balanced, validate_cm_type
+from .cmtypes import _hodge_type, is_balanced, validate_cm_type
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -147,15 +147,13 @@ def tate_rows(model: CMGaloisModel, s: SlopeVector) -> tuple:
     """Integer rows of the linear Tate predicate, one per conjugate-slope basis vector b.
 
     Row a_b = 2 den (b - 1/2): the entry of a slope num/den is 2 num - den,
-    with den the common denominator of s.  Every conjugate s∘g has entry
-    sum g, so a subset J has slope sum #J/2 at every conjugate iff
+    with den the common denominator of s, over which the basis gives each
+    num.  Every conjugate s∘g has entry sum g, so a subset J has slope
+    sum #J/2 at every conjugate iff
     sum_{i in J} a_b[i] = 0 for every row.
     """
     den = s.den
-    return tuple(
-        tuple(2 * den // v.denominator * v.numerator - den for v in b)
-        for b in conjugate_slope_basis(model, s)
-    )
+    return tuple(tuple(2 * a - den for a in b) for b in conjugate_slope_basis(model, s))
 
 
 def _packed_columns(rows) -> list:
@@ -300,7 +298,7 @@ def classify_orbits(
     model: CMGaloisModel,
     s: SlopeVector,
     weights=None,
-    phi: CMType = None,
+    phi: frozenset = None,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> ClassifierReport:
     """Enumerate every Tate-class-bearing orbit of the requested weights.

@@ -266,11 +266,11 @@ def _scenario_doc(scn: forge.Scenario) -> dict:
     doc = {
         "name": scn.name,
         "family": scn.family,
-        "g": scn.g,
+        "g": scn.model.g,
         "points": scn.model.group.degree,
         "group_order": scn.model.group.order,
         "tau": format_perm(scn.model.tau),
-        "phi": [i + 1 for i in scn.phi.sorted_indices()],
+        "phi": [i + 1 for i in sorted(scn.phi)],
         "slopes": scn.slopes.serialize().split(),
         "provenance": scn.provenance,
     }
@@ -305,8 +305,8 @@ def classify_scenario_doc(
         "frobenius_rank": report.frobenius_rank,
         "minimal_field_index": end.frobenius_field_degree,
     }
-    if scn.g % 2 == 0 and report.tate_dims is not None:
-        s_plus, s_minus = predicted_signature(report, scn.g)
+    if report.g % 2 == 0 and report.tate_dims is not None:
+        s_plus, s_minus = predicted_signature(report, report.g)
         doc["predicted_signature"] = [s_plus, s_minus]
         doc["signature_assumption"] = classifier.TATE_COUNT_NOTE
     else:

@@ -4,48 +4,26 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import index
 
-from .galois import CMGaloisModel, CapExceededError, Record
+from .galois import CMGaloisModel, CapExceededError
 
 DEFAULT_ENUM_CAP = 10**6
 
 
-class CMType(Record):
-    """Half of the 2g indices, one from each conjugate pair {i, tau(i)}."""
-
-    phi: frozenset
-
-    def __post_init__(self):
-        self.__dict__["phi"] = frozenset(self.phi)
-
-    def __iter__(self):
-        return iter(sorted(self.phi))
-
-    def __len__(self) -> int:
-        return len(self.phi)
-
-    def __contains__(self, i) -> bool:
-        return i in self.phi
-
-    def sorted_indices(self):
-        return tuple(sorted(self.phi))
-
-    def serialize(self) -> str:
-        return " ".join(str(i + 1) for i in self.sorted_indices())
-
-
-def validate_cm_type(model: CMGaloisModel, phi: CMType) -> None:
+def validate_cm_type(model: CMGaloisModel, phi: frozenset) -> None:
+    """A CM-type is a frozenset of 0-based indices, one from each conjugate pair {i, tau(i)}."""
     points = set(range(model.group.degree))
-    if not phi.phi <= points:
+    if not phi <= points:
         raise ValueError("CM-type contains indices outside 1..2g")
-    conj = {model.tau[i] for i in phi.phi}
-    if phi.phi & conj:
+    conj = {model.tau[i] for i in phi}
+    if phi & conj:
         raise ValueError("CM-type meets its own conjugate")
-    if phi.phi | conj != points:
+    if phi | conj != points:
         raise ValueError("CM-type and its conjugate do not cover all indices")
 
 
-def tau_block_classes(model: CMGaloisModel):
+def tau_block_classes(model: CMGaloisModel) -> list:
     """Pair up D-blocks swapped by tau; tau-stable blocks pair with themselves."""
     blocks = model.D_blocks
     index_of = {}
@@ -63,25 +41,21 @@ def tau_block_classes(model: CMGaloisModel):
             raise ValueError("tau does not permute the D-blocks")
         seen.update({k, kk})
         classes.append((k, kk))
-    return blocks, classes
+    return classes
 
 
-class PlacePrescription(Record):
-    """Target #(phi ∩ B) for each D-block B, keyed by block position."""
-
-    targets: tuple
-
-    @staticmethod
-    def from_counts(counts) -> "PlacePrescription":
-        return PlacePrescription(targets=tuple(int(c) for c in counts))
-
-
-def validate_prescription(model: CMGaloisModel, prescription: PlacePrescription):
-    blocks, classes = tau_block_classes(model)
-    targets = prescription.targets
+def validate_prescription(model: CMGaloisModel, targets: tuple) -> list:
+    """Check targets #(phi ∩ B), one int per D-block B by block position; return the tau classes."""
+    blocks, classes = model.D_blocks, tau_block_classes(model)
     if len(targets) != len(blocks):
         raise ValueError(f"{len(targets)} targets for {len(blocks)} blocks")
     for k, b in enumerate(blocks):
+        try:
+            index(targets[k])
+        except TypeError:
+            raise ValueError(
+                f"target {targets[k]!r} is not an integer in 0..{len(b)} for block {k}"
+            ) from None
         if not 0 <= targets[k] <= len(b):
             raise ValueError(f"target {targets[k]} outside 0..{len(b)} for block {k}")
     for k, kk in classes:
@@ -90,10 +64,10 @@ def validate_prescription(model: CMGaloisModel, prescription: PlacePrescription)
                 "no CM-type exists: targets "
                 f"{targets[k]} + {targets[kk]} != {len(blocks[k])} on a conjugate block pair"
             )
-    return blocks, classes
+    return classes
 
 
-def enumerate_cm_types(model: CMGaloisModel, prescription: PlacePrescription, limit=None):
+def enumerate_cm_types(model: CMGaloisModel, targets: tuple) -> list:
     """All CM-types meeting the prescription, lexicographically sorted.
 
     Within a tau-swapped block pair (B, B') each conjugate pair of
@@ -102,12 +76,13 @@ def enumerate_cm_types(model: CMGaloisModel, prescription: PlacePrescription, li
     """
     if model.D_blocks is None:
         raise ValueError("model has no decomposition subgroup D")
-    blocks, classes = validate_prescription(model, prescription)
+    classes = validate_prescription(model, targets)
+    blocks = model.D_blocks
 
     total = 1
     for k, kk in classes:
         b = blocks[k]
-        total *= 2 ** (len(b) // 2) if k == kk else comb(len(b), prescription.targets[k])
+        total *= 2 ** (len(b) // 2) if k == kk else comb(len(b), targets[k])
     if total > DEFAULT_ENUM_CAP:
         raise CapExceededError(f"CM-type enumeration would produce {total} > {DEFAULT_ENUM_CAP}")
 
@@ -119,9 +94,8 @@ def enumerate_cm_types(model: CMGaloisModel, prescription: PlacePrescription, li
             options = [frozenset(picks) for picks in _binary_choices(pairs)]
         else:
             pairs = [(i, model.tau[i]) for i in b]
-            nb = prescription.targets[k]
             options = []
-            for chosen in combinations(range(len(pairs)), nb):
+            for chosen in combinations(range(len(pairs)), targets[k]):
                 chosen = set(chosen)
                 pick = {pairs[j][0] if j in chosen else pairs[j][1] for j in range(len(pairs))}
                 options.append(frozenset(pick))
@@ -130,15 +104,10 @@ def enumerate_cm_types(model: CMGaloisModel, prescription: PlacePrescription, li
     stack = [frozenset()]
     for options in per_class_choices:
         stack = [partial | opt for partial in stack for opt in options]
-    results = sorted(stack, key=lambda s: sorted(s))
-    if limit is not None:
-        results = results[:limit]
-    out = []
-    for phi_set in results:
-        phi = CMType(phi=phi_set)
+    results = sorted(stack, key=sorted)
+    for phi in results:
         validate_cm_type(model, phi)
-        out.append(phi)
-    return out
+    return results
 
 
 def _binary_choices(pairs):
@@ -152,7 +121,7 @@ def _binary_choices(pairs):
         yield (first[1],) + tail
 
 
-def least_cm_type(model: CMGaloisModel, prescription: PlacePrescription) -> CMType:
+def least_cm_type(model: CMGaloisModel, targets: tuple) -> frozenset:
     """Lexicographically least CM-type meeting the prescription.
 
     Greedy: walk the indices in increasing order, keep an index whenever
@@ -160,13 +129,13 @@ def least_cm_type(model: CMGaloisModel, prescription: PlacePrescription) -> CMTy
     """
     if model.D_blocks is None:
         raise ValueError("model has no decomposition subgroup D")
-    blocks, classes = validate_prescription(model, prescription)
+    classes = validate_prescription(model, targets)
     block_index = {}
-    for k, b in enumerate(blocks):
+    for k, b in enumerate(model.D_blocks):
         for i in b:
             block_index[i] = k
     tau_stable = {k for k, kk in classes if k == kk}
-    quota = list(prescription.targets)
+    quota = list(targets)
     chosen = set()
     assigned = set()
     for i in range(model.group.degree):
@@ -181,28 +150,27 @@ def least_cm_type(model: CMGaloisModel, prescription: PlacePrescription) -> CMTy
         else:
             chosen.add(j)
             quota[block_index[j]] -= 1
-    phi = CMType(phi=frozenset(chosen))
+    phi = frozenset(chosen)
     validate_cm_type(model, phi)
-    measured = measure_cm_type(model, phi)
-    if measured.targets != prescription.targets:
+    if measure_cm_type(model, phi) != tuple(targets):
         raise ValueError("greedy CM-type construction failed to meet the prescription")
     return phi
 
 
-def measure_cm_type(model: CMGaloisModel, phi: CMType) -> PlacePrescription:
+def measure_cm_type(model: CMGaloisModel, phi: frozenset) -> tuple:
     """Re-measure #(phi ∩ B) per block."""
-    return PlacePrescription(targets=tuple(len(set(b) & phi.phi) for b in model.D_blocks))
+    return tuple(len(phi.intersection(b)) for b in model.D_blocks)
 
 
-def hodge_type(model: CMGaloisModel, phi: CMType, subset) -> tuple:
+def hodge_type(model: CMGaloisModel, phi: frozenset, subset) -> tuple:
     """(p, q) = (#(I ∩ phi), #(I ∩ tau phi)); p + q = #I."""
     validate_cm_type(model, phi)
     return _hodge_type(phi, set(subset))
 
 
-def _hodge_type(phi: CMType, subset) -> tuple:
+def _hodge_type(phi: frozenset, subset) -> tuple:
     """`hodge_type` of distinct points under a validated phi, whose conjugate is its complement."""
-    p = len(phi.phi.intersection(subset))
+    p = len(phi.intersection(subset))
     return (p, len(subset) - p)
 
 

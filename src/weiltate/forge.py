@@ -48,13 +48,7 @@ from .galois import (
     subgroup_generators,
     sym_generators,
 )
-from .cmtypes import (
-    CMType,
-    PlacePrescription,
-    least_cm_type,
-    tau_block_classes,
-    validate_cm_type,
-)
+from .cmtypes import least_cm_type, tau_block_classes, validate_cm_type
 from .slopes import SlopeVector, slopes_from_cm_type
 
 DEFAULT_RETRY_BUDGET = 64
@@ -297,9 +291,8 @@ class Scenario(Record):
 
     name: str
     family: str
-    g: int
     model: CMGaloisModel
-    phi: CMType
+    phi: frozenset
     slopes: SlopeVector
     provenance: str
     metadata: tuple = ()
@@ -325,8 +318,8 @@ def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
     model = model.with_decomposition(d_gens)
     if sorted(len(b) for b in model.D_blocks) != sorted(sizes):
         raise SelfCheckError(f"{family} scenario blocks do not match the local degrees")
-    blocks, classes = tau_block_classes(model)
-    pairs = [(k, kk) for k, kk in classes if k != kk]
+    blocks = model.D_blocks
+    pairs = [(k, kk) for k, kk in tau_block_classes(model) if k != kk]
     if len(pairs) != len(pair_targets):
         raise SelfCheckError(
             f"{family} scenario has {len(pairs)} tau-swapped pairs, not {len(pair_targets)}"
@@ -334,11 +327,10 @@ def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
     targets = [len(b) // 2 for b in blocks]
     for (k, kk), a in zip(pairs, pair_targets):
         targets[k], targets[kk] = a, len(blocks[k]) - a
-    phi = least_cm_type(model, PlacePrescription.from_counts(targets))
+    phi = least_cm_type(model, tuple(targets))
     return Scenario(
         name=name,
         family=family,
-        g=model.g,
         model=model,
         phi=phi,
         slopes=slopes_from_cm_type(model, phi),
@@ -545,15 +537,15 @@ def parse_scenario(
             fail("phi", f"bad index list {fields['phi']!r}")
         if any(not 1 <= i <= npoints for i in indices):
             fail("phi", "indices outside 1..points")
-        phi = CMType(phi=frozenset(i - 1 for i in indices))
+        phi = frozenset(i - 1 for i in indices)
         try:
             validate_cm_type(model, phi)
         except ValueError as exc:
             fail("phi", str(exc))
     else:
         try:
-            counts = [int(tok) for tok in fields["phi_targets"].replace(",", " ").split()]
-            phi = least_cm_type(model, PlacePrescription.from_counts(counts))
+            counts = tuple(int(tok) for tok in fields["phi_targets"].replace(",", " ").split())
+            phi = least_cm_type(model, counts)
         except ValueError as exc:
             fail("phi_targets", str(exc))
 
@@ -573,7 +565,6 @@ def parse_scenario(
     return Scenario(
         name=fields.get("name", "scenario"),
         family=None,
-        g=npoints // 2,
         model=model,
         phi=phi,
         slopes=slopes,
@@ -594,6 +585,6 @@ def serialize_scenario(scn: Scenario) -> str:
         lines.append(
             "decomposition_generators = " + ", ".join(format_perm(g) for g in dgens)
         )
-    lines.append(f"phi = {scn.phi.serialize()}")
+    lines.append("phi = " + " ".join(str(i + 1) for i in sorted(scn.phi)))
     lines.append(f"slopes = {scn.slopes.serialize()}")
     return "\n".join(lines) + "\n"

@@ -101,7 +101,7 @@ def signature_classes(model: CMGaloisModel, s: SlopeVector) -> tuple:
 
 
 def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:
-    """Basis of span{s∘g : g in G}, where (s∘g)[x] = s[g(x)].
+    """Basis of span{s∘g : g in G}, where (s∘g)[x] = s[g(x)], as numerators over `s.den`.
 
     Span closure of s under the generators: the image b∘gen of each new
     basis vector is kept when it is independent of the basis so far.
@@ -120,7 +120,7 @@ def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:
             image = gather(m)
             if _extend_echelon(echelon, itemgetter(*image)(nums)):
                 maps.append(image)
-    return tuple(itemgetter(*m)(s.values) for m in maps)
+    return tuple(itemgetter(*m)(nums) for m in maps)
 
 
 def _extend_echelon(echelon: list, row: tuple) -> bool:

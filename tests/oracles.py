@@ -41,6 +41,10 @@ over column classes.  `tate_counts_by_dp` counts the Tate subsets of
 each weight from packed columns by a dynamic program over the points,
 with no mask, half table or complement.
 
+`cm_types_by_listing` lists all 2^g choices of one index per
+conjugate pair and keeps those that meet the place counts, with no
+per-block combinations and no greedy quota.
+
 `plain_document` decodes each orbit's members bit by bit, not from the
 writer's text half-tables, so `json.dumps` of it is the reference text
 for `cli._emit_json`.  `doc_to_report` and `doc_to_end_report` read a
@@ -51,7 +55,7 @@ north-star invariants on a classify document.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from weiltate.algebra import (
@@ -426,6 +430,22 @@ def random_admissible_slopes(model: CMGaloisModel, rng: random.Random) -> SlopeV
         values[i] = Fraction(rng.randint(0, den), den)
         values[model.tau[i]] = 1 - values[i]
     return SlopeVector(tuple(values))
+
+
+def cm_types_by_listing(model: CMGaloisModel, targets: tuple) -> list:
+    """The CM-types with #(phi ∩ B) = targets[k] on each D-block B = D_blocks[k], sorted.
+
+    Every choice of one index from each pair {i, tau(i)} is listed and
+    counted block by block; the survivors are sorted by their sorted
+    indices, as `enumerate_cm_types` sorts.
+    """
+    pairs = sorted({tuple(sorted((i, model.tau[i]))) for i in range(model.group.degree)})
+    found = []
+    for choice in product(*pairs):
+        phi = frozenset(choice)
+        if tuple(len(phi & set(b)) for b in model.D_blocks) == tuple(targets):
+            found.append(phi)
+    return sorted(found, key=sorted)
 
 
 def verify_subgroup(group: PermGroup, members) -> frozenset:

@@ -64,7 +64,6 @@ from weiltate.classifier import (
     tate_subsets,
     verify_lemma_suite,
 )
-from weiltate.cmtypes import CMType
 from weiltate.forge import Scenario, scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import (
     CMGaloisModel,
@@ -275,7 +274,7 @@ def test_classified_orbits_cover_exactly_the_tate_subsets():
 
 def test_random_cm_types_keep_classifier_invariants():
     """Random CM-types on the preset models: the general path stays sound."""
-    from weiltate.cmtypes import PlacePrescription, enumerate_cm_types
+    from weiltate.cmtypes import enumerate_cm_types
     from weiltate.slopes import slopes_from_cm_type
 
     rng = random.Random(271)
@@ -283,8 +282,7 @@ def test_random_cm_types_keep_classifier_invariants():
     blocks = scn.model.D_blocks
     for _ in range(6):
         n0 = rng.randint(0, len(blocks[0]))
-        prescription = PlacePrescription.from_counts((n0, len(blocks[0]) - n0))
-        phis = enumerate_cm_types(scn.model, prescription, limit=3)
+        phis = enumerate_cm_types(scn.model, (n0, len(blocks[0]) - n0))[:3]
         for phi in phis:
             s = slopes_from_cm_type(scn.model, phi)
             rep = classify_orbits(scn.model, s, phi=phi)
@@ -360,7 +358,7 @@ def classify_cases(draw):
         den = draw(st.sampled_from([1, 2, 3, 4, 6]))
         values[i] = Fraction(draw(st.integers(0, den)), den)
         values[model.tau[i]] = 1 - values[i]
-    phi = CMType(frozenset(draw(st.sampled_from((i, model.tau[i]))) for i in range(model.g)))
+    phi = frozenset(draw(st.sampled_from((i, model.tau[i]))) for i in range(model.g))
     weights = st.lists(st.sampled_from(range(0, n + 1, 2)), min_size=1, max_size=4)
     return (model, SlopeVector(tuple(values)), draw(st.none() | st.just(phi)),
             draw(st.none() | weights))
@@ -1263,9 +1261,9 @@ def test_signature_main6():
 def test_signature_is_nonnegative_on_presets(name):
     scn = PRESETS[name]()
     rep = classify_orbits(scn.model, scn.slopes, subset_cap=20)
-    s_plus, s_minus = predicted_signature(rep, scn.g)
+    s_plus, s_minus = predicted_signature(rep, rep.g)
     assert s_plus >= 0 and s_minus >= 0
-    assert s_plus + s_minus == rep.tate_dims[scn.g // 2]
+    assert s_plus + s_minus == rep.tate_dims[rep.g // 2]
 
 
 def test_signature_rejects_odd_g():
@@ -1327,9 +1325,8 @@ def test_member_masks_read_as_the_tuple_of_point_tuples():
 
 def test_lemma_suite_gates_on_hypotheses():
     model = cm_product_group(3).with_decomposition([])  # ordinary: every place of L has degree 1
-    scn = Scenario(name="ordinary", family=None, g=3, model=model,
-                   phi=CMType(frozenset(range(3, 6))), slopes=ordinary_slopes(3),
-                   provenance="test")
+    scn = Scenario(name="ordinary", family=None, model=model, phi=frozenset(range(3, 6)),
+                   slopes=ordinary_slopes(3), provenance="test")
     rows = verify_lemma_suite([scn])
     assert {r.status for r in rows} == {NOT_APPLICABLE}
     assert not any(r.status == FAIL for r in rows)

@@ -19,14 +19,15 @@ from hypothesis import strategies as st
 from oracles import (
     assert_document_invariants,
     classify_orbits_by_walk,
+    cm_types_by_listing,
     doc_to_end_report,
     doc_to_report,
     plain_document,
 )
 
 from weiltate import algebra, classifier, cli, forge, galois
+from weiltate.cmtypes import enumerate_cm_types, least_cm_type, measure_cm_type
 from weiltate.classifier import MemberMasks, classify_orbits
-from weiltate.cmtypes import CMType
 from weiltate.forge import Scenario, scenario_main, serialize_scenario
 from weiltate.slopes import slopes_from_cm_type
 
@@ -868,8 +869,8 @@ def drawn_scenarios(draw):
     for k in word:
         d = galois.compose(d, gens[k])
     model = model.with_decomposition([d])
-    phi = CMType(frozenset(draw(st.sampled_from((i, tau[i]))) for i in range(g)))
-    return Scenario(name="drawn", family=None, g=g, model=model, phi=phi,
+    phi = frozenset(draw(st.sampled_from((i, tau[i]))) for i in range(g))
+    return Scenario(name="drawn", family=None, model=model, phi=phi,
                     slopes=slopes_from_cm_type(model, phi), provenance="test")
 
 
@@ -962,7 +963,7 @@ def test_report_document_round_trip_on_drawn_models(scn, data):
 def test_a_weight_above_the_middle_reads_the_same_alone_and_with_its_mirror(scn, data):
     """The orbits at 2g - w are the walked ones, whether w is asked for too or not."""
     n = scn.model.group.degree
-    w = data.draw(st.sampled_from(range(0, scn.g, 2)))
+    w = data.draw(st.sampled_from(range(0, scn.model.g, 2)))
 
     def orbits(weights):
         report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
@@ -976,10 +977,21 @@ def test_a_weight_above_the_middle_reads_the_same_alone_and_with_its_mirror(scn,
 
 @settings(max_examples=40, deadline=None)
 @given(drawn_scenarios())
+def test_cm_types_of_the_measured_targets_are_the_listed_ones_on_drawn_models(scn):
+    """Enumeration and the greedy least type against all 2^g choices, at phi's own place counts."""
+    targets = measure_cm_type(scn.model, scn.phi)
+    listed = cm_types_by_listing(scn.model, targets)
+    assert scn.phi in listed
+    assert enumerate_cm_types(scn.model, targets) == listed
+    assert least_cm_type(scn.model, targets) == listed[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_scenarios())
 def test_scenario_file_round_trip_on_drawn_models(scn):
     loaded = forge.parse_scenario(serialize_scenario(scn))
     assert loaded.model.tau == scn.model.tau
     assert loaded.model.group.order == scn.model.group.order
     assert loaded.model.D_blocks == scn.model.D_blocks
-    assert loaded.phi.phi == scn.phi.phi
+    assert loaded.phi == scn.phi
     assert loaded.slopes.values == scn.slopes.values

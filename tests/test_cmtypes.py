@@ -8,76 +8,88 @@ import weiltate.classifier
 import weiltate.cmtypes
 from weiltate.classifier import classify_orbits
 from weiltate.cmtypes import (
-    CMType,
-    PlacePrescription,
     enumerate_cm_types,
     hodge_type,
     is_balanced,
     least_cm_type,
     measure_cm_type,
+    tau_block_classes,
     validate_cm_type,
 )
-from weiltate.forge import scenario_main, scenario_ramified
+from weiltate.forge import scenario_main, scenario_ramified, scenario_split, serialize_scenario
 from weiltate.galois import cm_product_group
 from weiltate.slopes import slopes_from_cm_type, validate_slopes
 
 
 def test_enumerate_main_scenario_count_and_order():
     scn = scenario_main(4, 5)
-    phis = enumerate_cm_types(scn.model, PlacePrescription.from_counts((1, 3)))
+    phis = enumerate_cm_types(scn.model, (1, 3))
     assert len(phis) == 4
-    as_lists = [phi.sorted_indices() for phi in phis]
+    as_lists = [sorted(phi) for phi in phis]
     assert as_lists == sorted(as_lists)
     # the preset is the least one
-    assert phis[0].phi == scn.phi.phi
-    assert [i + 1 for i in phis[0].sorted_indices()] == [1, 2, 4, 7]
+    assert phis[0] == scn.phi
+    assert [i + 1 for i in sorted(phis[0])] == [1, 2, 4, 7]
 
 
 def test_enumerate_forced_unique_choice():
     scn = scenario_main(4, 5)
-    phis = enumerate_cm_types(scn.model, PlacePrescription.from_counts((0, 4)))
+    phis = enumerate_cm_types(scn.model, (0, 4))
     assert len(phis) == 1
     block1 = scn.model.D_blocks[1]
-    assert phis[0].phi == frozenset(block1)
+    assert phis[0] == frozenset(block1)
 
 
 def test_enumerate_rejects_inconsistent_targets():
     scn = scenario_main(4, 5)
     with pytest.raises(ValueError, match="no CM-type exists"):
-        enumerate_cm_types(scn.model, PlacePrescription.from_counts((1, 2)))
+        enumerate_cm_types(scn.model, (1, 2))
 
 
-def test_enumerate_respects_limit():
+@pytest.mark.parametrize("bad", [1.7, "3", None, 3.0])
+def test_a_target_that_is_not_an_integer_is_refused(bad):
+    # a float is not truncated and a string is not parsed: (1.7, 3.2) is not the preset's (1, 3)
     scn = scenario_main(4, 5)
-    phis = enumerate_cm_types(scn.model, PlacePrescription.from_counts((1, 3)), limit=2)
-    assert len(phis) == 2
-    assert phis[0].phi == scn.phi.phi
+    for targets in ((bad, 3), (1, bad)):
+        for build in (least_cm_type, enumerate_cm_types):
+            with pytest.raises(ValueError, match=f"target {bad!r} is not an integer in 0..4"):
+                build(scn.model, targets)
+    with pytest.raises(ValueError, match="is not an integer"):
+        least_cm_type(scn.model, (1.7, 3.2))
+
+
+@pytest.mark.parametrize("build, targets, classes", [
+    (lambda: scenario_main(4, 5), (1, 3), [(0, 1)]),
+    (lambda: scenario_ramified(3, 5), (1, 3, 2), [(0, 1), (2, 2)]),
+    (lambda: scenario_split(3, 5), (0, 2, 1, 1, 1, 1), [(0, 1), (2, 2), (3, 4), (5, 5)]),
+], ids=["main4", "ramified3", "split3"])
+def test_a_preset_phi_is_the_least_type_of_its_measured_targets(build, targets, classes):
+    scn = build()
+    assert tau_block_classes(scn.model) == classes  # tau-swapped pairs, then tau-stable blocks
+    assert measure_cm_type(scn.model, scn.phi) == targets
+    assert least_cm_type(scn.model, targets) == scn.phi
 
 
 def test_every_enumerated_type_is_valid_and_remeasures():
     scn = scenario_ramified(3, 5)
-    prescription = PlacePrescription.from_counts((1, 3, 2))
-    for phi in enumerate_cm_types(scn.model, prescription):
+    targets = (1, 3, 2)
+    for phi in enumerate_cm_types(scn.model, targets):
         validate_cm_type(scn.model, phi)
-        assert measure_cm_type(scn.model, phi).targets == prescription.targets
+        assert measure_cm_type(scn.model, phi) == targets
         validate_slopes(scn.model, slopes_from_cm_type(scn.model, phi))
 
 
 def test_least_matches_enumeration_head():
     scn = scenario_ramified(3, 5)
     for counts in ((1, 3, 2), (3, 1, 2), (0, 4, 2), (2, 2, 2)):
-        prescription = PlacePrescription.from_counts(counts)
-        assert (
-            least_cm_type(scn.model, prescription).phi
-            == enumerate_cm_types(scn.model, prescription)[0].phi
-        )
+        assert least_cm_type(scn.model, counts) == enumerate_cm_types(scn.model, counts)[0]
 
 
 def test_hodge_type_examples():
     scn = scenario_main(4, 5)
     i0 = frozenset({0, 1, 2, 3})
     assert hodge_type(scn.model, scn.phi, i0) == (3, 1)
-    assert hodge_type(scn.model, scn.phi, scn.phi.phi) == (4, 0)
+    assert hodge_type(scn.model, scn.phi, scn.phi) == (4, 0)
     pair = frozenset({0, scn.model.tau[0]})
     assert hodge_type(scn.model, scn.phi, pair) == (1, 1)
 
@@ -119,7 +131,7 @@ def test_classify_orbits_validates_phi_once(monkeypatch):
 def test_classify_orbits_refuses_an_invalid_phi(phi, message):
     scn = scenario_main(4, 5)
     with pytest.raises(ValueError, match=message):
-        classify_orbits(scn.model, scn.slopes, phi=CMType(phi=frozenset(phi)))
+        classify_orbits(scn.model, scn.slopes, phi=frozenset(phi))
 
 
 def test_is_balanced():
@@ -131,14 +143,14 @@ def test_is_balanced():
 def test_cm_type_validation_errors():
     model = cm_product_group(2)
     with pytest.raises(ValueError):
-        validate_cm_type(model, CMType(phi=frozenset({0, 2})))  # meets its conjugate
+        validate_cm_type(model, frozenset({0, 2}))  # meets its conjugate
     with pytest.raises(ValueError):
-        validate_cm_type(model, CMType(phi=frozenset({0})))  # does not cover
+        validate_cm_type(model, frozenset({0}))  # does not cover
 
 
 def test_cm_type_serialization():
     scn = scenario_main(4, 5)
-    assert scn.phi.serialize() == "1 2 4 7"
+    assert "phi = 1 2 4 7" in serialize_scenario(scn).splitlines()
 
 
 def test_enumeration_cap(monkeypatch):
@@ -148,4 +160,4 @@ def test_enumeration_cap(monkeypatch):
     scn = scenario_main(4, 5)
     monkeypatch.setattr(cmtypes, "DEFAULT_ENUM_CAP", 2)
     with pytest.raises(CapExceededError):
-        enumerate_cm_types(scn.model, PlacePrescription.from_counts((1, 3)))
+        enumerate_cm_types(scn.model, (1, 3))

@@ -369,21 +369,32 @@ def test_scenario_file_round_trip():
         D = subgroup_closure(scn.model.group, scn.model.D_generators)
         assert subgroup_closure(loaded.model.group, loaded.model.D_generators) == D
         assert loaded.model.D_blocks == scn.model.D_blocks
-        assert loaded.phi.phi == scn.phi.phi
+        assert loaded.phi == scn.phi
         assert loaded.slopes.values == scn.slopes.values
 
 
-def test_scenario_file_phi_targets():
-    text = """
+TARGETS_MAIN = """
 name = targets-main
 points = 8
 generators = (1 2)(5 6), (1 2 3 4)(5 6 7 8), (1 5)(2 6)(3 7)(4 8)
 tau = (1 5)(2 6)(3 7)(4 8)
 decomposition_generators = (1 6 3 8)(2 7 4 5)
-phi_targets = 1 3
+phi_targets = {}
 """
-    scn = parse_scenario(text)
-    assert scn.phi.serialize() == "1 2 4 7"
+
+
+def test_scenario_file_phi_targets():
+    scn = parse_scenario(TARGETS_MAIN.format("1 3"))
+    assert "phi = 1 2 4 7" in serialize_scenario(scn).splitlines()
+
+
+@pytest.mark.parametrize("targets, message", [
+    ("1.7 3", "line 7: field 'phi_targets': invalid literal for int"),
+    ("1 2", "line 7: field 'phi_targets': no CM-type exists"),
+])
+def test_scenario_file_phi_targets_are_integers_that_admit_a_cm_type(targets, message):
+    with pytest.raises(ScenarioParseError, match=message):
+        parse_scenario(TARGETS_MAIN.format(targets))
 
 
 def test_scenario_file_errors_carry_line_and_field():

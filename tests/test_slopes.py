@@ -15,7 +15,6 @@ from oracles import (
 )
 
 from weiltate.classifier import honda_tate_endomorphism
-from weiltate.cmtypes import CMType
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import cm_product_group
 from weiltate.slopes import (
@@ -67,7 +66,7 @@ def test_main_scenario_slope_multiset():
 def test_full_block_cm_type_gives_ordinary_slopes():
     scn = scenario_main(4, 5)
     block0 = scn.model.D_blocks[0]
-    phi = CMType(phi=frozenset(block0))
+    phi = frozenset(block0)
     s = slopes_from_cm_type(scn.model, phi)
     assert set(s.values) == {Fraction(0), Fraction(1)}
 
@@ -75,7 +74,7 @@ def test_full_block_cm_type_gives_ordinary_slopes():
 def test_tau_stable_blocks_give_half_slopes():
     model = cm_product_group(2)
     model = model.with_decomposition(model.group.elements)
-    phi = CMType(phi=frozenset({0, 1}))
+    phi = frozenset({0, 1})
     s = slopes_from_cm_type(model, phi)
     assert set(s.values) == {Fraction(1, 2)}
 
@@ -83,7 +82,7 @@ def test_tau_stable_blocks_give_half_slopes():
 def test_slopes_require_decomposition_group():
     model = cm_product_group(2)
     with pytest.raises(ValueError):
-        slopes_from_cm_type(model, CMType(phi=frozenset({0, 1})))
+        slopes_from_cm_type(model, frozenset({0, 1}))
 
 
 def test_validate_slopes_rejects_broken_pairing():
@@ -140,7 +139,7 @@ def test_fix_of_slope_ramified_index():
 def test_potential_membership_real_subfield_fails():
     scn = scenario_main(4, 5)
     # fixer of the totally real subfield: sigma(1) = 1 up to conjugation
-    g = scn.g
+    g = scn.model.g
     Z = block_subgroup(scn.model.group, {0, g})
     verify_subgroup(scn.model.group, Z)
     assert block_subgroup(scn.model.group, {0}) <= Z
