@@ -122,7 +122,7 @@ def poly_derivative(f):
     return poly_trim(tuple(i * f[i] for i in range(1, len(f))))
 
 
-def format_poly(f, var: str = "x") -> str:
+def format_poly(f) -> str:
     """Human-readable form, highest degree first, e.g. 'x^2 + 5x + 2'."""
     if not f:
         return "0"
@@ -135,7 +135,7 @@ def format_poly(f, var: str = "x") -> str:
             body = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else str(abs(c))
-            body = f"{mag}{var}" if i == 1 else f"{mag}{var}^{i}"
+            body = f"{mag}x" if i == 1 else f"{mag}x^{i}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

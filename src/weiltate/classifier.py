@@ -26,7 +26,7 @@ from .galois import (
     subgroup_generators,
 )
 from .slopes import SlopeVector, conjugate_slope_basis, signature_classes, validate_slopes
-from .cmtypes import _hodge_type, is_balanced, validate_cm_type
+from .cmtypes import hodge_type, is_balanced, validate_cm_type
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -359,7 +359,7 @@ def classify_orbits(
         for masks in member_lists:
             rep = _points(n, masks[0])
             lefschetz = _lefschetz(rep, cols)
-            ht = _hodge_type(phi, rep) if phi is not None else None
+            ht = hodge_type(phi, rep) if phi is not None else None
             orbits.append(
                 MotiveOrbit(
                     weight=w,
@@ -460,8 +460,9 @@ def _blocks_in_coset_order(model: CMGaloisModel, label, point) -> list:
     Blocks are class labels, with the class S of index 1 labelled 0
     and point[B] some index in B; block B stands for the coset
     {g : g(S) = B} of the setwise stabilizer of S.  The canonical order
-    (`PermGroup.elements`, breadth-first from the identity; no element
-    is listed here) is the shortlex order of the least generator words
+    (breadth-first from the identity, the generators applied on the
+    right, as `tests/oracles.py::elements_of` lists it; no element is
+    listed here) is the shortlex order of the least generator words
     w = w_1 ... w_k (acting as w_1 after ... after w_k), so the first
     element meeting the coset of B is the shortlex-least word with
     w(S) = B.  Its length d is the distance from S in the block graph,
@@ -550,7 +551,6 @@ class StructureVerdict(Record):
 
 def structure_check(
     model: CMGaloisModel,
-    s: SlopeVector,
     report: ClassifierReport,
     end_report: EndAlgebraReport,
 ) -> StructureVerdict:
@@ -594,7 +594,7 @@ def structure_check(
     return StructureVerdict(True, branch)
 
 
-def predicted_signature(report: ClassifierReport, g: int) -> tuple:
+def predicted_signature(report: ClassifierReport) -> tuple:
     """Signature (s_+, s_-) of the middle intersection pairing.
 
     Hodge-Riemann gives sign (-1)^k to the primitive part of degree 2k,
@@ -603,6 +603,7 @@ def predicted_signature(report: ClassifierReport, g: int) -> tuple:
     the Tate-class dimensions rho_k equal the cycle-space dimensions
     (see ClassifierReport.notes).
     """
+    g = report.g
     if g % 2 != 0:
         raise ValueError("signature prediction needs even g")
     rho = report.tate_dims

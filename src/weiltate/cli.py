@@ -113,10 +113,9 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
     """Write one JSON value whose opening line is already indented; `nl` starts its lines.
 
     `tables` keeps the member text tables of `_members_text` for the
-    document.  A value of a plain scalar type is written from
-    `_SCALAR_TEXT` by its exact type, inline when it is an item of a
-    list or a dict; any other type, a subclass among them, goes down the
-    `isinstance` chain.
+    document.  A scalar is written from `_SCALAR_TEXT` by its exact
+    type, inline when it is an item of a list or a dict; a subclass of
+    a scalar type raises `TypeError`, as a float does.
     """
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
@@ -158,16 +157,6 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
                 _write_json(item, inner, write, tables)
             sep = "," + inner
         write(nl + "}")
-    elif isinstance(value, str):
-        write(encode_basestring_ascii(value))
-    elif value is None:
-        write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, int):
-        write(int.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -306,7 +295,7 @@ def classify_scenario_doc(
         "minimal_field_index": end.frobenius_field_degree,
     }
     if report.g % 2 == 0 and report.tate_dims is not None:
-        s_plus, s_minus = predicted_signature(report, report.g)
+        s_plus, s_minus = predicted_signature(report)
         doc["predicted_signature"] = [s_plus, s_minus]
         doc["signature_assumption"] = classifier.TATE_COUNT_NOTE
     else:

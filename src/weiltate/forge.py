@@ -48,6 +48,7 @@ from .galois import (
     subgroup_generators,
     sym_generators,
 )
+from .classifier import DEFAULT_SUBSET_CAP
 from .cmtypes import least_cm_type, tau_block_classes, validate_cm_type
 from .slopes import SlopeVector, slopes_from_cm_type
 
@@ -298,10 +299,10 @@ class Scenario(Record):
     metadata: tuple = ()
 
 
-def _smallest_primes_avoiding(g: int, avoid, count: int = 2):
+def _smallest_primes_avoiding(g: int, avoid):
     out = []
     q = g + 1
-    while len(out) < count:
+    while len(out) < 2:
         if is_prime(q) and q not in avoid:
             out.append(q)
         q += 1
@@ -441,12 +442,12 @@ _SCENARIO_FIELDS = {
 
 
 def parse_scenario(
-    text: str, group_cap: int = DEFAULT_GROUP_CAP, subset_cap: int = None
+    text: str, group_cap: int = DEFAULT_GROUP_CAP, subset_cap: int = DEFAULT_SUBSET_CAP
 ) -> Scenario:
     """Parse the scenario file format (key = value lines, # comments).
 
-    With a `subset_cap`, a file with more points than the cap is refused
-    as soon as `points` is read, before any group is built from it.
+    A file with more points than `subset_cap` is refused as soon as
+    `points` is read, before any group is built from it.
     """
     fields = {}
     lines = {}
@@ -480,7 +481,7 @@ def parse_scenario(
         fail("points", f"not an integer: {fields['points']!r}")
     if npoints < 2 or npoints % 2 != 0:
         fail("points", f"must be a positive even integer, got {npoints}")
-    if subset_cap is not None and npoints > subset_cap:
+    if npoints > subset_cap:
         raise CapExceededError(f"line {lines['points']}: field 'points': "
                                f"2g = {npoints} exceeds the subset cap {subset_cap}")
 

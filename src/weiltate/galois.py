@@ -6,8 +6,7 @@ stabilizer chain on the base 1..2g (`StabChain`), which gives its order
 and membership without listing it: a preset's chain is read off a known
 strong generating set (`cm_product_group`, `forge._biquadratic_model`),
 and a scenario file's goes through Schreier-Sims (`build_group`).
-`PermGroup.elements` lists a group, in the canonical breadth-first
-order, only when asked, and no command asks.
+No group is listed.
 A subgroup is carried by the smallest data that fixes it: one above
 Stab(1) by its point block, the decomposition group D by its
 generators; the generator lists of a document are read off their
@@ -21,7 +20,6 @@ value classes.
 from __future__ import annotations
 
 import copy
-from functools import cached_property
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -351,10 +349,7 @@ class StabChain:
 class PermGroup(Record):
     """A permutation group on {1..n} (0-based inside), carried by its stabilizer chain.
 
-    `order` and membership come from the chain.  `elements` lists the
-    group on first use; it is kept for tools that count a group by
-    listing it and for the tests' element-set oracles, and the program
-    reads none of it.
+    `order` and membership come from the chain.
     """
 
     degree: int
@@ -369,20 +364,6 @@ class PermGroup(Record):
     def __contains__(self, p) -> bool:
         p = tuple(p)
         return len(p) == self.degree and set(p) == set(range(self.degree)) and p in self.chain
-
-    @cached_property
-    def elements(self) -> tuple:
-        """Every element, breadth-first from the identity, the generators applied on the right."""
-        ident = identity(self.degree)
-        out = [ident]
-        seen = {ident}
-        for e in out:  # grows while it is walked
-            for gen in self.generators:
-                c = compose(e, gen)
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-        return tuple(out)
 
 
 def point_orbits(perms, n: int) -> tuple:
@@ -406,8 +387,7 @@ def point_orbits(perms, n: int) -> tuple:
 def build_group(n: int, generators, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
     """The group generated by `generators` on the points 0..n-1, with its stabilizer chain.
 
-    A group larger than `cap` is refused while its chain is built,
-    before any element is listed.
+    A group larger than `cap` is refused while its chain is built.
     """
     gens = []
     for g in generators:
@@ -469,17 +449,16 @@ class CMGaloisModel(Record):
 
     tau is the central conjugation i -> i + g mod 2g.  The decomposition
     subgroup D at the anchored valuation is carried by D_generators
-    (None until `with_decomposition` supplies them), and D_blocks holds
-    the D-orbits on the indices, the places of L above p.  Neither D
-    field takes part in model equality; both are checked against the
-    group when they are given to `__init__` or `replace`.
+    (None until `with_decomposition` supplies them), which are checked
+    to lie in the group; D_blocks, derived from them, holds the D-orbits
+    on the indices, the places of L above p (None without D).  Neither
+    takes part in model equality.
     """
 
     g: int
     group: PermGroup
     tau: Perm
     D_generators: tuple = None
-    D_blocks: tuple = None
     _compare = ("g", "group", "tau")
     _shown = ("g", "group", "tau", "D_generators", "D_blocks")
 
@@ -498,12 +477,10 @@ class CMGaloisModel(Record):
         for gen in self.group.generators:
             if compose(gen, self.tau) != compose(self.tau, gen):
                 raise ValueError(f"tau is not central: fails against generator {format_perm(gen)}")
+        blocks = None
         if self.D_generators is not None:
-            gens = _in_group(self.group, self.D_generators)
-            if self.D_blocks != point_orbits(gens, n):
-                raise ValueError("D_blocks are not the orbits of D_generators")
-        elif self.D_blocks is not None:
-            raise ValueError("D_blocks are given without D_generators")
+            blocks = point_orbits(_in_group(self.group, self.D_generators), n)
+        self.__dict__["D_blocks"] = blocks
 
     def with_decomposition(self, generators) -> "CMGaloisModel":
         """The same model with D = <generators>; the group checks already held."""

@@ -20,8 +20,9 @@ with the rational Sturm chain.  `certificates_by_factoring` factors a
 forged polynomial mod p, l and l' with the kernel, where the program
 reads the patterns off the CRT targets that it has proved.
 
-The element-set route lists the group (`PermGroup.elements`, which no
-command reads): `subgroup_closure` and `block_subgroup` list the
+The element-set route lists the group (`elements_of`, breadth-first
+from the identity, the order in which `classifier._blocks_in_coset_order`
+places the blocks; the program lists no group): `subgroup_closure` and `block_subgroup` list the
 subgroups above H from their generators or their point block, and
 `fixer_by_definition` and `potential_by_valuation_grouping` decide Fix
 and p-potential membership by their definitions over those lists.
@@ -81,7 +82,7 @@ from weiltate.classifier import (
     MotiveOrbit,
     WeilTateEntry,
 )
-from weiltate.cmtypes import hodge_type, is_balanced
+from weiltate.cmtypes import is_balanced
 from weiltate.forge import (
     Certificates,
     ForgedField,
@@ -282,7 +283,9 @@ def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierRepor
             visited.update(orbit)
             rep = orbit[0]
             lefschetz = has_qpair_matching(rep, qp)
-            ht = hodge_type(model, phi, rep) if phi is not None else None
+            ht = None
+            if phi is not None:
+                ht = (len(phi & rep), len({model.tau[i] for i in phi} & rep))
             orbits.append(
                 MotiveOrbit(
                     weight=w,
@@ -351,17 +354,31 @@ def rational_rank(matrix) -> int:
     return rank
 
 
+def elements_of(group: PermGroup) -> tuple:
+    """Every element, breadth-first from the identity, the generators applied on the right."""
+    ident = identity(group.degree)
+    out = [ident]
+    seen = {ident}
+    for e in out:  # grows while it is walked
+        for gen in group.generators:
+            c = compose(e, gen)
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
+    return tuple(out)
+
+
 def frobenius_rank_by_matrix(model, s) -> int:
     """Rank of the matrix with one column s∘g per distinct conjugate, minus one."""
     n = model.group.degree
-    columns = sorted({tuple(s[g[x]] for x in range(n)) for g in model.group.elements})
+    columns = sorted({tuple(s[g[x]] for x in range(n)) for g in elements_of(model.group)})
     return rational_rank([[col[x] for col in columns] for x in range(n)]) - 1
 
 
 def fix_by_signatures_over_group(model, s) -> frozenset:
     """Fix as the preimage of the signature class of index 1, signatures taken over all of G."""
     validate_slopes_by_fractions(model, s)
-    listed = model.group.elements
+    listed = elements_of(model.group)
     base_sig = tuple(s[g[0]] for g in listed)
     same = set()
     for x in range(model.group.degree):
@@ -373,7 +390,7 @@ def fix_by_signatures_over_group(model, s) -> frozenset:
 def subgroup_closure(group: PermGroup, generators) -> frozenset:
     """The subgroup that some elements of `group` generate, listed; each must lie in `group`."""
     sub = build_group(group.degree, _in_group(group, generators), cap=group.order)
-    return frozenset(sub.elements)
+    return frozenset(elements_of(sub))
 
 
 def block_subgroup(group: PermGroup, points) -> frozenset:
@@ -383,12 +400,12 @@ def block_subgroup(group: PermGroup, points) -> frozenset:
     holds index 1 (0-based 0).  The subgroups Z >= Stab(1) are exactly
     these, Z the setwise stabilizer of its block Z(1).
     """
-    return frozenset(e for e in group.elements if e[0] in points)
+    return frozenset(e for e in elements_of(group) if e[0] in points)
 
 
 def fixer_by_definition(model: CMGaloisModel, s: SlopeVector) -> frozenset:
     """Fix by its definition {sigma : s[g sigma(1)] = s[g(1)] for all g}, a double loop over G."""
-    listed = model.group.elements
+    listed = elements_of(model.group)
     return frozenset(sigma for sigma in listed if all(s[g[sigma[0]]] == s[g[0]] for g in listed))
 
 
@@ -403,7 +420,7 @@ def potential_by_valuation_grouping(model: CMGaloisModel, s: SlopeVector, Z) -> 
     """
     D = subgroup_closure(model.group, model.D_generators or ())
     anchors = sorted({z[0] for z in Z})
-    for g in model.group.elements:
+    for g in elements_of(model.group):
         base = s[g[0]]
         for d in D:
             dg = compose(d, g)
@@ -548,7 +565,7 @@ def left_cosets(group, sub):
     """Left cosets e*sub, each listed whole at its first element, the representative."""
     reps = []
     coset_of = {}
-    for e in group.elements:
+    for e in elements_of(group):
         if e not in coset_of:
             for z in sub:
                 coset_of[compose(e, z)] = len(reps)

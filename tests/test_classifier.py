@@ -1,6 +1,5 @@
 """Classification tests: Tate orbits, Lefschetz/exotic flags, invariants, lemmas."""
 
-import copy
 import json
 import random
 from collections import Counter
@@ -13,6 +12,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     block_subgroup,
+    elements_of,
     classify_orbits_by_walk,
     doc_to_end_report,
     doc_to_report,
@@ -123,7 +123,7 @@ def supersingular_degree2_model():
     tau = cycles_to_perm(2, [(1, 2)])
     group = build_group(2, [tau])
     model = CMGaloisModel(g=1, group=group, tau=tau)
-    return model.with_decomposition(group.elements)
+    return model.with_decomposition(elements_of(group))
 
 
 # --- the Tate predicate, read off the scan ------------------------------------
@@ -386,7 +386,7 @@ def test_block_subgroup_is_the_subgroup_above_h_of_its_block(case):
     G = model.group
     for P in index2_point_sets(G) + [signature_block(model, s)]:
         Z = block_subgroup(G, P)
-        assert Z == frozenset(e for e in G.elements if e[0] in P)
+        assert Z == frozenset(e for e in elements_of(G) if e[0] in P)
         if model.g <= 4:  # the oracle is |Z|^2 compositions
             assert verify_subgroup(G, Z) == Z
         assert block_subgroup(G, {0}) <= Z
@@ -476,7 +476,7 @@ def slopes_to_validate(draw):
     elif kind == "pair":
         values[i] = Fraction(draw(st.integers(0, den)), den)
     elif kind in ("block", "integer"):
-        model = model.with_decomposition([draw(st.sampled_from(model.group.elements))])
+        model = model.with_decomposition([draw(st.sampled_from(elements_of(model.group)))])
         for block in model.D_blocks:  # tau is central, so tau B is a D-block too
             partner = tuple(sorted(model.tau[x] for x in block))
             v = Fraction(1, 2) if partner == block else Fraction(draw(st.integers(0, den)), den)
@@ -534,15 +534,6 @@ def test_the_slope_routes_do_no_fraction_arithmetic(monkeypatch):
     _lefschetz(range(model.group.degree), _packed_columns(rows))
     monkeypatch.undo()
     assert calls == {}
-
-
-class _Unlisted(tuple):
-    """Stands in for a group's element list; any walk over it fails."""
-
-    def __iter__(self, *args):
-        raise AssertionError("a group element list was walked")
-
-    __len__ = __getitem__ = __contains__ = __iter__
 
 
 @st.composite
@@ -607,7 +598,7 @@ def test_lefschetz_count_matches_the_matching_search(cols):
 @settings(max_examples=60, deadline=None)
 @given(signed_groups(), st.data())
 def test_chain_order_and_membership_match_the_listing(G, data):
-    listed = set(G.elements)
+    listed = set(elements_of(G))
     assert G.order == len(listed)
     n = G.degree
     word = data.draw(st.lists(st.sampled_from(G.generators), max_size=8)) if G.generators else []
@@ -641,7 +632,7 @@ def test_chain_generators_match_the_greedy_over_the_listing(case, data):
         listed = block_subgroup(G, P)
         assert Z.order == len(listed) == G.order * len(P) // G.degree
         assert subgroup_generators(Z) == subgroup_generators_by_listing(G, listed)
-    dgens = data.draw(st.lists(st.sampled_from(G.elements), max_size=3))
+    dgens = data.draw(st.lists(st.sampled_from(elements_of(G)), max_size=3))
     D = StabChain(G.degree, dgens)
     assert subgroup_generators(D) == subgroup_generators_by_listing(G, subgroup_closure(G, dgens))
 
@@ -690,7 +681,7 @@ def test_chain_generators_match_the_greedy_on_small_generator_sets(drawn):
     n, gens = drawn
     G = build_group(n, gens)
     event(f"transitive: {len(point_orbits(gens, n)) == 1}")
-    assert subgroup_generators(G.chain) == subgroup_generators_by_listing(G, G.elements)
+    assert subgroup_generators(G.chain) == subgroup_generators_by_listing(G, elements_of(G))
     if len(point_orbits(gens, n)) == 1:
         for P in index2_point_sets(G):
             listed = block_subgroup(G, P)
@@ -723,12 +714,8 @@ def test_classify_and_honda_tate_list_no_group_element(monkeypatch):
         if hasattr(module, "build_group"):
             monkeypatch.setattr(module, "build_group", refuse)
     for scn, (report, end) in zip(built, expected):
-        group = copy.copy(scn.model.group)
-        object.__setattr__(group, "elements", _Unlisted())
-        model = copy.copy(scn.model)
-        object.__setattr__(model, "group", group)
-        assert classify_orbits(model, scn.slopes, phi=scn.phi) == report
-        assert honda_tate_endomorphism(model, scn.slopes) == end
+        assert classify_orbits(scn.model, scn.slopes, phi=scn.phi) == report
+        assert honda_tate_endomorphism(scn.model, scn.slopes) == end
 
 
 def count_calls(monkeypatch, module, name, calls):
@@ -1013,7 +1000,7 @@ def models_with_cm_types(draw):
     `classify_cases` still draws them.
     """
     model = draw(cm_models().filter(lambda m: m.group.order <= 640))
-    gens = draw(st.lists(st.sampled_from(model.group.elements), min_size=1, max_size=2))
+    gens = draw(st.lists(st.sampled_from(elements_of(model.group)), min_size=1, max_size=2))
     model = model.with_decomposition(subgroup_closure(model.group, gens))
     phi = [i if draw(st.booleans()) else model.tau[i] for i in range(model.g)]
     return model, slopes_from_cm_type(model, phi)
@@ -1045,7 +1032,7 @@ def test_block_routes_match_the_element_walks(case):
         assert end.frobenius_field_degree == model.group.order // len(fix)
     H = block_subgroup(model.group, {0})
     overgroups = index2_overgroups(model.group, H)
-    for Z in overgroups + [H, frozenset(model.group.elements)]:
+    for Z in overgroups + [H, frozenset(elements_of(model.group))]:
         assert ({z[0] for z in Z} <= S) == (Z <= fix)
     sets = index2_point_sets(model.group)
     assert set(sets) == {frozenset(z[0] for z in Z) for Z in overgroups}
@@ -1072,7 +1059,7 @@ SIGNED16 = CMGaloisModel(
 @example((SIGNED16, slopes_from_cm_type(SIGNED16, range(4))), False)
 @example((SIGNED16, slopes_from_cm_type(SIGNED16, range(4))), True)
 def test_blocks_come_in_the_coset_order_of_the_element_listing(case, discrete):
-    """The level walk lists the blocks as `PermGroup.elements` first meets their cosets.
+    """The level walk lists the blocks as the listing `elements_of` first meets their cosets.
 
     Element e meets the coset of the block holding e(1), label[e[0]];
     the partition is the signature partition or the discrete one.
@@ -1080,7 +1067,7 @@ def test_blocks_come_in_the_coset_order_of_the_element_listing(case, discrete):
     model, s = case
     label = tuple(range(model.group.degree)) if discrete else signature_classes(model, s)
     point = [label.index(b) for b in range(max(label) + 1)]
-    listing = list(dict.fromkeys(label[e[0]] for e in model.group.elements))
+    listing = list(dict.fromkeys(label[e[0]] for e in elements_of(model.group)))
     assert _blocks_in_coset_order(model, label, point) == listing
 
 
@@ -1114,7 +1101,7 @@ def test_structure_check_main4_commutative():
     scn = scenario_main(4, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     end = honda_tate_endomorphism(scn.model, scn.slopes)
-    verdict = structure_check(scn.model, scn.slopes, rep, end)
+    verdict = structure_check(scn.model, rep, end)
     assert verdict.passed and verdict.branch == "commutative"
 
 
@@ -1122,7 +1109,7 @@ def test_structure_check_ramified_noncommutative():
     scn = scenario_ramified(3, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     end = honda_tate_endomorphism(scn.model, scn.slopes)
-    verdict = structure_check(scn.model, scn.slopes, rep, end)
+    verdict = structure_check(scn.model, rep, end)
     assert verdict.passed and verdict.branch == "noncommutative"
 
 
@@ -1133,27 +1120,27 @@ def test_structure_check_requires_mildly_exotic():
     rep = classify_orbits(model_d, s)
     end = honda_tate_endomorphism(model_d, s)
     with pytest.raises(ValueError):
-        structure_check(model_d, s, rep, end)
+        structure_check(model_d, rep, end)
 
 
 def _mildly_exotic_parts(scn):
-    """(model, slopes, report, end report) of a preset that passes structure_check."""
+    """(model, report, end report) of a preset that passes structure_check."""
     model, s = scn.model, scn.slopes
-    return model, s, classify_orbits(model, s), honda_tate_endomorphism(model, s)
+    return model, classify_orbits(model, s), honda_tate_endomorphism(model, s)
 
 
 def test_structure_check_fails_on_odd_g():
     model = cm_product_group(3).with_decomposition(frozenset({tuple(range(6))}))
     s = ordinary_slopes(3)
     rep = classify_orbits(model, s).replace(mildly_exotic=True)
-    verdict = structure_check(model, s, rep, honda_tate_endomorphism(model, s))
+    verdict = structure_check(model, rep, honda_tate_endomorphism(model, s))
     assert not verdict.passed and verdict.failed_clause == "dimension g is odd"
 
 
 def test_structure_check_fails_on_an_exotic_orbit_outside_weil_tate():
-    model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
+    model, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
     assert rep.exotic and end.commutative
-    verdict = structure_check(model, s, rep.replace(weil_tate=()), end)
+    verdict = structure_check(model, rep.replace(weil_tate=()), end)
     first = [i + 1 for i in rep.exotic[0].representative]
     assert (verdict.passed, verdict.branch) == (False, "commutative")
     assert verdict.failed_clause == (
@@ -1162,13 +1149,13 @@ def test_structure_check_fails_on_an_exotic_orbit_outside_weil_tate():
 
 
 def test_structure_check_fails_when_the_exotic_determinant_lies_in_another_orbit():
-    model, s, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
+    model, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
     (exotic,) = rep.exotic
     (outer,) = [e for e in rep.weil_tate if e.determinant_set not in exotic.orbit]
     assert outer.is_tate and not outer.is_exotic
     # the one exotic Weil-Tate entry now sits in an orbit of Lefschetz classes
     moved = outer.replace(is_lefschetz_bearing=False, is_exotic=True)
-    verdict = structure_check(model, s, rep.replace(weil_tate=(moved,)), end)
+    verdict = structure_check(model, rep.replace(weil_tate=(moved,)), end)
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == (
         f"exotic orbit with representative {[i + 1 for i in exotic.representative]} "
@@ -1177,31 +1164,31 @@ def test_structure_check_fails_when_the_exotic_determinant_lies_in_another_orbit
 
 
 def test_structure_check_fails_without_an_imaginary_quadratic_subfield():
-    model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
-    verdict = structure_check(model, s, rep.replace(exotic=(), weil_tate=()), end)
+    model, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
+    verdict = structure_check(model, rep.replace(exotic=(), weil_tate=()), end)
     assert (verdict.passed, verdict.branch) == (False, "commutative")
     assert verdict.failed_clause == "no imaginary quadratic subfield exists"
 
 
 def test_structure_check_fails_on_noncommutative_index_other_than_two():
-    model, s, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
+    model, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
     assert (end.commutative, end.index) == (False, 2)
-    verdict = structure_check(model, s, rep, end.replace(index=4))
+    verdict = structure_check(model, rep, end.replace(index=4))
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "noncommutative index m = 4 != 2"
 
 
 def test_structure_check_fails_on_even_half_dimension():
-    model, s, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
-    verdict = structure_check(model, s, rep, end.replace(commutative=False, index=2))
+    model, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
+    verdict = structure_check(model, rep, end.replace(commutative=False, index=2))
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "g/2 is even"
 
 
 def test_structure_check_fails_on_more_than_one_exotic_orbit():
-    model, s, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
+    model, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
     assert len(rep.exotic) == 1
-    verdict = structure_check(model, s, rep.replace(exotic=rep.exotic * 2), end)
+    verdict = structure_check(model, rep.replace(exotic=rep.exotic * 2), end)
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "2 exotic orbits instead of a unique one"
 
@@ -1216,7 +1203,7 @@ def test_structure_check_reads_every_member_of_an_exotic_orbit(name):
     for order in (1, -1):
         exotic = tuple(o.replace(orbit=MemberMasks(o.orbit.n, o.orbit.masks[::order]))
                        for o in rep.exotic)
-        assert structure_check(model, s, rep.replace(exotic=exotic), end).passed
+        assert structure_check(model, rep.replace(exotic=exotic), end).passed
 
 
 # --- predicted_signature ----------------------------------------------------------
@@ -1226,7 +1213,7 @@ def test_signature_main4():
     scn = scenario_main(4, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     assert rep.tate_dims[:3] == (1, 4, 8)
-    assert predicted_signature(rep, 4) == (5, 3)
+    assert predicted_signature(rep) == (5, 3)
 
 
 def test_signature_all_ones_hypothetical():
@@ -1240,7 +1227,7 @@ def test_signature_all_ones_hypothetical():
         weil_tate=(),
         scht_verdict=SCHT_LEFSCHETZ_ONLY,
     )
-    assert predicted_signature(rep, 4) == (1, 0)
+    assert predicted_signature(rep) == (1, 0)
 
 
 def test_signature_rho1_counts_the_g_pairs():
@@ -1254,23 +1241,23 @@ def test_signature_main6():
     scn = scenario_main(6, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     assert rep.tate_dims[:4] == (1, 6, 15, 22)
-    assert predicted_signature(rep, 6) == (10, 12)
+    assert predicted_signature(rep) == (10, 12)
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_signature_is_nonnegative_on_presets(name):
     scn = PRESETS[name]()
     rep = classify_orbits(scn.model, scn.slopes, subset_cap=20)
-    s_plus, s_minus = predicted_signature(rep, rep.g)
+    s_plus, s_minus = predicted_signature(rep)
     assert s_plus >= 0 and s_minus >= 0
     assert s_plus + s_minus == rep.tate_dims[rep.g // 2]
 
 
 def test_signature_rejects_odd_g():
-    scn = scenario_main(4, 5)
-    rep = classify_orbits(scn.model, scn.slopes)
-    with pytest.raises(ValueError):
-        predicted_signature(rep, 3)
+    rep = classify_orbits(cm_product_group(3), ordinary_slopes(3))
+    assert rep.g == 3 and rep.tate_dims is not None
+    with pytest.raises(ValueError, match="needs even g"):
+        predicted_signature(rep)
 
 
 # --- lemma suite -------------------------------------------------------------------

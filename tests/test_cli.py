@@ -620,13 +620,18 @@ def test_scenario_over_the_subset_cap_is_refused_before_the_chain_is_built(tmp_p
     assert "2g = 2000 exceeds the subset cap 1998" in err
 
 
-def test_parse_scenario_without_a_subset_cap_reads_any_number_of_points():
+def test_parse_scenario_refuses_more_points_than_the_subset_cap_on_line_1():
     scn = forge.scenario_ramified(3, 5)
     text = serialize_scenario(scn)
-    assert forge.parse_scenario(text).model.group.degree == 12
+    assert forge.parse_scenario(text).model.group.degree == 12  # 12 <= the default cap 16
     assert forge.parse_scenario(text, subset_cap=12).model.group.degree == 12
     with pytest.raises(galois.CapExceededError, match="2g = 12 exceeds the subset cap 10"):
         forge.parse_scenario(text, subset_cap=10)
+    # with no cap given, the default refuses a long file before any permutation is read
+    long = "points = 200000\ngenerators = (1 2)\ntau = (1 2)\nphi = 1\n"
+    with pytest.raises(galois.CapExceededError,
+                       match="^line 1: field 'points': 2g = 200000 exceeds the subset cap 16$"):
+        forge.parse_scenario(long)
 
 
 def test_group_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
@@ -711,7 +716,7 @@ def test_preset_block_check_failure_exits_3_without_traceback(argv, capsys, monk
 
 # --- the indent=2 writer ------------------------------------------------------
 
-class _Level(IntEnum):  # subclasses of int and str take the isinstance route
+class _Level(IntEnum):  # subclasses of int and str: json writes them, no document holds one
     ONE = 1
 
 
@@ -747,8 +752,6 @@ JSON_TREES = st.recursive(
 @example([[[1]], [2]])
 @example({"s": "x\u00e9\n", "i": -(2**70), "t": True, "f": False, "n": None, "e": ""})
 @example([["a", 0, True, None], {"k": [False, "b"]}])
-@example({"i": _Level.ONE, "s": _Tag("t\n"), "l": [_Level.ONE, _Tag(""), 2]})
-@example([_Level.ONE, _Tag("x")])
 def test_emit_json_matches_json_dumps(tree):
     assert cli._emit_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
@@ -776,6 +779,10 @@ def test_emit_json_rejects_what_json_rejects():
         json.dumps({"x": object()})
     with pytest.raises(TypeError):  # json writes floats, but no document holds one
         cli._emit_json({"x": [1, 0.5]})
+    for tree in (_Level.ONE, _Tag("x"), {"i": _Level.ONE}, {"s": _Tag("t\n")},
+                 [_Level.ONE, 2], [2, _Tag("")]):
+        with pytest.raises(TypeError):
+            cli._emit_json(tree)
 
 
 # --- classify text straight from the masks --------------------------------------

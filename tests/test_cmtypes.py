@@ -88,10 +88,10 @@ def test_least_matches_enumeration_head():
 def test_hodge_type_examples():
     scn = scenario_main(4, 5)
     i0 = frozenset({0, 1, 2, 3})
-    assert hodge_type(scn.model, scn.phi, i0) == (3, 1)
-    assert hodge_type(scn.model, scn.phi, scn.phi) == (4, 0)
+    assert hodge_type(scn.phi, i0) == (3, 1)
+    assert hodge_type(scn.phi, scn.phi) == (4, 0)
     pair = frozenset({0, scn.model.tau[0]})
-    assert hodge_type(scn.model, scn.phi, pair) == (1, 1)
+    assert hodge_type(scn.phi, pair) == (1, 1)
 
 
 def test_hodge_types_of_set_and_complement_sum_to_g_g():
@@ -100,8 +100,8 @@ def test_hodge_types_of_set_and_complement_sum_to_g_g():
     points = set(range(8))
     for _ in range(20):
         subset = frozenset(rng.sample(sorted(points), rng.randint(0, 8)))
-        p1, q1 = hodge_type(scn.model, scn.phi, subset)
-        p2, q2 = hodge_type(scn.model, scn.phi, points - subset)
+        p1, q1 = hodge_type(scn.phi, subset)
+        p2, q2 = hodge_type(scn.phi, points - subset)
         assert (p1 + p2, q1 + q2) == (4, 4)
 
 

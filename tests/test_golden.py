@@ -158,13 +158,9 @@ def test_serialized_large_preset_digest(key):
     assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_PRESET_FILES[key]
 
 
-def test_documents_list_no_group_element(monkeypatch, capsys):
+def test_documents_list_no_group_element(capsys):
     """classify, forge, verify and the scenario files run on the chains alone."""
-
-    def refuse(*args):
-        raise AssertionError("the group was listed")
-
-    monkeypatch.setattr(galois.PermGroup, "elements", property(refuse))
+    assert not hasattr(galois.PermGroup, "elements")
     digests = {("classify", "--preset", *preset): d for preset, d in GOLDEN.items()}
     digests.update(GOLDEN_ARGV)
     digests[FORGE_ARGV] = GOLDEN_FORGE[(4, 7, 11, 0)]

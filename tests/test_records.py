@@ -63,7 +63,7 @@ def _one_of_each() -> dict:
     records = [
         scn, scn.model, scn.model.group, scn.slopes,
         report, report.orbits[0], report.weil_tate[0], end, end.local_invariants[0],
-        structure_check(scn.model, scn.slopes, report, end), verify_lemma_suite([scn])[0],
+        structure_check(scn.model, report, end), verify_lemma_suite([scn])[0],
         field, field.certificates,
     ]
     return {type(r): r for r in records}
@@ -137,8 +137,12 @@ def test_replace_runs_post_init_again_and_carries_derived_data():
     for cls, record in RECORDS.items():
         again = record.replace()
         assert again == record and vars(again) == vars(record), cls.__name__
-    with pytest.raises(ValueError, match="D_blocks are not the orbits"):
+    with pytest.raises(TypeError):  # D_blocks is derived from D_generators, not a field
         model.replace(D_blocks=None)
+    assert model.replace(D_generators=None).D_blocks is None
+    n = model.group.degree
+    assert model.replace(D_generators=(model.tau,)).D_blocks == tuple(
+        (i, i + n // 2) for i in range(n // 2))
     with pytest.raises(ValueError, match="tau"):
         model.replace(tau=tuple(range(model.group.degree)))
     s = RECORDS[slopes.SlopeVector].replace(values=("1/2",) * 8)

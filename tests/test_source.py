@@ -3,6 +3,8 @@
 A walk of names from `cli.main` must meet every top-level function and
 class in `src/weiltate/`, save the short declared API list of the
 README, whose entries wait for the ROADMAP items that will call them.
+A name is resolved to the module that defines it, through the
+`from .x import` lines of the module that reads it.
 The code it reaches must read every non-dunder method of those classes.
 """
 
@@ -18,10 +20,7 @@ SRC = Path(weiltate.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # "module: Class.method" -> why the method stays though the program reads it nowhere
-UNREAD_METHODS = {
-    "galois.py: PermGroup.elements": "perfbench/tracer.py counts |G| by listing the group, "
-                                     "until the in-program recorder of ROADMAP item 2 replaces it",
-}
+UNREAD_METHODS = {}
 
 
 def _names_used(node) -> set:
@@ -36,36 +35,76 @@ def _names_used(node) -> set:
 
 
 def _bindings(trees) -> dict:
-    """name -> the top-level functions, classes and assignments of any module that bind it."""
+    """(module, name) -> the top-level functions, classes and assignments that bind it there."""
     bound = {}
-    for tree in trees.values():
+    for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                bound.setdefault(node.name, []).append(node)
+                bound.setdefault((module, node.name), []).append(node)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for name in {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}:
-                    bound.setdefault(name, []).append(node)
+                    bound.setdefault((module, name), []).append(node)
     return bound
 
 
-def reached_from(trees, roots) -> set:
-    """The top-level names that a walk of names from `roots` meets.
+def _imports(tree) -> dict:
+    """name -> (module, its name there) per `from .x import`, (module, None) per `from . import x`.
 
-    A reached binding reaches every top-level binding of each name that
-    it reads, in any module: names are matched alone, so the walk can
-    only over-reach.  A class reaches all of its body, and an assignment
-    its value; an import binds nothing.
+    Only the top-level imports of the package's own modules count.
+    """
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module:
+                    source = (f"{node.module}.py", alias.name)
+                else:
+                    source = (f"{alias.name}.py", None)
+                out[alias.asname or alias.name] = source
+    return out
+
+
+def _resolve(imports, module, name) -> tuple:
+    """The (module, name) that defines what `name` stands for in `module`, through its imports."""
+    while name in imports[module] and imports[module][name][1] is not None:
+        module, name = imports[module][name]
+    return module, name
+
+
+def _reads(node, module, imports) -> set:
+    """The (module, name) pairs that `node` in `module` reads: names, and `x.name`, x a module."""
+    reads = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads.add(_resolve(imports, module, sub.id))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            source = imports[module].get(sub.value.id)
+            if source is not None and source[1] is None:  # x is a module
+                reads.add(_resolve(imports, source[0], sub.attr))
+    return reads
+
+
+def reached_from(trees, roots) -> set:
+    """The (module, name) top-level bindings that a walk of names from `roots` meets.
+
+    A reached binding reaches the binding of each name that it reads,
+    resolved through the `from .x import` lines of its module, and of
+    each `x.name` it reads, x a module bound by `from . import x`.  A
+    class reaches all of its body, and an assignment its value; an
+    import binds nothing.  A local name that shadows a top-level one
+    still reaches it, so the walk can only over-reach.
     """
     bound = _bindings(trees)
+    imports = {module: _imports(tree) for module, tree in trees.items()}
     reached, todo = set(), list(roots)
     while todo:
-        name = todo.pop()
-        if name in reached or name not in bound:
+        key = todo.pop()
+        if key in reached or key not in bound:
             continue
-        reached.add(name)
-        for node in bound[name]:
-            todo.extend(_names_used(node) - reached)
+        reached.add(key)
+        for node in bound[key]:
+            todo.extend(_reads(node, key[0], imports) - reached)
     return reached
 
 
@@ -80,6 +119,15 @@ def _trees() -> dict:
     return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 
 
+def _roots(trees) -> list:
+    """`cli.main` and the declared API, each as the (module, name) that defines it."""
+    api = declared_api()
+    return [("cli.py", "main")] + [
+        (module, node.name) for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in api
+    ]
+
+
 def test_every_top_level_definition_has_a_caller_or_an_export():
     """A caller: `cli.main` reaches the definition.  An export: the README declares it."""
     trees = _trees()
@@ -88,12 +136,13 @@ def test_every_top_level_definition_has_a_caller_or_an_export():
     assert [node.name for node in trees["cli.py"].body if isinstance(node, ast.FunctionDef)
             ].count("main") == 1
     api = declared_api()
+    roots = _roots(trees)
     assert 0 < len(api) <= 4
-    assert set(api) <= {name for _, name in defined}
+    assert sorted(api) == sorted(name for _, name in roots[1:])  # each defined once
     # an entry that a command already reaches has its caller and leaves the list
-    assert set(api) & reached_from(trees, ["main"]) == set()
-    reached = reached_from(trees, ["main", *api])
-    assert [f"{module}: {name}" for module, name in defined if name not in reached] == []
+    assert set(roots[1:]) & reached_from(trees, roots[:1]) == set()
+    reached = reached_from(trees, roots)
+    assert [f"{module}: {name}" for module, name in defined if (module, name) not in reached] == []
 
 
 def test_every_method_has_a_caller():
@@ -101,12 +150,13 @@ def test_every_method_has_a_caller():
 
     The reach is `reached_from`'s, from `cli.main` and the declared API,
     with each reached class split into the statements of its body, so a
-    method that only its own body reads has no caller.  Names are matched
-    alone, as there: any reached read of the name counts.
+    method that only its own body reads has no caller.  Method names are
+    matched alone: any reached read of the name, as a variable or an
+    attribute, counts.
     """
     trees = _trees()
     bound = _bindings(trees)
-    units = [unit for name in reached_from(trees, ["main", *declared_api()]) for node in bound[name]
+    units = [unit for key in reached_from(trees, _roots(trees)) for node in bound[key]
              for unit in (node.body if isinstance(node, ast.ClassDef) else [node])]
     reads = [(unit, _names_used(unit)) for unit in units]
     unread = [
