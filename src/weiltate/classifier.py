@@ -25,7 +25,7 @@ from .galois import (
     point_orbits,
     subgroup_generators,
 )
-from .slopes import SlopeVector, conjugate_slope_basis, signature_classes, validate_slopes
+from .slopes import SlopeVector, conjugate_slope_basis, validate_slopes
 from .cmtypes import hodge_type, is_balanced, validate_cm_type
 
 DEFAULT_SUBSET_CAP = 16
@@ -316,7 +316,7 @@ def classify_orbits(
     (`_lefschetz`), per-weight Tate dimensions rho_k, the mildly-exotic
     flag and the verdict are derived from the orbits.  Output ordering
     is canonical (weight, then lexicographic representative).  `weights`
-    are integers (`operator.index`); a `phi` is validated once.  The
+    are integers (`operator.index`); s and a `phi` are validated once.  The
     report carries the Frobenius rank and the packed columns of the
     predicate built here.
     """
@@ -485,20 +485,21 @@ def _blocks_in_coset_order(model: CMGaloisModel, label, point) -> list:
     return order
 
 
-def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector) -> EndAlgebraReport:
+def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector, columns) -> EndAlgebraReport:
     """Local Brauer invariants, index and dimension of the isogeny factor.
 
-    Places of F correspond to D-orbits on the cosets G/Fix, i.e. on the
-    blocks of the signature partition (`signature_classes`), found by
-    moving the blocks with the generators of D; each place contributes
-    slope * local degree mod 1.  The index m is the lcm of
+    Places of F are the D-orbits on the cosets G/Fix, i.e. on the blocks
+    x ~ y iff s∘g agrees at x and y for every g: the classes of the packed
+    `columns` of a basis of the conjugates s∘g.  Precondition: `columns` is
+    `classify_orbits(model, s).columns`, which checked s.  Each place
+    contributes slope * local degree mod 1.  The index m is the lcm of
     the invariant denominators, and 2 dim = m [F:Q].
     """
     if model.D_generators is None:
         raise ValueError("model has no decomposition subgroup D")
-    validate_slopes(model, s)
-    label = signature_classes(model, s)
-    ncos = max(label) + 1
+    ids = {}
+    label = [ids.setdefault(c, len(ids)) for c in columns]  # numbered by least index
+    ncos = len(ids)
     point = [label.index(b) for b in range(ncos)]
     d_moves = [[label[d[point[b]]] for b in range(ncos)] for d in model.D_generators]
     place_of = {b: orbit for orbit in point_orbits(d_moves, ncos) for b in orbit}
@@ -634,7 +635,7 @@ class LemmaResult(Record):
     detail: str = ""
 
 
-def verify_lemma_suite(scenarios) -> tuple:
+def verify_lemma_suite(scenarios, subset_cap: int = DEFAULT_SUBSET_CAP) -> tuple:
     """Brute-force the combinatorial lemmas on each scenario, rows labelled by its name.
 
     Hypothesis gating: the partition lemma needs a mildly exotic
@@ -645,8 +646,8 @@ def verify_lemma_suite(scenarios) -> tuple:
     results = []
     for scn in scenarios:
         label, model, s = scn.name, scn.model, scn.slopes
-        report = classify_orbits(model, s)
-        end = honda_tate_endomorphism(model, s)
+        report = classify_orbits(model, s, subset_cap=subset_cap)
+        end = honda_tate_endomorphism(model, s, report.columns)
         mildly = report.mildly_exotic
         noncommutative = not end.commutative
         n = model.group.degree

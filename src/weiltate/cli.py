@@ -285,7 +285,7 @@ def classify_scenario_doc(
     report = classify_orbits(
         scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap
     )
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, report.columns)
     doc = {
         "schema": "weiltate.classify/1",
         "scenario": _scenario_doc(scn),
@@ -397,7 +397,7 @@ def cmd_verify(args) -> int:
     p = DEFAULT_P if args.p is None else args.p
     doc = {"schema": "weiltate.verify/1", "lemmas": [], "oracles": []}
     failed = False
-    group_cap = _group_cap()
+    group_cap, subset_cap = _group_cap(), _subset_cap(None)
 
     scenarios = []
     for name in names:
@@ -407,7 +407,7 @@ def cmd_verify(args) -> int:
             )
         family, size = VERIFY_PRESETS[name]
         scenarios.append(forge.PRESETS[family](size, p, group_cap=group_cap))
-    for row in verify_lemma_suite(scenarios):
+    for row in verify_lemma_suite(scenarios, subset_cap=subset_cap):
         doc["lemmas"].append(
             {
                 "instance": row.instance,

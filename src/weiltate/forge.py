@@ -45,6 +45,7 @@ from .galois import (
     format_perm,
     parse_perm,
     point_orbits,
+    refuse_order_over_cap,
     subgroup_generators,
     sym_generators,
 )
@@ -154,15 +155,12 @@ def _is_sg_certificate(g: int, pat_l, sf_l, pat_lp, sf_lp) -> bool:
             and tuple(pat_lp) == _transposition_pattern(g))
 
 
-def certify_galois_sg(field_or_poly, l=None, lp=None, g=None) -> bool:
-    """S_g certificate: a g-cycle mod l and a transposition shape mod l'."""
+def certify_galois_sg(field_or_poly, l=None, lp=None) -> bool:
+    """S_g certificate: a g-cycle mod l and a transposition shape mod l', g the degree."""
     if isinstance(field_or_poly, ForgedField):
-        f = field_or_poly
-        poly, l, lp, g = f.poly, f.l, f.lp, f.g
-    else:
-        poly = poly_trim(field_or_poly)
-        if g is None:
-            g = len(poly) - 1
+        field_or_poly, l, lp = field_or_poly.poly, field_or_poly.l, field_or_poly.lp
+    poly = poly_trim(field_or_poly)
+    g = len(poly) - 1
     return _is_sg_certificate(g, *factor_degree_pattern(poly, l), *factor_degree_pattern(poly, lp))
 
 
@@ -374,12 +372,13 @@ def _biquadratic_model(gp: int, p: int, group_cap: int):
     tau = e1 e2 is the shift by 2g'.  The (g'-1)-cycle acts on the inert
     part of the totally real field and fixes the split point.  The
     group's chain comes from the strong generating set of e1, e2 and the
-    4-fold lifts of the adjacent transpositions.
+    4-fold lifts of the adjacent transpositions, unless 4 g'! exceeds `group_cap`.
     """
     if gp < 3 or gp % 2 != 1:
         raise HypothesisError(f"g' = {gp} must be an odd integer >= 3")
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
+    refuse_order_over_cap(4, gp, group_cap)
     e1, e2 = (
         tuple(flip[x // gp] * gp + x % gp for x in range(4 * gp))
         for flip in ((1, 0, 3, 2), (3, 2, 1, 0))
@@ -388,7 +387,7 @@ def _biquadratic_model(gp: int, p: int, group_cap: int):
     group = PermGroup(
         degree=4 * gp,
         generators=(e1, e2, *[diagonal_lift(s, 4) for s in sym_generators(gp)]),
-        chain=StabChain.from_strong(4 * gp, strong, group_cap),
+        chain=StabChain.from_strong(4 * gp, strong),
     )
     model = CMGaloisModel(g=2 * gp, group=group, tau=compose(e1, e2))
     return model, e1, e2, diagonal_lift(cycles_to_perm(gp, [tuple(range(1, gp))]), 4)

@@ -217,8 +217,8 @@ class StabChain:
     other than the identity joins them.  `from_strong` builds the chain
     of a group whose strong generating set is known, with no Schreier
     generator.  `order`, the product of the orbit lengths, is kept up to
-    date as each representative joins; it only grows and never exceeds
-    |G|, so a group larger than `cap` is refused as soon as it passes it.
+    date as `insert` adds each representative; it only grows and never
+    exceeds |G|, so a group larger than `cap` is refused as it passes it.
     """
 
     def __init__(self, n: int, generators=(), cap: int = None):
@@ -233,7 +233,7 @@ class StabChain:
             self.insert(gen)
 
     @classmethod
-    def from_strong(cls, n: int, strong, cap: int = None) -> "StabChain":
+    def from_strong(cls, n: int, strong) -> "StabChain":
         """The chain of <strong>, for a strong generating set `strong` on the base 0..n-1.
 
         Precondition: for every i, the members of `strong` that fix
@@ -241,17 +241,15 @@ class StabChain:
         Permutation Group Algorithms, 2003, ch. 4).  Those members are
         the generators of level i, and its orbit is their breadth-first
         walk from i; no Schreier generator is formed and nothing is
-        sifted.  The cap is tested at each new representative, as in
-        `insert`.
+        sifted.  The order is known beforehand, so no cap is tested here.
         """
-        chain = cls(n, (), cap)
+        chain = cls(n)
         gens = list(strong)
         for i in range(n):
             if not gens:
                 break
             chain.gens[i] = gens
             reps, invs = chain.reps[i], chain.invs[i]
-            above = chain.order  # the product over the levels 0..i-1
             orbit = [i]
             for x in orbit:  # grows while it is walked
                 ux = reps[x]
@@ -261,10 +259,8 @@ class StabChain:
                         uy = tuple([s[a] for a in ux])
                         reps[y] = uy
                         invs[y] = _inverse(uy)
-                        chain.order = above * len(reps)
-                        if cap is not None and chain.order > cap:
-                            raise CapExceededError(f"group closure exceeds cap {cap}")
                         orbit.append(y)
+            chain.order *= len(orbit)
             gens = [s for s in gens if s[i] == i]
         return chain
 
@@ -490,6 +486,15 @@ class CMGaloisModel(Record):
         return model
 
 
+def refuse_order_over_cap(factor: int, g: int, cap: int) -> None:
+    """Refuse the known group order factor * g! above `cap`, built up one factor at a time."""
+    order = factor
+    for k in range(1, g + 1):
+        order *= k
+        if order > cap:
+            raise CapExceededError(f"group closure exceeds cap {cap}")
+
+
 def cm_product_group(g: int, cap: int = DEFAULT_GROUP_CAP) -> CMGaloisModel:
     """The mu2 x S_g model on 2g points.
 
@@ -498,17 +503,18 @@ def cm_product_group(g: int, cap: int = DEFAULT_GROUP_CAP) -> CMGaloisModel:
     is generated by tau and the lifts of `sym_generators(g)`; its chain
     comes from the strong generating set of tau and the lifted
     adjacent transpositions: the stabilizer of 1..i is S_{g-i} on
-    i+1..g, lifted.
+    i+1..g, lifted.  Its order 2 g! is held against `cap` first.
     """
     if g < 2:
         raise ValueError("g must be at least 2")
+    refuse_order_over_cap(2, g, cap)
     n = 2 * g
     tau = tuple((i + g) % n for i in range(n))
     strong = [tau] + [diagonal_lift(t, 2) for t in adjacent_transpositions(g)]
     group = PermGroup(
         degree=n,
         generators=(tau, *[diagonal_lift(s, 2) for s in sym_generators(g)]),
-        chain=StabChain.from_strong(n, strong, cap),
+        chain=StabChain.from_strong(n, strong),
     )
     return CMGaloisModel(g=g, group=group, tau=tau)
 

@@ -62,7 +62,11 @@ def validate_slopes(model: CMGaloisModel, s: SlopeVector) -> None:
 
 
 def slopes_from_cm_type(model: CMGaloisModel, phi) -> SlopeVector:
-    """Shimura-Taniyama: s_i = #(phi ∩ B) / #B on the D-block B of i."""
+    """Shimura-Taniyama: s_i = #(phi ∩ B) / #B on the D-block B of i.
+
+    Precondition: a validated CM-type phi; tau then permutes the blocks and
+    swaps phi with its complement, so the slopes meet `validate_slopes` unchecked.
+    """
     if model.D_blocks is None:
         raise ValueError("model has no decomposition subgroup D")
     phi_set = set(phi)
@@ -71,33 +75,7 @@ def slopes_from_cm_type(model: CMGaloisModel, phi) -> SlopeVector:
         v = Fraction(len(phi_set & set(block)), len(block))
         for i in block:
             values[i] = v
-    s = SlopeVector(tuple(values))
-    validate_slopes(model, s)
-    return s
-
-
-def signature_classes(model: CMGaloisModel, s: SlopeVector) -> tuple:
-    """Class label of each index under x ~ y iff s[g(x)] = s[g(y)] for every g.
-
-    The partition is the coarsest G-stable refinement of the level sets
-    of s, found by refining under the generators until the class count
-    stops growing: O(2g |gens|) per pass, at most 2g passes.  Labels are
-    numbered by least index, so index 1 is in class 0.  For transitive G
-    the classes are blocks of imprimitivity, and the class S of index 1
-    is the orbit of index 1 under Fix.
-    """
-    gens = model.group.generators
-    label = list(s.nums)
-    count = len(set(label))
-    while True:
-        ids = {}
-        refined = [
-            ids.setdefault((label[x],) + tuple(label[gen[x]] for gen in gens), len(ids))
-            for x in range(len(label))
-        ]
-        if len(ids) == count:
-            return tuple(refined)
-        label, count = refined, len(ids)
+    return SlopeVector(tuple(values))
 
 
 def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:

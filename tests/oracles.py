@@ -26,8 +26,9 @@ places the blocks; the program lists no group): `subgroup_closure` and `block_su
 subgroups above H from their generators or their point block, and
 `fixer_by_definition` and `potential_by_valuation_grouping` decide Fix
 and p-potential membership by their definitions over those lists.
-`signature_block` is no oracle: it reads the program's class of index
-1, the block that those are held against.
+`columns_of`, `column_classes` and `signature_block` are no oracles:
+they read the program's packed predicate columns, their classes and
+the class of index 1, the block that those are held against.
 
 The slope routes read the Fractions: `validate_slopes_by_fractions`
 checks the axioms on them, and `tate_by_orbit_walk` sums them over every
@@ -81,6 +82,7 @@ from weiltate.classifier import (
     MemberMasks,
     MotiveOrbit,
     WeilTateEntry,
+    classify_orbits,
 )
 from weiltate.cmtypes import is_balanced
 from weiltate.forge import (
@@ -100,7 +102,7 @@ from weiltate.galois import (
     identity,
     index2_point_sets,
 )
-from weiltate.slopes import SlopeVector, signature_classes
+from weiltate.slopes import SlopeVector
 
 
 def validate_slopes_by_fractions(model: CMGaloisModel, s: SlopeVector) -> None:
@@ -430,13 +432,31 @@ def potential_by_valuation_grouping(model: CMGaloisModel, s: SlopeVector, Z) -> 
     return True
 
 
+def columns_of(model: CMGaloisModel, s: SlopeVector) -> list:
+    """The program's packed predicate columns of (model, s), off a `classify_orbits` of no weight.
+
+    No oracle: the table that `honda_tate_endomorphism` reads.
+    """
+    return classify_orbits(model, s, weights=(), subset_cap=model.group.degree).columns
+
+
+def column_classes(model: CMGaloisModel, s: SlopeVector) -> tuple:
+    """The class of each index under equal columns (`columns_of`), numbered by least index.
+
+    No oracle: the signature partition that Honda-Tate reads, held
+    against the signatures over the listed group.
+    """
+    ids = {}
+    return tuple(ids.setdefault(c, len(ids)) for c in columns_of(model, s))
+
+
 def signature_block(model: CMGaloisModel, s: SlopeVector) -> frozenset:
-    """The class S of index 1 under the program's `signature_classes`: Fix as a point block.
+    """The class S of index 1 under the program's columns (`column_classes`): Fix as a point block.
 
     No oracle: the point block that the tests hold against
     `fixer_by_definition` and `potential_by_valuation_grouping`.
     """
-    return frozenset(x for x, c in enumerate(signature_classes(model, s)) if c == 0)
+    return frozenset(x for x, c in enumerate(column_classes(model, s)) if c == 0)
 
 
 def random_admissible_slopes(model: CMGaloisModel, rng: random.Random) -> SlopeVector:

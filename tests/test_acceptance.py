@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from oracles import (
     block_subgroup,
+    column_classes,
+    columns_of,
     fixer_by_definition,
     index2_overgroups,
     potential_by_valuation_grouping,
@@ -31,7 +33,6 @@ from weiltate.classifier import (
 from weiltate.cli import _emit_json, classify_scenario_doc
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import cm_product_group, index2_point_sets
-from weiltate.slopes import signature_classes
 
 HALF = Fraction(1, 2)
 
@@ -44,7 +45,7 @@ def slope_rows(g: int, count: int, seed: int) -> list:
     """Fix, the minimal field index and p-potential membership of seeded slopes, by the oracles.
 
     The program's routes: Fix is cut out by the signature block S, the
-    index [G : Fix] is the number of signature classes (the degree that
+    index [G : Fix] is the number of column classes (the degree that
     Honda-Tate reports as [F:Q]), and the subgroup a block B cuts out
     lies in Fix iff B lies in S.  Membership is tested on the index-2
     blocks, {1}, all points and S; each block's subgroup is listed only
@@ -60,7 +61,7 @@ def slope_rows(g: int, count: int, seed: int) -> list:
         s = random_admissible_slopes(model, rng)
         S = signature_block(model, s)
         fix = block_subgroup(G, S)
-        index = max(signature_classes(model, s)) + 1
+        index = max(column_classes(model, s)) + 1
         rows.append({
             "fixer_matches_definition": fix == fixer_by_definition(model, s),
             "minimal_index_is_the_index_of_fix": index * len(fix) == G.order,
@@ -108,14 +109,14 @@ def test_criterion_2_main6_exotic_orbit():
 
 def test_criterion_3_ramified3_invariants_and_exotic():
     scn = scenario_ramified(3, 5)
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    rep = classify_orbits(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, rep.columns)
     assert sorted(p.invariant for p in end.local_invariants) == [0, HALF, HALF]
     assert end.index == 2
     assert not end.commutative
     assert end.frobenius_field_degree == 6
     assert end.abelian_variety_dim == 6
 
-    rep = classify_orbits(scn.model, scn.slopes)
     assert len(rep.exotic) == 1
     (exotic,) = rep.exotic
 
@@ -137,10 +138,10 @@ def test_criterion_3_ramified3_invariants_and_exotic():
 
 def test_criterion_4_split3_two_exotic():
     scn = scenario_split(3, 5)
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    rep = classify_orbits(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, rep.columns)
     assert end.commutative
     assert end.frobenius_field_degree == 12
-    rep = classify_orbits(scn.model, scn.slopes)
     assert len(rep.exotic) == 2
     assert all(o.rank == 2 for o in rep.exotic)
     report("4 (split g'=3: commutative, [F:Q]=12, two rank-2 exotic orbits)")
@@ -164,7 +165,7 @@ def test_criterion_6_slope_oracle_equivalence():
         S = signature_block(model, s)
         fix = block_subgroup(model.group, S)
         assert fix == fixer_by_definition(model, s)
-        index = honda_tate_endomorphism(model, s).frobenius_field_degree
+        index = honda_tate_endomorphism(model, s, columns_of(model, s)).frobenius_field_degree
         assert index * len(fix) == model.group.order
         assert model.group.degree % index == 0
         H = block_subgroup(model.group, {0})

@@ -14,6 +14,8 @@ from oracles import (
     block_subgroup,
     elements_of,
     classify_orbits_by_walk,
+    column_classes,
+    columns_of,
     doc_to_end_report,
     doc_to_report,
     fix_by_signatures_over_group,
@@ -27,6 +29,7 @@ from oracles import (
     pairs_passing,
     pairs_passing_by_rows,
     q_pairs,
+    random_admissible_slopes,
     signature_block,
     subgroup_closure,
     subgroup_generators_by_listing,
@@ -81,7 +84,6 @@ from weiltate.galois import (
 from weiltate.slopes import (
     SlopeVector,
     conjugate_slope_basis,
-    signature_classes,
     slopes_from_cm_type,
     validate_slopes,
 )
@@ -520,7 +522,10 @@ def test_packed_pairs_match_the_row_scan(rows):
 
 
 def test_the_slope_routes_do_no_fraction_arithmetic(monkeypatch):
-    """validate, classes, basis, rows and the Lefschetz count read only the integer slopes."""
+    """validate, basis, rows, packed columns and the Lefschetz count read only the integer slopes.
+
+    The classes of the packed columns are the signature classes that Honda-Tate reads.
+    """
     scn = scenario_main(6, 5)
     model, s = scn.model, scn.slopes
     calls = Counter()
@@ -528,7 +533,6 @@ def test_the_slope_routes_do_no_fraction_arithmetic(monkeypatch):
                  "__hash__"):
         count_calls(monkeypatch, Fraction, name, calls)
     validate_slopes(model, s)
-    signature_classes(model, s)
     conjugate_slope_basis(model, s)
     rows = tate_rows(model, s)
     _lefschetz(range(model.group.degree), _packed_columns(rows))
@@ -704,8 +708,9 @@ def test_weil_tate_generators_build_no_chain(monkeypatch):
 
 def test_classify_and_honda_tate_list_no_group_element(monkeypatch):
     built = [scenario_main(6, 5), scenario_ramified(3, 5), scenario_split(3, 5)]
-    expected = [(classify_orbits(scn.model, scn.slopes, phi=scn.phi),
-                 honda_tate_endomorphism(scn.model, scn.slopes)) for scn in built]
+    reports = [classify_orbits(scn.model, scn.slopes, phi=scn.phi) for scn in built]
+    expected = [(report, honda_tate_endomorphism(scn.model, scn.slopes, report.columns))
+                for scn, report in zip(built, reports)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a subgroup was listed")
@@ -714,8 +719,9 @@ def test_classify_and_honda_tate_list_no_group_element(monkeypatch):
         if hasattr(module, "build_group"):
             monkeypatch.setattr(module, "build_group", refuse)
     for scn, (report, end) in zip(built, expected):
-        assert classify_orbits(scn.model, scn.slopes, phi=scn.phi) == report
-        assert honda_tate_endomorphism(scn.model, scn.slopes) == end
+        again = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
+        assert again == report
+        assert honda_tate_endomorphism(scn.model, scn.slopes, again.columns) == end
 
 
 def count_calls(monkeypatch, module, name, calls):
@@ -733,18 +739,17 @@ def test_classify_builds_one_basis_and_computes_the_d_orbits_once(monkeypatch):
 
     calls = Counter()
     count_calls(monkeypatch, CMGaloisModel, "with_decomposition", calls)
-    count_calls(monkeypatch, weiltate.classifier, "conjugate_slope_basis", calls)
-    count_calls(monkeypatch, weiltate.slopes, "conjugate_slope_basis", calls)
-    count_calls(monkeypatch, weiltate.classifier, "signature_classes", calls)
-    count_calls(monkeypatch, weiltate.slopes, "signature_classes", calls)
+    for module in (weiltate.classifier, weiltate.slopes):
+        count_calls(monkeypatch, module, "conjugate_slope_basis", calls)
+        count_calls(monkeypatch, module, "validate_slopes", calls)
     scn = scenario_ramified(3, 5)
-    assert calls == {"with_decomposition": 1}
-    classify_orbits(scn.model, scn.slopes, phi=scn.phi)
-    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 1}
-    # the whole document adds one basis, from which the report carries the Frobenius rank,
-    # and one signature partition, which Honda-Tate and the minimal field index share
+    assert calls == {"with_decomposition": 1}  # the preset's slopes are not checked yet
+    # the whole document checks the slopes once and builds one basis, from which the report
+    # carries the Frobenius rank and the packed columns that Honda-Tate reads
     classify_scenario_doc(scn)
-    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 2, "signature_classes": 1}
+    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 1, "validate_slopes": 1}
+    classify_orbits(scn.model, scn.slopes, phi=scn.phi)
+    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 2, "validate_slopes": 2}
 
 
 def closed_form_rho(model, s):
@@ -865,7 +870,7 @@ def test_classify_main6():
 def test_family_invariants_at_gp5():
     """The construction families keep their shape at the next odd g'."""
     ram = scenario_ramified(5, 5)
-    end = honda_tate_endomorphism(ram.model, ram.slopes)
+    end = honda_tate_endomorphism(ram.model, ram.slopes, columns_of(ram.model, ram.slopes))
     assert end.frobenius_field_degree == 10
     assert end.index == 2
     assert not end.commutative
@@ -883,7 +888,7 @@ def test_family_invariants_at_gp5():
     assert len(conjugate_slope_basis(ram.model, ram.slopes)) - 1 == 4  # rank g/2 - 1, g = 10
 
     spl = scenario_split(5, 5)
-    end = honda_tate_endomorphism(spl.model, spl.slopes)
+    end = honda_tate_endomorphism(spl.model, spl.slopes, columns_of(spl.model, spl.slopes))
     assert end.frobenius_field_degree == 20
     assert end.commutative
     assert end.abelian_variety_dim == 10
@@ -935,7 +940,7 @@ def test_weil_tate_empty_when_every_index2_overgroup_contains_tau():
 
 def test_honda_tate_main4():
     scn = scenario_main(4, 5)
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, columns_of(scn.model, scn.slopes))
     assert end.frobenius_field_degree == 8
     assert end.index == 1
     assert end.commutative
@@ -944,7 +949,7 @@ def test_honda_tate_main4():
 
 def test_honda_tate_ramified3():
     scn = scenario_ramified(3, 5)
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, columns_of(scn.model, scn.slopes))
     assert end.frobenius_field_degree == 6
     assert sorted(p.invariant for p in end.local_invariants) == [
         Fraction(0),
@@ -959,7 +964,7 @@ def test_honda_tate_ramified3():
 
 def test_honda_tate_split3():
     scn = scenario_split(3, 5)
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, columns_of(scn.model, scn.slopes))
     assert end.frobenius_field_degree == 12
     assert end.commutative
     assert end.abelian_variety_dim == 6
@@ -968,7 +973,7 @@ def test_honda_tate_split3():
 def test_honda_tate_supersingular_shadow():
     model = supersingular_degree2_model()
     s = SlopeVector((Fraction(1, 2), Fraction(1, 2)))
-    end = honda_tate_endomorphism(model, s)
+    end = honda_tate_endomorphism(model, s, columns_of(model, s))
     assert end.frobenius_field_degree == 1
     assert [p.invariant for p in end.local_invariants] == [Fraction(1, 2)]
     assert end.index == 2
@@ -978,7 +983,7 @@ def test_honda_tate_supersingular_shadow():
 
 def test_honda_tate_dimension_identity():
     for scn in (scenario_main(4, 5), scenario_ramified(3, 5), scenario_split(3, 5)):
-        end = honda_tate_endomorphism(scn.model, scn.slopes)
+        end = honda_tate_endomorphism(scn.model, scn.slopes, columns_of(scn.model, scn.slopes))
         assert 2 * end.abelian_variety_dim == end.index * end.frobenius_field_degree
         assert end.commutative == (end.index == 1)
         lcm = 1
@@ -1020,14 +1025,14 @@ def test_block_routes_match_the_element_walks(case):
     model, s = case
     D = subgroup_closure(model.group, model.D_generators)
     assert model.D_blocks == orbits_by_walk(D, model.group.degree)
-    end = outcome(honda_tate_endomorphism, model, s)
+    end = outcome(honda_tate_endomorphism, model, s, columns_of(model, s))
     assert end == outcome(honda_tate_by_cosets, model, s)
     S = signature_block(model, s)
     fix = block_subgroup(model.group, S)
     assert fix == fix_by_signatures_over_group(model, s)
     if model.g <= 4:  # the definition is a double loop over G
         assert fix == fixer_by_definition(model, s)
-    assert max(signature_classes(model, s)) + 1 == model.group.order // len(fix)
+    assert max(column_classes(model, s)) + 1 == model.group.order // len(fix)
     if not isinstance(end, str):
         assert end.frobenius_field_degree == model.group.order // len(fix)
     H = block_subgroup(model.group, {0})
@@ -1046,6 +1051,21 @@ def test_block_routes_match_the_element_walks(case):
     }
 
 
+@settings(max_examples=60, deadline=None)
+@given(cm_models().filter(lambda m: m.group.order <= 640), st.randoms(use_true_random=False))
+def test_column_classes_are_the_signatures_over_the_group(model, rng):
+    """Points share a packed column iff s∘e agrees at them for every listed e.
+
+    The groups of `cm_models` lack the point reversal of the product group.
+    """
+    s = random_admissible_slopes(model, rng)
+    cols = columns_of(model, s)
+    listed = elements_of(model.group)
+    sig = [tuple(s[e[x]] for e in listed) for x in range(model.group.degree)]
+    points = range(model.group.degree)
+    assert all((cols[x] == cols[y]) == (sig[x] == sig[y]) for x in points for y in points)
+
+
 TAU4 = tuple((i + 4) % 8 for i in range(8))
 # |G| = 16: a walk taking each block through every generator before the next block
 # orders both partitions otherwise
@@ -1062,10 +1082,10 @@ def test_blocks_come_in_the_coset_order_of_the_element_listing(case, discrete):
     """The level walk lists the blocks as the listing `elements_of` first meets their cosets.
 
     Element e meets the coset of the block holding e(1), label[e[0]];
-    the partition is the signature partition or the discrete one.
+    the partition is the signature partition (the column classes) or the discrete one.
     """
     model, s = case
-    label = tuple(range(model.group.degree)) if discrete else signature_classes(model, s)
+    label = tuple(range(model.group.degree)) if discrete else column_classes(model, s)
     point = [label.index(b) for b in range(max(label) + 1)]
     listing = list(dict.fromkeys(label[e[0]] for e in elements_of(model.group)))
     assert _blocks_in_coset_order(model, label, point) == listing
@@ -1088,7 +1108,7 @@ def test_weil_tate_determinant_sets_match_the_overgroups(name):
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_honda_tate_presets_match_the_coset_walk(name):
     scn = PRESETS[name]()
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, columns_of(scn.model, scn.slopes))
     assert end == honda_tate_by_cosets(scn.model, scn.slopes)
     fix = block_subgroup(scn.model.group, signature_block(scn.model, scn.slopes))
     assert scn.model.group.order // len(fix) == end.frobenius_field_degree
@@ -1100,7 +1120,7 @@ def test_honda_tate_presets_match_the_coset_walk(name):
 def test_structure_check_main4_commutative():
     scn = scenario_main(4, 5)
     rep = classify_orbits(scn.model, scn.slopes)
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, rep.columns)
     verdict = structure_check(scn.model, rep, end)
     assert verdict.passed and verdict.branch == "commutative"
 
@@ -1108,7 +1128,7 @@ def test_structure_check_main4_commutative():
 def test_structure_check_ramified_noncommutative():
     scn = scenario_ramified(3, 5)
     rep = classify_orbits(scn.model, scn.slopes)
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, rep.columns)
     verdict = structure_check(scn.model, rep, end)
     assert verdict.passed and verdict.branch == "noncommutative"
 
@@ -1118,7 +1138,7 @@ def test_structure_check_requires_mildly_exotic():
     s = ordinary_slopes(3)
     model_d = model.with_decomposition(frozenset({tuple(range(6))}))
     rep = classify_orbits(model_d, s)
-    end = honda_tate_endomorphism(model_d, s)
+    end = honda_tate_endomorphism(model_d, s, rep.columns)
     with pytest.raises(ValueError):
         structure_check(model_d, rep, end)
 
@@ -1126,14 +1146,15 @@ def test_structure_check_requires_mildly_exotic():
 def _mildly_exotic_parts(scn):
     """(model, report, end report) of a preset that passes structure_check."""
     model, s = scn.model, scn.slopes
-    return model, classify_orbits(model, s), honda_tate_endomorphism(model, s)
+    report = classify_orbits(model, s)
+    return model, report, honda_tate_endomorphism(model, s, report.columns)
 
 
 def test_structure_check_fails_on_odd_g():
     model = cm_product_group(3).with_decomposition(frozenset({tuple(range(6))}))
     s = ordinary_slopes(3)
     rep = classify_orbits(model, s).replace(mildly_exotic=True)
-    verdict = structure_check(model, rep, honda_tate_endomorphism(model, s))
+    verdict = structure_check(model, rep, honda_tate_endomorphism(model, s, rep.columns))
     assert not verdict.passed and verdict.failed_clause == "dimension g is odd"
 
 
@@ -1199,7 +1220,7 @@ def test_structure_check_reads_every_member_of_an_exotic_orbit(name):
     scn = PRESETS[name]()
     model, s = scn.model, scn.slopes
     rep = classify_orbits(model, s)
-    end = honda_tate_endomorphism(model, s)
+    end = honda_tate_endomorphism(model, s, rep.columns)
     for order in (1, -1):
         exotic = tuple(o.replace(orbit=MemberMasks(o.orbit.n, o.orbit.masks[::order]))
                        for o in rep.exotic)
@@ -1289,7 +1310,7 @@ def test_unique_exotic_lemma_reads_every_mask_of_the_orbit(monkeypatch):
     strays = [_mask(12, m) for m in ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))]
     members = MemberMasks(12, orbit.orbit.masks + tuple(strays))
     forged = report.replace(exotic=(orbit.replace(orbit=members),))  # keeps the columns
-    monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s: forged)
+    monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s, subset_cap: forged)
     (row,) = [r for r in verify_lemma_suite([scn]) if r.lemma == "exotic_uniqueness"]
     assert row.status == FAIL
     # the first stray in document (lexicographic) order, as 1-based points
@@ -1334,6 +1355,6 @@ def test_report_document_round_trip():
         assert Z == block_subgroup(group, e.determinant_set)
         assert len(Z) == ed["subgroup_order"]
 
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, rep.columns)
     end_doc = json.loads(json.dumps(end_report_to_doc(end)))
     assert doc_to_end_report(end_doc) == end

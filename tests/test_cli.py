@@ -25,7 +25,7 @@ from oracles import (
     plain_document,
 )
 
-from weiltate import algebra, classifier, cli, forge, galois
+from weiltate import algebra, classifier, cli, forge, galois, slopes
 from weiltate.cmtypes import enumerate_cm_types, least_cm_type, measure_cm_type
 from weiltate.classifier import MemberMasks, classify_orbits
 from weiltate.forge import Scenario, scenario_main, serialize_scenario
@@ -229,7 +229,8 @@ def test_classify_json_round_trips_to_report_objects(capsys):
     assert doc_to_report(doc["report"]) == direct
     from weiltate.classifier import honda_tate_endomorphism
 
-    assert doc_to_end_report(doc["endomorphism"]) == honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, direct.columns)
+    assert doc_to_end_report(doc["endomorphism"]) == end
 
 
 def test_classify_requires_scenario_source(capsys):
@@ -288,14 +289,20 @@ def test_verify_presets_all_passes(capsys):
 
 
 def test_verify_builds_one_basis_per_instance(capsys, monkeypatch):
-    calls = []
-    real = classifier.conjugate_slope_basis
+    calls, checks = [], []
+    real, real_check = classifier.conjugate_slope_basis, classifier.validate_slopes
 
     def counted(model, s):
         calls.append(model)
         return real(model, s)
 
+    def counted_check(model, s):
+        checks.append(model)
+        return real_check(model, s)
+
     monkeypatch.setattr(classifier, "conjugate_slope_basis", counted)
+    monkeypatch.setattr(classifier, "validate_slopes", counted_check)
+    monkeypatch.setattr(slopes, "validate_slopes", counted_check)
     code, out, _ = run_cli(capsys, ["verify", "--presets", "all", "--format", "json"])
     assert code == 0
     half_weight = [row for row in json.loads(out)["lemmas"]
@@ -304,6 +311,7 @@ def test_verify_builds_one_basis_per_instance(capsys, monkeypatch):
     # the half-weight lemma reads the columns of its instance's report
     assert half_weight
     assert len(calls) == 4
+    assert len(checks) == 4  # one slope check per instance, from the preset build on
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,7 +365,8 @@ def test_verify_lemma_fail_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(
         cli, "verify_lemma_suite",
-        lambda instances: (LemmaResult("synthetic", "exotic_partition", "FAIL", "forced"),),
+        lambda instances, subset_cap: (
+            LemmaResult("synthetic", "exotic_partition", "FAIL", "forced"),),
     )
     code, out, err = run_cli(capsys, ["verify", "--presets", "main4"])
     assert code == cli.EXIT_LEMMA_FAIL
@@ -663,6 +672,18 @@ def test_group_cap_env_applies_to_verify(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["verify", "--presets", "ramified3"])
     assert code == cli.EXIT_CAP
     assert "cap exceeded" in err
+
+
+def test_subset_cap_env_applies_to_verify(capsys, monkeypatch):
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "8")
+    code, out, err = run_cli(capsys, ["verify", "--presets", "main6"])
+    assert (code, out, err) == (cli.EXIT_CAP, "", "cap exceeded: 2g = 12 exceeds the subset cap 8\n")
+    code, out, _ = run_cli(capsys, ["verify", "--presets", "main4", "--format", "json"])
+    assert code == 0 and json.loads(out)["lemmas"]
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "-1")
+    assert_input_error(capsys, ["verify"], "WEILTATE_SUBSET_CAP must be at least 2, got -1")
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "ten")
+    assert_input_error(capsys, ["verify"], "WEILTATE_SUBSET_CAP must be an integer, got 'ten'")
 
 
 def test_scenario_file_over_the_group_cap_names_the_generators_line(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,7 @@ from oracles import (
     verify_subgroup,
 )
 
-from weiltate import galois
+from weiltate import forge, galois
 from weiltate.forge import _biquadratic_model
 from weiltate.galois import (
     CMGaloisModel,
@@ -24,6 +24,7 @@ from weiltate.galois import (
     PermGroup,
     StabChain,
     _inverse,
+    adjacent_transpositions,
     build_group,
     cm_product_group,
     compose,
@@ -80,12 +81,23 @@ def test_build_group_refuses_a_group_over_the_cap_before_listing_it():
 
 
 def test_a_preset_over_the_cap_is_refused_at_its_first_level(monkeypatch):
-    inverses = []
-    monkeypatch.setattr(galois, "_inverse", lambda p: inverses.append(p) or _inverse(p))
-    with pytest.raises(CapExceededError, match="group closure exceeds cap 10"):
-        cm_product_group(1000, cap=10)  # |G| = 2 * 1000!
-    # the tenth representative of level 0 takes the order to 11, past the cap
-    assert len(inverses) == 10 and all(p[0] != 0 for p in inverses)
+    """A preset's order, 2 g! or 4 g'!, is held against the cap before any permutation is made."""
+    made = []
+    monkeypatch.setattr(galois, "_inverse", lambda p: made.append(p) or _inverse(p))
+    for module in (galois, forge):  # the strong generators start from the transpositions
+        monkeypatch.setattr(module, "adjacent_transpositions",
+                            lambda g: made.append(g) or adjacent_transpositions(g))
+    for build, cap in ((lambda: cm_product_group(1000, cap=10), 10),  # |G| = 2 * 1000!
+                       (lambda: cm_product_group(4000), 10**6),
+                       (lambda: _biquadratic_model(1001, 5, 10**6), 10**6)):
+        with pytest.raises(CapExceededError, match=f"^group closure exceeds cap {cap}$"):
+            build()
+    assert made == []
+    # 2 * 10! = 7257600 is the boundary
+    assert cm_product_group(10, cap=7257600).group.order == 7257600
+    with pytest.raises(CapExceededError, match="^group closure exceeds cap 7257599$"):
+        cm_product_group(10, cap=7257599)
+    assert made  # the counters do see a chain being built
 
 
 def test_a_chain_with_a_long_base_is_built_without_recursion():

@@ -58,7 +58,7 @@ FIELDS = {
 def _one_of_each() -> dict:
     scn = scenario_main(4, 5)
     report = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
-    end = honda_tate_endomorphism(scn.model, scn.slopes)
+    end = honda_tate_endomorphism(scn.model, scn.slopes, report.columns)
     field = forge_totally_real(4, 5, 7, 11, seed=0)
     records = [
         scn, scn.model, scn.model.group, scn.slopes,

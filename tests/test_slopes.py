@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from oracles import (
     block_subgroup,
+    column_classes,
+    columns_of,
     elements_of,
     fixer_by_definition,
     index2_overgroups,
@@ -21,7 +23,6 @@ from weiltate.galois import cm_product_group
 from weiltate.slopes import (
     SlopeVector,
     conjugate_slope_basis,
-    signature_classes,
     slopes_from_cm_type,
     validate_slopes,
 )
@@ -105,8 +106,8 @@ def test_validate_slopes_rejects_broken_pairing():
 
 
 def minimal_field_index(model, s) -> int:
-    """[G : Fix] as the program counts it: the number of signature classes."""
-    return max(signature_classes(model, s)) + 1
+    """[G : Fix] as the program counts it: the number of column classes."""
+    return max(column_classes(model, s)) + 1
 
 
 def listed_fix(model, s):
@@ -133,7 +134,8 @@ def test_fix_of_slope_constant_half():
 
 def test_fix_of_slope_ramified_index():
     scn = scenario_ramified(3, 5)
-    assert honda_tate_endomorphism(scn.model, scn.slopes).frobenius_field_degree == 6
+    end = honda_tate_endomorphism(scn.model, scn.slopes, columns_of(scn.model, scn.slopes))
+    assert end.frobenius_field_degree == 6
     assert scn.model.group.order // len(listed_fix(scn.model, scn.slopes)) == 6
 
 
@@ -161,7 +163,8 @@ def test_potential_membership_reflexive_and_constant():
 def test_minimal_field_index_examples():
     for scn, index in ((scenario_main(4, 5), 8), (scenario_split(3, 5), 12)):
         assert minimal_field_index(scn.model, scn.slopes) == index
-        assert honda_tate_endomorphism(scn.model, scn.slopes).frobenius_field_degree == index
+        end = honda_tate_endomorphism(scn.model, scn.slopes, columns_of(scn.model, scn.slopes))
+        assert end.frobenius_field_degree == index
 
 
 def frobenius_rank(model, s) -> int:
@@ -225,7 +228,7 @@ def test_signature_classes_match_signatures_over_the_group():
         listed = elements_of(model.group)
         for _ in range(8):
             s = random_admissible_slopes(model, rng)
-            label = signature_classes(model, s)
+            label = column_classes(model, s)
             sig = [tuple(s[e[x]] for e in listed) for x in range(2 * g)]
             for x in range(2 * g):
                 for y in range(2 * g):
