@@ -6,7 +6,7 @@ computes endomorphism-algebra invariants, and forges number-field
 certificates with prescribed local behavior.
 """
 
-from .algebra import NotSquarefreeError, crt_poly, factor_degree_pattern
+from .algebra import NotSquarefreeError, crt_poly
 from .galois import (
     CMGaloisModel,
     CapExceededError,
@@ -30,7 +30,6 @@ from .forge import (
     ForgedField,
     HypothesisError,
     Scenario,
-    certify_galois_sg,
     forge_quadratic,
     forge_totally_real,
     parse_scenario,

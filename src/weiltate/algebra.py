@@ -3,27 +3,23 @@
 Polynomials are coefficient sequences, lowest degree first; the zero
 polynomial is empty.  Integer polynomials are tuples of arbitrary
 precision Python ints.  Over a prime field GF(l), l < 2**31, the kernel
-works on lists with coefficients in [0, l):
-`_reduce_checked` is the one checked entry, which trims, refuses a zero
-or a vanishing leading coefficient and returns f mod l made monic
-(`gf_ben_or` skips it, for a caller that has checked l once).
+works on lists with coefficients in [0, l), for a prime l that the
+caller has checked once.
 One routine, `_divide`, clears a list from the top against a monic
-divisor in place, for products mod f, Frobenius rows and exact
-quotients; Euclid divides by non-monic remainders, one inverse a step.
+divisor in place, for products mod f and Frobenius rows; Euclid
+divides by non-monic remainders, one inverse a step.
 
 Nothing here rounds: total reality is read off the subresultant chain of
 f and f', stopped at the first member whose degree or sign rules it out,
-factorization shapes come from squarefree decomposition plus
-distinct-degree splitting (no equal-degree step: only degree patterns
-are ever needed as certificates), and irreducibility is Ben-Or's test,
-which stops at the first factor of degree at most half.
+and irreducibility is Ben-Or's test, which stops at the first factor of
+degree at most half.
 
-Both of those, and the root count mod l, need x**(l**d) mod f.  They
-take it from the Frobenius rows x**(l*i) mod f: a**l = a in GF(l), so
-h**l mod f is sum_i h_i * x**(l*i) mod f, one matrix-vector product
-per d.  Only x**l mod f itself comes from squaring, about log2 l
-products mod f.  The other rows, built only when d = 2 is reached, each
-come from the one before (shifted l places, or times x**l mod f).
+Ben-Or needs x**(l**d) mod f.  It takes it from the Frobenius rows
+x**(l*i) mod f: a**l = a in GF(l), so h**l mod f is
+sum_i h_i * x**(l*i) mod f, one matrix-vector product per d.  Only
+x**l mod f itself comes from squaring, about log2 l products mod f.
+The other rows, built only when d = 2 is reached, each come from the
+one before (shifted l places, or times x**l mod f).
 """
 
 from __future__ import annotations
@@ -168,13 +164,6 @@ def _divide(a, b, l):
         a[k] = c
 
 
-def _quotient(a, b, l):
-    """The exact quotient a / b over GF(l) of a list a by a monic list b."""
-    q = list(a)
-    _divide(q, b, l)
-    return q[len(b) - 1:]
-
-
 def _euclid(a, b, l):
     """Monic gcd over GF(l) of two lists of coefficients in [0, l), b trimmed.
 
@@ -280,102 +269,6 @@ def _gcd_minus_x(f, h, l):
     while g and not g[-1]:
         g.pop()
     return _euclid(list(f), g, l)
-
-
-def gf_squarefree_decomposition(f, l):
-    """Squarefree decomposition over GF(l) of a monic list f with coefficients in [0, l).
-
-    Returns a list of (multiplicity, factor) with the factors monic
-    lists, squarefree, pairwise coprime, and prod(factor**mult) = f.
-    Handles the characteristic-l collapse f' = 0 via l-th roots
-    (Frobenius is the identity on GF(l) coefficients).
-    """
-    out = []
-    n = 1
-    while len(f) > 1:
-        deriv = [i * f[i] % l for i in range(1, len(f))]
-        if any(deriv):
-            g = _euclid(deriv, list(f), l)  # Euclid's first step trims deriv
-            h = _quotient(f, g, l)
-            i = 1
-            while h != [1]:
-                gh = _euclid(list(g), list(h), l)
-                piece = _quotient(h, gh, l)
-                if len(piece) > 1:
-                    out.append((i * n, piece))
-                g, h, i = _quotient(g, gh, l), gh, i + 1
-            f = g
-        # here f is an l-th power: f(x) = u(x**l); its l-th root reuses
-        # the same coefficients since a**l = a in GF(l)
-        f = f[::l]
-        n *= l
-    return out
-
-
-def gf_distinct_degree(f, l):
-    """Distinct-degree split of a monic squarefree list f over GF(l).
-
-    Returns a list of (d, product-of-degree-d-irreducible-factors) with
-    trivial entries omitted, in increasing d.  x**(l**d) stays reduced
-    mod the f given, through its Frobenius rows: every factor left
-    divides f, so its gcd with x**(l**d) - x is the same either way.
-    """
-    out = []
-    powers = _frobenius_powers_of_x(f, l)
-    d = 0
-    while len(f) > 1:
-        d += 1
-        if 2 * d >= len(f):
-            out.append((len(f) - 1, f))
-            break
-        g = _gcd_minus_x(f, next(powers), l)
-        if len(g) > 1:
-            out.append((d, g))
-            f = _quotient(f, g, l)
-    return out
-
-
-def _reduce_checked(f, l):
-    """f mod l made monic, as a list: l prime, f nonzero, its leading coefficient a unit."""
-    require_prime(l)
-    f = poly_trim(f)
-    if not f:
-        raise ValueError("zero polynomial rejected")
-    if f[-1] % l == 0:
-        raise ValueError(f"leading coefficient of f vanishes mod {l}")
-    inv = pow(f[-1], -1, l)
-    return [c % l * inv % l for c in f]
-
-
-def degree_pattern_and_roots(f, l):
-    """Degree pattern of f mod l and its distinct roots in GF(l): (pattern, squarefree, roots).
-
-    `pattern` and `squarefree` are as in `factor_degree_pattern`.  The
-    squarefree parts are pairwise coprime, so the roots are the sum of
-    the degrees of their d = 1 parts: one split gives both, and x**l is
-    formed once per part.
-    """
-    counts: dict[int, int] = {}
-    squarefree = True
-    roots = 0
-    for mult, part in gf_squarefree_decomposition(_reduce_checked(f, l), l):
-        if mult > 1:
-            squarefree = False
-        for d, prod in gf_distinct_degree(part, l):
-            counts[d] = counts.get(d, 0) + (len(prod) - 1) // d * mult
-            if d == 1:
-                roots += len(prod) - 1
-    return sorted(counts.items()), squarefree, roots
-
-
-def factor_degree_pattern(f, l):
-    """Degree pattern of f mod l: ([(degree, count), ...], squarefree).
-
-    Counts carry multiplicity from the squarefree decomposition; the
-    pairs are sorted by degree and satisfy sum(d*c) = deg(f mod l).
-    """
-    pattern, squarefree, _ = degree_pattern_and_roots(f, l)
-    return pattern, squarefree
 
 
 def gf_ben_or(f, l):

@@ -312,6 +312,8 @@ def _print_classify_text(doc: dict) -> None:
           f"group order {scn['group_order']})")
     print(f"phi: {scn['phi']}")
     print(f"slopes: {' '.join(scn['slopes'])}")
+    for key, value in scn.get("metadata", {}).items():
+        print(f"{key}: {value}")
     print()
     print(f"{'weight':>6}  {'representative':<24} {'rank':>4}  "
           f"{'lefschetz':<9} {'exotic':<6} hodge")

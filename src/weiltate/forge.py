@@ -5,7 +5,7 @@ spread polynomial whose widely separated integer roots survive the
 centered correction.  The certificates are read off the construction:
 the degree patterns mod p, l, l' are those proved for the targets, to
 which the polynomial reduces, and the real-root count is the accepting
-Sturm test's; `certify_galois_sg` re-derives the S_g patterns by factoring.
+Sturm test's; nothing is factored.
 Scenario presets encode the three construction families as pure
 combinatorial data (group, tau, D, CM-type); the forged polynomials are
 provenance, not inputs, to the classification pipeline.
@@ -19,14 +19,12 @@ from fractions import Fraction
 from .algebra import (
     MAX_PRIME,
     crt_poly,
-    factor_degree_pattern,
     format_poly,
     gf_ben_or,
     gf_reduce,
     is_prime,
     is_totally_real,
     poly_mul,
-    poly_trim,
     require_prime,
 )
 from .galois import (
@@ -149,19 +147,9 @@ def _transposition_pattern(g: int) -> tuple:
     return ((2, 1),) if g == 2 else ((1, g - 2), (2, 1))
 
 
-def _is_sg_certificate(g: int, pat_l, sf_l, pat_lp, sf_lp) -> bool:
-    """Squarefree with a g-cycle shape mod l and a transposition shape mod l'."""
-    return (sf_l and sf_lp and tuple(pat_l) == ((g, 1),)
-            and tuple(pat_lp) == _transposition_pattern(g))
-
-
-def certify_galois_sg(field_or_poly, l=None, lp=None) -> bool:
-    """S_g certificate: a g-cycle mod l and a transposition shape mod l', g the degree."""
-    if isinstance(field_or_poly, ForgedField):
-        field_or_poly, l, lp = field_or_poly.poly, field_or_poly.l, field_or_poly.lp
-    poly = poly_trim(field_or_poly)
-    g = len(poly) - 1
-    return _is_sg_certificate(g, *factor_degree_pattern(poly, l), *factor_degree_pattern(poly, lp))
+def _is_sg_certificate(g: int, pat_l, pat_lp) -> bool:
+    """A g-cycle shape mod l and a transposition shape mod l', both patterns squarefree."""
+    return tuple(pat_l) == ((g, 1),) and tuple(pat_lp) == _transposition_pattern(g)
 
 
 def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
@@ -250,7 +238,7 @@ def forge_totally_real(
             certs = Certificates(
                 pattern_at_p=pat_p, pattern_at_l=pat_l, pattern_at_lp=pat_lp,
                 roots_at_lp=dict(pat_lp).get(1, 0),  # squarefree: one root per linear factor
-                real_root_count=g, galois_is_sg=_is_sg_certificate(g, pat_l, True, pat_lp, True),
+                real_root_count=g, galois_is_sg=_is_sg_certificate(g, pat_l, pat_lp),
             )
             return ForgedField(
                 g=g, p=p, l=l, lp=lp, seed=seed, poly=poly, spread=spread, certificates=certs
@@ -537,6 +525,8 @@ def parse_scenario(
             fail("phi", f"bad index list {fields['phi']!r}")
         if any(not 1 <= i <= npoints for i in indices):
             fail("phi", "indices outside 1..points")
+        if len(set(indices)) != len(indices):
+            fail("phi", f"repeated index in {fields['phi']!r}")
         phi = frozenset(i - 1 for i in indices)
         try:
             validate_cm_type(model, phi)

@@ -17,8 +17,13 @@ and remainder per step), and gcds and squarefree parts from Euclid on tuples, no
 the kernel's Frobenius rows and its one list division.  The forge loop
 rebuilds its spread target for every spread and counts real roots
 with the rational Sturm chain.  `certificates_by_factoring` factors a
-forged polynomial mod p, l and l' with the kernel, where the program
-reads the patterns off the CRT targets that it has proved.
+forged polynomial mod p, l and l' on tuples (`degree_pattern_by_pow_mod`,
+`roots_by_pow_mod`), where the program reads the patterns off the CRT
+targets that it has proved; `certify_galois_sg` reads the S_g
+certificate of a field or a polynomial off the same factorization.
+The package factors nothing, so these are the only factorization;
+`reduce_checked` holds their input checks (l prime below 2**31, f
+nonzero with a unit leading coefficient).
 
 The element-set route lists the group (`elements_of`, breadth-first
 from the identity, the order in which `classifier._blocks_in_coset_order`
@@ -42,6 +47,8 @@ The Lefschetz route `has_qpair_matching` searches the q-pairs of
 over column classes.  `tate_counts_by_dp` counts the Tate subsets of
 each weight from packed columns by a dynamic program over the points,
 with no mask, half table or complement.
+`main_family_by_formula` states the main family's orbits and rho in
+closed form, with no group and no slope.
 
 `cm_types_by_listing` lists all 2^g choices of one index per
 conjugate pair and keeps those that meet the place counts, with no
@@ -58,19 +65,17 @@ north-star invariants on a classify document.
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from weiltate.algebra import (
     NotSquarefreeError,
-    _reduce_checked,
     crt_poly,
-    degree_pattern_and_roots,
-    factor_degree_pattern,
     gf_reduce,
     poly_degree,
     poly_derivative,
     poly_mul,
     poly_trim,
+    require_prime,
 )
 from weiltate.classifier import (
     SCHT_APPLICABLE,
@@ -178,6 +183,25 @@ def tate_counts_by_dp(cols) -> dict:
             step[key] = step.get(key, 0) + ways
         counts = step
     return {size: ways for (size, total), ways in counts.items() if total == 0}
+
+
+def main_family_by_formula(g: int) -> tuple:
+    """(rho, orbits) of the main family mu2 x S_g, tau(i) = i + g, in closed form.
+
+    rho_k = C(g, k), plus 2 at k = g/2.  There are g + 2 orbits: at each
+    weight 2k the C(g, k) unions of k tau-pairs {i, i + g}, which are
+    Lefschetz, and at weight g the exotic orbit of rank 2, {1..g} and
+    {g+1..2g}.  `orbits` maps (weight, is_exotic) to the frozenset of
+    the orbit's members, each the sorted tuple of its 0-based points.
+    """
+    rho = tuple(comb(g, k) + 2 * (2 * k == g) for k in range(g + 1))
+    orbits = {
+        (2 * k, False): frozenset(pairs + tuple(i + g for i in pairs)
+                                  for pairs in combinations(range(g), k))
+        for k in range(g + 1)
+    }
+    orbits[g, True] = frozenset({tuple(range(g)), tuple(range(g, 2 * g))})
+    return rho, orbits
 
 
 def orbit_of_subset(model: CMGaloisModel, subset, keep=None) -> list:
@@ -903,9 +927,21 @@ def distinct_degree_by_pow_mod(f, l):
     return out
 
 
+def reduce_checked(f, l):
+    """f mod l made monic, as a tuple: l a prime below 2**31, f nonzero with a unit lead."""
+    require_prime(l)
+    f = poly_trim(f)
+    if not f:
+        raise ValueError("zero polynomial rejected")
+    if f[-1] % l == 0:
+        raise ValueError(f"leading coefficient of f vanishes mod {l}")
+    inv = pow(f[-1], -1, l)
+    return tuple(c % l * inv % l for c in f)
+
+
 def ben_or_by_pow_mod(f, l):
     """Ben-Or's test, x**(l**d) by `gf_pow_mod` at every d."""
-    fbar = gf_monic(_reduce_checked(f, l), l)
+    fbar = reduce_checked(f, l)
     n = poly_degree(fbar)
     h = (0, 1)  # x**(l**d) mod f
     for _ in range(n // 2):
@@ -917,7 +953,7 @@ def ben_or_by_pow_mod(f, l):
 
 def roots_by_pow_mod(f, l):
     """Distinct roots of f in GF(l): deg gcd(f, x**l - x), x**l by `gf_pow_mod`."""
-    fbar = _reduce_checked(f, l)
+    fbar = reduce_checked(f, l)
     if poly_degree(fbar) == 0:
         return 0
     xl = gf_pow_mod((0, 1), l, fbar, l)
@@ -925,12 +961,14 @@ def roots_by_pow_mod(f, l):
 
 
 def degree_pattern_by_pow_mod(f, l):
-    """`factor_degree_pattern` on tuples: the squarefree parts of
-    `squarefree_decomposition_by_rem`, each split by `distinct_degree_by_pow_mod`.
+    """Degree pattern of f mod l: ([(degree, count), ...], squarefree).
 
-    Only the input checks are the kernel's.
+    The squarefree parts of `squarefree_decomposition_by_rem`, each
+    split by `distinct_degree_by_pow_mod`; the counts carry
+    multiplicity, the pairs are sorted by degree and
+    sum(d*c) = deg(f mod l).
     """
-    fbar = _reduce_checked(f, l)
+    fbar = reduce_checked(f, l)
     counts = {}
     squarefree = True
     for mult, part in squarefree_decomposition_by_rem(fbar, l):
@@ -967,17 +1005,29 @@ def poly_eval(f, x):
 def certificates_by_factoring(poly, g: int, p: int, l: int, lp: int, real_roots: int):
     """The `Certificates` of `poly` from its factorization mod p, l and l';
     the real-root count is given."""
-    pat_p, _ = factor_degree_pattern(poly, p)
-    pat_l, sf_l = factor_degree_pattern(poly, l)
-    pat_lp, sf_lp, roots_lp = degree_pattern_and_roots(poly, lp)
+    pat_p, _ = degree_pattern_by_pow_mod(poly, p)
+    pat_l, sf_l = degree_pattern_by_pow_mod(poly, l)
+    pat_lp, sf_lp = degree_pattern_by_pow_mod(poly, lp)
     return Certificates(
         pattern_at_p=tuple(pat_p),
         pattern_at_l=tuple(pat_l),
         pattern_at_lp=tuple(pat_lp),
-        roots_at_lp=roots_lp,
+        roots_at_lp=roots_by_pow_mod(poly, lp),
         real_root_count=real_roots,
-        galois_is_sg=_is_sg_certificate(g, pat_l, sf_l, pat_lp, sf_lp),
+        galois_is_sg=sf_l and sf_lp and _is_sg_certificate(g, pat_l, pat_lp),
     )
+
+
+def certify_galois_sg(field_or_poly, l=None, lp=None) -> bool:
+    """The S_g certificate by factoring: a g-cycle mod l, a transposition shape mod l'.
+
+    g is the degree of the trimmed polynomial.
+    """
+    if isinstance(field_or_poly, ForgedField):
+        field_or_poly, l, lp = field_or_poly.poly, field_or_poly.l, field_or_poly.lp
+    (pat_l, sf_l), (pat_lp, sf_lp) = (degree_pattern_by_pow_mod(field_or_poly, q) for q in (l, lp))
+    g = poly_degree(poly_trim(field_or_poly))
+    return sf_l and sf_lp and _is_sg_certificate(g, pat_l, pat_lp)
 
 
 def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = 64):

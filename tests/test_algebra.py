@@ -1,22 +1,30 @@
 """Kernel tests: degree patterns, root counts, Sturm, CRT.
 
-Expected values for the factorization-shaped operations come from
-independent brute-force oracles (exhaustive root checks, trial division
-over all monic irreducibles, sign scans on root-separated grids)
-computed inside this module.
+The degree patterns and root counts mod l are those of the tests' own
+factorization on tuples (`oracles.degree_pattern_by_pow_mod`,
+`oracles.roots_by_pow_mod`; the package factors nothing).  Expected
+values for the factorization-shaped operations come from independent
+brute-force oracles (exhaustive root checks, trial division over all
+monic irreducibles, sign scans on root-separated grids) computed inside
+this module.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import gf_monic, gf_quo, gf_rem, poly_eval
+from oracles import (
+    degree_pattern_by_pow_mod,
+    gf_monic,
+    gf_quo,
+    gf_rem,
+    poly_eval,
+    reduce_checked,
+    roots_by_pow_mod,
+)
 
 from weiltate.algebra import (
-    _reduce_checked,
     crt_poly,
-    degree_pattern_and_roots,
-    factor_degree_pattern,
     gf_ben_or,
     gf_reduce,
     is_totally_real,
@@ -108,49 +116,49 @@ def grid_sign_root_count(f, radius, step=Fraction(1, 4)):
     return count
 
 
-# --- factor_degree_pattern --------------------------------------------------
+# --- degree patterns, by the tests' own factorization -----------------------
 
 
 def test_pattern_x2_plus_1_mod_5_splits():
     assert brute_roots(X2_PLUS_1, 5) == [2, 3]
-    pattern, squarefree = factor_degree_pattern(X2_PLUS_1, 5)
+    pattern, squarefree = degree_pattern_by_pow_mod(X2_PLUS_1, 5)
     assert pattern == [(1, 2)]
     assert squarefree
 
 
 def test_pattern_x2_plus_1_mod_3_irreducible():
     assert brute_roots(X2_PLUS_1, 3) == []
-    pattern, squarefree = factor_degree_pattern(X2_PLUS_1, 3)
+    pattern, squarefree = degree_pattern_by_pow_mod(X2_PLUS_1, 3)
     assert pattern == [(2, 1)]
     assert squarefree
 
 
 def test_pattern_linear():
-    pattern, squarefree = factor_degree_pattern(X, 7)
+    pattern, squarefree = degree_pattern_by_pow_mod(X, 7)
     assert pattern == [(1, 1)]
     assert squarefree
 
 
 def test_pattern_rejects_non_prime_and_zero():
     with pytest.raises(ValueError):
-        factor_degree_pattern(X2_PLUS_1, 6)
+        degree_pattern_by_pow_mod(X2_PLUS_1, 6)
     with pytest.raises(ValueError):
-        factor_degree_pattern((), 5)
+        degree_pattern_by_pow_mod((), 5)
     with pytest.raises(ValueError):
-        factor_degree_pattern((1, 0, 5), 5)  # leading coefficient dies mod 5
+        degree_pattern_by_pow_mod((1, 0, 5), 5)  # leading coefficient dies mod 5
 
 
 def test_pattern_with_multiplicity():
     # (x - 1)^2 (x^2 + 1) mod 3: one linear squared plus an irreducible quadratic
     f = poly_mul(poly_mul((-1, 1), (-1, 1)), X2_PLUS_1)
-    pattern, squarefree = factor_degree_pattern(f, 3)
+    pattern, squarefree = degree_pattern_by_pow_mod(f, 3)
     assert pattern == [(1, 2), (2, 1)]
     assert not squarefree
 
 
 def test_pattern_char_collapse():
     # x^3 - 1 = (x - 1)^3 mod 3 exercises the l-th-root branch
-    pattern, squarefree = factor_degree_pattern((-1, 0, 0, 1), 3)
+    pattern, squarefree = degree_pattern_by_pow_mod((-1, 0, 0, 1), 3)
     assert pattern == [(1, 3)]
     assert not squarefree
 
@@ -162,27 +170,23 @@ def test_pattern_agrees_with_trial_division():
             d = rng.randint(1, 4)
             f = tuple(rng.randrange(l) for _ in range(d)) + (1,)
             expected = trial_division_pattern(f, l)
-            got = factor_degree_pattern(f, l)
+            got = degree_pattern_by_pow_mod(f, l)
             assert (sorted(got[0]), got[1]) == expected, (f, l)
             assert sum(deg * cnt for deg, cnt in got[0]) == poly_degree(gf_reduce(f, l))
 
 
 def test_irreducibility_helper():
-    assert gf_ben_or(_reduce_checked(X2_PLUS_1, 3), 3)
-    assert not gf_ben_or(_reduce_checked(X2_PLUS_1, 5), 5)
+    assert gf_ben_or(reduce_checked(X2_PLUS_1, 3), 3)
+    assert not gf_ben_or(reduce_checked(X2_PLUS_1, 5), 5)
 
 
-# --- distinct roots mod l: the third value of degree_pattern_and_roots -------
-
-
-def roots_mod(f, l):
-    return degree_pattern_and_roots(f, l)[2]
+# --- distinct roots mod l: `oracles.roots_by_pow_mod` ------------------------
 
 
 def test_count_roots_examples():
-    assert roots_mod(X2_MINUS_1, 5) == 2
-    assert roots_mod(X2_PLUS_1, 3) == 0
-    assert roots_mod(X3_MINUS_X, 3) == 3
+    assert roots_by_pow_mod(X2_MINUS_1, 5) == 2
+    assert roots_by_pow_mod(X2_PLUS_1, 3) == 0
+    assert roots_by_pow_mod(X3_MINUS_X, 3) == 3
 
 
 def test_count_roots_matches_brute_force():
@@ -191,12 +195,12 @@ def test_count_roots_matches_brute_force():
         for _ in range(30):
             d = rng.randint(1, 5)
             f = tuple(rng.randrange(l) for _ in range(d)) + (1,)
-            assert roots_mod(f, l) == len(brute_roots(f, l)), (f, l)
+            assert roots_by_pow_mod(f, l) == len(brute_roots(f, l)), (f, l)
 
 
 def test_count_roots_counts_repeated_roots_once():
     f = poly_mul((-1, 1), (-1, 1))  # (x-1)^2
-    assert roots_mod(f, 5) == 1
+    assert roots_by_pow_mod(f, 5) == 1
 
 
 # --- sturm: total reality ----------------------------------------------------

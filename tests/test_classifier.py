@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -23,6 +23,7 @@ from oracles import (
     frobenius_rank_by_matrix,
     has_qpair_matching,
     honda_tate_by_cosets,
+    main_family_by_formula,
     index2_overgroups,
     orbit_of_subset,
     orbits_by_walk,
@@ -799,6 +800,21 @@ def test_tate_counts_by_dp_match_the_orbit_ranks(name):
     report = classify_orbits(scn.model, scn.slopes, subset_cap=20)
     counts = tate_counts_by_dp(_packed_columns(tate_rows(scn.model, scn.slopes)))
     assert tuple(counts.get(w, 0) for w in range(0, n + 1, 2)) == report.tate_dims
+
+
+@pytest.mark.parametrize("g", range(4, 17, 2))
+def test_main_family_matches_its_closed_form(g):
+    """Every orbit of main g = 4..16, member by member, against the formula (caps raised here)."""
+    scn = scenario_main(g, 5, group_cap=2 * factorial(g))
+    report = classify_orbits(scn.model, scn.slopes, phi=scn.phi, subset_cap=2 * g)
+    rho, orbits = main_family_by_formula(g)
+    assert report.tate_dims == rho
+    assert len(report.orbits) == len(orbits) == g + 2
+    for o in report.orbits:
+        assert frozenset(o.orbit) == orbits.pop((o.weight, o.is_exotic))
+        assert o.rank == len(o.orbit) and o.is_tate
+        assert o.is_lefschetz_bearing != o.is_exotic
+    assert orbits == {}
 
 
 def test_rho_duality_on_presets():

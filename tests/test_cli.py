@@ -217,6 +217,19 @@ def test_classify_main_preset_text(capsys):
     assert "predicted signature: (5, 3)" in out
 
 
+def test_classify_text_prints_the_attached_fields(capsys):
+    """--attach-fields forges in text format too, and the text carries what it forged."""
+    argv = ["classify", "--preset", "main", "--g", "4"]
+    _, json_out, _ = run_cli(capsys, argv + ["--attach-fields", "--format", "json"])
+    metadata = json.loads(json_out)["scenario"]["metadata"]
+    code, out, err = run_cli(capsys, argv + ["--attach-fields"])
+    assert (code, err) == (0, "")
+    for key in ("quadratic_d", "real_field_poly"):
+        assert f"\n{key}: {metadata[key]}\n" in out
+    _, plain, _ = run_cli(capsys, argv)
+    assert plain != out and "quadratic_d" not in plain
+
+
 def test_classify_json_round_trips_to_report_objects(capsys):
     code, out, _ = run_cli(capsys, ["classify", "--preset", "ramified", "--gp", "3",
                                     "--p", "5", "--format", "json"])
@@ -1023,3 +1036,54 @@ def test_scenario_file_round_trip_on_drawn_models(scn):
     assert loaded.model.D_blocks == scn.model.D_blocks
     assert loaded.phi == scn.phi
     assert loaded.slopes.values == scn.slopes.values
+
+
+# --- classify --file on malformed scenario text -------------------------------------
+
+SCENARIO_TOKENS = st.one_of(
+    st.sampled_from(("0", "1", "-1", "9", "2,", "1.5", "1/0", "1/3", "ten", "=", "#", "",
+                     "(1 2)", "(1 1)", "(1", ")", "(1 9)", "1 1 2")),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+@st.composite
+def malformed_scenario_texts(draw):
+    """The `serialize_scenario` text of a drawn scenario with one line dropped, repeated or
+    truncated, or one token of a line swapped for a drawn one."""
+    lines = serialize_scenario(draw(drawn_scenarios())).splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(("drop", "repeat", "truncate", "swap")))
+    event(edit)
+    if edit == "drop":
+        del lines[k]
+    elif edit == "repeat":
+        lines.insert(k, lines[k])
+    elif edit == "truncate":
+        lines[k] = lines[k][:draw(st.integers(0, len(lines[k]) - 1))]
+    else:
+        tokens = lines[k].split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(SCENARIO_TOKENS)
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=malformed_scenario_texts(), fmt=st.sampled_from(("text", "json")))
+@example(text="points = 4\ngenerators = (1 2)(3 4), (1 3)(2 4)\ntau = (1 3)(2 4)\n"
+              "decomposition_generators = (1 3)(2 4)\nphi = 1 1 2\n", fmt="json")
+def test_classify_file_keeps_the_exit_code_contract_on_malformed_text(tmp_path_factory, text,
+                                                                      fmt):
+    """Every mutated scenario file exits 0, 2, 3, 4 or 5 without a traceback, under small caps;
+    a refusal writes nothing to stdout and says why on stderr."""
+    path = tmp_path_factory.mktemp("malformed") / "scenario.scn"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    env = {"WEILTATE_SUBSET_CAP": "8", "WEILTATE_GROUP_CAP": "10000"}
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["classify", "--file", str(path), "--format", fmt])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4, 5), text
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3, 4):
+        assert out.getvalue() == "" and err.getvalue(), text

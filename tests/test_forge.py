@@ -5,19 +5,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import certificates_by_factoring, sturm_by_fractions, subgroup_closure
+from oracles import (
+    certificates_by_factoring,
+    certify_galois_sg,
+    sturm_by_fractions,
+    subgroup_closure,
+)
 from test_golden import GOLDEN_FORGE
 
 import weiltate.algebra
 import weiltate.forge
-from weiltate import cli
 from weiltate.algebra import poly_degree
 from weiltate.forge import (
     HypothesisError,
     RetryBudgetError,
     ScenarioParseError,
     _smallest_primes_avoiding,
-    certify_galois_sg,
     forge_quadratic,
     forge_totally_real,
     parse_scenario,
@@ -131,46 +134,6 @@ def test_a_wrongly_recorded_target_pattern_is_caught(monkeypatch):
     f = forge_totally_real(6, 5, 7, 11, seed=0)
     with pytest.raises(AssertionError):
         _assert_certificates_rederived(f)
-
-
-FACTORING = ("factor_degree_pattern", "degree_pattern_and_roots",
-             "gf_squarefree_decomposition", "gf_distinct_degree")
-
-
-def test_forge_route_factors_nothing(monkeypatch, capsys):
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
-
-    for module in (weiltate.algebra, weiltate.forge):
-        for name in FACTORING:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    f = forge_totally_real(12, 5, 13, 17, seed=0)
-    assert cli.main(["forge", "--g", "12", "--p", "5", "--l", "13", "--lp", "17",
-                     "--format", "json"]) == 0
-    assert calls == []
-    assert certify_galois_sg(f)  # the counters count: the re-derivation factors
-    assert set(calls) == set(FACTORING)
-
-
-def test_certificates_form_x_to_the_l_once_per_prime(monkeypatch):
-    """`certify_galois_sg` factors f mod l and mod l', forming x**l once for each."""
-    f = forge_totally_real(12, 5, 13, 17, seed=0)
-    formed = []
-    x_to_the_l = weiltate.algebra._x_to_the_l
-
-    def counted(poly, l):
-        formed.append(l)
-        return x_to_the_l(poly, l)
-
-    monkeypatch.setattr(weiltate.algebra, "_x_to_the_l", counted)
-    assert certify_galois_sg(f)
-    assert formed == [13, 17]
 
 
 def test_forge_counts_real_roots_once_per_spread(monkeypatch):
@@ -420,6 +383,15 @@ def test_scenario_file_errors_carry_line_and_field():
         parse_scenario(
             "points = 8\ngenerators = (1 2)(5 6)\ntau = (1 5)(2 6)(3 7)(4 8)\nphi = 1 2 4 7\n"
         )
+
+
+def test_scenario_file_refuses_a_repeated_phi_index():
+    """phi is a set of indices: a repeated one is refused, not collapsed."""
+    base = ("points = 4\ngenerators = (1 2)(3 4), (1 3)(2 4)\ntau = (1 3)(2 4)\n"
+            "decomposition_generators = (1 3)(2 4)\n")
+    assert parse_scenario(base + "phi = 1 2\n").phi == frozenset({0, 1})
+    with pytest.raises(ScenarioParseError, match="line 5: field 'phi': repeated index in '1 1 2'"):
+        parse_scenario(base + "phi = 1 1 2\n")
 
 
 def test_scenario_file_duplicate_field():

@@ -12,14 +12,15 @@ the rational chain's count and squarefree verdict, and sympy's.
 forges; `gf_ben_or` (early exit) on f mod l made monic must agree with
 the full degree pattern `oracles.irreducible_by_pattern`.  Over GF(l)
 the kernel takes x**(l**d) from the Frobenius rows and runs Euclid on
-lists; `degree_pattern_and_roots`, `factor_degree_pattern`,
-`gf_ben_or`, `_euclid` (non-monic divisors, one inverse per step) and
-the Frobenius rows on both sides of l < 2 deg f (shifted rows, products
-with x**l) must agree with the square-and-multiply and tuple routes of
-`oracles`, at every prime the kernel admits up to the largest below
-2**31.  Count pins hold the mechanisms: forging at the bench's g = 12
-primes builds no Frobenius row by a product, and the total-reality test
-takes no gcd.
+lists; `gf_ben_or`, `_euclid` (non-monic divisors, one inverse per
+step) and the Frobenius rows on both sides of l < 2 deg f (shifted
+rows, products with x**l) must agree with the square-and-multiply and
+tuple routes of `oracles`, at every prime the kernel admits up to the
+largest below 2**31.  Those tuple routes are the tests' factorization
+(the package factors nothing): their degree patterns, root counts and
+Ben-Or must agree with sympy's `factor_list`.  Count pins hold the
+mechanisms: forging at the bench's g = 12 primes builds no Frobenius
+row by a product, and the total-reality test takes no gcd.
 The draws cover what the chain's signs and stops depend on (negative
 and non-unit leading coefficients, sparse polynomials whose chain drops
 an even number of degrees), squares, the forge's spread-plus-correction
@@ -45,6 +46,7 @@ from oracles import (
     irreducible_by_pattern,
     is_prime_by_trial_division,
     poly_add,
+    reduce_checked,
     roots_by_pow_mod,
     squarefree_decomposition_by_rem,
     sturm_by_fractions,
@@ -56,9 +58,6 @@ from weiltate.algebra import (
     MAX_PRIME,
     MR_BOUND,
     NotSquarefreeError,
-    _reduce_checked,
-    degree_pattern_and_roots,
-    factor_degree_pattern,
     gf_ben_or,
     gf_reduce,
     is_prime,
@@ -83,13 +82,8 @@ def count_by_the_integer_chain(f):
 
 
 def ben_or(f, l):
-    """`gf_ben_or` on f mod l made monic, after the kernel's input checks."""
-    return gf_ben_or(_reduce_checked(f, l), l)
-
-
-def roots_mod(f, l):
-    """The distinct roots of f in GF(l), as `degree_pattern_and_roots` counts them."""
-    return degree_pattern_and_roots(f, l)[2]
+    """`gf_ben_or` on f mod l made monic, after the input checks of `oracles.reduce_checked`."""
+    return gf_ben_or(reduce_checked(f, l), l)
 
 
 def _outcome(fn, *args):
@@ -228,7 +222,7 @@ def test_ben_or_matches_the_full_pattern(case):
 
 
 def test_ben_or_keeps_the_input_errors():
-    for kernel in (ben_or, factor_degree_pattern, degree_pattern_and_roots):
+    for kernel in (ben_or, degree_pattern_by_pow_mod, roots_by_pow_mod):
         for f, l in (((1, 1), 6), ((1, 0, 5), 5), ((1, 1), MAX_PRIME + 11)):
             with pytest.raises(ValueError):
                 kernel(f, l)
@@ -248,12 +242,7 @@ def test_ben_or_keeps_the_input_errors():
 @example(((3,), 7))
 def test_kernel_matches_the_pow_mod_routes(case):
     f, l = case
-    assert _outcome(factor_degree_pattern, f, l) == _outcome(degree_pattern_by_pow_mod, f, l)
-    assert _outcome(roots_mod, f, l) == _outcome(roots_by_pow_mod, f, l)
     assert _outcome(ben_or, f, l) == _outcome(ben_or_by_pow_mod, f, l)
-    pattern, roots = _outcome(degree_pattern_by_pow_mod, f, l), _outcome(roots_by_pow_mod, f, l)
-    expected = pattern if isinstance(pattern, str) else (*pattern, roots)
-    assert _outcome(degree_pattern_and_roots, f, l) == expected
 
 
 @st.composite
@@ -338,27 +327,13 @@ def test_total_reality_takes_no_gcd(monkeypatch):
     assert [(poly, is_totally_real(poly)) for poly, _ in seen] == seen
 
 
-@settings(max_examples=300, deadline=None)
-@given(gf_polys())
-@example(((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 5))  # x^10 + 1 = (x^2 + 1)^5 mod 5: f' = 0
-@example(((1, 0, 0, 0, 1), 2))  # x^4 + 1 = (x + 1)^4 mod 2: two l-th roots
-def test_squarefree_decomposition_matches_the_tuple_route(case):
-    f, l = case
-    try:
-        fbar = algebra._reduce_checked(f, l)
-    except ValueError:
-        return
-    got = [(mult, tuple(part)) for mult, part in algebra.gf_squarefree_decomposition(fbar, l)]
-    assert got == squarefree_decomposition_by_rem(f, l)
-
-
 def test_squarefree_decomposition_collapses_in_characteristic_l():
-    x10_plus_1 = algebra._reduce_checked((1,) + (0,) * 9 + (1,), 5)
-    assert algebra.gf_squarefree_decomposition(x10_plus_1, 5) == [(5, [1, 0, 1])]
-    assert factor_degree_pattern((1,) + (0,) * 9 + (1,), 5) == ([(1, 10)], False)
-    x4_plus_1 = algebra._reduce_checked((1, 0, 0, 0, 1), 2)
-    assert algebra.gf_squarefree_decomposition(x4_plus_1, 2) == [(4, [1, 1])]
-    assert factor_degree_pattern((1, 0, 0, 0, 1), 2) == ([(1, 4)], False)
+    """x^10 + 1 = (x^2 + 1)^5 mod 5 and x^4 + 1 = (x + 1)^4 mod 2: f' = 0, l-th roots."""
+    x10_plus_1 = (1,) + (0,) * 9 + (1,)
+    assert squarefree_decomposition_by_rem(x10_plus_1, 5) == [(5, (1, 0, 1))]
+    assert degree_pattern_by_pow_mod(x10_plus_1, 5) == ([(1, 10)], False)
+    assert squarefree_decomposition_by_rem((1, 0, 0, 0, 1), 2) == [(4, (1, 1))]
+    assert degree_pattern_by_pow_mod((1, 0, 0, 0, 1), 2) == ([(1, 4)], False)
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,10 +463,9 @@ def test_large_prime_costs_products_in_the_bits_of_l(monkeypatch):
     polys.append(next(f for f in draws if ben_or(f, l)))  # every step of Ben-Or
     polys.append(poly_mul((3, 0, 0, 0, 0, 1), (5, 0, 0, 0, 0, 0, 0, 1)))  # degrees 5 and 7
     for f in polys:
-        for kernel in (ben_or, roots_mod, factor_degree_pattern):
-            calls.clear()
-            kernel(f, l)
-            assert 0 < len(calls) <= bound, (kernel.__name__, f, len(calls))
+        calls.clear()
+        ben_or(f, l)
+        assert 0 < len(calls) <= bound, (f, len(calls))
 
 
 # --- sympy as an independent oracle ------------------------------------------
@@ -528,9 +502,9 @@ def test_patterns_and_roots_match_sympy_factor_list(case):
     for factor, mult in factors:
         counts[factor.degree()] = counts.get(factor.degree(), 0) + mult
     squarefree = all(mult == 1 for _, mult in factors)
-    assert factor_degree_pattern(f, l) == (sorted(counts.items()), squarefree)
+    assert degree_pattern_by_pow_mod(f, l) == (sorted(counts.items()), squarefree)
     linears = sum(1 for factor, _ in factors if factor.degree() == 1)
-    assert degree_pattern_and_roots(f, l)[2] == linears
+    assert roots_by_pow_mod(f, l) == linears
     assert ben_or(f, l) == (len(factors) == 1 and factors[0][1] == 1
                             and factors[0][0].degree() >= 1)
 
