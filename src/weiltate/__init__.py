@@ -6,7 +6,7 @@ computes endomorphism-algebra invariants, and forges number-field
 certificates with prescribed local behavior.
 """
 
-from .algebra import NotSquarefreeError, crt_poly
+from .algebra import crt_poly
 from .galois import (
     CMGaloisModel,
     CapExceededError,

@@ -9,10 +9,8 @@ One routine, `_divide`, clears a list from the top against a monic
 divisor in place, for products mod f and Frobenius rows; Euclid
 divides by non-monic remainders, one inverse a step.
 
-Nothing here rounds: total reality is read off the subresultant chain of
-f and f', stopped at the first member whose degree or sign rules it out,
-and irreducibility is Ben-Or's test, which stops at the first factor of
-degree at most half.
+Nothing here rounds: irreducibility is Ben-Or's test, which stops at
+the first factor of degree at most half.
 
 Ben-Or needs x**(l**d) mod f.  It takes it from the Frobenius rows
 x**(l*i) mod f: a**l = a in GF(l), so h**l mod f is
@@ -28,10 +26,6 @@ from math import gcd
 from operator import mul
 
 MAX_PRIME = 2**31
-
-
-class NotSquarefreeError(ValueError):
-    """Raised when an operation requires a squarefree polynomial."""
 
 
 # Miller-Rabin with these bases is exact below the bounds: the first four
@@ -112,10 +106,6 @@ def poly_mul(f, g):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_derivative(f):
-    return poly_trim(tuple(i * f[i] for i in range(1, len(f))))
 
 
 def format_poly(f) -> str:
@@ -286,64 +276,6 @@ def gf_ben_or(f, l):
         if len(_gcd_minus_x(f, next(powers), l)) != 1:
             return False
     return n >= 1
-
-
-# ---------------------------------------------------------------------------
-# Sturm sequences over Z
-# ---------------------------------------------------------------------------
-
-def _subresultant_chain(f):
-    """The members f, f', ... of the subresultant chain of a nonconstant trimmed f, lazily.
-
-    While each member drops the degree by one, member k + 1 is
-    prem(r_{k-1}, r_k) / lc(r_{k-1})**2 (divisor 1 at the first step), an
-    exact division by the subresultant theorem (Collins 1967, Brown and
-    Traub 1971) and a positive multiple of r_{k-1} mod r_k.  A member that
-    drops the degree by more is yielded trimmed and ends the chain; a zero
-    pseudo-remainder raises NotSquarefreeError.
-    """
-    a, b = f, poly_derivative(f)
-    yield a
-    yield b
-    div = 1
-    while len(b) > 1:
-        # prem(a, b) = lc(b)**2 * a - (q1 * x + q0) * b, as deg a = deg b + 1
-        q1, q0, square = b[-1] * a[-1], b[-1] * a[-2] - a[-1] * b[-2], b[-1] * b[-1]
-        r = [(square * ai - q1 * bp - q0 * bi) // div for ai, bp, bi in zip(a, [0, *b], b[:-1])]
-        if not r[-1]:
-            r = poly_trim(r)
-            if not r:
-                raise NotSquarefreeError("polynomial is not squarefree over Q")
-            yield r
-            return
-        a, b, div = b, r, square
-        yield r
-
-
-def is_totally_real(f) -> bool:
-    """Whether the integer polynomial f has deg f distinct real roots.
-
-    A Sturm chain of m + 1 members has at most m sign changes at -oo,
-    so the count reaches deg f exactly when the chain has members of
-    degrees deg f, ..., 0 whose leading coefficients all share the sign
-    of f's.  Its member k is (-1)**(k // 2) * r_k, r_k that of the
-    subresultant chain (no gcd taken), which stops at the first member
-    that breaks this.  Any other drop in degree, or f not squarefree
-    (fewer distinct roots), rules out deg f real roots.
-    """
-    f = poly_trim(f)
-    if not f:
-        raise ValueError("zero polynomial rejected")
-    if poly_degree(f) == 0:
-        return True
-    positive = f[-1] > 0
-    try:
-        for k, r in enumerate(_subresultant_chain(f)):
-            if len(r) != len(f) - k or (r[-1] > 0) != (positive == (k % 4 < 2)):
-                return False
-    except NotSquarefreeError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,7 @@ def cmd_forge(args) -> int:
     print(f"  pattern mod l={field.l}: {list(c.pattern_at_l)}")
     print(f"  pattern mod l'={field.lp}: {list(c.pattern_at_lp)} "
           f"({c.roots_at_lp} distinct roots)")
+    print(f"  pattern mod l''={field.lpp}: {list(c.pattern_at_lpp)}")
     print(f"  real roots: {c.real_root_count}")
     print(f"  galois S_g certificate: {c.galois_is_sg}")
     return EXIT_OK
@@ -476,6 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"forge": cmd_forge, "classify": cmd_classify, "verify": cmd_verify}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -483,13 +487,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "forge":
-            return cmd_forge(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what it read stands, and nothing is left to say
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,9 +3,10 @@
 Totally real fields come from CRT-combined residue targets plus a
 spread polynomial whose widely separated integer roots survive the
 centered correction.  The certificates are read off the construction:
-the degree patterns mod p, l, l' are those proved for the targets, to
-which the polynomial reduces, and the real-root count is the accepting
-Sturm test's; nothing is factored.
+the degree patterns mod p, l, l', l'' are those proved for the targets,
+to which the polynomial reduces, and the real-root count is proved by
+the signs at the midpoints between the spread's roots; nothing is
+factored.
 Scenario presets encode the three construction families as pure
 combinatorial data (group, tau, D, CM-type); the forged polynomials are
 provenance, not inputs, to the classification pipeline.
@@ -23,7 +24,6 @@ from .algebra import (
     gf_ben_or,
     gf_reduce,
     is_prime,
-    is_totally_real,
     poly_mul,
     require_prime,
 )
@@ -126,6 +126,7 @@ class Certificates(Record):
     pattern_at_p: tuple
     pattern_at_l: tuple
     pattern_at_lp: tuple
+    pattern_at_lpp: tuple
     roots_at_lp: int
     real_root_count: int
     galois_is_sg: bool
@@ -136,20 +137,32 @@ class ForgedField(Record):
     p: int
     l: int
     lp: int
+    lpp: int
     seed: int
     poly: tuple
     spread: int
     certificates: Certificates
 
 
-def _transposition_pattern(g: int) -> tuple:
-    """g-2 distinct linears plus one irreducible quadratic."""
-    return ((2, 1),) if g == 2 else ((1, g - 2), (2, 1))
+def _pattern(*degrees) -> tuple:
+    """The degree pattern ((degree, count), ...) of a product of distinct irreducibles."""
+    return tuple((d, degrees.count(d)) for d in sorted(set(degrees)))
 
 
-def _is_sg_certificate(g: int, pat_l, pat_lp) -> bool:
-    """A g-cycle shape mod l and a transposition shape mod l', both patterns squarefree."""
-    return tuple(pat_l) == ((g, 1),) and tuple(pat_lp) == _transposition_pattern(g)
+def _sg_patterns(g: int) -> tuple:
+    """The squarefree patterns mod l, l' and l'' that prove the Galois group S_g.
+
+    By Dedekind each is the cycle type of a Frobenius element: a g-cycle
+    makes the group transitive, a (g-1)-cycle then makes it doubly
+    transitive, hence primitive, and a primitive group that holds a
+    transposition is S_g (Jordan).
+    """
+    return _pattern(g), _pattern(2, *[1] * (g - 2)), _pattern(1, g - 1)
+
+
+def _is_sg_certificate(g: int, *patterns) -> bool:
+    """Whether the squarefree patterns mod l, l' and l'' are those of `_sg_patterns`."""
+    return tuple(map(tuple, patterns)) == _sg_patterns(g)
 
 
 def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
@@ -160,32 +173,48 @@ def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
             return tuple(cand)
 
 
-def _random_transposition_target(g: int, lp: int, rng: random.Random) -> tuple:
-    """Monic degree-g target mod lp: g-2 distinct linears and an irreducible quadratic.
-
-    lp is a prime the caller has checked, so Ben-Or runs unchecked.
-    """
-    roots = rng.sample(range(lp), g - 2)
-    while True:
-        b, c = rng.randrange(lp), rng.randrange(lp)
-        target = (c, b, 1)
-        if gf_ben_or(list(target), lp):
-            break
-    for r in roots:
+def _random_split_target(g: int, d: int, q: int, rng: random.Random) -> tuple:
+    """Monic degree-g target mod the prime q: g-d distinct linears times an
+    irreducible of degree d, which has no root for d >= 2 (d = 0: no such factor)."""
+    target = _random_irreducible(d, q, rng) if d else (1,)
+    for r in rng.sample(range(q), g - d):
         target = poly_mul(target, (-r, 1))
-    return gf_reduce(target, lp)
+    return gf_reduce(target, q)
 
 
-def _crt_targets(g: int, p: int, l: int, lp: int, rng: random.Random) -> tuple:
-    """(prime, target, degree pattern) at p, l and l' in turn, each target squarefree:
-    Ben-Or proves those mod p and l irreducible, and the one mod l' is g-2
-    distinct linears times a quadratic that Ben-Or proves irreducible."""
-    irreducible = ((g, 1),)
+def _crt_targets(g: int, p: int, l: int, lp: int, lpp: int, rng: random.Random) -> tuple:
+    """(prime, target, degree pattern) at p, l, l' and l'' in turn, each target squarefree:
+    Ben-Or proves those mod p and l irreducible, the one mod l' is g-2
+    distinct linears times a quadratic and the one mod l'' a linear times
+    a factor of degree g-1 (two linears at g = 2), each factor proved
+    irreducible by Ben-Or."""
+    pat_l, pat_lp, pat_lpp = _sg_patterns(g)
     return (
-        (p, _random_irreducible(g, p, rng), irreducible),
-        (l, _random_irreducible(g, l, rng), irreducible),
-        (lp, _random_transposition_target(g, lp, rng), _transposition_pattern(g)),
+        (p, _random_irreducible(g, p, rng), pat_l),
+        (l, _random_irreducible(g, l, rng), pat_l),
+        (lp, _random_split_target(g, 2, lp, rng), pat_lp),
+        (lpp, _random_split_target(g, g - 1 if g > 2 else 0, lpp, rng), pat_lpp),
     )
+
+
+def _alternates_at_midpoints(poly, scale: int) -> bool:
+    """Whether poly of degree g takes nonzero values of alternating sign at
+    scale * (2j + 1) / 2, j = 0..g: then it has a root between each two of
+    them (intermediate value theorem), g simple real roots in all.
+
+    Each value is 2**g * poly(x / 2) at x = scale * (2j + 1), in integers.
+    """
+    g = len(poly) - 1
+    halved = [c << (g - k) for k, c in enumerate(poly)][::-1]
+    before = 0
+    for j in range(g + 1):
+        x, value = scale * (2 * j + 1), 0
+        for c in halved:
+            value = value * x + c
+        if not value or value * before > 0:
+            return False
+        before = value
+    return True
 
 
 def forge_totally_real(
@@ -194,15 +223,16 @@ def forge_totally_real(
     """Monic degree-g integer polynomial, totally real, with S_g certificates.
 
     Residue targets (irreducible mod p and mod l; g-2 distinct roots
-    plus an irreducible quadratic mod l') are CRT-combined into a base
-    with coefficients in [0, M), then the spread target
-    T = prod(x - M K i) absorbs the centered correction base - T mod M,
-    built once since it does not depend on K.  K escalates until the
-    polynomial is totally real: `is_totally_real` rejects a spread at
-    the first Sturm chain member whose degree or sign rules it out, and
-    its success proves the real-root count g that is certified.  The
-    polynomial, checked to reduce to each target, has its proved pattern.
-    Distinct seeds draw distinct residue targets.
+    plus an irreducible quadratic mod l'; a root plus an irreducible of
+    degree g-1 mod l'', the least prime other than p, l and l') are
+    CRT-combined into a base with coefficients in [0, M), then the
+    spread target T = prod(x - M K i) absorbs the centered correction
+    base - T mod M, built once since it does not depend on K.  K
+    escalates until the polynomial alternates in sign at the midpoints
+    M K (2j + 1) / 2 between the roots of T, which proves the real-root
+    count g that is certified.  The polynomial, checked to reduce to
+    each target, has its proved pattern.  Distinct seeds draw distinct
+    residue targets.
     """
     if g < 2 or g % 2 != 0:
         raise HypothesisError(f"g = {g} must be a positive even integer")
@@ -216,8 +246,9 @@ def forge_totally_real(
     if l <= g or lp <= g:
         raise HypothesisError(f"l = {l} and l' = {lp} must exceed g = {g}")
 
-    targets = _crt_targets(g, p, l, lp, random.Random(f"{seed}:{g}:{p}:{l}:{lp}"))
-    modulus = p * l * lp
+    (lpp,) = _smallest_primes_avoiding(1, {p, l, lp}, 1)
+    targets = _crt_targets(g, p, l, lp, lpp, random.Random(f"{seed}:{g}:{p}:{l}:{lp}"))
+    modulus = p * l * lp * lpp
     base = crt_poly([(q, target) for q, target, _ in targets], g)
 
     # every non-leading coefficient of prod(x - M K i) is a multiple of M,
@@ -231,40 +262,33 @@ def forge_totally_real(
         scale = modulus * spread
         poly = tuple(u * scale ** (g - k) + c for k, (u, c) in enumerate(zip(unit, centered)))
         poly += (1,)
-        if is_totally_real(poly):
+        if _alternates_at_midpoints(poly, scale):
             if any(gf_reduce(poly, q) != target for q, target, _ in targets):
                 raise SelfCheckError("certified search produced a polynomial failing its certificates")
-            (_, _, pat_p), (_, _, pat_l), (_, _, pat_lp) = targets
+            pat_p, *sg_patterns = (pattern for _, _, pattern in targets)
             certs = Certificates(
-                pattern_at_p=pat_p, pattern_at_l=pat_l, pattern_at_lp=pat_lp,
-                roots_at_lp=dict(pat_lp).get(1, 0),  # squarefree: one root per linear factor
-                real_root_count=g, galois_is_sg=_is_sg_certificate(g, pat_l, pat_lp),
+                pat_p, *sg_patterns,
+                roots_at_lp=dict(sg_patterns[1]).get(1, 0),  # squarefree: a root per linear
+                real_root_count=g, galois_is_sg=_is_sg_certificate(g, *sg_patterns),
             )
-            return ForgedField(
-                g=g, p=p, l=l, lp=lp, seed=seed, poly=poly, spread=spread, certificates=certs
-            )
+            return ForgedField(g, p, l, lp, lpp, seed, poly, spread, certs)
         spread *= 2
     raise RetryBudgetError(f"no totally real polynomial within {retry_budget} spread escalations")
 
 
 def forged_field_to_doc(f: ForgedField) -> dict:
+    """The forge document; the writer writes each tuple, the patterns among them, as a list."""
     return {
         "g": f.g,
         "p": f.p,
         "l": f.l,
         "lp": f.lp,
+        "lpp": f.lpp,
         "seed": f.seed,
-        "coefficients_low_to_high": list(f.poly),
+        "coefficients_low_to_high": f.poly,
         "polynomial": format_poly(f.poly),
         "spread": f.spread,
-        "certificates": {
-            "pattern_at_p": [list(t) for t in f.certificates.pattern_at_p],
-            "pattern_at_l": [list(t) for t in f.certificates.pattern_at_l],
-            "pattern_at_lp": [list(t) for t in f.certificates.pattern_at_lp],
-            "roots_at_lp": f.certificates.roots_at_lp,
-            "real_root_count": f.certificates.real_root_count,
-            "galois_is_sg": f.certificates.galois_is_sg,
-        },
+        "certificates": {name: getattr(f.certificates, name) for name in Certificates._fields},
     }
 
 
@@ -285,11 +309,12 @@ class Scenario(Record):
     metadata: tuple = ()
 
 
-def _smallest_primes_avoiding(g: int, avoid):
+def _smallest_primes_avoiding(least: int, avoid, count: int = 2):
+    """The `count` smallest primes above `least` that are not in `avoid`."""
     out = []
-    q = g + 1
-    while len(out) < 2:
-        if is_prime(q) and q not in avoid:
+    q = least + 1
+    while len(out) < count:
+        if q not in avoid and is_prime(q):
             out.append(q)
         q += 1
     return out

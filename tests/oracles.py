@@ -6,18 +6,21 @@ group element, runs a Sturm chain over the rationals, reads
 irreducibility off the full factorization pattern or tests primality
 by trial division, with no linear shortcut, no block system, no bit
 mask, no subresultant and no Miller-Rabin; only an orbit walk that
-tests its members stops at the first that fails.  The one integer
-Sturm chain here, `sturm_chain_by_primitive_prem`, runs whole: it makes
-each pseudo-remainder primitive by a gcd, whatever the degree drops
-by, where the program divides by the square of a leading coefficient
-and stops at the first drop of two.  Over GF(l) they run
+tests its members stops at the first that fails.  The Sturm chains
+are the tests' own: the program proves total reality by the signs at
+the midpoints of its spread, with no chain.  The one integer Sturm
+chain here, `sturm_chain_by_primitive_prem`, runs whole: it makes each
+pseudo-remainder primitive by a gcd, whatever the degree drops by.
+Over GF(l) they run
 on tuples with their own product and division (`gf_mul`, `gf_divmod`):
 x**(l**d) comes from square-and-multiply (`gf_pow_mod`, a full product
 and remainder per step), and gcds and squarefree parts from Euclid on tuples, not from
 the kernel's Frobenius rows and its one list division.  The forge loop
-rebuilds its spread target for every spread and counts real roots
-with the rational Sturm chain.  `certificates_by_factoring` factors a
-forged polynomial mod p, l and l' on tuples (`degree_pattern_by_pow_mod`,
+rebuilds its spread target for every spread, evaluates it at the
+midpoints in Fractions (`alternates_at_midpoints_by_fractions`) and
+counts the accepted polynomial's real roots with the rational Sturm
+chain.  `certificates_by_factoring` factors a forged polynomial mod p,
+l, l' and l'' on tuples (`degree_pattern_by_pow_mod`,
 `roots_by_pow_mod`), where the program reads the patterns off the CRT
 targets that it has proved; `certify_galois_sg` reads the S_g
 certificate of a field or a polynomial off the same factorization.
@@ -64,15 +67,13 @@ north-star invariants on a classify document.
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import comb, gcd, lcm
 
 from weiltate.algebra import (
-    NotSquarefreeError,
     crt_poly,
     gf_reduce,
     poly_degree,
-    poly_derivative,
     poly_mul,
     poly_trim,
     require_prime,
@@ -95,7 +96,7 @@ from weiltate.forge import (
     ForgedField,
     _is_sg_certificate,
     _random_irreducible,
-    _random_transposition_target,
+    _random_split_target,
 )
 from weiltate.galois import (
     CMGaloisModel,
@@ -683,6 +684,14 @@ def is_prime_by_trial_division(n: int) -> bool:
     return True
 
 
+class NotSquarefreeError(ValueError):
+    """Raised when a Sturm chain meets a polynomial that is not squarefree."""
+
+
+def poly_derivative(f):
+    return poly_trim(tuple(i * f[i] for i in range(1, len(f))))
+
+
 def _qpoly(f):
     return poly_trim(tuple(Fraction(c) for c in f))
 
@@ -719,6 +728,14 @@ def sturm_by_fractions(f):
     if chain[-1] == ():
         raise NotSquarefreeError("polynomial is not squarefree over Q")
     return sturm_count(chain)
+
+
+def totally_real_by_sturm(f) -> bool:
+    """Whether f has deg f distinct real roots, by the rational Sturm chain."""
+    try:
+        return sturm_by_fractions(f) == poly_degree(poly_trim(f))
+    except NotSquarefreeError:
+        return False
 
 
 def _sign_at_infinity(f, positive: bool) -> int:
@@ -1002,45 +1019,63 @@ def poly_eval(f, x):
     return acc
 
 
-def certificates_by_factoring(poly, g: int, p: int, l: int, lp: int, real_roots: int):
-    """The `Certificates` of `poly` from its factorization mod p, l and l';
+def certificates_by_factoring(poly, g: int, p: int, l: int, lp: int, lpp: int, real_roots: int):
+    """The `Certificates` of `poly` from its factorization mod p, l, l' and l'';
     the real-root count is given."""
-    pat_p, _ = degree_pattern_by_pow_mod(poly, p)
-    pat_l, sf_l = degree_pattern_by_pow_mod(poly, l)
-    pat_lp, sf_lp = degree_pattern_by_pow_mod(poly, lp)
+    (pat_p, _), *squarefree_patterns = (degree_pattern_by_pow_mod(poly, q) for q in (p, l, lp, lpp))
+    pat_l, pat_lp, pat_lpp = (tuple(pattern) for pattern, _ in squarefree_patterns)
     return Certificates(
         pattern_at_p=tuple(pat_p),
-        pattern_at_l=tuple(pat_l),
-        pattern_at_lp=tuple(pat_lp),
+        pattern_at_l=pat_l,
+        pattern_at_lp=pat_lp,
+        pattern_at_lpp=pat_lpp,
         roots_at_lp=roots_by_pow_mod(poly, lp),
         real_root_count=real_roots,
-        galois_is_sg=sf_l and sf_lp and _is_sg_certificate(g, pat_l, pat_lp),
+        galois_is_sg=all(squarefree for _, squarefree in squarefree_patterns)
+        and _is_sg_certificate(g, pat_l, pat_lp, pat_lpp),
     )
 
 
-def certify_galois_sg(field_or_poly, l=None, lp=None) -> bool:
-    """The S_g certificate by factoring: a g-cycle mod l, a transposition shape mod l'.
+def certify_galois_sg(field_or_poly, l=None, lp=None, lpp=None) -> bool:
+    """The S_g certificate by factoring: a g-cycle mod l, a transposition
+    shape mod l' and a (g-1)-cycle shape mod l'', each squarefree.
 
     g is the degree of the trimmed polynomial.
     """
     if isinstance(field_or_poly, ForgedField):
-        field_or_poly, l, lp = field_or_poly.poly, field_or_poly.l, field_or_poly.lp
-    (pat_l, sf_l), (pat_lp, sf_lp) = (degree_pattern_by_pow_mod(field_or_poly, q) for q in (l, lp))
+        f = field_or_poly
+        field_or_poly, l, lp, lpp = f.poly, f.l, f.lp, f.lpp
+    patterns = [degree_pattern_by_pow_mod(field_or_poly, q) for q in (l, lp, lpp)]
     g = poly_degree(poly_trim(field_or_poly))
-    return sf_l and sf_lp and _is_sg_certificate(g, pat_l, pat_lp)
+    return all(squarefree for _, squarefree in patterns) and _is_sg_certificate(
+        g, *(pattern for pattern, _ in patterns)
+    )
+
+
+def alternates_at_midpoints_by_fractions(poly, scale) -> bool:
+    """Whether poly takes nonzero values of alternating sign at scale * (j + 1/2),
+    j = 0..deg poly, each value a Fraction by Horner's rule."""
+    values = [poly_eval(poly, Fraction(scale * (2 * j + 1), 2)) for j in range(len(poly))]
+    return all(a * b < 0 for a, b in zip(values, values[1:]))
 
 
 def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = 64):
-    """`forge_totally_real` as first written: for each spread K, rebuild
+    """`forge_totally_real` by definition: l'' is the least prime other than
+    p, l and l' by trial division; for each spread K, rebuild
     T = prod(x - M K i) by multiplication, add the centered correction
-    base - T mod M, and count the real roots with the rational Sturm chain.
+    base - T mod M, and accept at the first K where the values at the
+    midpoints M K (j + 1/2) alternate in sign, each a Fraction.  The
+    accepted polynomial's real roots are counted by the rational Sturm
+    chain and its certificates read off its factorization.
     """
+    lpp = next(q for q in count(2) if q not in (p, l, lp) and is_prime_by_trial_division(q))
     rng = random.Random(f"{seed}:{g}:{p}:{l}:{lp}")
     target_p = _random_irreducible(g, p, rng)
     target_l = _random_irreducible(g, l, rng)
-    target_lp = _random_transposition_target(g, lp, rng)
-    modulus = p * l * lp
-    base = crt_poly([(p, target_p), (l, target_l), (lp, target_lp)], g)
+    target_lp = _random_split_target(g, 2, lp, rng)
+    target_lpp = _random_split_target(g, g - 1 if g > 2 else 0, lpp, rng)
+    modulus = p * l * lp * lpp
+    base = crt_poly([(p, target_p), (l, target_l), (lp, target_lp), (lpp, target_lpp)], g)
     spread = 1
     for _ in range(retry_budget):
         t = (1,)
@@ -1051,14 +1086,10 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_bu
             delta = (base[k] - t[k]) % modulus
             correction.append(delta - modulus if delta > modulus // 2 else delta)
         poly = poly_add(t, tuple(correction))
-        try:
-            real_roots = sturm_by_fractions(poly)
-        except NotSquarefreeError:
-            real_roots = -1
-        if real_roots == g:
-            certs = certificates_by_factoring(poly, g, p, l, lp, real_roots)
-            return ForgedField(g=g, p=p, l=l, lp=lp, seed=seed, poly=poly, spread=spread,
-                               certificates=certs)
+        if alternates_at_midpoints_by_fractions(poly, modulus * spread):
+            certs = certificates_by_factoring(poly, g, p, l, lp, lpp, sturm_by_fractions(poly))
+            return ForgedField(g=g, p=p, l=l, lp=lp, lpp=lpp, seed=seed, poly=poly,
+                               spread=spread, certificates=certs)
         spread *= 2
     raise RuntimeError("no totally real polynomial within the budget")
 

@@ -1,4 +1,4 @@
-"""Kernel tests: degree patterns, root counts, Sturm, CRT.
+"""Kernel tests: degree patterns, root counts, the tests' Sturm chain, CRT.
 
 The degree patterns and root counts mod l are those of the tests' own
 factorization on tuples (`oracles.degree_pattern_by_pow_mod`,
@@ -21,13 +21,13 @@ from oracles import (
     poly_eval,
     reduce_checked,
     roots_by_pow_mod,
+    totally_real_by_sturm,
 )
 
 from weiltate.algebra import (
     crt_poly,
     gf_ben_or,
     gf_reduce,
-    is_totally_real,
     poly_degree,
     poly_mul,
     poly_trim,
@@ -203,19 +203,19 @@ def test_count_roots_counts_repeated_roots_once():
     assert roots_by_pow_mod(f, 5) == 1
 
 
-# --- sturm: total reality ----------------------------------------------------
+# --- sturm: total reality, by the chain that the forge's midpoint rule is held against ---
 
 
 def test_sturm_examples():
-    assert is_totally_real(X2_MINUS_2)
-    assert not is_totally_real(X2_PLUS_1)
-    assert is_totally_real(X3_MINUS_3X)
-    assert not is_totally_real(poly_mul(X3_MINUS_3X, X2_PLUS_1))
+    assert totally_real_by_sturm(X2_MINUS_2)
+    assert not totally_real_by_sturm(X2_PLUS_1)
+    assert totally_real_by_sturm(X3_MINUS_3X)
+    assert not totally_real_by_sturm(poly_mul(X3_MINUS_3X, X2_PLUS_1))
 
 
 def test_sturm_rejects_non_squarefree():
     # (x - 1)^2 has one distinct root of two
-    assert not is_totally_real(poly_mul((-1, 1), (-1, 1)))
+    assert not totally_real_by_sturm(poly_mul((-1, 1), (-1, 1)))
 
 
 def test_sturm_agrees_with_grid_scan_on_integer_roots():
@@ -230,7 +230,7 @@ def test_sturm_agrees_with_grid_scan_on_integer_roots():
         if extra:  # tack on an irreducible quadratic with no real roots
             f = poly_mul(f, (1, 0, 1))
         expected = len(roots)
-        assert is_totally_real(f) == (expected == poly_degree(f))
+        assert totally_real_by_sturm(f) == (expected == poly_degree(f))
         assert grid_sign_root_count(f, radius=8) == expected
 
 
@@ -239,8 +239,8 @@ def test_sturm_large_coefficients():
     f = (1,)
     for i in range(1, 5):
         f = poly_mul(f, (-385 * i, 1))
-    assert is_totally_real(f)
-    assert not is_totally_real(poly_mul(f, X2_PLUS_1))
+    assert totally_real_by_sturm(f)
+    assert not totally_real_by_sturm(poly_mul(f, X2_PLUS_1))
 
 
 # --- crt_poly ----------------------------------------------------------------

@@ -405,6 +405,32 @@ def test_one_process_answers_as_fresh_calls_do(capsys):
     assert in_one[0][1] == "" and in_one[1][1] and in_one[2][1]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_closes_stdout_after_one_line_leaves_exit_0(fmt):
+    """`classify ... | head -1`: the closed pipe ends the command with exit 0 and an empty stderr.
+
+    The pipe holds one page, so the output outgrows it before the reader closes it.
+    """
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set on this platform")
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-m", "weiltate.cli", "classify", "--preset", "ramified", "--gp", "5",
+            "--cap", "20", "--format", fmt]
+    with subprocess.Popen(argv, env=env, stdout=w, stderr=subprocess.PIPE) as child:
+        os.close(w)
+        with os.fdopen(r, "rb", buffering=0) as reader:
+            line = b""
+            while not line.endswith(b"\n"):
+                line += reader.read(1)
+        err = child.stderr.read()
+    assert line == (b"{\n" if fmt == "json" else
+                    b"scenario ramified-gp5-p5  (g = 10, 20 indices, group order 480)\n")
+    assert (child.returncode, err) == (cli.EXIT_OK, b"")
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["classify", "--format", "yaml"]) == cli.EXIT_USAGE
     assert cli.main(["nonsense"]) == cli.EXIT_USAGE

@@ -1,13 +1,16 @@
 """Forge tests: quadratics, certified totally real fields, scenarios, files."""
 
+import math
 from fractions import Fraction
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     certificates_by_factoring,
     certify_galois_sg,
+    degree_pattern_by_pow_mod,
     sturm_by_fractions,
     subgroup_closure,
 )
@@ -15,11 +18,13 @@ from test_golden import GOLDEN_FORGE
 
 import weiltate.algebra
 import weiltate.forge
-from weiltate.algebra import poly_degree
+from weiltate.algebra import poly_degree, poly_mul
 from weiltate.forge import (
     HypothesisError,
     RetryBudgetError,
     ScenarioParseError,
+    _is_sg_certificate,
+    _sg_patterns,
     _smallest_primes_avoiding,
     forge_quadratic,
     forge_totally_real,
@@ -79,6 +84,7 @@ def test_forge_quartic_certificates():
     assert c.pattern_at_p == ((4, 1),)
     assert c.pattern_at_l == ((4, 1),)
     assert c.pattern_at_lp == ((1, 2), (2, 1))
+    assert f.lpp == 2 and c.pattern_at_lpp == ((1, 1), (3, 1))
     assert c.roots_at_lp == 2
     assert c.real_root_count == 4
     assert c.galois_is_sg
@@ -89,6 +95,7 @@ def test_forge_quadratic_field_certificates():
     c = f.certificates
     assert c.pattern_at_l == ((2, 1),)
     assert c.pattern_at_lp == ((2, 1),)
+    assert f.lpp == 2 and c.pattern_at_lpp == ((1, 2),)  # the (g-1)-cycle is the identity
     assert c.roots_at_lp == 0
     assert c.real_root_count == 2
     assert c.galois_is_sg
@@ -97,14 +104,18 @@ def test_forge_quadratic_field_certificates():
 def test_forge_reductions_match_targets():
     f = forge_totally_real(4, 5, 7, 11, seed=3)
     # the certificates are read off the targets; re-derive them by factoring and compare
-    again = certificates_by_factoring(f.poly, f.g, f.p, f.l, f.lp, sturm_by_fractions(f.poly))
+    again = certificates_by_factoring(
+        f.poly, f.g, f.p, f.l, f.lp, f.lpp, sturm_by_fractions(f.poly)
+    )
     assert again == f.certificates
 
 
 def _assert_certificates_rederived(f):
     """The certificates read off the CRT targets are those that factoring f derives."""
     real_roots = sturm_by_fractions(f.poly)
-    assert f.certificates == certificates_by_factoring(f.poly, f.g, f.p, f.l, f.lp, real_roots)
+    assert f.certificates == certificates_by_factoring(
+        f.poly, f.g, f.p, f.l, f.lp, f.lpp, real_roots
+    )
     assert certify_galois_sg(f)
 
 
@@ -127,8 +138,8 @@ def test_a_wrongly_recorded_target_pattern_is_caught(monkeypatch):
 
     def mutant(g, *args):
         """The target mod l recorded as a linear times a (g-1)-factor."""
-        at_p, (l, target, _), at_lp = crt_targets(g, *args)
-        return at_p, (l, target, ((1, 1), (g - 1, 1))), at_lp
+        at_p, (l, target, _), at_lp, at_lpp = crt_targets(g, *args)
+        return at_p, (l, target, ((1, 1), (g - 1, 1))), at_lp, at_lpp
 
     monkeypatch.setattr(weiltate.forge, "_crt_targets", mutant)
     f = forge_totally_real(6, 5, 7, 11, seed=0)
@@ -138,13 +149,13 @@ def test_a_wrongly_recorded_target_pattern_is_caught(monkeypatch):
 
 def test_forge_counts_real_roots_once_per_spread(monkeypatch):
     counted = []
-    totally_real = weiltate.forge.is_totally_real
+    alternates = weiltate.forge._alternates_at_midpoints
 
-    def counting(poly):
+    def counting(poly, scale):
         counted.append(poly)
-        return totally_real(poly)
+        return alternates(poly, scale)
 
-    monkeypatch.setattr(weiltate.forge, "is_totally_real", counting)
+    monkeypatch.setattr(weiltate.forge, "_alternates_at_midpoints", counting)
     f = forge_totally_real(12, 5, 13, 17, seed=0)
     # spreads 1, 2, 4, ..., f.spread: one total-reality test each, the accepted one proves g roots
     assert len(counted) == f.spread.bit_length() == 18
@@ -154,7 +165,8 @@ def test_forge_counts_real_roots_once_per_spread(monkeypatch):
 
 def test_forge_tests_each_prime_once_however_many_draws(monkeypatch):
     """Ben-Or on the random draws is unchecked: p, l and l' are tested once up front,
-    at l' = 2**31 - 1 too, and the certificates test none again."""
+    at l' = 2**31 - 1 too, then the search for l'' tests 2, and the certificates
+    test none again."""
     tested, draws = [], []
     is_prime, ben_or = weiltate.algebra.is_prime, weiltate.forge.gf_ben_or
 
@@ -174,7 +186,7 @@ def test_forge_tests_each_prime_once_however_many_draws(monkeypatch):
         draws.clear()
         forge_totally_real(6, 5, 65537, 2147483647, seed=seed)
         assert len(draws) > 7
-        assert tested == [5, 65537, 2147483647]
+        assert tested == [5, 65537, 2147483647, 2]
 
 
 def test_forge_deterministic_and_seed_sensitive():
@@ -214,19 +226,82 @@ def test_forge_budget_exhaustion():
 def test_certify_a_forged_field_recomputes_only_the_sg_patterns(monkeypatch):
     f = forge_totally_real(4, 5, 7, 11, seed=0)
 
-    def no_sturm(poly):
+    def no_sturm(*args):
         raise AssertionError("the S_g certificate needs no Sturm chain")
 
-    monkeypatch.setattr(weiltate.algebra, "_subresultant_chain", no_sturm)
+    for name in ("sturm_by_fractions", "sturm_chain_by_primitive_prem", "sturm_count"):
+        monkeypatch.setattr(oracles, name, no_sturm)
     assert certify_galois_sg(f)
 
 
 def test_certify_rejects_reducible_poly():
-    assert not certify_galois_sg((-1, 0, 0, 0, 1), l=7, lp=11)  # x^4 - 1
+    assert not certify_galois_sg((-1, 0, 0, 0, 1), l=7, lp=11, lpp=2)  # x^4 - 1
 
 
 def test_certify_s2_from_irreducible_quadratic():
-    assert certify_galois_sg((1, 0, 1), l=3, lp=7)  # x^2 + 1
+    assert certify_galois_sg((1, 0, 1), l=3, lp=7, lpp=5)  # x^2 + 1, roots 2 and 3 mod 5
+
+
+# --- the S_g certificate is a proof, and needs each clause -----------------------
+
+D4_QUARTIC = (7, 0, -6, 0, 1)  # x^4 - 6x^2 + 7, Galois group D4 of order 8
+C4_QUARTIC = (2, 0, -4, 0, 1)  # x^4 - 4x^2 + 2, Galois group C4
+# a sextic resolvent of x^5 - x - 1 (the minimal polynomial of
+# (x1x2 + x2x3 + x3x4 + x4x5 + x5x1 - x1x3 - x3x5 - x5x2 - x2x4 - x4x1)**2 / 16):
+# S5 on its six Sylow 5-subgroups, PGL(2, 5) of order 120, which holds
+# 6-cycles and 5-cycles but no transposition
+PGL25_SEXTIC = (25, -3019, 175, 140, 55, 10, 1)
+# x (x^3 - x - 1): intransitive, S3 on the roots of the cubic
+LINEAR_TIMES_S3_CUBIC = poly_mul((0, 1), (-1, -1, 0, 1))
+
+
+def _galois_order(poly):
+    galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
+    sympy = pytest.importorskip("sympy")
+    factors = sympy.Poly(list(reversed(poly)), sympy.Symbol("x")).factor_list()[1]
+    if len(factors) > 1:  # reducible: the group of the product is no larger than that
+        return math.prod(math.factorial(f.degree()) for f, _ in factors)
+    group, _ = galoisgroups.galois_group(factors[0][0], by_name=False)
+    return group.order()
+
+
+def _patterns(poly, primes):
+    """The squarefree degree patterns of poly mod each prime, by factoring; None if not squarefree."""
+    out = []
+    for q in primes:
+        pattern, squarefree = degree_pattern_by_pow_mod(poly, q)
+        out.append(tuple(pattern) if squarefree else None)
+    return out
+
+
+@pytest.mark.parametrize("poly", [D4_QUARTIC, C4_QUARTIC], ids=["D4", "C4"])
+def test_imprimitive_quartics_are_refused(poly):
+    """No l'' below 200 shows a 3-cycle: D4 and C4 hold none, so the certificate refuses them."""
+    assert _galois_order(poly) < math.factorial(4)
+    for lpp in (q for q in range(3, 200) if weiltate.algebra.is_prime(q)):
+        pattern, _ = degree_pattern_by_pow_mod(poly, lpp)
+        assert tuple(pattern) != ((1, 1), (3, 1)), lpp
+        assert not certify_galois_sg(poly, l=5, lp=17, lpp=lpp)
+
+
+@pytest.mark.parametrize("poly, primes, dropped", [
+    (LINEAR_TIMES_S3_CUBIC, (7, 5, 2), 0),  # no g-cycle: x^4 - x^2 - x is reducible
+    (PGL25_SEXTIC, (7, 23, 3), 1),  # no transposition: PGL(2, 5) on six points
+    (D4_QUARTIC, (5, 17, 3), 2),  # no 3-cycle: D4
+], ids=["g-cycle", "transposition", "g-1-cycle"])
+def test_each_clause_of_the_sg_certificate_is_needed(poly, primes, dropped):
+    """A group other than S_g whose patterns meet the two other clauses: only
+    the dropped clause refuses it, so the certificate without it would pass."""
+    g = poly_degree(poly)
+    assert _galois_order(poly) < math.factorial(g)
+    patterns = _patterns(poly, primes)
+    want = _sg_patterns(g)
+    assert [got == expected for got, expected in zip(patterns, want)] == [
+        k != dropped for k in range(3)
+    ]
+    assert not _is_sg_certificate(g, *(p or () for p in patterns))
+    patterns[dropped] = want[dropped]
+    assert _is_sg_certificate(g, *patterns)
 
 
 # --- scenario presets ------------------------------------------------------------

@@ -53,33 +53,33 @@ GOLDEN_ARGV = {
         "a5664792556f5eb355b68756345a7510bf7f82a0c93c6bdcd030412c3c6efe01",
     # the one preset document that carries forged-field metadata
     ("classify", "--preset", "main", "--g", "4", "--attach-fields"):
-        "cb93f3cf7e8a4574b0407d5f7bbb612bdc1cedc1b781bc0ddfed40f253cdde12",
+        "1b4cf1de1e8e2a2dfebfcb99de68fb0083ef5f98f20a453744c29ed6c787911d",
     ("verify", "--presets", "all"):
         "f23123bf2e935173e7e2e68486af28058366b284b47192479bfae578f2035200",
     # forge at large primes: l' = 2**31 - 1, the largest the kernel admits, and p = 2**31 - 1
     ("forge", "--g", "6", "--p", "5", "--l", "65537", "--lp", "2147483647"):
-        "c8aa3b862192267757ca6ba5c0a0983bc9fefa8bc801995350a39a995e3bd63f",
+        "1377157255b3fe3bfa08e4828df27212398a983a64cc21c4c356f8a9b42cc839",
     ("forge", "--g", "12", "--p", "2147483647", "--l", "65537", "--lp", "65539"):
-        "1c7c9c885ce05ab09e4cd5bf1655a1f9bd180de11d3b3599d799a82802c8ccee",
+        "34019b9c8f08a77618d82834110d51aa2e755037672784e0c17b4f51da738de6",
 }
 
 GOLDEN_FORGE = {
     # (g, l, l', seed) with p = 5; l, l' are the two smallest primes above g other than 5
-    (4, 7, 11, 0): "23417406d9766f1b0701e055affee9f8895316f443112df2a84a5fbe7144b836",
-    (4, 7, 11, 1): "daab3476bc8d5d8491c0ff1dae53f9eea094dbe3c08c8312f54f94feee1498d1",
-    (4, 7, 11, 2): "87e4652d1a983089497c1b90fcaf4b1c2990debd6315a24443b74eb50d3adf8b",
-    (6, 7, 11, 0): "e60ad5645d1aff328d752b85400e0b73c73f72f886bffbd5bd0584aceca505d4",
-    (6, 7, 11, 1): "da46c93aff79fd68de448d8f952ee320396e74f61037ef90bbd477ee7ce7c3db",
-    (6, 7, 11, 2): "e8a792d22f546689590e9f159721886be2f4e4cfd028f1ef0f8b69027fcbeb4e",
-    (8, 11, 13, 0): "f929a2ba783c3b16cf19e7ef77ea0f751af47ed3ab50eade1c50e6c5f43a4c77",
-    (8, 11, 13, 1): "19526e3bc52ba77c406adc49095cdec88a5d3c3d22172bdeceabbf99a5ff49a9",
-    (8, 11, 13, 2): "276afeada0f7c87a9921057a68f143f32de972961130f4dfb3fd3e173aa0bd03",
-    (10, 11, 13, 0): "b8f221c94d9c520fc2b13954fafa5a81512f74f44af15379440b3afc757a3ceb",
-    (10, 11, 13, 1): "f368cb782d91fd3589c8682dc016998a81663be006f486584f87e059be474779",
-    (10, 11, 13, 2): "d50f91fd51b85dae4c6bd31ed7db940bd10dc09b200d78fee479b1cb6ede3d80",
-    (12, 13, 17, 0): "aa0a142568d57b7a95b1f2f679bb293adc4b3516c74ab13cb206af6b6f40dab6",
-    (12, 13, 17, 1): "5ac0471fc3c88f7397f34c89edd4ed05a69253badd3ff00968960fe9f43f180f",
-    (12, 13, 17, 2): "19bdf953b46384ac5899253ca5b9e1367664ae60808e3896bc5c83532e46ebec",
+    (4, 7, 11, 0): "5da9c089aef691d585b53ef12ede5f3f99d58501cc78a1abd2533211325f53a6",
+    (4, 7, 11, 1): "359a3f61b0e306cb1344f7884abac2effac1a75b3525a88067aaf46a32cd6aff",
+    (4, 7, 11, 2): "5bcc0ecefaf4ee478130d78cd61d40d40d63f1be0c5b25897734514b14728fd0",
+    (6, 7, 11, 0): "5f6dc9176a464cd784b4d60fcb209ed3f7a5737c27774ca6333f61d11e04f9d4",
+    (6, 7, 11, 1): "5a28cab124e54720e05e14b431c80d64ced572ce9f1196969c99a3dac35f1b8f",
+    (6, 7, 11, 2): "6d56bb9c9c9da9dbb141d9e4a955c3a18aaec9159b87f72791323decd8e72157",
+    (8, 11, 13, 0): "58da2cef423500ea48a6c25a905392f4203b0807ede937093ee14fd6ccaaefc1",
+    (8, 11, 13, 1): "238550308e8d5216e51d36719d273c4b0728f6cc0d82c050a52db77d287b84a1",
+    (8, 11, 13, 2): "e58f3592b72c55f811f9f09137914ebfd89e3fee80450f057ef0ec1e6140a381",
+    (10, 11, 13, 0): "0281ca99f30b087378354053f9ea317a8986a0cd8ae00b54cf9955927e80bcd4",
+    (10, 11, 13, 1): "1beab7a0455686e3d74f2917988f20fe062c107f89a15afea0c9931ae5599b32",
+    (10, 11, 13, 2): "2557620716cd4e5726de887bf117c37e2d1a3fb3f43268d544b34ccca0466647",
+    (12, 13, 17, 0): "d711bd06cb57b35d92c1f67709f8a4e9b633fc9d1071e9d5af536b84c755407c",
+    (12, 13, 17, 1): "b44cafac8100938b48f4953d99741ee8c17905c591f27ab277c82d65abc35401",
+    (12, 13, 17, 2): "f33ce51e0099dd7e5611addd4d29432f9abb7c43a952ce14c0405f80c0ee3a1e",
 }
 
 # 68,322,911 bytes: 309 orbits of 279,938 members; weights 16..28 are built as complements

@@ -1,11 +1,11 @@
 """The forge's exact kernels against their definitional routes and against sympy.
 
-`is_totally_real` walks the subresultant chain of f and f' (exact
-divisions by squares of leading coefficients, stopped at the first
-member whose degree or sign rules out deg f real roots); it must say
-whether the rational chain `oracles.sturm_by_fractions` counts deg f
-distinct real roots, and each member must be its pseudo-remainder
-divided exactly.  The whole integer chain of primitive
+`forge._alternates_at_midpoints` proves total reality by sign changes
+at the midpoints between the spread's roots; whatever it accepts, the
+rational Sturm chain `oracles.sturm_by_fractions` must count deg f
+distinct real roots for, and it must answer as the same signs taken
+in Fractions do.  It is one-sided: pinned seeds show Sturm accepting a
+spread that the midpoints refuse.  The whole integer chain of primitive
 pseudo-remainders, `oracles.sturm_chain_by_primitive_prem`, must give
 the rational chain's count and squarefree verdict, and sympy's.
 `forge_totally_real` must forge what `oracles.forge_by_definition`
@@ -21,7 +21,7 @@ largest below 2**31.  Those tuple routes are the tests' factorization
 Ben-Or must agree with sympy's `factor_list`.  Count pins hold the
 mechanisms: forging at the bench's g = 12 primes builds no Frobenius
 row by a product, and the total-reality test takes no gcd.
-The draws cover what the chain's signs and stops depend on (negative
+The draws cover what the chains' signs and stops depend on (negative
 and non-unit leading coefficients, sparse polynomials whose chain drops
 an even number of degrees), squares, the forge's spread-plus-correction
 shape up to g = 12 and spreads 2**18, and leading coefficients that
@@ -30,13 +30,15 @@ vanish mod l.
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    _prem,
+    NotSquarefreeError,
+    alternates_at_midpoints_by_fractions,
     ben_or_by_pow_mod,
     degree_pattern_by_pow_mod,
     forge_by_definition,
@@ -52,16 +54,15 @@ from oracles import (
     sturm_by_fractions,
     sturm_chain_by_primitive_prem,
     sturm_count,
+    totally_real_by_sturm,
 )
 from weiltate import algebra, forge
 from weiltate.algebra import (
     MAX_PRIME,
     MR_BOUND,
-    NotSquarefreeError,
     gf_ben_or,
     gf_reduce,
     is_prime,
-    is_totally_real,
     poly_degree,
     poly_mul,
     poly_trim,
@@ -112,16 +113,20 @@ def non_squarefree_polys(draw):
 
 
 @st.composite
-def forge_shaped(draw, max_g=8, max_spread_bits=6):
-    """prod(x - M K i) plus a correction centered in (-M/2, M/2], as the forge builds."""
+def forge_shaped_and_scale(draw, max_g=8, max_spread_bits=6):
+    """prod(x - M K i) plus a correction centered in (-M/2, M/2], as the forge builds, and M K."""
     g = draw(st.integers(2, max_g))
-    modulus = draw(st.sampled_from((5 * 7 * 11, 5 * 11 * 13, 5 * 13 * 17)))
-    spread = 2 ** draw(st.integers(0, max_spread_bits))
+    modulus = draw(st.sampled_from((5 * 7 * 11 * 2, 5 * 11 * 13 * 2, 2 * 13 * 17 * 3)))
+    scale = modulus * 2 ** draw(st.integers(0, max_spread_bits))
     t = (1,)
     for i in range(1, g + 1):
-        t = poly_mul(t, (-modulus * spread * i, 1))
+        t = poly_mul(t, (-scale * i, 1))
     half = modulus // 2
-    return poly_add(t, tuple(draw(st.integers(-half, half)) for _ in range(g)))
+    return poly_add(t, tuple(draw(st.integers(-half, half)) for _ in range(g))), scale
+
+
+def forge_shaped(max_g=8, max_spread_bits=6):
+    return forge_shaped_and_scale(max_g, max_spread_bits).map(lambda case: case[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,50 +142,77 @@ def test_integer_sturm_matches_the_fraction_chain(f):
     assert _outcome(count_by_the_integer_chain, f) == _outcome(sturm_by_fractions, f)
 
 
-def _totally_real_by_count(f):
-    try:
-        return sturm_by_fractions(f) == poly_degree(poly_trim(f))
-    except NotSquarefreeError:
-        return False
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(integer_polys(), non_squarefree_polys(), forge_shaped(12, 18)))
-@example((-2, 0, 1))
-@example((0, 3, 0, -1))  # -x^3 + 3x: negative leading coefficient, three roots
-@example((0, -3, 0, 1))  # x^3 - 3x
-@example((-4, 0, 5, 0, -1))  # -(x^2 - 1)(x^2 - 4): negative leading coefficient, four roots
-@example((1, 0, -2, 0, 1))  # (x^2 - 1)^2: squarefree part totally real, f not squarefree
-@example((-2, 1, 5, -5, 1))  # (x - 1)^2 (x^2 - 3x - 2): the pseudo-remainder vanishes at k = 4
-@example((0, 5, 0, 0, 1))  # x^4 + 5x: the chain drops from degree 3 to 1
-@example((-4, 0, -2, 0, -2, 0, 1))  # x^6 - 2x^4 - 2x^2 - 4: drops from degree 3 to 1 at k = 4
-@example((-1, 0, 0, 0, 0, 0, 1))  # x^6 - 1: two real roots of six
-@example((5, -2))  # degree 1, negative leading coefficient
-@example((-7, 3))
-@example((1,))
-@example((-3,))
-@example((0,))
-def test_total_reality_matches_the_full_count(f):
-    assert _outcome(is_totally_real, f) == _outcome(_totally_real_by_count, f)
+@given(st.one_of(
+    st.tuples(st.one_of(integer_polys(), non_squarefree_polys()).map(poly_trim).filter(bool),
+              st.integers(1, 6)),
+    forge_shaped_and_scale(12, 18),
+))
+@example(((-2, 0, 1), 1))  # roots +-1.41: the midpoints 0.5, 1.5, 2.5 see no sign change
+@example(((2, -3, 1), 1))  # (x - 1)(x - 2): +, -, +
+@example(((-6, 11, -6, 1), 1))  # (x - 1)(x - 2)(x - 3)
+@example(((6, -11, 6, -1), 1))  # its negative: the first sign is free
+@example(((-1, 2), 1))  # 2x - 1 vanishes at the midpoint 1/2
+@example(((1, -2, 1), 1))  # (x - 1)^2: positive at every midpoint
+@example(((2, -3, 1), 2))  # roots 1 and 2 both below the midpoint 3
+@example(((1,), 1))  # a constant has no root and one midpoint
+@example(((-4, 0, 5, 0, -1), 1))  # -(x^2 - 1)(x^2 - 4): roots outside (1/2, 9/2)
+def test_total_reality_matches_the_full_count(case):
+    """The midpoint signs answer as the Fractions do, and accept only what Sturm counts
+    totally real."""
+    f, scale = case
+    accepted = forge._alternates_at_midpoints(f, scale)
+    assert accepted == alternates_at_midpoints_by_fractions(f, scale)
+    if accepted:
+        assert totally_real_by_sturm(f)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(integer_polys(), non_squarefree_polys(), forge_shaped(12, 18)))
-@example((-2, 1, 5, -5, 1))
-@example((-4, 0, -2, 0, -2, 0, 1))
-def test_subresultant_members_are_exact_quotients(f):
-    """Each member past f' times lc(r_{k-1})**2 (1 at the first step) is prem(r_{k-1}, r_k)."""
-    f = poly_trim(f)
-    if len(f) < 2:
-        return
-    chain = algebra._subresultant_chain(f)
-    a, b, div = next(chain), next(chain), 1
-    try:
-        for r in chain:
-            assert poly_trim(tuple(c * div for c in r)) == _prem(a, b)
-            a, b, div = b, r, b[-1] ** 2
-    except NotSquarefreeError:
-        assert _prem(a, b) == ()
+def _spreads_tested(g, seed):
+    """The forged field at p = 5 and the bench's l, l', and the polynomials it tested."""
+    l, lp = forge._smallest_primes_avoiding(g, {5})
+    tested = []
+    alternates = forge._alternates_at_midpoints
+
+    def recorded(poly, scale):
+        tested.append(poly)
+        return alternates(poly, scale)
+
+    with mock.patch.object(forge, "_alternates_at_midpoints", recorded):
+        field = forge_totally_real(g, 5, l, lp, seed)
+    return field, tested
+
+
+def _first_sturm_accepts(polys) -> int:
+    """The index of the first polynomial that the integer Sturm chain counts totally real."""
+    return next(k for k, f in enumerate(polys) if count_by_the_integer_chain(f) == len(f) - 1)
+
+
+# (g, seed) where Sturm accepts an earlier spread than the midpoints: (Sturm's, the forge's)
+STURM_EARLIER = {(4, 25): (8, 16), (4, 60): (1, 2), (6, 1): (128, 256),
+                 (8, 40): (128, 256), (12, 27): (131072, 262144)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((4, 6, 8, 10, 12)), st.integers(0, 2**31 - 1))
+@example(4, 25)
+@example(4, 60)
+@example(6, 1)  # a pinned forge document
+@example(8, 40)
+@example(12, 27)
+def test_midpoint_rule_accepts_only_totally_real_fields(g, seed):
+    """The accepted spread is totally real by the rational Sturm chain, and no
+    earlier than the first that the integer chain accepts."""
+    field, tested = _spreads_tested(g, seed)
+    assert tested[-1] == field.poly and field.spread == 2 ** (len(tested) - 1)
+    assert sturm_by_fractions(field.poly) == g
+    assert _first_sturm_accepts(tested) <= len(tested) - 1
+
+
+@pytest.mark.parametrize("key", list(STURM_EARLIER), ids=lambda k: "g%d-seed%d" % k)
+def test_sturm_accepts_spreads_that_the_midpoints_refuse(key):
+    """The rule is one-sided: at these seeds the midpoint signs refuse a totally real spread."""
+    field, tested = _spreads_tested(*key)
+    assert (2 ** _first_sturm_accepts(tested), field.spread) == STURM_EARLIER[key]
 
 
 @pytest.mark.parametrize("g", [4, 6, 8, 10, 12])
@@ -308,23 +340,26 @@ def test_forging_at_the_bench_primes_multiplies_no_frobenius_row(monkeypatch):
 
 
 def test_total_reality_takes_no_gcd(monkeypatch):
-    """The spreads the forge tests at g = 12, seed 0, answered again with `gcd` refused."""
+    """The spreads the forge tests at g = 12, seed 0, answered again with `gcd` refused,
+    as the Fraction midpoints answer them."""
     seen = []
-    totally_real = forge.is_totally_real
+    alternates = forge._alternates_at_midpoints
 
-    def recorded(poly):
-        seen.append((poly, totally_real(poly)))
-        return seen[-1][1]
+    def recorded(poly, scale):
+        seen.append((poly, scale, alternates(poly, scale)))
+        return seen[-1][2]
 
-    monkeypatch.setattr(forge, "is_totally_real", recorded)
+    monkeypatch.setattr(forge, "_alternates_at_midpoints", recorded)
     forge_totally_real(12, 5, 13, 17, seed=0)
-    assert seen[-1][1] and not all(answer for _, answer in seen)
+    assert seen[-1][2] and not all(answer for _, _, answer in seen)
 
     def no_gcd(*args):
         raise AssertionError("the total-reality test takes no gcd")
 
     monkeypatch.setattr(algebra, "gcd", no_gcd)
-    assert [(poly, is_totally_real(poly)) for poly, _ in seen] == seen
+    assert [alternates(poly, scale) for poly, scale, _ in seen] == [
+        alternates_at_midpoints_by_fractions(poly, scale) for poly, scale, _ in seen
+    ] == [answer for _, _, answer in seen]
 
 
 def test_squarefree_decomposition_collapses_in_characteristic_l():
@@ -484,10 +519,8 @@ def test_sturm_matches_sympy_count_roots(f):
     got = _outcome(count_by_the_integer_chain, f)
     if P.degree() >= 1 and P.gcd(P.diff()).degree() >= 1:
         assert got == "not squarefree"
-        assert not is_totally_real(f)
     else:
         assert got == P.count_roots()
-        assert is_totally_real(f) == (got == P.degree())
 
 
 @settings(max_examples=150, deadline=None)
@@ -509,11 +542,17 @@ def test_patterns_and_roots_match_sympy_factor_list(case):
                             and factors[0][0].degree() >= 1)
 
 
-@pytest.mark.parametrize("g", [4, 6])
+@pytest.mark.parametrize("g", [4, 6, 8, 10, 12])
 def test_forged_fields_have_galois_group_sg(g):
-    """sympy's Galois group of each forged field has order g! (p = 5 and the bench's l, l')."""
+    """Seeds 0-7 at p = 5 and the bench's l, l': sympy factors each forged field mod l''
+    as a linear times an irreducible of degree g - 1, squarefree, and at g = 4 and 6
+    gives it a Galois group of order g!."""
     galoisgroups = pytest.importorskip("sympy.polys.numberfields.galoisgroups")
-    for seed in range(6):
-        field = forge_totally_real(g, 5, 7, 11, seed)
-        group, _ = galoisgroups.galois_group(_sympy_poly(field.poly), by_name=False)
-        assert group.order() == math.factorial(g), (g, seed, field.poly)
+    l, lp = forge._smallest_primes_avoiding(g, {5})
+    for seed in range(8):
+        field = forge_totally_real(g, 5, l, lp, seed)
+        _, factors = _sympy_poly(field.poly, modulus=field.lpp).factor_list()
+        assert sorted((f.degree(), e) for f, e in factors) == [(1, 1), (g - 1, 1)], (g, seed)
+        if g <= 6:
+            group, _ = galoisgroups.galois_group(_sympy_poly(field.poly), by_name=False)
+            assert group.order() == math.factorial(g), (g, seed, field.poly)

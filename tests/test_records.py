@@ -45,10 +45,12 @@ FIELDS = {
     classifier.StructureVerdict: (("passed", "branch", "failed_clause"),) * 2,
     classifier.LemmaResult: (("instance", "lemma", "status", "detail"),) * 2,
     forge.Certificates: ((
-        "pattern_at_p", "pattern_at_l", "pattern_at_lp", "roots_at_lp", "real_root_count",
-        "galois_is_sg",
+        "pattern_at_p", "pattern_at_l", "pattern_at_lp", "pattern_at_lpp", "roots_at_lp",
+        "real_root_count", "galois_is_sg",
     ),) * 2,
-    forge.ForgedField: (("g", "p", "l", "lp", "seed", "poly", "spread", "certificates"),) * 2,
+    forge.ForgedField: ((
+        "g", "p", "l", "lp", "lpp", "seed", "poly", "spread", "certificates",
+    ),) * 2,
     forge.Scenario: ((
         "name", "family", "model", "phi", "slopes", "provenance", "metadata",
     ),) * 2,
