@@ -12,12 +12,17 @@ divides by non-monic remainders, one inverse a step.
 Nothing here rounds: irreducibility is Ben-Or's test, which stops at
 the first factor of degree at most half.
 
-Ben-Or needs x**(l**d) mod f.  It takes it from the Frobenius rows
-x**(l*i) mod f: a**l = a in GF(l), so h**l mod f is
+Ben-Or's d = 1 stage asks whether f has a root in GF(l).  For
+l < 2 deg f it is answered by Horner's rule at every a in GF(l), with
+no product mod f and no gcd; only an f without a root goes on, and
+only if d = 2 is reached (deg f >= 4).  Past that bound the d = 1
+stage is gcd(f, x**l - x), like every later one.
+Each later stage needs x**(l**d) mod f.  It comes from the Frobenius
+rows x**(l*i) mod f: a**l = a in GF(l), so h**l mod f is
 sum_i h_i * x**(l*i) mod f, one matrix-vector product per d.  Only
 x**l mod f itself comes from squaring, about log2 l products mod f.
-The other rows, built only when d = 2 is reached, each come from the
-one before (shifted l places, or times x**l mod f).
+The other rows each come from the one before (shifted l places when
+l < 2 deg f, else times x**l mod f).
 """
 
 from __future__ import annotations
@@ -240,8 +245,9 @@ def _frobenius_powers_of_x(f, l):
 
     Each power is a list of deg f coefficients.  Since a**l = a for
     every a in GF(l), h**l = sum_i h_i * x**(l*i) mod f: one
-    matrix-vector product with the Frobenius rows.  d = 1 needs only
-    x**l; the other rows are built when d = 2 is asked for.
+    matrix-vector product with the Frobenius rows.  Nothing is computed
+    before the first power is asked for, x**l by squaring; the other
+    rows are built when the second is.
     """
     xl = _x_to_the_l(f, l)
     yield xl
@@ -261,18 +267,40 @@ def _gcd_minus_x(f, h, l):
     return _euclid(list(f), g, l)
 
 
+def _has_root(f, l):
+    """Whether the list f has a root in GF(l), by Horner's rule at each a in turn."""
+    top = f[::-1]
+    for a in range(l):
+        value = 0
+        for c in top:
+            value = (value * a + c) % l
+        if not value:
+            return True
+    return False
+
+
 def gf_ben_or(f, l):
     """Ben-Or's test: a monic list f of degree n >= 1 with coefficients in
     [0, l) is irreducible mod l iff gcd(f, x**(l**d) - x) = 1 for every
     d <= n/2.  Neither l nor f is checked.
 
     The first nontrivial gcd rejects f; no factorization pattern is
-    formed.  x**(l**d) mod f comes from the Frobenius rows of f, and
-    the rows past x**l are built only for an f that passes d = 1.
+    formed.  At d = 1 the gcd is nontrivial iff f has a root in GF(l);
+    for l < 2n that is decided by evaluation at every a, so an f with a
+    root costs no product mod f and no Euclid, and x**l mod f is
+    computed only for an f that reaches d = 2.  x**(l**d) mod f comes
+    from the Frobenius rows of f, built only for an f that passes d = 1.
     """
     n = len(f) - 1
     powers = _frobenius_powers_of_x(f, l)
-    for _ in range(n // 2):
+    stages = n // 2
+    if l < 2 * n:
+        if _has_root(f, l):
+            return False
+        stages -= 1
+        if stages:
+            next(powers)  # x**l, which the rows for d = 2 are built from
+    for _ in range(stages):
         if len(_gcd_minus_x(f, next(powers), l)) != 1:
             return False
     return n >= 1

@@ -166,9 +166,23 @@ def _is_sg_certificate(g: int, *patterns) -> bool:
 
 
 def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
-    """Monic degree-g irreducible target mod the prime l, which the caller has checked."""
+    """Monic degree-g irreducible target mod the prime l, which the caller has checked.
+
+    Each coefficient is a getrandbits(bit length of l) draw, redrawn
+    while it is at least l: the rule by which `rng.randrange(l)` draws,
+    so the coefficients are those of randrange from the same state.
+    That equality is why the 15 forge documents that the golden tests
+    pin by sha256 hold.
+    """
+    bits, draw = l.bit_length(), rng.getrandbits
     while True:
-        cand = [rng.randrange(l) for _ in range(g)] + [1]
+        cand = []
+        for _ in range(g):
+            r = draw(bits)
+            while r >= l:
+                r = draw(bits)
+            cand.append(r)
+        cand.append(1)
         if gf_ben_or(cand, l):
             return tuple(cand)
 

@@ -16,10 +16,13 @@ on tuples with their own product and division (`gf_mul`, `gf_divmod`):
 x**(l**d) comes from square-and-multiply (`gf_pow_mod`, a full product
 and remainder per step), and gcds and squarefree parts from Euclid on tuples, not from
 the kernel's Frobenius rows and its one list division.  The forge loop
-rebuilds its spread target for every spread, evaluates it at the
-midpoints in Fractions (`alternates_at_midpoints_by_fractions`) and
-counts the accepted polynomial's real roots with the rational Sturm
-chain.  `certificates_by_factoring` factors a forged polynomial mod p,
+draws its residue targets with its own drawer
+(`irreducible_by_definition`: `rng.randrange` per coefficient, Ben-Or
+by `ben_or_by_pow_mod`; `split_target_by_definition`: `rng.sample`
+roots multiplied out by `poly_mul`), rebuilds its spread target for
+every spread, evaluates it at the midpoints in Fractions
+(`alternates_at_midpoints_by_fractions`) and counts the accepted
+polynomial's real roots with the rational Sturm chain.  `certificates_by_factoring` factors a forged polynomial mod p,
 l, l' and l'' on tuples (`degree_pattern_by_pow_mod`,
 `roots_by_pow_mod`), where the program reads the patterns off the CRT
 targets that it has proved; `certify_galois_sg` reads the S_g
@@ -95,8 +98,6 @@ from weiltate.forge import (
     Certificates,
     ForgedField,
     _is_sg_certificate,
-    _random_irreducible,
-    _random_split_target,
 )
 from weiltate.galois import (
     CMGaloisModel,
@@ -1059,9 +1060,29 @@ def alternates_at_midpoints_by_fractions(poly, scale) -> bool:
     return all(a * b < 0 for a, b in zip(values, values[1:]))
 
 
+def irreducible_by_definition(g: int, l: int, rng: random.Random) -> tuple:
+    """A monic degree-g irreducible mod l: draws of `rng.randrange(l)` per coefficient
+    until `ben_or_by_pow_mod` proves one irreducible."""
+    while True:
+        f = tuple(rng.randrange(l) for _ in range(g)) + (1,)
+        if ben_or_by_pow_mod(f, l):
+            return f
+
+
+def split_target_by_definition(g: int, d: int, q: int, rng: random.Random) -> tuple:
+    """g - d distinct linears mod q, their roots by `rng.sample`, times an irreducible
+    of degree d (none at d = 0), multiplied out by `poly_mul` and reduced mod q."""
+    target = irreducible_by_definition(d, q, rng) if d else (1,)
+    for r in rng.sample(range(q), g - d):
+        target = poly_mul(target, (-r, 1))
+    return gf_reduce(target, q)
+
+
 def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = 64):
     """`forge_totally_real` by definition: l'' is the least prime other than
-    p, l and l' by trial division; for each spread K, rebuild
+    p, l and l' by trial division; the targets come from
+    `irreducible_by_definition` and `split_target_by_definition`, drawn
+    from the forge's own seeded stream; for each spread K, rebuild
     T = prod(x - M K i) by multiplication, add the centered correction
     base - T mod M, and accept at the first K where the values at the
     midpoints M K (j + 1/2) alternate in sign, each a Fraction.  The
@@ -1070,10 +1091,10 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_bu
     """
     lpp = next(q for q in count(2) if q not in (p, l, lp) and is_prime_by_trial_division(q))
     rng = random.Random(f"{seed}:{g}:{p}:{l}:{lp}")
-    target_p = _random_irreducible(g, p, rng)
-    target_l = _random_irreducible(g, l, rng)
-    target_lp = _random_split_target(g, 2, lp, rng)
-    target_lpp = _random_split_target(g, g - 1 if g > 2 else 0, lpp, rng)
+    target_p = irreducible_by_definition(g, p, rng)
+    target_l = irreducible_by_definition(g, l, rng)
+    target_lp = split_target_by_definition(g, 2, lp, rng)
+    target_lpp = split_target_by_definition(g, g - 1 if g > 2 else 0, lpp, rng)
     modulus = p * l * lp * lpp
     base = crt_poly([(p, target_p), (l, target_l), (lp, target_lp), (lpp, target_lpp)], g)
     spread = 1

@@ -1,6 +1,7 @@
 """Forge tests: quadratics, certified totally real fields, scenarios, files."""
 
 import math
+import random
 from fractions import Fraction
 
 import oracles
@@ -187,6 +188,25 @@ def test_forge_tests_each_prime_once_however_many_draws(monkeypatch):
         forge_totally_real(6, 5, 65537, 2147483647, seed=seed)
         assert len(draws) > 7
         assert tested == [5, 65537, 2147483647, 2]
+
+
+@pytest.mark.parametrize("l", [2, 3, 17, 65537, 2**31 - 1])
+def test_drawer_draws_the_coefficients_of_randrange(monkeypatch, l):
+    """Over 1,000 draws the drawer's coefficients are `[rng.randrange(l) for _ in range(g)]`
+    from the same seed, and it leaves the stream where randrange does: the forge
+    documents pinned by sha256 keep their targets."""
+    drawn = []
+
+    def every_third_accepted(f, q):
+        drawn.append(f[:-1])
+        return len(drawn) % 3 == 0
+
+    monkeypatch.setattr(weiltate.forge, "gf_ben_or", every_third_accepted)
+    ours, theirs = random.Random(f"drawer:{l}"), random.Random(f"drawer:{l}")
+    while len(drawn) < 1000:
+        weiltate.forge._random_irreducible(1 + len(drawn) % 13, l, ours)
+    assert drawn == [[theirs.randrange(l) for _ in f] for f in drawn]
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_forge_deterministic_and_seed_sensitive():

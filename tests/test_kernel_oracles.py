@@ -16,8 +16,11 @@ lists; `gf_ben_or`, `_euclid` (non-monic divisors, one inverse per
 step) and the Frobenius rows on both sides of l < 2 deg f (shifted
 rows, products with x**l) must agree with the square-and-multiply and
 tuple routes of `oracles`, at every prime the kernel admits up to the
-largest below 2**31.  Those tuple routes are the tests' factorization
-(the package factors nothing): their degree patterns, root counts and
+largest below 2**31.  Below that bound Ben-Or's d = 1 stage is a root
+search by evaluation; it must agree with the gcd of
+`oracles.ben_or_by_pow_mod` at every prime up to 17, and count pins
+hold that a draw with a root runs no product mod f and no Euclid.
+Those tuple routes are the tests' factorization (the package factors nothing): their degree patterns, root counts and
 Ben-Or must agree with sympy's `factor_list`.  Count pins hold the
 mechanisms: forging at the bench's g = 12 primes builds no Frobenius
 row by a product, and the total-reality test takes no gcd.
@@ -45,9 +48,11 @@ from oracles import (
     gf_divmod,
     gf_gcd_by_rem,
     gf_pow_mod,
+    gf_sub,
     irreducible_by_pattern,
     is_prime_by_trial_division,
     poly_add,
+    poly_eval,
     reduce_checked,
     roots_by_pow_mod,
     squarefree_decomposition_by_rem,
@@ -275,6 +280,75 @@ def test_ben_or_keeps_the_input_errors():
 def test_kernel_matches_the_pow_mod_routes(case):
     f, l = case
     assert _outcome(ben_or, f, l) == _outcome(ben_or_by_pow_mod, f, l)
+
+
+@st.composite
+def monic_below_17(draw):
+    """A monic f of degree 1..16 mod a prime up to 17: l < 2 deg f and l >= 2 deg f both occur."""
+    l = draw(st.sampled_from([q for q in PRIMES if q <= 17]))
+    return [draw(st.integers(0, l - 1)) for _ in range(draw(st.integers(1, 16)))] + [1], l
+
+
+@settings(max_examples=400, deadline=None)
+@given(monic_below_17())
+@example(([1, 0, 1], 3))  # x^2 + 1 mod 3, n = 2: the root stage alone proves it irreducible
+@example(([2, 0, 1], 3))  # x^2 - 1 mod 3, n = 2: refused by its roots
+@example(([1, 2, 0, 1], 3))  # x^3 - x + 1 mod 3, n = 3: the root stage alone
+@example(([1, 1, 0, 1], 5))  # x^3 + x + 1 mod 5, n = 3 and 5 < 6: the root stage alone
+@example(([0, 2, 0, 1], 5))  # x (x^2 + 2) mod 5, n = 3: a root only at 0
+@example(([2, 2, 1, 1], 5))  # (x + 1)(x^2 + 2) mod 5, n = 3: a root only at l - 1
+@example(([0, 1, 0, 2, 0, 1], 7))  # x (x^2 + 1)^2 mod 7: a root only at 0, n = 5
+@example(([1, 1, 2, 2, 1, 1], 7))  # (x + 1)(x^2 + 1)^2 mod 7: a root only at l - 1, n = 5
+@example(([1, 0, 3, 0, 3, 0, 1], 11))  # (x^2 + 1)^3 mod 11, l = 2n - 1: refused at d = 2
+@example(([2, 1, 0, 0, 0, 0, 1], 11))  # x^6 + x + 2 mod 11, l = 2n - 1: irreducible
+@example(([8, 0, 12, 0, 6, 0, 1], 13))  # (x^2 + 2)^3 mod 13, l = 2n + 1: the d = 1 gcd route
+@example(([1, 1, 0, 0, 0, 0, 1], 13))  # x^6 + x + 1 mod 13, l = 2n + 1: irreducible
+def test_root_stage_matches_the_pow_mod_route(case):
+    f, l = case
+    assert gf_ben_or(f, l) == ben_or_by_pow_mod(f, l)
+
+
+def _record_kernel_calls(monkeypatch):
+    """The calls of `_x_to_the_l`, `_mulmod` and `_euclid`, in order, each with its
+    arguments as tuples at the call (`_euclid` consumes its lists)."""
+    calls = []
+    for name in ("_x_to_the_l", "_mulmod", "_euclid"):
+
+        def recorded(*args, name=name, kernel=getattr(algebra, name)):
+            calls.append((name, tuple(tuple(a) if isinstance(a, list) else a for a in args)))
+            return kernel(*args)
+
+        monkeypatch.setattr(algebra, name, recorded)
+    return calls
+
+
+def test_roots_below_twice_the_degree_cost_no_product_and_no_euclid(monkeypatch):
+    """At l < 2 deg f a draw with a root runs no x**l, no product mod f and no
+    Euclid, and the first Euclid of a root-free draw is its d = 2 gcd, with
+    x**(l**2) - x.  At 65537 and 2**31 - 1 the d = 1 gcd, with x**l - x, still runs."""
+    calls = _record_kernel_calls(monkeypatch)
+    rng = random.Random(34)
+    for l, n in ((2, 11), (5, 12), (7, 4), (13, 12)):
+        seen = set()
+        for _ in range(60):
+            f = [rng.randrange(l) for _ in range(n)] + [1]
+            calls.clear()
+            irreducible = gf_ben_or(f, l)
+            has_root = any(poly_eval(f, a) % l == 0 for a in range(l))
+            seen.add(has_root)
+            if has_root:
+                assert not irreducible and calls == [], (f, l)
+            else:
+                first = next(args for name, args in calls if name == "_euclid")
+                assert first[1] == gf_sub(gf_pow_mod((0, 1), l * l, tuple(f), l), (0, 1), l)
+        assert seen == {True, False}, (l, n)
+    for l in (65537, LARGEST_PRIME):
+        for _ in range(3):
+            f = [rng.randrange(l) for _ in range(12)] + [1]
+            calls.clear()
+            gf_ben_or(f, l)
+            first = next(args for name, args in calls if name == "_euclid")
+            assert first[1] == gf_sub(gf_pow_mod((0, 1), l, tuple(f), l), (0, 1), l)
 
 
 @st.composite
