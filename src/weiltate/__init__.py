@@ -21,6 +21,7 @@ from .classifier import (
     EndAlgebraReport,
     MotiveOrbit,
     classify_orbits,
+    classify_scenario,
     honda_tate_endomorphism,
     predicted_signature,
     structure_check,

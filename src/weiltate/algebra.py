@@ -72,18 +72,6 @@ def _strong_probable_prime(n: int, bases) -> bool:
     return True
 
 
-def require_prime(l: int) -> None:
-    """Refuse l unless it is a prime below MAX_PRIME.
-
-    The cap is tested first, so no primality test runs on a value that
-    can only be refused.
-    """
-    if isinstance(l, int) and l >= MAX_PRIME:
-        raise ValueError(f"prime {l} exceeds the 2**31 single-word cap")
-    if not isinstance(l, int) or not is_prime(l):
-        raise ValueError(f"modulus {l!r} is not prime")
-
-
 # ---------------------------------------------------------------------------
 # generic dense polynomials (any ring of Python numbers)
 # ---------------------------------------------------------------------------

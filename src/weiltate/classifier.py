@@ -226,11 +226,12 @@ def tate_subsets(cols, weights) -> dict:
 
 
 def _half_tables(n, empty, join, of_bit) -> tuple:
-    """(low table, high table): the joins of of_bit(j) over the bits j of each half of an n-bit mask.
+    """(low table, high table) over the two halves of an n-bit mask.
 
     The low half is bits 0..n/2-1 and the high half the rest; entry b of
-    a table joins the bits set in b.  Each table is built by doubling,
-    one list comprehension per bit: t += [join(of_bit(j), x) for x in t].
+    a table joins of_bit(j) over the bits j set in b.  Each table is
+    built by doubling, one list comprehension per bit:
+    t += [join(of_bit(j), x) for x in t].
     """
     tables = []
     for shift, width in ((0, n // 2), (n // 2, n - n // 2)):
@@ -539,6 +540,18 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector, columns) -> En
     )
 
 
+def classify_scenario(scn, subset_cap: int = DEFAULT_SUBSET_CAP, weights=None) -> tuple:
+    """(report, end): the orbit classification of a scenario, with its phi, and Honda-Tate.
+
+    The one route from a scenario to its reports: the classify document
+    and the lemma suite both read what it returns.
+    """
+    report = classify_orbits(
+        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap
+    )
+    return report, honda_tate_endomorphism(scn.model, scn.slopes, report.columns)
+
+
 # ---------------------------------------------------------------------------
 # structure theorem check and signature prediction
 # ---------------------------------------------------------------------------
@@ -635,108 +648,90 @@ class LemmaResult(Record):
     detail: str = ""
 
 
-def verify_lemma_suite(scenarios, subset_cap: int = DEFAULT_SUBSET_CAP) -> tuple:
-    """Brute-force the combinatorial lemmas on each scenario, rows labelled by its name.
+def verify_lemma_suite(scn, report: ClassifierReport, end: EndAlgebraReport) -> tuple:
+    """Brute-force the combinatorial lemmas on one scenario's reports, rows labelled by its name.
 
-    Hypothesis gating: the partition lemma needs a mildly exotic
-    instance; the half-weight minimum and exotic uniqueness need the
-    noncommutative setting on top; the unique-exotic-orbit statement is
-    specific to the main scenario family.
+    `report` and `end` are what `classify_scenario(scn)` returns; nothing
+    is classified here.  Hypothesis gating: the partition lemma needs a
+    mildly exotic instance; the half-weight minimum and exotic uniqueness
+    need the noncommutative setting on top; the unique-exotic-orbit
+    statement is specific to the main scenario family.
     """
     results = []
-    for scn in scenarios:
-        label, model, s = scn.name, scn.model, scn.slopes
-        report = classify_orbits(model, s, subset_cap=subset_cap)
-        end = honda_tate_endomorphism(model, s, report.columns)
-        mildly = report.mildly_exotic
-        noncommutative = not end.commutative
-        n = model.group.degree
-        all_points = frozenset(range(n))
+    label, model = scn.name, scn.model
+    mildly = report.mildly_exotic
+    noncommutative = not end.commutative
+    n = model.group.degree
+    all_points = frozenset(range(n))
 
-        if mildly:
-            status, detail = PASS, ""
-            for o in report.exotic:
-                I = frozenset(o.representative)
-                tau_I = frozenset(model.tau[i] for i in I)
-                if I | tau_I != all_points:
-                    status = FAIL
-                    detail = f"I = {[i + 1 for i in sorted(I)]} has I ∪ tau I != all indices"
-                    break
-            results.append(LemmaResult(label, LEMMA_PARTITION, status, detail))
-        else:
-            results.append(
-                LemmaResult(label, LEMMA_PARTITION, NOT_APPLICABLE, "not mildly exotic")
-            )
-
-        if mildly and noncommutative:
-            cols = report.columns
-            # only a half-weight J with #J < g/2 fails the lemma
-            short = (
-                J
-                for o in report.exotic
-                for size in range(1, model.g // 2)
-                for J in combinations(sorted(o.representative), size)
-                if sum(cols[i] for i in J) == 0
-            )
-            J = next(short, None)
-            status, detail = PASS, ""
-            if J is not None:
+    if mildly:
+        status, detail = PASS, ""
+        for o in report.exotic:
+            I = frozenset(o.representative)
+            tau_I = frozenset(model.tau[i] for i in I)
+            if I | tau_I != all_points:
                 status = FAIL
-                detail = (
-                    f"J = {[i + 1 for i in J]} has half-weight products "
-                    f"but #J = {len(J)} < g/2 = {model.g // 2}"
-                )
-            results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, status, detail))
+                detail = f"I = {[i + 1 for i in sorted(I)]} has I ∪ tau I != all indices"
+                break
+        results.append(LemmaResult(label, LEMMA_PARTITION, status, detail))
+    else:
+        results.append(LemmaResult(label, LEMMA_PARTITION, NOT_APPLICABLE, "not mildly exotic"))
 
-            exotic_masks = {m for o in report.exotic for m in o.orbit.masks}
-            if len(report.exotic) == 1:
-                I = report.exotic[0].representative
-                allowed = {_mask(n, I), _mask(n, (model.tau[i] for i in I))}
-                if exotic_masks <= allowed:
-                    results.append(LemmaResult(label, LEMMA_UNIQUE_EXOTIC, PASS))
-                else:
-                    extra = max(exotic_masks - allowed)
-                    points = [i + 1 for i in range(n) if extra >> (n - 1 - i) & 1]
-                    results.append(
-                        LemmaResult(
-                            label,
-                            LEMMA_UNIQUE_EXOTIC,
-                            FAIL,
-                            f"exotic subset {points} differs from I, tau I",
-                        )
-                    )
+    if mildly and noncommutative:
+        cols = report.columns
+        # only a half-weight J with #J < g/2 fails the lemma
+        short = (
+            J
+            for o in report.exotic
+            for size in range(1, model.g // 2)
+            for J in combinations(sorted(o.representative), size)
+            if sum(cols[i] for i in J) == 0
+        )
+        J = next(short, None)
+        status, detail = PASS, ""
+        if J is not None:
+            status = FAIL
+            detail = (
+                f"J = {[i + 1 for i in J]} has half-weight products "
+                f"but #J = {len(J)} < g/2 = {model.g // 2}"
+            )
+        results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, status, detail))
+
+        exotic_masks = {m for o in report.exotic for m in o.orbit.masks}
+        if len(report.exotic) == 1:
+            I = report.exotic[0].representative
+            allowed = {_mask(n, I), _mask(n, (model.tau[i] for i in I))}
+            if exotic_masks <= allowed:
+                results.append(LemmaResult(label, LEMMA_UNIQUE_EXOTIC, PASS))
             else:
-                results.append(
-                    LemmaResult(
-                        label,
-                        LEMMA_UNIQUE_EXOTIC,
-                        FAIL,
-                        f"{len(report.exotic)} exotic orbits in the noncommutative setting",
-                    )
-                )
+                extra = max(exotic_masks - allowed)
+                points = [i + 1 for i in range(n) if extra >> (n - 1 - i) & 1]
+                results.append(LemmaResult(
+                    label, LEMMA_UNIQUE_EXOTIC, FAIL,
+                    f"exotic subset {points} differs from I, tau I",
+                ))
         else:
-            why = "not mildly exotic" if not mildly else "endomorphism algebra is commutative"
-            results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, NOT_APPLICABLE, why))
-            results.append(LemmaResult(label, LEMMA_UNIQUE_EXOTIC, NOT_APPLICABLE, why))
+            results.append(LemmaResult(
+                label, LEMMA_UNIQUE_EXOTIC, FAIL,
+                f"{len(report.exotic)} exotic orbits in the noncommutative setting",
+            ))
+    else:
+        why = "not mildly exotic" if not mildly else "endomorphism algebra is commutative"
+        results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, NOT_APPLICABLE, why))
+        results.append(LemmaResult(label, LEMMA_UNIQUE_EXOTIC, NOT_APPLICABLE, why))
 
-        if scn.family == "main":
-            ok = (
-                len(report.exotic) == 1
-                and report.exotic[0].rank == 2
-                and report.exotic[0].weight == model.g
-            )
-            results.append(
-                LemmaResult(
-                    label,
-                    LEMMA_MAIN_UNIQUE,
-                    PASS if ok else FAIL,
-                    "" if ok else f"exotic orbits: {[o.representative for o in report.exotic]}",
-                )
-            )
-        else:
-            results.append(
-                LemmaResult(label, LEMMA_MAIN_UNIQUE, NOT_APPLICABLE, "not the main family")
-            )
+    if scn.family == "main":
+        ok = (
+            len(report.exotic) == 1
+            and report.exotic[0].rank == 2
+            and report.exotic[0].weight == model.g
+        )
+        results.append(LemmaResult(
+            label, LEMMA_MAIN_UNIQUE, PASS if ok else FAIL,
+            "" if ok else f"exotic orbits: {[o.representative for o in report.exotic]}",
+        ))
+    else:
+        results.append(LemmaResult(label, LEMMA_MAIN_UNIQUE, NOT_APPLICABLE, "not the main family"))
     return tuple(results)
 
 

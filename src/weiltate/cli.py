@@ -23,9 +23,8 @@ from . import classifier, forge
 from .classifier import (
     FAIL,
     MemberMasks,
-    classify_orbits,
+    classify_scenario,
     end_report_to_doc,
-    honda_tate_endomorphism,
     predicted_signature,
     report_to_doc,
     verify_lemma_suite,
@@ -241,7 +240,7 @@ def _resolve_scenario(args, group_cap, subset_cap) -> forge.Scenario:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise forge.ScenarioParseError(f"cannot read {args.file}: {exc}")
         return forge.parse_scenario(text, group_cap=group_cap, subset_cap=subset_cap)
     flag, size = ("--g", args.g) if args.preset == "main" else ("--gp", args.gp)
@@ -274,19 +273,17 @@ def classify_scenario_doc(
     subset_cap: int = classifier.DEFAULT_SUBSET_CAP,
     weights=None,
 ) -> dict:
-    """Full classification document for one scenario (the structured report).
+    """Full classification document for one scenario: the reports of `classify_scenario`.
 
     The Frobenius rank is read off the report, whose Tate predicate is
     built from the one conjugate-slope basis.  The minimal field index
     [G : Fix] is [Q(pi^k) : Q], the Frobenius field degree that
     Honda-Tate has already counted: both are the number of signature
-    blocks, which all have one size since G is transitive.  Each orbit's members stay a `MemberMasks`, which
-    `_emit_json` writes as their 1-based point lists.
+    blocks, which all have one size since G is transitive.  Each orbit's
+    members stay a `MemberMasks`, which `_emit_json` writes as their
+    1-based point lists.
     """
-    report = classify_orbits(
-        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap
-    )
-    end = honda_tate_endomorphism(scn.model, scn.slopes, report.columns)
+    report, end = classify_scenario(scn, subset_cap, weights)
     doc = {
         "schema": "weiltate.classify/1",
         "scenario": _scenario_doc(scn),
@@ -398,11 +395,9 @@ def cmd_verify(args) -> int:
             f"--presets names no preset; choose all or from {', '.join(VERIFY_PRESETS)}"
         )
     p = DEFAULT_P if args.p is None else args.p
-    doc = {"schema": "weiltate.verify/1", "lemmas": [], "oracles": []}
-    failed = False
     group_cap, subset_cap = _group_cap(), _subset_cap(None)
 
-    scenarios = []
+    scenarios = []  # every name checked and every scenario built before the first classification
     for name in names:
         if name not in VERIFY_PRESETS:
             raise UsageError(
@@ -410,17 +405,12 @@ def cmd_verify(args) -> int:
             )
         family, size = VERIFY_PRESETS[name]
         scenarios.append(forge.PRESETS[family](size, p, group_cap=group_cap))
-    for row in verify_lemma_suite(scenarios, subset_cap=subset_cap):
-        doc["lemmas"].append(
-            {
-                "instance": row.instance,
-                "lemma": row.lemma,
-                "status": row.status,
-                "detail": row.detail,
-            }
-        )
-        if row.status == FAIL:
-            failed = True
+    rows = [row for scn in scenarios
+            for row in verify_lemma_suite(scn, *classify_scenario(scn, subset_cap))]
+    doc = {"schema": "weiltate.verify/1", "oracles": [], "lemmas": [
+        {"instance": r.instance, "lemma": r.lemma, "status": r.status, "detail": r.detail}
+        for r in rows
+    ]}
 
     if args.format == "json":
         sys.stdout.write(_emit_json(doc))
@@ -429,7 +419,7 @@ def cmd_verify(args) -> int:
         for row in doc["lemmas"]:
             print(f"{row['instance']:<20} {row['lemma']:<28} {row['status']:<16} "
                   f"{row['detail']}")
-    return EXIT_LEMMA_FAIL if failed else EXIT_OK
+    return EXIT_LEMMA_FAIL if any(r.status == FAIL for r in rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,10 @@ def tau_block_classes(model: CMGaloisModel) -> list:
 
 
 def validate_prescription(model: CMGaloisModel, targets: tuple) -> list:
-    """Check targets #(phi ∩ B), one int per D-block B by block position; return the tau classes."""
+    """Check targets #(phi ∩ B), one int per D-block B by block position.
+
+    Returns the tau classes.
+    """
     blocks, classes = model.D_blocks, tau_block_classes(model)
     if len(targets) != len(blocks):
         raise ValueError(f"{len(targets)} targets for {len(blocks)} blocks")

@@ -25,7 +25,6 @@ from .algebra import (
     gf_reduce,
     is_prime,
     poly_mul,
-    require_prime,
 )
 from .galois import (
     DEFAULT_GROUP_CAP,
@@ -160,11 +159,6 @@ def _sg_patterns(g: int) -> tuple:
     return _pattern(g), _pattern(2, *[1] * (g - 2)), _pattern(1, g - 1)
 
 
-def _is_sg_certificate(g: int, *patterns) -> bool:
-    """Whether the squarefree patterns mod l, l' and l'' are those of `_sg_patterns`."""
-    return tuple(map(tuple, patterns)) == _sg_patterns(g)
-
-
 def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
     """Monic degree-g irreducible target mod the prime l, which the caller has checked.
 
@@ -197,17 +191,17 @@ def _random_split_target(g: int, d: int, q: int, rng: random.Random) -> tuple:
 
 
 def _crt_targets(g: int, p: int, l: int, lp: int, lpp: int, rng: random.Random) -> tuple:
-    """(prime, target, degree pattern) at p, l, l' and l'' in turn, each target squarefree:
+    """(prime, target) at p, l, l' and l'' in turn, each target squarefree:
     Ben-Or proves those mod p and l irreducible, the one mod l' is g-2
     distinct linears times a quadratic and the one mod l'' a linear times
     a factor of degree g-1 (two linears at g = 2), each factor proved
-    irreducible by Ben-Or."""
-    pat_l, pat_lp, pat_lpp = _sg_patterns(g)
+    irreducible by Ben-Or.  Their degree patterns are ((g, 1),) at p and
+    `_sg_patterns(g)` at l, l' and l''."""
     return (
-        (p, _random_irreducible(g, p, rng), pat_l),
-        (l, _random_irreducible(g, l, rng), pat_l),
-        (lp, _random_split_target(g, 2, lp, rng), pat_lp),
-        (lpp, _random_split_target(g, g - 1 if g > 2 else 0, lpp, rng), pat_lpp),
+        (p, _random_irreducible(g, p, rng)),
+        (l, _random_irreducible(g, l, rng)),
+        (lp, _random_split_target(g, 2, lp, rng)),
+        (lpp, _random_split_target(g, g - 1 if g > 2 else 0, lpp, rng)),
     )
 
 
@@ -251,8 +245,8 @@ def forge_totally_real(
     if g < 2 or g % 2 != 0:
         raise HypothesisError(f"g = {g} must be a positive even integer")
     for q in (p, l, lp):
-        if q >= MAX_PRIME:
-            require_prime(q)  # the kernel's cap error, before any primality test
+        if q >= MAX_PRIME:  # the kernel's cap error, before any primality test
+            raise ValueError(f"prime {q} exceeds the 2**31 single-word cap")
         if not is_prime(q):
             raise HypothesisError(f"{q} is not prime")
     if len({p, l, lp}) != 3:
@@ -263,7 +257,7 @@ def forge_totally_real(
     (lpp,) = _smallest_primes_avoiding(1, {p, l, lp}, 1)
     targets = _crt_targets(g, p, l, lp, lpp, random.Random(f"{seed}:{g}:{p}:{l}:{lp}"))
     modulus = p * l * lp * lpp
-    base = crt_poly([(q, target) for q, target, _ in targets], g)
+    base = crt_poly(targets, g)
 
     # every non-leading coefficient of prod(x - M K i) is a multiple of M,
     # so the centered correction base - T mod M is base centered, for every K
@@ -277,13 +271,16 @@ def forge_totally_real(
         poly = tuple(u * scale ** (g - k) + c for k, (u, c) in enumerate(zip(unit, centered)))
         poly += (1,)
         if _alternates_at_midpoints(poly, scale):
-            if any(gf_reduce(poly, q) != target for q, target, _ in targets):
-                raise SelfCheckError("certified search produced a polynomial failing its certificates")
-            pat_p, *sg_patterns = (pattern for _, _, pattern in targets)
+            if any(gf_reduce(poly, q) != target for q, target in targets):
+                raise SelfCheckError(
+                    "certified search produced a polynomial failing its certificates"
+                )
+            # S_g is proved: Ben-Or proved each target's factors irreducible, so
+            # the targets have the patterns of _sg_patterns, and poly reduces to them
+            pat_l, pat_lp, pat_lpp = _sg_patterns(g)
             certs = Certificates(
-                pat_p, *sg_patterns,
-                roots_at_lp=dict(sg_patterns[1]).get(1, 0),  # squarefree: a root per linear
-                real_root_count=g, galois_is_sg=_is_sg_certificate(g, *sg_patterns),
+                pat_l, pat_l, pat_lp, pat_lpp, roots_at_lp=g - 2, real_root_count=g,
+                galois_is_sg=True,
             )
             return ForgedField(g, p, l, lp, lpp, seed, poly, spread, certs)
         spread *= 2

@@ -26,10 +26,13 @@ polynomial's real roots with the rational Sturm chain.  `certificates_by_factori
 l, l' and l'' on tuples (`degree_pattern_by_pow_mod`,
 `roots_by_pow_mod`), where the program reads the patterns off the CRT
 targets that it has proved; `certify_galois_sg` reads the S_g
-certificate of a field or a polynomial off the same factorization.
+certificate of a field or a polynomial off the same factorization,
+both through `_is_sg_certificate`, which holds the patterns against
+`forge._sg_patterns`.
 The package factors nothing, so these are the only factorization;
-`reduce_checked` holds their input checks (l prime below 2**31, f
-nonzero with a unit leading coefficient).
+`reduce_checked` holds their input checks (`require_prime`: l a prime
+below 2**31, the cap tested first; f nonzero with a unit leading
+coefficient).
 
 The element-set route lists the group (`elements_of`, breadth-first
 from the identity, the order in which `classifier._blocks_in_coset_order`
@@ -74,12 +77,13 @@ from itertools import combinations, count, product
 from math import comb, gcd, lcm
 
 from weiltate.algebra import (
+    MAX_PRIME,
     crt_poly,
     gf_reduce,
+    is_prime,
     poly_degree,
     poly_mul,
     poly_trim,
-    require_prime,
 )
 from weiltate.classifier import (
     SCHT_APPLICABLE,
@@ -97,7 +101,7 @@ from weiltate.cmtypes import is_balanced
 from weiltate.forge import (
     Certificates,
     ForgedField,
-    _is_sg_certificate,
+    _sg_patterns,
 )
 from weiltate.galois import (
     CMGaloisModel,
@@ -945,6 +949,18 @@ def distinct_degree_by_pow_mod(f, l):
     return out
 
 
+def require_prime(l: int) -> None:
+    """Refuse l unless it is a prime below MAX_PRIME.
+
+    The cap is tested first, so no primality test runs on a value that
+    can only be refused.
+    """
+    if isinstance(l, int) and l >= MAX_PRIME:
+        raise ValueError(f"prime {l} exceeds the 2**31 single-word cap")
+    if not isinstance(l, int) or not is_prime(l):
+        raise ValueError(f"modulus {l!r} is not prime")
+
+
 def reduce_checked(f, l):
     """f mod l made monic, as a tuple: l a prime below 2**31, f nonzero with a unit lead."""
     require_prime(l)
@@ -1018,6 +1034,11 @@ def poly_eval(f, x):
     for c in reversed(f):
         acc = acc * x + c
     return acc
+
+
+def _is_sg_certificate(g: int, *patterns) -> bool:
+    """Whether the squarefree patterns mod l, l' and l'' are those of `_sg_patterns`."""
+    return tuple(map(tuple, patterns)) == _sg_patterns(g)
 
 
 def certificates_by_factoring(poly, g: int, p: int, l: int, lp: int, lpp: int, real_roots: int):

@@ -26,6 +26,7 @@ from weiltate.classifier import (
     PASS,
     SCHT_APPLICABLE,
     classify_orbits,
+    classify_scenario,
     honda_tate_endomorphism,
     predicted_signature,
     verify_lemma_suite,
@@ -185,8 +186,9 @@ def test_criterion_6_slope_oracle_equivalence():
 
 
 def test_criterion_7_lemma_suite():
-    rows = verify_lemma_suite([scenario_main(4, 5), scenario_main(6, 5), scenario_ramified(3, 5),
-                               scenario_split(3, 5)])
+    rows = [r for scn in (scenario_main(4, 5), scenario_main(6, 5), scenario_ramified(3, 5),
+                          scenario_split(3, 5))
+            for r in verify_lemma_suite(scn, *classify_scenario(scn))]
     assert all(r.status in (PASS, NOT_APPLICABLE) for r in rows)
     by_key = {(r.instance, r.lemma): r.status for r in rows}
     # the partition lemma holds on every (mildly exotic) preset

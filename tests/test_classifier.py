@@ -59,6 +59,7 @@ from weiltate.classifier import (
     _mask,
     _packed_columns,
     classify_orbits,
+    classify_scenario,
     end_report_to_doc,
     honda_tate_endomorphism,
     predicted_signature,
@@ -1305,7 +1306,8 @@ def build_instances():
 
 
 def test_lemma_suite_presets_all_pass():
-    rows = verify_lemma_suite(build_instances())
+    rows = [r for scn in build_instances()
+            for r in verify_lemma_suite(scn, *classify_scenario(scn))]
     assert all(r.status in (PASS, NOT_APPLICABLE) for r in rows)
     by_key = {(r.instance, r.lemma): r.status for r in rows}
     assert by_key[("main-g4-p5", "exotic_partition")] == PASS
@@ -1317,7 +1319,7 @@ def test_lemma_suite_presets_all_pass():
     assert by_key[("split-gp3-p5", "exotic_uniqueness")] == NOT_APPLICABLE
 
 
-def test_unique_exotic_lemma_reads_every_mask_of_the_orbit(monkeypatch):
+def test_unique_exotic_lemma_reads_every_mask_of_the_orbit():
     # ramified g'=3: the one exotic orbit is {I, tau I}, I = {1, 2, 3, 10, 11, 12};
     # the strays are appended to the orbit's masks
     scn = scenario_ramified(3, 5)
@@ -1326,8 +1328,8 @@ def test_unique_exotic_lemma_reads_every_mask_of_the_orbit(monkeypatch):
     strays = [_mask(12, m) for m in ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))]
     members = MemberMasks(12, orbit.orbit.masks + tuple(strays))
     forged = report.replace(exotic=(orbit.replace(orbit=members),))  # keeps the columns
-    monkeypatch.setattr(weiltate.classifier, "classify_orbits", lambda model, s, subset_cap: forged)
-    (row,) = [r for r in verify_lemma_suite([scn]) if r.lemma == "exotic_uniqueness"]
+    end = honda_tate_endomorphism(scn.model, scn.slopes, report.columns)
+    (row,) = [r for r in verify_lemma_suite(scn, forged, end) if r.lemma == "exotic_uniqueness"]
     assert row.status == FAIL
     # the first stray in document (lexicographic) order, as 1-based points
     assert row.detail == "exotic subset [1, 3, 5, 7, 9, 11] differs from I, tau I"
@@ -1351,9 +1353,24 @@ def test_lemma_suite_gates_on_hypotheses():
     model = cm_product_group(3).with_decomposition([])  # ordinary: every place of L has degree 1
     scn = Scenario(name="ordinary", family=None, model=model, phi=frozenset(range(3, 6)),
                    slopes=ordinary_slopes(3), provenance="test")
-    rows = verify_lemma_suite([scn])
+    rows = verify_lemma_suite(scn, *classify_scenario(scn))
     assert {r.status for r in rows} == {NOT_APPLICABLE}
     assert not any(r.status == FAIL for r in rows)
+
+
+def test_lemma_suite_classifies_nothing(monkeypatch):
+    scn = scenario_ramified(3, 5)
+    report, end = classify_scenario(scn)
+    expected = verify_lemma_suite(scn, report, end)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lemma suite classified")
+
+    for name in ("classify_orbits", "honda_tate_endomorphism", "classify_scenario"):
+        monkeypatch.setattr(weiltate.classifier, name, refuse)
+    rows = verify_lemma_suite(scn, report, end)
+    assert rows == expected and len(rows) == 4
+    assert {r.instance for r in rows} == {"ramified-gp3-p5"}
 
 
 # --- serialization ------------------------------------------------------------------

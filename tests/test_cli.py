@@ -27,7 +27,7 @@ from oracles import (
 
 from weiltate import algebra, classifier, cli, forge, galois, slopes
 from weiltate.cmtypes import enumerate_cm_types, least_cm_type, measure_cm_type
-from weiltate.classifier import MemberMasks, classify_orbits
+from weiltate.classifier import MemberMasks, classify_orbits, end_report_to_doc, report_to_doc
 from weiltate.forge import Scenario, scenario_main, serialize_scenario
 from weiltate.slopes import slopes_from_cm_type
 
@@ -290,6 +290,16 @@ def test_classify_malformed_file_diagnostic(tmp_path, capsys):
 def test_classify_missing_file(capsys):
     code, out, err = run_cli(capsys, ["classify", "--file", "/nonexistent/x.scn"])
     assert code == cli.EXIT_USAGE
+    assert err.startswith("scenario parse error: cannot read /nonexistent/x.scn: ")
+
+
+def test_classify_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "x.scn"
+    path.write_bytes(b"points = 8\n\xff\n")
+    code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith(f"scenario parse error: cannot read {path}: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_presets_all_passes(capsys):
@@ -378,7 +388,7 @@ def test_verify_lemma_fail_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(
         cli, "verify_lemma_suite",
-        lambda instances, subset_cap: (
+        lambda scn, report, end: (
             LemmaResult("synthetic", "exotic_partition", "FAIL", "forced"),),
     )
     code, out, err = run_cli(capsys, ["verify", "--presets", "main4"])
@@ -713,6 +723,46 @@ def test_group_cap_env_applies_to_verify(capsys, monkeypatch):
     assert "cap exceeded" in err
 
 
+def test_verify_classifies_each_preset_once_through_the_classify_route(capsys, monkeypatch):
+    calls = []
+    classify_scenario = cli.classify_scenario
+
+    def counted(scn, *args, **kwargs):
+        calls.append(scn.name)
+        return classify_scenario(scn, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_scenario", counted)
+    assert run_cli(capsys, ["verify"])[0] == 0
+    assert calls == ["main-g4-p5", "main-g6-p5", "ramified-gp3-p5", "split-gp3-p5"]
+    calls.clear()
+    assert run_cli(capsys, CLASSIFY_MAIN4)[0] == 0
+    assert calls == ["main-g4-p5"]
+    # every name is checked and every scenario built before the first classification
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "8")
+    calls.clear()
+    code, out, err = run_cli(capsys, ["verify", "--presets", "main4,main6,bogus"])
+    assert (code, out, calls) == (cli.EXIT_USAGE, "", [])
+    assert err.startswith("usage error: unknown preset 'bogus'")
+
+
+@pytest.mark.parametrize("name", list(cli.VERIFY_PRESETS))
+def test_the_lemma_rows_read_the_report_of_the_classify_document(name, capsys, monkeypatch):
+    seen = []
+    suite = cli.verify_lemma_suite
+
+    def recording(scn, report, end):
+        seen.append((scn, report, end))
+        return suite(scn, report, end)
+
+    monkeypatch.setattr(cli, "verify_lemma_suite", recording)
+    assert run_cli(capsys, ["verify", "--presets", name])[0] == 0
+    ((scn, report, end),) = seen
+    doc = cli.classify_scenario_doc(scn)
+    assert report_to_doc(report, scn.model.group) == doc["report"]
+    assert end_report_to_doc(end) == doc["endomorphism"]
+    assert all("hodge_type" in o for o in doc["report"]["orbits"])
+
+
 def test_subset_cap_env_applies_to_verify(capsys, monkeypatch):
     monkeypatch.setenv("WEILTATE_SUBSET_CAP", "8")
     code, out, err = run_cli(capsys, ["verify", "--presets", "main6"])
@@ -825,7 +875,9 @@ def test_emit_json_matches_json_dumps_on_the_documents():
         forge.forged_field_to_doc(field),
         {"schema": "weiltate.verify/1", "oracles": [], "lemmas": [
             {"instance": r.instance, "lemma": r.lemma, "status": r.status, "detail": r.detail}
-            for r in classifier.verify_lemma_suite([ramified])
+            for r in classifier.verify_lemma_suite(
+                ramified, *classifier.classify_scenario(ramified)
+            )
         ]},
     ]
     for doc in docs:

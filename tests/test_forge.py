@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _is_sg_certificate,
     certificates_by_factoring,
     certify_galois_sg,
     degree_pattern_by_pow_mod,
@@ -24,7 +25,6 @@ from weiltate.forge import (
     HypothesisError,
     RetryBudgetError,
     ScenarioParseError,
-    _is_sg_certificate,
     _sg_patterns,
     _smallest_primes_avoiding,
     forge_quadratic,
@@ -135,14 +135,14 @@ def test_forged_certificates_match_factoring(g, seed):
 
 
 def test_a_wrongly_recorded_target_pattern_is_caught(monkeypatch):
-    crt_targets = weiltate.forge._crt_targets
+    sg_patterns = weiltate.forge._sg_patterns
 
-    def mutant(g, *args):
+    def mutant(g):
         """The target mod l recorded as a linear times a (g-1)-factor."""
-        at_p, (l, target, _), at_lp, at_lpp = crt_targets(g, *args)
-        return at_p, (l, target, ((1, 1), (g - 1, 1))), at_lp, at_lpp
+        _, at_lp, at_lpp = sg_patterns(g)
+        return ((1, 1), (g - 1, 1)), at_lp, at_lpp
 
-    monkeypatch.setattr(weiltate.forge, "_crt_targets", mutant)
+    monkeypatch.setattr(weiltate.forge, "_sg_patterns", mutant)
     f = forge_totally_real(6, 5, 7, 11, seed=0)
     with pytest.raises(AssertionError):
         _assert_certificates_rederived(f)

@@ -65,7 +65,7 @@ def _one_of_each() -> dict:
     records = [
         scn, scn.model, scn.model.group, scn.slopes,
         report, report.orbits[0], report.weil_tate[0], end, end.local_invariants[0],
-        structure_check(scn.model, report, end), verify_lemma_suite([scn])[0],
+        structure_check(scn.model, report, end), verify_lemma_suite(scn, report, end)[0],
         field, field.certificates,
     ]
     return {type(r): r for r in records}

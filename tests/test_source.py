@@ -170,6 +170,16 @@ def test_every_method_has_a_caller():
     assert sorted(unread) == sorted(UNREAD_METHODS)
 
 
+def test_no_source_line_is_longer_than_100_characters():
+    long_lines = [
+        f"{path.name}:{number}: {len(line)}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
+
+
 def test_importing_the_cli_loads_no_introspection_or_reference_module():
     """`import weiltate.cli` in a bare interpreter loads the program's modules and no others.
 
