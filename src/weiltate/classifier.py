@@ -12,7 +12,6 @@ criterion collapses to tau-stability.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from operator import index, itemgetter, or_
 
@@ -206,9 +205,11 @@ def tate_subsets(cols, weights) -> dict:
     high table the one with mask h << n/2; the masks of each half are
     grouped by key sum.  A subset of weight w passes iff its key sum is
     w, so `high` is probed once per key sum of `low` and weight, and the
-    cost follows the output rather than the 2^n subsets.  Weights are
-    taken as given; only even ones yield Tate subsets.  `cols` is
-    `_packed_columns(rows)` of the predicate rows.
+    cost follows the output rather than the 2^n subsets.  A weight is a
+    subset size, taken as given: an odd one can pass only when the slopes'
+    common denominator is even (all columns are 0 when every slope is
+    1/2), so `classify_orbits` asks only even weights; the lemma suite
+    asks odd ones too.  `cols` is `_packed_columns(rows)`.
     """
     n = len(cols)
     tables = _half_tables(n, 0, int.__add__, lambda j: cols[n - 1 - j] * (n + 1) + 1)
@@ -649,72 +650,70 @@ class LemmaResult(Record):
 
 
 def verify_lemma_suite(scn, report: ClassifierReport, end: EndAlgebraReport) -> tuple:
-    """Brute-force the combinatorial lemmas on one scenario's reports, rows labelled by its name.
+    """Check the combinatorial lemmas on one scenario's reports, rows labelled by its name.
 
     `report` and `end` are what `classify_scenario(scn)` returns; nothing
-    is classified here.  Hypothesis gating: the partition lemma needs a
-    mildly exotic instance; the half-weight minimum and exotic uniqueness
-    need the noncommutative setting on top; the unique-exotic-orbit
-    statement is specific to the main scenario family.
+    is classified here.  The lemmas read the exotic orbits' masks and the
+    packed columns.  tau, i -> i + g, swaps the two g-bit halves of a
+    mask, so with m an orbit's first mask, the partition lemma holds iff
+    m | tau(m) is the full mask, and uniqueness iff every exotic mask is
+    m or tau(m).  The half-weight lemma asks `tate_subsets` for the
+    subsets of each representative I (the points of m), of each size
+    1 <= #J < g/2, odd sizes too, on the columns of I; the largest mask
+    of the least size found is the lexicographically first J.
+    Hypothesis gating: the partition lemma needs a mildly exotic
+    instance; the half-weight minimum and exotic uniqueness need the
+    noncommutative setting on top; the unique-exotic-orbit statement is
+    specific to the main scenario family.
     """
     results = []
-    label, model = scn.name, scn.model
+    label, g = scn.name, report.g
+    n = 2 * g
+    low = (1 << g) - 1
     mildly = report.mildly_exotic
     noncommutative = not end.commutative
-    n = model.group.degree
-    all_points = frozenset(range(n))
+
+    def tau(m):
+        return m >> g | (m & low) << g
 
     if mildly:
         status, detail = PASS, ""
         for o in report.exotic:
-            I = frozenset(o.representative)
-            tau_I = frozenset(model.tau[i] for i in I)
-            if I | tau_I != all_points:
+            m = o.orbit.masks[0]
+            if m | tau(m) != (1 << n) - 1:
                 status = FAIL
-                detail = f"I = {[i + 1 for i in sorted(I)]} has I ∪ tau I != all indices"
+                detail = f"I = {[i + 1 for i in _points(n, m)]} has I ∪ tau I != all indices"
                 break
         results.append(LemmaResult(label, LEMMA_PARTITION, status, detail))
     else:
         results.append(LemmaResult(label, LEMMA_PARTITION, NOT_APPLICABLE, "not mildly exotic"))
 
     if mildly and noncommutative:
-        cols = report.columns
-        # only a half-weight J with #J < g/2 fails the lemma
-        short = (
-            J
-            for o in report.exotic
-            for size in range(1, model.g // 2)
-            for J in combinations(sorted(o.representative), size)
-            if sum(cols[i] for i in J) == 0
-        )
-        J = next(short, None)
         status, detail = PASS, ""
-        if J is not None:
-            status = FAIL
-            detail = (
-                f"J = {[i + 1 for i in J]} has half-weight products "
-                f"but #J = {len(J)} < g/2 = {model.g // 2}"
-            )
+        for o in report.exotic:
+            I = o.representative
+            found = tate_subsets([report.columns[i] for i in I], range(1, g // 2))
+            # only a half-weight J with #J < g/2 fails the lemma
+            short = next((masks for masks in found.values() if masks), None)
+            if short:
+                J = [I[j] + 1 for j in _points(len(I), max(short))]
+                status = FAIL
+                detail = f"J = {J} has half-weight products but #J = {len(J)} < g/2 = {g // 2}"
+                break
         results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, status, detail))
 
-        exotic_masks = {m for o in report.exotic for m in o.orbit.masks}
-        if len(report.exotic) == 1:
-            I = report.exotic[0].representative
-            allowed = {_mask(n, I), _mask(n, (model.tau[i] for i in I))}
-            if exotic_masks <= allowed:
-                results.append(LemmaResult(label, LEMMA_UNIQUE_EXOTIC, PASS))
-            else:
-                extra = max(exotic_masks - allowed)
-                points = [i + 1 for i in range(n) if extra >> (n - 1 - i) & 1]
-                results.append(LemmaResult(
-                    label, LEMMA_UNIQUE_EXOTIC, FAIL,
-                    f"exotic subset {points} differs from I, tau I",
-                ))
+        status, detail = PASS, ""
+        if len(report.exotic) != 1:
+            status = FAIL
+            detail = f"{len(report.exotic)} exotic orbits in the noncommutative setting"
         else:
-            results.append(LemmaResult(
-                label, LEMMA_UNIQUE_EXOTIC, FAIL,
-                f"{len(report.exotic)} exotic orbits in the noncommutative setting",
-            ))
+            masks = report.exotic[0].orbit.masks
+            extra = set(masks) - {masks[0], tau(masks[0])}
+            if extra:
+                status = FAIL
+                points = [i + 1 for i in _points(n, max(extra))]
+                detail = f"exotic subset {points} differs from I, tau I"
+        results.append(LemmaResult(label, LEMMA_UNIQUE_EXOTIC, status, detail))
     else:
         why = "not mildly exotic" if not mildly else "endomorphism algebra is commutative"
         results.append(LemmaResult(label, LEMMA_HALF_WEIGHT, NOT_APPLICABLE, why))
@@ -724,7 +723,7 @@ def verify_lemma_suite(scn, report: ClassifierReport, end: EndAlgebraReport) -> 
         ok = (
             len(report.exotic) == 1
             and report.exotic[0].rank == 2
-            and report.exotic[0].weight == model.g
+            and report.exotic[0].weight == g
         )
         results.append(LemmaResult(
             label, LEMMA_MAIN_UNIQUE, PASS if ok else FAIL,

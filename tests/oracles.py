@@ -58,6 +58,9 @@ each weight from packed columns by a dynamic program over the points,
 with no mask, half table or complement.
 `main_family_by_formula` states the main family's orbits and rho in
 closed form, with no group and no slope.
+`short_half_weight_by_combinations` tries every subset of each exotic
+representative below half weight, where the lemma suite asks
+`tate_subsets`.
 
 `cm_types_by_listing` lists all 2^g choices of one index per
 conjugate pair and keeps those that meet the place counts, with no
@@ -208,6 +211,23 @@ def main_family_by_formula(g: int) -> tuple:
     }
     orbits[g, True] = frozenset({tuple(range(g)), tuple(range(g, 2 * g))})
     return rho, orbits
+
+
+def short_half_weight_by_combinations(report: ClassifierReport):
+    """The first J that fails the half-weight lemma, as sorted 0-based points, or None.
+
+    J is a subset of an exotic representative, of size 1 <= #J < g/2,
+    odd sizes included, whose packed columns sum to 0.  Representatives
+    are tried in report order, then sizes upwards, then every subset of
+    that size in lexicographic order (`itertools.combinations`).
+    """
+    return next(
+        (J for o in report.exotic
+         for size in range(1, report.g // 2)
+         for J in combinations(sorted(o.representative), size)
+         if sum(report.columns[i] for i in J) == 0),
+        None,
+    )
 
 
 def orbit_of_subset(model: CMGaloisModel, subset, keep=None) -> list:

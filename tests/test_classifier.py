@@ -31,6 +31,7 @@ from oracles import (
     pairs_passing_by_rows,
     q_pairs,
     random_admissible_slopes,
+    short_half_weight_by_combinations,
     signature_block,
     subgroup_closure,
     subgroup_generators_by_listing,
@@ -423,6 +424,7 @@ def test_mask_orbits_match_the_frozenset_walk_past_one_byte(name):
     )
 )
 @example([[1, 1], [-1, 0]])  # sums (2, -1): packed in base 2 they would read 0
+@example([[0] * 6])  # every slope 1/2: every subset passes, odd sizes included
 def test_tate_subsets_match_a_scan_of_every_subset(rows):
     """Any integer rows: the packed sums never merge two different sum vectors."""
     n = len(rows[0])
@@ -1333,6 +1335,65 @@ def test_unique_exotic_lemma_reads_every_mask_of_the_orbit():
     assert row.status == FAIL
     # the first stray in document (lexicographic) order, as 1-based points
     assert row.detail == "exotic subset [1, 3, 5, 7, 9, 11] differs from I, tau I"
+
+
+def _lemma_row(scn, report, end, lemma):
+    (row,) = [r for r in verify_lemma_suite(scn, report, end) if r.lemma == lemma]
+    return row.status, row.detail
+
+
+def test_half_weight_lemma_names_the_first_short_subset():
+    # ramified g'=3 is noncommutative, and its exotic representative is I = {1, 2, 3, 10, 11, 12}
+    scn = scenario_ramified(3, 5)
+    report, end = classify_scenario(scn)
+    I = report.exotic[0].representative
+    assert I == (0, 1, 2, 9, 10, 11) and not end.commutative
+    cancel = list(report.columns)
+    cancel[I[1]] = -cancel[I[0]]  # an even size: points 1 and 2 cancel
+    zero = list(report.columns)
+    zero[I[2]] = 0  # an odd size: point 3 alone
+    assert _lemma_row(scn, report.replace(columns=cancel), end, "half_weight_minimum") == (
+        FAIL, "J = [1, 2] has half-weight products but #J = 2 < g/2 = 3")
+    assert _lemma_row(scn, report.replace(columns=zero), end, "half_weight_minimum") == (
+        FAIL, "J = [3] has half-weight products but #J = 1 < g/2 = 3")
+
+
+def test_partition_lemma_names_a_representative_that_misses_points():
+    scn = scenario_ramified(3, 5)
+    report, end = classify_scenario(scn)
+    (orbit,) = report.exotic
+    I = (0, 1, 2, 6, 7, 8)  # tau I is I again: points 4-6 and 10-12 are missed
+    forged = orbit.replace(representative=I, orbit=MemberMasks(12, (_mask(12, I),)))
+    assert _lemma_row(scn, report.replace(exotic=(forged,)), end, "exotic_partition") == (
+        FAIL, "I = [1, 2, 3, 7, 8, 9] has I ∪ tau I != all indices")
+
+
+def test_uniqueness_lemmas_count_the_exotic_orbits():
+    scn = scenario_ramified(3, 5)
+    report, end = classify_scenario(scn)
+    (orbit,) = report.exotic
+    assert _lemma_row(scn, report.replace(exotic=(orbit, orbit)), end, "exotic_uniqueness") == (
+        FAIL, "2 exotic orbits in the noncommutative setting")
+    scn = scenario_main(4, 5)
+    report, end = classify_scenario(scn)
+    assert _lemma_row(scn, report.replace(exotic=()), end, "main_family_unique_exotic") == (
+        FAIL, "exotic orbits: []")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=12, max_size=12))
+@example([2, 3, 4, 0, 0, 0, 0, 0, 0, 5, 6, 7])  # the zero columns lie outside I: PASS
+@example([1, 2, 3, 0, 0, 0, 0, 0, 0, -1, -2, 5])  # J = [1, 10], across the gap in I
+def test_half_weight_lemma_matches_the_combinations_oracle(cols):
+    """Ramified g'=3 with drawn columns: the row names the oracle's first short subset."""
+    scn = scenario_ramified(3, 5)
+    report, end = classify_scenario(scn)
+    forged = report.replace(columns=cols)
+    J = short_half_weight_by_combinations(forged)
+    event("PASS" if J is None else f"#J = {len(J)}")
+    expected = (PASS, "") if J is None else (
+        FAIL, f"J = {[i + 1 for i in J]} has half-weight products but #J = {len(J)} < g/2 = 3")
+    assert _lemma_row(scn, forged, end, "half_weight_minimum") == expected
 
 
 def test_member_masks_read_as_the_tuple_of_point_tuples():

@@ -22,6 +22,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # "module: Class.method" -> why the method stays though the program reads it nowhere
 UNREAD_METHODS = {}
 
+# module -> why it imports from `itertools`: brute force over subsets belongs to the tests
+ITERTOOLS_IMPORTS = {
+    "cmtypes.py": "`enumerate_cm_types`, in the README's declared API, lists the CM types "
+                  "that meet given place counts by per-block `combinations`",
+}
+
 
 def _names_used(node) -> set:
     """The names that `node` reads, as variables or attributes."""
@@ -168,6 +174,16 @@ def test_every_method_has_a_caller():
         and not any(node.name in names for unit, names in reads if unit is not node)
     ]
     assert sorted(unread) == sorted(UNREAD_METHODS)
+
+
+def test_only_the_named_modules_import_from_itertools():
+    """A subset loop such as `combinations` lives in `tests/oracles.py`, save the named exceptions."""
+    importing = {
+        module for module, tree in _trees().items() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+        or isinstance(node, ast.Import) and any(a.name == "itertools" for a in node.names)
+    }
+    assert sorted(importing) == sorted(ITERTOOLS_IMPORTS)
 
 
 def test_no_source_line_is_longer_than_100_characters():
