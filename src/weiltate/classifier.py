@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import index, itemgetter, or_
+from operator import index, itemgetter
 
 from .galois import (
     CMGaloisModel,
@@ -195,80 +195,132 @@ def _mask(n, points) -> int:
 def tate_subsets(cols, weights) -> dict:
     """weight -> the mask of every subset of that size whose packed columns `cols` sum to 0.
 
-    Point i of the n points is bit n-1-i of a mask, so within one weight
-    descending mask order is the lexicographic order of the sorted
-    point tuples.  Meet-in-the-middle: the points split into two halves,
-    and each point's key col (n + 1) + 1 packs its column and a size of
-    1, so a part's key sum is v (n + 1) + k for packed row sums v and
-    size k <= n.  Each half's key sums come from `_half_tables`, entry b
-    of the low table being the subset with mask b and entry h of the
-    high table the one with mask h << n/2; the masks of each half are
-    grouped by key sum.  A subset of weight w passes iff its key sum is
-    w, so `high` is probed once per key sum of `low` and weight, and the
-    cost follows the output rather than the 2^n subsets.  A weight is a
-    subset size, taken as given: an odd one can pass only when the slopes'
-    common denominator is even (all columns are 0 when every slope is
-    1/2), so `classify_orbits` asks only even weights; the lemma suite
-    asks odd ones too.  `cols` is `_packed_columns(rows)`.
+    Point i of the n points is bit n-1-i of a mask.  The points fall into
+    classes by column, and the class of v > 0 pairs with the class of -v
+    (either may be empty); class 0 stands alone, as the pair of v = 0.  A
+    subset with a_j points in the class of v_j and b_j in that of -v_j
+    has column sum sum_j (a_j - b_j) v_j, so it passes iff its imbalance
+    vector d, d_j = a_j - b_j, solves sum_j d_j v_j = 0; packing is
+    one-to-one on subset sums, so the packed sum decides.  Such a subset
+    has at least sum_j |d_j| points.  The solutions d come from a
+    meet-in-the-middle over the pairs (Horowitz-Sahni): each half lists
+    its d within the class sizes, with sum |d_j| at most the largest
+    weight asked, keyed by the packed sum_j d_j v_j, and a low key k
+    meets the high keys -k.  Each solution then expands into masks,
+    weight by weight: the two halves of its pairs' offers (`_offers`)
+    are each grouped by size (`_masks_by_size`) and joined where the
+    sizes add up to a weight asked.  So the cost follows the solutions
+    and the output, not the 2^n subsets.  A weight is a subset size,
+    taken as given, in the order given; one outside 0..n keeps its key
+    with no mask.  An odd one can pass only when the slopes' common
+    denominator is even (all columns are 0 when every slope is 1/2), so
+    `classify_orbits` asks only even weights; the lemma suite asks odd
+    ones too.  `cols` is `_packed_columns(rows)`.
     """
-    n = len(cols)
-    tables = _half_tables(n, 0, int.__add__, lambda j: cols[n - 1 - j] * (n + 1) + 1)
-    low, high = {}, {}
-    for sums, table, shift in zip((low, high), tables, (0, n // 2)):
-        for b, v in enumerate(table):
-            sums.setdefault(v, []).append(b << shift)
     out = {w: [] for w in weights}
-    for a, los in low.items():
-        for w, found in out.items():
-            his = high.get(w - a)
-            if his is not None:
-                found += [lo | hi for lo in los for hi in his]
+    top = max(out, default=-1)
+    n = len(cols)
+    classes = {}
+    for i, c in enumerate(cols):
+        classes.setdefault(abs(c), []).append((1 << (n - 1 - i), (c > 0) - (c < 0)))
+    pairs = [_offers(v, signed, top) for v, signed in classes.items()]
+    half = len(pairs) // 2
+    high = {}
+    for key, least, chosen in _imbalances(pairs[half:], top):
+        high.setdefault(key, []).append((least, chosen))
+    for key, least, chosen in _imbalances(pairs[:half], top):
+        for rest, others in high.get(-key, ()):
+            if least + rest <= top:
+                highs = _masks_by_size(others, top)
+                for size, los in _masks_by_size(chosen, top).items():
+                    for high_size, his in highs.items():
+                        found = out.get(size + high_size)
+                        if found is not None:
+                            found += [lo | hi for lo in los for hi in his]
     return out
 
 
-def _half_tables(n, empty, join, of_bit) -> tuple:
-    """(low table, high table) over the two halves of an n-bit mask.
+def _offers(v, signed, top) -> list:
+    """(d v, |d|, its offers) for each imbalance d of one pair of classes.
 
-    The low half is bits 0..n/2-1 and the high half the rest; entry b of
-    a table joins of_bit(j) over the bits j set in b.  Each table is
-    built by doubling, one list comprehension per bit:
-    t += [join(of_bit(j), x) for x in t].
+    `signed` holds (bit, +1) for each point of the class of v and
+    (bit, -1) for each of -v ((bit, 0) for class 0, v = 0).  The offers of
+    d are the (size, mask) of every choice of at most `top` of those
+    points whose signs add up to d.
     """
-    tables = []
-    for shift, width in ((0, n // 2), (n // 2, n - n // 2)):
-        t = [empty]
-        for j in range(shift, shift + width):
-            v = of_bit(j)
-            t += [join(v, x) for x in t]
-        tables.append(t)
-    return tuple(tables)
+    subsets = [(0, 0, 0)]
+    for bit, sign in signed:
+        subsets += [(d + sign, k + 1, m | bit) for d, k, m in subsets if k < top]
+    offers = {}
+    for d, k, m in subsets:
+        offers.setdefault(d, []).append((k, m))
+    return [(d * v, abs(d), offer) for d, offer in offers.items()]
+
+
+def _imbalances(pairs, top) -> list:
+    """(packed sum_j d_j v_j, sum_j |d_j|, the offers of each d_j) per d with sum |d_j| <= top."""
+    found = [(0, 0, ())]
+    for steps in pairs:
+        found = [
+            (key + dv, least + ad, chosen + (offer,))
+            for key, least, chosen in found
+            for dv, ad, offer in steps
+            if least + ad <= top
+        ]
+    return found
+
+
+def _masks_by_size(offers, top) -> dict:
+    """size -> the masks that take one (size, mask) offer from each list, up to size `top`.
+
+    Every offer has at most `top` points, so the first list is taken as it is.
+    """
+    joined = offers[0] if offers else [(0, 0)]
+    for offer in offers[1:]:
+        joined = [(k + a, m | b) for k, m in joined for a, b in offer if k + a <= top]
+    by_size = {}
+    for k, m in joined:
+        by_size.setdefault(k, []).append(m)
+    return by_size
 
 
 def _orbit_tables(model: CMGaloisModel) -> tuple:
     """Half-mask image tables: (n/2, one (low, high) table pair per generator).
 
+    The low half of a mask is bits 0..n/2-1 and the high half the rest.
     The image of a mask m under a generator is the or of its two entries,
-    low[m & (2^(n/2) - 1)] | high[m >> n/2].
+    low[m & (2^(n/2) - 1)] | high[m >> n/2]: entry b of a table is the or
+    of the images of the bits set in b, built by doubling, one list
+    comprehension per bit.
     """
     n = model.group.degree
-    images = [
-        _half_tables(n, 0, or_, lambda j, gen=gen: 1 << (n - 1 - gen[n - 1 - j]))
-        for gen in model.group.generators
-    ]
-    return n // 2, images
+    half = n // 2
+    images = []
+    for gen in model.group.generators:
+        tables = []
+        for bits in (range(half), range(half, n)):
+            t = [0]
+            for j in bits:
+                v = 1 << (n - 1 - gen[n - 1 - j])
+                t += [v | x for x in t]
+            tables.append(t)
+        images.append(tables)
+    return half, images
 
 
 def _mask_orbits(tables, masks) -> list:
     """The G-orbits on a G-stable list of masks, each as its masks in descending order.
 
-    The masks are sorted once, in descending order, which is document
-    order.  Each mask not yet labelled starts a BFS over ints that labels
-    its whole orbit with the orbit's member list; a member m is split
-    once into its halves lo and hi, and its image under a generator is
-    tlo[lo] | thi[hi] from the half tables of `_orbit_tables`.  A second
-    pass over the sorted masks appends each one to its orbit's list, so
-    orbits come out in document order, each with its members in document
-    order and its representative first.
+    The masks come in no fixed order (`tate_subsets` lists them solution
+    by solution), so they are sorted once, in descending order, which is
+    document order; no orbit's members are sorted again.  Each mask not
+    yet labelled starts a BFS over ints that labels its whole orbit with
+    the orbit's member list; a member m is split once into its halves lo
+    and hi, and its image under a generator is tlo[lo] | thi[hi] from
+    the image tables of `_orbit_tables`.  A second pass over the sorted
+    masks appends each one to its orbit's list, so orbits come out in
+    document order, each with its members in document order and its
+    representative first.
     """
     half, images = tables
     low = (1 << half) - 1

@@ -169,21 +169,31 @@ def _members_text(members: MemberMasks, nl: str, tables: dict) -> str:
     opened[h] + closed[l]: opened[h] is "[" and the points of h,
     closed[l] the points of l, each led by ",", then "]".  A mask whose
     high half is 0 reads alone[l], which is opened and closed at once
-    ("[]" for the empty member).  The tables come from
-    `classifier._half_tables`, built once per point count and indent.
+    ("[]" for the empty member).  The tables are built once per point
+    count and indent, by doubling straight into their texts: bit j
+    brings a point smaller than those of the bits below it, so it
+    leads each text that it joins, after "[" in opened and alone (built
+    from led and closed, whose texts start with ",") and after "," in
+    led and closed.
     """
     n = members.n
     inner = nl + "  "
     key = (n, nl)
-    if key not in tables:
-        low, high = classifier._half_tables(n, "", str.__add__, lambda j: f",{inner}  {n - j}")
-        tables[key] = (
-            [t.replace(",", "[", 1) for t in high],
-            [t + inner + "]" for t in low],
-            ["[]"] + [t.replace(",", "[", 1) + inner + "]" for t in low[1:]],
-        )
-    opened, closed, alone = tables[key]
     half = n // 2
+    if key not in tables:
+        closed, alone = [inner + "]"], ["[]"]
+        for j in range(half):
+            point = f"{inner}  {n - j}"
+            alone += ["[" + point + x for x in closed]
+            closed += ["," + point + x for x in closed]
+        opened, led = [""], [""]
+        for j in range(half, n):
+            point = f"{inner}  {n - j}"
+            opened += ["[" + point + x for x in led]
+            if j < n - 1:  # led is read only by the bits after j
+                led += ["," + point + x for x in led]
+        tables[key] = opened, closed, alone
+    opened, closed, alone = tables[key]
     low_bits = (1 << half) - 1
     texts = [
         opened[h] + closed[m & low_bits] if (h := m >> half) else alone[m] for m in members.masks

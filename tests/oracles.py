@@ -54,8 +54,10 @@ program's common denominator or a packed column.
 The Lefschetz route `has_qpair_matching` searches the q-pairs of
 `pairs_passing` for a perfect matching, pair by pair, with no count
 over column classes.  `tate_counts_by_dp` counts the Tate subsets of
-each weight from packed columns by a dynamic program over the points,
-with no mask, half table or complement.
+each weight from packed columns by a dynamic program over each half of
+the points, joined on opposite sums, with no mask, column class,
+imbalance or complement; `tate_masks_by_listing` lists every mask and
+keeps those whose columns sum to 0.
 `main_family_by_formula` states the main family's orbits and rho in
 closed form, with no group and no slope.
 `short_half_weight_by_combinations` tries every subset of each exotic
@@ -180,36 +182,71 @@ def has_qpair_matching(subset, qpairs) -> bool:
 def tate_counts_by_dp(cols) -> dict:
     """weight -> the number of subsets whose packed columns `cols` sum to 0.
 
-    A dynamic program over the points, keyed by (size, partial column
-    sum): no subset is listed, so it reaches sizes that a scan of every
-    subset cannot.
+    A dynamic program over each half of the points, keyed by (size,
+    partial column sum), whose two counts are joined on opposite sums:
+    no subset is listed, so it reaches sizes that a scan of every subset
+    cannot, and no column class or imbalance is formed.
     """
-    counts = {(0, 0): 1}
-    for col in cols:
-        step = dict(counts)
-        for (size, total), ways in counts.items():
-            key = (size + 1, total + col)
-            step[key] = step.get(key, 0) + ways
-        counts = step
-    return {size: ways for (size, total), ways in counts.items() if total == 0}
+    def counts(part) -> dict:
+        found = {(0, 0): 1}
+        for col in part:
+            step = dict(found)
+            for (size, total), ways in found.items():
+                key = (size + 1, total + col)
+                step[key] = step.get(key, 0) + ways
+            found = step
+        return found
+
+    half = len(cols) // 2
+    high = {}
+    for (size, total), ways in counts(cols[half:]).items():
+        high.setdefault(total, []).append((size, ways))
+    out = {}
+    for (size, total), ways in counts(cols[:half]).items():
+        for rest, more in high.get(-total, ()):
+            out[size + rest] = out.get(size + rest, 0) + ways * more
+    return out
 
 
-def main_family_by_formula(g: int) -> tuple:
+def tate_masks_by_listing(cols) -> dict:
+    """weight -> the masks, in descending order, of every subset whose packed `cols` sum to 0.
+
+    Every one of the 2^n masks is listed (point i is bit n-1-i), its
+    column sum read off the mask without its lowest bit: no class, no
+    imbalance, no half and no join.
+    """
+    n = len(cols)
+    sums = [0]
+    found = {}
+    for m in range(1, 1 << n):
+        bit = m & -m
+        total = sums[m ^ bit] + cols[n - bit.bit_length()]
+        sums.append(total)
+        if total == 0:
+            found.setdefault(m.bit_count(), []).append(m)
+    found.setdefault(0, []).append(0)
+    return {w: masks[::-1] for w, masks in found.items()}
+
+
+def main_family_by_formula(g: int, weights=None) -> tuple:
     """(rho, orbits) of the main family mu2 x S_g, tau(i) = i + g, in closed form.
 
     rho_k = C(g, k), plus 2 at k = g/2.  There are g + 2 orbits: at each
     weight 2k the C(g, k) unions of k tau-pairs {i, i + g}, which are
     Lefschetz, and at weight g the exotic orbit of rank 2, {1..g} and
     {g+1..2g}.  `orbits` maps (weight, is_exotic) to the frozenset of
-    the orbit's members, each the sorted tuple of its 0-based points.
+    the orbit's members, each the sorted tuple of its 0-based points;
+    given `weights`, it holds only the orbits of those weights.
     """
     rho = tuple(comb(g, k) + 2 * (2 * k == g) for k in range(g + 1))
+    weights = range(0, 2 * g + 1, 2) if weights is None else weights
     orbits = {
-        (2 * k, False): frozenset(pairs + tuple(i + g for i in pairs)
-                                  for pairs in combinations(range(g), k))
-        for k in range(g + 1)
+        (w, False): frozenset(pairs + tuple(i + g for i in pairs)
+                              for pairs in combinations(range(g), w // 2))
+        for w in weights
     }
-    orbits[g, True] = frozenset({tuple(range(g)), tuple(range(g, 2 * g))})
+    if g in weights:
+        orbits[g, True] = frozenset({tuple(range(g)), tuple(range(g, 2 * g))})
     return rho, orbits
 
 

@@ -37,6 +37,7 @@ from oracles import (
     subgroup_generators_by_listing,
     tate_by_orbit_walk,
     tate_counts_by_dp,
+    tate_masks_by_listing,
     validate_slopes_by_fractions,
     verify_subgroup,
     weil_tate_submotives,
@@ -59,6 +60,7 @@ from weiltate.classifier import (
     _lefschetz,
     _mask,
     _packed_columns,
+    _points,
     classify_orbits,
     classify_scenario,
     end_report_to_doc,
@@ -579,6 +581,95 @@ def drawn_columns():
     """`signed_columns`, or the packed predicate rows of a `classify_cases` model."""
     predicate = classify_cases().map(lambda case: _packed_columns(tate_rows(case[0], case[1])))
     return signed_columns() | predicate
+
+
+@st.composite
+def wide_kernel_columns(draw):
+    """Packed columns over k pairs of classes whose vectors span r < k - 2 dimensions.
+
+    One or two rows, and k = r + 3 or r + 4 nonzero vectors v_j, distinct
+    up to sign, so V (one column v_j per pair) has a kernel of dimension
+    3 or more.  Pair j holds a class of v_j and a class of -v_j, of sizes
+    (1, 0), (0, 1), (1, 1), (2, 0), (2, 1) or (1, 2): classes of unequal
+    size, and classes whose negative is absent.  Up to two points have
+    column 0, and the at most 13 points are shuffled.
+    """
+    r = draw(st.integers(1, 2))
+    k = r + draw(st.integers(3, 4))
+    entry = st.integers(-6, 6) if r == 1 else st.integers(-3, 3)
+    vectors = draw(st.lists(
+        st.tuples(*[entry] * r).filter(any), min_size=k, max_size=k,
+        unique_by=lambda v: max(v, tuple(-x for x in v)),
+    ))
+    shapes = st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2)])
+    sizes = draw(st.lists(shapes, min_size=k, max_size=k).filter(lambda s: sum(map(sum, s)) <= 11))
+    points = [(0,) * r] * draw(st.integers(0, 2))
+    for v, (a, b) in zip(vectors, sizes):
+        points += [v] * a + [tuple(-x for x in v)] * b
+    points = draw(st.permutations(points))
+    return _packed_columns([[p[row] for p in points] for row in range(r)])
+
+
+def with_weights(columns):
+    """(cols, weights): weights drawn from -1..n+2, so odd ones, repeats, sizes above n or none."""
+    return columns.flatmap(
+        lambda cols: st.tuples(st.just(cols), st.lists(st.integers(-1, len(cols) + 2), max_size=5))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_weights(
+    drawn_columns() | st.lists(st.integers(-4, 4), max_size=10) | wide_kernel_columns()
+))
+@example(([3, 3, -3, 0, 0, 0, 0, -3], [4, 3, 4, 9]))  # class 0 lets odd sizes pass
+@example(([2, 2, 1, -3, 0], [2, 4]))  # classes 2 and -3 lack their negatives; 2 + 1 - 3 = 0
+@example(([], [0, 1]))
+def test_tate_subsets_match_the_listing_and_the_dp_count(case):
+    """Each weight asked keeps its key, in the order asked, with the masks of the listing."""
+    cols, weights = case
+    n = len(cols)
+    listed = tate_masks_by_listing(cols)
+    counts = tate_counts_by_dp(cols)
+    found = tate_subsets(cols, range(n + 2))
+    assert list(found) == list(range(n + 2))
+    for w, masks in found.items():
+        assert sorted(masks, reverse=True) == listed.get(w, [])
+        assert len(masks) == counts.get(w, 0)
+    asked = tate_subsets(cols, iter(weights))
+    assert list(asked) == list(dict.fromkeys(weights))
+    for w, masks in asked.items():
+        assert sorted(masks, reverse=True) == listed.get(w, [])
+    assert tate_subsets(cols, []) == {}
+
+
+@pytest.mark.parametrize("family", [scenario_ramified, scenario_split])
+def test_tate_subsets_match_the_dp_count_at_gp7(family):
+    """28 points, every weight: the counts of the DP, each mask once and of its own weight."""
+    scn = family(7, 5)
+    cols = _packed_columns(tate_rows(scn.model, scn.slopes))
+    n = len(cols)
+    counts = tate_counts_by_dp(cols)
+    found = tate_subsets(cols, range(n + 1))
+    for w, masks in found.items():
+        assert len(masks) == len(set(masks)) == counts.get(w, 0)
+        assert all(m.bit_count() == w for m in masks)
+        assert all(sum(cols[i] for i in _points(n, m)) == 0 for m in masks[::97])
+
+
+def test_tate_subsets_follow_the_output_at_main_g24():
+    """48 points, weights 0, 2 and 4: 1, 24 and 276 masks, each a union of tau-pairs.
+
+    A join of the two halves of the points would build two tables of
+    2^24 entries; the group cap is raised here only to build the preset.
+    """
+    scn = scenario_main(24, 5, group_cap=2 * factorial(24))
+    found = tate_subsets(_packed_columns(tate_rows(scn.model, scn.slopes)), (0, 2, 4))
+    _, orbits = main_family_by_formula(24, weights=(0, 2, 4))
+    assert [len(found[w]) for w in (0, 2, 4)] == [1, 24, 276]
+    for w in (0, 2, 4):
+        members = MemberMasks(48, sorted(found[w], reverse=True))
+        assert frozenset(members) == orbits.pop((w, False))
+    assert orbits == {}
 
 
 @settings(max_examples=80, deadline=None)
