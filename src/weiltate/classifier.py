@@ -40,6 +40,12 @@ TATE_COUNT_NOTE = (
 EXOTIC_RANK_NOTE = "exotic summands are required to have rank <= 2"
 
 
+def refuse_over_subset_cap(n: int, subset_cap: int, where: str = "") -> None:
+    """Refuse 2g = n points over the subset cap, the one guard on a classification."""
+    if n > subset_cap:
+        raise CapExceededError(f"{where}2g = {n} exceeds the subset cap {subset_cap}")
+
+
 class MemberMasks:
     """The members of an orbit as n-bit masks in descending order: point i is bit n-1-i.
 
@@ -370,8 +376,7 @@ def classify_orbits(
     predicate built here.
     """
     n = model.group.degree
-    if n > subset_cap:
-        raise CapExceededError(f"2g = {n} exceeds the subset cap {subset_cap}")
+    refuse_over_subset_cap(n, subset_cap)
     validate_slopes(model, s)
 
     full_scan = weights is None

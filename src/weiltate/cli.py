@@ -4,11 +4,11 @@
 the `oracles` key of `weiltate.verify/1`, always an empty list.
 Exit codes: 0 success, 2 usage or input error (including scenario parse
 errors), 3 hypothesis violation or a failed self-check (a forged field
-that fails its certificates, a preset whose blocks are off), 4 cap
-exceeded, 5 lemma-suite FAIL.
-Caps can be overridden through WEILTATE_GROUP_CAP, WEILTATE_SUBSET_CAP
-and WEILTATE_RETRY_BUDGET.  A value that can admit nothing (a group cap
-below 1, a subset cap below 2, a budget below 1) is an input error.
+that fails its certificates, a preset whose blocks are off), 4 the
+subset cap on 2g exceeded, 5 lemma-suite FAIL.
+The subset cap is the one cap: `classify --cap`, else
+WEILTATE_SUBSET_CAP, else its default.  A cap below 2 can admit
+nothing, so it is an input error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .classifier import (
     report_to_doc,
     verify_lemma_suite,
 )
-from .galois import DEFAULT_GROUP_CAP, CapExceededError, format_perm
+from .galois import CapExceededError, format_perm
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,34 +54,22 @@ def _reject_ignored(*rules) -> None:
             raise UsageError(f"{flag} applies only to {where}")
 
 
-def _env_int(name: str, default):
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-
-
-def _limit(env: str, default: int, least: int, flag: str = None, given: int = None) -> int:
-    """A cap or budget: the flag's value if given, else the variable's, else the default.
-
-    A value below `least` can admit nothing, so it is an input error,
-    not a cap that was hit.
-    """
-    source, value = (flag, given) if given is not None else (env, _env_int(env, default))
-    if value < least:
-        raise UsageError(f"{source} must be at least {least}, got {value}")
-    return value
-
-
-def _group_cap() -> int:
-    return _limit("WEILTATE_GROUP_CAP", DEFAULT_GROUP_CAP, 1)
-
-
 def _subset_cap(given) -> int:
-    return _limit("WEILTATE_SUBSET_CAP", classifier.DEFAULT_SUBSET_CAP, 2, "--cap", given)
+    """The subset cap: `given` (from --cap), else WEILTATE_SUBSET_CAP, else the default.
+
+    A cap below 2 can admit nothing, so it is an input error, not a cap
+    that was hit.
+    """
+    source, value = "--cap", given
+    if given is None:
+        source, text = "WEILTATE_SUBSET_CAP", os.environ.get("WEILTATE_SUBSET_CAP")
+        try:
+            value = classifier.DEFAULT_SUBSET_CAP if text is None else int(text)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer, got {text!r}")
+    if value < 2:
+        raise UsageError(f"{source} must be at least 2, got {value}")
+    return value
 
 
 def _emit_json(doc: dict, write) -> None:
@@ -206,8 +194,7 @@ def _members_text(members: MemberMasks, nl: str, tables: dict) -> str:
 
 
 def cmd_forge(args) -> int:
-    budget = _limit("WEILTATE_RETRY_BUDGET", forge.DEFAULT_RETRY_BUDGET, 1, "--budget", args.budget)
-    field = forge.forge_totally_real(args.g, args.p, args.l, args.lp, args.seed, budget)
+    field = forge.forge_totally_real(args.g, args.p, args.l, args.lp, args.seed)
     doc = forge.forged_field_to_doc(field)
     doc["schema"] = "weiltate.forge/1"
     if args.format == "json":
@@ -233,7 +220,7 @@ def cmd_forge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_scenario(args, group_cap, subset_cap) -> forge.Scenario:
+def _resolve_scenario(args, subset_cap) -> forge.Scenario:
     if args.file is not None and args.preset is not None:
         raise UsageError("--preset and --file are mutually exclusive")
     if args.file is None and args.preset is None:
@@ -251,13 +238,13 @@ def _resolve_scenario(args, group_cap, subset_cap) -> forge.Scenario:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise forge.ScenarioParseError(f"cannot read {args.file}: {exc}")
-        return forge.parse_scenario(text, group_cap=group_cap, subset_cap=subset_cap)
+        return forge.parse_scenario(text, subset_cap=subset_cap)
     flag, size = ("--g", args.g) if args.preset == "main" else ("--gp", args.gp)
     if size is None:
         raise UsageError(f"--preset {args.preset} requires {flag}")
     fields = {"attach_fields": True} if args.attach_fields else {}
     p = DEFAULT_P if args.p is None else args.p
-    return forge.PRESETS[args.preset](size, p, group_cap=group_cap, **fields)
+    return forge.PRESETS[args.preset](size, p, subset_cap=subset_cap, **fields)
 
 
 def _scenario_doc(scn: forge.Scenario) -> dict:
@@ -369,8 +356,8 @@ def cmd_classify(args) -> int:
             weights = [int(w) for w in args.weights.split(",")]
         except ValueError:
             raise UsageError(f"--weights takes comma-separated integers, got {args.weights!r}")
-    group_cap, subset_cap = _group_cap(), _subset_cap(args.cap)
-    scn = _resolve_scenario(args, group_cap, subset_cap)
+    subset_cap = _subset_cap(args.cap)
+    scn = _resolve_scenario(args, subset_cap)
     doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
     if args.format == "json":
         _emit_json(doc, sys.stdout.write)
@@ -404,16 +391,15 @@ def cmd_verify(args) -> int:
             f"--presets names no preset; choose all or from {', '.join(VERIFY_PRESETS)}"
         )
     p = DEFAULT_P if args.p is None else args.p
-    group_cap, subset_cap = _group_cap(), _subset_cap(None)
-
-    scenarios = []  # every name checked and every scenario built before the first classification
-    for name in names:
+    subset_cap = _subset_cap(None)
+    for name in names:  # every name checked before any preset is built
         if name not in VERIFY_PRESETS:
             raise UsageError(
                 f"unknown preset {name!r}; choose from {', '.join(VERIFY_PRESETS)}"
             )
-        family, size = VERIFY_PRESETS[name]
-        scenarios.append(forge.PRESETS[family](size, p, group_cap=group_cap))
+    # every scenario built before the first classification
+    scenarios = [forge.PRESETS[family](size, p, subset_cap=subset_cap)
+                 for family, size in map(VERIFY_PRESETS.__getitem__, names)]
     rows = [row for scn in scenarios
             for row in verify_lemma_suite(scn, *classify_scenario(scn, subset_cap))]
     doc = {"schema": "weiltate.verify/1", "oracles": [], "lemmas": [
@@ -453,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_forge.add_argument("--lp", type=int, required=True,
                          help="prime l' > g (transposition certificate)")
     p_forge.add_argument("--seed", type=int, default=0)
-    p_forge.add_argument("--budget", type=int, default=None, help="spread escalation budget")
     p_forge.add_argument("--format", choices=["text", "json"], default="text")
 
     p_classify = sub.add_parser("classify", help="classify the motive orbits of a scenario")
@@ -502,7 +487,7 @@ def main(argv=None) -> int:
     except (forge.HypothesisError,) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (CapExceededError, forge.RetryBudgetError) as exc:
+    except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except forge.SelfCheckError as exc:

@@ -6,10 +6,13 @@ centered correction.  The certificates are read off the construction:
 the degree patterns mod p, l, l', l'' are those proved for the targets,
 to which the polynomial reduces, and the real-root count is proved by
 the signs at the midpoints between the spread's roots; nothing is
-factored.
+factored.  The spread doubles at most a number of times set by g, past
+which the signs provably alternate.
 Scenario presets encode the three construction families as pure
 combinatorial data (group, tau, D, CM-type); the forged polynomials are
-provenance, not inputs, to the classification pipeline.
+provenance, not inputs, to the classification pipeline.  A preset, like
+a scenario file, is refused on its point count over the subset cap
+before any permutation is built.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from .algebra import (
     poly_mul,
 )
 from .galois import (
-    DEFAULT_GROUP_CAP,
     CMGaloisModel,
-    CapExceededError,
     PermGroup,
     Record,
     StabChain,
@@ -42,23 +43,16 @@ from .galois import (
     format_perm,
     parse_perm,
     point_orbits,
-    refuse_order_over_cap,
     subgroup_generators,
     sym_generators,
 )
-from .classifier import DEFAULT_SUBSET_CAP
+from .classifier import DEFAULT_SUBSET_CAP, refuse_over_subset_cap
 from .cmtypes import least_cm_type, tau_block_classes, validate_cm_type
 from .slopes import SlopeVector, slopes_from_cm_type
-
-DEFAULT_RETRY_BUDGET = 64
 
 
 class HypothesisError(ValueError):
     """A construction hypothesis (parity, primality, distinctness) fails."""
-
-
-class RetryBudgetError(RuntimeError):
-    """The certified search exhausted its escalation budget."""
 
 
 class SelfCheckError(RuntimeError):
@@ -225,9 +219,18 @@ def _alternates_at_midpoints(poly, scale: int) -> bool:
     return True
 
 
-def forge_totally_real(
-    g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = DEFAULT_RETRY_BUDGET
-) -> ForgedField:
+def _spread_bound(g: int) -> int:
+    """An integer above 2g (g + 1/2)^(g-1): past it every spread K makes the signs alternate.
+
+    At each midpoint x_j = M K (2j + 1) / 2, |T(x_j)| >= (M K)^g / 4,
+    and the centered correction, g coefficients of size at most M/2,
+    is at most g (M/2) (M K (g + 1/2))^(g-1) there; so the signs of T
+    carry over once K > 2g (g + 1/2)^(g-1).
+    """
+    return (2 * g * (2 * g + 1) ** (g - 1) >> (g - 1)) + 1
+
+
+def forge_totally_real(g: int, p: int, l: int, lp: int, seed: int = 0) -> ForgedField:
     """Monic degree-g integer polynomial, totally real, with S_g certificates.
 
     Residue targets (irreducible mod p and mod l; g-2 distinct roots
@@ -236,9 +239,10 @@ def forge_totally_real(
     CRT-combined into a base with coefficients in [0, M), then the
     spread target T = prod(x - M K i) absorbs the centered correction
     base - T mod M, built once since it does not depend on K.  K
-    escalates until the polynomial alternates in sign at the midpoints
-    M K (2j + 1) / 2 between the roots of T, which proves the real-root
-    count g that is certified.  The polynomial, checked to reduce to
+    doubles from 1 until the polynomial alternates in sign at the
+    midpoints M K (2j + 1) / 2 between the roots of T, which proves the
+    real-root count g that is certified; it does by the first power of
+    two past `_spread_bound(g)`.  The polynomial, checked to reduce to
     each target, has its proved pattern.  Distinct seeds draw distinct
     residue targets.
     """
@@ -266,7 +270,7 @@ def forge_totally_real(
     for i in range(1, g + 1):
         unit = poly_mul(unit, (-i, 1))
     spread = 1
-    for _ in range(retry_budget):
+    for _ in range(_spread_bound(g).bit_length() + 1):
         scale = modulus * spread
         poly = tuple(u * scale ** (g - k) + c for k, (u, c) in enumerate(zip(unit, centered)))
         poly += (1,)
@@ -284,7 +288,7 @@ def forge_totally_real(
             )
             return ForgedField(g, p, l, lp, lpp, seed, poly, spread, certs)
         spread *= 2
-    raise RetryBudgetError(f"no totally real polynomial within {retry_budget} spread escalations")
+    raise SelfCheckError(f"the signs did not alternate at spread {spread // 2}, past the bound")
 
 
 def forged_field_to_doc(f: ForgedField) -> dict:
@@ -362,7 +366,7 @@ def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
 
 
 def scenario_main(
-    g: int, p: int, attach_fields: bool = False, group_cap: int = DEFAULT_GROUP_CAP
+    g: int, p: int, attach_fields: bool = False, subset_cap: int = DEFAULT_SUBSET_CAP
 ) -> Scenario:
     """The even-dimensional family: inert quadratic times totally real S_g field.
 
@@ -374,7 +378,8 @@ def scenario_main(
         raise HypothesisError(f"g = {g} must be an even integer >= 4")
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
-    model = cm_product_group(g, cap=group_cap)
+    refuse_over_subset_cap(2 * g, subset_cap)
+    model = cm_product_group(g)
     frobenius = compose(model.tau, diagonal_lift(sym_generators(g)[0], 2))
     scn = _preset(f"main-g{g}-p{p}", "main", model, [frobenius], [g, g], (1,))
     if not attach_fields:
@@ -388,7 +393,7 @@ def scenario_main(
     ))
 
 
-def _biquadratic_model(gp: int, p: int, group_cap: int):
+def _biquadratic_model(gp: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP):
     """(mu2 x mu2) x S_g' on 4g' points, its sign flips e1, e2 and a lifted (g'-1)-cycle.
 
     Copy k of the g' points carries the signs (0, 0), (1, 0), (1, 1),
@@ -396,13 +401,13 @@ def _biquadratic_model(gp: int, p: int, group_cap: int):
     tau = e1 e2 is the shift by 2g'.  The (g'-1)-cycle acts on the inert
     part of the totally real field and fixes the split point.  The
     group's chain comes from the strong generating set of e1, e2 and the
-    4-fold lifts of the adjacent transpositions, unless 4 g'! exceeds `group_cap`.
+    4-fold lifts of the adjacent transpositions, unless 4g' exceeds `subset_cap`.
     """
     if gp < 3 or gp % 2 != 1:
         raise HypothesisError(f"g' = {gp} must be an odd integer >= 3")
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
-    refuse_order_over_cap(4, gp, group_cap)
+    refuse_over_subset_cap(4 * gp, subset_cap)
     e1, e2 = (
         tuple(flip[x // gp] * gp + x % gp for x in range(4 * gp))
         for flip in ((1, 0, 3, 2), (3, 2, 1, 0))
@@ -417,20 +422,20 @@ def _biquadratic_model(gp: int, p: int, group_cap: int):
     return model, e1, e2, diagonal_lift(cycles_to_perm(gp, [tuple(range(1, gp))]), 4)
 
 
-def scenario_ramified(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
+def scenario_ramified(gp: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
     """The noncommutative family: biquadratic tower ramified at p.
 
     D = <inertia, Frobenius> gives three blocks of sizes 2(g'-1),
     2(g'-1), 4, the first two swapped by conjugation; phi targets
     (1, 2g'-3, 2), so the slopes are 1/(2g'-2), (2g'-3)/(2g'-2), 1/2.
     """
-    model, e1, e2, c = _biquadratic_model(gp, p, group_cap)
+    model, e1, e2, c = _biquadratic_model(gp, p, subset_cap)
     inertia, frobenius = e2, compose(e1, c)
     return _preset(f"ramified-gp{gp}-p{p}", "ramified", model, [inertia, frobenius],
                    [2 * (gp - 1)] * 2 + [4], (1,))
 
 
-def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scenario:
+def scenario_split(gp: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
     """The two-exotic family: biquadratic tower unramified at p.
 
     D = <Frobenius> gives four blocks of size g'-1 in two conjugate
@@ -438,13 +443,13 @@ def scenario_split(gp: int, p: int, group_cap: int = DEFAULT_GROUP_CAP) -> Scena
     0 and 1 on one pair, 1/(g'-1) and (g'-2)/(g'-1) on the other, 1/2
     on the stable blocks.
     """
-    model, _, _, c = _biquadratic_model(gp, p, group_cap)
+    model, _, _, c = _biquadratic_model(gp, p, subset_cap)
     frobenius = compose(model.tau, c)
     return _preset(f"split-gp{gp}-p{p}", "split", model, [frobenius],
                    [gp - 1] * 4 + [2, 2], (0, 1))
 
 
-# family -> builder(size, p, group_cap=...): the size is g for main, g' otherwise
+# family -> builder(size, p, subset_cap=...): the size is g for main, g' otherwise
 PRESETS = {"main": scenario_main, "ramified": scenario_ramified, "split": scenario_split}
 
 
@@ -464,9 +469,7 @@ _SCENARIO_FIELDS = {
 }
 
 
-def parse_scenario(
-    text: str, group_cap: int = DEFAULT_GROUP_CAP, subset_cap: int = DEFAULT_SUBSET_CAP
-) -> Scenario:
+def parse_scenario(text: str, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
     """Parse the scenario file format (key = value lines, # comments).
 
     A file with more points than `subset_cap` is refused as soon as
@@ -504,9 +507,7 @@ def parse_scenario(
         fail("points", f"not an integer: {fields['points']!r}")
     if npoints < 2 or npoints % 2 != 0:
         fail("points", f"must be a positive even integer, got {npoints}")
-    if npoints > subset_cap:
-        raise CapExceededError(f"line {lines['points']}: field 'points': "
-                               f"2g = {npoints} exceeds the subset cap {subset_cap}")
+    refuse_over_subset_cap(npoints, subset_cap, f"line {lines['points']}: field 'points': ")
 
     def parse_perm_list(key):
         out = []
@@ -532,10 +533,7 @@ def parse_scenario(
         if len(point_orbits(gens + [tau], npoints)) != orbits:  # tau joins two orbits
             fail("tau", "tau is not an element of the generated group")
         fail("generators", "group does not act transitively on the 2g indices")
-    try:
-        group = build_group(npoints, gens, group_cap)
-    except CapExceededError as exc:
-        raise CapExceededError(f"line {lines['generators']}: field 'generators': {exc}")
+    group = build_group(npoints, gens)
     if tau not in group:
         fail("tau", "tau is not an element of the generated group")
     try:

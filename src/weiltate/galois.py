@@ -6,7 +6,9 @@ stabilizer chain on the base 1..2g (`StabChain`), which gives its order
 and membership without listing it: a preset's chain is read off a known
 strong generating set (`cm_product_group`, `forge._biquadratic_model`),
 and a scenario file's goes through Schreier-Sims (`build_group`).
-No group is listed.
+No group is listed, and no builder here refuses a group for its size:
+a chain costs what its degree does, and the callers' subset cap bounds
+the degree.
 A subgroup is carried by the smallest data that fixes it: one above
 Stab(1) by its point block, the decomposition group D by its
 generators; the generator lists of a document are read off their
@@ -20,8 +22,6 @@ value classes.
 from __future__ import annotations
 
 import copy
-
-DEFAULT_GROUP_CAP = 10**6
 
 Perm = tuple
 
@@ -217,14 +217,13 @@ class StabChain:
     other than the identity joins them.  `from_strong` builds the chain
     of a group whose strong generating set is known, with no Schreier
     generator.  `order`, the product of the orbit lengths, is kept up to
-    date as `insert` adds each representative; it only grows and never
-    exceeds |G|, so a group larger than `cap` is refused as it passes it.
+    date as `insert` adds each representative.  Nothing caps |G|: the
+    chain holds at most n(n+1)/2 representatives.
     """
 
-    def __init__(self, n: int, generators=(), cap: int = None):
+    def __init__(self, n: int, generators=()):
         ident = identity(n)
         self.degree = n
-        self.cap = cap
         self.order = 1
         self.gens = [[] for _ in range(n)]
         self.reps = [{i: ident} for i in range(n)]
@@ -241,7 +240,7 @@ class StabChain:
         Permutation Group Algorithms, 2003, ch. 4).  Those members are
         the generators of level i, and its orbit is their breadth-first
         walk from i; no Schreier generator is formed and nothing is
-        sifted.  The order is known beforehand, so no cap is tested here.
+        sifted.
         """
         chain = cls(n)
         gens = list(strong)
@@ -314,8 +313,6 @@ class StabChain:
                             reps[y] = uy
                             invs[y] = _inverse(uy)
                             self.order = self.order // (len(reps) - 1) * len(reps)
-                            if self.cap is not None and self.order > self.cap:
-                                raise CapExceededError(f"group closure exceeds cap {self.cap}")
                             work.append((y, gens))
                             continue
                         schreier = tuple([inv[s[a]] for a in ux])
@@ -380,18 +377,15 @@ def point_orbits(perms, n: int) -> tuple:
     return tuple(orbits)
 
 
-def build_group(n: int, generators, cap: int = DEFAULT_GROUP_CAP) -> PermGroup:
-    """The group generated by `generators` on the points 0..n-1, with its stabilizer chain.
-
-    A group larger than `cap` is refused while its chain is built.
-    """
+def build_group(n: int, generators) -> PermGroup:
+    """The group generated by `generators` on the points 0..n-1, with its stabilizer chain."""
     gens = []
     for g in generators:
         g = tuple(g)
         if sorted(g) != list(range(n)):
             raise ValueError(f"generator {g} is not a bijection of 0..{n - 1}")
         gens.append(g)
-    return PermGroup(degree=n, generators=tuple(gens), chain=StabChain(n, gens, cap))
+    return PermGroup(degree=n, generators=tuple(gens), chain=StabChain(n, gens))
 
 
 def _in_group(group: PermGroup, generators) -> tuple:
@@ -486,16 +480,7 @@ class CMGaloisModel(Record):
         return model
 
 
-def refuse_order_over_cap(factor: int, g: int, cap: int) -> None:
-    """Refuse the known group order factor * g! above `cap`, built up one factor at a time."""
-    order = factor
-    for k in range(1, g + 1):
-        order *= k
-        if order > cap:
-            raise CapExceededError(f"group closure exceeds cap {cap}")
-
-
-def cm_product_group(g: int, cap: int = DEFAULT_GROUP_CAP) -> CMGaloisModel:
+def cm_product_group(g: int) -> CMGaloisModel:
     """The mu2 x S_g model on 2g points.
 
     (eps, sigma) sends i to sigma(i), shifted across the conjugation
@@ -503,11 +488,10 @@ def cm_product_group(g: int, cap: int = DEFAULT_GROUP_CAP) -> CMGaloisModel:
     is generated by tau and the lifts of `sym_generators(g)`; its chain
     comes from the strong generating set of tau and the lifted
     adjacent transpositions: the stabilizer of 1..i is S_{g-i} on
-    i+1..g, lifted.  Its order 2 g! is held against `cap` first.
+    i+1..g, lifted.
     """
     if g < 2:
         raise ValueError("g must be at least 2")
-    refuse_order_over_cap(2, g, cap)
     n = 2 * g
     tau = tuple((i + g) % n for i in range(n))
     strong = [tau] + [diagonal_lift(t, 2) for t in adjacent_transpositions(g)]

@@ -480,7 +480,7 @@ def fix_by_signatures_over_group(model, s) -> frozenset:
 
 def subgroup_closure(group: PermGroup, generators) -> frozenset:
     """The subgroup that some elements of `group` generate, listed; each must lie in `group`."""
-    sub = build_group(group.degree, _in_group(group, generators), cap=group.order)
+    sub = build_group(group.degree, _in_group(group, generators))
     return frozenset(elements_of(sub))
 
 
@@ -1158,7 +1158,7 @@ def split_target_by_definition(g: int, d: int, q: int, rng: random.Random) -> tu
     return gf_reduce(target, q)
 
 
-def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_budget: int = 64):
+def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0):
     """`forge_totally_real` by definition: l'' is the least prime other than
     p, l and l' by trial division; the targets come from
     `irreducible_by_definition` and `split_target_by_definition`, drawn
@@ -1177,8 +1177,10 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_bu
     target_lpp = split_target_by_definition(g, g - 1 if g > 2 else 0, lpp, rng)
     modulus = p * l * lp * lpp
     base = crt_poly([(p, target_p), (l, target_l), (lp, target_lp), (lpp, target_lpp)], g)
+    # the signs alternate once K > 2g (g + 1/2)^(g-1), so by a power of two at most twice that
+    bound = 4 * g * Fraction(2 * g + 1, 2) ** (g - 1)
     spread = 1
-    for _ in range(retry_budget):
+    while spread <= bound:
         t = (1,)
         for i in range(1, g + 1):
             t = poly_mul(t, (-modulus * spread * i, 1))
@@ -1192,7 +1194,7 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0, retry_bu
             return ForgedField(g=g, p=p, l=l, lp=lp, lpp=lpp, seed=seed, poly=poly,
                                spread=spread, certificates=certs)
         spread *= 2
-    raise RuntimeError("no totally real polynomial within the budget")
+    raise RuntimeError("no totally real polynomial within the bound")
 
 
 def plain_document(doc):

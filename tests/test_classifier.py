@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -118,8 +118,8 @@ PRESETS = {
     "main6": lambda: scenario_main(6, 5),
     "ramified3": lambda: scenario_ramified(3, 5),
     "split3": lambda: scenario_split(3, 5),
-    "ramified5": lambda: scenario_ramified(5, 5),
-    "split5": lambda: scenario_split(5, 5),
+    "ramified5": lambda: scenario_ramified(5, 5, subset_cap=20),
+    "split5": lambda: scenario_split(5, 5, subset_cap=20),
 }
 
 
@@ -659,7 +659,7 @@ def test_tate_subsets_match_the_listing_and_the_dp_count(case):
 @pytest.mark.parametrize("family", [scenario_ramified, scenario_split])
 def test_tate_subsets_match_the_dp_count_at_gp7(family):
     """28 points, every weight: the counts of the DP, each mask once and of its own weight."""
-    scn = family(7, 5)
+    scn = family(7, 5, subset_cap=28)
     cols = _packed_columns(tate_rows(scn.model, scn.slopes))
     n = len(cols)
     counts = tate_counts_by_dp(cols)
@@ -674,9 +674,9 @@ def test_tate_subsets_follow_the_output_at_main_g24():
     """48 points, weights 0, 2 and 4: 1, 24 and 276 masks, each a union of tau-pairs.
 
     A join of the two halves of the points would build two tables of
-    2^24 entries; the group cap is raised here only to build the preset.
+    2^24 entries; the subset cap is raised here only to build the preset.
     """
-    scn = scenario_main(24, 5, group_cap=2 * factorial(24))
+    scn = scenario_main(24, 5, subset_cap=48)
     found = tate_subsets(_packed_columns(tate_rows(scn.model, scn.slopes)), (0, 2, 4))
     _, orbits = main_family_by_formula(24, weights=(0, 2, 4))
     assert [len(found[w]) for w in (0, 2, 4)] == [1, 24, 276]
@@ -900,7 +900,7 @@ def test_tate_counts_by_dp_match_the_orbit_ranks(name):
     """The scan oracle counts each weight's Tate subsets without listing one."""
     scn = {
         "main8": lambda: scenario_main(8, 5),
-        "main10": lambda: scenario_main(10, 5, group_cap=10**7),
+        "main10": lambda: scenario_main(10, 5, subset_cap=20),
         "ramified5": PRESETS["ramified5"],
         "split5": PRESETS["split5"],
     }[name]()
@@ -913,7 +913,7 @@ def test_tate_counts_by_dp_match_the_orbit_ranks(name):
 @pytest.mark.parametrize("g", range(4, 17, 2))
 def test_main_family_matches_its_closed_form(g):
     """Every orbit of main g = 4..16, member by member, against the formula (caps raised here)."""
-    scn = scenario_main(g, 5, group_cap=2 * factorial(g))
+    scn = scenario_main(g, 5, subset_cap=2 * g)
     report = classify_orbits(scn.model, scn.slopes, phi=scn.phi, subset_cap=2 * g)
     rho, orbits = main_family_by_formula(g)
     assert report.tate_dims == rho
@@ -993,7 +993,7 @@ def test_classify_main6():
 
 def test_family_invariants_at_gp5():
     """The construction families keep their shape at the next odd g'."""
-    ram = scenario_ramified(5, 5)
+    ram = scenario_ramified(5, 5, subset_cap=20)
     end = honda_tate_endomorphism(ram.model, ram.slopes, columns_of(ram.model, ram.slopes))
     assert end.frobenius_field_degree == 10
     assert end.index == 2
@@ -1011,7 +1011,7 @@ def test_family_invariants_at_gp5():
     assert lefschetz_entry.is_tate and lefschetz_entry.is_lefschetz_bearing
     assert len(conjugate_slope_basis(ram.model, ram.slopes)) - 1 == 4  # rank g/2 - 1, g = 10
 
-    spl = scenario_split(5, 5)
+    spl = scenario_split(5, 5, subset_cap=20)
     end = honda_tate_endomorphism(spl.model, spl.slopes, columns_of(spl.model, spl.slopes))
     assert end.frobenius_field_degree == 20
     assert end.commutative

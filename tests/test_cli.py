@@ -4,6 +4,7 @@ import importlib.util
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from oracles import (
     doc_to_end_report,
     doc_to_report,
     emitted_text,
+    main_family_by_formula,
     plain_document,
 )
 
@@ -57,10 +59,23 @@ def test_forge_rejects_equal_primes(capsys):
     assert code == cli.EXIT_HYPOTHESIS
 
 
-def test_forge_budget_maps_to_cap_exit(capsys):
+def test_forge_budget_is_a_usage_error(capsys):
+    """No spread budget is settable: the escalation ends within a bound set by g."""
     code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", "5", "--l", "7",
-                                      "--lp", "11", "--budget", "1"])  # seed 0 needs 4
-    assert code == cli.EXIT_CAP
+                                      "--lp", "11", "--budget", "5"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "unrecognized arguments: --budget 5" in err
+
+
+@pytest.mark.parametrize("g", [40, 44, 48])
+def test_forge_past_g40_exits_0(g, capsys):
+    """l and l' the two smallest primes above g other than p = 5, at seeds 0 and 1."""
+    l, lp = forge._smallest_primes_avoiding(g, {5})
+    for seed in (0, 1):
+        code, out, err = run_cli(capsys, ["forge", "--g", str(g), "--p", "5", "--l", str(l),
+                                          "--lp", str(lp), "--seed", str(seed)])
+        assert (code, err) == (0, "")
+        assert "real roots: %d" % g in out
 
 
 @pytest.mark.parametrize("primes", [
@@ -118,19 +133,15 @@ def forge_requests(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(request=forge_requests(), seed=st.integers(-5, 10**6),
-       budget=st.one_of(st.none(), st.integers(-1, 66)), fmt=st.sampled_from(("text", "json")))
-@example(request=(12, 5, 2**31 - 1, 65537), seed=0, budget=None, fmt="json")
-@example(request=(4, 5, 7, 11), seed=0, budget=1, fmt="json")  # budget exhausted
-@example(request=(4, 7, 7, 11), seed=0, budget=None, fmt="text")  # equal primes
-@example(request=(4, 5, 11, 11), seed=0, budget=None, fmt="json")
-def test_forge_argv_keeps_the_exit_code_contract(request, seed, budget, fmt):
+@given(request=forge_requests(), seed=st.integers(-5, 10**6), fmt=st.sampled_from(("text", "json")))
+@example(request=(12, 5, 2**31 - 1, 65537), seed=0, fmt="json")
+@example(request=(4, 7, 7, 11), seed=0, fmt="text")  # equal primes
+@example(request=(4, 5, 11, 11), seed=0, fmt="json")
+def test_forge_argv_keeps_the_exit_code_contract(request, seed, fmt):
     """Every forge argv exits 0, 2, 3, 4 or 5 without a traceback; a JSON success parses."""
     g, p, l, lp = request
     argv = ["forge", "--g", str(g), "--p", str(p), "--l", str(l), "--lp", str(lp),
             "--seed", str(seed), "--format", fmt]
-    if budget is not None:
-        argv += ["--budget", str(budget)]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
@@ -142,11 +153,9 @@ def test_forge_argv_keeps_the_exit_code_contract(request, seed, budget, fmt):
         assert out.getvalue() == "" and err.getvalue(), argv
 
 
-# small caps keep every drawn request cheap: 2g <= 8 points scanned, |G| <= 10^4 built
-SMALL_CAPS = st.fixed_dictionaries({
-    "WEILTATE_SUBSET_CAP": st.sampled_from(("2", "4", "8")),
-    "WEILTATE_GROUP_CAP": st.sampled_from(("1", "48", "1440", "10000")),
-})
+# a subset cap of at most 8 keeps every drawn request cheap: no preset or file of more than
+# 8 points is built, and none is classified
+SMALL_CAPS = st.fixed_dictionaries({"WEILTATE_SUBSET_CAP": st.sampled_from(("2", "4", "8"))})
 PRESET_PRIMES = st.one_of(st.sampled_from(FORGE_PRIMES), st.integers(-3, 40),
                           st.sampled_from((2**31, 561, algebra.MR_BOUND + 1)))
 WEIGHT_LISTS = st.one_of(
@@ -187,11 +196,11 @@ def classify_or_verify_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(argv=classify_or_verify_argv(), env=SMALL_CAPS)
 @example(argv=["classify", "--preset", "main", "--g", "4", "--format", "json"],
-         env={"WEILTATE_SUBSET_CAP": "8", "WEILTATE_GROUP_CAP": "10000"})
+         env={"WEILTATE_SUBSET_CAP": "8"})
 @example(argv=["verify", "--presets", "main4,ramified3", "--format", "json"],
-         env={"WEILTATE_SUBSET_CAP": "8", "WEILTATE_GROUP_CAP": "10000"})
+         env={"WEILTATE_SUBSET_CAP": "8"})
 @example(argv=["classify", "--preset", "split", "--gp", "3", "--cap", "8"],
-         env={"WEILTATE_SUBSET_CAP": "8", "WEILTATE_GROUP_CAP": "10000"})  # 12 points: cap
+         env={"WEILTATE_SUBSET_CAP": "8"})  # 12 points: cap
 def test_classify_and_verify_argv_keep_the_exit_code_contract(argv, env):
     """Every classify or verify argv exits 0, 2, 3, 4 or 5 without a traceback; JSON parses.
 
@@ -539,15 +548,10 @@ def test_classify_weights_that_are_not_integers_are_a_usage_error(capsys, weight
 
 
 def test_non_integer_env_caps_are_input_errors(capsys, monkeypatch):
-    classify = ["classify", "--preset", "main", "--g", "4"]
-    forge_argv = ["forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11"]
-    for name, argv in (("WEILTATE_GROUP_CAP", classify), ("WEILTATE_SUBSET_CAP", classify),
-                       ("WEILTATE_RETRY_BUDGET", forge_argv)):
-        monkeypatch.setenv(name, "ten")
-        code, out, err = run_cli(capsys, argv)
-        assert code == cli.EXIT_USAGE, name
-        assert f"{name} must be an integer" in err
-        monkeypatch.delenv(name)
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "ten")
+    code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "usage error: WEILTATE_SUBSET_CAP must be an integer, got 'ten'\n"
 
 
 CLASSIFY_MAIN4 = ["classify", "--preset", "main", "--g", "4"]
@@ -571,33 +575,42 @@ def test_subset_caps_that_admit_nothing_are_input_errors(capsys, monkeypatch):
     assert code == 0
 
 
-def test_group_caps_that_admit_nothing_are_input_errors(capsys, monkeypatch):
-    for cap in ("0", "-5"):
+def test_group_cap_variable_is_read_by_nothing(capsys, monkeypatch):
+    """WEILTATE_GROUP_CAP was a cap on |G|; values that admitted nothing change no document."""
+    expected = [run_cli(capsys, argv) for argv in (CLASSIFY_MAIN4, ["verify"])]
+    assert [code for code, _, _ in expected] == [0, 0]
+    for cap in ("0", "-5", "1", "ten"):
         monkeypatch.setenv("WEILTATE_GROUP_CAP", cap)
-        message = f"WEILTATE_GROUP_CAP must be at least 1, got {cap}"
-        assert_input_error(capsys, CLASSIFY_MAIN4, message)
-        assert_input_error(capsys, ["verify", "--presets", "main4"], message)
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", "1")  # admits the trivial group only
-    code, _, err = run_cli(capsys, CLASSIFY_MAIN4)
-    assert code == cli.EXIT_CAP and "cap exceeded" in err
+        assert [run_cli(capsys, argv) for argv in (CLASSIFY_MAIN4, ["verify"])] == expected
 
 
-def test_retry_budgets_that_admit_nothing_are_input_errors(capsys, monkeypatch):
-    assert_input_error(capsys, FORGE_G4 + ["--budget", "0"], "--budget must be at least 1, got 0")
-    monkeypatch.setenv("WEILTATE_RETRY_BUDGET", "-3")
-    assert_input_error(capsys, FORGE_G4, "WEILTATE_RETRY_BUDGET must be at least 1, got -3")
+def test_retry_budget_variable_is_read_by_nothing(capsys, monkeypatch):
+    """WEILTATE_RETRY_BUDGET was the forge's spread budget; values that admitted nothing change
+    no certificate (the flag's refusal is test_forge_budget_is_a_usage_error)."""
+    expected = run_cli(capsys, FORGE_G4)
+    assert expected[0] == 0
+    for budget in ("0", "-3", "ten"):
+        monkeypatch.setenv("WEILTATE_RETRY_BUDGET", budget)
+        assert run_cli(capsys, FORGE_G4) == expected
 
 
-def test_main_g10_runs_with_the_group_cap_raised(capsys, monkeypatch):
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", "10000000")
-    code, out, _ = run_cli(capsys, ["classify", "--preset", "main", "--g", "10", "--cap", "20",
-                                    "--format", "json"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["scenario"]["group_order"] == 7257600
-    assert doc["report"]["tate_dims"] is not None and doc["predicted_signature"] is not None
-    assert_document_invariants(doc)
-    assert [e["subgroup_order"] for e in doc["report"]["weil_tate"]] == [3628800]
+def test_main_g10_and_g12_classify_under_the_subset_cap(capsys):
+    """|G| = 2 g! is 7,257,600 and 958,003,200: with no variable set, --cap 2g admits both."""
+    for g in (10, 12):
+        code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", str(g),
+                                          "--cap", str(2 * g), "--format", "json"])
+        assert (code, err) == (0, "")
+        doc = plain_document(json.loads(out))
+        assert doc["scenario"]["group_order"] == 2 * math.factorial(g)
+        assert doc["predicted_signature"] is not None
+        assert_document_invariants(doc)
+        assert [e["subgroup_order"] for e in doc["report"]["weil_tate"]] == [math.factorial(g)]
+        rho, orbits = main_family_by_formula(g)
+        assert tuple(doc["report"]["tate_dims"]) == rho
+        for o in doc["report"]["orbits"]:
+            members = frozenset(tuple(i - 1 for i in m) for m in o["orbit"])
+            assert members == orbits.pop((o["weight"], o["is_exotic"]))
+        assert orbits == {}
 
 
 G2_SCENARIO = """\
@@ -693,35 +706,27 @@ def test_parse_scenario_refuses_more_points_than_the_subset_cap_on_line_1():
         forge.parse_scenario(long)
 
 
-def test_group_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", "10")
+def test_subset_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "10")
     for preset in (["main", "--g", "6"], ["ramified", "--gp", "3"], ["split", "--gp", "3"]):
         code, out, err = run_cli(capsys, ["classify", "--preset", *preset])
-        assert code == cli.EXIT_CAP, preset
-        assert "cap exceeded" in err
-        assert out == ""
+        assert (code, out) == (cli.EXIT_CAP, ""), preset
+        assert err == "cap exceeded: 2g = 12 exceeds the subset cap 10\n"
 
 
-@pytest.mark.parametrize("preset, order", [
-    (["main", "--g", "4"], 48),
-    (["ramified", "--gp", "3"], 24),
-    (["split", "--gp", "3"], 24),
+@pytest.mark.parametrize("preset, points", [
+    (["main", "--g", "4"], 8),
+    (["ramified", "--gp", "3"], 12),
+    (["split", "--gp", "3"], 12),
 ], ids=["main4", "ramified3", "split3"])
-def test_group_cap_env_admits_a_group_at_the_cap(capsys, monkeypatch, preset, order):
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", str(order))  # |G| of the preset
+def test_subset_cap_env_admits_a_preset_at_the_cap(capsys, monkeypatch, preset, points):
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", str(points))  # 2g of the preset
     code, _, _ = run_cli(capsys, ["classify", "--preset", *preset])
     assert code == 0
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", str(order - 1))
+    monkeypatch.setenv("WEILTATE_SUBSET_CAP", str(points - 1))
     code, out, err = run_cli(capsys, ["classify", "--preset", *preset])
     assert code == cli.EXIT_CAP and out == ""
-    assert err == f"cap exceeded: group closure exceeds cap {order - 1}\n"
-
-
-def test_group_cap_env_applies_to_verify(capsys, monkeypatch):
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", "10")
-    code, out, err = run_cli(capsys, ["verify", "--presets", "ramified3"])
-    assert code == cli.EXIT_CAP
-    assert "cap exceeded" in err
+    assert err == f"cap exceeded: 2g = {points} exceeds the subset cap {points - 1}\n"
 
 
 def test_verify_classifies_each_preset_once_through_the_classify_route(capsys, monkeypatch):
@@ -738,7 +743,7 @@ def test_verify_classifies_each_preset_once_through_the_classify_route(capsys, m
     calls.clear()
     assert run_cli(capsys, CLASSIFY_MAIN4)[0] == 0
     assert calls == ["main-g4-p5"]
-    # every name is checked and every scenario built before the first classification
+    # every name is checked before the first preset is built, main6 over the cap among them
     monkeypatch.setenv("WEILTATE_SUBSET_CAP", "8")
     calls.clear()
     code, out, err = run_cli(capsys, ["verify", "--presets", "main4,main6,bogus"])
@@ -776,18 +781,29 @@ def test_subset_cap_env_applies_to_verify(capsys, monkeypatch):
     assert_input_error(capsys, ["verify"], "WEILTATE_SUBSET_CAP must be an integer, got 'ten'")
 
 
-def test_scenario_file_over_the_group_cap_names_the_generators_line(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "main4.scn"
-    text = serialize_scenario(scenario_main(4, 5))
-    path.write_text(text, encoding="utf-8")
-    lineno = next(
-        k for k, line in enumerate(text.splitlines(), start=1) if line.startswith("generators")
-    )
-    monkeypatch.setenv("WEILTATE_GROUP_CAP", "10")
-    code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
-    assert code == cli.EXIT_CAP
-    assert f"cap exceeded: line {lineno}: field 'generators': group closure exceeds cap 10" in err
-    assert out == ""
+WREATH_SCENARIO = """\
+name = wreath-c2-s8
+points = 16
+generators = (1 9)(2 10)(3 11)(4 12)(5 13)(6 14)(7 15)(8 16), \
+(1 2 3 4 5 6 7 8)(9 10 11 12 13 14 15 16), (1 2)(9 10), (1 9)
+tau = (1 9)(2 10)(3 11)(4 12)(5 13)(6 14)(7 15)(8 16)
+decomposition_generators = (1 2 3 4 5 6 7 8)(9 10 11 12 13 14 15 16)
+phi_targets = 4 4
+"""
+
+
+def test_scenario_file_of_a_large_group_classifies_under_the_default_caps(tmp_path, capsys):
+    """C2 wr S_8 on 16 points, of order 2^8 8! = 10,321,920; every slope is 1/2, so every
+    subset of even size is Tate."""
+    path = tmp_path / "wreath.scn"
+    path.write_text(WREATH_SCENARIO, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["classify", "--file", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["scenario"]["group_order"] == 2**8 * math.factorial(8) == 10321920
+    assert doc["scenario"]["slopes"] == ["1/2"] * 16
+    assert doc["report"]["tate_dims"] == [math.comb(16, 2 * k) for k in range(9)]
+    assert_document_invariants(doc)
 
 
 def test_forge_self_check_failure_exits_3_without_traceback(capsys, monkeypatch):
@@ -805,6 +821,17 @@ def test_forge_self_check_failure_exits_3_without_traceback(capsys, monkeypatch)
     assert err.splitlines() == [
         "self-check failed: certified search produced a polynomial failing its certificates"
     ]
+
+
+def test_forge_past_its_spread_bound_is_a_self_check_failure(capsys, monkeypatch):
+    """The bound makes the last refusal unreachable; a sign test that never passes reaches it."""
+    tried = []
+    monkeypatch.setattr(forge, "_alternates_at_midpoints", lambda poly, scale: tried.append(scale))
+    code, out, err = run_cli(capsys, FORGE_G4)
+    assert (code, out) == (cli.EXIT_HYPOTHESIS, "")
+    # 2g (g + 1/2)^(g-1) = 729 at g = 4: the spreads 1, 2, ..., 1024 are tried
+    assert forge._spread_bound(4) == 730 and len(tried) == 11
+    assert err == "self-check failed: the signs did not alternate at spread 1024, past the bound\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -909,7 +936,8 @@ def test_classify_streams_its_document_in_pieces():
     log = _WriteLog()
     with redirect_stdout(log):
         assert cli.main(argv) == cli.EXIT_OK
-    doc = plain_document(cli.classify_scenario_doc(forge.scenario_ramified(5, 5), subset_cap=20))
+    scn = forge.scenario_ramified(5, 5, subset_cap=20)
+    doc = plain_document(cli.classify_scenario_doc(scn, subset_cap=20))
     assert "".join(log.writes) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     largest = max(
         len(json.dumps(o["orbit"], indent=2).replace("\n", "\n" + " " * 8))
@@ -951,7 +979,7 @@ def plain_classify_text(argv) -> str:
     """`json.dumps` of the plain form of the document `classify_scenario_doc` returns for an argv."""
     args = cli.build_parser().parse_args(argv)
     subset_cap = cli._subset_cap(args.cap)
-    scn = cli._resolve_scenario(args, cli._group_cap(), subset_cap)
+    scn = cli._resolve_scenario(args, subset_cap)
     weights = None if args.weights is None else [int(w) for w in args.weights.split(",")]
     doc = cli.classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
     return json.dumps(plain_document(doc), sort_keys=True, indent=2) + "\n"
@@ -1192,7 +1220,7 @@ def test_classify_file_keeps_the_exit_code_contract_on_malformed_text(tmp_path_f
     path = tmp_path_factory.mktemp("malformed") / "scenario.scn"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    env = {"WEILTATE_SUBSET_CAP": "8", "WEILTATE_GROUP_CAP": "10000"}
+    env = {"WEILTATE_SUBSET_CAP": "8"}
     with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["classify", "--file", str(path), "--format", fmt])
     event(f"exit {code}")

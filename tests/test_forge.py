@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     _is_sg_certificate,
+    alternates_at_midpoints_by_fractions,
     certificates_by_factoring,
     certify_galois_sg,
     degree_pattern_by_pow_mod,
@@ -23,7 +24,6 @@ import weiltate.forge
 from weiltate.algebra import poly_degree, poly_mul
 from weiltate.forge import (
     HypothesisError,
-    RetryBudgetError,
     ScenarioParseError,
     _sg_patterns,
     _smallest_primes_avoiding,
@@ -238,9 +238,30 @@ def test_forge_hypothesis_violations():
         forge_totally_real(4, 4, 7, 11)  # p not prime
 
 
-def test_forge_budget_exhaustion():
-    with pytest.raises(RetryBudgetError):
-        forge_totally_real(4, 5, 7, 11, seed=0, retry_budget=0)
+def test_forge_escalation_ends_within_its_bound():
+    """At the last spread the forge tries, 2^t with t the bit length of `_spread_bound(g)`,
+    the signs alternate for the largest corrections, every |c_k| = floor(M/2)."""
+    rng = random.Random(0)
+    for g in range(2, 17, 2):
+        unit = (1,)  # prod(x - i)
+        for i in range(1, g + 1):
+            unit = poly_mul(unit, (-i, 1))
+        spread = 1 << weiltate.forge._spread_bound(g).bit_length()
+        for modulus in (5 * 7 * 11 * 2, 7 * 17 * 19 * 2, 1009 * 1013 * 1019 * 2):
+            scale = modulus * spread
+            for _ in range(10):
+                signs = [rng.choice((-1, 1)) for _ in range(g)]
+                poly = tuple(u * scale ** (g - k) + sign * (modulus // 2)
+                             for k, (u, sign) in enumerate(zip(unit, signs))) + (1,)
+                assert weiltate.forge._alternates_at_midpoints(poly, scale), (g, modulus, signs)
+
+
+def test_forge_reaches_g40():
+    """g = 40 is past what a budget of 64 doublings allowed: its spread is 2^67."""
+    f = forge_totally_real(40, 5, 41, 43, seed=0)
+    assert f.spread.bit_length() - 1 > 64
+    assert alternates_at_midpoints_by_fractions(f.poly, 5 * 41 * 43 * f.lpp * f.spread)
+    assert f.certificates == certificates_by_factoring(f.poly, 40, 5, 41, 43, f.lpp, 40)
 
 
 def test_certify_a_forged_field_recomputes_only_the_sg_patterns(monkeypatch):
@@ -363,7 +384,7 @@ def test_scenario_ramified_structure():
 
 
 def test_scenario_ramified5_slopes():
-    scn = scenario_ramified(5, 5)
+    scn = scenario_ramified(5, 5, subset_cap=20)
     expected = (
         [Fraction(1, 8)] * 8 + [Fraction(1, 2)] * 4 + [Fraction(7, 8)] * 8
     )
@@ -379,7 +400,7 @@ def test_scenario_split_structure():
 
 
 def test_scenario_split5_slopes():
-    scn = scenario_split(5, 5)
+    scn = scenario_split(5, 5, subset_cap=20)
     expected = (
         [Fraction(0)] * 4
         + [Fraction(1)] * 4

@@ -61,42 +61,37 @@ def test_build_group_deterministic_bfs_order():
     assert elements_of(a) == elements_of(b)
 
 
-def test_build_group_cap():
-    gens = [cycles_to_perm(8, [(1, 2)]), cycles_to_perm(8, [tuple(range(1, 9))])]
-    with pytest.raises(CapExceededError):
-        build_group(8, gens, cap=1000)
-
-
-def test_build_group_refuses_a_group_over_the_cap_before_listing_it():
+def test_build_group_builds_a_large_group_without_listing_it():
     assert not hasattr(PermGroup, "elements")  # the listing is the tests' `elements_of`
-    with pytest.raises(CapExceededError, match="group closure exceeds cap 10"):
-        build_group(8, [cycles_to_perm(8, [(1, 2)]), cycles_to_perm(8, [tuple(range(1, 9))])],
-                    cap=10)
-    with pytest.raises(CapExceededError, match="group closure exceeds cap 10"):
-        build_group(1000, sym_generators(1000), cap=10)  # refused long before its chain is done
-    model = cm_product_group(10, cap=10**7)  # |G| = 2 * 10!, never listed
+    s8 = build_group(8, [cycles_to_perm(8, [(1, 2)]), cycles_to_perm(8, [tuple(range(1, 9))])])
+    assert s8.order == math.factorial(8)
+
+
+def test_cm_product_group_builds_g10_without_listing_it():
+    assert not hasattr(PermGroup, "elements")  # the listing is the tests' `elements_of`
+    model = cm_product_group(10)  # |G| = 2 * 10!, never listed
     assert model.group.order == 7257600
     assert model.tau in model.group
     assert cycles_to_perm(20, [(1, 2)]) not in model.group
 
 
 def test_a_preset_over_the_cap_is_refused_at_its_first_level(monkeypatch):
-    """A preset's order, 2 g! or 4 g'!, is held against the cap before any permutation is made."""
+    """A preset's point count, 2g or 4g', is held against the subset cap before any
+    permutation is made."""
     made = []
     monkeypatch.setattr(galois, "_inverse", lambda p: made.append(p) or _inverse(p))
     for module in (galois, forge):  # the strong generators start from the transpositions
         monkeypatch.setattr(module, "adjacent_transpositions",
                             lambda g: made.append(g) or adjacent_transpositions(g))
-    for build, cap in ((lambda: cm_product_group(1000, cap=10), 10),  # |G| = 2 * 1000!
-                       (lambda: cm_product_group(4000), 10**6),
-                       (lambda: _biquadratic_model(1001, 5, 10**6), 10**6)):
-        with pytest.raises(CapExceededError, match=f"^group closure exceeds cap {cap}$"):
+    for build, points, cap in ((lambda: forge.scenario_main(4000, 5), 8000, 16),
+                               (lambda: forge.scenario_ramified(1001, 5), 4004, 16),
+                               (lambda: forge.scenario_split(1001, 5), 4004, 16),
+                               (lambda: forge.scenario_main(10, 5, subset_cap=19), 20, 19)):
+        with pytest.raises(CapExceededError, match=f"^2g = {points} exceeds the subset cap {cap}$"):
             build()
     assert made == []
-    # 2 * 10! = 7257600 is the boundary
-    assert cm_product_group(10, cap=7257600).group.order == 7257600
-    with pytest.raises(CapExceededError, match="^group closure exceeds cap 7257599$"):
-        cm_product_group(10, cap=7257599)
+    # 2g = 20 is the boundary
+    assert forge.scenario_main(10, 5, subset_cap=20).model.group.order == 7257600
     assert made  # the counters do see a chain being built
 
 
@@ -334,9 +329,9 @@ def test_with_decomposition_runs_no_group_check_again(monkeypatch):
 
 def _preset_groups():
     for g in range(2, 11):  # mu2 x S_g
-        yield f"main{g}", (cm_product_group(g, cap=10**7).group, 2 * math.factorial(g))
+        yield f"main{g}", (cm_product_group(g).group, 2 * math.factorial(g))
     for gp in (3, 5, 7):  # (mu2 x mu2) x S_g', the group of both ramified and split
-        yield f"biquadratic{gp}", (_biquadratic_model(gp, 5, 10**6)[0].group,
+        yield f"biquadratic{gp}", (_biquadratic_model(gp, 5, 4 * gp)[0].group,
                                    4 * math.factorial(gp))
 
 
@@ -347,7 +342,7 @@ PRESET_GROUPS = dict(_preset_groups())
 def test_a_preset_chain_from_its_strong_generators_matches_schreier_sims(name):
     group, order = PRESET_GROUPS[name]
     n, strong = group.degree, group.chain
-    oracle = StabChain(n, group.generators, cap=10**7)
+    oracle = StabChain(n, group.generators)
     assert strong.order == oracle.order == math.prod(len(reps) for reps in oracle.reps) == order
     assert [set(reps) for reps in strong.reps] == [set(reps) for reps in oracle.reps]
     below = strong.order

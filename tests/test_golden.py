@@ -171,14 +171,14 @@ def test_forge_json_digest(key, capsys):
 @pytest.mark.parametrize("name", list(GOLDEN_SCENARIO_FILES))
 def test_serialized_preset_digest(name):
     family, size = cli.VERIFY_PRESETS[name]
-    scn = forge.PRESETS[family](size, 5, group_cap=10**6)
+    scn = forge.PRESETS[family](size, 5)
     assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_SCENARIO_FILES[name]
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_PRESET_FILES), ids=lambda k: "%s%d" % k)
 def test_serialized_large_preset_digest(key):
     family, size = key
-    scn = forge.PRESETS[family](size, 5)
+    scn = forge.PRESETS[family](size, 5, subset_cap=28)  # 28 points at g' = 7, the most
     assert _sha256(forge.serialize_scenario(scn)) == GOLDEN_PRESET_FILES[key]
 
 
@@ -201,9 +201,9 @@ def test_documents_list_no_group_element(capsys):
         assert argv not in digests or _sha256(out) == digests[argv], argv
     for name, digest in GOLDEN_SCENARIO_FILES.items():
         family, size = cli.VERIFY_PRESETS[name]
-        scn = forge.PRESETS[family](size, 5, group_cap=10**6)
+        scn = forge.PRESETS[family](size, 5)
         assert _sha256(forge.serialize_scenario(scn)) == digest
     for (family, size), digest in GOLDEN_PRESET_FILES.items():
-        scn = forge.PRESETS[family](size, 5)
+        scn = forge.PRESETS[family](size, 5, subset_cap=28)  # 28 points at g' = 7, the most
         assert _sha256(forge.serialize_scenario(scn)) == digest
 

@@ -8,6 +8,7 @@ A name is resolved to the module that defines it, through the
 The code it reaches must read every non-dunder method of those classes.
 """
 
+import argparse
 import ast
 import re
 import subprocess
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import weiltate
+from weiltate import cli
 
 SRC = Path(weiltate.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,6 +28,16 @@ UNREAD_METHODS = {}
 ITERTOOLS_IMPORTS = {
     "cmtypes.py": "`enumerate_cm_types`, in the README's declared API, lists the CM types "
                   "that meet given place counts by per-block `combinations`",
+}
+
+# every setting a user can give: the environment variables the package names, and each
+# subcommand's flags, in the order its parser declares them
+ENV_KNOBS = {"WEILTATE_SUBSET_CAP"}
+FLAGS = {
+    "forge": ["--g", "--p", "--l", "--lp", "--seed", "--format"],
+    "classify": ["--preset", "--file", "--g", "--gp", "--p", "--weights", "--cap",
+                 "--attach-fields", "--format"],
+    "verify": ["--presets", "--p", "--format"],
 }
 
 
@@ -213,3 +225,21 @@ def test_importing_the_cli_loads_no_introspection_or_reference_module():
         f"weiltate.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__"
     }
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def test_every_knob_is_declared():
+    """A new environment variable or flag fails here until `ENV_KNOBS` or `FLAGS` names it."""
+    named = {
+        name for tree in _trees().values() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for name in re.findall(r"WEILTATE_\w+", node.value)
+    }
+    assert named == ENV_KNOBS
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {
+        command: [flag for action in parser._actions for flag in action.option_strings
+                  if flag not in ("-h", "--help")]
+        for command, parser in commands.items()
+    }
+    assert flags == FLAGS
