@@ -831,11 +831,19 @@ def report_to_doc(report: ClassifierReport, group) -> dict:
 
 
 def _weil_tate_to_doc(e: WeilTateEntry, group) -> dict:
-    Z = group.chain.block(e.determinant_set)
+    """The entry with its subgroup {g : g(1) in P}, P its determinant set, a block of G.
+
+    The subgroup holds the stabilizer G^(1), of order |G|/n, so its
+    chain is G's below level 0 and keeps the transversal of P at level
+    0: its order is |G| |P| / n.
+    """
+    reps = group.chain.reps
+    P = e.determinant_set
+    transversals = [{x: reps[0][x] for x in P}, *reps[1:]]
     return {
-        "subgroup_generators": [format_perm(p) for p in subgroup_generators(Z)],
-        "subgroup_order": Z.order,
-        "determinant_set": [i + 1 for i in e.determinant_set],
+        "subgroup_generators": [format_perm(p) for p in subgroup_generators(transversals)],
+        "subgroup_order": group.order // group.degree * len(P),
+        "determinant_set": [i + 1 for i in P],
         "is_tate": e.is_tate,
         "is_lefschetz_bearing": e.is_lefschetz_bearing,
         "is_exotic": e.is_exotic,

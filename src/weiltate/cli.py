@@ -6,8 +6,8 @@ Exit codes: 0 success, 2 usage or input error (including scenario parse
 errors), 3 hypothesis violation or a failed self-check (a forged field
 that fails its certificates, a preset whose blocks are off), 4 the
 subset cap on 2g exceeded, 5 lemma-suite FAIL.
-The subset cap is the one cap: `classify --cap`, else
-WEILTATE_SUBSET_CAP, else its default.  A cap below 2 can admit
+The subset cap is the one cap: `classify --cap`, else its default;
+`verify` runs its presets at the default.  A cap below 2 can admit
 nothing, so it is an input error.
 """
 
@@ -52,24 +52,6 @@ def _reject_ignored(*rules) -> None:
     for flag, given, read, where in rules:
         if given and not read:
             raise UsageError(f"{flag} applies only to {where}")
-
-
-def _subset_cap(given) -> int:
-    """The subset cap: `given` (from --cap), else WEILTATE_SUBSET_CAP, else the default.
-
-    A cap below 2 can admit nothing, so it is an input error, not a cap
-    that was hit.
-    """
-    source, value = "--cap", given
-    if given is None:
-        source, text = "WEILTATE_SUBSET_CAP", os.environ.get("WEILTATE_SUBSET_CAP")
-        try:
-            value = classifier.DEFAULT_SUBSET_CAP if text is None else int(text)
-        except ValueError:
-            raise UsageError(f"{source} must be an integer, got {text!r}")
-    if value < 2:
-        raise UsageError(f"{source} must be at least 2, got {value}")
-    return value
 
 
 def _emit_json(doc: dict, write) -> None:
@@ -356,7 +338,9 @@ def cmd_classify(args) -> int:
             weights = [int(w) for w in args.weights.split(",")]
         except ValueError:
             raise UsageError(f"--weights takes comma-separated integers, got {args.weights!r}")
-    subset_cap = _subset_cap(args.cap)
+    subset_cap = classifier.DEFAULT_SUBSET_CAP if args.cap is None else args.cap
+    if subset_cap < 2:  # admits nothing: an input error, not a cap that was hit
+        raise UsageError(f"--cap must be at least 2, got {subset_cap}")
     scn = _resolve_scenario(args, subset_cap)
     doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
     if args.format == "json":
@@ -384,24 +368,22 @@ def cmd_verify(args) -> int:
     names = (
         list(VERIFY_PRESETS)
         if names == "all"
-        else [n.strip() for n in names.split(",") if n.strip()]
-    )
+        else list(dict.fromkeys(n.strip() for n in names.split(",") if n.strip()))
+    )  # each name once, in first-seen order
     if not names:
         raise UsageError(
             f"--presets names no preset; choose all or from {', '.join(VERIFY_PRESETS)}"
         )
     p = DEFAULT_P if args.p is None else args.p
-    subset_cap = _subset_cap(None)
     for name in names:  # every name checked before any preset is built
         if name not in VERIFY_PRESETS:
             raise UsageError(
                 f"unknown preset {name!r}; choose from {', '.join(VERIFY_PRESETS)}"
             )
     # every scenario built before the first classification
-    scenarios = [forge.PRESETS[family](size, p, subset_cap=subset_cap)
+    scenarios = [forge.PRESETS[family](size, p)
                  for family, size in map(VERIFY_PRESETS.__getitem__, names)]
-    rows = [row for scn in scenarios
-            for row in verify_lemma_suite(scn, *classify_scenario(scn, subset_cap))]
+    rows = [row for scn in scenarios for row in verify_lemma_suite(scn, *classify_scenario(scn))]
     doc = {"schema": "weiltate.verify/1", "oracles": [], "lemmas": [
         {"instance": r.instance, "lemma": r.lemma, "status": r.status, "detail": r.detail}
         for r in rows

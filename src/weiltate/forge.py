@@ -605,7 +605,7 @@ def serialize_scenario(scn: Scenario) -> str:
     ]
     if scn.model.D_generators is not None:
         D = StabChain(scn.model.group.degree, scn.model.D_generators)
-        dgens = subgroup_generators(D)
+        dgens = subgroup_generators(D.reps)
         lines.append(
             "decomposition_generators = " + ", ".join(format_perm(g) for g in dgens)
         )

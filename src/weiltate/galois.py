@@ -12,7 +12,7 @@ the degree.
 A subgroup is carried by the smallest data that fixes it: one above
 Stab(1) by its point block, the decomposition group D by its
 generators; the generator lists of a document are read off their
-chains.  The classification works on the
+chains' transversals.  The classification works on the
 action of the generators on the 2g points (orbits, sign labellings,
 block systems).  The CM structure is the central involution tau with
 tau(i) = i + g mod 2g.  `Record` is the frozen base of the package's
@@ -319,25 +319,6 @@ class StabChain:
                         if schreier != ident:
                             pending.append((i + 1, schreier))
 
-    def block(self, points) -> "StabChain":
-        """The chain of {g : g(1) in points}, for a block `points` of a transitive group holding 1.
-
-        Below level 0 it is the chain of G, because the subgroup holds
-        the whole stabilizer G^(1) of index 1; level 0 keeps the
-        representatives of the block, which generate it with G^(1).
-        """
-        sub = copy.copy(self)
-        sub.gens = [list(gens) for gens in self.gens]
-        sub.reps = [dict(reps) for reps in self.reps]
-        sub.invs = [dict(invs) for invs in self.invs]
-        points = sorted(points)
-        stabilizer = self.gens[1] if self.degree > 1 else []
-        sub.gens[0] = stabilizer + [self.reps[0][x] for x in points if x != 0]
-        sub.reps[0] = {x: self.reps[0][x] for x in points}
-        sub.invs[0] = {x: self.invs[0][x] for x in points}
-        sub.order = self.order // len(self.reps[0]) * len(points)
-        return sub
-
 
 class PermGroup(Record):
     """A permutation group on {1..n} (0-based inside), carried by its stabilizer chain.
@@ -397,10 +378,14 @@ def _in_group(group: PermGroup, generators) -> tuple:
     return gens
 
 
-def subgroup_generators(sub: StabChain) -> list:
-    """Small deterministic generating set of the group Z with chain `sub`, listing none of it.
+def subgroup_generators(transversals) -> list:
+    """Small deterministic generating set of a group Z from its chain's transversals, listing none.
 
-    Precondition: `sub` is a complete chain of Z on the base 0..n-1.
+    Precondition: `transversals[i]` maps each point x of the orbit of i
+    under Z^(i), the elements of Z that fix 0..i-1, to an element of
+    Z^(i) taking i to x (a `StabChain`'s `reps`), for i in 0..n-1.  A
+    subgroup of G above the stabilizer G^(1) keeps the transversals of
+    G below level 0 and, at level 0, those of the points of its block.
     Greedy in lexicographic order: each pick is the least element of Z
     outside the closure K of the picks before it.  Lex order is the
     order of the base images, so an element of Z^(j) precedes every
@@ -415,15 +400,16 @@ def subgroup_generators(sub: StabChain) -> list:
     that minimises the running element's image of j.  No chain is built
     and nothing is sifted.
     """
-    levels = [i for i in range(sub.degree) if len(sub.reps[i]) > 1]  # trivial ones add no pick
+    # trivial levels add no pick
+    levels = [i for i, reps in enumerate(transversals) if len(reps) > 1]
     picks = []
     for k, i in reversed(list(enumerate(levels))):
-        reps = sub.reps[i]
+        reps = transversals[i]
         orbit = [i]
         while len(orbit) < len(reps):
             t = reps[min(y for y in reps if y not in orbit)]
             for j in levels[k + 1:]:
-                below = sub.reps[j]
+                below = transversals[j]
                 t = tuple([t[a] for a in below[min(below, key=t.__getitem__)]])
             picks.append(t)
             orbit = [i]

@@ -56,6 +56,7 @@ from weiltate.classifier import (
     SCHT_NOT_DECIDED,
     ClassifierReport,
     MemberMasks,
+    WeilTateEntry,
     _blocks_in_coset_order,
     _lefschetz,
     _mask,
@@ -63,6 +64,7 @@ from weiltate.classifier import (
     _orbit_tables,
     _packed_columns,
     _points,
+    _weil_tate_to_doc,
     classify_orbits,
     classify_scenario,
     end_report_to_doc,
@@ -83,6 +85,7 @@ from weiltate.galois import (
     cm_product_group,
     compose,
     cycles_to_perm,
+    format_perm,
     index2_point_sets,
     parse_perm,
     point_orbits,
@@ -741,13 +744,23 @@ def test_chain_generators_match_the_greedy_over_the_listing(case, data):
     model, s, _, _ = case
     G = model.group
     for P in index2_point_sets(G) + [signature_block(model, s), frozenset({0})]:
-        Z = G.chain.block(P)
         listed = block_subgroup(G, P)
-        assert Z.order == len(listed) == G.order * len(P) // G.degree
-        assert subgroup_generators(Z) == subgroup_generators_by_listing(G, listed)
+        assert block_subgroup_doc(G, P) == (listing_generators(G, listed), len(listed))
+        assert len(listed) == G.order * len(P) // G.degree
     dgens = data.draw(st.lists(st.sampled_from(elements_of(G)), max_size=3))
     D = StabChain(G.degree, dgens)
-    assert subgroup_generators(D) == subgroup_generators_by_listing(G, subgroup_closure(G, dgens))
+    assert subgroup_generators(D.reps) == subgroup_generators_by_listing(
+        G, subgroup_closure(G, dgens))
+
+
+def block_subgroup_doc(G, P) -> tuple:
+    """(generators, order) of {g : g(1) in P} as a Weil-Tate entry's document gives them."""
+    doc = _weil_tate_to_doc(WeilTateEntry(tuple(sorted(P)), False, False, False), G)
+    return doc["subgroup_generators"], doc["subgroup_order"]
+
+
+def listing_generators(G, listed) -> list:
+    return [format_perm(p) for p in subgroup_generators_by_listing(G, listed)]
 
 
 @st.composite
@@ -794,11 +807,11 @@ def test_chain_generators_match_the_greedy_on_small_generator_sets(drawn):
     n, gens = drawn
     G = build_group(n, gens)
     event(f"transitive: {len(point_orbits(gens, n)) == 1}")
-    assert subgroup_generators(G.chain) == subgroup_generators_by_listing(G, elements_of(G))
+    assert subgroup_generators(G.chain.reps) == subgroup_generators_by_listing(G, elements_of(G))
     if len(point_orbits(gens, n)) == 1:
         for P in index2_point_sets(G):
             listed = block_subgroup(G, P)
-            assert subgroup_generators(G.chain.block(P)) == subgroup_generators_by_listing(G, listed)
+            assert block_subgroup_doc(G, P) == (listing_generators(G, listed), len(listed))
 
 
 def test_weil_tate_generators_build_no_chain(monkeypatch):

@@ -12,7 +12,6 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -153,9 +152,6 @@ def test_forge_argv_keeps_the_exit_code_contract(request, seed, fmt):
         assert out.getvalue() == "" and err.getvalue(), argv
 
 
-# a subset cap of at most 8 keeps every drawn request cheap: no preset or file of more than
-# 8 points is built, and none is classified
-SMALL_CAPS = st.fixed_dictionaries({"WEILTATE_SUBSET_CAP": st.sampled_from(("2", "4", "8"))})
 PRESET_PRIMES = st.one_of(st.sampled_from(FORGE_PRIMES), st.integers(-3, 40),
                           st.sampled_from((2**31, 561, algebra.MR_BOUND + 1)))
 WEIGHT_LISTS = st.one_of(
@@ -170,9 +166,12 @@ VERIFY_NAMES = st.lists(st.sampled_from(("main4", "main6", "ramified3", "split3"
 def classify_or_verify_argv(draw):
     """A `classify` or `verify` argv: each optional flag present or not, with drawn values.
 
-    Half the classify requests are main g = 4, the one preset whose 8
-    points the small caps admit, with a prime p and even weights, so
-    that they reach a document; the rest draw every flag.
+    Every classify request carries a `--cap` of at most 8, so no preset
+    of more than 8 points is built and none is classified; `verify`
+    runs its four presets at the default cap.  Half the classify
+    requests are main g = 4, the one preset whose 8 points `--cap 8`
+    admits, with a prime p and even weights, so that they reach a
+    document; the rest draw every other flag.
     """
     def flag(name, values):
         return [name, str(draw(values))] if draw(st.booleans()) else []
@@ -186,22 +185,20 @@ def classify_or_verify_argv(draw):
         return ["classify", "--preset", "main", "--g", "4",
                 *flag("--p", st.sampled_from(FORGE_PRIMES)),
                 *flag("--weights", weights.map(lambda ws: ",".join(map(str, ws)))),
-                *flag("--cap", st.just(8)), *fields, *fmt]
+                "--cap", "8", *fields, *fmt]
     preset = flag("--preset", st.sampled_from(("main", "ramified", "split")))
     return ["classify", *preset, *flag("--g", st.integers(-2, 12)),
             *flag("--gp", st.integers(-2, 9)), *flag("--p", PRESET_PRIMES),
-            *flag("--weights", WEIGHT_LISTS), *flag("--cap", st.integers(-1, 8)), *fields, *fmt]
+            *flag("--weights", WEIGHT_LISTS), "--cap", str(draw(st.integers(-1, 8))), *fields,
+            *fmt]
 
 
 @settings(max_examples=200, deadline=None)
-@given(argv=classify_or_verify_argv(), env=SMALL_CAPS)
-@example(argv=["classify", "--preset", "main", "--g", "4", "--format", "json"],
-         env={"WEILTATE_SUBSET_CAP": "8"})
-@example(argv=["verify", "--presets", "main4,ramified3", "--format", "json"],
-         env={"WEILTATE_SUBSET_CAP": "8"})
-@example(argv=["classify", "--preset", "split", "--gp", "3", "--cap", "8"],
-         env={"WEILTATE_SUBSET_CAP": "8"})  # 12 points: cap
-def test_classify_and_verify_argv_keep_the_exit_code_contract(argv, env):
+@given(argv=classify_or_verify_argv())
+@example(argv=["classify", "--preset", "main", "--g", "4", "--cap", "8", "--format", "json"])
+@example(argv=["verify", "--presets", "main4,ramified3", "--format", "json"])
+@example(argv=["classify", "--preset", "split", "--gp", "3", "--cap", "8"])  # 12 points: cap
+def test_classify_and_verify_argv_keep_the_exit_code_contract(argv):
     """Every classify or verify argv exits 0, 2, 3, 4 or 5 without a traceback; JSON parses.
 
     A JSON success carries its command's schema; an exit other than 0
@@ -209,7 +206,7 @@ def test_classify_and_verify_argv_keep_the_exit_code_contract(argv, env):
     stdout and says why on stderr.
     """
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 2, 3, 4, 5), argv
@@ -547,13 +544,6 @@ def test_classify_weights_that_are_not_integers_are_a_usage_error(capsys, weight
     assert "invalid literal" not in err
 
 
-def test_non_integer_env_caps_are_input_errors(capsys, monkeypatch):
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "ten")
-    code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4"])
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == "usage error: WEILTATE_SUBSET_CAP must be an integer, got 'ten'\n"
-
-
 CLASSIFY_MAIN4 = ["classify", "--preset", "main", "--g", "4"]
 FORGE_G4 = ["forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11"]
 
@@ -565,14 +555,13 @@ def assert_input_error(capsys, argv, message):
     assert err == f"usage error: {message}\n"
 
 
-def test_subset_caps_that_admit_nothing_are_input_errors(capsys, monkeypatch):
+def test_subset_caps_that_admit_nothing_are_input_errors(capsys):
     for cap in ("-1", "0", "1"):
         assert_input_error(capsys, CLASSIFY_MAIN4 + ["--cap", cap],
                            f"--cap must be at least 2, got {cap}")
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "-1")
-    assert_input_error(capsys, CLASSIFY_MAIN4, "WEILTATE_SUBSET_CAP must be at least 2, got -1")
-    code, _, _ = run_cli(capsys, CLASSIFY_MAIN4 + ["--cap", "8"])  # the flag wins
-    assert code == 0
+    # 2, the least cap that admits a point pair, is a cap that is hit
+    code, out, err = run_cli(capsys, CLASSIFY_MAIN4 + ["--cap", "2"])
+    assert (code, out, err) == (cli.EXIT_CAP, "", "cap exceeded: 2g = 8 exceeds the subset cap 2\n")
 
 
 def test_group_cap_variable_is_read_by_nothing(capsys, monkeypatch):
@@ -582,6 +571,20 @@ def test_group_cap_variable_is_read_by_nothing(capsys, monkeypatch):
     for cap in ("0", "-5", "1", "ten"):
         monkeypatch.setenv("WEILTATE_GROUP_CAP", cap)
         assert [run_cli(capsys, argv) for argv in (CLASSIFY_MAIN4, ["verify"])] == expected
+
+
+def test_subset_cap_variable_is_read_by_nothing(capsys, monkeypatch):
+    """WEILTATE_SUBSET_CAP was a second setting of `classify --cap`; its values change no output."""
+    ramified5 = ["classify", "--preset", "ramified", "--gp", "5"]  # 20 points
+    argvs = (["classify", "--preset", "main", "--g", "6"], ["verify"])
+    expected = [run_cli(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in expected] == [0, 0]
+    for cap in ("8", "-1", "ten"):
+        monkeypatch.setenv("WEILTATE_SUBSET_CAP", cap)
+        assert [run_cli(capsys, argv) for argv in argvs] == expected
+        code, out, err = run_cli(capsys, ramified5)
+        assert (code, out, err) == (cli.EXIT_CAP, "",
+                                    "cap exceeded: 2g = 20 exceeds the subset cap 16\n")
 
 
 def test_retry_budget_variable_is_read_by_nothing(capsys, monkeypatch):
@@ -706,10 +709,9 @@ def test_parse_scenario_refuses_more_points_than_the_subset_cap_on_line_1():
         forge.parse_scenario(long)
 
 
-def test_subset_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "10")
+def test_subset_cap_flag_applies_to_every_preset_family(capsys):
     for preset in (["main", "--g", "6"], ["ramified", "--gp", "3"], ["split", "--gp", "3"]):
-        code, out, err = run_cli(capsys, ["classify", "--preset", *preset])
+        code, out, err = run_cli(capsys, ["classify", "--preset", *preset, "--cap", "10"])
         assert (code, out) == (cli.EXIT_CAP, ""), preset
         assert err == "cap exceeded: 2g = 12 exceeds the subset cap 10\n"
 
@@ -719,36 +721,52 @@ def test_subset_cap_env_applies_to_every_preset_family(capsys, monkeypatch):
     (["ramified", "--gp", "3"], 12),
     (["split", "--gp", "3"], 12),
 ], ids=["main4", "ramified3", "split3"])
-def test_subset_cap_env_admits_a_preset_at_the_cap(capsys, monkeypatch, preset, points):
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", str(points))  # 2g of the preset
-    code, _, _ = run_cli(capsys, ["classify", "--preset", *preset])
+def test_subset_cap_flag_admits_a_preset_at_the_cap(capsys, preset, points):
+    code, _, _ = run_cli(capsys, ["classify", "--preset", *preset, "--cap", str(points)])  # 2g
     assert code == 0
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", str(points - 1))
-    code, out, err = run_cli(capsys, ["classify", "--preset", *preset])
+    code, out, err = run_cli(capsys, ["classify", "--preset", *preset, "--cap", str(points - 1)])
     assert code == cli.EXIT_CAP and out == ""
     assert err == f"cap exceeded: 2g = {points} exceeds the subset cap {points - 1}\n"
 
 
 def test_verify_classifies_each_preset_once_through_the_classify_route(capsys, monkeypatch):
-    calls = []
+    calls, built = [], []
     classify_scenario = cli.classify_scenario
 
     def counted(scn, *args, **kwargs):
         calls.append(scn.name)
         return classify_scenario(scn, *args, **kwargs)
 
+    def recording(family):
+        build = forge.PRESETS[family]
+        return lambda *args, **kwargs: built.append(family) or build(*args, **kwargs)
+
     monkeypatch.setattr(cli, "classify_scenario", counted)
+    for family in list(forge.PRESETS):
+        monkeypatch.setitem(forge.PRESETS, family, recording(family))
     assert run_cli(capsys, ["verify"])[0] == 0
     assert calls == ["main-g4-p5", "main-g6-p5", "ramified-gp3-p5", "split-gp3-p5"]
+    assert built == ["main", "main", "ramified", "split"]
     calls.clear()
     assert run_cli(capsys, CLASSIFY_MAIN4)[0] == 0
     assert calls == ["main-g4-p5"]
-    # every name is checked before the first preset is built, main6 over the cap among them
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "8")
+    # every name is checked before the first preset is built
     calls.clear()
+    built.clear()
     code, out, err = run_cli(capsys, ["verify", "--presets", "main4,main6,bogus"])
-    assert (code, out, calls) == (cli.EXIT_USAGE, "", [])
+    assert (code, out, calls, built) == (cli.EXIT_USAGE, "", [], [])
     assert err.startswith("usage error: unknown preset 'bogus'")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_takes_each_preset_name_once(capsys, fmt):
+    """A repeated name adds no row: the lemmas hold one row per (preset, lemma)."""
+    once = run_cli(capsys, ["verify", "--presets", "main4", "--format", fmt])
+    assert once[0] == 0
+    assert run_cli(capsys, ["verify", "--presets", "main4,main4", "--format", fmt]) == once
+    both = run_cli(capsys, ["verify", "--presets", "split3,main4", "--format", fmt])
+    assert run_cli(capsys, ["verify", "--presets", "split3, main4,split3,main4 ", "--format",
+                            fmt]) == both
 
 
 @pytest.mark.parametrize("name", list(cli.VERIFY_PRESETS))
@@ -767,18 +785,6 @@ def test_the_lemma_rows_read_the_report_of_the_classify_document(name, capsys, m
     assert report_to_doc(report, scn.model.group) == doc["report"]
     assert end_report_to_doc(end) == doc["endomorphism"]
     assert all("hodge_type" in o for o in doc["report"]["orbits"])
-
-
-def test_subset_cap_env_applies_to_verify(capsys, monkeypatch):
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "8")
-    code, out, err = run_cli(capsys, ["verify", "--presets", "main6"])
-    assert (code, out, err) == (cli.EXIT_CAP, "", "cap exceeded: 2g = 12 exceeds the subset cap 8\n")
-    code, out, _ = run_cli(capsys, ["verify", "--presets", "main4", "--format", "json"])
-    assert code == 0 and json.loads(out)["lemmas"]
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "-1")
-    assert_input_error(capsys, ["verify"], "WEILTATE_SUBSET_CAP must be at least 2, got -1")
-    monkeypatch.setenv("WEILTATE_SUBSET_CAP", "ten")
-    assert_input_error(capsys, ["verify"], "WEILTATE_SUBSET_CAP must be an integer, got 'ten'")
 
 
 WREATH_SCENARIO = """\
@@ -978,7 +984,7 @@ LADDER_CLASSIFY = {r.name: list(r.argv) for r in _ladder().RUNGS.values() if r.k
 def plain_classify_text(argv) -> str:
     """`json.dumps` of the plain form of the document `classify_scenario_doc` returns for an argv."""
     args = cli.build_parser().parse_args(argv)
-    subset_cap = cli._subset_cap(args.cap)
+    subset_cap = classifier.DEFAULT_SUBSET_CAP if args.cap is None else args.cap
     scn = cli._resolve_scenario(args, subset_cap)
     weights = None if args.weights is None else [int(w) for w in args.weights.split(",")]
     doc = cli.classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
@@ -1215,14 +1221,13 @@ def malformed_scenario_texts(draw):
               "decomposition_generators = (1 3)(2 4)\nphi = 1 1 2\n", fmt="json")
 def test_classify_file_keeps_the_exit_code_contract_on_malformed_text(tmp_path_factory, text,
                                                                       fmt):
-    """Every mutated scenario file exits 0, 2, 3, 4 or 5 without a traceback, under small caps;
+    """Every mutated scenario file exits 0, 2, 3, 4 or 5 without a traceback, under `--cap 8`;
     a refusal writes nothing to stdout and says why on stderr."""
     path = tmp_path_factory.mktemp("malformed") / "scenario.scn"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    env = {"WEILTATE_SUBSET_CAP": "8"}
-    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["classify", "--file", str(path), "--format", fmt])
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["classify", "--file", str(path), "--cap", "8", "--format", fmt])
     event(f"exit {code}")
     assert code in (0, 2, 3, 4, 5), text
     assert "Traceback" not in err.getvalue()

@@ -116,10 +116,10 @@ def test_subgroup_generators_pick_the_least_element_outside_the_closure():
     s4 = build_group(4, sym_generators(4))
     # (3 4) is the least element after the identity, (2 3) the least outside <(3 4)>,
     # and (1 2) the least outside the S_3 they generate
-    assert subgroup_generators(s4.chain) == [(0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3)]
-    assert subgroup_generators(StabChain(4)) == []
+    assert subgroup_generators(s4.chain.reps) == [(0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3)]
+    assert subgroup_generators(StabChain(4).reps) == []
     c4 = StabChain(4, [cycles_to_perm(4, [(1, 2, 3, 4)])])
-    assert subgroup_generators(c4) == [(1, 2, 3, 0)]
+    assert subgroup_generators(c4.reps) == [(1, 2, 3, 0)]
 
 
 def test_build_group_rejects_non_bijection():
@@ -354,8 +354,11 @@ def test_a_preset_chain_from_its_strong_generators_matches_schreier_sims(name):
     assert all(s in oracle for s in strong.gens[0])
     assert all(gen in strong for gen in group.generators)
     for points in index2_point_sets(group):
-        block = strong.block(points)
-        assert block.order == StabChain(n, block.gens[0]).order == strong.order // 2
+        # the block's subgroup: G's transversals below level 0, the block's at level 0
+        transversals = [{x: strong.reps[0][x] for x in points}, *strong.reps[1:]]
+        picks = subgroup_generators(transversals)
+        assert StabChain(n, picks).order == strong.order // 2
+        assert all(p[0] in points for p in picks)
 
 
 def test_model_rejects_intransitive_group():

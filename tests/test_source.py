@@ -30,9 +30,9 @@ ITERTOOLS_IMPORTS = {
                   "that meet given place counts by per-block `combinations`",
 }
 
-# every setting a user can give: the environment variables the package names, and each
-# subcommand's flags, in the order its parser declares them
-ENV_KNOBS = {"WEILTATE_SUBSET_CAP"}
+# every setting a user can give: the environment variables the package names (it reads
+# none), and each subcommand's flags, in the order its parser declares them
+ENV_KNOBS = set()
 FLAGS = {
     "forge": ["--g", "--p", "--l", "--lp", "--seed", "--format"],
     "classify": ["--preset", "--file", "--g", "--gp", "--p", "--weights", "--cap",
@@ -228,13 +228,23 @@ def test_importing_the_cli_loads_no_introspection_or_reference_module():
 
 
 def test_every_knob_is_declared():
-    """A new environment variable or flag fails here until `ENV_KNOBS` or `FLAGS` names it."""
+    """A new environment variable or flag fails here until `ENV_KNOBS` or `FLAGS` names it.
+
+    The package reads no environment at all: no `os.environ` or
+    `os.getenv`, by attribute, by name or by import.
+    """
+    trees = _trees()
     named = {
-        name for tree in _trees().values() for node in ast.walk(tree)
+        name for tree in trees.values() for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         for name in re.findall(r"WEILTATE_\w+", node.value)
     }
     assert named == ENV_KNOBS
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    for module, tree in trees.items():
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert (_names_used(tree) | imported) & readers == set(), module
     (commands,) = [action.choices for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
     flags = {
