@@ -11,8 +11,7 @@ criterion collapses to tau-stability.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import index, itemgetter
 
 from .galois import (
@@ -24,7 +23,15 @@ from .galois import (
     point_orbits,
     subgroup_generators,
 )
-from .slopes import SlopeVector, conjugate_slope_basis, validate_slopes
+from .slopes import (
+    SlopeVector,
+    common_denominator,
+    conjugate_slope_basis,
+    fraction,
+    lowest_terms,
+    ratio_str,
+    validate_slopes,
+)
 from .cmtypes import hodge_type, is_balanced, validate_cm_type
 
 DEFAULT_SUBSET_CAP = 16
@@ -493,11 +500,36 @@ def _weil_tate_entries(model: CMGaloisModel, cols) -> tuple:
 
 
 class LocalInvariant(Record):
-    """One place of F = Q(pi^k) above p."""
+    """One place of F = Q(pi^k) above p: slope_num / den and invariant_num / den.
+
+    The record holds the integers over their least common denominator.
+    `LocalInvariant(degree=, slope=, invariant=)` takes the two as
+    Fractions, ints or strings; `slope` and `invariant` read as Fractions.
+    """
 
     degree: int
-    slope: Fraction
-    invariant: Fraction
+    den: int
+    slope_num: int
+    invariant_num: int
+
+    def __init__(self, *args, **kwargs):
+        if kwargs.keys() >= {"slope", "invariant"}:  # the Fraction form
+            kwargs["den"], (kwargs["slope_num"], kwargs["invariant_num"]) = common_denominator(
+                (kwargs.pop("slope"), kwargs.pop("invariant")))
+        super().__init__(*args, **kwargs)
+
+    def __post_init__(self):
+        den, (slope_num, invariant_num) = lowest_terms(
+            self.den, (self.slope_num, self.invariant_num))
+        self.__dict__.update(den=den, slope_num=slope_num, invariant_num=invariant_num)
+
+    @property
+    def slope(self):
+        return fraction(self.slope_num, self.den)
+
+    @property
+    def invariant(self):
+        return fraction(self.invariant_num, self.den)
 
 
 class EndAlgebraReport(Record):
@@ -547,7 +579,8 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector, columns) -> En
     `columns` of a basis of the conjugates s∘g.  Precondition: `columns` is
     `classify_orbits(model, s).columns`, which checked s.  Each place
     contributes slope * local degree mod 1.  The index m is the lcm of
-    the invariant denominators, and 2 dim = m [F:Q].
+    the invariant denominators, and 2 dim = m [F:Q].  All of it runs on
+    the numerators over `s.den`.
     """
     if model.D_generators is None:
         raise ValueError("model has no decomposition subgroup D")
@@ -558,30 +591,30 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector, columns) -> En
     d_moves = [[label[d[point[b]]] for b in range(ncos)] for d in model.D_generators]
     place_of = {b: orbit for orbit in point_orbits(d_moves, ncos) for b in orbit}
 
+    den, nums = s.den, s.nums
     visited = set()
     places = []
+    invariants = []  # numerators over den
     for start in _blocks_in_coset_order(model, label, point):
         if start in visited:
             continue
         orbit = place_of[start]
         visited.update(orbit)
-        slope = s[point[start]]
+        slope = nums[point[start]]
         degree = len(orbit)
-        raw = slope * degree
-        inv = raw - raw.numerator // raw.denominator  # reduce mod 1 into [0, 1)
-        places.append(LocalInvariant(degree=degree, slope=slope, invariant=inv))
+        invariant = slope * degree % den  # slope * degree mod 1, in [0, 1)
+        invariants.append(invariant)
+        places.append(LocalInvariant(degree, den, slope, invariant))
 
-    total = sum((p.invariant for p in places), Fraction(0))
+    total = sum(invariants)
     if label[model.tau[0]] == 0:
         # F is totally real (slope constant 1/2, hence F = Q): its single
         # real place carries the balancing invariant 1/2
-        if (total + Fraction(ncos, 2)).denominator != 1:
+        if (2 * total + ncos * den) % (2 * den):
             raise ValueError("inconsistent block data: Brauer invariants do not balance")
-    elif total.denominator != 1:
+    elif total % den:
         raise ValueError("inconsistent block data: invariants do not sum to 0 mod 1")
-    m = 1
-    for p in places:
-        m = m * p.invariant.denominator // gcd(m, p.invariant.denominator)
+    m = lcm(*(den // gcd(invariant, den) for invariant in invariants))
     if (m * ncos) % 2 != 0:
         raise ValueError("inconsistent block data: m * [F:Q] is odd")
     return EndAlgebraReport(
@@ -791,10 +824,6 @@ def verify_lemma_suite(scn, report: ClassifierReport, end: EndAlgebraReport) -> 
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
 def orbit_to_doc(o: MotiveOrbit) -> dict:
     """The document of one orbit, "orbit" holding its `MemberMasks`."""
     doc = {
@@ -854,7 +883,11 @@ def end_report_to_doc(end: EndAlgebraReport) -> dict:
     return {
         "frobenius_field_degree": end.frobenius_field_degree,
         "local_invariants": [
-            {"degree": p.degree, "slope": _frac_str(p.slope), "invariant": _frac_str(p.invariant)}
+            {
+                "degree": p.degree,
+                "slope": ratio_str(p.slope_num, p.den),
+                "invariant": ratio_str(p.invariant_num, p.den),
+            }
             for p in end.local_invariants
         ],
         "index": end.index,

@@ -17,7 +17,7 @@ import argparse
 import functools
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # the C function that `json.encoder` re-exports
 
 from . import classifier, forge
 from .classifier import (

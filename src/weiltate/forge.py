@@ -17,9 +17,6 @@ before any permutation is built.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-
 from .algebra import (
     MAX_PRIME,
     crt_poly,
@@ -153,9 +150,10 @@ def _sg_patterns(g: int) -> tuple:
     return _pattern(g), _pattern(2, *[1] * (g - 2)), _pattern(1, g - 1)
 
 
-def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
+def _random_irreducible(g: int, l: int, rng) -> tuple:
     """Monic degree-g irreducible target mod the prime l, which the caller has checked.
 
+    `rng` is the `random.Random` that `forge_totally_real` seeds.
     Each coefficient is a getrandbits(bit length of l) draw, redrawn
     while it is at least l: the rule by which `rng.randrange(l)` draws,
     so the coefficients are those of randrange from the same state.
@@ -175,7 +173,7 @@ def _random_irreducible(g: int, l: int, rng: random.Random) -> tuple:
             return tuple(cand)
 
 
-def _random_split_target(g: int, d: int, q: int, rng: random.Random) -> tuple:
+def _random_split_target(g: int, d: int, q: int, rng) -> tuple:
     """Monic degree-g target mod the prime q: g-d distinct linears times an
     irreducible of degree d, which has no root for d >= 2 (d = 0: no such factor)."""
     target = _random_irreducible(d, q, rng) if d else (1,)
@@ -184,7 +182,7 @@ def _random_split_target(g: int, d: int, q: int, rng: random.Random) -> tuple:
     return gf_reduce(target, q)
 
 
-def _crt_targets(g: int, p: int, l: int, lp: int, lpp: int, rng: random.Random) -> tuple:
+def _crt_targets(g: int, p: int, l: int, lp: int, lpp: int, rng) -> tuple:
     """(prime, target) at p, l, l' and l'' in turn, each target squarefree:
     Ben-Or proves those mod p and l irreducible, the one mod l' is g-2
     distinct linears times a quadratic and the one mod l'' a linear times
@@ -257,6 +255,8 @@ def forge_totally_real(g: int, p: int, l: int, lp: int, seed: int = 0) -> Forged
         raise HypothesisError(f"primes p = {p}, l = {l}, l' = {lp} must be distinct")
     if l <= g or lp <= g:
         raise HypothesisError(f"l = {l} and l' = {lp} must exceed g = {g}")
+
+    import random  # here, not at the top: no classify or verify run loads it
 
     (lpp,) = _smallest_primes_avoiding(1, {p, l, lp}, 1)
     targets = _crt_targets(g, p, l, lp, lpp, random.Random(f"{seed}:{g}:{p}:{l}:{lp}"))
@@ -575,6 +575,8 @@ def parse_scenario(text: str, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
 
     slopes = slopes_from_cm_type(model, phi)
     if "slopes" in fields:
+        from fractions import Fraction  # only a declared slope line is parsed as Fractions
+
         try:
             given = tuple(Fraction(tok) for tok in fields["slopes"].replace(",", " ").split())
         except (ValueError, ZeroDivisionError):

@@ -21,8 +21,6 @@ value classes.
 
 from __future__ import annotations
 
-import copy
-
 Perm = tuple
 
 
@@ -461,8 +459,9 @@ class CMGaloisModel(Record):
     def with_decomposition(self, generators) -> "CMGaloisModel":
         """The same model with D = <generators>; the group checks already held."""
         gens = _in_group(self.group, generators)
-        model = copy.copy(self)
-        model.__dict__.update(D_generators=gens, D_blocks=point_orbits(gens, self.group.degree))
+        model = object.__new__(type(self))
+        model.__dict__.update(
+            self.__dict__, D_generators=gens, D_blocks=point_orbits(gens, self.group.degree))
         return model
 
 

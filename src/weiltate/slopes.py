@@ -8,37 +8,80 @@ group action, so the function g -> s[g(1)] carries all of them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
 from .galois import CMGaloisModel, Record
 
 
-class SlopeVector(Record):
-    """Exact slopes s_i = v(pi_i) with v(q) = 1, indexed 0-based.
+def common_denominator(values) -> tuple:
+    """(den, nums) with values[i] = nums[i] / den, den the lcm of the reduced denominators.
 
-    `values` are the Fractions of the API and the documents.  The
-    per-index routines read the integer form: `den`, the lcm of the
-    denominators, and `nums`, with s_i = nums[i] / den.
+    The values may be Fractions, ints or strings.  Every command path
+    carries slopes and invariants as integers, so `fractions` is
+    imported only here, in `fraction` and for a scenario file's slope line.
+    """
+    from fractions import Fraction
+
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def fraction(num: int, den: int):
+    """num / den as the `Fraction` of the API."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
+def lowest_terms(den: int, nums: tuple) -> tuple:
+    """(den, nums) over the least common denominator of the ratios nums[i] / den."""
+    d = gcd(den, *nums)
+    return den // d, tuple(a // d for a in nums)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms as "a/b", as the documents write a slope or an invariant."""
+    d = gcd(num, den)
+    return f"{num // d}/{den // d}"
+
+
+class SlopeVector(Record):
+    """Exact slopes s_i = nums[i] / den with v(q) = 1, indexed 0-based.
+
+    The record holds the integers, `den` the least common denominator,
+    so equal slopes make equal records.  `SlopeVector(values)` takes the
+    slopes as Fractions, ints or strings; `values` and `s[i]` give them
+    back as Fractions, built only when asked.
     """
 
-    values: tuple
+    den: int
+    nums: tuple
+
+    def __init__(self, *args, **kwargs):
+        if "values" in kwargs:
+            args += (kwargs.pop("values"),)
+        if len(args) == 1 and not kwargs:  # SlopeVector(values)
+            args = common_denominator(args[0])
+        super().__init__(*args, **kwargs)
 
     def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
-        den = lcm(*(v.denominator for v in values))
-        nums = tuple(v.numerator * (den // v.denominator) for v in values)
-        self.__dict__.update(values=values, den=den, nums=nums)
+        den, nums = lowest_terms(self.den, self.nums)
+        self.__dict__.update(den=den, nums=nums)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
+    @property
+    def values(self) -> tuple:
+        return tuple(fraction(a, self.den) for a in self.nums)
+
+    def __getitem__(self, i: int):
+        return fraction(self.nums[i], self.den)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     def serialize(self) -> str:
-        return " ".join(f"{v.numerator}/{v.denominator}" for v in self.values)
+        return " ".join(ratio_str(a, self.den) for a in self.nums)
 
 
 def validate_slopes(model: CMGaloisModel, s: SlopeVector) -> None:
@@ -70,12 +113,13 @@ def slopes_from_cm_type(model: CMGaloisModel, phi) -> SlopeVector:
     if model.D_blocks is None:
         raise ValueError("model has no decomposition subgroup D")
     phi_set = set(phi)
-    values = [None] * model.group.degree
+    den = lcm(*(len(block) for block in model.D_blocks))
+    nums = [0] * model.group.degree
     for block in model.D_blocks:
-        v = Fraction(len(phi_set & set(block)), len(block))
+        a = len(phi_set.intersection(block)) * (den // len(block))
         for i in block:
-            values[i] = v
-    return SlopeVector(tuple(values))
+            nums[i] = a
+    return SlopeVector(den, tuple(nums))
 
 
 def conjugate_slope_basis(model: CMGaloisModel, s: SlopeVector) -> tuple:

@@ -55,6 +55,8 @@ from weiltate.classifier import (
     SCHT_LEFSCHETZ_ONLY,
     SCHT_NOT_DECIDED,
     ClassifierReport,
+    EndAlgebraReport,
+    LocalInvariant,
     MemberMasks,
     WeilTateEntry,
     _blocks_in_coset_order,
@@ -477,6 +479,72 @@ def test_common_denominator_carries_the_slopes(case):
     _, s = case
     assert s.den == lcm(*(v.denominator for v in s.values))
     assert all(Fraction(a, s.den) == v for a, v in zip(s.nums, s.values))
+
+
+def _assert_same_slopes(s: SlopeVector, values: tuple):
+    """s carries exactly `values`, as the Fraction route would: ==, hash, text and accessors."""
+    by_fractions = SlopeVector(values)
+    assert s == by_fractions and hash(s) == hash(by_fractions)
+    assert s.serialize() == " ".join(f"{v.numerator}/{v.denominator}" for v in values)
+    assert s.values == values and all(type(v) is Fraction for v in s.values)
+    assert [s[i] for i in range(len(s))] == list(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_models_with_slopes(), st.integers(1, 6))
+def test_a_slope_vector_from_integers_is_the_one_from_fractions_or_strings(case, scale):
+    """Integers over any common denominator, Fractions, ints and strings make one record."""
+    _, s = case
+    values = tuple(Fraction(v) for v in s.values)
+    for again in (
+        SlopeVector(s.den * scale, tuple(a * scale for a in s.nums)),
+        SlopeVector(den=s.den * scale, nums=tuple(a * scale for a in s.nums)),
+        SlopeVector(values=values),
+        SlopeVector(tuple(str(v) for v in values)),
+        SlopeVector(tuple(int(v) if v.denominator == 1 else v for v in values)),
+    ):
+        assert (again.den, again.nums) == (s.den, s.nums)
+        _assert_same_slopes(again, values)
+
+
+def test_reducible_slopes_are_kept_in_lowest_terms():
+    values = (Fraction(1, 2), Fraction(0), Fraction(1), Fraction(1, 2))
+    for s in (SlopeVector(("2/4", "0", "1", "1/2")), SlopeVector((Fraction(2, 4), 0, 1, "2/4")),
+              SlopeVector(4, (2, 0, 4, 2)), SlopeVector(2, (1, 0, 2, 1))):
+        assert (s.den, s.nums) == (2, (1, 0, 2, 1))
+        _assert_same_slopes(s, values)
+        assert s.serialize() == "1/2 0/1 1/1 1/2"
+    for s in (SlopeVector((0, 1)), SlopeVector(("0/3", "3/3")), SlopeVector(5, (0, 5))):
+        assert (s.den, s.nums) == (1, (0, 1)) and s.serialize() == "0/1 1/1"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cm_models(), st.data())
+def test_slopes_from_cm_type_in_integers_match_the_fraction_formula(model, data):
+    """Shimura-Taniyama from block counts equals #(phi ∩ B) / #B computed as Fractions."""
+    model = model.with_decomposition([data.draw(st.sampled_from(elements_of(model.group)))])
+    phi = frozenset(data.draw(st.sampled_from((i, model.tau[i]))) for i in range(model.g))
+    values = [None] * model.group.degree
+    for block in model.D_blocks:
+        for i in block:
+            values[i] = Fraction(len(phi & set(block)), len(block))
+    _assert_same_slopes(slopes_from_cm_type(model, phi), tuple(values))
+
+
+def test_a_local_invariant_from_integers_is_the_one_from_fractions():
+    by_integers = LocalInvariant(2, 8, 2, 4)
+    assert (by_integers.den, by_integers.slope_num, by_integers.invariant_num) == (4, 1, 2)
+    for again in (LocalInvariant(degree=2, slope=Fraction(1, 4), invariant=Fraction(1, 2)),
+                  LocalInvariant(degree=2, slope="2/8", invariant="1/2"),
+                  LocalInvariant(2, 4, 1, 2)):
+        assert again == by_integers and hash(again) == hash(by_integers)
+    assert (by_integers.slope, by_integers.invariant) == (Fraction(1, 4), Fraction(1, 2))
+    assert type(by_integers.slope) is type(by_integers.invariant) is Fraction
+    zero = LocalInvariant(degree=1, slope=1, invariant=0)
+    assert (zero.den, zero.slope_num, zero.invariant_num) == (1, 1, 0)
+    assert end_report_to_doc(EndAlgebraReport(1, (zero, by_integers), 1, True, 1))[
+        "local_invariants"] == [{"degree": 1, "slope": "1/1", "invariant": "0/1"},
+                                {"degree": 2, "slope": "1/4", "invariant": "1/2"}]
 
 
 @st.composite

@@ -26,7 +26,7 @@ from weiltate.galois import Record, StabChain, build_group, cm_product_group
 FIELDS = {
     galois.PermGroup: (("degree", "generators"), ("degree", "generators")),
     galois.CMGaloisModel: (("g", "group", "tau", "D_generators", "D_blocks"), ("g", "group", "tau")),
-    slopes.SlopeVector: (("values",), ("values",)),
+    slopes.SlopeVector: (("den", "nums"), ("den", "nums")),
     classifier.MotiveOrbit: ((
         "weight", "representative", "orbit", "rank", "is_tate", "is_lefschetz_bearing",
         "is_exotic", "hodge_type", "hodge_balanced",
@@ -37,7 +37,7 @@ FIELDS = {
         "g", "weights", "orbits", "tate_dims", "exotic", "mildly_exotic", "weil_tate",
         "scht_verdict", "notes",
     ),) * 2,
-    classifier.LocalInvariant: (("degree", "slope", "invariant"),) * 2,
+    classifier.LocalInvariant: (("degree", "den", "slope_num", "invariant_num"),) * 2,
     classifier.EndAlgebraReport: ((
         "frobenius_field_degree", "local_invariants", "index", "commutative",
         "abelian_variety_dim",
@@ -147,7 +147,7 @@ def test_replace_runs_post_init_again_and_carries_derived_data():
         (i, i + n // 2) for i in range(n // 2))
     with pytest.raises(ValueError, match="tau"):
         model.replace(tau=tuple(range(model.group.degree)))
-    s = RECORDS[slopes.SlopeVector].replace(values=("1/2",) * 8)
+    s = RECORDS[slopes.SlopeVector].replace(den=4, nums=(2,) * 8)
     assert (s.den, s.nums) == (2, (1,) * 8)
 
 

@@ -208,23 +208,55 @@ def test_no_source_line_is_longer_than_100_characters():
     assert long_lines == []
 
 
+# stdlib modules that no classify or verify run loads: slopes and invariants are integers
+# until the API asks for a Fraction, the writer takes its one C function from `_json`,
+# and `random` is imported where `forge_totally_real` seeds its drawer
+UNLOADED = {"fractions", "decimal", "numbers", "json", "copy", "random"}
+
+
+def _bare_child(code: str) -> str:
+    """The stdout of `code` in a bare interpreter (`-I -S`) with `src/` on its path."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n"
+         + code], capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
 def test_importing_the_cli_loads_no_introspection_or_reference_module():
     """`import weiltate.cli` in a bare interpreter loads the program's modules and no others.
 
     `dataclasses` would bring `inspect`, `ast`, `dis` and `tokenize`; a
     module that lists groups belongs to the tests (`tests/oracles.py`).
     """
-    code = (
-        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import weiltate.cli; "
-        "print(' '.join(sorted(sys.modules)))"
-    )
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
-                          text=True, timeout=60, check=True)
-    loaded = set(done.stdout.split())
+    loaded = set(_bare_child("import weiltate.cli; print(' '.join(sorted(sys.modules)))").split())
     assert {m for m in loaded if m.startswith("weiltate")} == {"weiltate"} | {
         f"weiltate.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__"
     }
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    assert loaded & UNLOADED == set()
+
+
+def test_classify_and_verify_load_none_of_the_unloaded_modules_and_forge_only_random():
+    """Run through `cli.main` in one bare interpreter, classify and verify load none of
+    `UNLOADED`, and forge adds only `random`."""
+    code = """
+import io
+import weiltate.cli
+for argv in (["classify", "--preset", "main", "--g", "4"],
+             ["classify", "--preset", "split", "--gp", "3", "--format", "json"],
+             ["verify", "--format", "json"],
+             ["forge", "--g", "6", "--p", "5", "--l", "7", "--lp", "11", "--format", "json"]):
+    out, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = weiltate.cli.main(argv)
+        written = len(sys.stdout.getvalue())
+    finally:
+        sys.stdout = out
+    print(argv[0], code, written > 0, *sorted(m for m in sys.modules if m in %r))
+""" % sorted(UNLOADED)
+    rows = [line.split() for line in _bare_child(code).splitlines()]
+    assert rows == [["classify", "0", "True"]] * 2 + [["verify", "0", "True"],
+                                                     ["forge", "0", "True", "random"]]
 
 
 def test_every_knob_is_declared():
