@@ -298,18 +298,25 @@ def _masks_by_size(offers, top) -> dict:
 
 
 def _orbit_tables(model: CMGaloisModel) -> tuple:
-    """Half-mask image tables: (n/2, one (low, high) table pair per generator).
+    """Half-mask image tables: (n/2, the table pairs of the non-central generators, the central).
 
-    The low half of a mask is bits 0..n/2-1 and the high half the rest.
-    The image of a mask m under a generator is the or of its two entries,
-    low[m & (2^(n/2) - 1)] | high[m >> n/2]: entry b of a table is the or
-    of the images of the bits set in b, built by doubling, one list
-    comprehension per bit.
+    Each generator has one (low, high) table pair, and the pairs keep
+    the generators' order within each list.  The low half of a mask is
+    bits 0..n/2-1 and the high half the rest.  The image of a mask m
+    under a generator is the or of its two entries, low[m & (2^(n/2) -
+    1)] | high[m >> n/2]: entry b of a table is the or of the images of
+    the bits set in b, built by doubling, one list comprehension per
+    bit.  A generator is central when it commutes with every other
+    generator, tested on the composed tuples of each generator pair; it
+    then lies in the centre of G (tau on main; the sign flips e1 and e2
+    on ramified and split).  `_mask_orbits` walks the first list and
+    fills in the second.
     """
     n = model.group.degree
     half = n // 2
+    gens = model.group.generators
     images = []
-    for gen in model.group.generators:
+    for gen in gens:
         tables = []
         for bits in (range(half), range(half, n)):
             t = [0]
@@ -318,22 +325,38 @@ def _orbit_tables(model: CMGaloisModel) -> tuple:
                 t += [v | x for x in t]
             tables.append(t)
         images.append(tables)
-    return half, images
+    compose = [itemgetter(*gen) for gen in gens]  # compose[j](a) is a∘gens[j]
+    central = [True] * len(gens)
+    for i, a in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            if compose[j](a) != compose[i](gens[j]):
+                central[i] = central[j] = False
+    return (half, [t for t, c in zip(images, central) if not c],
+            [t for t, c in zip(images, central) if c])
 
 
 def _mask_orbits(tables, masks) -> list:
     """The G-orbits on a G-stable list of masks, each as its masks in descending order.
 
-    The masks come in no fixed order (`tate_subsets` lists them solution
-    by solution).  Each mask not yet seen starts a BFS over ints that
-    walks the member list it extends: a member m is split once into its
-    halves lo and hi, and its image under a generator is tlo[lo] |
-    thi[hi] from the image tables of `_orbit_tables`.  Each orbit's list
-    is then sorted once, in descending order, which is document order,
-    so its representative comes first; the orbits are disjoint, so
-    ordering them by their first members puts them in document order.
+    Let H be the subgroup of the non-central generators and Z that of
+    the central ones, so G = H·Z.  Each mask not yet seen starts a BFS
+    over ints through the non-central generators only, which walks the
+    member list it extends: a member m is split once into its halves lo
+    and hi, and its image under a generator is tlo[lo] | thi[hi] from
+    the image tables of `_orbit_tables`.  The list is then the H-orbit
+    O of its start.  A central z maps the orbit K·x of the group K
+    generated so far onto the K-orbit of z(x), so z(O) is O or disjoint
+    from every mask seen: each central z in turn doubles the list by
+    its images, one image per member and no set probe, whenever
+    z(start) is not yet seen, and then maps the block just added again
+    while z of its first mask is unseen, for a z of order above 2.  The
+    masks come in no fixed order (`tate_subsets` lists them solution by
+    solution).  Each orbit's list is then sorted once, in descending
+    order, which is document order, so its representative comes first;
+    the orbits are disjoint, so ordering them by their first members
+    puts them in document order.
     """
-    half, images = tables
+    half, walked, filled = tables
     low = (1 << half) - 1
     seen = set()
     orbits = []
@@ -345,11 +368,17 @@ def _mask_orbits(tables, masks) -> list:
         for m in members:
             lo = m & low
             hi = m >> half
-            for tlo, thi in images:
+            for tlo, thi in walked:
                 img = tlo[lo] | thi[hi]
                 if img not in seen:
                     seen.add(img)
                     members.append(img)
+        for zlo, zhi in filled:
+            block = members
+            while zlo[block[0] & low] | zhi[block[0] >> half] not in seen:
+                block = [zlo[m & low] | zhi[m >> half] for m in block]
+                seen.update(block)
+                members += block
         members.sort(reverse=True)
         orbits.append(members)
     orbits.sort(key=itemgetter(0), reverse=True)

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -87,11 +88,13 @@ from weiltate.galois import (
     cm_product_group,
     compose,
     cycles_to_perm,
+    diagonal_lift,
     format_perm,
     index2_point_sets,
     parse_perm,
     point_orbits,
     subgroup_generators,
+    sym_generators,
 )
 from weiltate.slopes import (
     SlopeVector,
@@ -435,6 +438,99 @@ def test_mask_orbits_match_the_frozenset_walk_past_one_byte(name):
     scn = PRESETS[name]()
     report = classify_orbits(scn.model, scn.slopes, weights=[2, 10], phi=scn.phi, subset_cap=20)
     assert report == classify_orbits_by_walk(scn.model, scn.slopes, [2, 10], scn.phi)
+
+
+def no_central_model(g: int) -> CMGaloisModel:
+    """mu2 x S_g, g odd, from the lifts c·tau and t alone: no generator is central.
+
+    tau = (c·tau)^g lies in the group, but c·tau and t do not commute.
+    """
+    c, t = (diagonal_lift(p, 2) for p in sym_generators(g))
+    tau = tuple((i + g) % (2 * g) for i in range(2 * g))
+    return CMGaloisModel(g=g, group=build_group(2 * g, [compose(c, tau), t]), tau=tau)
+
+
+def c4_times_s3() -> CMGaloisModel:
+    """C4 x S3 on the 12 points 3k + x: z, 3k + x -> 3(k + 1) + x mod 12, is central of order 4.
+
+    z^2 is tau, and no power of z but the identity lies in the S3 of
+    the other generators, so each orbit takes up to four z-blocks.
+    """
+    z = tuple((i + 3) % 12 for i in range(12))
+    gens = [diagonal_lift(p, 4) for p in sym_generators(3)]
+    return CMGaloisModel(g=6, group=build_group(12, [gens[0], z, gens[1]]),
+                         tau=tuple((i + 6) % 12 for i in range(12)))
+
+
+def perm_of_tables(n, half, tables) -> tuple:
+    """The permutation with the half-mask image tables `tables`: i goes where bit n-1-i does."""
+    lo, hi = tables
+    bits = (n - 1 - i for i in range(n))
+    return tuple(n - (lo[1 << b] if b < half else hi[1 << (b - half)]).bit_length() for b in bits)
+
+
+@pytest.mark.parametrize("name", list(PRESETS) + ["no_central", "c4_times_s3"])
+def test_orbit_tables_split_off_the_central_generators(name):
+    """tau is central on main, the sign flips e1 and e2 (e1 e2 = tau) on ramified and split.
+
+    One table pair per generator, in generator order within each list.
+    """
+    model = {"no_central": lambda: no_central_model(5), "c4_times_s3": c4_times_s3}.get(
+        name, lambda: PRESETS[name]().model)()
+    gens = model.group.generators
+    n = model.group.degree
+    half, walked, filled = _orbit_tables(model)
+    assert half == n // 2
+    central = [perm_of_tables(n, half, t) for t in filled]
+    assert [perm_of_tables(n, half, t) for t in walked] == [g for g in gens if g not in central]
+    if name.startswith("main"):
+        assert central == [model.tau]
+    elif name == "no_central":
+        assert central == []
+    elif name == "c4_times_s3":
+        assert central == [gens[1]]
+    else:
+        assert central == list(gens[:2]) and compose(*central) == model.tau
+
+
+@st.composite
+def labelling_cases(draw):
+    """A model and a few subsets of its points.
+
+    The model is a preset, `signed_groups` with tau added as a
+    generator, `no_central_model` or `c4_times_s3`.  tau commutes with
+    every signed permutation, so it is central in the second; a
+    `signed_groups` group may be intransitive, so it stands alone, in
+    the one field that `_orbit_tables` and the walk read.
+    """
+    kind = draw(st.sampled_from([*PRESETS, "signed", "no_central", "c4_times_s3"]))
+    if kind == "signed":
+        G = draw(signed_groups())
+        n = G.degree
+        tau = tuple((i + n // 2) % n for i in range(n))
+        model = SimpleNamespace(group=build_group(n, [tau, *G.generators]))
+    elif kind == "no_central":
+        model = no_central_model(draw(st.sampled_from([3, 5])))
+    elif kind == "c4_times_s3":
+        model = c4_times_s3()
+    else:
+        model = PRESETS[kind]().model
+    n = model.group.degree
+    return model, draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(labelling_cases(), st.integers(0, 2**32 - 1))
+@example((c4_times_s3(), [{0, 3}, {0, 6}, {1, 2, 3}]), 0)  # 4, 2 and 4 z-blocks
+def test_mask_orbits_match_the_orbit_walk_whatever_the_centre(case, seed):
+    """The orbits of the walk, members and orbits in descending order, from masks in any order."""
+    model, subsets = case
+    n = model.group.degree
+    orbits = {tuple(sorted((_mask(n, m) for m in orbit_of_subset(model, S)), reverse=True))
+              for S in subsets}
+    masks = [m for orbit in orbits for m in orbit]
+    random.Random(seed).shuffle(masks)
+    assert _mask_orbits(_orbit_tables(model), masks) == sorted(map(list, orbits), reverse=True)
 
 
 @settings(max_examples=200, deadline=None)
