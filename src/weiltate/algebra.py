@@ -4,10 +4,8 @@ Polynomials are coefficient sequences, lowest degree first; the zero
 polynomial is empty.  Integer polynomials are tuples of arbitrary
 precision Python ints.  Over a prime field GF(l), l < 2**31, the kernel
 works on lists with coefficients in [0, l), for a prime l that the
-caller has checked once.
-One routine, `_divide`, clears a list from the top against a monic
-divisor in place, for products mod f and Frobenius rows; Euclid
-divides by non-monic remainders, one inverse a step.
+caller has checked once; Euclid divides such lists by non-monic
+remainders, one inverse a step.
 
 Nothing here rounds: irreducibility is Ben-Or's test, which stops at
 the first factor of degree at most half.
@@ -23,6 +21,13 @@ sum_i h_i * x**(l*i) mod f, one matrix-vector product per d.  Only
 x**l mod f itself comes from squaring, about log2 l products mod f.
 The other rows each come from the one before (shifted l places when
 l < 2 deg f, else times x**l mod f).
+That computation runs on packed ints (Kronecker substitution): a
+polynomial mod f is one int with coefficient i in slot i of w bits, so
+a product is one bigint multiply, a shift by x is one bigint shift,
+and the matrix-vector product is deg f bigint multiply-adds.  Slots may
+go unreduced mod l; `_packed_modulus` derives w from l and deg f so
+that none carries into the next.  Each x**(l**d) mod f is unpacked
+once, into the list that Euclid takes.
 """
 
 from __future__ import annotations
@@ -130,23 +135,6 @@ def gf_reduce(f, l):
     return poly_trim(tuple(c % l for c in f))
 
 
-def _divide(a, b, l):
-    """Clear the list a from the top against the monic list b over GF(l), in place.
-
-    Each slot a[k], k >= deg b, is read mod l once as c, cleared by
-    subtracting c * x**(k - deg b) * b, and then holds c, the quotient
-    coefficient of x**(k - deg b); a[:deg b] is left as the remainder,
-    unreduced.  Nothing is allocated.
-    """
-    nb = len(b) - 1
-    for k in range(len(a) - 1, nb - 1, -1):
-        c = a[k] % l
-        if c:
-            for j, bj in enumerate(b, k - nb):
-                a[j] -= c * bj
-        a[k] = c
-
-
 def _euclid(a, b, l):
     """Monic gcd over GF(l) of two lists of coefficients in [0, l), b trimmed.
 
@@ -173,76 +161,127 @@ def _euclid(a, b, l):
     return a
 
 
-def _mulmod(a, b, f, l):
-    """a * b mod the monic f over GF(l), as a list of at most deg f coefficients.
+def _packed_modulus(f, l):
+    """(l, n, w, negf) for the monic list f of degree n >= 1 over GF(l).
 
-    The product is convolved with no reduction inside the loop, then
-    cleared from the top against f by `_divide`; each of its
-    coefficients is read mod l once.
+    A packed polynomial is one int with coefficient i in bits
+    [w*i, w*(i+1)), its slot.  Slots are non-negative and may exceed l:
+    only their residues mod l mean anything, so w must keep every slot
+    below 2**(w-1), or a carry into the slot above would change a
+    coefficient and Ben-Or could accept a reducible f.  negf packs
+    -f_i mod l for i < n, so adding c * negf << w*k clears c * x**(n+k)
+    mod f without making a slot negative; each clear adds at most
+    (l-1)**2 to a slot.  The largest slots are those of
+      - a shifted Frobenius row: the n - 2 rows past x**l take l*(n-2)
+        shifts from a reduced x**l, so a row slot stays below
+        R = l + n*l*(l-1)**2;
+      - the matrix-vector product sum_i h_i * row_i, h_i < l: below
+        n*(l-1)*R + R;
+      - a product of two reduced operands, cleared from the top: below
+        2*n*l**2 (at most n terms in a slot of the convolution, then
+        at most n clears that reach it).
+    w is one more than the bit length of the largest of these: 23 bits
+    at l = 13 and n = 12, 133 to 137 at l = 2**31 - 1 and n = 12 to 60.
     """
     n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
+    row = l + n * l * (l - 1) ** 2
+    w = 1 + max(n * (l - 1) * row + row, 2 * n * l * l).bit_length()
+    return l, n, w, _pack([-c % l for c in f[:n]], w)
+
+
+def _pack(coeffs, w):
+    """The int with coeffs[i] in slot i of w bits, each in [0, 2**w)."""
+    h = 0
+    for c in reversed(coeffs):
+        h = h << w | c
+    return h
+
+
+def _unpack(h, modulus):
+    """The n slots of the packed h, each reduced mod l, as a list."""
+    l, n, w, _ = modulus
+    mask = (1 << w) - 1
+    return [(h >> s & mask) % l for s in range(0, n * w, w)]
+
+
+def _product_mod(a, b, modulus):
+    """a * b mod f, for packed a and b with reduced slots and at most 2n slots
+    in their product, packed with its n slots reduced.
+
+    One bigint product does the convolution; its slots from 2n - 1 down
+    to n are then read mod l and cleared, each by one c * negf.
+    """
+    l, n, w, negf = modulus
+    h = a * b
+    low = n * w
+    for s in range(low + (n - 1) * w, low - 1, -w):
+        top = h >> s
+        h -= top << s
+        c = top % l
         if c:
-            for j, d in enumerate(b, i):
-                prod[j] += c * d
-    _divide(prod, f, l)
-    return [c % l for c in prod[:n]]
+            h += (c * negf) << (s - low)
+    return _pack(_unpack(h, modulus), w)
 
 
-def _x_to_the_l(f, l):
-    """x**l mod the monic list f over GF(l), deg f >= 1, as deg f coefficients.
+def _x_to_the_l(modulus):
+    """x**l mod f, packed with reduced slots.
 
     Left-to-right squaring, one product mod f per remaining bit of l,
-    from x**k with k the leading bits of l that keep it below x**deg f
-    (its own remainder).  A 1 bit multiplies by x too, as a shift of
-    one of the two factors.
+    from x**k with k the leading bits of l that keep it below x**n (its
+    own remainder).  A 1 bit multiplies by x too, as a shift of one of
+    the two factors.
     """
-    n = len(f) - 1
+    l, n, w, _ = modulus
     s = 0
     while l >> s >= n:
         s += 1
-    h = [0] * (l >> s) + [1]
+    h = 1 << w * (l >> s)
     for i in range(s - 1, -1, -1):
-        h = _mulmod(h, [0] + h if l >> i & 1 else h, f, l)
-    return h + [0] * (n - len(h))
+        h = _product_mod(h, h << w if l >> i & 1 else h, modulus)
+    return h
 
 
-def _frobenius_rows(f, l, xl):
-    """The Frobenius rows x**(l*i) mod f for i < deg f, each from the one before.
+def _frobenius_rows(modulus, xl):
+    """The packed Frobenius rows x**(l*i) mod f for i < n, each from the one before.
 
-    For l < 2 deg f the row before is shifted l places and cleared from
-    the top against f, about l * (deg f + 1) multiply-adds, else multiplied
-    by x**l = xl mod f, about 2 deg(f)**2.
+    For l < 2n the row before is shifted one slot l times; each shift
+    reads the slot above the n kept ones mod l, masks it off and adds
+    c * negf.  No row is reduced, which `_packed_modulus` bounds.
+    Else each row is the one before times x**l = xl mod f, a product.
     """
-    n = len(f) - 1
-    rows = [[1] + [0] * (n - 1), xl]
-    while len(rows) < n:
-        if l < 2 * n:
-            row = [0] * l + rows[-1]
-            _divide(row, f, l)
-            row = [c % l for c in row[:n]]
-        else:
-            row = _mulmod(rows[-1], xl, f, l)
-        rows.append(row)
+    l, n, w, negf = modulus
+    rows = [1, xl]
+    if l < 2 * n:
+        top = n * w
+        mask = (1 << top) - 1
+        row = xl
+        for _ in range(n - 2):
+            for _ in range(l):
+                row <<= w
+                row = (row & mask) + (row >> top) % l * negf
+            rows.append(row)
+    else:
+        while len(rows) < n:
+            rows.append(_product_mod(rows[-1], xl, modulus))
     return rows[:n]
 
 
 def _frobenius_powers_of_x(f, l):
     """x**(l**d) mod the monic list f over GF(l), deg f >= 1, for d = 1, 2, ...
 
-    Each power is a list of deg f coefficients.  Since a**l = a for
-    every a in GF(l), h**l = sum_i h_i * x**(l*i) mod f: one
-    matrix-vector product with the Frobenius rows.  Nothing is computed
-    before the first power is asked for, x**l by squaring; the other
-    rows are built when the second is.
+    Each power is a list of deg f coefficients in [0, l).  Since a**l = a
+    for every a in GF(l), h**l = sum_i h_i * x**(l*i) mod f: one
+    matrix-vector product with the packed Frobenius rows, unpacked
+    once.  Nothing is computed before the first power is asked for,
+    x**l by squaring; the other rows are built when the second is.
     """
-    xl = _x_to_the_l(f, l)
-    yield xl
-    cols = list(zip(*_frobenius_rows(f, l, xl)))
-    h = xl
+    modulus = _packed_modulus(f, l)
+    xl = _x_to_the_l(modulus)
+    h = _unpack(xl, modulus)
+    yield h
+    rows = _frobenius_rows(modulus, xl)
     while True:
-        h = [sum(map(mul, h, col)) % l for col in cols]
+        h = _unpack(sum(map(mul, h, rows)), modulus)
         yield h
 
 

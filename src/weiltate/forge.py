@@ -157,8 +157,8 @@ def _random_irreducible(g: int, l: int, rng) -> tuple:
     Each coefficient is a getrandbits(bit length of l) draw, redrawn
     while it is at least l: the rule by which `rng.randrange(l)` draws,
     so the coefficients are those of randrange from the same state.
-    That equality is why the 15 forge documents that the golden tests
-    pin by sha256 hold.
+    That equality is why the forge documents that the golden tests pin
+    by sha256 hold.
     """
     bits, draw = l.bit_length(), rng.getrandbits
     while True:

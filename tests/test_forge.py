@@ -15,6 +15,8 @@ from oracles import (
     certify_galois_sg,
     degree_pattern_by_pow_mod,
     sturm_by_fractions,
+    sturm_chain_by_primitive_prem,
+    sturm_count,
     subgroup_closure,
 )
 from test_golden import GOLDEN_FORGE
@@ -120,10 +122,23 @@ def _assert_certificates_rederived(f):
     assert certify_galois_sg(f)
 
 
-@pytest.mark.parametrize("key", list(GOLDEN_FORGE), ids=lambda k: "g%d-l%d-lp%d-seed%d" % k)
+@pytest.mark.parametrize("key", [k for k in GOLDEN_FORGE if k[0] <= 12],
+                         ids=lambda k: "g%d-l%d-lp%d-seed%d" % k)
 def test_golden_forge_certificates_match_factoring(key):
     g, l, lp, seed = key
     _assert_certificates_rederived(forge_totally_real(g, 5, l, lp, seed))
+
+
+@pytest.mark.parametrize("key", [k for k in GOLDEN_FORGE if k[0] > 12],
+                         ids=lambda k: "g%d-l%d-lp%d-seed%d" % k)
+def test_golden_forge_past_the_ladder_certificates_match_factoring(key):
+    """Past the ladder the real roots come from the integer chain of primitive
+    pseudo-remainders: at g = 32 the Fraction chain alone runs past 100 s."""
+    g, l, lp, seed = key
+    f = forge_totally_real(g, 5, l, lp, seed)
+    real_roots = sturm_count(sturm_chain_by_primitive_prem(f.poly))
+    assert f.certificates == certificates_by_factoring(f.poly, g, 5, l, lp, f.lpp, real_roots)
+    assert certify_galois_sg(f)
 
 
 @settings(max_examples=30, deadline=None)

@@ -82,6 +82,8 @@ GOLDEN_FORGE = {
     (12, 13, 17, 0): "d711bd06cb57b35d92c1f67709f8a4e9b633fc9d1071e9d5af536b84c755407c",
     (12, 13, 17, 1): "b44cafac8100938b48f4953d99741ee8c17905c591f27ab277c82d65abc35401",
     (12, 13, 17, 2): "f33ce51e0099dd7e5611addd4d29432f9abb7c43a952ce14c0405f80c0ee3a1e",
+    # past the ladder: the Frobenius rows mod 37 run 30 times 37 unreduced shifts each
+    (32, 37, 41, 0): "7399a5590a89be1fc99a0b8604f32350d2d7c076d73edd851b21e6933cfaddef",
 }
 
 # 68,322,911 bytes: 309 orbits of 279,938 members; weights 16..28 are built as complements

@@ -11,13 +11,16 @@ the rational chain's count and squarefree verdict, and sympy's.
 `forge_totally_real` must forge what `oracles.forge_by_definition`
 forges; `gf_ben_or` (early exit) on f mod l made monic must agree with
 the full degree pattern `oracles.irreducible_by_pattern`.  Over GF(l)
-the kernel takes x**(l**d) from the Frobenius rows and runs Euclid on
-lists; `gf_ben_or`, `_euclid` (non-monic divisors, one inverse per
-step) and the Frobenius rows on both sides of l < 2 deg f (shifted
-rows, products with x**l) must agree with the square-and-multiply and
-tuple routes of `oracles`, at every prime the kernel admits up to the
-largest below 2**31.  Below that bound Ben-Or's d = 1 stage is a root
-search by evaluation; it must agree with the gcd of
+the kernel takes x**(l**d) from the Frobenius rows on packed ints and
+runs Euclid on lists; `gf_ben_or`, `_euclid` (non-monic divisors, one
+inverse per step), the packed product mod f, the Frobenius rows on both
+sides of l < 2 deg f (unreduced shifted rows, products with x**l) and
+each x**(l**d) must agree with the square-and-multiply and tuple routes
+of `oracles`, at every prime the kernel admits up to the largest below
+2**31.  At deg f = 60 and l = 113, the longest unreduced runs, and at
+l = 2**31 - 1, every slot must stay below the bound that sets the slot
+width.  For l < 2 deg f Ben-Or's d = 1 stage is a root search by
+evaluation; it must agree with the gcd of
 `oracles.ben_or_by_pow_mod` at every prime up to 17, and count pins
 hold that a draw with a root runs no product mod f and no Euclid.
 Those tuple routes are the tests' factorization (the package factors nothing): their degree patterns, root counts and
@@ -47,7 +50,9 @@ from oracles import (
     forge_by_definition,
     gf_divmod,
     gf_gcd_by_rem,
+    gf_mul,
     gf_pow_mod,
+    gf_rem,
     gf_sub,
     irreducible_by_pattern,
     is_prime_by_trial_division,
@@ -309,10 +314,10 @@ def test_root_stage_matches_the_pow_mod_route(case):
 
 
 def _record_kernel_calls(monkeypatch):
-    """The calls of `_x_to_the_l`, `_mulmod` and `_euclid`, in order, each with its
-    arguments as tuples at the call (`_euclid` consumes its lists)."""
+    """The calls of `_x_to_the_l`, `_product_mod` and `_euclid`, in order, each with
+    its arguments as tuples at the call (`_euclid` consumes its lists)."""
     calls = []
-    for name in ("_x_to_the_l", "_mulmod", "_euclid"):
+    for name in ("_x_to_the_l", "_product_mod", "_euclid"):
 
         def recorded(*args, name=name, kernel=getattr(algebra, name)):
             calls.append((name, tuple(tuple(a) if isinstance(a, list) else a for a in args)))
@@ -368,7 +373,7 @@ def monic_and_residue(draw):
 @example(([7, 1], [0], 5))
 def test_frobenius_step_is_the_lth_power(case):
     f, h, l = case
-    rows = algebra._frobenius_rows(f, l, algebra._x_to_the_l(f, l))
+    rows = _unpacked_rows(f, l)
     assert len(rows) == len(f) - 1 and all(len(row) == len(f) - 1 for row in rows)
     step = [sum(c * row[j] for c, row in zip(h, rows)) % l for j in range(len(f) - 1)]
     assert poly_trim(step) == gf_pow_mod(tuple(h), l, tuple(f), l)
@@ -383,16 +388,100 @@ def test_frobenius_rows_are_the_powers_of_x(n):
     for l in (2, 3, n + 1, 2 * n - 1, first_past, 65537, LARGEST_PRIME):
         for _ in range(3):
             f = [rng.randrange(l) for _ in range(n)] + [1]
-            rows = algebra._frobenius_rows(f, l, algebra._x_to_the_l(f, l))
+            rows = _unpacked_rows(f, l)
             assert len(rows) == n and all(len(row) == n for row in rows)
             for i, row in enumerate(rows):
                 assert poly_trim(row) == gf_pow_mod((0, 1), l * i, tuple(f), l), (l, f, i)
 
 
+def _slots(h, modulus):
+    """The n slots of the packed h as they stand, unreduced."""
+    _, n, w, _ = modulus
+    mask = (1 << w) - 1
+    return [h >> s & mask for s in range(0, n * w, w)]
+
+
+def _unpacked_rows(f, l):
+    """The Frobenius rows of the monic list f, each unpacked mod l."""
+    modulus = algebra._packed_modulus(f, l)
+    rows = algebra._frobenius_rows(modulus, algebra._x_to_the_l(modulus))
+    return [algebra._unpack(row, modulus) for row in rows]
+
+
+def _assert_powers_match(f, l, count):
+    """The first `count` powers x**(l**d) mod f of the kernel are those of `gf_pow_mod`,
+    each the l-th power of the one before, as lists of deg f coefficients in [0, l)."""
+    powers, want = algebra._frobenius_powers_of_x(f, l), (0, 1)
+    for d in range(1, count + 1):
+        want = gf_pow_mod(want, l, tuple(f), l)
+        got = next(powers)
+        assert len(got) == len(f) - 1 and all(0 <= c < l for c in got), (f, l, d)
+        assert poly_trim(got) == want, (f, l, d)
+
+
+@st.composite
+def monic_up_to_24(draw):
+    l = draw(st.sampled_from(PRIMES))
+    return [draw(st.integers(0, l - 1)) for _ in range(draw(st.integers(1, 24)))] + [1], l
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_up_to_24())
+@example(([1] * 25, 23))  # every slot of negf at l - 1: each clear adds the most
+@example(([1] * 25, LARGEST_PRIME))
+def test_packed_powers_match_pow_mod(case):
+    """x**(l**d) mod f for every d = 1..deg f, deg f <= 24, at every prime of the kernel."""
+    f, l = case
+    _assert_powers_match(f, l, len(f) - 1)
+
+
+def test_packed_powers_at_degrees_1_and_2():
+    """Every monic f of degree 1 and 2 mod 2 and 3, d = 1..deg f."""
+    for l in (2, 3):
+        for n in (1, 2):
+            for low in range(l**n):
+                f = [low // l**i % l for i in range(n)] + [1]
+                _assert_powers_match(f, l, n)
+
+
+@pytest.mark.parametrize("l", [113, LARGEST_PRIME])
+def test_packed_slots_stay_below_their_bound_at_degree_60(l):
+    """At deg f = 60 and l = 113 < 2 deg f, the 58 rows past x**l take 113 shifts
+    each and are never reduced; at l = 2**31 - 1 the rows are products.  Each row is
+    x**(l*i) mod f, each slot of the rows and of the matrix-vector product with
+    every h_i = l - 1 stays below the bound of `_packed_modulus`, and that bound
+    below 2**(w - 1), so no slot carries into the next."""
+    n = 60
+    rng = random.Random(l)
+    for f in ([1] * (n + 1), [rng.randrange(l) for _ in range(n)] + [1]):
+        modulus = algebra._packed_modulus(f, l)
+        w = modulus[2]
+        rows = algebra._frobenius_rows(modulus, algebra._x_to_the_l(modulus))
+        xl = gf_pow_mod((0, 1), l, tuple(f), l)
+        want = (1,)
+        for row in rows:
+            assert poly_trim(algebra._unpack(row, modulus)) == want
+            want = gf_rem(gf_mul(want, xl, l), tuple(f), l)
+        row_bound = l + n * l * (l - 1) ** 2 if l < 2 * n else l
+        assert max(max(_slots(row, modulus)) for row in rows) < row_bound
+        product = sum((l - 1) * row for row in rows)
+        assert max(_slots(product, modulus)) < n * (l - 1) * row_bound + row_bound < 2 ** (w - 1)
+        assert product >> n * w == 0
+        _assert_powers_match(f, l, 3)
+
+
+def test_ben_or_on_degrees_0_and_1():
+    """A constant is not irreducible and a linear is, at every prime of the kernel."""
+    for l in PRIMES:
+        assert gf_ben_or([1], l) is False
+        for a in (0, 1, l - 1):
+            assert gf_ben_or([a, 1], l) is True
+
+
 def test_forging_at_the_bench_primes_multiplies_no_frobenius_row(monkeypatch):
     """At (g, p, l, l') = (12, 5, 13, 17) every prime is below 2g: each row is a shifted row."""
-    inside, calls = [], {"rows": 0, "mulmod": 0}
-    rows, mulmod = algebra._frobenius_rows, algebra._mulmod
+    inside, calls = [], {"rows": 0, "products": 0}
+    rows, product_mod = algebra._frobenius_rows, algebra._product_mod
 
     def counted_rows(*args):
         calls["rows"] += 1
@@ -402,15 +491,15 @@ def test_forging_at_the_bench_primes_multiplies_no_frobenius_row(monkeypatch):
         finally:
             inside.pop()
 
-    def counted_mulmod(*args):
-        calls["mulmod"] += bool(inside)
-        return mulmod(*args)
+    def counted_product_mod(*args):
+        calls["products"] += bool(inside)
+        return product_mod(*args)
 
     monkeypatch.setattr(algebra, "_frobenius_rows", counted_rows)
-    monkeypatch.setattr(algebra, "_mulmod", counted_mulmod)
+    monkeypatch.setattr(algebra, "_product_mod", counted_product_mod)
     field = forge_totally_real(12, 5, 13, 17, seed=0)
     assert field.certificates.galois_is_sg
-    assert calls["rows"] > 0 and calls["mulmod"] == 0
+    assert calls["rows"] > 0 and calls["products"] == 0
 
 
 def test_total_reality_takes_no_gcd(monkeypatch):
@@ -445,19 +534,32 @@ def test_squarefree_decomposition_collapses_in_characteristic_l():
     assert degree_pattern_by_pow_mod((1, 0, 0, 0, 1), 2) == ([(1, 4)], False)
 
 
+@st.composite
+def monic_and_two_residues(draw):
+    f, a, l = draw(monic_and_residue())
+    return f, a, draw(st.lists(st.integers(0, l - 1), max_size=len(f) - 1)), l
+
+
 @settings(max_examples=300, deadline=None)
-@given(gf_polys(), monic_and_residue())
-def test_divide_leaves_quotient_and_remainder(case, divisor):
-    """After `_divide(a, b)`, a[deg b:] is the quotient and a[:deg b] the remainder mod l."""
-    f, l = case
-    b = [c % l for c in divisor[0]]  # monic mod the prime of f
-    a = [c % l for c in f]
-    expected = gf_divmod(a, b, l)
-    algebra._divide(a, b, l)
-    n = len(b) - 1
-    quo, rem = poly_trim(a[n:]), gf_reduce(a[:n], l)
-    assert (quo, rem) == expected
-    assert gf_reduce(poly_add(poly_mul(quo, b), rem), l) == gf_reduce(f, l)
+@given(monic_and_two_residues())
+@example(([1, 1], [1], [1], 2))  # degree 1: the product of constants
+@example(([0, 0, 1], [0, 1], [0, 1], 3))  # x * x * x mod x**2: slot 2n - 1 cleared
+@example(([1] * 17, [LARGEST_PRIME - 1] * 16, [LARGEST_PRIME - 1] * 16, LARGEST_PRIME))
+def test_packed_product_leaves_the_remainder(case):
+    """`_product_mod` of two reduced residues, one of them times x (a shift by one
+    slot, as x**l's squaring takes it), is their product's remainder mod f, with
+    reduced slots: the quotient times f plus it gives the product back."""
+    f, a, b, l = case
+    n = len(f) - 1
+    modulus = algebra._packed_modulus(f, l)
+    w = modulus[2]
+    for shift in (0, 1):
+        product = gf_mul(tuple(a), (0,) * shift + tuple(b), l)
+        quo, rem = gf_divmod(product, tuple(f), l)
+        got = algebra._product_mod(algebra._pack(a, w), algebra._pack(b, w) << shift * w, modulus)
+        assert _slots(got, modulus) == list(rem) + [0] * (n - len(rem))
+        assert got == algebra._pack(_slots(got, modulus), w)  # nothing past slot n - 1
+        assert gf_reduce(poly_add(poly_mul(quo, f), rem), l) == product
 
 
 @settings(max_examples=300, deadline=None)
@@ -557,13 +659,13 @@ def test_miller_rabin_needs_its_bases_and_refuses_past_its_bound():
 def test_large_prime_costs_products_in_the_bits_of_l(monkeypatch):
     """At l = 2**31 - 1 the products mod f per polynomial grow with deg f + log2 l, not with l."""
     calls = []
-    mulmod = algebra._mulmod
+    product_mod = algebra._product_mod
 
     def counted(*args):
         calls.append(1)
-        return mulmod(*args)
+        return product_mod(*args)
 
-    monkeypatch.setattr(algebra, "_mulmod", counted)
+    monkeypatch.setattr(algebra, "_product_mod", counted)
     l, n = LARGEST_PRIME, 12
     bound = 2 * (n + l.bit_length())
     rng = random.Random(12)
