@@ -25,9 +25,7 @@ from .galois import (
 )
 from .slopes import (
     SlopeVector,
-    common_denominator,
     conjugate_slope_basis,
-    fraction,
     lowest_terms,
     ratio_str,
     validate_slopes,
@@ -57,9 +55,8 @@ class MemberMasks:
     """The members of an orbit as n-bit masks in descending order: point i is bit n-1-i.
 
     Descending mask order is the lexicographic order of the sorted point
-    tuples, which is document order.  The object reads as the tuple of
-    those 0-based point tuples: it iterates, indexes, hashes and compares
-    as that tuple, and forms a point tuple only when one is read.
+    tuples, which is document order.  Equality, hash and repr read
+    `(n, masks)`; no member is decoded to points.
     """
 
     __slots__ = ("n", "masks")
@@ -68,25 +65,16 @@ class MemberMasks:
         self.n = n
         self.masks = tuple(masks)
 
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __iter__(self):
-        return (_points(self.n, m) for m in self.masks)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(_points(self.n, m) for m in self.masks[k])
-        return _points(self.n, self.masks[k])
-
     def __eq__(self, other):
-        return tuple(self) == other
+        if not isinstance(other, MemberMasks):
+            return NotImplemented
+        return self.n == other.n and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        return f"MemberMasks({self.n}, {self.masks!r})"
 
 
 def _points(n, mask) -> tuple:
@@ -102,8 +90,7 @@ def _points(n, mask) -> tuple:
 class MotiveOrbit(Record):
     """One Galois orbit <I> carrying Tate classes.
 
-    `orbit` is its members as a `MemberMasks`, in document order; it
-    reads as the tuple of their sorted 0-based point tuples.
+    `orbit` is its members as a `MemberMasks`, in document order.
     """
 
     weight: int
@@ -532,8 +519,6 @@ class LocalInvariant(Record):
     """One place of F = Q(pi^k) above p: slope_num / den and invariant_num / den.
 
     The record holds the integers over their least common denominator.
-    `LocalInvariant(degree=, slope=, invariant=)` takes the two as
-    Fractions, ints or strings; `slope` and `invariant` read as Fractions.
     """
 
     degree: int
@@ -541,24 +526,10 @@ class LocalInvariant(Record):
     slope_num: int
     invariant_num: int
 
-    def __init__(self, *args, **kwargs):
-        if kwargs.keys() >= {"slope", "invariant"}:  # the Fraction form
-            kwargs["den"], (kwargs["slope_num"], kwargs["invariant_num"]) = common_denominator(
-                (kwargs.pop("slope"), kwargs.pop("invariant")))
-        super().__init__(*args, **kwargs)
-
     def __post_init__(self):
         den, (slope_num, invariant_num) = lowest_terms(
             self.den, (self.slope_num, self.invariant_num))
         self.__dict__.update(den=den, slope_num=slope_num, invariant_num=invariant_num)
-
-    @property
-    def slope(self):
-        return fraction(self.slope_num, self.den)
-
-    @property
-    def invariant(self):
-        return fraction(self.invariant_num, self.den)
 
 
 class EndAlgebraReport(Record):

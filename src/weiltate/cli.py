@@ -62,7 +62,8 @@ def _emit_json(doc: dict, write) -> None:
     ints as one piece, so no text of the whole document is held.  An
     orbit's `MemberMasks` is one piece, the list of its 1-based point
     lists, straight from the masks (`_members_text`).  No document holds
-    a float (fractions are strings), so a float raises `TypeError`.
+    a float (a slope or an invariant is an "a/b" string), so a float
+    raises `TypeError`.
     """
     _write_json(doc, "\n", write, {})
     write("\n")

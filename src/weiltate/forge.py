@@ -581,7 +581,7 @@ def parse_scenario(text: str, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
             given = tuple(Fraction(tok) for tok in fields["slopes"].replace(",", " ").split())
         except (ValueError, ZeroDivisionError):
             fail("slopes", f"bad fraction list {fields['slopes']!r}")
-        if given != slopes.values:
+        if [v * slopes.den for v in given] != list(slopes.nums):
             fail(
                 "slopes",
                 "declared slopes disagree with the Shimura-Taniyama values "

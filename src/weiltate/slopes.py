@@ -14,27 +14,6 @@ from operator import itemgetter
 from .galois import CMGaloisModel, Record
 
 
-def common_denominator(values) -> tuple:
-    """(den, nums) with values[i] = nums[i] / den, den the lcm of the reduced denominators.
-
-    The values may be Fractions, ints or strings.  Every command path
-    carries slopes and invariants as integers, so `fractions` is
-    imported only here, in `fraction` and for a scenario file's slope line.
-    """
-    from fractions import Fraction
-
-    values = [Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return den, tuple(v.numerator * (den // v.denominator) for v in values)
-
-
-def fraction(num: int, den: int):
-    """num / den as the `Fraction` of the API."""
-    from fractions import Fraction
-
-    return Fraction(num, den)
-
-
 def lowest_terms(den: int, nums: tuple) -> tuple:
     """(den, nums) over the least common denominator of the ratios nums[i] / den."""
     d = gcd(den, *nums)
@@ -50,32 +29,16 @@ def ratio_str(num: int, den: int) -> str:
 class SlopeVector(Record):
     """Exact slopes s_i = nums[i] / den with v(q) = 1, indexed 0-based.
 
-    The record holds the integers, `den` the least common denominator,
-    so equal slopes make equal records.  `SlopeVector(values)` takes the
-    slopes as Fractions, ints or strings; `values` and `s[i]` give them
-    back as Fractions, built only when asked.
+    The record holds the integers in lowest terms, `den` the least
+    common denominator, so equal slopes make equal records.
     """
 
     den: int
     nums: tuple
 
-    def __init__(self, *args, **kwargs):
-        if "values" in kwargs:
-            args += (kwargs.pop("values"),)
-        if len(args) == 1 and not kwargs:  # SlopeVector(values)
-            args = common_denominator(args[0])
-        super().__init__(*args, **kwargs)
-
     def __post_init__(self):
         den, nums = lowest_terms(self.den, self.nums)
         self.__dict__.update(den=den, nums=nums)
-
-    @property
-    def values(self) -> tuple:
-        return tuple(fraction(a, self.den) for a in self.nums)
-
-    def __getitem__(self, i: int):
-        return fraction(self.nums[i], self.den)
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -92,7 +55,9 @@ def validate_slopes(model: CMGaloisModel, s: SlopeVector) -> None:
     den, nums, tau = s.den, s.nums, model.tau
     for i, a in enumerate(nums):
         if not 0 <= a <= den:
-            raise ValueError(f"slope s_{i + 1} = {s[i]} outside [0, 1]")
+            d = gcd(a, den)  # a / den in lowest terms as "a/b", or as "a" when b = 1
+            text = f"{a // d}" if d == den else f"{a // d}/{den // d}"
+            raise ValueError(f"slope s_{i + 1} = {text} outside [0, 1]")
         if a + nums[tau[i]] != den:
             raise ValueError(f"s_{i + 1} + s_tau({i + 1}) != 1")
     if model.D_blocks is not None:

@@ -2,15 +2,18 @@
 
 Each one follows the definition directly: it walks orbits as
 frozensets, group elements or cosets, builds one matrix column per
-group element, runs a Sturm chain over the rationals, reads
+group element, runs a whole Sturm chain, reads
 irreducibility off the full factorization pattern or tests primality
 by trial division, with no linear shortcut, no block system, no bit
 mask, no subresultant and no Miller-Rabin; only an orbit walk that
-tests its members stops at the first that fails.  The Sturm chains
-are the tests' own: the program proves total reality by the signs at
-the midpoints of its spread, with no chain.  The one integer Sturm
-chain here, `sturm_chain_by_primitive_prem`, runs whole: it makes each
-pseudo-remainder primitive by a gcd, whatever the degree drops by.
+tests its members stops at the first that fails.  The Sturm chain is
+the tests' own: the program proves total reality by the signs at the
+midpoints of its spread, with no chain.  Every real-root count here
+is `sturm_count` of the integer chain `sturm_chain_by_primitive_prem`
+(`totally_real_by_sturm`, the forge loop), which makes each
+pseudo-remainder primitive by a gcd, whatever the degree drops by, so
+it reaches the forge pins past the ladder; the chain over the
+rationals is only its cross-check, in `test_kernel_oracles.py`.
 Over GF(l) they run
 on tuples with their own product and division (`gf_mul`, `gf_divmod`):
 x**(l**d) comes from square-and-multiply (`gf_pow_mod`, a full product
@@ -22,7 +25,8 @@ by `ben_or_by_pow_mod`; `split_target_by_definition`: `rng.sample`
 roots multiplied out by `poly_mul`), rebuilds its spread target for
 every spread, evaluates it at the midpoints in Fractions
 (`alternates_at_midpoints_by_fractions`) and counts the accepted
-polynomial's real roots with the rational Sturm chain.  `certificates_by_factoring` factors a forged polynomial mod p,
+polynomial's real roots with the integer Sturm chain.
+`certificates_by_factoring` factors a forged polynomial mod p,
 l, l' and l'' on tuples (`degree_pattern_by_pow_mod`,
 `roots_by_pow_mod`), where the program reads the patterns off the CRT
 targets that it has proved; `certify_galois_sg` reads the S_g
@@ -44,12 +48,17 @@ and p-potential membership by their definitions over those lists.
 they read the program's packed predicate columns, their classes and
 the class of index 1, the block that those are held against.
 
-The slope routes read the Fractions: `validate_slopes_by_fractions`
-checks the axioms on them, and `tate_by_orbit_walk` sums them over every
-member of an orbit, which is how `q_pairs` and `weil_tate_submotives`
-decide Tate-ness.  `classify_orbits_by_walk` sums them the same way in
-integers over its own lcm.  None of them reads predicate rows, the
-program's common denominator or a packed column.
+The program holds slopes and local invariants as integers over a
+denominator and an orbit's members as masks; `slope_fractions` and
+`member_points` read them as the Fractions and point tuples that the
+oracles compute in, and `slope_vector` and `local_invariant` build them
+from Fractions.  The slope routes read the Fractions:
+`validate_slopes_by_fractions` checks the axioms on them, and
+`tate_by_orbit_walk` sums them over every member of an orbit, which is
+how `q_pairs` and `weil_tate_submotives` decide Tate-ness.
+`classify_orbits_by_walk` sums them the same way in integers over its
+own lcm, and lists each orbit's members as masks in the order of its
+walk.  None of them reads predicate rows or a packed column.
 `pairs_passing_by_rows` reads any integer rows one row at a time.
 The Lefschetz route `has_qpair_matching` searches the q-pairs of
 `pairs_passing` for a perfect matching, pair by pair, with no count
@@ -123,12 +132,38 @@ from weiltate.galois import (
 from weiltate.slopes import SlopeVector
 
 
+def slope_vector(values) -> SlopeVector:
+    """The `SlopeVector` of slopes given as Fractions, ints or strings."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return SlopeVector(den, tuple(int(v * den) for v in values))
+
+
+def slope_fractions(s: SlopeVector) -> tuple:
+    """The slopes of s as Fractions, the form that the oracles compute in."""
+    return tuple(Fraction(a, s.den) for a in s.nums)
+
+
+def local_invariant(degree: int, slope, invariant) -> LocalInvariant:
+    """The `LocalInvariant` of a place's slope and invariant given as Fractions or strings."""
+    slope, invariant = Fraction(slope), Fraction(invariant)
+    den = lcm(slope.denominator, invariant.denominator)
+    return LocalInvariant(degree, den, int(slope * den), int(invariant * den))
+
+
+def member_points(members: MemberMasks) -> tuple:
+    """Each member's sorted 0-based points, its mask read bit by bit (point i is bit n-1-i)."""
+    n = members.n
+    return tuple(tuple(i for i in range(n) if m >> (n - 1 - i) & 1) for m in members.masks)
+
+
 def validate_slopes_by_fractions(model: CMGaloisModel, s: SlopeVector) -> None:
     """Check the slope axioms; block constancy only when D is present."""
     n = model.group.degree
     if len(s) != n:
         raise ValueError(f"slope vector has length {len(s)}, expected {n}")
-    for i, v in enumerate(s.values):
+    s = slope_fractions(s)
+    for i, v in enumerate(s):
         if not 0 <= v <= 1:
             raise ValueError(f"slope s_{i + 1} = {v} outside [0, 1]")
         if v + s[model.tau[i]] != 1:
@@ -297,6 +332,7 @@ def tate_by_orbit_walk(model, s, subset) -> bool:
     if len(I) % 2 != 0:
         return False
     target = Fraction(len(I), 2)
+    s = slope_fractions(s)
     return orbit_of_subset(
         model, I, lambda member: sum((s[i] for i in member), Fraction(0)) == target
     ) is not None
@@ -354,8 +390,9 @@ def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierRepor
     full_scan = weights is None
     weight_list = list(range(0, n + 1, 2)) if full_scan else sorted(set(weights))
     qp = q_pairs(model, s)
-    scale = lcm(*(v.denominator for v in s.values))
-    scaled = [int(v * scale) for v in s.values]
+    values = slope_fractions(s)
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [int(v * scale) for v in values]
 
     def half_weight(member):
         return 2 * sum(scaled[i] for i in member) == len(member) * scale
@@ -381,7 +418,7 @@ def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierRepor
                 MotiveOrbit(
                     weight=w,
                     representative=tuple(sorted(rep)),
-                    orbit=tuple(tuple(sorted(m)) for m in orbit),
+                    orbit=MemberMasks(n, (sum(1 << (n - 1 - i) for i in m) for m in orbit)),
                     rank=len(orbit),
                     is_tate=True,
                     is_lefschetz_bearing=lefschetz,
@@ -462,6 +499,7 @@ def elements_of(group: PermGroup) -> tuple:
 def frobenius_rank_by_matrix(model, s) -> int:
     """Rank of the matrix with one column s∘g per distinct conjugate, minus one."""
     n = model.group.degree
+    s = slope_fractions(s)
     columns = sorted({tuple(s[g[x]] for x in range(n)) for g in elements_of(model.group)})
     return rational_rank([[col[x] for col in columns] for x in range(n)]) - 1
 
@@ -470,6 +508,7 @@ def fix_by_signatures_over_group(model, s) -> frozenset:
     """Fix as the preimage of the signature class of index 1, signatures taken over all of G."""
     validate_slopes_by_fractions(model, s)
     listed = elements_of(model.group)
+    s = slope_fractions(s)
     base_sig = tuple(s[g[0]] for g in listed)
     same = set()
     for x in range(model.group.degree):
@@ -497,6 +536,7 @@ def block_subgroup(group: PermGroup, points) -> frozenset:
 def fixer_by_definition(model: CMGaloisModel, s: SlopeVector) -> frozenset:
     """Fix by its definition {sigma : s[g sigma(1)] = s[g(1)] for all g}, a double loop over G."""
     listed = elements_of(model.group)
+    s = slope_fractions(s)
     return frozenset(sigma for sigma in listed if all(s[g[sigma[0]]] == s[g[0]] for g in listed))
 
 
@@ -511,6 +551,7 @@ def potential_by_valuation_grouping(model: CMGaloisModel, s: SlopeVector, Z) -> 
     """
     D = subgroup_closure(model.group, model.D_generators or ())
     anchors = sorted({z[0] for z in Z})
+    s = slope_fractions(s)
     for g in elements_of(model.group):
         base = s[g[0]]
         for d in D:
@@ -555,7 +596,7 @@ def random_admissible_slopes(model: CMGaloisModel, rng: random.Random) -> SlopeV
         den = rng.choice([1, 2, 3, 4, 6])
         values[i] = Fraction(rng.randint(0, den), den)
         values[model.tau[i]] = 1 - values[i]
-    return SlopeVector(tuple(values))
+    return slope_vector(values)
 
 
 def cm_types_by_listing(model: CMGaloisModel, targets: tuple) -> list:
@@ -691,9 +732,10 @@ def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
     fix = fix_by_signatures_over_group(model, s)
     reps, coset_of = left_cosets(model.group, fix)
     ncos = len(reps)
+    s = slope_fractions(s)
 
     visited = [False] * ncos
-    places = []
+    places, invariants = [], []
     for start in range(ncos):
         if visited[start]:
             continue
@@ -711,17 +753,18 @@ def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
         degree = len(orbit)
         raw = slope * degree
         inv = raw - raw.numerator // raw.denominator  # reduce mod 1 into [0, 1)
-        places.append(LocalInvariant(degree=degree, slope=slope, invariant=inv))
+        places.append(local_invariant(degree, slope, inv))
+        invariants.append(inv)
 
-    total = sum((p.invariant for p in places), Fraction(0))
+    total = sum(invariants, Fraction(0))
     if model.tau in fix:
         if (total + Fraction(ncos, 2)).denominator != 1:
             raise ValueError("inconsistent block data: Brauer invariants do not balance")
     elif total.denominator != 1:
         raise ValueError("inconsistent block data: invariants do not sum to 0 mod 1")
     m = 1
-    for p in places:
-        m = m * p.invariant.denominator // gcd(m, p.invariant.denominator)
+    for inv in invariants:
+        m = m * inv.denominator // gcd(m, inv.denominator)
     if (m * ncos) % 2 != 0:
         raise ValueError("inconsistent block data: m * [F:Q] is odd")
     return EndAlgebraReport(
@@ -756,48 +799,11 @@ def poly_derivative(f):
     return poly_trim(tuple(i * f[i] for i in range(1, len(f))))
 
 
-def _qpoly(f):
-    return poly_trim(tuple(Fraction(c) for c in f))
-
-
-def _qpoly_rem(f, g):
-    rem = list(f)
-    dq = len(f) - len(g)
-    if dq < 0:
-        return poly_trim(rem)
-    for i in range(dq, -1, -1):
-        c = rem[i + len(g) - 1]
-        if c:
-            c = c / g[-1]
-            for j, b in enumerate(g):
-                rem[i + j] -= c * b
-    return poly_trim(rem[: len(g) - 1])
-
-
-def sturm_by_fractions(f):
-    """Exact count of distinct real roots of a squarefree integer polynomial.
-
-    The Sturm chain is evaluated at -oo and +oo through leading-term
-    signs; everything runs in Fraction arithmetic.  A nonzero gcd(f, f')
-    raises NotSquarefreeError.
-    """
-    f = _qpoly(f)
-    if not f:
-        raise ValueError("zero polynomial rejected")
-    if poly_degree(f) == 0:
-        return 0
-    chain = [f, _qpoly(poly_derivative(f))]
-    while chain[-1] and poly_degree(chain[-1]) > 0:
-        chain.append(poly_trim(tuple(-c for c in _qpoly_rem(chain[-2], chain[-1]))))
-    if chain[-1] == ():
-        raise NotSquarefreeError("polynomial is not squarefree over Q")
-    return sturm_count(chain)
-
-
 def totally_real_by_sturm(f) -> bool:
-    """Whether f has deg f distinct real roots, by the rational Sturm chain."""
+    """Whether f has deg f distinct real roots, by the integer Sturm chain."""
+    f = poly_trim(f)
     try:
-        return sturm_by_fractions(f) == poly_degree(poly_trim(f))
+        return sturm_count(sturm_chain_by_primitive_prem(f)) == poly_degree(f)
     except NotSquarefreeError:
         return False
 
@@ -1190,7 +1196,8 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0):
             correction.append(delta - modulus if delta > modulus // 2 else delta)
         poly = poly_add(t, tuple(correction))
         if alternates_at_midpoints_by_fractions(poly, modulus * spread):
-            certs = certificates_by_factoring(poly, g, p, l, lp, lpp, sturm_by_fractions(poly))
+            real_roots = sturm_count(sturm_chain_by_primitive_prem(poly))
+            certs = certificates_by_factoring(poly, g, p, l, lp, lpp, real_roots)
             return ForgedField(g=g, p=p, l=l, lp=lp, lpp=lpp, seed=seed, poly=poly,
                                spread=spread, certificates=certs)
         spread *= 2
@@ -1200,11 +1207,11 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0):
 def plain_document(doc):
     """`doc` as plain data: each `MemberMasks` as the list of its members' 1-based point lists.
 
-    A member is read through `MemberMasks.__iter__`, which decodes its
-    mask one bit at a time.
+    A member is read through `member_points`, which decodes its mask
+    one bit at a time.
     """
     if isinstance(doc, MemberMasks):
-        return [[i + 1 for i in m] for m in doc]
+        return [[i + 1 for i in m] for m in member_points(doc)]
     if isinstance(doc, dict):
         return {k: plain_document(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -1269,11 +1276,7 @@ def doc_to_end_report(doc: dict) -> EndAlgebraReport:
     return EndAlgebraReport(
         frobenius_field_degree=doc["frobenius_field_degree"],
         local_invariants=tuple(
-            LocalInvariant(
-                degree=pd["degree"],
-                slope=Fraction(pd["slope"]),
-                invariant=Fraction(pd["invariant"]),
-            )
+            local_invariant(pd["degree"], pd["slope"], pd["invariant"])
             for pd in doc["local_invariants"]
         ),
         index=doc["index"],

@@ -7,8 +7,6 @@ mark the criterion failed.
 
 import random
 import time
-from fractions import Fraction
-
 from oracles import (
     block_subgroup,
     column_classes,
@@ -16,6 +14,7 @@ from oracles import (
     emitted_text,
     fixer_by_definition,
     index2_overgroups,
+    member_points,
     potential_by_valuation_grouping,
     random_admissible_slopes,
     signature_block,
@@ -35,8 +34,7 @@ from weiltate.classifier import (
 from weiltate.cli import classify_scenario_doc
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import cm_product_group, index2_point_sets
-
-HALF = Fraction(1, 2)
+from weiltate.slopes import ratio_str
 
 
 def report(criterion: str) -> None:
@@ -84,8 +82,7 @@ def test_criterion_1_main4_exotic_orbit():
     (exotic,) = rep.exotic
     assert exotic.weight == 4
     assert exotic.rank == 2
-    orbit_sets = {frozenset(m) for m in exotic.orbit}
-    assert frozenset({0, 1, 2, 3}) in orbit_sets  # G-conjugate to {1,2,3,4}
+    assert (0, 1, 2, 3) in member_points(exotic.orbit)  # G-conjugate to {1,2,3,4}
     assert exotic.hodge_type == (3, 1)
     assert exotic.hodge_balanced is False
     assert rep.mildly_exotic is True
@@ -113,7 +110,8 @@ def test_criterion_3_ramified3_invariants_and_exotic():
     scn = scenario_ramified(3, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     end = honda_tate_endomorphism(scn.model, scn.slopes, rep.columns)
-    assert sorted(p.invariant for p in end.local_invariants) == [0, HALF, HALF]
+    invariants = sorted(ratio_str(p.invariant_num, p.den) for p in end.local_invariants)
+    assert invariants == ["0/1", "1/2", "1/2"]
     assert end.index == 2
     assert not end.commutative
     assert end.frobenius_field_degree == 6
@@ -129,8 +127,7 @@ def test_criterion_3_ramified3_invariants_and_exotic():
     assert len(in_frobenius_field) == 1  # the unique imaginary quadratic subfield of F
     (inner,) = in_frobenius_field
     assert inner.is_tate and inner.is_exotic
-    exotic_orbit = {frozenset(m) for m in exotic.orbit}
-    assert frozenset(inner.determinant_set) in exotic_orbit
+    assert inner.determinant_set in member_points(exotic.orbit)
 
     (outer,) = [e for e in entries if not S <= set(e.determinant_set)]
     assert outer.is_tate and outer.is_lefschetz_bearing and not outer.is_exotic

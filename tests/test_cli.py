@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from pathlib import Path
@@ -29,7 +28,7 @@ from oracles import (
 
 from weiltate import algebra, classifier, cli, forge, galois, slopes
 from weiltate.cmtypes import enumerate_cm_types, least_cm_type, measure_cm_type
-from weiltate.classifier import MemberMasks, classify_orbits, end_report_to_doc, report_to_doc
+from weiltate.classifier import classify_orbits, end_report_to_doc, report_to_doc
 from weiltate.forge import Scenario, scenario_main, serialize_scenario
 from weiltate.slopes import slopes_from_cm_type
 
@@ -292,6 +291,29 @@ def test_classify_malformed_file_diagnostic(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["classify", "--file", str(path)])
     assert code == cli.EXIT_USAGE
     assert "line 2" in err and "bogus" in err
+
+
+MAIN4_SLOPES = "1/4 3/4 1/4 3/4 3/4 1/4 3/4 1/4"
+SLOPES_DISAGREE = ("scenario parse error: line 7: field 'slopes': declared slopes disagree with "
+                   f"the Shimura-Taniyama values {MAIN4_SLOPES} of phi\n")
+
+
+@pytest.mark.parametrize("line, code, err", [
+    (MAIN4_SLOPES, 0, ""),
+    ("2/8 6/8 1/4 3/4 3/4 1/4 3/4 1/4", 0, ""),
+    ("0.25 0.75 0.25 0.75 0.75 0.25 0.75 0.25", 0, ""),
+    ("1/0 3/4", 2, "scenario parse error: line 7: field 'slopes': bad fraction list '1/0 3/4'\n"),
+    ("abc", 2, "scenario parse error: line 7: field 'slopes': bad fraction list 'abc'\n"),
+    ("1/2 1/2 1/2 1/2 1/2 1/2 1/2 1/2", 2, SLOPES_DISAGREE),
+    ("1/4 3/4 1/4 3/4 3/4 1/4 3/4", 2, SLOPES_DISAGREE),
+], ids=["accepted", "reduced", "decimal", "zero-denominator", "abc", "wrong", "short"])
+def test_classify_file_checks_a_declared_slope_line(tmp_path, capsys, line, code, err):
+    """A declared slope line is read as rationals and held against the slopes of phi."""
+    text = serialize_scenario(scenario_main(4, 5))
+    path = tmp_path / "main4.scn"
+    path.write_text(text.replace(f"slopes = {MAIN4_SLOPES}", f"slopes = {line}"), encoding="utf-8")
+    got, out, got_err = run_cli(capsys, ["classify", "--file", str(path)])
+    assert (got, got_err, bool(out)) == (code, err, code == 0)
 
 
 def test_classify_missing_file(capsys):
@@ -1110,24 +1132,35 @@ def test_classify_json_is_the_plain_document_on_drawn_models(tmp_path_factory, c
     assert_cli_text_is_the_plain_document(["classify"] + argv + ["--format", "json"])
 
 
+def _count_decodes(monkeypatch) -> list:
+    """The masks that `classifier._points` decodes from now on, in call order."""
+    decoded, points = [], classifier._points
+    monkeypatch.setattr(classifier, "_points", lambda n, m: decoded.append(m) or points(n, m))
+    return decoded
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_classify_forms_no_member_point_tuple(fmt, capsys, monkeypatch):
-    """The CLI writes each orbit's members from their masks."""
-    calls = Counter()
-    for name in ("__iter__", "__getitem__"):
-        read = getattr(MemberMasks, name)
+    """The CLI writes each orbit's members from their masks: no member is decoded to points."""
+    doc = cli.classify_scenario_doc(forge.scenario_ramified(3, 5))
+    decoded = _count_decodes(monkeypatch)
+    if fmt == "json":
+        cli._emit_json(doc, sys.stdout.write)
+    else:
+        cli._print_classify_text(doc)
+    assert "weight" in capsys.readouterr().out
+    assert decoded == []
+    # the count sees a member that is decoded
+    assert classifier._points(4, 0b1010) == (0, 2) and decoded == [0b1010]
 
-        def counted(self, *args, name=name, read=read):
-            calls[name] += 1
-            return read(self, *args)
 
-        monkeypatch.setattr(MemberMasks, name, counted)
-    argv = ["classify", "--preset", "ramified", "--gp", "3", "--format", fmt]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0 and "weight" in out
-    assert calls == {}
-    # the count sees a member that is read as a point tuple
-    assert MemberMasks(4, [0b1010])[0] == (0, 2) and calls == {"__getitem__": 1}
+def test_comparing_reports_decodes_no_member(monkeypatch):
+    """Report equality and hashing read each orbit's `MemberMasks` as its masks."""
+    scn = forge.scenario_ramified(5, 5, subset_cap=20)
+    report, again = (classify_orbits(scn.model, scn.slopes, subset_cap=20) for _ in range(2))
+    decoded = _count_decodes(monkeypatch)
+    assert report == report and report == again and hash(report) == hash(again)
+    assert decoded == []
 
 
 # --- round trips on drawn models ---------------------------------------------------
@@ -1140,10 +1173,7 @@ def test_report_document_round_trip_on_drawn_models(scn, data):
     weights = drawn_weights(data.draw, scn.model.group.degree)
     report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
     doc = json.loads(emitted_text(classifier.report_to_doc(report, scn.model.group)))
-    back = doc_to_report(doc)
-    assert back == report
-    for o, b in zip(report.orbits, back.orbits, strict=True):
-        assert isinstance(b.orbit, MemberMasks) and b.orbit.masks == o.orbit.masks
+    assert doc_to_report(doc) == report  # `MemberMasks` equality reads the masks
 
 
 @settings(max_examples=40, deadline=None)
@@ -1182,7 +1212,7 @@ def test_scenario_file_round_trip_on_drawn_models(scn):
     assert loaded.model.group.order == scn.model.group.order
     assert loaded.model.D_blocks == scn.model.D_blocks
     assert loaded.phi == scn.phi
-    assert loaded.slopes.values == scn.slopes.values
+    assert loaded.slopes == scn.slopes
 
 
 # --- classify --file on malformed scenario text -------------------------------------

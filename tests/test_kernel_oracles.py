@@ -2,12 +2,13 @@
 
 `forge._alternates_at_midpoints` proves total reality by sign changes
 at the midpoints between the spread's roots; whatever it accepts, the
-rational Sturm chain `oracles.sturm_by_fractions` must count deg f
-distinct real roots for, and it must answer as the same signs taken
+whole integer Sturm chain of primitive pseudo-remainders,
+`oracles.sturm_chain_by_primitive_prem`, must count deg f distinct
+real roots for, and the rule must answer as the same signs taken
 in Fractions do.  It is one-sided: pinned seeds show Sturm accepting a
-spread that the midpoints refuse.  The whole integer chain of primitive
-pseudo-remainders, `oracles.sturm_chain_by_primitive_prem`, must give
-the rational chain's count and squarefree verdict, and sympy's.
+spread that the midpoints refuse.  The integer chain must give the
+count and squarefree verdict of sympy and of the chain over Q,
+`sturm_by_fractions`, kept here only as its cross-check.
 `forge_totally_real` must forge what `oracles.forge_by_definition`
 forges; `gf_ben_or` (early exit) on f mod l made monic must agree with
 the full degree pattern `oracles.irreducible_by_pattern`.  Over GF(l)
@@ -36,6 +37,7 @@ vanish mod l.
 
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -57,11 +59,11 @@ from oracles import (
     irreducible_by_pattern,
     is_prime_by_trial_division,
     poly_add,
+    poly_derivative,
     poly_eval,
     reduce_checked,
     roots_by_pow_mod,
     squarefree_decomposition_by_rem,
-    sturm_by_fractions,
     sturm_chain_by_primitive_prem,
     sturm_count,
     totally_real_by_sturm,
@@ -82,6 +84,31 @@ from weiltate.forge import forge_totally_real
 LARGEST_PRIME = 2147483647  # the largest prime below MAX_PRIME
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 65537, LARGEST_PRIME)
 LEADS = st.integers(-12, 12).filter(bool)
+
+
+def sturm_by_fractions(f):
+    """Distinct real roots of a squarefree integer polynomial, by the Sturm chain over Q.
+
+    Each member after f and f' is minus the remainder of the two before
+    it, in Fractions; the signs at -oo and +oo are read off the leading
+    terms.  A zero remainder before a constant raises NotSquarefreeError.
+    """
+    f = poly_trim(tuple(map(Fraction, f)))
+    if not f:
+        raise ValueError("zero polynomial rejected")
+    if len(f) == 1:
+        return 0
+    chain = [f, poly_derivative(f)]
+    while len(chain[-1]) > 1:
+        rem, b = list(chain[-2]), chain[-1]
+        for i in range(len(rem) - len(b), -1, -1):
+            c = rem[i + len(b) - 1] / b[-1]
+            for j, v in enumerate(b):
+                rem[i + j] -= c * v
+        chain.append(poly_trim(tuple(-c for c in rem[: len(b) - 1])))
+    if not chain[-1]:
+        raise NotSquarefreeError("polynomial is not squarefree over Q")
+    return sturm_count(chain)
 
 
 def count_by_the_integer_chain(f):
@@ -210,11 +237,11 @@ STURM_EARLIER = {(4, 25): (8, 16), (4, 60): (1, 2), (6, 1): (128, 256),
 @example(8, 40)
 @example(12, 27)
 def test_midpoint_rule_accepts_only_totally_real_fields(g, seed):
-    """The accepted spread is totally real by the rational Sturm chain, and no
-    earlier than the first that the integer chain accepts."""
+    """The accepted spread is totally real by the integer Sturm chain, and no
+    earlier than the first that it accepts."""
     field, tested = _spreads_tested(g, seed)
     assert tested[-1] == field.poly and field.spread == 2 ** (len(tested) - 1)
-    assert sturm_by_fractions(field.poly) == g
+    assert count_by_the_integer_chain(field.poly) == g
     assert _first_sturm_accepts(tested) <= len(tested) - 1
 
 

@@ -166,7 +166,7 @@ def test_record_init_takes_fields_by_position_or_keyword_and_refuses_the_rest():
     assert entry == classifier.WeilTateEntry(
         determinant_set=(0, 1), is_tate=True, is_lefschetz_bearing=False, is_exotic=True)
     assert classifier.LemmaResult("a", "b", "c").detail == ""
-    for s in (slopes.SlopeVector(("1/2",) * 4), slopes.SlopeVector(values=("1/2",) * 4)):
+    for s in (slopes.SlopeVector(4, (2,) * 4), slopes.SlopeVector(nums=(2,) * 4, den=4)):
         assert (s.den, s.nums) == (2, (1,) * 4)
     with pytest.raises(TypeError):
         classifier.LemmaResult("a", "b")

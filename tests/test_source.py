@@ -21,16 +21,16 @@ from weiltate import cli
 SRC = Path(weiltate.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# "module: Class.method" -> why the method stays though the program reads it nowhere
-UNREAD_METHODS = {
-    "classifier.py: LocalInvariant.slope": "the API's Fraction form of `slope_num / den`",
-    "classifier.py: LocalInvariant.invariant": "the API's Fraction form of `invariant_num / den`",
-}
-
 # module -> why it imports from `itertools`: brute force over subsets belongs to the tests
 ITERTOOLS_IMPORTS = {
     "cmtypes.py": "`enumerate_cm_types`, in the README's declared API, lists the CM types "
                   "that meet given place counts by per-block `combinations`",
+}
+
+# (module, top-level function) -> why it imports `fractions`: slopes and Brauer invariants
+# are integers over a denominator everywhere else
+FRACTIONS_IMPORTS = {
+    ("forge.py", "parse_scenario"): "a scenario file's declared slope line is read as rationals",
 }
 
 # every setting a user can give: the environment variables the package names (it reads
@@ -194,17 +194,27 @@ def test_every_method_has_a_caller():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and not any(node.name in names for unit, names in reads if unit is not node)
     ]
-    assert sorted(unread) == sorted(UNREAD_METHODS)
+    assert unread == []
+
+
+def _importers(name) -> set:
+    """(module, the top-level function or class, None at module level) of each import of `name`."""
+    return {
+        (module, getattr(top, "name", None)) for module, tree in _trees().items()
+        for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.ImportFrom) and node.module == name
+        or isinstance(node, ast.Import) and any(a.name == name for a in node.names)
+    }
 
 
 def test_only_the_named_modules_import_from_itertools():
     """A subset loop such as `combinations` lives in `tests/oracles.py`, save the named exceptions."""
-    importing = {
-        module for module, tree in _trees().items() for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
-        or isinstance(node, ast.Import) and any(a.name == "itertools" for a in node.names)
-    }
-    assert sorted(importing) == sorted(ITERTOOLS_IMPORTS)
+    assert sorted({module for module, _ in _importers("itertools")}) == sorted(ITERTOOLS_IMPORTS)
+
+
+def test_only_parse_scenario_imports_fractions():
+    """A slope or an invariant is an integer over a denominator, save on a declared slope line."""
+    assert sorted(_importers("fractions")) == sorted(FRACTIONS_IMPORTS)
 
 
 def test_no_source_line_is_longer_than_100_characters():
@@ -218,7 +228,8 @@ def test_no_source_line_is_longer_than_100_characters():
 
 
 # stdlib modules that no classify or verify run loads: slopes and invariants are integers
-# until the API asks for a Fraction, the writer takes its one C function from `_json`,
+# over a denominator (a scenario file's slope line alone is read as rationals), the writer
+# takes its one C function from `_json`,
 # and `random` is imported where `forge_totally_real` seeds its drawer
 UNLOADED = {"fractions", "decimal", "numbers", "json", "copy", "random"}
 
