@@ -16,7 +16,6 @@ from operator import index, itemgetter
 
 from .galois import (
     CMGaloisModel,
-    CapExceededError,
     Record,
     format_perm,
     index2_point_sets,
@@ -32,8 +31,6 @@ from .slopes import (
 )
 from .cmtypes import hodge_type, is_balanced, validate_cm_type
 
-DEFAULT_SUBSET_CAP = 16
-
 SCHT_APPLICABLE = "APPLICABLE_MILDLY_EXOTIC"
 SCHT_LEFSCHETZ_ONLY = "LEFSCHETZ_ONLY"
 SCHT_NOT_DECIDED = "NOT_DECIDED"
@@ -43,12 +40,6 @@ TATE_COUNT_NOTE = (
     "assumes the numerical consequences of the Tate conjecture"
 )
 EXOTIC_RANK_NOTE = "exotic summands are required to have rank <= 2"
-
-
-def refuse_over_subset_cap(n: int, subset_cap: int, where: str = "") -> None:
-    """Refuse 2g = n points over the subset cap, the one guard on a classification."""
-    if n > subset_cap:
-        raise CapExceededError(f"{where}2g = {n} exceeds the subset cap {subset_cap}")
 
 
 class MemberMasks:
@@ -377,7 +368,6 @@ def classify_orbits(
     s: SlopeVector,
     weights=None,
     phi: frozenset = None,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> ClassifierReport:
     """Enumerate every Tate-class-bearing orbit of the requested weights.
 
@@ -399,7 +389,6 @@ def classify_orbits(
     predicate built here.
     """
     n = model.group.degree
-    refuse_over_subset_cap(n, subset_cap)
     validate_slopes(model, s)
 
     full_scan = weights is None
@@ -626,15 +615,13 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector, columns) -> En
     )
 
 
-def classify_scenario(scn, subset_cap: int = DEFAULT_SUBSET_CAP, weights=None) -> tuple:
+def classify_scenario(scn, weights=None) -> tuple:
     """(report, end): the orbit classification of a scenario, with its phi, and Honda-Tate.
 
     The one route from a scenario to its reports: the classify document
     and the lemma suite both read what it returns.
     """
-    report = classify_orbits(
-        scn.model, scn.slopes, weights=weights, phi=scn.phi, subset_cap=subset_cap
-    )
+    report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
     return report, honda_tate_endomorphism(scn.model, scn.slopes, report.columns)
 
 

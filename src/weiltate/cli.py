@@ -247,11 +247,7 @@ def _scenario_doc(scn: forge.Scenario) -> dict:
     return doc
 
 
-def classify_scenario_doc(
-    scn: forge.Scenario,
-    subset_cap: int = classifier.DEFAULT_SUBSET_CAP,
-    weights=None,
-) -> dict:
+def classify_scenario_doc(scn: forge.Scenario, weights=None) -> dict:
     """Full classification document for one scenario: the reports of `classify_scenario`.
 
     The Frobenius rank is read off the report, whose Tate predicate is
@@ -262,7 +258,7 @@ def classify_scenario_doc(
     members stay a `MemberMasks`, which `_emit_json` writes as their
     1-based point lists.
     """
-    report, end = classify_scenario(scn, subset_cap, weights)
+    report, end = classify_scenario(scn, weights)
     doc = {
         "schema": "weiltate.classify/1",
         "scenario": _scenario_doc(scn),
@@ -339,11 +335,11 @@ def cmd_classify(args) -> int:
             weights = [int(w) for w in args.weights.split(",")]
         except ValueError:
             raise UsageError(f"--weights takes comma-separated integers, got {args.weights!r}")
-    subset_cap = classifier.DEFAULT_SUBSET_CAP if args.cap is None else args.cap
+    subset_cap = forge.DEFAULT_SUBSET_CAP if args.cap is None else args.cap
     if subset_cap < 2:  # admits nothing: an input error, not a cap that was hit
         raise UsageError(f"--cap must be at least 2, got {subset_cap}")
     scn = _resolve_scenario(args, subset_cap)
-    doc = classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
+    doc = classify_scenario_doc(scn, weights=weights)
     if args.format == "json":
         _emit_json(doc, sys.stdout.write)
     else:

@@ -9,7 +9,7 @@ the signs at the midpoints between the spread's roots; nothing is
 factored.  The spread doubles at most a number of times set by g, past
 which the signs provably alternate.
 Scenario presets encode the three construction families as pure
-combinatorial data (group, tau, D, CM-type); the forged polynomials are
+combinatorial data (group, D, CM-type); the forged polynomials are
 provenance, not inputs, to the classification pipeline.  A preset, like
 a scenario file, is refused on its point count over the subset cap
 before any permutation is built.
@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .galois import (
     CMGaloisModel,
+    CapExceededError,
     PermGroup,
     Record,
     StabChain,
@@ -35,6 +36,7 @@ from .galois import (
     build_group,
     cm_product_group,
     compose,
+    conjugation,
     cycles_to_perm,
     diagonal_lift,
     format_perm,
@@ -43,9 +45,10 @@ from .galois import (
     subgroup_generators,
     sym_generators,
 )
-from .classifier import DEFAULT_SUBSET_CAP, refuse_over_subset_cap
 from .cmtypes import least_cm_type, tau_block_classes, validate_cm_type
 from .slopes import SlopeVector, slopes_from_cm_type
+
+DEFAULT_SUBSET_CAP = 16
 
 
 class HypothesisError(ValueError):
@@ -58,6 +61,12 @@ class SelfCheckError(RuntimeError):
 
 class ScenarioParseError(ValueError):
     """A scenario file failed to parse; carries line/field context."""
+
+
+def refuse_over_subset_cap(n: int, subset_cap: int, where: str = "") -> None:
+    """Refuse 2g = n points over the subset cap: its one check, where a scenario is admitted."""
+    if n > subset_cap:
+        raise CapExceededError(f"{where}2g = {n} exceeds the subset cap {subset_cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +427,7 @@ def _biquadratic_model(gp: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP):
         generators=(e1, e2, *[diagonal_lift(s, 4) for s in sym_generators(gp)]),
         chain=StabChain.from_strong(4 * gp, strong),
     )
-    model = CMGaloisModel(g=2 * gp, group=group, tau=compose(e1, e2))
+    model = CMGaloisModel(group)
     return model, e1, e2, diagonal_lift(cycles_to_perm(gp, [tuple(range(1, gp))]), 4)
 
 
@@ -536,8 +545,10 @@ def parse_scenario(text: str, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
     group = build_group(npoints, gens)
     if tau not in group:
         fail("tau", "tau is not an element of the generated group")
+    if tau != conjugation(npoints):
+        fail("tau", "tau does not act as i -> i + g mod 2g")
     try:
-        model = CMGaloisModel(g=npoints // 2, group=group, tau=tau)
+        model = CMGaloisModel(group)
     except ValueError as exc:
         fail("tau", str(exc))
 

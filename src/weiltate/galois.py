@@ -7,16 +7,16 @@ and membership without listing it: a preset's chain is read off a known
 strong generating set (`cm_product_group`, `forge._biquadratic_model`),
 and a scenario file's goes through Schreier-Sims (`build_group`).
 No group is listed, and no builder here refuses a group for its size:
-a chain costs what its degree does, and the callers' subset cap bounds
-the degree.
+a chain costs what its degree does, and the subset cap that `forge`
+checks where a scenario is admitted bounds the degree.
 A subgroup is carried by the smallest data that fixes it: one above
 Stab(1) by its point block, the decomposition group D by its
 generators; the generator lists of a document are read off their
 chains' transversals.  The classification works on the
 action of the generators on the 2g points (orbits, sign labellings,
 block systems).  The CM structure is the central involution tau with
-tau(i) = i + g mod 2g.  `Record` is the frozen base of the package's
-value classes.
+tau(i) = i + g mod 2g, which a model reads off its group's degree.
+`Record` is the frozen base of the package's value classes.
 """
 
 from __future__ import annotations
@@ -191,6 +191,12 @@ def diagonal_lift(sigma: Perm, copies: int) -> Perm:
     """sigma acting alike on each of `copies` consecutive runs of len(sigma) points."""
     m = len(sigma)
     return tuple([x + k * m for k in range(copies) for x in sigma])
+
+
+def conjugation(n: int) -> Perm:
+    """The CM conjugation on n = 2g points: i -> i + g mod 2g."""
+    g = n // 2
+    return tuple(range(g, n)) + tuple(range(g))
 
 
 def _inverse(p: Perm) -> Perm:
@@ -421,40 +427,39 @@ def subgroup_generators(transversals) -> list:
 class CMGaloisModel(Record):
     """G acting on the 2g Frobenius-eigenvalue indices with CM structure.
 
-    tau is the central conjugation i -> i + g mod 2g.  The decomposition
+    The group fixes the rest: g is half its degree, and tau is the
+    conjugation i -> i + g mod 2g (`conjugation`), which must be a
+    central element of G.  The decomposition
     subgroup D at the anchored valuation is carried by D_generators
     (None until `with_decomposition` supplies them), which are checked
     to lie in the group; D_blocks, derived from them, holds the D-orbits
-    on the indices, the places of L above p (None without D).  Neither
-    takes part in model equality.
+    on the indices, the places of L above p (None without D).  g, tau
+    and D_blocks are stored beside the fields; only the group takes
+    part in model equality.
     """
 
-    g: int
     group: PermGroup
-    tau: Perm
     D_generators: tuple = None
-    _compare = ("g", "group", "tau")
+    _compare = ("group",)
     _shown = ("g", "group", "tau", "D_generators", "D_blocks")
 
     def __post_init__(self):
         n = self.group.degree
-        if n != 2 * self.g:
-            raise ValueError(f"group degree {n} is not 2g = {2 * self.g}")
+        if n % 2 != 0:
+            raise ValueError(f"group degree {n} is odd, not 2g")
+        tau = conjugation(n)
         if len(point_orbits(self.group.generators, n)) != 1:
             raise ValueError("group does not act transitively on the 2g indices")
-        if self.tau not in self.group:
+        if tau not in self.group:
             raise ValueError("tau is not a group element")
-        expected = tuple((i + self.g) % n for i in range(n))
-        if self.tau != expected:
-            raise ValueError("tau does not act as i -> i + g mod 2g")
         # tau commutes with every element iff it commutes with the generators
         for gen in self.group.generators:
-            if compose(gen, self.tau) != compose(self.tau, gen):
+            if compose(gen, tau) != compose(tau, gen):
                 raise ValueError(f"tau is not central: fails against generator {format_perm(gen)}")
         blocks = None
         if self.D_generators is not None:
             blocks = point_orbits(_in_group(self.group, self.D_generators), n)
-        self.__dict__["D_blocks"] = blocks
+        self.__dict__.update(g=n // 2, tau=tau, D_blocks=blocks)
 
     def with_decomposition(self, generators) -> "CMGaloisModel":
         """The same model with D = <generators>; the group checks already held."""
@@ -478,14 +483,14 @@ def cm_product_group(g: int) -> CMGaloisModel:
     if g < 2:
         raise ValueError("g must be at least 2")
     n = 2 * g
-    tau = tuple((i + g) % n for i in range(n))
+    tau = conjugation(n)
     strong = [tau] + [diagonal_lift(t, 2) for t in adjacent_transpositions(g)]
     group = PermGroup(
         degree=n,
         generators=(tau, *[diagonal_lift(s, 2) for s in sym_generators(g)]),
         chain=StabChain.from_strong(n, strong),
     )
-    return CMGaloisModel(g=g, group=group, tau=tau)
+    return CMGaloisModel(group)
 
 
 def index2_point_sets(group: PermGroup) -> list:

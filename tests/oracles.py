@@ -567,7 +567,7 @@ def columns_of(model: CMGaloisModel, s: SlopeVector) -> list:
 
     No oracle: the table that `honda_tate_endomorphism` reads.
     """
-    return classify_orbits(model, s, weights=(), subset_cap=model.group.degree).columns
+    return classify_orbits(model, s, weights=()).columns
 
 
 def column_classes(model: CMGaloisModel, s: SlopeVector) -> tuple:

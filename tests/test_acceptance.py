@@ -95,7 +95,7 @@ def test_criterion_1_main4_exotic_orbit():
 def test_criterion_2_main6_exotic_orbit():
     start = time.monotonic()
     scn = scenario_main(6, 5)
-    rep = classify_orbits(scn.model, scn.slopes, phi=scn.phi, subset_cap=16)
+    rep = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
     assert len(rep.exotic) == 1
     (exotic,) = rep.exotic
     assert exotic.weight == 6

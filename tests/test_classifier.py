@@ -86,7 +86,6 @@ from weiltate.classifier import (
 from weiltate.forge import Scenario, scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import (
     CMGaloisModel,
-    CapExceededError,
     StabChain,
     build_group,
     cm_product_group,
@@ -144,7 +143,7 @@ def ordinary_slopes(g):
 def supersingular_degree2_model():
     tau = cycles_to_perm(2, [(1, 2)])
     group = build_group(2, [tau])
-    model = CMGaloisModel(g=1, group=group, tau=tau)
+    model = CMGaloisModel(group)
     return model.with_decomposition(elements_of(group))
 
 
@@ -277,13 +276,10 @@ def test_classify_partial_weights_no_verdict():
     assert {o.weight for o in rep.orbits} == {4}
 
 
-def test_classify_rejects_bad_weights_and_cap():
+def test_classify_rejects_bad_weights():
     scn = scenario_main(4, 5)
     with pytest.raises(ValueError):
         classify_orbits(scn.model, scn.slopes, weights=[3])
-    big = scenario_ramified(3, 5)
-    with pytest.raises(CapExceededError):
-        classify_orbits(big.model, big.slopes, subset_cap=8)
 
 
 def test_classified_orbits_cover_exactly_the_tate_subsets():
@@ -367,7 +363,7 @@ def cm_models(draw):
     gens = [tau, signed_perm(g, sigma, draw(flips))]
     if draw(st.booleans()):
         gens.append(signed_perm(g, draw(st.permutations(range(g))), draw(flips)))
-    return CMGaloisModel(g=g, group=build_group(2 * g, gens), tau=tau)
+    return CMGaloisModel(build_group(2 * g, gens))
 
 
 @st.composite
@@ -387,8 +383,7 @@ def classify_cases(draw):
 
 
 TAU5 = tuple((i + 5) % 10 for i in range(10))
-CYCLIC5 = CMGaloisModel(g=5, group=build_group(10, [TAU5, (1, 2, 3, 4, 0, 6, 7, 8, 9, 5)]),
-                        tau=TAU5)
+CYCLIC5 = CMGaloisModel(build_group(10, [TAU5, (1, 2, 3, 4, 0, 6, 7, 8, 9, 5)]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -441,7 +436,7 @@ def test_mask_orbits_match_the_frozenset_walk_on_the_presets(name, weights):
 def test_mask_orbits_match_the_frozenset_walk_past_one_byte(name):
     """g'=5 has 20 points: each half table spans 10 bits, so no half fits in one byte."""
     scn = PRESETS[name]()
-    report = classify_orbits(scn.model, scn.slopes, weights=[2, 10], phi=scn.phi, subset_cap=20)
+    report = classify_orbits(scn.model, scn.slopes, weights=[2, 10], phi=scn.phi)
     assert report == classify_orbits_by_walk(scn.model, scn.slopes, [2, 10], scn.phi)
 
 
@@ -452,7 +447,7 @@ def no_central_model(g: int) -> CMGaloisModel:
     """
     c, t = (diagonal_lift(p, 2) for p in sym_generators(g))
     tau = tuple((i + g) % (2 * g) for i in range(2 * g))
-    return CMGaloisModel(g=g, group=build_group(2 * g, [compose(c, tau), t]), tau=tau)
+    return CMGaloisModel(build_group(2 * g, [compose(c, tau), t]))
 
 
 def c4_times_s3() -> CMGaloisModel:
@@ -463,8 +458,7 @@ def c4_times_s3() -> CMGaloisModel:
     """
     z = tuple((i + 3) % 12 for i in range(12))
     gens = [diagonal_lift(p, 4) for p in sym_generators(3)]
-    return CMGaloisModel(g=6, group=build_group(12, [gens[0], z, gens[1]]),
-                         tau=tuple((i + 6) % 12 for i in range(12)))
+    return CMGaloisModel(build_group(12, [gens[0], z, gens[1]]))
 
 
 def perm_of_tables(n, half, tables) -> tuple:
@@ -1046,7 +1040,7 @@ def closed_form_rho(model, s):
 @pytest.mark.parametrize("name", [name for name in PRESETS if name != "split5"])
 def test_closed_form_rho_matches_the_orbit_ranks(name):
     scn = PRESETS[name]()
-    rep = classify_orbits(scn.model, scn.slopes, subset_cap=20)
+    rep = classify_orbits(scn.model, scn.slopes)
     assert closed_form_rho(scn.model, scn.slopes) == rep.tate_dims
 
 
@@ -1060,7 +1054,7 @@ def test_tate_counts_by_dp_match_the_orbit_ranks(name):
         "split5": PRESETS["split5"],
     }[name]()
     n = scn.model.group.degree
-    report = classify_orbits(scn.model, scn.slopes, subset_cap=20)
+    report = classify_orbits(scn.model, scn.slopes)
     counts = tate_counts_by_dp(_packed_columns(tate_rows(scn.model, scn.slopes)))
     assert tuple(counts.get(w, 0) for w in range(0, n + 1, 2)) == report.tate_dims
 
@@ -1069,7 +1063,7 @@ def test_tate_counts_by_dp_match_the_orbit_ranks(name):
 def test_main_family_matches_its_closed_form(g):
     """Every orbit of main g = 4..16, member by member, against the formula (caps raised here)."""
     scn = scenario_main(g, 5, subset_cap=2 * g)
-    report = classify_orbits(scn.model, scn.slopes, phi=scn.phi, subset_cap=2 * g)
+    report = classify_orbits(scn.model, scn.slopes, phi=scn.phi)
     rho, orbits = main_family_by_formula(g)
     assert report.tate_dims == rho
     assert len(report.orbits) == len(orbits) == g + 2
@@ -1204,9 +1198,7 @@ def test_weil_tate_ramified_split_counts():
 def test_weil_tate_empty_when_every_index2_overgroup_contains_tau():
     # cyclic C4 on 4 points: the only index-2 subgroup is <tau>
     c = cycles_to_perm(4, [(1, 2, 3, 4)])
-    group = build_group(4, [c])
-    tau = cycles_to_perm(4, [(1, 3), (2, 4)])
-    model = CMGaloisModel(g=2, group=group, tau=tau)
+    model = CMGaloisModel(build_group(4, [c]))
     s = SlopeVector(2, (1,) * 4)
     assert weil_tate_submotives(model, s) == ()
 
@@ -1338,7 +1330,7 @@ TAU4 = tuple((i + 4) % 8 for i in range(8))
 # |G| = 16: a walk taking each block through every generator before the next block
 # orders both partitions otherwise
 SIGNED16 = CMGaloisModel(
-    g=4, group=build_group(8, [TAU4, (3, 0, 5, 6, 7, 4, 1, 2), (2, 3, 0, 1, 6, 7, 4, 5)]), tau=TAU4
+    build_group(8, [TAU4, (3, 0, 5, 6, 7, 4, 1, 2), (2, 3, 0, 1, 6, 7, 4, 5)])
 ).with_decomposition([(2, 3, 0, 1, 6, 7, 4, 5)])
 
 
@@ -1536,7 +1528,7 @@ def test_signature_main6():
 @pytest.mark.parametrize("name", PRESETS)
 def test_signature_is_nonnegative_on_presets(name):
     scn = PRESETS[name]()
-    rep = classify_orbits(scn.model, scn.slopes, subset_cap=20)
+    rep = classify_orbits(scn.model, scn.slopes)
     s_plus, s_minus = predicted_signature(rep)
     assert s_plus >= 0 and s_minus >= 0
     assert s_plus + s_minus == rep.tate_dims[rep.g // 2]

@@ -568,6 +568,7 @@ def test_classify_weights_that_are_not_integers_are_a_usage_error(capsys, weight
 
 CLASSIFY_MAIN4 = ["classify", "--preset", "main", "--g", "4"]
 FORGE_G4 = ["forge", "--g", "4", "--p", "5", "--l", "7", "--lp", "11"]
+RAMIFIED5 = ["classify", "--preset", "ramified", "--gp", "5"]  # 20 points
 
 
 def assert_input_error(capsys, argv, message):
@@ -586,37 +587,27 @@ def test_subset_caps_that_admit_nothing_are_input_errors(capsys):
     assert (code, out, err) == (cli.EXIT_CAP, "", "cap exceeded: 2g = 8 exceeds the subset cap 2\n")
 
 
-def test_group_cap_variable_is_read_by_nothing(capsys, monkeypatch):
-    """WEILTATE_GROUP_CAP was a cap on |G|; values that admitted nothing change no document."""
-    expected = [run_cli(capsys, argv) for argv in (CLASSIFY_MAIN4, ["verify"])]
-    assert [code for code, _, _ in expected] == [0, 0]
-    for cap in ("0", "-5", "1", "ten"):
-        monkeypatch.setenv("WEILTATE_GROUP_CAP", cap)
-        assert [run_cli(capsys, argv) for argv in (CLASSIFY_MAIN4, ["verify"])] == expected
+@pytest.mark.parametrize("variable, values, argvs, codes", [
+    ("WEILTATE_GROUP_CAP", ("0", "-5", "1", "ten"), [CLASSIFY_MAIN4, ["verify"]], [0, 0]),
+    ("WEILTATE_SUBSET_CAP", ("8", "-1", "ten"), [["classify", "--preset", "main", "--g", "6"],
+                                                 ["verify"], RAMIFIED5], [0, 0, cli.EXIT_CAP]),
+    ("WEILTATE_RETRY_BUDGET", ("0", "-3", "ten"), [FORGE_G4], [0]),
+], ids=["GROUP_CAP", "SUBSET_CAP", "RETRY_BUDGET"])
+def test_retired_variable_is_read_by_nothing(capsys, monkeypatch, variable, values, argvs, codes):
+    """No value of a retired variable changes an output.
 
-
-def test_subset_cap_variable_is_read_by_nothing(capsys, monkeypatch):
-    """WEILTATE_SUBSET_CAP was a second setting of `classify --cap`; its values change no output."""
-    ramified5 = ["classify", "--preset", "ramified", "--gp", "5"]  # 20 points
-    argvs = (["classify", "--preset", "main", "--g", "6"], ["verify"])
+    WEILTATE_GROUP_CAP was a cap on |G|, WEILTATE_SUBSET_CAP a second
+    setting of `classify --cap`, and WEILTATE_RETRY_BUDGET the forge's
+    spread budget (the flag's refusal is test_forge_budget_is_a_usage_error).
+    """
     expected = [run_cli(capsys, argv) for argv in argvs]
-    assert [code for code, _, _ in expected] == [0, 0]
-    for cap in ("8", "-1", "ten"):
-        monkeypatch.setenv("WEILTATE_SUBSET_CAP", cap)
+    assert [code for code, _, _ in expected] == codes
+    for value in values:
+        monkeypatch.setenv(variable, value)
         assert [run_cli(capsys, argv) for argv in argvs] == expected
-        code, out, err = run_cli(capsys, ramified5)
-        assert (code, out, err) == (cli.EXIT_CAP, "",
-                                    "cap exceeded: 2g = 20 exceeds the subset cap 16\n")
-
-
-def test_retry_budget_variable_is_read_by_nothing(capsys, monkeypatch):
-    """WEILTATE_RETRY_BUDGET was the forge's spread budget; values that admitted nothing change
-    no certificate (the flag's refusal is test_forge_budget_is_a_usage_error)."""
-    expected = run_cli(capsys, FORGE_G4)
-    assert expected[0] == 0
-    for budget in ("0", "-3", "ten"):
-        monkeypatch.setenv("WEILTATE_RETRY_BUDGET", budget)
-        assert run_cli(capsys, FORGE_G4) == expected
+    for code, out, err in expected:
+        if code:  # ramified g' = 5 has 20 points, over the default cap
+            assert (out, err) == ("", "cap exceeded: 2g = 20 exceeds the subset cap 16\n")
 
 
 def test_main_g10_and_g12_classify_under_the_subset_cap(capsys):
@@ -729,6 +720,29 @@ def test_parse_scenario_refuses_more_points_than_the_subset_cap_on_line_1():
     with pytest.raises(galois.CapExceededError,
                        match="^line 1: field 'points': 2g = 200000 exceeds the subset cap 16$"):
         forge.parse_scenario(long)
+
+
+@pytest.mark.parametrize("generators, tau, message", [
+    ("(1 2 4 3)", "(1 2)", "tau is not an element of the generated group"),
+    ("(1 2 3 4)", "(1 2 3 4)", "tau does not act as i -> i + g mod 2g"),
+    ("(1 2 3 4), (1 2)", "(1 3)(2 4)", "tau is not central: fails against generator (1 2)"),
+], ids=["outside-G", "not-the-shift", "not-central"])
+def test_scenario_tau_line_is_refused_with_its_reason(tmp_path, capsys, generators, tau, message):
+    path = tmp_path / "tau.scn"
+    path.write_text(f"points = 4\ngenerators = {generators}\ntau = {tau}\nphi = 1 2\n",
+                    encoding="utf-8")
+    assert run_cli(capsys, ["classify", "--file", str(path)]) == (
+        cli.EXIT_USAGE, "", f"scenario parse error: line 3: field 'tau': {message}\n")
+
+
+def test_the_classifier_takes_no_cap_and_classifies_what_the_capped_command_admits(
+        capsys, monkeypatch):
+    classify_scenario, reports = cli.classify_scenario, []
+    monkeypatch.setattr(cli, "classify_scenario",
+                        lambda *args: reports.append(classify_scenario(*args)) or reports[-1])
+    assert run_cli(capsys, RAMIFIED5 + ["--cap", "20"])[0] == cli.EXIT_OK
+    scn = forge.scenario_ramified(5, 5, subset_cap=20)
+    assert classify_orbits(scn.model, scn.slopes, phi=scn.phi) == reports[0][0]
 
 
 def test_subset_cap_flag_applies_to_every_preset_family(capsys):
@@ -965,7 +979,7 @@ def test_classify_streams_its_document_in_pieces():
     with redirect_stdout(log):
         assert cli.main(argv) == cli.EXIT_OK
     scn = forge.scenario_ramified(5, 5, subset_cap=20)
-    doc = plain_document(cli.classify_scenario_doc(scn, subset_cap=20))
+    doc = plain_document(cli.classify_scenario_doc(scn))
     assert "".join(log.writes) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     largest = max(
         len(json.dumps(o["orbit"], indent=2).replace("\n", "\n" + " " * 8))
@@ -1006,10 +1020,10 @@ LADDER_CLASSIFY = {r.name: list(r.argv) for r in _ladder().RUNGS.values() if r.k
 def plain_classify_text(argv) -> str:
     """`json.dumps` of the plain form of the document `classify_scenario_doc` returns for an argv."""
     args = cli.build_parser().parse_args(argv)
-    subset_cap = classifier.DEFAULT_SUBSET_CAP if args.cap is None else args.cap
+    subset_cap = forge.DEFAULT_SUBSET_CAP if args.cap is None else args.cap
     scn = cli._resolve_scenario(args, subset_cap)
     weights = None if args.weights is None else [int(w) for w in args.weights.split(",")]
-    doc = cli.classify_scenario_doc(scn, subset_cap=subset_cap, weights=weights)
+    doc = cli.classify_scenario_doc(scn, weights=weights)
     return json.dumps(plain_document(doc), sort_keys=True, indent=2) + "\n"
 
 
@@ -1072,7 +1086,7 @@ def drawn_scenarios(draw):
                 j = sigma[i] + (g if flips[i] else 0)
                 perm[i], perm[i + g] = j, (j + g) % n
             gens.append(tuple(perm))
-        model = galois.CMGaloisModel(g=g, group=galois.build_group(n, gens), tau=tau)
+        model = galois.CMGaloisModel(galois.build_group(n, gens))
     gens = model.group.generators
     word = draw(st.lists(st.sampled_from(range(len(gens))), min_size=1, max_size=3))
     d = galois.identity(n)
@@ -1157,7 +1171,7 @@ def test_classify_forms_no_member_point_tuple(fmt, capsys, monkeypatch):
 def test_comparing_reports_decodes_no_member(monkeypatch):
     """Report equality and hashing read each orbit's `MemberMasks` as its masks."""
     scn = forge.scenario_ramified(5, 5, subset_cap=20)
-    report, again = (classify_orbits(scn.model, scn.slopes, subset_cap=20) for _ in range(2))
+    report, again = (classify_orbits(scn.model, scn.slopes) for _ in range(2))
     decoded = _count_decodes(monkeypatch)
     assert report == report and report == again and hash(report) == hash(again)
     assert decoded == []

@@ -154,6 +154,17 @@ def test_cm_product_group_action_matches_shifted_split():
     assert compose(three_cycle, model.tau) == compose(model.tau, three_cycle)
 
 
+@pytest.mark.parametrize("gp", [3, 5, 7])
+def test_each_preset_builds_the_tau_that_its_model_reads_off_the_group(gp):
+    """tau leads mu2 x S_g' and is e1 e2 on the ramified and split presets."""
+    model = cm_product_group(gp)
+    assert model.group.generators[0] == model.tau
+    for family in ("ramified", "split"):
+        model = forge.PRESETS[family](gp, 5, subset_cap=4 * gp).model
+        e1, e2 = model.group.generators[:2]
+        assert compose(e1, e2) == model.tau
+
+
 def test_tau_invariants():
     for g in (2, 3, 4):
         model = cm_product_group(g)
@@ -270,16 +281,18 @@ def test_verify_subgroup_rejects_non_subgroup():
 
 
 def test_model_rejects_wrong_tau():
-    group = build_group(4, [cycles_to_perm(4, [(1, 2)]), cycles_to_perm(4, [(1, 2, 3, 4)])])
-    with pytest.raises(ValueError):
-        CMGaloisModel(g=2, group=group, tau=cycles_to_perm(4, [(1, 2)]))
+    # <(1 2 4 3)> is transitive, but its involution is (1 4)(2 3), not the shift (1 3)(2 4)
+    with pytest.raises(ValueError, match="^tau is not a group element$"):
+        CMGaloisModel(build_group(4, [cycles_to_perm(4, [(1, 2, 4, 3)])]))
+    with pytest.raises(ValueError, match="^group degree 3 is odd, not 2g$"):
+        CMGaloisModel(build_group(3, [cycles_to_perm(3, [(1, 2, 3)])]))
 
 
 def test_model_rejects_non_central_tau():
     # S_4 holds (1 3)(2 4), which acts as i -> i + 2 but is not central
     group = build_group(4, [cycles_to_perm(4, [(1, 2)]), cycles_to_perm(4, [(1, 2, 3, 4)])])
     with pytest.raises(ValueError, match="tau is not central: fails against generator"):
-        CMGaloisModel(g=2, group=group, tau=cycles_to_perm(4, [(1, 3), (2, 4)]))
+        CMGaloisModel(group)
 
 
 def test_with_decomposition_verifies_only_d():
@@ -297,23 +310,23 @@ def test_with_decomposition_verifies_only_d():
 def test_model_takes_neither_h_nor_d(name):
     model = cm_product_group(2)
     with pytest.raises(TypeError):
-        CMGaloisModel(g=2, group=model.group, tau=model.tau, **{name: (model.tau,)})
+        CMGaloisModel(model.group, **{name: (model.tau,)})
 
 
 def test_model_checks_the_decomposition_fields_it_is_given():
     model = cm_product_group(3)
     with_d = model.with_decomposition([model.tau])
-    given = CMGaloisModel(model.g, model.group, model.tau, with_d.D_generators)
+    given = CMGaloisModel(model.group, with_d.D_generators)
     assert given == with_d and given.D_blocks == ((0, 3), (1, 4), (2, 5))
     assert vars(given) == vars(with_d)
-    assert CMGaloisModel(3, model.group, model.tau).D_blocks is None
+    assert CMGaloisModel(model.group).D_blocks is None
     with pytest.raises(ValueError, match="is not in the group"):
-        CMGaloisModel(3, model.group, model.tau, (cycles_to_perm(6, [(1, 2)]),))
+        CMGaloisModel(model.group, (cycles_to_perm(6, [(1, 2)]),))
     # the D-orbits are derived from the generators, never given
     with pytest.raises(TypeError):
-        CMGaloisModel(3, model.group, model.tau, with_d.D_generators, with_d.D_blocks)
+        CMGaloisModel(model.group, with_d.D_generators, with_d.D_blocks)
     with pytest.raises(TypeError):
-        CMGaloisModel(3, model.group, model.tau, D_blocks=with_d.D_blocks)
+        CMGaloisModel(model.group, D_blocks=with_d.D_blocks)
 
 
 def test_with_decomposition_runs_no_group_check_again(monkeypatch):
@@ -365,7 +378,7 @@ def test_model_rejects_intransitive_group():
     group = build_group(4, [cycles_to_perm(4, [(1, 3), (2, 4)])])
     # group is {id, tau}: transitivity fails for degree 4
     with pytest.raises(ValueError):
-        CMGaloisModel(g=2, group=group, tau=cycles_to_perm(4, [(1, 3), (2, 4)]))
+        CMGaloisModel(group)
 
 
 def test_inverse_and_compose():

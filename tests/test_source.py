@@ -217,6 +217,26 @@ def test_only_parse_scenario_imports_fractions():
     assert sorted(_importers("fractions")) == sorted(FRACTIONS_IMPORTS)
 
 
+def test_the_package_root_binds_no_name():
+    """A name has one home, its module: callers import from `weiltate.<module>`."""
+    assert all(isinstance(node, ast.Expr) for node in _trees()["__init__.py"].body)  # docstring
+
+
+def test_only_forge_and_the_cli_name_the_subset_cap():
+    """`classify --cap` sets the cap, and `forge` checks it where a scenario is admitted."""
+    assert sorted(path.name for path in SRC.glob("*.py")
+                  if re.search("subset_cap|SUBSET_CAP", path.read_text(encoding="utf-8"))
+                  ) == ["cli.py", "forge.py"]
+
+
+def test_forge_imports_no_classifier_and_the_classifier_no_forge_or_cli():
+    imported = {module: {node.module or alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.level == 1
+                         for alias in node.names} for module, tree in _trees().items()}
+    assert "classifier" not in imported["forge.py"]
+    assert imported["classifier.py"] & {"forge", "cli"} == set()
+
+
 def test_no_source_line_is_longer_than_100_characters():
     long_lines = [
         f"{path.name}:{number}: {len(line)}"
