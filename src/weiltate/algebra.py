@@ -2,10 +2,10 @@
 
 Polynomials are coefficient sequences, lowest degree first; the zero
 polynomial is empty.  Integer polynomials are tuples of arbitrary
-precision Python ints.  Over a prime field GF(l), l < 2**31, the kernel
-works on lists with coefficients in [0, l), for a prime l that the
-caller has checked once; Euclid divides such lists by non-monic
-remainders, one inverse a step.
+precision Python ints.  Over a prime field GF(l) the kernel works on
+lists with coefficients in [0, l), for a prime l that the caller has
+checked once, any prime below `MR_BOUND`; Euclid divides such lists by
+non-monic remainders, one inverse a step.
 
 Nothing here rounds: irreducibility is Ben-Or's test, which stops at
 the first factor of degree at most half.
@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from math import gcd
 from operator import mul
-
-MAX_PRIME = 2**31
 
 
 # Miller-Rabin with these bases is exact below the bounds: the first four
@@ -181,7 +179,9 @@ def _packed_modulus(f, l):
         2*n*l**2 (at most n terms in a slot of the convolution, then
         at most n clears that reach it).
     w is one more than the bit length of the largest of these: 23 bits
-    at l = 13 and n = 12, 133 to 137 at l = 2**31 - 1 and n = 12 to 60.
+    at l = 13 and n = 12, 133 to 137 at l = 2**31 - 1 and n = 12 to 60,
+    253 to 257 at l = 2**61 - 1, and 334 to 339 at the largest prime
+    below `MR_BOUND` (82 bits).
     """
     n = len(f) - 1
     row = l + n * l * (l - 1) ** 2

@@ -811,33 +811,16 @@ def verify_lemma_suite(scn, report: ClassifierReport, end: EndAlgebraReport) -> 
 # ---------------------------------------------------------------------------
 
 
-def orbit_to_doc(o: MotiveOrbit) -> dict:
-    """The document of one orbit, "orbit" holding its `MemberMasks`."""
-    doc = {
-        "weight": o.weight,
-        "representative": [i + 1 for i in o.representative],
-        "orbit": o.orbit,
-        "rank": o.rank,
-        "is_tate": o.is_tate,
-        "is_lefschetz_bearing": o.is_lefschetz_bearing,
-        "is_exotic": o.is_exotic,
-    }
-    if o.hodge_type is not None:
-        doc["hodge_type"] = list(o.hodge_type)
-        doc["hodge_balanced"] = o.hodge_balanced
-    return doc
-
-
 def report_to_doc(report: ClassifierReport, group) -> dict:
-    """The structured report, each "orbit" holding the orbit's `MemberMasks`.
+    """The structured report, each orbit kept as its `MotiveOrbit` record.
 
-    `cli._emit_json` writes a `MemberMasks` as the list of its members'
-    1-based point lists, without forming a point tuple.
+    `cli._emit_json` writes a `MotiveOrbit` from one template, its
+    members as their 1-based point lists, without forming a point tuple.
     """
     return {
         "g": report.g,
         "weights": list(report.weights),
-        "orbits": [orbit_to_doc(o) for o in report.orbits],
+        "orbits": list(report.orbits),
         "tate_dims": list(report.tate_dims) if report.tate_dims is not None else None,
         "mildly_exotic": report.mildly_exotic,
         "scht_verdict": report.scht_verdict,

@@ -23,6 +23,7 @@ from . import classifier, forge
 from .classifier import (
     FAIL,
     MemberMasks,
+    MotiveOrbit,
     classify_scenario,
     end_report_to_doc,
     predicted_signature,
@@ -60,20 +61,23 @@ def _emit_json(doc: dict, write) -> None:
     `json` runs its pure-Python encoder whenever `indent` is set; this
     writer hands each piece to `write` as it is formed, a list of plain
     ints as one piece, so no text of the whole document is held.  An
-    orbit's `MemberMasks` is one piece, the list of its 1-based point
-    lists, straight from the masks (`_members_text`).  No document holds
-    a float (a slope or an invariant is an "a/b" string), so a float
-    raises `TypeError`.
+    orbit is its `MotiveOrbit` record, written from one template in
+    three pieces (`_write_orbit`); its members are the middle one, the
+    list of their 1-based point lists, straight from the masks
+    (`_members_text`).  No document holds a float (a slope or an
+    invariant is an "a/b" string), so a float raises `TypeError`.
     """
     _write_json(doc, "\n", write, {})
     write("\n")
 
 
+_BOOL_TEXT = {True: "true", False: "false"}
+
 # the JSON text of a value of each plain scalar type a document holds
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: _BOOL_TEXT.__getitem__,
     type(None): lambda _: "null",
 }
 
@@ -89,6 +93,8 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         write(scalar(value))
+    elif type(value) is MotiveOrbit:
+        _write_orbit(value, nl, write, tables)
     elif isinstance(value, MemberMasks):
         write(_members_text(value, nl, tables))
     elif isinstance(value, (list, tuple)):
@@ -128,6 +134,32 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
         write(nl + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_orbit(o: MotiveOrbit, nl: str, write, tables: dict) -> None:
+    """Write one orbit's JSON object in three pieces, its keys in sorted order.
+
+    The pieces are the keys before "orbit" ("hodge_balanced" and
+    "hodge_type" only when the orbit has a Hodge type), the members
+    from `_members_text`, and the rest; so no piece is longer than the
+    orbit's members.  The representative is written 1-based.
+    """
+    inner = nl + "  "
+    head = "{"
+    if o.hodge_type is not None:
+        p, q = o.hodge_type
+        head = (f'{{{inner}"hodge_balanced": {_BOOL_TEXT[o.hodge_balanced]},'
+                f'{inner}"hodge_type": [{inner}  {p},{inner}  {q}{inner}],')
+    write(f'{head}{inner}"is_exotic": {_BOOL_TEXT[o.is_exotic]},'
+          f'{inner}"is_lefschetz_bearing": {_BOOL_TEXT[o.is_lefschetz_bearing]},'
+          f'{inner}"is_tate": {_BOOL_TEXT[o.is_tate]},{inner}"orbit": ')
+    write(_members_text(o.orbit, inner, tables))
+    rep = "[]"
+    if o.representative:
+        item = inner + "  "
+        rep = "[" + item + ("," + item).join([str(i + 1) for i in o.representative]) + inner + "]"
+    write(f',{inner}"rank": {o.rank},{inner}"representative": {rep},'
+          f'{inner}"weight": {o.weight}{nl}}}')
 
 
 def _members_text(members: MemberMasks, nl: str, tables: dict) -> str:
@@ -254,9 +286,9 @@ def classify_scenario_doc(scn: forge.Scenario, weights=None) -> dict:
     built from the one conjugate-slope basis.  The minimal field index
     [G : Fix] is [Q(pi^k) : Q], the Frobenius field degree that
     Honda-Tate has already counted: both are the number of signature
-    blocks, which all have one size since G is transitive.  Each orbit's
-    members stay a `MemberMasks`, which `_emit_json` writes as their
-    1-based point lists.
+    blocks, which all have one size since G is transitive.  Each orbit
+    stays its `MotiveOrbit` record, which `_emit_json` writes from one
+    template, its members as their 1-based point lists.
     """
     report, end = classify_scenario(scn, weights)
     doc = {
@@ -292,16 +324,16 @@ def _print_classify_text(doc: dict) -> None:
           f"{'lefschetz':<9} {'exotic':<6} hodge")
     for o in rep["orbits"]:
         hodge = ""
-        if "hodge_type" in o:
-            p, q = o["hodge_type"]
-            hodge = f"({p},{q})" + ("" if o["hodge_balanced"] else " unbalanced")
-        print(f"{o['weight']:>6}  {str(o['representative']):<24} {o['rank']:>4}  "
-              f"{str(o['is_lefschetz_bearing']):<9} {str(o['is_exotic']):<6} {hodge}")
+        if o.hodge_type is not None:
+            p, q = o.hodge_type
+            hodge = f"({p},{q})" + ("" if o.hodge_balanced else " unbalanced")
+        points = str([i + 1 for i in o.representative])
+        print(f"{o.weight:>6}  {points:<24} {o.rank:>4}  "
+              f"{str(o.is_lefschetz_bearing):<9} {str(o.is_exotic):<6} {hodge}")
     print()
     if rep["tate_dims"] is not None:
         print(f"tate dims rho_0..rho_g: {rep['tate_dims']}")
-    exotic = [o for o in rep["orbits"] if o["is_exotic"]]
-    print(f"exotic orbits: {len(exotic)}")
+    print(f"exotic orbits: {sum(o.is_exotic for o in rep['orbits'])}")
     print(f"mildly exotic: {rep['mildly_exotic']}")
     print(f"verdict: {rep['scht_verdict']}")
     for e in rep["weil_tate"]:

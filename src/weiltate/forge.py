@@ -18,7 +18,6 @@ before any permutation is built.
 from __future__ import annotations
 
 from .algebra import (
-    MAX_PRIME,
     crt_poly,
     format_poly,
     gf_ben_or,
@@ -256,9 +255,7 @@ def forge_totally_real(g: int, p: int, l: int, lp: int, seed: int = 0) -> Forged
     if g < 2 or g % 2 != 0:
         raise HypothesisError(f"g = {g} must be a positive even integer")
     for q in (p, l, lp):
-        if q >= MAX_PRIME:  # the kernel's cap error, before any primality test
-            raise ValueError(f"prime {q} exceeds the 2**31 single-word cap")
-        if not is_prime(q):
+        if not is_prime(q):  # at or above MR_BOUND an input error, before any trial division
             raise HypothesisError(f"{q} is not prime")
     if len({p, l, lp}) != 3:
         raise HypothesisError(f"primes p = {p}, l = {l}, l' = {lp} must be distinct")

@@ -35,8 +35,7 @@ both through `_is_sg_certificate`, which holds the patterns against
 `forge._sg_patterns`.
 The package factors nothing, so these are the only factorization;
 `reduce_checked` holds their input checks (`require_prime`: l a prime
-below 2**31, the cap tested first; f nonzero with a unit leading
-coefficient).
+that `is_prime` decides; f nonzero with a unit leading coefficient).
 
 The element-set route lists the group (`elements_of`, breadth-first
 from the identity, the order in which `classifier._blocks_in_coset_order`
@@ -77,9 +76,10 @@ representative below half weight, where the lemma suite asks
 conjugate pair and keeps those that meet the place counts, with no
 per-block combinations and no greedy quota.
 
-`plain_document` decodes each orbit's members bit by bit, not from the
-writer's text half-tables, so `json.dumps` of it is the reference text
-for `cli._emit_json`, whose pieces `emitted_text` joins.
+`plain_document` turns each orbit record into its `orbit_to_doc` dict
+and decodes its members bit by bit, not from the writer's template and
+text half-tables, so `json.dumps` of it is the reference text for
+`cli._emit_json`, whose pieces `emitted_text` joins.
 `doc_to_report` and `doc_to_end_report` read a classify report and its
 Honda-Tate report back from their documents, for the round-trip tests.
 `assert_document_invariants` checks the north-star invariants on a
@@ -92,7 +92,6 @@ from itertools import combinations, count, product
 from math import comb, gcd, lcm
 
 from weiltate.algebra import (
-    MAX_PRIME,
     crt_poly,
     gf_reduce,
     is_prime,
@@ -1015,19 +1014,13 @@ def distinct_degree_by_pow_mod(f, l):
 
 
 def require_prime(l: int) -> None:
-    """Refuse l unless it is a prime below MAX_PRIME.
-
-    The cap is tested first, so no primality test runs on a value that
-    can only be refused.
-    """
-    if isinstance(l, int) and l >= MAX_PRIME:
-        raise ValueError(f"prime {l} exceeds the 2**31 single-word cap")
+    """Refuse l unless it is a prime; at or above `MR_BOUND`, `is_prime` refuses it."""
     if not isinstance(l, int) or not is_prime(l):
         raise ValueError(f"modulus {l!r} is not prime")
 
 
 def reduce_checked(f, l):
-    """f mod l made monic, as a tuple: l a prime below 2**31, f nonzero with a unit lead."""
+    """f mod l made monic, as a tuple: l a prime, f nonzero with a unit lead."""
     require_prime(l)
     f = poly_trim(f)
     if not f:
@@ -1204,12 +1197,36 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0):
     raise RuntimeError("no totally real polynomial within the bound")
 
 
-def plain_document(doc):
-    """`doc` as plain data: each `MemberMasks` as the list of its members' 1-based point lists.
+def orbit_to_doc(o: MotiveOrbit) -> dict:
+    """The document of one orbit, "orbit" holding its `MemberMasks`.
 
-    A member is read through `member_points`, which decodes its mask
-    one bit at a time.
+    The reference for the template of `cli._write_orbit`: the Hodge
+    keys are present only when the orbit has a Hodge type.
     """
+    doc = {
+        "weight": o.weight,
+        "representative": [i + 1 for i in o.representative],
+        "orbit": o.orbit,
+        "rank": o.rank,
+        "is_tate": o.is_tate,
+        "is_lefschetz_bearing": o.is_lefschetz_bearing,
+        "is_exotic": o.is_exotic,
+    }
+    if o.hodge_type is not None:
+        doc["hodge_type"] = list(o.hodge_type)
+        doc["hodge_balanced"] = o.hodge_balanced
+    return doc
+
+
+def plain_document(doc):
+    """`doc` as plain data: each orbit as its `orbit_to_doc` dict, members as point lists.
+
+    Each `MemberMasks` becomes the list of its members' 1-based point
+    lists, a member read through `member_points`, which decodes its
+    mask one bit at a time.
+    """
+    if isinstance(doc, MotiveOrbit):
+        return plain_document(orbit_to_doc(doc))
     if isinstance(doc, MemberMasks):
         return [[i + 1 for i in m] for m in member_points(doc)]
     if isinstance(doc, dict):

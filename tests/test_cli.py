@@ -17,6 +17,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     assert_document_invariants,
+    ben_or_by_pow_mod,
     classify_orbits_by_walk,
     cm_types_by_listing,
     doc_to_end_report,
@@ -77,24 +78,53 @@ def test_forge_past_g40_exits_0(g, capsys):
 
 
 @pytest.mark.parametrize("primes", [
-    ("5", "7", "1000000000000000003"),  # a prime above the cap
+    ("5", "7", "1000000000000000003"),  # primes past 2**31
     ("1000000000000000003", "7", "11"),
-    ("5", "7", str(2**31)),  # not prime, and refused on the cap alone
-], ids=["lp", "p", "lp-composite"])
-def test_forge_refuses_a_modulus_above_the_cap_before_trial_division(primes, capsys, monkeypatch):
+    ("2305843009213693951", "2147483659", "1000000000039"),
+], ids=["lp", "p", "all"])
+def test_forge_takes_primes_past_2_31(primes, capsys):
+    p, l, lp = primes
+    code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", p, "--l", l, "--lp", lp,
+                                      "--format", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert [doc["p"], doc["l"], doc["lp"]] == [int(p), int(l), int(lp)]
+    assert doc["certificates"]["galois_is_sg"] is True
+
+
+def test_forge_refuses_2_31_as_a_composite(capsys):
+    code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", "5", "--l", "7",
+                                      "--lp", str(2**31)])
+    assert (code, out) == (cli.EXIT_HYPOTHESIS, "")
+    assert err == "hypothesis violation: 2147483648 is not prime\n"
+
+
+class _Undividable(int):
+    """An int that fails any trial division: `n % q` raises."""
+
+    def __mod__(self, other):
+        raise AssertionError(f"trial division on {int(self)}")
+
+
+@pytest.mark.parametrize("primes", [
+    ("5", "7", str(algebra.MR_BOUND)),
+    (str(algebra.MR_BOUND + 1), "7", "11"),
+    ("5", str(10**30), "11"),
+], ids=["lp", "p", "l"])
+def test_forge_refuses_a_modulus_at_the_primality_bound_before_trial_division(
+        primes, capsys, monkeypatch):
     is_prime = algebra.is_prime
 
-    def below_the_cap(n):
-        assert n < algebra.MAX_PRIME, f"trial division on {n}"
-        return is_prime(n)
+    def undividable_past_the_bound(n):
+        return is_prime(_Undividable(n) if n >= algebra.MR_BOUND else n)
 
-    monkeypatch.setattr(algebra, "is_prime", below_the_cap)
-    monkeypatch.setattr(forge, "is_prime", below_the_cap)
+    monkeypatch.setattr(forge, "is_prime", undividable_past_the_bound)
     p, l, lp = primes
     code, out, err = run_cli(capsys, ["forge", "--g", "4", "--p", p, "--l", l, "--lp", lp])
-    assert code == cli.EXIT_USAGE
-    assert out == ""
-    assert "exceeds the 2**31 single-word cap" in err
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    big = max(map(int, primes))
+    assert err == (f"error: {big} is too large for the deterministic primality test "
+                   f"(bound {algebra.MR_BOUND})\n")
 
 
 def test_forge_json_deterministic(capsys):
@@ -110,7 +140,7 @@ def test_forge_json_deterministic(capsys):
 
 FORGE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 65537,
                 2**31 - 1)
-# composites, the cap itself and values at or past the Miller-Rabin bound
+# composites, 2**31 and the prime 2**31 + 11, and values at or past the Miller-Rabin bound
 FORGE_MODULI = st.one_of(
     st.sampled_from(FORGE_PRIMES),
     st.integers(-3, 40),
@@ -234,6 +264,21 @@ def test_classify_text_prints_the_attached_fields(capsys):
         assert f"\n{key}: {metadata[key]}\n" in out
     _, plain, _ = run_cli(capsys, argv)
     assert plain != out and "quadratic_d" not in plain
+
+
+@pytest.mark.parametrize("p", [2**31 + 11, 10**18 + 9])
+def test_classify_attaches_fields_at_a_prime_past_2_31(p, capsys):
+    """The quadratic field is inert at p (Euler's criterion), and the real field is the forge
+    at p, l and l', irreducible mod p by Ben-Or on `gf_pow_mod`."""
+    code, out, err = run_cli(capsys, ["classify", "--preset", "main", "--g", "4",
+                                      "--attach-fields", "--p", str(p), "--format", "json"])
+    assert (code, err) == (0, "")
+    metadata = json.loads(out)["scenario"]["metadata"]
+    d = int(metadata["quadratic_d"])
+    assert d < 0 and pow(d, (p - 1) // 2, p) == p - 1
+    field = forge.forge_totally_real(4, p, *forge._smallest_primes_avoiding(4, {p}), seed=0)
+    assert metadata["real_field_poly"] == forge.format_poly(field.poly)
+    assert ben_or_by_pow_mod(field.poly, p)
 
 
 def test_classify_json_round_trips_to_report_objects(capsys):
@@ -820,7 +865,7 @@ def test_the_lemma_rows_read_the_report_of_the_classify_document(name, capsys, m
     doc = cli.classify_scenario_doc(scn)
     assert report_to_doc(report, scn.model.group) == doc["report"]
     assert end_report_to_doc(end) == doc["endomorphism"]
-    assert all("hodge_type" in o for o in doc["report"]["orbits"])
+    assert all("hodge_type" in o for o in plain_document(doc)["report"]["orbits"])
 
 
 WREATH_SCENARIO = """\
@@ -1188,6 +1233,31 @@ def test_report_document_round_trip_on_drawn_models(scn, data):
     report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
     doc = json.loads(emitted_text(classifier.report_to_doc(report, scn.model.group)))
     assert doc_to_report(doc) == report  # `MemberMasks` equality reads the masks
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_scenarios(), st.booleans())
+def test_each_orbit_is_three_writes_that_join_to_its_oracle_document(scn, with_phi):
+    """An orbit's pieces are its keys before "orbit", its members, then the rest.
+
+    Joined, they are `json.dumps` of its `orbit_to_doc` dict, at the
+    orbits' depth in a classify document and at the top.  Without phi
+    no orbit has a Hodge type, and no Hodge key is written.  A full scan
+    starts with the weight-0 orbit, whose representative is empty.
+    """
+    report = classify_orbits(scn.model, scn.slopes, phi=scn.phi if with_phi else None)
+    assert report.orbits[0].representative == ()
+    tables = {}
+    for nl in ("\n" + " " * 6, "\n"):
+        for o in report.orbits:
+            pieces = []
+            cli._write_json(o, nl, pieces.append, tables)
+            doc = plain_document(o)
+            assert ("hodge_type" in doc) is ("hodge_balanced" in doc) is with_phi
+            assert len(pieces) == 3
+            assert pieces[0].endswith('"orbit": ')
+            assert pieces[1] == json.dumps(doc["orbit"], indent=2).replace("\n", nl + "  ")
+            assert "".join(pieces) == json.dumps(doc, sort_keys=True, indent=2).replace("\n", nl)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     _is_sg_certificate,
     alternates_at_midpoints_by_fractions,
+    ben_or_by_pow_mod,
     certificates_by_factoring,
     certify_galois_sg,
     degree_pattern_by_pow_mod,
@@ -17,7 +18,7 @@ from oracles import (
     sturm_count,
     subgroup_closure,
 )
-from test_golden import GOLDEN_FORGE
+from test_golden import GOLDEN_ARGV, GOLDEN_FORGE
 
 import weiltate.algebra
 import weiltate.forge
@@ -123,6 +124,19 @@ def _assert_certificates_rederived(f):
 def test_golden_forge_certificates_match_factoring(key):
     g, l, lp, seed = key
     _assert_certificates_rederived(forge_totally_real(g, 5, l, lp, seed))
+
+
+GOLDEN_ARGV_FORGE = [argv for argv in GOLDEN_ARGV if argv[0] == "forge"]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV_FORGE, ids=lambda a: "p%s-l%s-lp%s" % a[4::2])
+def test_golden_forge_certificates_at_large_primes_match_factoring(argv):
+    """The pins at primes up to 2**31 - 1 and past 2**31: Ben-Or by `gf_pow_mod` finds
+    the polynomial irreducible mod p and mod l, and factoring re-derives every certificate."""
+    g, p, l, lp = (int(v) for v in argv[2::2])
+    f = forge_totally_real(g, p, l, lp, seed=0)
+    assert ben_or_by_pow_mod(f.poly, p) and ben_or_by_pow_mod(f.poly, l)
+    _assert_certificates_rederived(f)
 
 
 @settings(max_examples=30, deadline=None)

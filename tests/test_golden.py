@@ -1,7 +1,8 @@
 """Byte-identity of the documents: sha256 of the CLI output and of the preset scenario files.
 
 The digests pin every byte of `classify ... --format json`, of
-`verify ... --format json` of `forge ... --format json` and of
+`verify ... --format json`, of `forge ... --format json`, of the text
+stdout of the ladder's classify commands and of `verify`, and of
 `serialize_scenario` on the four verify presets and on the larger
 preset rungs (which carry the D generators and the slopes), so a
 refactor that changes any value, key or ordering fails here.  The
@@ -13,6 +14,7 @@ that is meant to alter a document updates its digest and says why.
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -58,11 +60,53 @@ GOLDEN_ARGV = {
         "1b4cf1de1e8e2a2dfebfcb99de68fb0083ef5f98f20a453744c29ed6c787911d",
     ("verify", "--presets", "all"):
         "f23123bf2e935173e7e2e68486af28058366b284b47192479bfae578f2035200",
-    # forge at large primes: l' = 2**31 - 1, the largest the kernel admits, and p = 2**31 - 1
+    # forge at large primes: l' = 2**31 - 1 and p = 2**31 - 1, the largest primes below 2**31
     ("forge", "--g", "6", "--p", "5", "--l", "65537", "--lp", "2147483647"):
         "1377157255b3fe3bfa08e4828df27212398a983a64cc21c4c356f8a9b42cc839",
     ("forge", "--g", "12", "--p", "2147483647", "--l", "65537", "--lp", "65539"):
         "34019b9c8f08a77618d82834110d51aa2e755037672784e0c17b4f51da738de6",
+    # and past 2**31: p = 2**61 - 1, l = 2**31 + 11, l' = 10**12 + 39
+    ("forge", "--g", "12", "--p", "2305843009213693951", "--l", "2147483659",
+     "--lp", "1000000000039"):
+        "523775d40f6eddc3fd3bc631d5a2b1d63c9c54872c2ce8299debc759125fcc5c",
+}
+
+# `--format text` stdout of the ladder's classify commands and of verify
+GOLDEN_TEXT = {
+    ("classify", "--preset", "main", "--g", "4"):
+        "87a0b849098dbb9e1ebb6c7271c139d6e04cca8d16fdd4d231ae84219ce82a2d",
+    ("classify", "--preset", "main", "--g", "6"):
+        "048615dcf6f32ebbf9266fb87d007b6fa61606a4a699e2804a6c3011e1e96af2",
+    ("classify", "--preset", "ramified", "--gp", "3"):
+        "c28394e55a1970928dcc409533c6fd4956fdac3c353707eb58556785b006281c",
+    ("classify", "--preset", "split", "--gp", "3"):
+        "e5cd4ac867c300107801cd5138db4b4f2322fef96a3ce7e6e8ea2ec5c65c8b67",
+    ("classify", "--preset", "main", "--g", "8"):
+        "32bccb169adacc9cb1d05dc2ce1839fd52038d5e5af2e42f10b9b3ddaf34dec2",
+    ("classify", "--preset", "ramified", "--gp", "3", "--weights", "6"):
+        "43406d4c27c0d37e679b68aa75a1c640f762fce38cf3b7b68030f3d8b15d246d",
+    ("classify", "--preset", "split", "--gp", "3", "--weights", "6"):
+        "9d320c62e552fad53a6851d3deba435670f808d6bec93418cd00be2e3eb183d7",
+    ("classify", "--preset", "ramified", "--gp", "5", "--cap", "20"):
+        "7cad9409c3027fbe3a127f292e8524736d2f2d74674459c6c03bc4e8f63a56df",
+    ("classify", "--preset", "split", "--gp", "5", "--cap", "20"):
+        "d661f72f2e35db3c7833d8d89f004390da8805ff52b88992ed615c0e0bb9e000",
+    ("classify", "--preset", "main", "--g", "6", "--weights", "0,2,4,6,8,10,12"):
+        "83dde5911da9f37527ca5b86ed9bf276b5fdfd16efe4517083834c03a1592c3e",
+    ("classify", "--preset", "ramified", "--gp", "3", "--weights", "0,2,4,6,8,10,12"):
+        "7092f793574f6ebcd2b487cb583eeac5cf4ac8863c6ae7ad53ef14ac980ca5e5",
+    ("classify", "--preset", "split", "--gp", "3", "--weights", "0,2,4,6,8,10,12"):
+        "d9c7d07055b0a43af0b8ea4dc92dc974d8bfa67f704a24ec2e7a8583b1c142c3",
+    ("classify", "--preset", "ramified", "--gp", "5", "--cap", "20",
+     "--weights", "0,2,4,6,8,10,12,14,16,18,20"):
+        "43f360458343e9bbfa79dbea19e92eaca4ba8ef9fd37b0a0c9500a37277f5f33",
+    ("classify", "--preset", "split", "--gp", "5", "--cap", "20",
+     "--weights", "0,2,4,6,8,10,12,14,16,18,20"):
+        "13a1cafebca930f9c9b277d2460b34798d51869092f6a8b7b3aebdcee7ca7f7f",
+    ("classify", "--preset", "main", "--g", "4", "--attach-fields"):
+        "69cd1c3d0a7a287de633c89c3094cc9c1f622b466184f16f9549f5f17a5eaf5f",
+    ("verify", "--presets", "all"):
+        "1c6abecb344f8bd77dc30b087475c2c0d0526d4fe220d63e03babcde41d626ce",
 }
 
 GOLDEN_FORGE = {
@@ -129,6 +173,14 @@ def test_cli_json_digest(argv, capsys):
     assert _sha256(out) == GOLDEN_ARGV[argv]
 
 
+@pytest.mark.parametrize("argv", list(GOLDEN_TEXT), ids=lambda a: "-".join(a).replace("--", ""))
+def test_cli_text_digest(argv, capsys):
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out) == GOLDEN_TEXT[argv]
+
+
 # A wrapper child: runs its argv as its own child, hashes that child's stdout as it streams
 # and prints [exit code, length, sha256, peak RSS in MB].  RUSAGE_CHILDREN covers only the
 # one child it waited for, so the peak is the command's own.
@@ -160,11 +212,68 @@ def test_ramified7_json_digest_from_a_child_process():
     assert peak_mb <= 100
 
 
+def _forge_argv(key) -> list:
+    g, l, lp, seed = key
+    return ["forge", "--g", str(g), "--p", "5", "--l", str(l), "--lp", str(lp), "--seed", str(seed)]
+
+
+# Run in a child by each interpreter, stdlib only: [argv, sha256] pairs come on stdin as
+# JSON, and it prints its version and each argv whose exit code or stdout differs.
+DIGEST_CHECKER = """
+import contextlib, hashlib, io, json, sys
+from weiltate import cli
+wrong = []
+for argv, digest in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != digest:
+        wrong.append(argv)
+print(json.dumps(["%d.%d.%d" % sys.version_info[:3], wrong]))
+"""
+
+
+def test_cli_digests_hold_under_every_python_on_the_path(record_property):
+    """The CLI digests hold under this interpreter and each `python3.1X` on the PATH.
+
+    The pins are `GOLDEN`, `GOLDEN_ARGV`, `GOLDEN_FORGE` and `GOLDEN_TEXT`,
+    recomputed through `cli.main` in a bare child (`-I -S`) of each.
+    The writer takes `encode_basestring_ascii` from `_json`, a CPython
+    internal.  A name found on the PATH that does not start (a version
+    manager's shim for a version it does not select) is reported, not run.
+    """
+    pairs = [[["classify", "--preset", *preset, "--format", "json"], digest]
+             for preset, digest in GOLDEN.items()]
+    pairs += [[[*argv, "--format", "json"], digest] for argv, digest in GOLDEN_ARGV.items()]
+    pairs += [[[*_forge_argv(key), "--format", "json"], d] for key, d in GOLDEN_FORGE.items()]
+    pairs += [[list(argv), digest] for argv, digest in GOLDEN_TEXT.items()]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    prefix = f"import sys; sys.path.insert(0, {src!r})\n"
+    found = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    ran, not_started = {}, []
+    for path in [sys.executable] + [path for path in found if path]:
+        probe = subprocess.run(
+            [path, "-I", "-S", "-c", "import sys; print('%d.%d.%d' % sys.version_info[:3])"],
+            capture_output=True, text=True, timeout=60)
+        if probe.returncode != 0:
+            not_started.append(path)
+            continue
+        if probe.stdout.strip() in ran:
+            continue
+        done = subprocess.run([path, "-I", "-S", "-c", prefix + DIGEST_CHECKER],
+                              input=json.dumps(pairs), capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, (path, done.stderr)
+        version, wrong = json.loads(done.stdout)
+        assert wrong == [], (path, version)
+        ran[version] = path
+    names = ", ".join(f"{version} ({path})" for version, path in sorted(ran.items()))
+    record_property("interpreters", names)
+    print(f"ran under {names}; found but did not start: {', '.join(not_started) or 'none'}")
+
 @pytest.mark.parametrize("key", list(GOLDEN_FORGE), ids=lambda k: "g%d-l%d-lp%d-seed%d" % k)
 def test_forge_json_digest(key, capsys):
-    g, l, lp, seed = key
-    argv = ["forge", "--g", str(g), "--p", "5", "--l", str(l), "--lp", str(lp), "--seed", str(seed)]
-    code = cli.main([*argv, "--format", "json"])
+    code = cli.main([*_forge_argv(key), "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == GOLDEN_FORGE[key]

@@ -17,10 +17,10 @@ runs Euclid on lists; `gf_ben_or`, `_euclid` (non-monic divisors, one
 inverse per step), the packed product mod f, the Frobenius rows on both
 sides of l < 2 deg f (unreduced shifted rows, products with x**l) and
 each x**(l**d) must agree with the square-and-multiply and tuple routes
-of `oracles`, at every prime the kernel admits up to the largest below
-2**31.  At deg f = 60 and l = 113, the longest unreduced runs, and at
-l = 2**31 - 1, every slot must stay below the bound that sets the slot
-width.  For l < 2 deg f Ben-Or's d = 1 stage is a root search by
+of `oracles`, at primes the kernel admits up to the largest below
+`MR_BOUND`.  At deg f = 60 and l = 113, the longest unreduced runs, and
+at l = 2**31 - 1 and that largest prime, every slot must stay below the
+bound that sets the slot width.  For l < 2 deg f Ben-Or's d = 1 stage is a root search by
 evaluation; it must agree with the gcd of
 `oracles.ben_or_by_pow_mod` at every prime up to 17, and count pins
 hold that a draw with a root runs no product mod f and no Euclid.
@@ -70,7 +70,6 @@ from oracles import (
 )
 from weiltate import algebra, forge
 from weiltate.algebra import (
-    MAX_PRIME,
     MR_BOUND,
     gf_ben_or,
     gf_reduce,
@@ -81,8 +80,9 @@ from weiltate.algebra import (
 )
 from weiltate.forge import forge_totally_real
 
-LARGEST_PRIME = 2147483647  # the largest prime below MAX_PRIME
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 65537, LARGEST_PRIME)
+MERSENNE_31 = 2**31 - 1  # the largest prime below 2**31
+LARGEST_PRIME = 3317044064679887385961813  # the largest prime below MR_BOUND, 82 bits
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 65537, MERSENNE_31, LARGEST_PRIME)
 LEADS = st.integers(-12, 12).filter(bool)
 
 
@@ -292,7 +292,7 @@ def test_ben_or_matches_the_full_pattern(case):
 
 def test_ben_or_keeps_the_input_errors():
     for kernel in (ben_or, degree_pattern_by_pow_mod, roots_by_pow_mod):
-        for f, l in (((1, 1), 6), ((1, 0, 5), 5), ((1, 1), MAX_PRIME + 11)):
+        for f, l in (((1, 1), 6), ((1, 0, 5), 5), ((1, 1), MR_BOUND)):
             with pytest.raises(ValueError):
                 kernel(f, l)
         for f, l in (((), 5), ((0,), 5), ((0, 0), 7)):
@@ -304,7 +304,8 @@ def test_ben_or_keeps_the_input_errors():
 @given(gf_polys())
 @example(((1, 0, 2, 0, 1), 3))
 @example(((1, 1, 1, 0, 1, 1), 2))
-@example(((5, 1), LARGEST_PRIME))  # degree 1: x**l mod f is a constant
+@example(((5, 1), MERSENNE_31))  # degree 1: x**l mod f is a constant
+@example(((3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), MERSENNE_31))
 @example(((3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), LARGEST_PRIME))
 @example(((1, 0, 5), 5))
 @example(((), 5))
@@ -374,7 +375,7 @@ def test_roots_below_twice_the_degree_cost_no_product_and_no_euclid(monkeypatch)
                 first = next(args for name, args in calls if name == "_euclid")
                 assert first[1] == gf_sub(gf_pow_mod((0, 1), l * l, tuple(f), l), (0, 1), l)
         assert seen == {True, False}, (l, n)
-    for l in (65537, LARGEST_PRIME):
+    for l in (65537, MERSENNE_31, LARGEST_PRIME):
         for _ in range(3):
             f = [rng.randrange(l) for _ in range(12)] + [1]
             calls.clear()
@@ -412,7 +413,7 @@ def test_frobenius_rows_are_the_powers_of_x(n):
     """Row i is x**(l*i) mod f: shifted rows for l < 2n, products with x**l from 2n on."""
     rng = random.Random(n)
     first_past = next(q for q in range(2 * n, 4 * n) if is_prime(q))
-    for l in (2, 3, n + 1, 2 * n - 1, first_past, 65537, LARGEST_PRIME):
+    for l in (2, 3, n + 1, 2 * n - 1, first_past, 65537, MERSENNE_31, LARGEST_PRIME):
         for _ in range(3):
             f = [rng.randrange(l) for _ in range(n)] + [1]
             rows = _unpacked_rows(f, l)
@@ -455,6 +456,7 @@ def monic_up_to_24(draw):
 @settings(max_examples=100, deadline=None)
 @given(monic_up_to_24())
 @example(([1] * 25, 23))  # every slot of negf at l - 1: each clear adds the most
+@example(([1] * 25, MERSENNE_31))
 @example(([1] * 25, LARGEST_PRIME))
 def test_packed_powers_match_pow_mod(case):
     """x**(l**d) mod f for every d = 1..deg f, deg f <= 24, at every prime of the kernel."""
@@ -471,12 +473,12 @@ def test_packed_powers_at_degrees_1_and_2():
                 _assert_powers_match(f, l, n)
 
 
-@pytest.mark.parametrize("l", [113, LARGEST_PRIME])
+@pytest.mark.parametrize("l", [113, MERSENNE_31, LARGEST_PRIME])
 def test_packed_slots_stay_below_their_bound_at_degree_60(l):
     """At deg f = 60 and l = 113 < 2 deg f, the 58 rows past x**l take 113 shifts
-    each and are never reduced; at l = 2**31 - 1 the rows are products.  Each row is
-    x**(l*i) mod f, each slot of the rows and of the matrix-vector product with
-    every h_i = l - 1 stays below the bound of `_packed_modulus`, and that bound
+    each and are never reduced; at l = 2**31 - 1 and past it the rows are products.
+    Each row is x**(l*i) mod f, each slot of the rows and of the matrix-vector product
+    with every h_i = l - 1 stays below the bound of `_packed_modulus`, and that bound
     below 2**(w - 1), so no slot carries into the next."""
     n = 60
     rng = random.Random(l)
@@ -571,6 +573,7 @@ def monic_and_two_residues(draw):
 @given(monic_and_two_residues())
 @example(([1, 1], [1], [1], 2))  # degree 1: the product of constants
 @example(([0, 0, 1], [0, 1], [0, 1], 3))  # x * x * x mod x**2: slot 2n - 1 cleared
+@example(([1] * 17, [MERSENNE_31 - 1] * 16, [MERSENNE_31 - 1] * 16, MERSENNE_31))
 @example(([1] * 17, [LARGEST_PRIME - 1] * 16, [LARGEST_PRIME - 1] * 16, LARGEST_PRIME))
 def test_packed_product_leaves_the_remainder(case):
     """`_product_mod` of two reduced residues, one of them times x (a shift by one
@@ -624,7 +627,7 @@ def test_list_euclid_matches_euclid_on_long_non_monic_inputs(case):
 
 def test_list_euclid_at_degree_60_and_the_largest_prime():
     rng = random.Random(60)
-    for l in (65537, LARGEST_PRIME):
+    for l in (65537, MERSENNE_31, LARGEST_PRIME):
         for _ in range(3):
             h = [rng.randrange(l) for _ in range(20)] + [rng.randrange(1, l)]
             f = gf_reduce(poly_mul(h, [rng.randrange(l) for _ in range(40)] + [rng.randrange(1, l)]), l)
@@ -653,7 +656,7 @@ LEAST_STRONG_PSEUDOPRIMES = (
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**10))
-@example(2147483647)  # the largest prime below MAX_PRIME
+@example(MERSENNE_31)
 @example(1000000000039)  # the least prime above 10**12
 def test_miller_rabin_matches_trial_division(n):
     assert is_prime(n) == is_prime_by_trial_division(n)
@@ -684,7 +687,8 @@ def test_miller_rabin_needs_its_bases_and_refuses_past_its_bound():
 
 
 def test_large_prime_costs_products_in_the_bits_of_l(monkeypatch):
-    """At l = 2**31 - 1 the products mod f per polynomial grow with deg f + log2 l, not with l."""
+    """At l = 2**31 - 1 and at the largest prime the products mod f per polynomial grow
+    with deg f + log2 l, not with l."""
     calls = []
     product_mod = algebra._product_mod
 
@@ -693,17 +697,18 @@ def test_large_prime_costs_products_in_the_bits_of_l(monkeypatch):
         return product_mod(*args)
 
     monkeypatch.setattr(algebra, "_product_mod", counted)
-    l, n = LARGEST_PRIME, 12
-    bound = 2 * (n + l.bit_length())
-    rng = random.Random(12)
-    draws = iter(lambda: tuple(rng.randrange(l) for _ in range(n)) + (1,), None)
-    polys = [next(draws) for _ in range(6)]
-    polys.append(next(f for f in draws if ben_or(f, l)))  # every step of Ben-Or
-    polys.append(poly_mul((3, 0, 0, 0, 0, 1), (5, 0, 0, 0, 0, 0, 0, 1)))  # degrees 5 and 7
-    for f in polys:
-        calls.clear()
-        ben_or(f, l)
-        assert 0 < len(calls) <= bound, (f, len(calls))
+    n = 12
+    for l in (MERSENNE_31, LARGEST_PRIME):
+        bound = 2 * (n + l.bit_length())
+        rng = random.Random(12)
+        draws = iter(lambda: tuple(rng.randrange(l) for _ in range(n)) + (1,), None)
+        polys = [next(draws) for _ in range(6)]
+        polys.append(next(f for f in draws if ben_or(f, l)))  # every step of Ben-Or
+        polys.append(poly_mul((3, 0, 0, 0, 0, 1), (5, 0, 0, 0, 0, 0, 0, 1)))  # degrees 5 and 7
+        for f in polys:
+            calls.clear()
+            ben_or(f, l)
+            assert 0 < len(calls) <= bound, (l, f, len(calls))
 
 
 # --- sympy as an independent oracle ------------------------------------------
