@@ -36,11 +36,9 @@ from math import gcd
 from operator import mul
 
 
-# Miller-Rabin with these bases is exact below the bounds: the first four
-# below 3,215,031,751 (Pomerance, Selfridge and Wagstaff 1980), all
-# thirteen below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2015)
+# Miller-Rabin with these thirteen bases is exact below
+# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_FOUR_BASE_BOUND = 3_215_031_751
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
@@ -54,7 +52,7 @@ def is_prime(n: int) -> bool:
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    return _strong_probable_prime(n, _MR_BASES[:4] if n < _FOUR_BASE_BOUND else _MR_BASES)
+    return _strong_probable_prime(n, _MR_BASES)
 
 
 def _strong_probable_prime(n: int, bases) -> bool:

@@ -22,7 +22,6 @@ from _json import encode_basestring_ascii  # the C function that `json.encoder` 
 from . import classifier, forge
 from .classifier import (
     FAIL,
-    MemberMasks,
     MotiveOrbit,
     classify_scenario,
     end_report_to_doc,
@@ -64,8 +63,9 @@ def _emit_json(doc: dict, write) -> None:
     orbit is its `MotiveOrbit` record, written from one template in
     three pieces (`_write_orbit`); its members are the middle one, the
     list of their 1-based point lists, straight from the masks
-    (`_members_text`).  No document holds a float (a slope or an
-    invariant is an "a/b" string), so a float raises `TypeError`.
+    (`_members_text`); members are written nowhere else, so a bare
+    `MemberMasks` raises `TypeError`.  No document holds a float (a
+    slope or an invariant is an "a/b" string), so a float does too.
     """
     _write_json(doc, "\n", write, {})
     write("\n")
@@ -95,8 +95,6 @@ def _write_json(value, nl: str, write, tables: dict) -> None:
         write(scalar(value))
     elif type(value) is MotiveOrbit:
         _write_orbit(value, nl, write, tables)
-    elif isinstance(value, MemberMasks):
-        write(_members_text(value, nl, tables))
     elif isinstance(value, (list, tuple)):
         if not value:
             write("[]")

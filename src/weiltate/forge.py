@@ -28,12 +28,9 @@ from .algebra import (
 from .galois import (
     CMGaloisModel,
     CapExceededError,
-    PermGroup,
     Record,
     StabChain,
-    adjacent_transpositions,
     build_group,
-    cm_product_group,
     compose,
     conjugation,
     cycles_to_perm,
@@ -41,11 +38,11 @@ from .galois import (
     format_perm,
     parse_perm,
     point_orbits,
+    signed_symmetric_group,
     subgroup_generators,
-    sym_generators,
 )
 from .cmtypes import least_cm_type, tau_block_classes, validate_cm_type
-from .slopes import SlopeVector, slopes_from_cm_type
+from .slopes import slopes_from_cm_type
 
 DEFAULT_SUBSET_CAP = 16
 
@@ -319,15 +316,22 @@ def forged_field_to_doc(f: ForgedField) -> dict:
 
 
 class Scenario(Record):
-    """A classification-ready instance: (G, tau, D, phi) and derived slopes."""
+    """A classification-ready instance: (G, tau, D, phi) and derived slopes.
+
+    The slopes are `slopes_from_cm_type(model, phi)`, stored beside the
+    fields; they take no part in equality.
+    """
 
     name: str
     family: str
     model: CMGaloisModel
     phi: frozenset
-    slopes: SlopeVector
     provenance: str
     metadata: tuple = ()
+    _shown = ("name", "family", "model", "phi", "slopes", "provenance", "metadata")
+
+    def __post_init__(self):
+        self.__dict__["slopes"] = slopes_from_cm_type(self.model, self.phi)
 
 
 def _smallest_primes_avoiding(least: int, avoid, count: int = 2):
@@ -341,14 +345,15 @@ def _smallest_primes_avoiding(least: int, avoid, count: int = 2):
     return out
 
 
-def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
-    """A preset scenario: D = <d_gens> and phi the least CM-type on the D-blocks.
+def _preset(name, family, group, d_gens, sizes, pair_targets) -> Scenario:
+    """A preset scenario: the model of `group` with D = <d_gens>, and phi the least
+    CM-type on the D-blocks.
 
     The sorted block sizes must be `sizes`.  A tau-stable block B gets
     target |B|/2; the k-th tau-swapped pair (B, B'), B the block with
     the smaller minimum, gets (pair_targets[k], |B| - pair_targets[k]).
     """
-    model = model.with_decomposition(d_gens)
+    model = CMGaloisModel(group, d_gens)
     if sorted(len(b) for b in model.D_blocks) != sorted(sizes):
         raise SelfCheckError(f"{family} scenario blocks do not match the local degrees")
     blocks = model.D_blocks
@@ -361,14 +366,7 @@ def _preset(name, family, model, d_gens, sizes, pair_targets) -> Scenario:
     for (k, kk), a in zip(pairs, pair_targets):
         targets[k], targets[kk] = a, len(blocks[k]) - a
     phi = least_cm_type(model, tuple(targets))
-    return Scenario(
-        name=name,
-        family=family,
-        model=model,
-        phi=phi,
-        slopes=slopes_from_cm_type(model, phi),
-        provenance="preset",
-    )
+    return Scenario(name=name, family=family, model=model, phi=phi, provenance="preset")
 
 
 def scenario_main(
@@ -385,9 +383,10 @@ def scenario_main(
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
     refuse_over_subset_cap(2 * g, subset_cap)
-    model = cm_product_group(g)
-    frobenius = compose(model.tau, diagonal_lift(sym_generators(g)[0], 2))
-    scn = _preset(f"main-g{g}-p{p}", "main", model, [frobenius], [g, g], (1,))
+    group = signed_symmetric_group(g, [(1, 0)])
+    tau, cycle = group.generators[:2]
+    frobenius = compose(tau, cycle)
+    scn = _preset(f"main-g{g}-p{p}", "main", group, [frobenius], [g, g], (1,))
     if not attach_fields:
         return scn
     d = forge_quadratic(p, "inert", "imaginary")
@@ -399,33 +398,23 @@ def scenario_main(
     ))
 
 
-def _biquadratic_model(gp: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP):
-    """(mu2 x mu2) x S_g' on 4g' points, its sign flips e1, e2 and a lifted (g'-1)-cycle.
+def _biquadratic_group(gp: int, p: int, subset_cap: int) -> tuple:
+    """(mu2 x mu2) x S_g' on 4g' points, and the lift of the (g'-1)-cycle (1 2 .. g'-1).
 
     Copy k of the g' points carries the signs (0, 0), (1, 0), (1, 1),
-    (0, 1) for k = 0..3; e1 flips the first sign, e2 the second, and
-    tau = e1 e2 is the shift by 2g'.  The (g'-1)-cycle acts on the inert
-    part of the totally real field and fixes the split point.  The
-    group's chain comes from the strong generating set of e1, e2 and the
-    4-fold lifts of the adjacent transpositions, unless 4g' exceeds `subset_cap`.
+    (0, 1) for k = 0..3; the group's first generators are the flips e1
+    of the first sign and e2 of the second, and tau = e1 e2 is the shift
+    by 2g'.  The (g'-1)-cycle acts on the inert part of the totally real
+    field and fixes the split point.  g', p and the subset cap are
+    checked before any permutation is built.
     """
     if gp < 3 or gp % 2 != 1:
         raise HypothesisError(f"g' = {gp} must be an odd integer >= 3")
     if not is_prime(p):
         raise HypothesisError(f"p = {p} is not prime")
     refuse_over_subset_cap(4 * gp, subset_cap)
-    e1, e2 = (
-        tuple(flip[x // gp] * gp + x % gp for x in range(4 * gp))
-        for flip in ((1, 0, 3, 2), (3, 2, 1, 0))
-    )
-    strong = [e1, e2] + [diagonal_lift(t, 4) for t in adjacent_transpositions(gp)]
-    group = PermGroup(
-        degree=4 * gp,
-        generators=(e1, e2, *[diagonal_lift(s, 4) for s in sym_generators(gp)]),
-        chain=StabChain.from_strong(4 * gp, strong),
-    )
-    model = CMGaloisModel(group)
-    return model, e1, e2, diagonal_lift(cycles_to_perm(gp, [tuple(range(1, gp))]), 4)
+    group = signed_symmetric_group(gp, [(1, 0, 3, 2), (3, 2, 1, 0)])
+    return group, diagonal_lift(cycles_to_perm(gp, [tuple(range(1, gp))]), 4)
 
 
 def scenario_ramified(gp: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
@@ -435,9 +424,10 @@ def scenario_ramified(gp: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> 
     2(g'-1), 4, the first two swapped by conjugation; phi targets
     (1, 2g'-3, 2), so the slopes are 1/(2g'-2), (2g'-3)/(2g'-2), 1/2.
     """
-    model, e1, e2, c = _biquadratic_model(gp, p, subset_cap)
+    group, c = _biquadratic_group(gp, p, subset_cap)
+    e1, e2 = group.generators[:2]
     inertia, frobenius = e2, compose(e1, c)
-    return _preset(f"ramified-gp{gp}-p{p}", "ramified", model, [inertia, frobenius],
+    return _preset(f"ramified-gp{gp}-p{p}", "ramified", group, [inertia, frobenius],
                    [2 * (gp - 1)] * 2 + [4], (1,))
 
 
@@ -449,9 +439,9 @@ def scenario_split(gp: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Sce
     0 and 1 on one pair, 1/(g'-1) and (g'-2)/(g'-1) on the other, 1/2
     on the stable blocks.
     """
-    model, _, _, c = _biquadratic_model(gp, p, subset_cap)
-    frobenius = compose(model.tau, c)
-    return _preset(f"split-gp{gp}-p{p}", "split", model, [frobenius],
+    group, c = _biquadratic_group(gp, p, subset_cap)
+    frobenius = compose(conjugation(4 * gp), c)
+    return _preset(f"split-gp{gp}-p{p}", "split", group, [frobenius],
                    [gp - 1] * 4 + [2, 2], (0, 1))
 
 
@@ -544,21 +534,20 @@ def parse_scenario(text: str, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
         fail("tau", "tau is not an element of the generated group")
     if tau != conjugation(npoints):
         fail("tau", "tau does not act as i -> i + g mod 2g")
-    try:
-        model = CMGaloisModel(group)
+    try:  # the tau line is judged before the decomposition line is read
+        CMGaloisModel(group)
     except ValueError as exc:
         fail("tau", str(exc))
 
-    if "decomposition_generators" in fields:
-        dec = parse_perm_list("decomposition_generators")
-        try:
-            model = model.with_decomposition(dec)
-        except ValueError as exc:
-            fail("decomposition_generators", str(exc))
-    if model.D_generators is None:
+    if "decomposition_generators" not in fields:
         raise ScenarioParseError(
             "missing required field 'decomposition_generators' (needed for phi and slopes)"
         )
+    dec = parse_perm_list("decomposition_generators")
+    try:
+        model = CMGaloisModel(group, dec)
+    except ValueError as exc:
+        fail("decomposition_generators", str(exc))
 
     if "phi" in fields:
         try:
@@ -581,7 +570,8 @@ def parse_scenario(text: str, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
         except ValueError as exc:
             fail("phi_targets", str(exc))
 
-    slopes = slopes_from_cm_type(model, phi)
+    scn = Scenario(name=fields.get("name", "scenario"), family=None, model=model, phi=phi,
+                   provenance="file")
     if "slopes" in fields:
         from fractions import Fraction  # only a declared slope line is parsed as Fractions
 
@@ -589,21 +579,13 @@ def parse_scenario(text: str, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
             given = tuple(Fraction(tok) for tok in fields["slopes"].replace(",", " ").split())
         except (ValueError, ZeroDivisionError):
             fail("slopes", f"bad fraction list {fields['slopes']!r}")
-        if [v * slopes.den for v in given] != list(slopes.nums):
+        if [v * scn.slopes.den for v in given] != list(scn.slopes.nums):
             fail(
                 "slopes",
                 "declared slopes disagree with the Shimura-Taniyama values "
-                f"{slopes.serialize()} of phi",
+                f"{scn.slopes.serialize()} of phi",
             )
-
-    return Scenario(
-        name=fields.get("name", "scenario"),
-        family=None,
-        model=model,
-        phi=phi,
-        slopes=slopes,
-        provenance="file",
-    )
+    return scn
 
 
 def serialize_scenario(scn: Scenario) -> str:

@@ -4,8 +4,8 @@ Points are 0-based internally; every serialized form (cycle notation,
 index lists) is 1-based.  A group is carried by its generators and a
 stabilizer chain on the base 1..2g (`StabChain`), which gives its order
 and membership without listing it: a preset's chain is read off a known
-strong generating set (`cm_product_group`, `forge._biquadratic_model`),
-and a scenario file's goes through Schreier-Sims (`build_group`).
+strong generating set (`signed_symmetric_group`), and a scenario file's
+goes through Schreier-Sims (`build_group`).
 No group is listed, and no builder here refuses a group for its size:
 a chain costs what its degree does, and the subset cap that `forge`
 checks where a scenario is admitted bounds the degree.
@@ -429,13 +429,13 @@ class CMGaloisModel(Record):
 
     The group fixes the rest: g is half its degree, and tau is the
     conjugation i -> i + g mod 2g (`conjugation`), which must be a
-    central element of G.  The decomposition
-    subgroup D at the anchored valuation is carried by D_generators
-    (None until `with_decomposition` supplies them), which are checked
-    to lie in the group; D_blocks, derived from them, holds the D-orbits
-    on the indices, the places of L above p (None without D).  g, tau
-    and D_blocks are stored beside the fields; only the group takes
-    part in model equality.
+    central element of G.  The decomposition subgroup D at the anchored
+    valuation is carried by D_generators (None for a model without D),
+    which are checked to lie in the group and kept as a tuple of tuples;
+    D_blocks, derived from them, holds the D-orbits on the indices, the
+    places of L above p (None without D).  g, tau and D_blocks are
+    stored beside the fields; only the group takes part in model
+    equality.
     """
 
     group: PermGroup
@@ -456,41 +456,36 @@ class CMGaloisModel(Record):
         for gen in self.group.generators:
             if compose(gen, tau) != compose(tau, gen):
                 raise ValueError(f"tau is not central: fails against generator {format_perm(gen)}")
-        blocks = None
+        gens = blocks = None
         if self.D_generators is not None:
-            blocks = point_orbits(_in_group(self.group, self.D_generators), n)
-        self.__dict__.update(g=n // 2, tau=tau, D_blocks=blocks)
-
-    def with_decomposition(self, generators) -> "CMGaloisModel":
-        """The same model with D = <generators>; the group checks already held."""
-        gens = _in_group(self.group, generators)
-        model = object.__new__(type(self))
-        model.__dict__.update(
-            self.__dict__, D_generators=gens, D_blocks=point_orbits(gens, self.group.degree))
-        return model
+            gens = _in_group(self.group, self.D_generators)
+            blocks = point_orbits(gens, n)
+        self.__dict__.update(g=n // 2, tau=tau, D_generators=gens, D_blocks=blocks)
 
 
-def cm_product_group(g: int) -> CMGaloisModel:
-    """The mu2 x S_g model on 2g points.
+def signed_symmetric_group(g: int, flips) -> PermGroup:
+    """Sign flips times S_g on copies of the g points, S_g acting alike on each copy.
 
-    (eps, sigma) sends i to sigma(i), shifted across the conjugation
-    split when eps = -1; tau is (-1, id).  D is left unset.  The group
-    is generated by tau and the lifts of `sym_generators(g)`; its chain
-    comes from the strong generating set of tau and the lifted
-    adjacent transpositions: the stabilizer of 1..i is S_{g-i} on
-    i+1..g, lifted.
+    Flip f moves copy k of the points 0..g-1 to copy f[k]; the flips
+    must generate a group that acts regularly on the len(f) copies, so
+    the stabilizer of a point fixes every copy.  The generators are the
+    flips, then the lifts of `sym_generators(g)` (`diagonal_lift`).  The
+    chain comes from the strong generating set of the flips and the
+    lifted adjacent transpositions: the stabilizer of 1..i is S_{g-i} on
+    i+1..g, lifted.  One flip (1, 0) gives mu2 x S_g, whose flip is tau;
+    (1, 0, 3, 2) and (3, 2, 1, 0) give (mu2 x mu2) x S_g.
     """
     if g < 2:
         raise ValueError("g must be at least 2")
-    n = 2 * g
-    tau = conjugation(n)
-    strong = [tau] + [diagonal_lift(t, 2) for t in adjacent_transpositions(g)]
-    group = PermGroup(
+    copies = len(flips[0])
+    n = copies * g
+    signs = [tuple([f[x // g] * g + x % g for x in range(n)]) for f in flips]
+    strong = signs + [diagonal_lift(t, copies) for t in adjacent_transpositions(g)]
+    return PermGroup(
         degree=n,
-        generators=(tau, *[diagonal_lift(s, 2) for s in sym_generators(g)]),
+        generators=(*signs, *[diagonal_lift(s, copies) for s in sym_generators(g)]),
         chain=StabChain.from_strong(n, strong),
     )
-    return CMGaloisModel(group)
 
 
 def index2_point_sets(group: PermGroup) -> list:

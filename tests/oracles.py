@@ -127,6 +127,7 @@ from weiltate.galois import (
     compose,
     identity,
     index2_point_sets,
+    signed_symmetric_group,
 )
 from weiltate.slopes import SlopeVector
 
@@ -479,6 +480,11 @@ def rational_rank(matrix) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def cm_product_model(g: int) -> CMGaloisModel:
+    """The mu2 x S_g model on 2g points, with no D."""
+    return CMGaloisModel(signed_symmetric_group(g, [(1, 0)]))
 
 
 def elements_of(group: PermGroup) -> tuple:

@@ -9,6 +9,7 @@ import random
 import time
 from oracles import (
     block_subgroup,
+    cm_product_model,
     column_classes,
     columns_of,
     emitted_text,
@@ -33,7 +34,7 @@ from weiltate.classifier import (
 )
 from weiltate.cli import classify_scenario_doc
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
-from weiltate.galois import cm_product_group, index2_point_sets
+from weiltate.galois import index2_point_sets
 from weiltate.slopes import ratio_str
 
 
@@ -51,7 +52,7 @@ def slope_rows(g: int, count: int, seed: int) -> list:
     blocks, {1}, all points and S; each block's subgroup is listed only
     for the oracles.
     """
-    model = cm_product_group(g)
+    model = cm_product_model(g)
     G = model.group
     fixed = [(B, block_subgroup(G, B))
              for B in index2_point_sets(G) + [frozenset({0}), frozenset(range(G.degree))]]

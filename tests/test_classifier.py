@@ -13,6 +13,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     block_subgroup,
+    cm_product_model,
     elements_of,
     classify_orbits_by_walk,
     column_classes,
@@ -88,7 +89,6 @@ from weiltate.galois import (
     CMGaloisModel,
     StabChain,
     build_group,
-    cm_product_group,
     compose,
     cycles_to_perm,
     diagonal_lift,
@@ -143,8 +143,7 @@ def ordinary_slopes(g):
 def supersingular_degree2_model():
     tau = cycles_to_perm(2, [(1, 2)])
     group = build_group(2, [tau])
-    model = CMGaloisModel(group)
-    return model.with_decomposition(elements_of(group))
+    return CMGaloisModel(group, elements_of(group))
 
 
 # --- the Tate predicate, read off the scan ------------------------------------
@@ -171,7 +170,7 @@ def test_is_tate_rejects_equal_low_slopes():
 
 def test_is_tate_rejects_odd_size():
     # {1} alone would pass the rows if its slope were 1/2 at every conjugate
-    model = cm_product_group(2)
+    model = cm_product_model(2)
     s = SlopeVector(2, (1,) * 4)
     found = tate_subsets(_packed_columns(tate_rows(model, s)), [1])
     assert len(found[1]) == 4  # an odd size passes the rows alone
@@ -259,7 +258,7 @@ def test_classify_main4_exotic_conjugate_to_first_half():
 
 
 def test_classify_ordinary_is_lefschetz_only():
-    model = cm_product_group(3)
+    model = cm_product_model(3)
     rep = classify_orbits(model, ordinary_slopes(3))
     assert rep.scht_verdict == SCHT_LEFSCHETZ_ONLY
     assert rep.exotic == ()
@@ -313,12 +312,12 @@ def test_random_cm_types_keep_classifier_invariants():
                     assert o.is_lefschetz_bearing
 
 
-MODELS = {g: cm_product_group(g) for g in (2, 3, 4, 5)}
+MODELS = {g: cm_product_model(g) for g in (2, 3, 4, 5)}
 
 
 @st.composite
 def product_models_with_slopes(draw):
-    """cm_product_group(g), g = 2..4, with random admissible slopes (`drawn_slopes`)."""
+    """cm_product_model(g), g = 2..4, with random admissible slopes (`drawn_slopes`)."""
     model = MODELS[draw(st.integers(2, 4))]
     return model, drawn_slopes(draw, model)
 
@@ -344,7 +343,7 @@ def signed_perm(g, sigma, flips) -> tuple:
 
 @st.composite
 def cm_models(draw):
-    """cm_product_group(g), g = 2..5, or tau with one or two random signed permutations.
+    """cm_product_model(g), g = 2..5, or tau with one or two random signed permutations.
 
     The first signed permutation moves the points of one half along a
     random g-cycle, so the group is transitive.  Such groups lack the
@@ -611,7 +610,7 @@ def test_reducible_slopes_are_kept_in_lowest_terms():
 @given(cm_models(), st.data())
 def test_slopes_from_cm_type_in_integers_match_the_fraction_formula(model, data):
     """Shimura-Taniyama from block counts equals #(phi ∩ B) / #B computed as Fractions."""
-    model = model.with_decomposition([data.draw(st.sampled_from(elements_of(model.group)))])
+    model = CMGaloisModel(model.group, [data.draw(st.sampled_from(elements_of(model.group)))])
     phi = frozenset(data.draw(st.sampled_from((i, model.tau[i]))) for i in range(model.g))
     values = [None] * model.group.degree
     for block in model.D_blocks:
@@ -656,7 +655,7 @@ def slopes_to_validate(draw):
     elif kind == "pair":
         values[i] = Fraction(draw(st.integers(0, den)), den)
     elif kind in ("block", "integer"):
-        model = model.with_decomposition([draw(st.sampled_from(elements_of(model.group)))])
+        model = CMGaloisModel(model.group, [draw(st.sampled_from(elements_of(model.group)))])
         for block in model.D_blocks:  # tau is central, so tau B is a D-block too
             partner = tuple(sorted(model.tau[x] for x in block))
             v = Fraction(1, 2) if partner == block else Fraction(draw(st.integers(0, den)), den)
@@ -996,18 +995,18 @@ def test_classify_builds_one_basis_and_computes_the_d_orbits_once(monkeypatch):
     from weiltate.cli import classify_scenario_doc
 
     calls = Counter()
-    count_calls(monkeypatch, CMGaloisModel, "with_decomposition", calls)
+    count_calls(monkeypatch, CMGaloisModel, "__post_init__", calls)  # the one D-orbit walk
     for module in (weiltate.classifier, weiltate.slopes):
         count_calls(monkeypatch, module, "conjugate_slope_basis", calls)
         count_calls(monkeypatch, module, "validate_slopes", calls)
     scn = scenario_ramified(3, 5)
-    assert calls == {"with_decomposition": 1}  # the preset's slopes are not checked yet
+    assert calls == {"__post_init__": 1}  # the preset's slopes are not checked yet
     # the whole document checks the slopes once and builds one basis, from which the report
     # carries the Frobenius rank and the packed columns that Honda-Tate reads
     classify_scenario_doc(scn)
-    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 1, "validate_slopes": 1}
+    assert calls == {"__post_init__": 1, "conjugate_slope_basis": 1, "validate_slopes": 1}
     classify_orbits(scn.model, scn.slopes, phi=scn.phi)
-    assert calls == {"with_decomposition": 1, "conjugate_slope_basis": 2, "validate_slopes": 2}
+    assert calls == {"__post_init__": 1, "conjugate_slope_basis": 2, "validate_slopes": 2}
 
 
 def closed_form_rho(model, s):
@@ -1087,7 +1086,7 @@ def test_exotic_orbits_have_rank_at_least_two():
         (scenario_main(4, 5).model, scenario_main(4, 5).slopes),
         (scenario_ramified(3, 5).model, scenario_ramified(3, 5).slopes),
         (scenario_split(3, 5).model, scenario_split(3, 5).slopes),
-        (cm_product_group(3), ordinary_slopes(3)),
+        (cm_product_model(3), ordinary_slopes(3)),
     ]
     for model, s in instances:
         for o in classify_orbits(model, s).exotic:
@@ -1266,7 +1265,7 @@ def models_with_cm_types(draw):
     """
     model = draw(cm_models().filter(lambda m: m.group.order <= 640))
     gens = draw(st.lists(st.sampled_from(elements_of(model.group)), min_size=1, max_size=2))
-    model = model.with_decomposition(subgroup_closure(model.group, gens))
+    model = CMGaloisModel(model.group, subgroup_closure(model.group, gens))
     phi = [i if draw(st.booleans()) else model.tau[i] for i in range(model.g)]
     return model, slopes_from_cm_type(model, phi)
 
@@ -1330,8 +1329,9 @@ TAU4 = tuple((i + 4) % 8 for i in range(8))
 # |G| = 16: a walk taking each block through every generator before the next block
 # orders both partitions otherwise
 SIGNED16 = CMGaloisModel(
-    build_group(8, [TAU4, (3, 0, 5, 6, 7, 4, 1, 2), (2, 3, 0, 1, 6, 7, 4, 5)])
-).with_decomposition([(2, 3, 0, 1, 6, 7, 4, 5)])
+    build_group(8, [TAU4, (3, 0, 5, 6, 7, 4, 1, 2), (2, 3, 0, 1, 6, 7, 4, 5)]),
+    [(2, 3, 0, 1, 6, 7, 4, 5)],
+)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1394,9 +1394,9 @@ def test_structure_check_ramified_noncommutative():
 
 
 def test_structure_check_requires_mildly_exotic():
-    model = cm_product_group(3)
+    model = cm_product_model(3)
     s = ordinary_slopes(3)
-    model_d = model.with_decomposition(frozenset({tuple(range(6))}))
+    model_d = CMGaloisModel(model.group, frozenset({tuple(range(6))}))
     rep = classify_orbits(model_d, s)
     end = honda_tate_endomorphism(model_d, s, rep.columns)
     with pytest.raises(ValueError):
@@ -1411,7 +1411,7 @@ def _mildly_exotic_parts(scn):
 
 
 def test_structure_check_fails_on_odd_g():
-    model = cm_product_group(3).with_decomposition(frozenset({tuple(range(6))}))
+    model = CMGaloisModel(cm_product_model(3).group, frozenset({tuple(range(6))}))
     s = ordinary_slopes(3)
     rep = classify_orbits(model, s).replace(mildly_exotic=True)
     verdict = structure_check(model, rep, honda_tate_endomorphism(model, s, rep.columns))
@@ -1535,7 +1535,7 @@ def test_signature_is_nonnegative_on_presets(name):
 
 
 def test_signature_rejects_odd_g():
-    rep = classify_orbits(cm_product_group(3), ordinary_slopes(3))
+    rep = classify_orbits(cm_product_model(3), ordinary_slopes(3))
     assert rep.g == 3 and rep.tate_dims is not None
     with pytest.raises(ValueError, match="needs even g"):
         predicted_signature(rep)
@@ -1647,9 +1647,10 @@ def test_member_masks_compare_hash_and_show_their_masks():
 
 
 def test_lemma_suite_gates_on_hypotheses():
-    model = cm_product_group(3).with_decomposition([])  # ordinary: every place of L has degree 1
+    model = CMGaloisModel(cm_product_model(3).group, [])  # ordinary: every place has degree 1
     scn = Scenario(name="ordinary", family=None, model=model, phi=frozenset(range(3, 6)),
-                   slopes=ordinary_slopes(3), provenance="test")
+                   provenance="test")
+    assert scn.slopes == ordinary_slopes(3)
     rows = verify_lemma_suite(scn, *classify_scenario(scn))
     assert {r.status for r in rows} == {NOT_APPLICABLE}
     assert not any(r.status == FAIL for r in rows)

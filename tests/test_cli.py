@@ -19,6 +19,7 @@ from oracles import (
     assert_document_invariants,
     ben_or_by_pow_mod,
     classify_orbits_by_walk,
+    cm_product_model,
     cm_types_by_listing,
     doc_to_end_report,
     doc_to_report,
@@ -31,7 +32,6 @@ from weiltate import algebra, classifier, cli, forge, galois, slopes
 from weiltate.cmtypes import enumerate_cm_types, least_cm_type, measure_cm_type
 from weiltate.classifier import classify_orbits, end_report_to_doc, report_to_doc
 from weiltate.forge import Scenario, scenario_main, serialize_scenario
-from weiltate.slopes import slopes_from_cm_type
 
 
 def run_cli(capsys, argv):
@@ -780,6 +780,22 @@ def test_scenario_tau_line_is_refused_with_its_reason(tmp_path, capsys, generato
         cli.EXIT_USAGE, "", f"scenario parse error: line 3: field 'tau': {message}\n")
 
 
+def test_scenario_tau_line_is_judged_before_the_decomposition_line_is_read(tmp_path, capsys):
+    path = tmp_path / "order.scn"
+    # a tau that is not central beside a malformed decomposition line: the tau line is refused
+    path.write_text("points = 4\ngenerators = (1 2 3 4), (1 2)\ntau = (1 3)(2 4)\n"
+                    "decomposition_generators = (1 2\nphi = 1 2\n", encoding="utf-8")
+    assert run_cli(capsys, ["classify", "--file", str(path)]) == (
+        cli.EXIT_USAGE, "", "scenario parse error: line 3: field 'tau': "
+        "tau is not central: fails against generator (1 2)\n")
+    # a valid tau and no decomposition line
+    path.write_text("points = 4\ngenerators = (1 2 3 4)\ntau = (1 3)(2 4)\nphi = 1 2\n",
+                    encoding="utf-8")
+    assert run_cli(capsys, ["classify", "--file", str(path)]) == (
+        cli.EXIT_USAGE, "", "scenario parse error: missing required field "
+        "'decomposition_generators' (needed for phi and slopes)\n")
+
+
 def test_the_classifier_takes_no_cap_and_classifies_what_the_capped_command_admits(
         capsys, monkeypatch):
     classify_scenario, reports = cli.classify_scenario, []
@@ -929,9 +945,9 @@ def test_forge_past_its_spread_bound_is_a_self_check_failure(capsys, monkeypatch
 ], ids=["main", "ramified", "split", "verify"])
 def test_preset_block_check_failure_exits_3_without_traceback(argv, capsys, monkeypatch):
     # a trivial D leaves every index its own block, which no preset accepts
-    with_decomposition = galois.CMGaloisModel.with_decomposition
-    monkeypatch.setattr(galois.CMGaloisModel, "with_decomposition",
-                        lambda model, gens: with_decomposition(model, []))
+    preset = forge._preset
+    monkeypatch.setattr(forge, "_preset", lambda name, family, group, d_gens, *rest:
+                        preset(name, family, group, [], *rest))
     code, out, err = run_cli(capsys, argv)
     assert code == cli.EXIT_HYPOTHESIS
     assert out == ""
@@ -1041,6 +1057,12 @@ def test_emit_json_rejects_what_json_rejects():
         json.dumps({"x": object()})
     with pytest.raises(TypeError):  # json writes floats, but no document holds one
         cli._emit_json({"x": [1, 0.5]}, pieces.append)
+    bare = classifier.MemberMasks(4, (0b1100, 0b0011))  # members are written only in an orbit
+    for tree in ({"x": bare}, [bare]):
+        with pytest.raises(TypeError):
+            json.dumps(tree)
+        with pytest.raises(TypeError):
+            cli._emit_json(tree, pieces.append)
     for tree in (_Level.ONE, _Tag("x"), {"i": _Level.ONE}, {"s": _Tag("t\n")},
                  [_Level.ONE, 2], [2, _Tag("")]):
         with pytest.raises(TypeError):
@@ -1117,7 +1139,7 @@ def drawn_scenarios(draw):
     n = 2 * g
     tau = tuple((i + g) % n for i in range(n))
     if draw(st.booleans()):
-        model = galois.cm_product_group(g)
+        group = cm_product_model(g).group
     else:
         cycle = draw(st.permutations(range(g)))
         sigmas = [{cycle[k]: cycle[(k + 1) % g] for k in range(g)}]  # a g-cycle: transitive
@@ -1131,16 +1153,15 @@ def drawn_scenarios(draw):
                 j = sigma[i] + (g if flips[i] else 0)
                 perm[i], perm[i + g] = j, (j + g) % n
             gens.append(tuple(perm))
-        model = galois.CMGaloisModel(galois.build_group(n, gens))
-    gens = model.group.generators
+        group = galois.build_group(n, gens)
+    gens = group.generators
     word = draw(st.lists(st.sampled_from(range(len(gens))), min_size=1, max_size=3))
     d = galois.identity(n)
     for k in word:
         d = galois.compose(d, gens[k])
-    model = model.with_decomposition([d])
     phi = frozenset(draw(st.sampled_from((i, tau[i]))) for i in range(g))
-    return Scenario(name="drawn", family=None, model=model, phi=phi,
-                    slopes=slopes_from_cm_type(model, phi), provenance="test")
+    return Scenario(name="drawn", family=None, model=galois.CMGaloisModel(group, [d]), phi=phi,
+                    provenance="test")
 
 
 def drawn_weights(draw, n):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import cm_product_model
 
 import weiltate.classifier
 import weiltate.cmtypes
@@ -17,7 +18,6 @@ from weiltate.cmtypes import (
     validate_cm_type,
 )
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split, serialize_scenario
-from weiltate.galois import cm_product_group
 from weiltate.slopes import slopes_from_cm_type, validate_slopes
 
 
@@ -141,7 +141,7 @@ def test_is_balanced():
 
 
 def test_cm_type_validation_errors():
-    model = cm_product_group(2)
+    model = cm_product_model(2)
     with pytest.raises(ValueError):
         validate_cm_type(model, frozenset({0, 2}))  # meets its conjugate
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ import weiltate.forge
 from weiltate.algebra import poly_degree, poly_mul
 from weiltate.forge import (
     HypothesisError,
+    Scenario,
     ScenarioParseError,
     _sg_patterns,
     _smallest_primes_avoiding,
@@ -422,6 +423,17 @@ def test_scenario_presets_deterministic():
 def test_scenario_slopes_rederive_from_phi():
     for scn in (scenario_main(4, 5), scenario_ramified(3, 5), scenario_split(3, 5)):
         assert slopes_from_cm_type(scn.model, scn.phi) == scn.slopes
+
+
+def test_a_scenario_is_given_no_slopes_and_reads_them_off_its_model_and_phi():
+    scn = scenario_ramified(3, 5)
+    fields = {"name": "s", "family": None, "model": scn.model, "phi": scn.phi, "provenance": "t"}
+    with pytest.raises(TypeError, match="no further field"):
+        Scenario(**fields, slopes=scn.slopes)
+    made = Scenario(**fields)
+    assert made.slopes == slopes_from_cm_type(made.model, made.phi) == scn.slopes
+    other = made.replace(phi=frozenset(made.model.tau[i] for i in made.phi))
+    assert other.slopes == slopes_from_cm_type(other.model, other.phi) != made.slopes
 
 
 def test_scenario_odd_gp_rejected():

@@ -675,8 +675,7 @@ def test_miller_rabin_needs_its_bases_and_refuses_past_its_bound():
         assert math.prod(factors) == n
         assert algebra._strong_probable_prime(n, algebra._MR_BASES[:k])
         assert not is_prime(n)
-    # below 3,215,031,751 four bases are exact; at it they are fooled, and 13 refuse it
-    assert algebra._FOUR_BASE_BOUND == 3215031751
+    # 3,215,031,751 fools the first four bases (the k = 4 row above), and all 13 refuse it
     assert not algebra._strong_probable_prime(3215031751, algebra._MR_BASES)
     # the bound is the least strong pseudoprime to all 13 bases, so it is refused, not guessed
     assert algebra._strong_probable_prime(MR_BOUND, algebra._MR_BASES)

@@ -5,6 +5,7 @@ import random
 import pytest
 from oracles import (
     block_subgroup,
+    cm_product_model,
     column_classes,
     columns_of,
     elements_of,
@@ -18,7 +19,7 @@ from oracles import (
 
 from weiltate.classifier import honda_tate_endomorphism
 from weiltate.forge import scenario_main, scenario_ramified, scenario_split
-from weiltate.galois import cm_product_group
+from weiltate.galois import CMGaloisModel
 from weiltate.slopes import (
     SlopeVector,
     conjugate_slope_basis,
@@ -67,21 +68,21 @@ def test_full_block_cm_type_gives_ordinary_slopes():
 
 
 def test_tau_stable_blocks_give_half_slopes():
-    model = cm_product_group(2)
-    model = model.with_decomposition(elements_of(model.group))
+    model = cm_product_model(2)
+    model = CMGaloisModel(model.group, elements_of(model.group))
     phi = frozenset({0, 1})
     s = slopes_from_cm_type(model, phi)
     assert (s.den, set(s.nums)) == (2, {1})
 
 
 def test_slopes_require_decomposition_group():
-    model = cm_product_group(2)
+    model = cm_product_model(2)
     with pytest.raises(ValueError):
         slopes_from_cm_type(model, frozenset({0, 1}))
 
 
 def test_validate_slopes_rejects_broken_pairing():
-    model = cm_product_group(2)
+    model = cm_product_model(2)
     with pytest.raises(ValueError) as err:
         validate_slopes(model, SlopeVector(4, (2, 2, 2, 1)))
     assert str(err.value) == "s_2 + s_tau(2) != 1"
@@ -93,7 +94,7 @@ def test_validate_slopes_rejects_broken_pairing():
             validate_slopes(model, SlopeVector(4, nums))
         assert str(err.value) == message
     # D = <(1 2)(3 4)> has the blocks {1, 2} and {3, 4}
-    model = model.with_decomposition([(1, 0, 3, 2)])
+    model = CMGaloisModel(model.group, [(1, 0, 3, 2)])
     with pytest.raises(ValueError) as err:
         validate_slopes(model, SlopeVector(4, (1, 3, 3, 1)))
     assert str(err.value) == "slopes not constant on D-block (1, 2)"
@@ -122,7 +123,7 @@ def test_fix_of_slope_main_scenario():
 
 
 def test_fix_of_slope_constant_half():
-    model = cm_product_group(3)
+    model = cm_product_model(3)
     s = SlopeVector(2, (1,) * 6)
     assert signature_block(model, s) == frozenset(range(6))
     assert listed_fix(model, s) == frozenset(elements_of(model.group))
@@ -151,7 +152,7 @@ def test_potential_membership_reflexive_and_constant():
     scn = scenario_main(4, 5)
     fix = listed_fix(scn.model, scn.slopes)
     assert potential_by_valuation_grouping(scn.model, scn.slopes, fix)
-    model = cm_product_group(3)
+    model = cm_product_model(3)
     s = SlopeVector(2, (1,) * 6)
     assert signature_block(model, s) == frozenset(range(6))
     assert potential_by_valuation_grouping(model, s, elements_of(model.group))
@@ -172,7 +173,7 @@ def frobenius_rank(model, s) -> int:
 def test_frobenius_rank_examples():
     scn = scenario_main(4, 5)
     assert frobenius_rank(scn.model, scn.slopes) == 3
-    model = cm_product_group(3)
+    model = cm_product_model(3)
     assert frobenius_rank(model, SlopeVector(2, (1,) * 6)) == 0
     split = scenario_split(3, 5)
     assert frobenius_rank(split.model, split.slopes) == 4
@@ -189,7 +190,7 @@ def test_frobenius_rank_cross_checked_mod_primes():
 def test_fix_and_rank_invariant_under_relabeling():
     rng = random.Random(11)
     for g in (2, 3):
-        model = cm_product_group(g)
+        model = cm_product_model(g)
         listed = elements_of(model.group)
         for _ in range(5):
             s = random_admissible_slopes(model, rng)
@@ -204,7 +205,7 @@ def test_fix_and_rank_invariant_under_relabeling():
 def test_oracle_agreement_random_sample():
     rng = random.Random(3)
     for g in (2, 3):
-        model = cm_product_group(g)
+        model = cm_product_model(g)
         H = block_subgroup(model.group, {0})
         overgroups = index2_overgroups(model.group, H)
         for _ in range(10):
@@ -221,7 +222,7 @@ def test_oracle_agreement_random_sample():
 def test_signature_classes_match_signatures_over_the_group():
     rng = random.Random(17)
     for g in (2, 3, 4):
-        model = cm_product_group(g)
+        model = cm_product_model(g)
         listed = elements_of(model.group)
         for _ in range(8):
             s = random_admissible_slopes(model, rng)
@@ -239,7 +240,7 @@ def test_signature_block_of_presets():
     assert signature_block(scn.model, scn.slopes) == {0}
     scn = scenario_ramified(3, 5)
     assert len(signature_block(scn.model, scn.slopes)) == 2
-    model = cm_product_group(3)
+    model = cm_product_model(3)
     assert signature_block(model, SlopeVector(2, (1,) * 6)) == set(range(6))
 
 
