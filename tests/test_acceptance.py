@@ -29,7 +29,6 @@ from weiltate.classifier import (
     classify_orbits,
     classify_scenario,
     honda_tate_endomorphism,
-    predicted_signature,
     verify_lemma_suite,
 )
 from weiltate.cli import classify_scenario_doc
@@ -211,7 +210,7 @@ def test_criterion_8_duality_and_signature():
     scn = scenario_main(4, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     assert rep.tate_dims[:3] == (1, 4, 8)
-    assert predicted_signature(rep) == (5, 3)
+    assert rep.predicted_signature == (5, 3)
     assert any("Tate classes" in note for note in rep.notes)
     report("8 (rho_k = rho_{g-k} everywhere; main g=4 rho=(1,4,8), signature (5,3))")
 

@@ -64,6 +64,7 @@ from weiltate.classifier import (
     EndAlgebraReport,
     LocalInvariant,
     MemberMasks,
+    MotiveOrbit,
     WeilTateEntry,
     _blocks_in_coset_order,
     _lefschetz,
@@ -77,7 +78,6 @@ from weiltate.classifier import (
     classify_scenario,
     end_report_to_doc,
     honda_tate_endomorphism,
-    predicted_signature,
     report_to_doc,
     structure_check,
     tate_rows,
@@ -407,6 +407,55 @@ def test_mask_orbits_match_the_frozenset_walk(case, seed):
         assert orbits == [o.orbit for o in walk.orbits if o.weight == w]
 
 
+def _preset_case(name, weights=None) -> tuple:
+    scn = PRESETS[name]()
+    return scn.model, scn.slopes, scn.phi, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(classify_cases())
+# mildly exotic, commutative and not; then a scan of given weights
+@example(_preset_case("main4"))
+@example(_preset_case("ramified3"))
+@example(_preset_case("main4", [4]))
+def test_a_report_reads_its_verdicts_off_its_orbits(case):
+    """Each value the reports read off their fields, against its definition written out here.
+
+    With D trivial every column class is a place of degree 1 with
+    invariant s mod 1, so [F:Q] is the number of classes and the index
+    the lcm of the slopes' denominators.
+    """
+    model, s, phi, weights = case
+    report = classify_orbits(model, s, weights=weights, phi=phi)
+    full = weights is None
+    assert report.exotic == tuple(o for o in report.orbits if not o.is_lefschetz_bearing)
+    exotic = report.exotic
+    mildly = (len(exotic) > 0 and max(o.rank for o in exotic) <= 2) if full else None
+    assert report.mildly_exotic == mildly
+    if mildly:
+        verdict = SCHT_APPLICABLE
+    elif full and not exotic:
+        verdict = SCHT_LEFSCHETZ_ONLY
+    else:
+        verdict = SCHT_NOT_DECIDED
+    event(verdict)
+    assert report.scht_verdict == verdict
+    if not full or model.g % 2:
+        assert report.predicted_signature is None
+    else:  # the primitive parts of degree 2k, k <= g/2, with sign (-1)^k
+        rho = (0,) + report.tate_dims
+        primitive = [rho[k + 1] - rho[k] for k in range(model.g // 2 + 1)]
+        assert report.predicted_signature == (sum(primitive[0::2]), sum(primitive[1::2]))
+    trivial = CMGaloisModel(model.group, [tuple(range(model.group.degree))])
+    end = honda_tate_endomorphism(trivial, s, report.columns)
+    assert end.frobenius_field_degree == len(set(report.columns))
+    values = slope_fractions(s)
+    invariants = {values[report.columns.index(c)] % 1 for c in report.columns}
+    m = lcm(*(v.denominator for v in invariants))
+    assert (end.index, end.commutative) == (m, m == 1)
+    assert 2 * end.abelian_variety_dim == m * end.frobenius_field_degree
+
+
 @settings(max_examples=60, deadline=None)
 @given(classify_cases())
 def test_block_subgroup_is_the_subgroup_above_h_of_its_block(case):
@@ -620,17 +669,26 @@ def test_slopes_from_cm_type_in_integers_match_the_fraction_formula(model, data)
 
 
 def test_a_local_invariant_from_integers_is_the_one_from_fractions():
-    by_integers = LocalInvariant(2, 8, 2, 4)
+    by_integers = LocalInvariant(2, 8, 2)
     assert (by_integers.den, by_integers.slope_num, by_integers.invariant_num) == (4, 1, 2)
     for again in (local_invariant(2, Fraction(1, 4), Fraction(1, 2)),
                   local_invariant(2, "2/8", "1/2"),
-                  LocalInvariant(degree=2, den=4, slope_num=1, invariant_num=2)):
+                  LocalInvariant(degree=2, den=4, slope_num=1)):
         assert again == by_integers and hash(again) == hash(by_integers)
-    zero = LocalInvariant(1, 5, 5, 0)
+    zero = LocalInvariant(1, 5, 5)
     assert (zero.den, zero.slope_num, zero.invariant_num) == (1, 1, 0)
-    assert end_report_to_doc(EndAlgebraReport(1, (zero, by_integers), 1, True, 1))[
-        "local_invariants"] == [{"degree": 1, "slope": "1/1", "invariant": "0/1"},
-                                {"degree": 2, "slope": "1/4", "invariant": "1/2"}]
+    end = EndAlgebraReport((zero, by_integers))
+    assert (end.frobenius_field_degree, end.index, end.commutative,
+            end.abelian_variety_dim) == (3, 2, False, 3)
+    assert end_report_to_doc(end)["local_invariants"] == [
+        {"degree": 1, "slope": "1/1", "invariant": "0/1"},
+        {"degree": 2, "slope": "1/4", "invariant": "1/2"}]
+
+
+def test_an_end_report_refuses_an_odd_index_times_degree():
+    # one place of degree 1 with invariant 1/3: m [F:Q] = 3 gives no integer dimension
+    with pytest.raises(ValueError, match=r"m \* \[F:Q\] is odd"):
+        EndAlgebraReport((LocalInvariant(1, 3, 1),))
 
 
 @st.composite
@@ -890,7 +948,7 @@ def test_chain_generators_match_the_greedy_over_the_listing(case, data):
 
 def block_subgroup_doc(G, P) -> tuple:
     """(generators, order) of {g : g(1) in P} as a Weil-Tate entry's document gives them."""
-    doc = _weil_tate_to_doc(WeilTateEntry(tuple(sorted(P)), False, False, False), G)
+    doc = _weil_tate_to_doc(WeilTateEntry(tuple(sorted(P)), False, False), G)
     return doc["subgroup_generators"], doc["subgroup_order"]
 
 
@@ -1043,12 +1101,13 @@ def test_closed_form_rho_matches_the_orbit_ranks(name):
     assert closed_form_rho(scn.model, scn.slopes) == rep.tate_dims
 
 
-@pytest.mark.parametrize("name", ["main8", "main10", "ramified5", "split5"])
+@pytest.mark.parametrize("name", ["main8", "main10", "main12", "ramified5", "split5"])
 def test_tate_counts_by_dp_match_the_orbit_ranks(name):
     """The scan oracle counts each weight's Tate subsets without listing one."""
     scn = {
         "main8": lambda: scenario_main(8, 5),
         "main10": lambda: scenario_main(10, 5, subset_cap=20),
+        "main12": lambda: scenario_main(12, 5, subset_cap=24),
         "ramified5": PRESETS["ramified5"],
         "split5": PRESETS["split5"],
     }[name]()
@@ -1413,7 +1472,11 @@ def _mildly_exotic_parts(scn):
 def test_structure_check_fails_on_odd_g():
     model = CMGaloisModel(cm_product_model(3).group, frozenset({tuple(range(6))}))
     s = ordinary_slopes(3)
-    rep = classify_orbits(model, s).replace(mildly_exotic=True)
+    rep = classify_orbits(model, s)
+    # the weight-0 orbit, of rank 1, forged exotic: the report is then mildly exotic
+    first, *rest = rep.orbits
+    rep = rep.replace(orbits=(first.replace(is_lefschetz_bearing=False), *rest))
+    assert rep.mildly_exotic is True
     verdict = structure_check(model, rep, honda_tate_endomorphism(model, s, rep.columns))
     assert not verdict.passed and verdict.failed_clause == "dimension g is odd"
 
@@ -1435,7 +1498,8 @@ def test_structure_check_fails_when_the_exotic_determinant_lies_in_another_orbit
     (outer,) = [e for e in rep.weil_tate if _mask(12, e.determinant_set) not in exotic.orbit.masks]
     assert outer.is_tate and not outer.is_exotic
     # the one exotic Weil-Tate entry now sits in an orbit of Lefschetz classes
-    moved = outer.replace(is_lefschetz_bearing=False, is_exotic=True)
+    moved = outer.replace(is_lefschetz_bearing=False)
+    assert moved.is_exotic
     verdict = structure_check(model, rep.replace(weil_tate=(moved,)), end)
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == (
@@ -1444,24 +1508,24 @@ def test_structure_check_fails_when_the_exotic_determinant_lies_in_another_orbit
     )
 
 
-def test_structure_check_fails_without_an_imaginary_quadratic_subfield():
-    model, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
-    verdict = structure_check(model, rep.replace(exotic=(), weil_tate=()), end)
-    assert (verdict.passed, verdict.branch) == (False, "commutative")
-    assert verdict.failed_clause == "no imaginary quadratic subfield exists"
-
-
 def test_structure_check_fails_on_noncommutative_index_other_than_two():
     model, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
     assert (end.commutative, end.index) == (False, 2)
-    verdict = structure_check(model, rep, end.replace(index=4))
+    # two places of degree 1 with invariants 1/4 and 3/4: index 4
+    over4 = end.replace(local_invariants=(LocalInvariant(1, 4, 1), LocalInvariant(1, 4, 3)))
+    assert (over4.commutative, over4.index) == (False, 4)
+    verdict = structure_check(model, rep, over4)
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "noncommutative index m = 4 != 2"
 
 
 def test_structure_check_fails_on_even_half_dimension():
     model, rep, end = _mildly_exotic_parts(scenario_main(4, 5))
-    verdict = structure_check(model, rep, end.replace(commutative=False, index=2))
+    assert end.commutative
+    # two places of degree 1 with invariant 1/2 each: index 2
+    over2 = end.replace(local_invariants=(LocalInvariant(1, 2, 1),) * 2)
+    assert (over2.commutative, over2.index) == (False, 2)
+    verdict = structure_check(model, rep, over2)
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "g/2 is even"
 
@@ -1469,7 +1533,9 @@ def test_structure_check_fails_on_even_half_dimension():
 def test_structure_check_fails_on_more_than_one_exotic_orbit():
     model, rep, end = _mildly_exotic_parts(scenario_ramified(3, 5))
     assert len(rep.exotic) == 1
-    verdict = structure_check(model, rep.replace(exotic=rep.exotic * 2), end)
+    twice = rep.replace(orbits=rep.orbits + rep.exotic)
+    assert len(twice.exotic) == 2 and twice.mildly_exotic is True
+    verdict = structure_check(model, twice, end)
     assert (verdict.passed, verdict.branch) == (False, "noncommutative")
     assert verdict.failed_clause == "2 exotic orbits instead of a unique one"
 
@@ -1482,9 +1548,9 @@ def test_structure_check_reads_every_member_of_an_exotic_orbit(name):
     rep = classify_orbits(model, s)
     end = honda_tate_endomorphism(model, s, rep.columns)
     for order in (1, -1):
-        exotic = tuple(o.replace(orbit=MemberMasks(o.orbit.n, o.orbit.masks[::order]))
-                       for o in rep.exotic)
-        assert structure_check(model, rep.replace(exotic=exotic), end).passed
+        orbits = tuple(o.replace(orbit=MemberMasks(o.orbit.n, o.orbit.masks[::order]))
+                       if o.is_exotic else o for o in rep.orbits)
+        assert structure_check(model, rep.replace(orbits=orbits), end).passed
 
 
 # --- predicted_signature ----------------------------------------------------------
@@ -1494,7 +1560,7 @@ def test_signature_main4():
     scn = scenario_main(4, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     assert rep.tate_dims[:3] == (1, 4, 8)
-    assert predicted_signature(rep) == (5, 3)
+    assert rep.predicted_signature == (5, 3)
 
 
 def test_signature_all_ones_hypothetical():
@@ -1503,12 +1569,23 @@ def test_signature_all_ones_hypothetical():
         weights=(0, 2, 4, 6, 8),
         orbits=(),
         tate_dims=(1, 1, 1, 1, 1),
-        exotic=(),
-        mildly_exotic=False,
         weil_tate=(),
-        scht_verdict=SCHT_LEFSCHETZ_ONLY,
     )
-    assert predicted_signature(rep) == (1, 0)
+    assert (rep.exotic, rep.mildly_exotic, rep.scht_verdict) == ((), False, SCHT_LEFSCHETZ_ONLY)
+    assert rep.predicted_signature == (1, 0)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_mildly_exotic_needs_every_exotic_orbit_of_rank_at_most_two(rank):
+    """A Lefschetz orbit of any rank beside it does not count."""
+    exotic = MotiveOrbit(4, (0, 1, 2, 3), MemberMasks(8, range(rank, 0, -1)), False)
+    lefschetz = MotiveOrbit(4, (0, 1, 4, 5), MemberMasks(8, range(5, 0, -1)), True)
+    for tate_dims in ((1, 0, 6, 0, 1), None):
+        rep = ClassifierReport(4, (4,), (exotic, lefschetz), tate_dims, ())
+        assert rep.exotic == (exotic,)
+        mildly = rank <= 2 if tate_dims else None
+        assert (rep.mildly_exotic, rep.scht_verdict) == (
+            mildly, SCHT_APPLICABLE if mildly else SCHT_NOT_DECIDED)
 
 
 def test_signature_rho1_counts_the_g_pairs():
@@ -1522,14 +1599,14 @@ def test_signature_main6():
     scn = scenario_main(6, 5)
     rep = classify_orbits(scn.model, scn.slopes)
     assert rep.tate_dims[:4] == (1, 6, 15, 22)
-    assert predicted_signature(rep) == (10, 12)
+    assert rep.predicted_signature == (10, 12)
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_signature_is_nonnegative_on_presets(name):
     scn = PRESETS[name]()
     rep = classify_orbits(scn.model, scn.slopes)
-    s_plus, s_minus = predicted_signature(rep)
+    s_plus, s_minus = rep.predicted_signature
     assert s_plus >= 0 and s_minus >= 0
     assert s_plus + s_minus == rep.tate_dims[rep.g // 2]
 
@@ -1537,8 +1614,7 @@ def test_signature_is_nonnegative_on_presets(name):
 def test_signature_rejects_odd_g():
     rep = classify_orbits(cm_product_model(3), ordinary_slopes(3))
     assert rep.g == 3 and rep.tate_dims is not None
-    with pytest.raises(ValueError, match="needs even g"):
-        predicted_signature(rep)
+    assert rep.predicted_signature is None
 
 
 # --- lemma suite -------------------------------------------------------------------
@@ -1564,17 +1640,18 @@ def test_lemma_suite_presets_all_pass():
 
 def test_unique_exotic_lemma_reads_every_mask_of_the_orbit():
     # ramified g'=3: the one exotic orbit is {I, tau I}, I = {1, 2, 3, 10, 11, 12};
-    # the strays are appended to the orbit's masks
+    # a stray takes the place of tau I, the orbit's last mask, so its rank stays 2
     scn = scenario_ramified(3, 5)
     report = classify_orbits(scn.model, scn.slopes)
     (orbit,) = report.exotic
-    strays = [_mask(12, m) for m in ((1, 2, 3, 8, 9, 10), (0, 2, 4, 6, 8, 10))]
-    members = MemberMasks(12, orbit.orbit.masks + tuple(strays))
-    forged = report.replace(exotic=(orbit.replace(orbit=members),))  # keeps the columns
+    members = MemberMasks(12, (orbit.orbit.masks[0], _mask(12, (0, 2, 4, 6, 8, 10))))
+    forged = report.replace(orbits=tuple(
+        o.replace(orbit=members) if o.is_exotic else o for o in report.orbits))
+    assert forged.mildly_exotic is True and forged.columns is report.columns
     end = honda_tate_endomorphism(scn.model, scn.slopes, report.columns)
     (row,) = [r for r in verify_lemma_suite(scn, forged, end) if r.lemma == "exotic_uniqueness"]
     assert row.status == FAIL
-    # the first stray in document (lexicographic) order, as 1-based points
+    # the stray, as 1-based points
     assert row.detail == "exotic subset [1, 3, 5, 7, 9, 11] differs from I, tau I"
 
 
@@ -1605,7 +1682,8 @@ def test_partition_lemma_names_a_representative_that_misses_points():
     (orbit,) = report.exotic
     I = (0, 1, 2, 6, 7, 8)  # tau I is I again: points 4-6 and 10-12 are missed
     forged = orbit.replace(representative=I, orbit=MemberMasks(12, (_mask(12, I),)))
-    assert _lemma_row(scn, report.replace(exotic=(forged,)), end, "exotic_partition") == (
+    orbits = tuple(forged if o.is_exotic else o for o in report.orbits)
+    assert _lemma_row(scn, report.replace(orbits=orbits), end, "exotic_partition") == (
         FAIL, "I = [1, 2, 3, 7, 8, 9] has I ∪ tau I != all indices")
 
 
@@ -1613,11 +1691,14 @@ def test_uniqueness_lemmas_count_the_exotic_orbits():
     scn = scenario_ramified(3, 5)
     report, end = classify_scenario(scn)
     (orbit,) = report.exotic
-    assert _lemma_row(scn, report.replace(exotic=(orbit, orbit)), end, "exotic_uniqueness") == (
+    twice = report.replace(orbits=report.orbits + (orbit,))
+    assert _lemma_row(scn, twice, end, "exotic_uniqueness") == (
         FAIL, "2 exotic orbits in the noncommutative setting")
     scn = scenario_main(4, 5)
     report, end = classify_scenario(scn)
-    assert _lemma_row(scn, report.replace(exotic=()), end, "main_family_unique_exotic") == (
+    none = report.replace(orbits=tuple(
+        o.replace(is_lefschetz_bearing=True) for o in report.orbits))
+    assert _lemma_row(scn, none, end, "main_family_unique_exotic") == (
         FAIL, "exotic orbits: []")
 
 

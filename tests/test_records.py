@@ -29,34 +29,42 @@ FIELDS = {
     galois.CMGaloisModel: (("g", "group", "tau", "D_generators", "D_blocks"), ("group",)),
     slopes.SlopeVector: (("den", "nums"), ("den", "nums")),
     classifier.MotiveOrbit: ((
-        "weight", "representative", "orbit", "rank", "is_tate", "is_lefschetz_bearing",
-        "is_exotic", "hodge_type", "hodge_balanced",
+        "weight", "representative", "orbit", "is_lefschetz_bearing", "hodge_type",
     ),) * 2,
-    classifier.WeilTateEntry: (
-        ("determinant_set", "is_tate", "is_lefschetz_bearing", "is_exotic"),) * 2,
-    classifier.ClassifierReport: ((
-        "g", "weights", "orbits", "tate_dims", "exotic", "mildly_exotic", "weil_tate",
-        "scht_verdict", "notes",
-    ),) * 2,
-    classifier.LocalInvariant: (("degree", "den", "slope_num", "invariant_num"),) * 2,
-    classifier.EndAlgebraReport: ((
-        "frobenius_field_degree", "local_invariants", "index", "commutative",
-        "abelian_variety_dim",
-    ),) * 2,
-    classifier.StructureVerdict: (("passed", "branch", "failed_clause"),) * 2,
+    classifier.WeilTateEntry: (("determinant_set", "is_tate", "is_lefschetz_bearing"),) * 2,
+    classifier.ClassifierReport: (("g", "weights", "orbits", "tate_dims", "weil_tate"),) * 2,
+    classifier.LocalInvariant: (("degree", "den", "slope_num"),) * 2,
+    classifier.EndAlgebraReport: (("local_invariants",),) * 2,
+    classifier.StructureVerdict: (("branch", "failed_clause"),) * 2,
     classifier.LemmaResult: (("instance", "lemma", "status", "detail"),) * 2,
     forge.Certificates: ((
         "pattern_at_p", "pattern_at_l", "pattern_at_lp", "pattern_at_lpp", "roots_at_lp",
         "real_root_count", "galois_is_sg",
     ),) * 2,
-    forge.ForgedField: ((
-        "g", "p", "l", "lp", "lpp", "seed", "poly", "spread", "certificates",
-    ),) * 2,
+    forge.ForgedField: (("g", "p", "l", "lp", "lpp", "seed", "poly", "spread"),) * 2,
     forge.Scenario: (
         ("name", "family", "model", "phi", "slopes", "provenance", "metadata"),
         ("name", "family", "model", "phi", "provenance", "metadata"),
     ),
 }
+
+
+# class -> the names its `__post_init__` stores beside the fields, read off them
+DERIVED = {
+    galois.CMGaloisModel: {"g", "tau", "D_blocks"},
+    classifier.MotiveOrbit: {"rank", "is_exotic", "hodge_balanced"},
+    classifier.WeilTateEntry: {"is_exotic"},
+    classifier.ClassifierReport: {"exotic", "mildly_exotic", "scht_verdict", "predicted_signature"},
+    classifier.LocalInvariant: {"invariant_num"},
+    classifier.EndAlgebraReport: {
+        "frobenius_field_degree", "index", "commutative", "abelian_variety_dim"},
+    classifier.StructureVerdict: {"passed"},
+    forge.ForgedField: {"certificates"},
+    forge.Scenario: {"slopes"},
+}
+
+# class -> its class constants, which are no fields either
+CONSTANTS = {classifier.MotiveOrbit: {"is_tate"}, classifier.ClassifierReport: {"notes"}}
 
 
 def _one_of_each() -> dict:
@@ -162,10 +170,25 @@ def test_a_record_from_every_field_by_keyword_or_position_is_the_record(cls):
         assert again == record and vars(again) == vars(record)
 
 
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_a_record_refuses_what_it_reads_off_its_fields(cls):
+    """A derived name or a class constant is no field: the constructor and `replace` refuse it."""
+    record = RECORDS[cls]
+    assert set(vars(record)) - set(cls._fields) == DERIVED.get(cls, set())
+    values = {name: getattr(record, name) for name in cls._fields}
+    for name in DERIVED.get(cls, set()) | CONSTANTS.get(cls, set()):
+        for value in (getattr(record, name), None):  # even the value it would read
+            with pytest.raises(TypeError):
+                cls(**values, **{name: value})
+            with pytest.raises(TypeError):
+                record.replace(**{name: value})
+
+
 def test_record_init_takes_fields_by_position_or_keyword_and_refuses_the_rest():
-    entry = classifier.WeilTateEntry((0, 1), True, is_lefschetz_bearing=False, is_exotic=True)
+    entry = classifier.WeilTateEntry((0, 1), True, is_lefschetz_bearing=False)
     assert entry == classifier.WeilTateEntry(
-        determinant_set=(0, 1), is_tate=True, is_lefschetz_bearing=False, is_exotic=True)
+        determinant_set=(0, 1), is_tate=True, is_lefschetz_bearing=False)
+    assert entry.is_exotic is True
     assert classifier.LemmaResult("a", "b", "c").detail == ""
     for s in (slopes.SlopeVector(4, (2,) * 4), slopes.SlopeVector(nums=(2,) * 4, den=4)):
         assert (s.den, s.nums) == (2, (1,) * 4)
