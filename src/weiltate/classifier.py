@@ -14,32 +14,13 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import index, itemgetter
 
-from .galois import (
-    CMGaloisModel,
-    Record,
-    format_perm,
-    index2_point_sets,
-    point_orbits,
-    subgroup_generators,
-)
-from .slopes import (
-    SlopeVector,
-    conjugate_slope_basis,
-    lowest_terms,
-    ratio_str,
-    validate_slopes,
-)
+from .galois import CMGaloisModel, Record, index2_point_sets, point_orbits
+from .slopes import SlopeVector, conjugate_slope_basis, lowest_terms, validate_slopes
 from .cmtypes import hodge_type, is_balanced, validate_cm_type
 
 SCHT_APPLICABLE = "APPLICABLE_MILDLY_EXOTIC"
 SCHT_LEFSCHETZ_ONLY = "LEFSCHETZ_ONLY"
 SCHT_NOT_DECIDED = "NOT_DECIDED"
-
-TATE_COUNT_NOTE = (
-    "rho_k counts Tate classes; identifying them with cycle-space dimensions "
-    "assumes the numerical consequences of the Tate conjecture"
-)
-EXOTIC_RANK_NOTE = "exotic summands are required to have rank <= 2"
 
 
 class MemberMasks:
@@ -133,12 +114,12 @@ class ClassifierReport(Record):
     Hodge-Riemann gives sign (-1)^k to the primitive part of degree 2k,
     of dimension rho_k - rho_{k-1} (rho_{-1} = 0), so s_+ sums those
     dimensions over even k <= g/2 and s_- = rho_{g/2} - s_+; that
-    assumes the Tate-class dimensions equal the cycle-space dimensions
-    (`notes`, a class constant).  `frobenius_rank` (the number of Tate
-    predicate rows, minus one) and `columns` (the packed predicate
-    columns, `_packed_columns`) are read off the predicate that
-    `classify_orbits` builds; neither takes part in report equality or
-    repr.
+    assumes the Tate-class dimensions equal the cycle-space dimensions,
+    the numerical consequences of the Tate conjecture.  `frobenius_rank`
+    (the number of Tate predicate rows, minus one) and `columns` (the
+    packed predicate columns, `_packed_columns`) are read off the
+    predicate that `classify_orbits` builds; neither takes part in
+    report equality or repr.
     """
 
     g: int
@@ -148,7 +129,6 @@ class ClassifierReport(Record):
     weil_tate: tuple
     frobenius_rank: int = None
     columns: list = None
-    notes = (TATE_COUNT_NOTE, EXOTIC_RANK_NOTE)
     _compare = ("g", "weights", "orbits", "tate_dims", "weil_tate")
 
     def __post_init__(self):
@@ -775,63 +755,3 @@ def verify_lemma_suite(scn, report: ClassifierReport, end: EndAlgebraReport) -> 
     else:
         results.append(LemmaResult(label, LEMMA_MAIN_UNIQUE, NOT_APPLICABLE, "not the main family"))
     return tuple(results)
-
-
-# ---------------------------------------------------------------------------
-# structured serialization
-# ---------------------------------------------------------------------------
-
-
-def report_to_doc(report: ClassifierReport, group) -> dict:
-    """The structured report, each orbit kept as its `MotiveOrbit` record.
-
-    `cli._emit_json` writes a `MotiveOrbit` from one template, its
-    members as their 1-based point lists, without forming a point tuple.
-    """
-    return {
-        "g": report.g,
-        "weights": list(report.weights),
-        "orbits": list(report.orbits),
-        "tate_dims": list(report.tate_dims) if report.tate_dims is not None else None,
-        "mildly_exotic": report.mildly_exotic,
-        "scht_verdict": report.scht_verdict,
-        "weil_tate": [_weil_tate_to_doc(e, group) for e in report.weil_tate],
-        "notes": list(report.notes),
-    }
-
-
-def _weil_tate_to_doc(e: WeilTateEntry, group) -> dict:
-    """The entry with its subgroup {g : g(1) in P}, P its determinant set, a block of G.
-
-    The subgroup holds the stabilizer G^(1), of order |G|/n, so its
-    chain is G's below level 0 and keeps the transversal of P at level
-    0: its order is |G| |P| / n.
-    """
-    reps = group.chain.reps
-    P = e.determinant_set
-    transversals = [{x: reps[0][x] for x in P}, *reps[1:]]
-    return {
-        "subgroup_generators": [format_perm(p) for p in subgroup_generators(transversals)],
-        "subgroup_order": group.order // group.degree * len(P),
-        "determinant_set": [i + 1 for i in P],
-        "is_tate": e.is_tate,
-        "is_lefschetz_bearing": e.is_lefschetz_bearing,
-        "is_exotic": e.is_exotic,
-    }
-
-
-def end_report_to_doc(end: EndAlgebraReport) -> dict:
-    return {
-        "frobenius_field_degree": end.frobenius_field_degree,
-        "local_invariants": [
-            {
-                "degree": p.degree,
-                "slope": ratio_str(p.slope_num, p.den),
-                "invariant": ratio_str(p.invariant_num, p.den),
-            }
-            for p in end.local_invariants
-        ],
-        "index": end.index,
-        "commutative": end.commutative,
-        "abelian_variety_dim": end.abelian_variety_dim,
-    }

@@ -1,5 +1,7 @@
-"""Batch front end: forge / classify / verify.
+"""Batch front end: forge / classify / verify, and the one builder of their documents.
 
+The engine returns records; the documents `weiltate.classify/1`,
+`weiltate.forge/1` and `weiltate.verify/1` are built from them here.
 `verify` runs the lemma suite on the verify presets; its document keeps
 the `oracles` key of `weiltate.verify/1`, always an empty list.
 Exit codes: 0 success, 2 usage or input error (including scenario parse
@@ -20,15 +22,10 @@ import sys
 from _json import encode_basestring_ascii  # the C function that `json.encoder` re-exports
 
 from . import classifier, forge
-from .classifier import (
-    FAIL,
-    MotiveOrbit,
-    classify_scenario,
-    end_report_to_doc,
-    report_to_doc,
-    verify_lemma_suite,
-)
-from .galois import CapExceededError, format_perm
+from .algebra import format_poly
+from .classifier import FAIL, MotiveOrbit, classify_scenario, verify_lemma_suite
+from .galois import CapExceededError, format_perm, subgroup_generators
+from .slopes import ratio_str
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,6 +34,12 @@ EXIT_CAP = 4
 EXIT_LEMMA_FAIL = 5
 
 DEFAULT_P = 5
+
+TATE_COUNT_NOTE = (
+    "rho_k counts Tate classes; identifying them with cycle-space dimensions "
+    "assumes the numerical consequences of the Tate conjecture"
+)
+EXOTIC_RANK_NOTE = "exotic summands are required to have rank <= 2"
 
 
 class UsageError(ValueError):
@@ -205,15 +208,30 @@ def _members_text(members: MemberMasks, nl: str, tables: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def forged_field_to_doc(f: forge.ForgedField) -> dict:
+    """The forge document; the writer writes each tuple, the patterns among them, as a list."""
+    return {
+        "schema": "weiltate.forge/1",
+        "g": f.g,
+        "p": f.p,
+        "l": f.l,
+        "lp": f.lp,
+        "lpp": f.lpp,
+        "seed": f.seed,
+        "coefficients_low_to_high": f.poly,
+        "polynomial": format_poly(f.poly),
+        "spread": f.spread,
+        "certificates": {k: getattr(f.certificates, k) for k in forge.Certificates._fields},
+    }
+
+
 def cmd_forge(args) -> int:
     field = forge.forge_totally_real(args.g, args.p, args.l, args.lp, args.seed)
-    doc = forge.forged_field_to_doc(field)
-    doc["schema"] = "weiltate.forge/1"
     if args.format == "json":
-        _emit_json(doc, sys.stdout.write)
+        _emit_json(forged_field_to_doc(field), sys.stdout.write)
         return EXIT_OK
     c = field.certificates
-    print(f"polynomial: {forge.format_poly(field.poly)}")
+    print(f"polynomial: {format_poly(field.poly)}")
     print(f"coefficients (low to high): {list(field.poly)}")
     print(f"spread constant: {field.spread}")
     print("certificates:")
@@ -232,7 +250,7 @@ def cmd_forge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_scenario(args, subset_cap) -> forge.Scenario:
+def _resolve_scenario(args, p, subset_cap) -> forge.Scenario:
     if args.file is not None and args.preset is not None:
         raise UsageError("--preset and --file are mutually exclusive")
     if args.file is None and args.preset is None:
@@ -254,12 +272,15 @@ def _resolve_scenario(args, subset_cap) -> forge.Scenario:
     flag, size = ("--g", args.g) if args.preset == "main" else ("--gp", args.gp)
     if size is None:
         raise UsageError(f"--preset {args.preset} requires {flag}")
-    fields = {"attach_fields": True} if args.attach_fields else {}
-    p = DEFAULT_P if args.p is None else args.p
-    return forge.PRESETS[args.preset](size, p, subset_cap=subset_cap, **fields)
+    return forge.PRESETS[args.preset](size, p, subset_cap=subset_cap)
 
 
-def _scenario_doc(scn: forge.Scenario) -> dict:
+def _scenario_doc(scn: forge.Scenario, fields) -> dict:
+    """The scenario section: `provenance` is "preset" for a preset family, else "file".
+
+    `fields` is `forge.main_fields` of the scenario, or None; it gives
+    the `metadata` keys.
+    """
     doc = {
         "name": scn.name,
         "family": scn.family,
@@ -269,14 +290,70 @@ def _scenario_doc(scn: forge.Scenario) -> dict:
         "tau": format_perm(scn.model.tau),
         "phi": [i + 1 for i in sorted(scn.phi)],
         "slopes": scn.slopes.serialize().split(),
-        "provenance": scn.provenance,
+        "provenance": "file" if scn.family is None else "preset",
     }
-    if scn.metadata:
-        doc["metadata"] = {k: v for k, v in scn.metadata}
+    if fields is not None:
+        d, real_field = fields
+        doc["metadata"] = {"quadratic_d": str(d), "real_field_poly": format_poly(real_field.poly)}
     return doc
 
 
-def classify_scenario_doc(scn: forge.Scenario, weights=None) -> dict:
+def report_to_doc(report: classifier.ClassifierReport, group) -> dict:
+    """The structured report, each orbit kept as its `MotiveOrbit` record.
+
+    `_emit_json` writes a `MotiveOrbit` from one template, its members
+    as their 1-based point lists, without forming a point tuple.
+    """
+    return {
+        "g": report.g,
+        "weights": list(report.weights),
+        "orbits": list(report.orbits),
+        "tate_dims": list(report.tate_dims) if report.tate_dims is not None else None,
+        "mildly_exotic": report.mildly_exotic,
+        "scht_verdict": report.scht_verdict,
+        "weil_tate": [_weil_tate_to_doc(e, group) for e in report.weil_tate],
+        "notes": [TATE_COUNT_NOTE, EXOTIC_RANK_NOTE],
+    }
+
+
+def _weil_tate_to_doc(e: classifier.WeilTateEntry, group) -> dict:
+    """The entry with its subgroup {g : g(1) in P}, P its determinant set, a block of G.
+
+    The subgroup holds the stabilizer G^(1), of order |G|/n, so its
+    chain is G's below level 0 and keeps the transversal of P at level
+    0: its order is |G| |P| / n.
+    """
+    reps = group.chain.reps
+    P = e.determinant_set
+    transversals = [{x: reps[0][x] for x in P}, *reps[1:]]
+    return {
+        "subgroup_generators": [format_perm(p) for p in subgroup_generators(transversals)],
+        "subgroup_order": group.order // group.degree * len(P),
+        "determinant_set": [i + 1 for i in P],
+        "is_tate": e.is_tate,
+        "is_lefschetz_bearing": e.is_lefschetz_bearing,
+        "is_exotic": e.is_exotic,
+    }
+
+
+def end_report_to_doc(end: classifier.EndAlgebraReport) -> dict:
+    return {
+        "frobenius_field_degree": end.frobenius_field_degree,
+        "local_invariants": [
+            {
+                "degree": p.degree,
+                "slope": ratio_str(p.slope_num, p.den),
+                "invariant": ratio_str(p.invariant_num, p.den),
+            }
+            for p in end.local_invariants
+        ],
+        "index": end.index,
+        "commutative": end.commutative,
+        "abelian_variety_dim": end.abelian_variety_dim,
+    }
+
+
+def classify_scenario_doc(scn: forge.Scenario, weights=None, fields=None) -> dict:
     """Full classification document for one scenario: the reports of `classify_scenario`.
 
     The Frobenius rank is read off the report, whose Tate predicate is
@@ -285,12 +362,13 @@ def classify_scenario_doc(scn: forge.Scenario, weights=None) -> dict:
     Honda-Tate has already counted: both are the number of signature
     blocks, which all have one size since G is transitive.  Each orbit
     stays its `MotiveOrbit` record, which `_emit_json` writes from one
-    template, its members as their 1-based point lists.
+    template, its members as their 1-based point lists.  `fields`, for
+    `--attach-fields`, is what `forge.main_fields` returns.
     """
     report, end = classify_scenario(scn, weights)
     doc = {
         "schema": "weiltate.classify/1",
-        "scenario": _scenario_doc(scn),
+        "scenario": _scenario_doc(scn, fields),
         "report": report_to_doc(report, scn.model.group),
         "endomorphism": end_report_to_doc(end),
         "frobenius_rank": report.frobenius_rank,
@@ -298,7 +376,7 @@ def classify_scenario_doc(scn: forge.Scenario, weights=None) -> dict:
     }
     signature = report.predicted_signature
     doc["predicted_signature"] = signature and list(signature)
-    doc["signature_assumption"] = signature and classifier.TATE_COUNT_NOTE
+    doc["signature_assumption"] = signature and TATE_COUNT_NOTE
     return doc
 
 
@@ -363,8 +441,10 @@ def cmd_classify(args) -> int:
     subset_cap = forge.DEFAULT_SUBSET_CAP if args.cap is None else args.cap
     if subset_cap < 2:  # admits nothing: an input error, not a cap that was hit
         raise UsageError(f"--cap must be at least 2, got {subset_cap}")
-    scn = _resolve_scenario(args, subset_cap)
-    doc = classify_scenario_doc(scn, weights=weights)
+    p = DEFAULT_P if args.p is None else args.p
+    scn = _resolve_scenario(args, p, subset_cap)
+    fields = forge.main_fields(args.g, p) if args.attach_fields else None  # --preset main only
+    doc = classify_scenario_doc(scn, weights, fields)
     if args.format == "json":
         _emit_json(doc, sys.stdout.write)
     else:

@@ -9,22 +9,15 @@ the signs at the midpoints between the spread's roots; nothing is
 factored.  The spread doubles at most a number of times set by g, past
 which the signs provably alternate.
 Scenario presets encode the three construction families as pure
-combinatorial data (group, D, CM-type); the forged polynomials are
-provenance, not inputs, to the classification pipeline.  A preset, like
-a scenario file, is refused on its point count over the subset cap
-before any permutation is built.
+combinatorial data (group, D, CM-type); the fields that `main_fields`
+forges for the main family are provenance, not inputs, to the
+classification pipeline.  A preset, like a scenario file, is refused on
+its point count over the subset cap before any permutation is built.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    crt_poly,
-    format_poly,
-    gf_ben_or,
-    gf_reduce,
-    is_prime,
-    poly_mul,
-)
+from .algebra import crt_poly, gf_ben_or, gf_reduce, is_prime, poly_mul
 from .galois import (
     CMGaloisModel,
     CapExceededError,
@@ -304,22 +297,6 @@ def forge_totally_real(g: int, p: int, l: int, lp: int, seed: int = 0) -> Forged
     raise SelfCheckError(f"the signs did not alternate at spread {spread // 2}, past the bound")
 
 
-def forged_field_to_doc(f: ForgedField) -> dict:
-    """The forge document; the writer writes each tuple, the patterns among them, as a list."""
-    return {
-        "g": f.g,
-        "p": f.p,
-        "l": f.l,
-        "lp": f.lp,
-        "lpp": f.lpp,
-        "seed": f.seed,
-        "coefficients_low_to_high": f.poly,
-        "polynomial": format_poly(f.poly),
-        "spread": f.spread,
-        "certificates": {name: getattr(f.certificates, name) for name in Certificates._fields},
-    }
-
-
 # ---------------------------------------------------------------------------
 # scenario presets
 # ---------------------------------------------------------------------------
@@ -328,7 +305,8 @@ def forged_field_to_doc(f: ForgedField) -> dict:
 class Scenario(Record):
     """A classification-ready instance: (G, tau, D, phi) and derived slopes.
 
-    The slopes are `slopes_from_cm_type(model, phi)`, stored beside the
+    `family` names the preset family, None for a scenario file.  The
+    slopes are `slopes_from_cm_type(model, phi)`, stored beside the
     fields; they take no part in equality.
     """
 
@@ -336,9 +314,7 @@ class Scenario(Record):
     family: str
     model: CMGaloisModel
     phi: frozenset
-    provenance: str
-    metadata: tuple = ()
-    _shown = ("name", "family", "model", "phi", "slopes", "provenance", "metadata")
+    _shown = ("name", "family", "model", "phi", "slopes")
 
     def __post_init__(self):
         self.__dict__["slopes"] = slopes_from_cm_type(self.model, self.phi)
@@ -376,12 +352,10 @@ def _preset(name, family, group, d_gens, sizes, pair_targets) -> Scenario:
     for (k, kk), a in zip(pairs, pair_targets):
         targets[k], targets[kk] = a, len(blocks[k]) - a
     phi = least_cm_type(model, tuple(targets))
-    return Scenario(name=name, family=family, model=model, phi=phi, provenance="preset")
+    return Scenario(name=name, family=family, model=model, phi=phi)
 
 
-def scenario_main(
-    g: int, p: int, attach_fields: bool = False, subset_cap: int = DEFAULT_SUBSET_CAP
-) -> Scenario:
+def scenario_main(g: int, p: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
     """The even-dimensional family: inert quadratic times totally real S_g field.
 
     D is generated by (-1, sigma0) for the standard g-cycle sigma0: two
@@ -396,16 +370,19 @@ def scenario_main(
     group = signed_symmetric_group(g, [(1, 0)])
     tau, cycle = group.generators[:2]
     frobenius = compose(tau, cycle)
-    scn = _preset(f"main-g{g}-p{p}", "main", group, [frobenius], [g, g], (1,))
-    if not attach_fields:
-        return scn
+    return _preset(f"main-g{g}-p{p}", "main", group, [frobenius], [g, g], (1,))
+
+
+def main_fields(g: int, p: int) -> tuple:
+    """(d, the real field): the fields of the main family at g and p.
+
+    d is the least |d| with Q(sqrt d) imaginary and inert at p; the
+    totally real field of degree g is forged at seed 0, with l and l'
+    the two smallest primes above g other than p.
+    """
     d = forge_quadratic(p, "inert", "imaginary")
     l, lp = _smallest_primes_avoiding(g, {p})
-    real_field = forge_totally_real(g, p, l, lp, seed=0)
-    return scn.replace(metadata=(
-        ("quadratic_d", str(d)),
-        ("real_field_poly", format_poly(real_field.poly)),
-    ))
+    return d, forge_totally_real(g, p, l, lp, seed=0)
 
 
 def _biquadratic_group(gp: int, p: int, subset_cap: int) -> tuple:
@@ -580,8 +557,7 @@ def parse_scenario(text: str, subset_cap: int = DEFAULT_SUBSET_CAP) -> Scenario:
         except ValueError as exc:
             fail("phi_targets", str(exc))
 
-    scn = Scenario(name=fields.get("name", "scenario"), family=None, model=model, phi=phi,
-                   provenance="file")
+    scn = Scenario(name=fields.get("name", "scenario"), family=None, model=model, phi=phi)
     if "slopes" in fields:
         from fractions import Fraction  # only a declared slope line is parsed as Fractions
 

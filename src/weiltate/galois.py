@@ -434,13 +434,12 @@ class CMGaloisModel(Record):
     which are checked to lie in the group and kept as a tuple of tuples;
     D_blocks, derived from them, holds the D-orbits on the indices, the
     places of L above p (None without D).  g, tau and D_blocks are
-    stored beside the fields; only the group takes part in model
-    equality.
+    stored beside the fields; equality reads the group and the D
+    generators, so models that differ in D differ.
     """
 
     group: PermGroup
     D_generators: tuple = None
-    _compare = ("group",)
     _shown = ("g", "group", "tau", "D_generators", "D_blocks")
 
     def __post_init__(self):

@@ -119,7 +119,7 @@ from weiltate.classifier import (
     WeilTateEntry,
     classify_orbits,
 )
-from weiltate.cli import _emit_json
+from weiltate.cli import EXOTIC_RANK_NOTE, TATE_COUNT_NOTE, _emit_json
 from weiltate.cmtypes import is_balanced
 from weiltate.forge import (
     Certificates,
@@ -1305,8 +1305,8 @@ def doc_to_report(doc: dict) -> ClassifierReport:
         tate_dims=tuple(doc["tate_dims"]) if doc["tate_dims"] is not None else None,
         weil_tate=tuple(entries),
     )
-    assert (doc["mildly_exotic"], doc["scht_verdict"], tuple(doc["notes"])) == (
-        report.mildly_exotic, report.scht_verdict, report.notes), doc
+    assert (doc["mildly_exotic"], doc["scht_verdict"], doc["notes"]) == (
+        report.mildly_exotic, report.scht_verdict, [TATE_COUNT_NOTE, EXOTIC_RANK_NOTE]), doc
     return report
 
 

@@ -31,7 +31,7 @@ from weiltate.classifier import (
     honda_tate_endomorphism,
     verify_lemma_suite,
 )
-from weiltate.cli import classify_scenario_doc
+from weiltate.cli import classify_scenario_doc, report_to_doc
 from weiltate.forge import forge_totally_real, scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import index2_point_sets
 from weiltate.slopes import ratio_str
@@ -211,7 +211,7 @@ def test_criterion_8_duality_and_signature():
     rep = classify_orbits(scn.model, scn.slopes)
     assert rep.tate_dims[:3] == (1, 4, 8)
     assert rep.predicted_signature == (5, 3)
-    assert any("Tate classes" in note for note in rep.notes)
+    assert any("Tate classes" in note for note in report_to_doc(rep, scn.model.group)["notes"])
     report("8 (rho_k = rho_{g-k} everywhere; main g=4 rho=(1,4,8), signature (5,3))")
 
 

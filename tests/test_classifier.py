@@ -73,17 +73,16 @@ from weiltate.classifier import (
     _orbit_tables,
     _packed_columns,
     _points,
-    _weil_tate_to_doc,
     classify_orbits,
     classify_scenario,
-    end_report_to_doc,
     honda_tate_endomorphism,
-    report_to_doc,
     structure_check,
     tate_rows,
     tate_subsets,
     verify_lemma_suite,
 )
+from weiltate.cli import _weil_tate_to_doc, end_report_to_doc, report_to_doc
+from weiltate.cmtypes import enumerate_cm_types, measure_cm_type
 from weiltate.forge import Scenario, scenario_main, scenario_ramified, scenario_split
 from weiltate.galois import (
     CMGaloisModel,
@@ -290,7 +289,6 @@ def test_classified_orbits_cover_exactly_the_tate_subsets():
 
 def test_random_cm_types_keep_classifier_invariants():
     """Random CM-types on the preset models: the general path stays sound."""
-    from weiltate.cmtypes import enumerate_cm_types
     from weiltate.slopes import slopes_from_cm_type
 
     rng = random.Random(271)
@@ -365,17 +363,34 @@ def cm_models(draw):
     return CMGaloisModel(build_group(2 * g, gens))
 
 
+def _with_cm_types(scn) -> tuple:
+    """(scn, every CM-type with the place counts of its phi), each giving scn's slopes."""
+    return scn, enumerate_cm_types(scn.model, measure_cm_type(scn.model, scn.phi))
+
+
+# mildly exotic presets, each with its CM-types
+MILDLY_EXOTIC = {
+    name: _with_cm_types(PRESETS[name]()) for name in ("main4", "main6", "ramified3", "split3")
+}
+
+
 @st.composite
 def classify_cases(draw):
     """A random CM model (`cm_models`), admissible slopes, CM-type and even weights.
 
-    The CM-type and the weight list are each left out now and then (no
-    Hodge types, the full scan).
+    Every other case is instead a mildly exotic preset (`MILDLY_EXOTIC`)
+    with its slopes and any CM-type of its phi's measure, which the
+    random models almost never are.  The CM-type and the weight list are
+    each left out now and then (no Hodge types, the full scan).
     """
-    model = draw(cm_models())
+    if draw(st.booleans()):
+        scn, phis = MILDLY_EXOTIC[draw(st.sampled_from(sorted(MILDLY_EXOTIC)))]
+        model, s, phi = scn.model, scn.slopes, draw(st.sampled_from(phis))
+    else:
+        model = draw(cm_models())
+        s = drawn_slopes(draw, model)
+        phi = frozenset(draw(st.sampled_from((i, model.tau[i]))) for i in range(model.g))
     n = model.group.degree
-    s = drawn_slopes(draw, model)
-    phi = frozenset(draw(st.sampled_from((i, model.tau[i]))) for i in range(model.g))
     weights = st.lists(st.sampled_from(range(0, n + 1, 2)), min_size=1, max_size=4)
     return (model, s, draw(st.none() | st.just(phi)),
             draw(st.none() | weights))
@@ -1729,8 +1744,7 @@ def test_member_masks_compare_hash_and_show_their_masks():
 
 def test_lemma_suite_gates_on_hypotheses():
     model = CMGaloisModel(cm_product_model(3).group, [])  # ordinary: every place has degree 1
-    scn = Scenario(name="ordinary", family=None, model=model, phi=frozenset(range(3, 6)),
-                   provenance="test")
+    scn = Scenario(name="ordinary", family=None, model=model, phi=frozenset(range(3, 6)))
     assert scn.slopes == ordinary_slopes(3)
     rows = verify_lemma_suite(scn, *classify_scenario(scn))
     assert {r.status for r in rows} == {NOT_APPLICABLE}

@@ -30,7 +30,8 @@ from oracles import (
 
 from weiltate import algebra, classifier, cli, forge, galois, slopes
 from weiltate.cmtypes import enumerate_cm_types, least_cm_type, measure_cm_type
-from weiltate.classifier import classify_orbits, end_report_to_doc, report_to_doc
+from weiltate.classifier import classify_orbits
+from weiltate.cli import end_report_to_doc, report_to_doc
 from weiltate.forge import Scenario, scenario_main, serialize_scenario
 
 
@@ -277,7 +278,7 @@ def test_classify_attaches_fields_at_a_prime_past_2_31(p, capsys):
     d = int(metadata["quadratic_d"])
     assert d < 0 and pow(d, (p - 1) // 2, p) == p - 1
     field = forge.forge_totally_real(4, p, *forge._smallest_primes_avoiding(4, {p}), seed=0)
-    assert metadata["real_field_poly"] == forge.format_poly(field.poly)
+    assert metadata["real_field_poly"] == algebra.format_poly(field.poly)
     assert ben_or_by_pow_mod(field.poly, p)
 
 
@@ -1001,9 +1002,9 @@ def test_emit_json_matches_json_dumps_on_the_documents():
     ramified = forge.scenario_ramified(3, 5)
     field = forge.forge_totally_real(4, 5, 7, 11, seed=1)
     docs = [
-        cli.classify_scenario_doc(scenario_main(4, 5, attach_fields=True)),
+        cli.classify_scenario_doc(scenario_main(4, 5), fields=forge.main_fields(4, 5)),
         cli.classify_scenario_doc(ramified, weights=[0, 4, 6]),
-        forge.forged_field_to_doc(field),
+        cli.forged_field_to_doc(field),
         {"schema": "weiltate.verify/1", "oracles": [], "lemmas": [
             {"instance": r.instance, "lemma": r.lemma, "status": r.status, "detail": r.detail}
             for r in classifier.verify_lemma_suite(
@@ -1088,9 +1089,11 @@ def plain_classify_text(argv) -> str:
     """`json.dumps` of the plain form of the document `classify_scenario_doc` returns for an argv."""
     args = cli.build_parser().parse_args(argv)
     subset_cap = forge.DEFAULT_SUBSET_CAP if args.cap is None else args.cap
-    scn = cli._resolve_scenario(args, subset_cap)
+    p = cli.DEFAULT_P if args.p is None else args.p
+    scn = cli._resolve_scenario(args, p, subset_cap)
     weights = None if args.weights is None else [int(w) for w in args.weights.split(",")]
-    doc = cli.classify_scenario_doc(scn, weights=weights)
+    fields = forge.main_fields(args.g, p) if args.attach_fields else None
+    doc = cli.classify_scenario_doc(scn, weights, fields)
     return json.dumps(plain_document(doc), sort_keys=True, indent=2) + "\n"
 
 
@@ -1160,8 +1163,7 @@ def drawn_scenarios(draw):
     for k in word:
         d = galois.compose(d, gens[k])
     phi = frozenset(draw(st.sampled_from((i, tau[i]))) for i in range(g))
-    return Scenario(name="drawn", family=None, model=galois.CMGaloisModel(group, [d]), phi=phi,
-                    provenance="test")
+    return Scenario(name="drawn", family=None, model=galois.CMGaloisModel(group, [d]), phi=phi)
 
 
 def drawn_weights(draw, n):
@@ -1252,7 +1254,7 @@ def test_report_document_round_trip_on_drawn_models(scn, data):
     """The written report reads back equal, each orbit's members as the same masks."""
     weights = drawn_weights(data.draw, scn.model.group.degree)
     report = classify_orbits(scn.model, scn.slopes, weights=weights, phi=scn.phi)
-    doc = json.loads(emitted_text(classifier.report_to_doc(report, scn.model.group)))
+    doc = json.loads(emitted_text(report_to_doc(report, scn.model.group)))
     assert doc_to_report(doc) == report  # `MemberMasks` equality reads the masks
 
 

@@ -31,6 +31,7 @@ from weiltate.forge import (
     _smallest_primes_avoiding,
     forge_quadratic,
     forge_totally_real,
+    main_fields,
     parse_scenario,
     scenario_main,
     scenario_ramified,
@@ -427,7 +428,7 @@ def test_scenario_slopes_rederive_from_phi():
 
 def test_a_scenario_is_given_no_slopes_and_reads_them_off_its_model_and_phi():
     scn = scenario_ramified(3, 5)
-    fields = {"name": "s", "family": None, "model": scn.model, "phi": scn.phi, "provenance": "t"}
+    fields = {"name": "s", "family": None, "model": scn.model, "phi": scn.phi}
     with pytest.raises(TypeError, match="no further field"):
         Scenario(**fields, slopes=scn.slopes)
     made = Scenario(**fields)
@@ -443,11 +444,10 @@ def test_scenario_odd_gp_rejected():
         scenario_split(2, 5)
 
 
-def test_scenario_main_attach_fields():
-    scn = scenario_main(4, 5, attach_fields=True)
-    meta = dict(scn.metadata)
-    assert meta["quadratic_d"] == "-2"
-    assert "real_field_poly" in meta
+def test_main_fields_are_the_inert_quadratic_and_the_seed_0_real_field():
+    d, field = main_fields(4, 5)
+    assert d == forge_quadratic(5, "inert", "imaginary") == -2
+    assert field == forge_totally_real(4, 5, 7, 11, seed=0)
 
 
 # --- scenario files ----------------------------------------------------------------

@@ -306,7 +306,8 @@ def test_with_decomposition_verifies_only_d():
     assert type(sub.D_generators) is tuple  # D given by all of its elements, kept as a tuple
     assert subgroup_closure(model.group, sub.D_generators) == frozenset({identity(6), model.tau})
     assert (sub.g, sub.group, sub.tau) == (model.g, model.group, model.tau)
-    assert sub == model  # neither D field takes part in model equality
+    assert sub != model  # D takes part in model equality
+    assert sub == CMGaloisModel(model.group, sub.D_generators)
     assert model.D_generators is None and model.D_blocks is None
     with pytest.raises(ValueError, match="is not in the group"):
         CMGaloisModel(model.group, [cycles_to_perm(6, [(1, 2)])])

@@ -16,6 +16,7 @@ import weiltate
 from weiltate import classifier, forge, galois, slopes
 from weiltate.classifier import (
     classify_orbits,
+    classify_scenario,
     honda_tate_endomorphism,
     structure_check,
     verify_lemma_suite,
@@ -26,7 +27,9 @@ from weiltate.galois import CMGaloisModel, Record, StabChain, build_group
 # class -> (the fields its repr lists, the fields equality and hashing read)
 FIELDS = {
     galois.PermGroup: (("degree", "generators"), ("degree", "generators")),
-    galois.CMGaloisModel: (("g", "group", "tau", "D_generators", "D_blocks"), ("group",)),
+    galois.CMGaloisModel: (
+        ("g", "group", "tau", "D_generators", "D_blocks"), ("group", "D_generators"),
+    ),
     slopes.SlopeVector: (("den", "nums"), ("den", "nums")),
     classifier.MotiveOrbit: ((
         "weight", "representative", "orbit", "is_lefschetz_bearing", "hodge_type",
@@ -43,8 +46,7 @@ FIELDS = {
     ),) * 2,
     forge.ForgedField: (("g", "p", "l", "lp", "lpp", "seed", "poly", "spread"),) * 2,
     forge.Scenario: (
-        ("name", "family", "model", "phi", "slopes", "provenance", "metadata"),
-        ("name", "family", "model", "phi", "provenance", "metadata"),
+        ("name", "family", "model", "phi", "slopes"), ("name", "family", "model", "phi"),
     ),
 }
 
@@ -64,7 +66,7 @@ DERIVED = {
 }
 
 # class -> its class constants, which are no fields either
-CONSTANTS = {classifier.MotiveOrbit: {"is_tate"}, classifier.ClassifierReport: {"notes"}}
+CONSTANTS = {classifier.MotiveOrbit: {"is_tate"}}
 
 
 def _one_of_each() -> dict:
@@ -124,16 +126,29 @@ def test_a_record_compares_and_hashes_by_its_compared_fields(cls):
         assert (other == record) is (name not in FIELDS[cls][1]), name
 
 
-def test_a_decomposition_or_a_chain_does_not_change_equality():
+def test_a_decomposition_changes_equality_and_a_chain_does_not():
     model = cm_product_model(4)
     with_d = CMGaloisModel(model.group, [model.tau])
-    assert with_d == model and hash(with_d) == hash(model)
+    again = CMGaloisModel(model.group, [model.tau])
+    assert with_d == again and hash(with_d) == hash(again)
+    assert with_d != model and with_d != CMGaloisModel(model.group, [])
     assert with_d.D_blocks is not None and model.D_blocks is None
     group = model.group
     rebuilt = build_group(group.degree, group.generators)
     assert rebuilt.chain is not group.chain and rebuilt == group
     other = galois.PermGroup(group.degree, group.generators, StabChain(group.degree))
     assert other == group and hash(other) == hash(group)
+
+
+def test_scenarios_whose_models_differ_only_in_d_differ():
+    """Main g=4 and the same group and phi with D = <tau>: other slopes, another verdict."""
+    scn = scenario_main(4, 5)
+    other = scn.replace(model=CMGaloisModel(scn.model.group, [scn.model.tau]))
+    assert other.model != scn.model and other != scn
+    assert (scn.slopes.den, set(scn.slopes.nums)) == (4, {1, 3})
+    assert (other.slopes.den, set(other.slopes.nums)) == (2, {1})
+    verdicts = [classify_scenario(s)[0].scht_verdict for s in (scn, other)]
+    assert verdicts == [classifier.SCHT_APPLICABLE, classifier.SCHT_LEFSCHETZ_ONLY]
 
 
 def test_replace_runs_post_init_again_and_carries_derived_data():

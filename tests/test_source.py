@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import weiltate
-from weiltate import cli
+from weiltate import cli, forge
 
 SRC = Path(weiltate.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -235,6 +235,23 @@ def test_forge_imports_no_classifier_and_the_classifier_no_forge_or_cli():
                          for alias in node.names} for module, tree in _trees().items()}
     assert "classifier" not in imported["forge.py"]
     assert imported["classifier.py"] & {"forge", "cli"} == set()
+
+
+def test_only_the_cli_builds_documents():
+    """The engine returns records and `cli` alone turns them into documents.
+
+    So no other module defines a `*_doc` function, the classifier imports
+    none of the formatters a document uses, and a `Scenario` holds only
+    what classification reads.
+    """
+    trees = _trees()
+    builders = {module for module, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name.endswith("_doc")}
+    assert builders == {"cli.py"}
+    imported = {alias.name for node in ast.walk(trees["classifier.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"format_perm", "subgroup_generators", "ratio_str"} == set()
+    assert forge.Scenario._fields == ("name", "family", "model", "phi")
 
 
 def test_no_source_line_is_longer_than_100_characters():
